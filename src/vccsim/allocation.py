@@ -359,38 +359,16 @@ def _asymptotic_mmf(
         shift = m if denom_shift is None else denom_shift
         factors.append(beta * (l_tx - m_group + shift))
     factors = np.asarray(factors)
-    ms = np.array([m for _, m, _ in users], dtype=float)
-    betas = np.array([b for b, _, _ in users])
+    ms = np.array([m for _, m, _ in users])
 
-    if p_tot <= 0:
-        powers = _group_powers(counts_by_group, np.zeros(n))
-        return 0.0, powers
-
-    if np.all(ms == ms[0]) and np.all(factors > 0):
-        m = float(ms[0])
-        # Uniform antennas: the gain factor (L - M_group + shift) is common,
-        # so the root is a single logarithm.
-        common = factors / betas
-        if np.allclose(common, common[0]):
-            rate = float(
-                xi * n * m * np.log1p(p_tot * common[0] / (n0 * m * np.sum(1.0 / betas)))
-            )
-            per_stream = n0 * np.expm1(rate / (xi * m * n)) / factors
-            return rate, _group_powers(counts_by_group, per_stream)
-
-    if np.any(factors <= 0):
-        # A vanishing gain factor pins the equal-rate optimum at zero.
+    # A vanishing gain factor pins the equal-rate optimum at zero.
+    if p_tot <= 0 or np.any(factors <= 0):
         return 0.0, _group_powers(counts_by_group, np.zeros(n))
-
-    def residual(r):
-        return float(np.sum(n0 * ms * np.expm1(r / (xi * ms * n)) / factors) - p_tot)
-
-    hi = 1.0
-    while residual(hi) < 0:
-        hi *= 2.0
-    rate = brentq(residual, 0.0, hi, xtol=1e-18, rtol=1e-14)
+    # Every stream of user k has gain factors[k]: the budget equation of the
+    # surrogate users in mmf_brackets, solved by the same root.
+    rate = _bound_root(factors, ms, xi, n0, p_tot)
     per_stream = n0 * np.expm1(rate / (xi * ms * n)) / factors
-    return float(rate), _group_powers(counts_by_group, per_stream)
+    return rate, _group_powers(counts_by_group, per_stream)
 
 
 def _group_powers(counts_by_group, per_stream_by_user):

@@ -19,7 +19,6 @@ __all__ = [
     "PlacementPlan",
     "ScheduleEntry",
     "DeliverySchedule",
-    "GroupSelection",
     "build_placement",
     "build_schedule",
     "verify_delivery",
@@ -159,20 +158,6 @@ class DeliverySchedule:
     @property
     def coded_gain(self) -> int:
         return self.plan.coded_gain
-
-
-@dataclass(frozen=True)
-class GroupSelection:
-    """Number of users decoded per group per stage, with its feasibility cap."""
-
-    served: int
-    cap: int
-
-    def __post_init__(self):
-        if not 1 <= self.served <= self.cap:
-            raise InvalidConfigurationError(
-                f"served users {self.served} outside 1..{self.cap}"
-            )
 
 
 def build_schedule(

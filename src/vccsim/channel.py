@@ -20,7 +20,6 @@ __all__ = [
     "LinkGain",
     "GroupChannel",
     "CsiOverhead",
-    "CsiErrorModel",
     "MACRO",
     "MICRO",
     "geometry_preset",
@@ -29,7 +28,6 @@ __all__ = [
     "sample_group_channel",
     "csi_overhead",
     "corrupt_csit",
-    "corrupt_coupling",
     "noise_power_watts",
     "dbm_to_watts",
     "watts_to_dbm",
@@ -140,28 +138,6 @@ class CsiOverhead:
     coherence_symbols: int
     pilot_symbols: int
     overhead_factor: float
-
-
-@dataclass(frozen=True)
-class CsiErrorModel:
-    """Additive Gaussian error variances for CSI at both link ends.
-
-    ``csit_error_var`` corrupts channel vectors before precoding;
-    ``csir_error_var`` corrupts the coupling coefficients each receiver
-    estimates for cache-aided interference cancellation.  Zero means perfect.
-    """
-
-    csit_error_var: float = 0.0
-    csir_error_var: float = 0.0
-
-    def __post_init__(self):
-        if self.csit_error_var < 0 or self.csir_error_var < 0:
-            raise ValueError("error variances must be nonnegative")
-
-    @property
-    def worst_case(self) -> bool:
-        """Receiver-side estimates no better than transmitter-side ones."""
-        return self.csir_error_var >= self.csit_error_var > 0
 
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:
@@ -275,25 +251,6 @@ def corrupt_csit(
     h_hat = h - err
     # Rebuild the error as the residual so h - h_hat - h_tilde is exactly 0.
     return h_hat, h - h_hat
-
-
-def corrupt_coupling(
-    coupling: complex | np.ndarray,
-    error_var: float,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Additive receiver-side estimation error on a coupling coefficient.
-
-    Returns ``(estimate, error)`` with ``coupling == estimate + error`` and
-    the error zero-mean complex Gaussian with variance ``error_var``.
-    """
-    if error_var < 0:
-        raise ValueError("error_var must be nonnegative")
-    a = np.asarray(coupling, dtype=complex)
-    if error_var == 0:
-        return a, np.zeros_like(a)
-    a_hat = a - math.sqrt(error_var) * complex_gaussian(rng, a.shape)
-    return a_hat, a - a_hat
 
 
 def dbm_to_watts(p_dbm: float) -> float:

@@ -1,9 +1,21 @@
 """Monte Carlo harness for effective sum-rates and effective gains.
 
 A scenario fixes the cell, antenna and caching parameters plus the power
-sweep; runners draw user locations and fading realizations, solve the
-per-realization power allocation, and reduce to per-point means with
-standard errors.  All randomness flows through keyed substreams of the
+sweep.  Every runner submits its location tasks to one location loop
+(:func:`_location_task`), which does the same four steps for every scheme:
+
+1. draw: the location's pathloss row once, then, per fading, the channels
+   of every group once at the largest served-user count ``q``;
+2. kernel: per ``q``, the stream gains of the ``q``-user prefixes of those
+   draws (BD-MRC eigenvalues, ZF or MSV beam gains);
+3. rule: the rates of every curve the scheme owns over the whole power
+   vector (max-min-fair, equal-power ZF under CSI errors, or MSV);
+4. reduce: per-location means over fadings, then the mean and standard
+   error over locations.
+
+A scheme is a :class:`_Rule`: a channel draw plus a rate rule that applies
+its gain kernel.  Fading-free analytic curves have no draw and a fading
+axis of length 1.  All randomness flows through keyed substreams of the
 master seed, and results are reduced in location order, so a report is
 bit-identical for any worker count.
 
@@ -17,9 +29,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +56,8 @@ from .precoding import (
     bd_mrc_eigenvalues,
     msv_gains_fast,
     msv_rate_from_gains,
+    zf_imperfect_csir_sinr,
+    zf_imperfect_csit_sinr,
     zf_matrix,
 )
 
@@ -110,6 +127,8 @@ class Scenario:
             )
         if self.n_locations < 1 or self.n_fadings < 1:
             raise InvalidConfigurationError("realization counts must be positive")
+        if self.seed < 0:
+            raise InvalidConfigurationError(f"seed {self.seed} is negative")
         if self.users_per_group is not None:
             cap = self.max_group_users()
             if not 1 <= self.users_per_group <= cap:
@@ -200,8 +219,16 @@ class RateReport:
         return self.curves[scheme]
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def _parallel_map(fn, args_list, workers: int) -> list:
-    if workers and workers > 1 and len(args_list) > 1:
+    workers = min(workers, _usable_cpus(), len(args_list))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(args_list) // (workers * 4))
             return list(pool.map(fn, args_list, chunksize=chunk))
@@ -250,56 +277,172 @@ def _curve_from_draws(
 
 
 # ---------------------------------------------------------------------------
-# BD-MRC (cache-aided and cacheless are the same path with different G)
+# Schemes: a channel draw plus a rate rule that applies the gain kernel
 # ---------------------------------------------------------------------------
 
-def _bd_location_worker(args) -> np.ndarray:
-    scenario, num_groups, q_list, loc = args
+class _Rule(NamedTuple):
+    """A scheme: a channel draw (``None`` for fading-free curves) and a rate
+    rule; see :func:`_location_task` for their signatures."""
+
+    draw: object
+    rates: object
+
+
+# Gain kernels look their leaf up at call time, where bench/spans.py wraps it.
+def _bd_gains(group: GroupChannel) -> list[np.ndarray]:
+    return bd_mrc_eigenvalues(group)
+
+
+def _zf_gains(group: GroupChannel) -> np.ndarray:
+    _, gains = zf_matrix(group.stacked())
+    return gains.reshape(len(group.per_user), -1)
+
+
+def _mmf_rates(kernel, scenario: Scenario, num_groups: int, q: int, units, betas):
+    """Max-min-fair sum rate over every served user of every group."""
     m = scenario.antennas_per_user
-    q_top = max(q_list)
-    p_watts = scenario.p_watts
-    betas = _location_betas(scenario, num_groups, q_top, loc)
-    out = np.empty((scenario.n_fadings, len(q_list), len(p_watts)))
-    for fad in range(scenario.n_fadings):
-        units = _unit_channels(scenario, num_groups, q_top, loc, fad)
-        for qi, q in enumerate(q_list):
-            xi = scenario.overhead_factor(num_groups, q)
-            fns = []
-            for gi in range(num_groups):
-                group = _group_channel(units[gi], betas[gi], q, m)
-                fns.extend(
-                    UserRateFunction(lam, scenario.noise_power, xi)
-                    for lam in bd_mrc_eigenvalues(group)
-                )
-            for pi, p in enumerate(p_watts):
-                out[fad, qi, pi] = solve_mmf(fns, p).sum_rate
-    return out
-
-
-def _asym_location_worker(args) -> np.ndarray:
-    scenario, num_groups, q_list, loc = args
-    m = scenario.antennas_per_user
-    betas = _location_betas(scenario, num_groups, max(q_list), loc)
-    out = np.empty((len(q_list), len(scenario.p_watts)))
-    for qi, q in enumerate(q_list):
-        xi = scenario.overhead_factor(num_groups, q)
-        counts = [[m] * q] * num_groups
-        beta_rows = [list(betas[gi, :q]) for gi in range(num_groups)]
-        for pi, p in enumerate(scenario.p_watts):
-            rate, _ = mmf_massive_mimo(
-                beta_rows, counts, scenario.num_tx_antennas, xi,
-                scenario.noise_power, p,
-            )
-            out[qi, pi] = rate
-    return out
-
-
-def _scheme_args(scenario: Scenario, num_groups: int, q_list):
-    return [
-        (scenario, num_groups, tuple(q_list), loc)
-        for loc in range(scenario.n_locations)
+    xi = scenario.overhead_factor(num_groups, q)
+    fns = [
+        UserRateFunction(gains, scenario.noise_power, xi)
+        for gi in range(num_groups)
+        for gains in kernel(_group_channel(units[gi], betas[gi], q, m))
     ]
+    return [[solve_mmf(fns, p).sum_rate for p in scenario.p_watts]]
 
+
+def _analytic_args(scenario: Scenario, num_groups: int, q: int, betas):
+    """Leading arguments of the fading-free closed forms, before the power."""
+    m = scenario.antennas_per_user
+    return (
+        [list(betas[gi, :q]) for gi in range(num_groups)],
+        [[m] * q] * num_groups,
+        scenario.num_tx_antennas,
+        scenario.overhead_factor(num_groups, q),
+        scenario.noise_power,
+    )
+
+
+def _asym_rates(scenario: Scenario, num_groups: int, q: int, _, betas):
+    args = _analytic_args(scenario, num_groups, q, betas)
+    return [[mmf_massive_mimo(*args, p)[0] for p in scenario.p_watts]]
+
+
+def _zf_bound_rates(scenario: Scenario, num_groups: int, q: int, _, betas):
+    args = _analytic_args(scenario, num_groups, q, betas)
+    return np.array([zf_mmf_bounds(*args, p) for p in scenario.p_watts]).T
+
+
+def _csi_draws(scenario: Scenario, num_groups: int, q_top: int, loc: int, fad: int):
+    """Per group: true channels, their transmitter-side estimate and the
+    receiver-side coupling error draws."""
+    draws = []
+    for gi, h in enumerate(_unit_channels(scenario, num_groups, q_top, loc, fad)):
+        rng = substream(scenario.seed, 2, loc, fad, gi)
+        h_hat, _ = corrupt_csit(h, scenario.csit_error_var, rng)
+        w = complex_gaussian(substream(scenario.seed, 3, loc, fad, gi), q_top)
+        draws.append((h, h_hat, w))
+    return draws
+
+
+def _csi_rates(scenario: Scenario, num_groups: int, q: int, draws, _):
+    """Equal-power ZF rates: perfect CSI, CSIT error, then CSIT plus each
+    CSIR error variance.  Inter-group residuals enter through their average
+    power only."""
+    p_tot = np.asarray(scenario.p_watts)[:, None]
+    per_stream = p_tot / (num_groups * q)
+    n0 = scenario.noise_power
+    rates = np.zeros((2 + len(scenario.csir_error_vars), p_tot.size))
+    for h, h_hat, w in draws:
+        h_q = h[:, :q]
+        # Precoders from the true channels (perfect CSI) and from the estimate.
+        couplings = [h_q.T @ zf_matrix(est[:, :q])[0] for est in (h, h_hat)]
+        sinrs = [zf_imperfect_csit_sinr(c, per_stream, n0) for c in couplings]
+        own = np.diagonal(couplings[1])
+        for var in scenario.csir_error_vars:
+            # Each receiver's estimate of its own coupling coefficient.
+            est = own - math.sqrt(var) * w[:q]
+            sinrs.append(zf_imperfect_csir_sinr(p_tot, num_groups, q, var, est, n0))
+        rates += np.log1p(sinrs).sum(axis=-1)
+    return scenario.overhead_factor(num_groups, q) * rates
+
+
+def _msv_draws(scenario: Scenario, num_groups: int, q_top: int, loc: int, fad: int):
+    l = scenario.num_tx_antennas
+    uc_pool = complex_gaussian(substream(scenario.seed, 4, loc, fad, 0), (l - 1, l))
+    mc = complex_gaussian(substream(scenario.seed, 4, loc, fad, 1), (num_groups, l))
+    return mc, uc_pool
+
+
+def _msv_rates(scenario: Scenario, num_groups: int, num_unicast: int, draws, _):
+    mc_gains, uc_gains = msv_gains_fast(*draws, num_unicast)
+    return [[
+        msv_rate_from_gains(
+            mc_gains, uc_gains, p, scenario.noise_power, num_groups,
+            scenario.cached_load, scenario.coherence_symbols, scenario.pilot_symbols,
+        )
+        for p in scenario.p_watts
+    ]]
+
+
+_BD_MMF = _Rule(_unit_channels, partial(_mmf_rates, _bd_gains))
+_ZF_MMF = _Rule(_unit_channels, partial(_mmf_rates, _zf_gains))
+_BD_ASYM = _Rule(None, _asym_rates)
+_ZF_BOUNDS = _Rule(None, _zf_bound_rates)
+_CSI = _Rule(_csi_draws, _csi_rates)
+_MSV = _Rule(_msv_draws, _msv_rates)
+
+
+# ---------------------------------------------------------------------------
+# The location loop and its reduction
+# ---------------------------------------------------------------------------
+
+def _location_task(args) -> list[np.ndarray]:
+    """Every rule of one job at one location.
+
+    A job is ``(scenario, num_groups, q_values, ((rule, curve_names), ...))``.
+    ``rule.draw(scenario, num_groups, q_top, loc, fad)`` draws one fading's
+    channels at the largest ``q``; ``rule.rates(scenario, num_groups, q,
+    draws, betas)`` returns one row per curve over the power vector.  Both
+    are module-level functions so that tasks pickle.  Returns, per rule,
+    rates of shape ``(n_curves, n_fad, n_q, n_p)``, with ``n_fad`` 1 for
+    fading-free rules.
+    """
+    (scenario, num_groups, q_values, rules), loc = args
+    q_top = max(q_values)
+    betas = _location_betas(scenario, num_groups, q_top, loc)
+    out = []
+    for rule, names in rules:
+        n_fad = scenario.n_fadings if rule.draw else 1
+        rates = np.empty((len(names), n_fad, len(q_values), len(scenario.p_watts)))
+        for fad in range(n_fad):
+            draws = rule.draw(scenario, num_groups, q_top, loc, fad) if rule.draw else None
+            for qi, q in enumerate(q_values):
+                rates[:, fad, qi] = rule.rates(scenario, num_groups, q, draws, betas)
+        out.append(rates)
+    return out
+
+
+def _job(scenario: Scenario, num_groups: int, fixed: int | None, *rules):
+    return (scenario, num_groups, scenario.group_user_counts(fixed), rules)
+
+
+def _simulate(jobs, workers: int) -> dict[str, SchemeCurve]:
+    """Run every location of every job in one pool; reduce in location order."""
+    tasks = [(job, loc) for job in jobs for loc in range(job[0].n_locations)]
+    results = iter(_parallel_map(_location_task, tasks, workers))
+    curves = {}
+    for scenario, _, q_values, rules in jobs:
+        per_loc = [next(results) for _ in range(scenario.n_locations)]
+        for ri, (_, names) in enumerate(rules):
+            for ci, name in enumerate(names):
+                samples = np.stack([r[ri][ci] for r in per_loc])
+                curves[name] = _curve_from_draws(name, scenario, q_values, samples)
+    return curves
+
+
+# ---------------------------------------------------------------------------
+# Runners
+# ---------------------------------------------------------------------------
 
 def run_vcc_bd_mrc(
     scenario: Scenario, workers: int = 1, include_asymptotic: bool = False
@@ -310,113 +453,28 @@ def run_vcc_bd_mrc(
     evaluated on common random numbers.  ``include_asymptotic`` adds the
     large-antenna closed-form curve evaluated on the same location draws.
     """
-    g = scenario.coded_gain
-    q_list = scenario.group_user_counts(scenario.users_per_group)
-    draws = _parallel_map(_bd_location_worker, _scheme_args(scenario, g, q_list), workers)
-    curves = {
-        "vcc_bd_mrc": _curve_from_draws("vcc_bd_mrc", scenario, q_list, np.stack(draws))
-    }
+    rules = [(_BD_MMF, ("vcc_bd_mrc",))]
     if include_asymptotic:
-        asym = np.stack(
-            _parallel_map(_asym_location_worker, _scheme_args(scenario, g, q_list), workers)
-        )
-        # No fading axis: insert one so the reducer sees per-location values.
-        curves["vcc_bd_mrc_asym"] = _curve_from_draws(
-            "vcc_bd_mrc_asym", scenario, q_list, asym[:, None]
-        )
-    return RateReport(scenario, curves)
+        rules.append((_BD_ASYM, ("vcc_bd_mrc_asym",)))
+    job = _job(scenario, scenario.coded_gain, scenario.users_per_group, *rules)
+    return RateReport(scenario, _simulate([job], workers))
 
 
 def run_cacheless_bd_mrc(scenario: Scenario, workers: int = 1) -> RateReport:
     """Cacheless MU-MIMO baseline: the same pipeline with a single group."""
     base = scenario.cacheless_counterpart()
-    q_list = base.group_user_counts(base.users_per_group)
-    draws = _parallel_map(_bd_location_worker, _scheme_args(base, 1, q_list), workers)
-    curve = _curve_from_draws("cacheless_bd_mrc", base, q_list, np.stack(draws))
-    return RateReport(base, {"cacheless_bd_mrc": curve})
-
-
-# ---------------------------------------------------------------------------
-# ZF with fading-averaged analytic bounds
-# ---------------------------------------------------------------------------
-
-def _zf_location_worker(args):
-    scenario, num_groups, q_list, loc = args
-    m = scenario.antennas_per_user
-    q_top = max(q_list)
-    p_watts = scenario.p_watts
-    betas = _location_betas(scenario, num_groups, q_top, loc)
-    sim = np.empty((scenario.n_fadings, len(q_list), len(p_watts)))
-    lo = np.empty((len(q_list), len(p_watts)))
-    hi = np.empty((len(q_list), len(p_watts)))
-    for qi, q in enumerate(q_list):
-        xi = scenario.overhead_factor(num_groups, q)
-        counts = [[m] * q] * num_groups
-        beta_rows = [list(betas[gi, :q]) for gi in range(num_groups)]
-        for pi, p in enumerate(p_watts):
-            lo[qi, pi], hi[qi, pi] = zf_mmf_bounds(
-                beta_rows, counts, scenario.num_tx_antennas, xi,
-                scenario.noise_power, p,
-            )
-    for fad in range(scenario.n_fadings):
-        units = _unit_channels(scenario, num_groups, q_top, loc, fad)
-        for qi, q in enumerate(q_list):
-            xi = scenario.overhead_factor(num_groups, q)
-            fns = []
-            for gi in range(num_groups):
-                group = _group_channel(units[gi], betas[gi], q, m)
-                _, gains = zf_matrix(group.stacked())
-                for k in range(q):
-                    fns.append(
-                        UserRateFunction(
-                            gains[k * m : (k + 1) * m], scenario.noise_power, xi
-                        )
-                    )
-            for pi, p in enumerate(p_watts):
-                sim[fad, qi, pi] = solve_mmf(fns, p).sum_rate
-    return sim, lo, hi
+    job = _job(base, 1, base.users_per_group, (_BD_MMF, ("cacheless_bd_mrc",)))
+    return RateReport(base, _simulate([job], workers))
 
 
 def run_vcc_zf(scenario: Scenario, workers: int = 1) -> RateReport:
     """Simulated ZF max-min rate plus its fading-averaged analytic bounds."""
-    g = scenario.coded_gain
-    q_list = scenario.group_user_counts(scenario.users_per_group)
-    results = _parallel_map(_zf_location_worker, _scheme_args(scenario, g, q_list), workers)
-    sim = np.stack([r[0] for r in results])
-    lo = np.stack([r[1] for r in results])[:, None]
-    hi = np.stack([r[2] for r in results])[:, None]
-    return RateReport(
-        scenario,
-        {
-            "vcc_zf": _curve_from_draws("vcc_zf", scenario, q_list, sim),
-            "vcc_zf_lower": _curve_from_draws("vcc_zf_lower", scenario, q_list, lo),
-            "vcc_zf_upper": _curve_from_draws("vcc_zf_upper", scenario, q_list, hi),
-        },
+    job = _job(
+        scenario, scenario.coded_gain, scenario.users_per_group,
+        (_ZF_MMF, ("vcc_zf",)),
+        (_ZF_BOUNDS, ("vcc_zf_lower", "vcc_zf_upper")),
     )
-
-
-# ---------------------------------------------------------------------------
-# Bit-level multi-server baseline (single-antenna, symmetric fading)
-# ---------------------------------------------------------------------------
-
-def _msv_location_worker(args):
-    scenario, quc_list, loc = args
-    l = scenario.num_tx_antennas
-    g = scenario.coded_gain
-    p_watts = scenario.p_watts
-    out = np.empty((scenario.n_fadings, len(quc_list), len(p_watts)))
-    for fad in range(scenario.n_fadings):
-        uc_pool = complex_gaussian(substream(scenario.seed, 4, loc, fad, 0), (l - 1, l))
-        mc = complex_gaussian(substream(scenario.seed, 4, loc, fad, 1), (g, l))
-        for qi, quc in enumerate(quc_list):
-            mc_gains, uc_gains = msv_gains_fast(mc, uc_pool, quc)
-            for pi, p in enumerate(p_watts):
-                out[fad, qi, pi] = msv_rate_from_gains(
-                    mc_gains, uc_gains, p, scenario.noise_power, g,
-                    scenario.cached_load, scenario.coherence_symbols,
-                    scenario.pilot_symbols,
-                )
-    return out
+    return RateReport(scenario, _simulate([job], workers))
 
 
 def run_msv(scenario: Scenario, workers: int = 1) -> RateReport:
@@ -431,73 +489,12 @@ def run_msv(scenario: Scenario, workers: int = 1) -> RateReport:
             "multi-server baseline needs single-antenna users with unit pathloss"
         )
     l = scenario.num_tx_antennas
-    quc_list = tuple(range(1, l))
-    args = [(scenario, quc_list, loc) for loc in range(scenario.n_locations)]
-    draws = np.stack(_parallel_map(_msv_location_worker, args, workers))
-    full = _curve_from_draws("msv_modified", scenario, quc_list, draws)
+    job = (scenario, scenario.coded_gain, tuple(range(1, l)), ((_MSV, ("msv_modified",)),))
+    full = _simulate([job], workers)["msv_modified"]
     original = SchemeCurve(
         "msv", scenario.ptot_dbm, (l - 1,), full.mean[-1:], full.stderr[-1:]
     )
     return RateReport(scenario, {"msv": original, "msv_modified": full})
-
-
-# ---------------------------------------------------------------------------
-# ZF with imperfect CSIT / CSIR (single-antenna, symmetric, equal power)
-# ---------------------------------------------------------------------------
-
-def _csi_location_worker(args):
-    scenario, num_groups, q_list, loc = args
-    l = scenario.num_tx_antennas
-    n0 = scenario.noise_power
-    q_top = max(q_list)
-    p_watts = scenario.p_watts
-    csit_var = scenario.csit_error_var
-    csir_vars = scenario.csir_error_vars
-    variants = ["perfect", "csit"] + [f"csir{i}" for i in range(len(csir_vars))]
-    out = {
-        v: np.empty((scenario.n_fadings, len(q_list), len(p_watts))) for v in variants
-    }
-    for fad in range(scenario.n_fadings):
-        groups = []
-        for gi in range(num_groups):
-            h = complex_gaussian(substream(scenario.seed, 1, loc, fad, gi), (l, q_top))
-            h_hat, _ = corrupt_csit(h, csit_var, substream(scenario.seed, 2, loc, fad, gi))
-            w = complex_gaussian(substream(scenario.seed, 3, loc, fad, gi), q_top)
-            groups.append((h, h_hat, w))
-        for qi, q in enumerate(q_list):
-            served = num_groups * q
-            xi = scenario.overhead_factor(num_groups, q)
-            per_group = {v: [] for v in variants}
-            for h, h_hat, w in groups:
-                _, gains = zf_matrix(h[:, :q])
-                per_group["perfect"].append((gains, None))
-                v_hat, _ = zf_matrix(h_hat[:, :q])
-                coupling = h[:, :q].T @ v_hat
-                cross = np.abs(coupling) ** 2
-                signal = np.diag(cross).copy()
-                interf = cross.sum(axis=1) - signal
-                per_group["csit"].append((signal, interf))
-                own = np.diag(coupling)
-                for i, var in enumerate(csir_vars):
-                    est = np.abs(own - math.sqrt(var) * w[:q]) ** 2
-                    per_group[f"csir{i}"].append((est, var))
-            for pi, p in enumerate(p_watts):
-                pe = p / served
-                acc = {v: 0.0 for v in variants}
-                for gains, _ in per_group["perfect"]:
-                    acc["perfect"] += float(np.sum(np.log1p(pe * gains / n0)))
-                for signal, interf in per_group["csit"]:
-                    acc["csit"] += float(
-                        np.sum(np.log1p(pe * signal / (n0 + pe * interf)))
-                    )
-                for i, var in enumerate(csir_vars):
-                    residual = pe * var * (served - 1)
-                    for est, _ in per_group[f"csir{i}"]:
-                        sinr = pe * (est + var) / (n0 + residual)
-                        acc[f"csir{i}"] += float(np.sum(np.log1p(sinr)))
-                for v in variants:
-                    out[v][fad, qi, pi] = xi * acc[v]
-    return out
 
 
 def run_imperfect_csi(scenario: Scenario, workers: int = 1) -> RateReport:
@@ -506,34 +503,23 @@ def run_imperfect_csi(scenario: Scenario, workers: int = 1) -> RateReport:
     Produces the cache-aided curves and their cacheless counterparts, for
     perfect CSI, transmitter-side estimation error, and (if
     ``csir_error_vars`` is set) additional receiver-side coupling error.
-    Inter-group residuals enter through their average power only.
     """
     if scenario.antennas_per_user != 1 or scenario.geometry is not None:
         raise UnsupportedConfigurationError(
             "imperfect-CSI study needs single-antenna users with unit pathloss"
         )
-    curves: dict[str, SchemeCurve] = {}
-    for prefix, num_groups, fixed in (
-        ("vcc_zf", scenario.coded_gain, scenario.users_per_group),
-        ("cacheless_zf", 1, scenario.baseline_users),
+    # Residual-coupling errors model imperfect cache-aided cancellation,
+    # which the cacheless baseline does not perform.
+    cacheless = dataclasses.replace(scenario, csir_error_vars=())
+    jobs = []
+    for prefix, side, num_groups, fixed in (
+        ("vcc_zf", scenario, scenario.coded_gain, scenario.users_per_group),
+        ("cacheless_zf", cacheless, 1, scenario.baseline_users),
     ):
-        side = scenario
-        if prefix == "cacheless_zf":
-            # Residual-coupling errors model imperfect cache-aided
-            # cancellation, which the cacheless baseline does not perform.
-            side = dataclasses.replace(scenario, csir_error_vars=())
-        q_list = scenario.group_user_counts(fixed)
-        results = _parallel_map(
-            _csi_location_worker, _scheme_args(side, num_groups, q_list), workers
-        )
-        for variant in results[0]:
-            samples = np.stack([r[variant] for r in results])
-            name = f"{prefix}_{variant}"
-            if variant.startswith("csir"):
-                var = scenario.csir_error_vars[int(variant[4:])]
-                name = f"{prefix}_csit_csir{var:g}"
-            curves[name] = _curve_from_draws(name, scenario, q_list, samples)
-    return RateReport(scenario, curves)
+        names = [f"{prefix}_perfect", f"{prefix}_csit"]
+        names += [f"{prefix}_csit_csir{var:g}" for var in side.csir_error_vars]
+        jobs.append(_job(side, num_groups, fixed, (_CSI, tuple(names))))
+    return RateReport(scenario, _simulate(jobs, workers))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,15 @@ Three beamformer families are implemented:
 * multicast/unicast null-steering beamformers for the bit-level
   multi-server (MSV) baseline.
 
+The Monte Carlo runners call only the fast paths, which return gains
+without forming every beam: :func:`bd_mrc_eigenvalues`, :func:`zf_matrix`,
+:func:`msv_gains_fast`, plus the rate and SINR formulas
+:func:`msv_rate_from_gains`, :func:`zf_imperfect_csit_sinr` and
+:func:`zf_imperfect_csir_sinr`.  The definition-level designs
+:func:`bd_mrc`, :func:`sinr_from_matrices`, :func:`bd_mrc_sinr`,
+:func:`msv_beamformers` and :func:`null_projector` are oracles: the tests
+check the fast paths against them.
+
 Channels follow the convention that a user with channel matrix ``H``
 receives ``H.T @ x``, so a beam ``v`` is invisible to ``H`` iff
 ``H.T @ v == 0``.
@@ -20,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import GroupChannel
+from .channel import GroupChannel, csi_overhead
 from .errors import (
     ContractViolationError,
     InfeasibleDimensionError,
@@ -30,7 +39,6 @@ from .errors import (
 __all__ = [
     "UserPrecoder",
     "PrecoderSolution",
-    "ZfSolution",
     "MsvSolution",
     "hermitian_eig",
     "null_projector",
@@ -38,17 +46,13 @@ __all__ = [
     "bd_mrc_eigenvalues",
     "bd_mrc_sinr",
     "sinr_from_matrices",
-    "zf",
     "zf_matrix",
     "zf_imperfect_csit_sinr",
     "zf_imperfect_csir_sinr",
     "msv_beamformers",
-    "msv_rates",
     "msv_rate_from_gains",
     "msv_gains_fast",
     "msv_high_snr_gain_limit",
-    "dump_complex_matrix",
-    "load_complex_matrix",
 ]
 
 # Eigenvalues below this fraction of the largest one count as zero rank.
@@ -123,13 +127,6 @@ class PrecoderSolution:
 
     users: tuple[UserPrecoder, ...]
 
-    @property
-    def stream_counts(self) -> tuple[int, ...]:
-        return tuple(u.num_streams for u in self.users)
-
-    def eigenvalue_sets(self) -> list[np.ndarray]:
-        return [u.eigenvalues for u in self.users]
-
 
 def _bd_small_matrix(h_k: np.ndarray, h_rest: np.ndarray) -> np.ndarray:
     """Per-user matrix whose eigenvalues are the BD-MRC stream gains.
@@ -145,6 +142,12 @@ def _bd_small_matrix(h_k: np.ndarray, h_rest: np.ndarray) -> np.ndarray:
         gram = h_rest.T @ h_rest.conj()
         a = gk - b @ _gram_solve(gram, b.conj().T)
     return (a + a.conj().T) / 2.0
+
+
+def _others(mats: list[np.ndarray], k: int) -> np.ndarray:
+    """Channels of every user but ``k`` side by side; ``(L, 0)`` if none."""
+    rest = [h for i, h in enumerate(mats) if i != k]
+    return np.hstack(rest) if rest else np.empty((mats[k].shape[0], 0), dtype=complex)
 
 
 def bd_mrc(group: GroupChannel) -> PrecoderSolution:
@@ -164,12 +167,7 @@ def bd_mrc(group: GroupChannel) -> PrecoderSolution:
     mats = [h for h, _ in group.per_user]
     users = []
     for k, h_k in enumerate(mats):
-        h_rest = (
-            np.hstack([h for i, h in enumerate(mats) if i != k])
-            if len(mats) > 1
-            else np.empty((group.num_tx_antennas, 0), dtype=complex)
-        )
-        t_proj = null_projector(h_rest)
+        t_proj = null_projector(_others(mats, k))
         small = h_k.T @ t_proj @ h_k.conj()
         w, tvecs = hermitian_eig(small)
         j = int(np.sum(w > RANK_CUTOFF * max(w[0], 0.0)))
@@ -190,32 +188,22 @@ def bd_mrc_eigenvalues(group: GroupChannel) -> list[np.ndarray]:
     """Per-user BD-MRC stream gains without building the beamformers.
 
     Matches the eigenvalues of :func:`bd_mrc` but works on the small
-    per-user matrices only; with single-antenna users it reduces to one
-    Gram-matrix inverse for the whole group.
+    per-user matrices only; with single-antenna users the stream gains are
+    the ZF gains of :func:`zf_matrix`, one Gram-matrix inverse per group.
     """
     mats = [h for h, _ in group.per_user]
     if all(h.shape[1] == 1 for h in mats) and len(mats) > 1:
-        stacked = np.hstack(mats)
-        gram = stacked.T @ stacked.conj()
         try:
-            inv = np.linalg.inv(gram)
-        except np.linalg.LinAlgError:
-            return _bd_eigs_generic(group, mats)
-        gains = 1.0 / np.real(np.diag(inv))
-        if np.all(gains > 0):
-            return [np.array([g]) for g in gains]
-    return _bd_eigs_generic(group, mats)
+            return list(zf_matrix(group.stacked())[1][:, None])
+        except SingularMatrixError:
+            pass
+    return _bd_eigs_generic(mats)
 
 
-def _bd_eigs_generic(group: GroupChannel, mats: list[np.ndarray]) -> list[np.ndarray]:
+def _bd_eigs_generic(mats: list[np.ndarray]) -> list[np.ndarray]:
     out = []
     for k, h_k in enumerate(mats):
-        h_rest = (
-            np.hstack([h for i, h in enumerate(mats) if i != k])
-            if len(mats) > 1
-            else np.empty((group.num_tx_antennas, 0), dtype=complex)
-        )
-        small = _bd_small_matrix(h_k, h_rest)
+        small = _bd_small_matrix(h_k, _others(mats, k))
         w = np.linalg.eigvalsh(small)[::-1]
         j = int(np.sum(w > RANK_CUTOFF * max(w[0], 0.0)))
         if j == 0:
@@ -265,23 +253,6 @@ def sinr_from_matrices(
     return out
 
 
-@dataclass(frozen=True)
-class ZfSolution:
-    """Zero-forcing precoder for one group, with per-stream effective gains.
-
-    ``stream_gains[i]`` is the squared effective channel of stream ``i``
-    after full diagonalization; receivers need no combining matrix.
-    """
-
-    precoder: np.ndarray          # (L, total_antennas), unit-norm columns
-    stream_gains: np.ndarray      # (total_antennas,), > 0
-    antenna_counts: tuple[int, ...]
-
-    def user_gains(self, k: int) -> np.ndarray:
-        start = sum(self.antenna_counts[:k])
-        return self.stream_gains[start : start + self.antenna_counts[k]]
-
-
 def zf_matrix(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """ZF precoder and per-stream gains for a stacked ``(L, M)`` channel.
 
@@ -303,32 +274,27 @@ def zf_matrix(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v, gains
 
 
-def zf(group: GroupChannel) -> ZfSolution:
-    """Fully diagonalizing precoder for one served group."""
-    v, gains = zf_matrix(group.stacked())
-    return ZfSolution(v, gains, group.antenna_counts)
-
-
 def zf_imperfect_csit_sinr(
-    true_channels: np.ndarray,
-    estimated_channels: np.ndarray,
-    powers: np.ndarray,
+    coupling: np.ndarray,
+    powers,
     noise_power: float,
 ) -> np.ndarray:
-    """Per-user SINRs when ZF is computed from estimated channels.
+    """Per-user SINRs of single-antenna users under a possibly mismatched ZF.
 
-    Channels are stacked column-wise ``(L, Q)`` for single-antenna users.
-    The precoder nulls the *estimated* cross channels, so the true channels
-    leak residual intra-group interference; cross-group terms are assumed
-    cancelled from cached content and do not appear.
+    ``coupling[i, j]`` is user ``i``'s true channel times the unit-norm
+    precoding column of stream ``j``, i.e. ``h.T @ v_hat`` for true channels
+    ``h`` and a ZF precoder ``v_hat`` computed from estimated channels.
+    Nulling the estimated cross channels leaves residual intra-group
+    interference; cross-group terms are assumed cancelled from cached
+    content and do not appear.  ``powers`` holds per-stream powers along its
+    last axis and broadcasts, so a column of equal per-stream powers gives
+    one row of SINRs per power point.
     """
-    v_hat, _ = zf_matrix(np.asarray(estimated_channels, dtype=complex))
-    coupling = np.asarray(true_channels, dtype=complex).T @ v_hat  # (Q, Q)
+    cross = np.abs(np.asarray(coupling)) ** 2
     powers = np.asarray(powers, dtype=float)
-    cross = np.abs(coupling) ** 2 * powers[None, :]
-    signal = np.diag(cross)
-    interference = cross.sum(axis=1) - signal
-    return signal / (noise_power + interference)
+    received = np.sum(cross * powers[..., None, :], axis=-1)
+    signal = np.diagonal(cross) * powers
+    return signal / (noise_power + received - signal)
 
 
 def zf_imperfect_csir_sinr(
@@ -343,6 +309,8 @@ def zf_imperfect_csir_sinr(
 
     Residual interference from all other served streams enters through its
     average power ``per_stream_power * csir_error_var * (served - 1)``.
+    ``estimated_coupling`` is each receiver's estimate of its own coupling
+    coefficient; a column of ``p_tot`` values gives one row per power point.
     """
     served = num_groups * users_per_group
     p = p_tot / served
@@ -413,8 +381,9 @@ def msv_beamformers(
     return MsvSolution(f0, beams, mc_gains, uc_gains)
 
 
-def msv_rates(
-    solution: MsvSolution,
+def msv_rate_from_gains(
+    multicast_gains: np.ndarray,
+    unicast_gains: np.ndarray,
     p_tot: float,
     noise_power: float,
     coded_gain: int,
@@ -428,28 +397,16 @@ def msv_rates(
     stream is decoded by ``coded_gain`` users and runs at the worst of
     their effective channels; pilot overhead covers all
     ``num_unicast + 1 + cached_load`` served single-antenna users.
+
+    Raises
+    ------
+    OverheadExceedsCoherenceError
+        If those pilots would consume more than the coherence block.
     """
-    return msv_rate_from_gains(
-        solution.multicast_gains, solution.unicast_gains, p_tot, noise_power,
-        coded_gain, cached_load, coherence_symbols, pilot_symbols,
-    )
-
-
-def msv_rate_from_gains(
-    multicast_gains: np.ndarray,
-    unicast_gains: np.ndarray,
-    p_tot: float,
-    noise_power: float,
-    coded_gain: int,
-    cached_load: int,
-    coherence_symbols: int,
-    pilot_symbols: int,
-) -> float:
     streams = len(unicast_gains) + 1
-    served = streams + cached_load
-    xi = 1.0 - pilot_symbols * served / coherence_symbols
-    if xi < 0:
-        return 0.0
+    xi = csi_overhead(
+        coherence_symbols, pilot_symbols, streams + cached_load
+    ).overhead_factor
     p = p_tot / streams
     r_mc = coded_gain * np.min(np.log1p(p * np.asarray(multicast_gains) / noise_power))
     r_uc = float(np.sum(np.log1p(p * np.asarray(unicast_gains) / noise_power)))
@@ -486,24 +443,3 @@ def msv_gains_fast(
 def msv_high_snr_gain_limit(num_tx_antennas: int, cached_load: int) -> float:
     """Limiting gain of the full-multiplexing baseline as power grows."""
     return (num_tx_antennas + cached_load) / num_tx_antennas
-
-
-def dump_complex_matrix(a: np.ndarray) -> str:
-    """Row-major ``re,im`` text dump used by the oracle cross-checks."""
-    a = np.atleast_2d(np.asarray(a, dtype=complex))
-    lines = [f"{a.shape[0]} {a.shape[1]}"]
-    for row in a:
-        lines.append(" ".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in row))
-    return "\n".join(lines) + "\n"
-
-
-def load_complex_matrix(text: str) -> np.ndarray:
-    """Inverse of :func:`dump_complex_matrix`."""
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    rows, cols = (int(x) for x in lines[0].split())
-    out = np.empty((rows, cols), dtype=complex)
-    for i, ln in enumerate(lines[1 : rows + 1]):
-        for j, tok in enumerate(ln.split()):
-            re_s, im_s = tok.split(",")
-            out[i, j] = complex(float(re_s), float(im_s))
-    return out

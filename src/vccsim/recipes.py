@@ -274,7 +274,7 @@ def run_recipe(
     recipe = RECIPES[name]
     params = dict(overrides or {})
     params["seed"] = seed
-    params["n_locations"] = n_locations or recipe.default_locations
-    params["n_fadings"] = n_fadings or recipe.default_fadings
+    params["n_locations"] = recipe.default_locations if n_locations is None else n_locations
+    params["n_fadings"] = recipe.default_fadings if n_fadings is None else n_fadings
     rows = recipe.build_rows(params, workers)
     return rows, (params["n_locations"], params["n_fadings"])

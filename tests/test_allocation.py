@@ -263,7 +263,10 @@ class TestMassiveMimo:
                 for b, m, mg in flat
             ) - p
 
-        ref = brentq(resid, 0.0, 1e4, xtol=1e-18, rtol=1e-14)
+        hi = 1.0
+        while resid(hi) < 0:
+            hi *= 2.0
+        ref = brentq(resid, 0.0, hi, xtol=1e-18, rtol=1e-14)
         assert rate == pytest.approx(ref, rel=1e-10)
         total = sum(float(np.sum(arr)) for grp in powers for arr in grp)
         assert total == pytest.approx(p, rel=1e-9)

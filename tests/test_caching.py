@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from vccsim.caching import (
-    GroupSelection,
     build_placement,
     build_schedule,
     dump_schedule,
@@ -163,13 +162,6 @@ class TestQMax:
         assert all(a <= b for a, b in zip(vals_l, vals_l[1:]))
         vals_m = [q_max_uniform(24, m, 99) for m in range(1, 24)]
         assert all(a >= b for a, b in zip(vals_m, vals_m[1:]))
-
-    def test_group_selection_bounds(self):
-        GroupSelection(2, 4)
-        with pytest.raises(InvalidConfigurationError):
-            GroupSelection(5, 4)
-        with pytest.raises(InvalidConfigurationError):
-            GroupSelection(0, 4)
 
 
 class TestDump:

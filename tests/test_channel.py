@@ -8,9 +8,7 @@ from vccsim.channel import (
     MACRO,
     MICRO,
     CellGeometry,
-    CsiErrorModel,
     GroupChannel,
-    corrupt_coupling,
     corrupt_csit,
     csi_overhead,
     dbm_to_watts,
@@ -175,24 +173,6 @@ class TestCsitError:
     def test_error_variance_exceeds_channel(self):
         with pytest.raises(ValueError):
             corrupt_csit(np.ones(4, dtype=complex), 2.0, substream(0, 14), channel_var=1.0)
-
-
-class TestCouplingError:
-    def test_zero_error(self):
-        a_hat, a_tilde = corrupt_coupling(1.5 - 2j, 0.0, substream(0, 15))
-        assert a_hat == 1.5 - 2j and a_tilde == 0
-
-    def test_error_variance(self):
-        rng = substream(7, 16)
-        a = np.ones(100_000, dtype=complex)
-        a_hat, a_tilde = corrupt_coupling(a, 0.04, rng)
-        assert np.mean(np.abs(a_tilde) ** 2) == pytest.approx(0.04, rel=0.02)
-        assert np.array_equal(a - a_hat - a_tilde, np.zeros_like(a))
-
-    def test_worst_case_flag(self):
-        assert CsiErrorModel(0.01, 0.01).worst_case
-        assert not CsiErrorModel(0.01, 0.001).worst_case
-        assert not CsiErrorModel(0.0, 0.0).worst_case
 
 
 class TestPowerUnits:

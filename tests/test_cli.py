@@ -154,3 +154,16 @@ class TestParser:
     def test_main_list(self, capsys):
         assert main(["--list-recipes"]) == 0
         assert "fig2:" in capsys.readouterr().out
+
+    def test_zero_counts_rejected_not_defaulted(self, capsys, tmp_path):
+        code = main(["--recipe", "fig9", "--locations", "0", "--fadings", "0",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_negative_seed_rejected(self, capsys, tmp_path):
+        code = main(["--recipe", "fig4", "--seed", "-1", "--locations", "1",
+                     "--fadings", "1", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")

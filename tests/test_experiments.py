@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from vccsim import experiments
 from vccsim.errors import InvalidConfigurationError, UnsupportedConfigurationError
 from vccsim.experiments import (
     Scenario,
@@ -104,6 +105,35 @@ class TestDeterminism:
         se4 = run_vcc_bd_mrc(doubled)["vcc_bd_mrc"].stderr[0, 0]
         # location scatter dominates, but fading noise must not grow
         assert se4 < se1
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records its size, starts nothing."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, args, chunksize=1):
+        return map(fn, args)
+
+
+class TestPoolSize:
+    @pytest.mark.parametrize("cpus, expected", [(64, 3), (2, 2)])
+    def test_workers_clamped_to_cpus_and_tasks(self, monkeypatch, cpus, expected):
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", _SerialPool)
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+        _SerialPool.sizes.clear()
+        out = experiments._parallel_map(abs, [-1, -2, -3], 10_000)
+        assert out == [1, 2, 3]
+        assert _SerialPool.sizes == [expected]
 
 
 class TestOverheadAccounting:

@@ -5,23 +5,20 @@ from vccsim.channel import complex_gaussian, sample_group_channel, substream
 from vccsim.errors import (
     ContractViolationError,
     InfeasibleDimensionError,
+    OverheadExceedsCoherenceError,
     SingularMatrixError,
 )
 from vccsim.precoding import (
     bd_mrc,
     bd_mrc_eigenvalues,
     bd_mrc_sinr,
-    dump_complex_matrix,
     hermitian_eig,
-    load_complex_matrix,
     msv_beamformers,
     msv_gains_fast,
     msv_high_snr_gain_limit,
     msv_rate_from_gains,
-    msv_rates,
     null_projector,
     sinr_from_matrices,
-    zf,
     zf_imperfect_csir_sinr,
     zf_imperfect_csit_sinr,
     zf_matrix,
@@ -170,9 +167,9 @@ class TestZf:
     def test_single_user_single_antenna(self):
         g = random_group(1, [1], [1.0], 20)
         h = g.per_user[0][0][0, 0]
-        sol = zf(g)
-        assert sol.stream_gains[0] == pytest.approx(abs(h) ** 2, rel=1e-10)
-        assert abs(sol.precoder[0, 0]) == pytest.approx(1.0, rel=1e-12)
+        v, gains = zf_matrix(g.stacked())
+        assert gains[0] == pytest.approx(abs(h) ** 2, rel=1e-10)
+        assert abs(v[0, 0]) == pytest.approx(1.0, rel=1e-12)
 
     def test_orthogonal_channels_no_projection_loss(self):
         h1 = np.array([1.0, 1j, 0, 0], dtype=complex)
@@ -187,12 +184,12 @@ class TestZf:
 
     def test_diagonalization_and_unit_columns(self):
         g = random_group(16, [2, 2], [1.0, 3.0], 21)
-        sol = zf(g)
-        eff = g.stacked().T @ sol.precoder
+        v, gains = zf_matrix(g.stacked())
+        eff = g.stacked().T @ v
         off = np.abs(eff - np.diag(np.diag(eff)))
         assert off.max() <= 1e-9 * np.abs(np.diag(eff)).min()
-        assert np.allclose(np.linalg.norm(sol.precoder, axis=0), 1.0, atol=1e-12)
-        assert np.allclose(np.abs(np.diag(eff)) ** 2, sol.stream_gains, rtol=1e-10)
+        assert np.allclose(np.linalg.norm(v, axis=0), 1.0, atol=1e-12)
+        assert np.allclose(np.abs(np.diag(eff)) ** 2, gains, rtol=1e-10)
 
     def test_inverse_gain_expectation(self):
         # fading average of the inverse stream gain: 1 / (beta (L - M))
@@ -210,15 +207,6 @@ class TestZf:
         with pytest.raises(SingularMatrixError):
             zf_matrix(np.hstack([h, h]))
 
-    def test_user_gain_slices(self):
-        g = random_group(12, [2, 3], [1.0, 1.0], 24)
-        sol = zf(g)
-        assert sol.user_gains(0).size == 2
-        assert sol.user_gains(1).size == 3
-        assert np.array_equal(
-            np.concatenate([sol.user_gains(0), sol.user_gains(1)]), sol.stream_gains
-        )
-
 
 class TestZfImperfectCsit:
     def _channels(self, l, q, key):
@@ -227,7 +215,7 @@ class TestZfImperfectCsit:
 
     def test_perfect_estimate_no_interference(self):
         h, _ = self._channels(8, 3, 0)
-        sinr = zf_imperfect_csit_sinr(h, h, np.full(3, 2.0), 1.0)
+        sinr = _csit_sinr(h, h, np.full(3, 2.0), 1.0)
         _, gains = zf_matrix(h)
         assert np.allclose(sinr, 2.0 * gains, rtol=1e-9)
 
@@ -235,7 +223,7 @@ class TestZfImperfectCsit:
         h, rng = self._channels(8, 3, 1)
         err = 0.1 * complex_gaussian(rng, (8, 3))
         h_hat = h - err
-        sweep = [zf_imperfect_csit_sinr(h, h_hat, np.full(3, p), 1.0) for p in
+        sweep = [_csit_sinr(h, h_hat, np.full(3, p), 1.0) for p in
                  (1.0, 1e2, 1e4, 1e6, 1e8)]
         top = np.stack(sweep[-2:])
         # SINR saturates: the last power decade moves it by < 1%
@@ -245,9 +233,23 @@ class TestZfImperfectCsit:
         h, rng = self._channels(8, 1, 2)
         h_hat = h - 0.3 * complex_gaussian(rng, (8, 1))
         for p in (1.0, 1e6):
-            sinr = zf_imperfect_csit_sinr(h, h_hat, np.array([p]), 1.0)
+            sinr = _csit_sinr(h, h_hat, np.array([p]), 1.0)
             expected = p * np.abs(h[:, 0] @ _unit(h_hat[:, 0].conj())) ** 2
             assert sinr[0] == pytest.approx(expected, rel=1e-9)
+
+    def test_power_column_broadcasts(self):
+        h, rng = self._channels(8, 3, 3)
+        h_hat = h - 0.1 * complex_gaussian(rng, (8, 3))
+        powers = np.array([0.5, 2.0, 40.0])
+        rows = _csit_sinr(h, h_hat, powers[:, None], 0.3)
+        assert rows.shape == (3, 3)
+        for row, p in zip(rows, powers):
+            assert np.array_equal(row, _csit_sinr(h, h_hat, np.full(3, p), 0.3))
+
+
+def _csit_sinr(h, h_hat, powers, noise_power):
+    v_hat, _ = zf_matrix(h_hat)
+    return zf_imperfect_csit_sinr(h.T @ v_hat, powers, noise_power)
 
 
 def _unit(x):
@@ -337,13 +339,21 @@ class TestMsv:
         mc = complex_gaussian(rng, (1, 4))
         uc = complex_gaussian(rng, (3, 4))
         sol = msv_beamformers(mc, uc, 2)
-        r = msv_rates(sol, 2.0, 1.0, 1, 0, 15000, 10)
+        gains = (sol.multicast_gains, sol.unicast_gains)
+        r = msv_rate_from_gains(*gains, 2.0, 1.0, 1, 0, 15000, 10)
         # single multicast user: min over one element
         expected_mc = np.log1p((2.0 / 3) * sol.multicast_gains[0])
         expected_uc = np.log1p((2.0 / 3) * sol.unicast_gains).sum()
         xi = 1 - 10 * 3 / 15000
         assert r == pytest.approx(xi * (expected_mc + expected_uc), rel=1e-12)
-        assert msv_rates(sol, 0.0, 1.0, 1, 0, 15000, 10) == 0.0
+        assert msv_rate_from_gains(*gains, 0.0, 1.0, 1, 0, 15000, 10) == 0.0
+
+    def test_pilots_beyond_coherence_rejected(self):
+        # 2 unicast + 1 common stream + 1 cached listener = 4 pilot slots
+        mg, ug = np.ones(2), np.ones(2)
+        assert msv_rate_from_gains(mg, ug, 1.0, 1.0, 2, 1, 40, 10) == 0.0
+        with pytest.raises(OverheadExceedsCoherenceError):
+            msv_rate_from_gains(mg, ug, 1.0, 1.0, 2, 1, 39, 10)
 
     def test_high_snr_gain_limit(self):
         assert msv_high_snr_gain_limit(32, 5) == pytest.approx(1.15625, abs=0)
@@ -357,9 +367,3 @@ class TestMsv:
         without = msv_rate_from_gains(mg, ug, 5.0, 1.0, 3, 2, 15000, 0)
         # 4 unicast + 1 common stream + 2 cached listeners = 7 users
         assert with_pilots / without == pytest.approx(1 - 10 * 7 / 15000, rel=1e-12)
-
-
-class TestMatrixDump:
-    def test_round_trip(self):
-        a = complex_gaussian(substream(50, 0), (3, 4))
-        assert np.array_equal(load_complex_matrix(dump_complex_matrix(a)), a)
