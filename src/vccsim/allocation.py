@@ -4,7 +4,17 @@ The max-min problem decouples per user once the per-symbol gains are fixed,
 so the optimum is the root of a one-dimensional monotone equation: every
 served user runs at the same effective rate, and the sum of the per-user
 power costs of that rate exhausts the budget.  Analytic brackets built from
-each user's best and worst stream gain confine the root search.
+each user's best and worst stream gain confine the root.
+
+There is one root solver, :func:`mmf_sum_rates`, vectorized over the power
+sweep.  With one stream per user the bracket collapses to a closed form;
+otherwise the budget residual is convex and increasing, and safeguarded
+Newton steps from the upper bracket converge monotonically onto the root.
+It returns rates only.  :func:`solve_mmf` takes the same root for one
+budget and adds the per-user water-filled power allocation.  The
+fading-free large-array curves (:func:`mmf_massive_mimo_rates`,
+:func:`zf_mmf_bounds`) solve the budget equation of the bracket's
+surrogate users, also over the whole power vector.
 
 Rates are nats/s/Hz throughout; conversion to bits happens at reporting.
 """
@@ -12,9 +22,12 @@ Rates are nats/s/Hz throughout; conversion to bits happens at reporting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
+
+from .errors import ConvergenceError
 
 __all__ = [
     "PowerAllocation",
@@ -22,13 +35,13 @@ __all__ = [
     "MmfSolution",
     "waterfill",
     "solve_mmf",
+    "mmf_sum_rates",
     "mmf_brackets",
     "mmf_massive_mimo",
+    "mmf_massive_mimo_rates",
     "zf_mmf_bounds",
     "zf_user_rate_bounds",
 ]
-
-_BISECT_RTOL = 1e-13
 
 
 def waterfill(
@@ -90,23 +103,17 @@ class UserRateFunction:
     eigenvalues: np.ndarray
     noise_power: float
     overhead_factor: float
-    _inv_cum: np.ndarray = field(init=False, repr=False, compare=False)
-    _log_cum: np.ndarray = field(init=False, repr=False, compare=False)
-    _rate_breaks: np.ndarray = field(init=False, repr=False, compare=False)
+    _table: "_StreamTable" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lam = np.sort(np.asarray(self.eigenvalues, dtype=float))[::-1]
         if lam.size == 0 or lam[-1] <= 0:
             raise ValueError("need at least one positive stream gain")
-        if not 0 < self.overhead_factor <= 1:
-            raise ValueError("overhead_factor must be in (0, 1]")
         object.__setattr__(self, "eigenvalues", lam)
-        object.__setattr__(self, "_inv_cum", np.cumsum(1.0 / lam))
-        object.__setattr__(self, "_log_cum", np.cumsum(np.log(lam)))
-        # Rate at which stream m+1 becomes active (water level = noise/lam[m]).
-        m = np.arange(1, lam.size)
-        breaks = self.overhead_factor * (self._log_cum[:-1] - m * np.log(lam[1:]))
-        object.__setattr__(self, "_rate_breaks", breaks)
+        table = _StreamTable.build(
+            lam[None, :], np.array([lam.size]), self.overhead_factor, self.noise_power
+        )
+        object.__setattr__(self, "_table", table)
 
     @property
     def num_streams(self) -> int:
@@ -127,45 +134,7 @@ class UserRateFunction:
         """Power budget achieving the given effective rate (closed form)."""
         if rate <= 0:
             return 0.0
-        m = int(np.searchsorted(self._rate_breaks, rate, side="left")) + 1
-        n0 = self.noise_power
-        return float(
-            m * n0 * np.exp((rate / self.overhead_factor - self._log_cum[m - 1]) / m)
-            - n0 * self._inv_cum[m - 1]
-        )
-
-
-class _RateBank:
-    """Vectorized closed-form inverse over a pool of rate functions."""
-
-    def __init__(self, fns: list[UserRateFunction]):
-        self.fns = fns
-        n = len(fns)
-        jmax = max(f.num_streams for f in fns)
-        self.counts = np.array([f.num_streams for f in fns])
-        self.noise = np.array([f.noise_power for f in fns])
-        self.xi = np.array([f.overhead_factor for f in fns])
-        self.inv_cum = np.zeros((n, jmax))
-        self.log_cum = np.zeros((n, jmax))
-        self.breaks = np.full((n, jmax), np.inf)
-        for i, f in enumerate(fns):
-            j = f.num_streams
-            self.inv_cum[i, :j] = f._inv_cum
-            self.log_cum[i, :j] = f._log_cum
-            self.breaks[i, : j - 1] = f._rate_breaks
-
-    def per_user_inverse(self, rate: float) -> np.ndarray:
-        if rate <= 0:
-            return np.zeros(len(self.fns))
-        m = np.minimum((self.breaks < rate).sum(axis=1) + 1, self.counts)
-        idx = m - 1
-        rows = np.arange(len(self.fns))
-        log_cum = self.log_cum[rows, idx]
-        inv_cum = self.inv_cum[rows, idx]
-        return self.noise * (m * np.exp((rate / self.xi - log_cum) / m) - inv_cum)
-
-    def total_power(self, rate: float) -> float:
-        return float(np.sum(self.per_user_inverse(rate)))
+        return float(self._table.user_budgets(np.array([rate]))[0][0, 0])
 
 
 @dataclass(frozen=True)
@@ -179,12 +148,11 @@ class MmfSolution:
 
 
 def solve_mmf(rate_functions: list[UserRateFunction], p_tot: float) -> MmfSolution:
-    """Max-min-fair sum rate over pooled users with decoupled rate functions.
+    """Max-min-fair sum rate over pooled users, with its power allocation.
 
-    Solves ``sum_k inverse_k(R / n) == p_tot`` for the effective sum rate
-    ``R`` by a bracketed one-dimensional search between the analytic bounds
-    of :func:`mmf_brackets`, then water-fills each user's share.  A
-    nonpositive budget returns the all-zero solution.
+    The sum rate is the root of :func:`mmf_sum_rates`; each user's share of
+    the budget is then water-filled over its streams.  A nonpositive budget
+    returns the all-zero solution.
     """
     n = len(rate_functions)
     if n == 0:
@@ -192,41 +160,127 @@ def solve_mmf(rate_functions: list[UserRateFunction], p_tot: float) -> MmfSoluti
     if p_tot <= 0:
         alloc = PowerAllocation(tuple(np.zeros(f.num_streams) for f in rate_functions))
         return MmfSolution(0.0, 0.0, alloc, (0.0, 0.0))
-
-    lo, hi = mmf_brackets(
-        [float(f.eigenvalues[-1]) for f in rate_functions],
-        [float(f.eigenvalues[0]) for f in rate_functions],
-        [f.num_streams for f in rate_functions],
-        _common_overhead(rate_functions),
-        rate_functions[0].noise_power,
-        p_tot,
+    counts = np.array([f.num_streams for f in rate_functions])
+    gains = np.zeros((n, counts.max()))
+    for row, f in zip(gains, rate_functions):
+        row[: f.num_streams] = f.eigenvalues
+    table = _StreamTable.build(
+        gains, counts, _shared(rate_functions, "overhead_factor"),
+        _shared(rate_functions, "noise_power"),
     )
-    bank = _RateBank(rate_functions)
-    if hi - lo <= _BISECT_RTOL * hi:
-        r_star = 0.5 * (lo + hi)
-    else:
-        def residual(r):
-            return bank.total_power(r / n) - p_tot
-
-        f_lo, f_hi = residual(lo), residual(hi)
-        if f_lo > 0:
-            r_star = lo
-        elif f_hi < 0:
-            r_star = hi
-        else:
-            r_star = brentq(residual, lo, hi, xtol=1e-18, rtol=1e-14)
-    budgets = bank.per_user_inverse(r_star / n)
+    r_star, lo, hi = (float(x[0]) for x in _mmf_root(table, np.array([p_tot])))
+    budgets, _ = table.user_budgets(np.array([r_star / n]))
     alloc = PowerAllocation(
-        tuple(f.waterfill(b)[0] for f, b in zip(rate_functions, budgets))
+        tuple(f.waterfill(b)[0] for f, b in zip(rate_functions, budgets[0]))
     )
-    return MmfSolution(float(r_star), float(r_star) / n, alloc, (lo, hi))
+    return MmfSolution(r_star, r_star / n, alloc, (lo, hi))
 
 
-def _common_overhead(fns: list[UserRateFunction]) -> float:
-    xis = {f.overhead_factor for f in fns}
-    if len(xis) != 1:
-        raise ValueError("pooled users must share the CSI overhead factor")
-    return xis.pop()
+def _shared(fns: list[UserRateFunction], attr: str) -> float:
+    values = {getattr(f, attr) for f in fns}
+    if len(values) != 1:
+        raise ValueError(f"pooled users must share the {attr}")
+    return values.pop()
+
+
+def mmf_sum_rates(gains, counts, overhead_factor: float, noise_power: float, p_tot):
+    """Max-min-fair effective sum rate at every power point.
+
+    ``gains`` holds each pooled user's stream gains, descending, in a row
+    of shape ``(n_users, J)``; entries past the user's stream count in
+    ``counts`` are ignored.  Returns one sum rate per entry of ``p_tot``.
+    Every user runs at the same effective rate ``R / n`` and the per-user
+    water-filled powers of that rate exhaust the budget; nonpositive
+    budgets give 0.
+    """
+    table = _StreamTable.build(
+        np.asarray(gains, dtype=float), np.asarray(counts), overhead_factor, noise_power
+    )
+    return _mmf_root(table, np.asarray(p_tot, dtype=float))[0]
+
+
+class _StreamTable(NamedTuple):
+    """Closed-form inverse rate functions of pooled users, padded per user.
+
+    A user whose water level activates ``m`` streams needs the power
+    ``n0 * (m * exp((r / xi - log_cum[m-1]) / m) - inv_cum[m-1])`` for the
+    effective rate ``r``; ``breaks[j-1]`` is the rate at which stream
+    ``j + 1`` activates, infinite past the user's stream count.
+    """
+
+    lam: np.ndarray      # (n, J) gains, descending, 1 past the count
+    counts: np.ndarray   # (n,)
+    log_cum: np.ndarray  # (n, J)
+    inv_cum: np.ndarray  # (n, J)
+    breaks: np.ndarray   # (n, J - 1)
+    xi: float
+    n0: float
+
+    @classmethod
+    def build(cls, gains, counts, xi, n0) -> "_StreamTable":
+        if not 0 < xi <= 1:
+            raise ValueError("overhead_factor must be in (0, 1]")
+        valid = np.arange(gains.shape[1]) < counts[:, None]
+        lam = np.where(valid, gains, 1.0)
+        log_cum = np.cumsum(np.log(lam), axis=1)
+        m = np.arange(1, lam.shape[1])
+        breaks = xi * (log_cum[:, :-1] - m * np.log(lam[:, 1:]))
+        breaks = np.where(valid[:, 1:], breaks, np.inf)
+        return cls(lam, counts, log_cum, np.cumsum(1.0 / lam, axis=1), breaks, xi, n0)
+
+    def user_budgets(self, rate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-user powers ``(P, n)`` reaching the per-user rates ``(P,)``,
+        and their water levels, ``xi`` times the derivative of the power."""
+        rate = rate[:, None]
+        m = np.sum(self.breaks < rate[..., None], axis=-1) + 1
+        rows = np.arange(self.counts.size)
+        growth = np.exp((rate / self.xi - self.log_cum[rows, m - 1]) / m)
+        power = self.n0 * (m * growth - self.inv_cum[rows, m - 1])
+        return power, self.n0 * growth
+
+
+_NEWTON_RTOL = 1e-14
+_NEWTON_MAX_ITER = 100
+
+
+def _mmf_root(table: _StreamTable, p_tot: np.ndarray):
+    """Max-min-fair sum rates and their brackets ``(rate, lo, hi)`` per power.
+
+    The budget residual ``sum_k inverse_k(R / n) - p_tot`` is convex and
+    increasing in ``R``, nonpositive at ``lo`` and nonnegative at ``hi``, so
+    Newton steps from ``hi`` decrease monotonically onto the root.  With one
+    stream per user the bracket collapses and the root is closed-form.
+    """
+    n = table.counts.size
+    p = np.maximum(p_tot, 0.0)
+    rows = np.arange(n)
+    lo, hi = mmf_brackets(
+        table.lam[rows, table.counts - 1], table.lam[:, 0], table.counts,
+        table.xi, table.n0, p,
+    )
+    if np.all(table.counts == 1):
+        return lo, lo, hi
+
+    def residual(r):
+        power, level = table.user_budgets(r / n)
+        return power.sum(axis=-1) - p, level.sum(axis=-1) / (table.xi * n)
+
+    f, slope = residual(hi)
+    f_lo, _ = residual(lo)
+    # A residual of the wrong sign at a bracket end (rounding) pins the root there.
+    r = np.where(f_lo > 0, lo, hi)
+    active = (f_lo <= 0) & (f > 0)
+    for _ in range(_NEWTON_MAX_ITER):
+        step = np.where(active, f / slope, 0.0)
+        r = np.maximum(r - step, lo)
+        active &= step > _NEWTON_RTOL * r
+        if not active.any():
+            return r, lo, hi
+        f, slope = residual(r)
+    raise ConvergenceError(
+        f"max-min-fair root not within rtol {_NEWTON_RTOL} "
+        f"after {_NEWTON_MAX_ITER} Newton steps"
+    )
 
 
 def mmf_brackets(
@@ -235,52 +289,45 @@ def mmf_brackets(
     stream_counts,
     overhead_factor: float,
     noise_power: float,
-    p_tot: float,
-) -> tuple[float, float]:
+    p_tot,
+):
     """Analytic lower/upper bounds on the max-min-fair sum rate.
 
     Replacing every stream gain of a user by its worst (best) one makes the
     per-user rate pessimistic (optimistic); solving the budget equation for
     those surrogate users brackets the true optimum.  With a uniform stream
-    count per user both equations invert in closed form.
+    count per user both equations invert in closed form.  Broadcasts over
+    ``p_tot``; nonpositive budgets give ``(0, 0)``.
     """
     lam_lo = np.asarray(lambda_mins, dtype=float)
     lam_hi = np.asarray(lambda_maxs, dtype=float)
     js = np.asarray(stream_counts, dtype=int)
-    if p_tot <= 0:
-        return 0.0, 0.0
-    lo = _bound_root(lam_lo, js, overhead_factor, noise_power, p_tot)
-    hi = _bound_root(lam_hi, js, overhead_factor, noise_power, p_tot)
-    return lo, max(hi, lo)
+    p = np.maximum(p_tot, 0.0)
+    lo = _bound_root(lam_lo, js, overhead_factor, noise_power, p)
+    hi = _bound_root(lam_hi, js, overhead_factor, noise_power, p)
+    return lo, np.maximum(hi, lo)
 
 
-def _bound_root(lam, js, xi, n0, p_tot) -> float:
+def _bound_root(lam, js, xi, n0, p_tot):
+    """Sum rate ``R`` solving ``sum_k js_k n0 / lam_k expm1(R / (xi js_k n))
+    == p_tot`` for users whose streams all have gain ``lam_k``, per power."""
     n = lam.size
     if np.all(js == js[0]):
         j = int(js[0])
-        return float(
-            xi * n * j * np.log1p(p_tot / (n0 * j * np.sum(1.0 / lam)))
-        )
+        return xi * n * j * np.log1p(p_tot / (n0 * j * np.sum(1.0 / lam)))
 
-    def residual(r):
-        return float(
-            np.sum(js * n0 / lam * np.expm1(r / (xi * js * n))) - p_tot
-        )
+    def root(p):
+        def residual(r):
+            return float(
+                np.sum(js * n0 / lam * np.expm1(r / (xi * js * n))) - p
+            )
 
-    hi = 1.0
-    while residual(hi) < 0:
-        hi *= 2.0
-    return brentq(residual, 0.0, hi, xtol=1e-18, rtol=1e-14)
+        hi = 1.0
+        while residual(hi) < 0:
+            hi *= 2.0
+        return brentq(residual, 0.0, hi, xtol=1e-18, rtol=1e-14)
 
-
-def _flatten_groups(betas_by_group, counts_by_group):
-    """Per-user (beta, own antennas, group antennas) triples."""
-    users = []
-    for betas, counts in zip(betas_by_group, counts_by_group):
-        m_group = int(sum(counts))
-        for beta, m in zip(betas, counts):
-            users.append((float(beta), int(m), m_group))
-    return users
+    return np.vectorize(root, otypes=[float])(p_tot)
 
 
 def mmf_massive_mimo(
@@ -299,15 +346,25 @@ def mmf_massive_mimo(
     ``(sum_rate, per_symbol_powers_by_group)``; the uniform-antenna case is
     evaluated in closed form.
     """
-    return _asymptotic_mmf(
-        betas_by_group,
-        counts_by_group,
-        num_tx_antennas,
-        overhead_factor,
-        noise_power,
-        p_tot,
-        denom_shift=None,
-    )
+    factors, ms = _surrogate_users(betas_by_group, counts_by_group, num_tx_antennas, None)
+    rate = float(_surrogate_rate(factors, ms, overhead_factor, noise_power, p_tot))
+    per_stream = np.zeros(ms.size)
+    if rate > 0:
+        per_stream = noise_power * np.expm1(rate / (overhead_factor * ms * ms.size)) / factors
+    return rate, _group_powers(counts_by_group, per_stream)
+
+
+def mmf_massive_mimo_rates(
+    betas_by_group,
+    counts_by_group,
+    num_tx_antennas: int,
+    overhead_factor: float,
+    noise_power: float,
+    p_tot,
+) -> np.ndarray:
+    """Sum rate of :func:`mmf_massive_mimo` alone, per entry of ``p_tot``."""
+    factors, ms = _surrogate_users(betas_by_group, counts_by_group, num_tx_antennas, None)
+    return _surrogate_rate(factors, ms, overhead_factor, noise_power, p_tot)
 
 
 def zf_mmf_bounds(
@@ -316,59 +373,52 @@ def zf_mmf_bounds(
     num_tx_antennas: int,
     overhead_factor: float,
     noise_power: float,
-    p_tot: float,
-) -> tuple[float, float]:
+    p_tot,
+):
     """Fading-averaged bounds on the max-min-fair sum rate under ZF.
 
     The two roots use the per-stream gain surrogates
     ``beta * (L - M_group)`` and ``beta * (L - M_group + 1)``.  The
     expectation over fading is taken before the fairness optimization,
-    which is what makes the power split depend on pathloss only.
+    which is what makes the power split depend on pathloss only.  Returns
+    ``(lower, upper)``, each with one rate per entry of ``p_tot``.
     """
-    lo, _ = _asymptotic_mmf(
-        betas_by_group, counts_by_group, num_tx_antennas,
-        overhead_factor, noise_power, p_tot, denom_shift=0,
+    lo, hi = (
+        _surrogate_rate(
+            *_surrogate_users(betas_by_group, counts_by_group, num_tx_antennas, shift),
+            overhead_factor, noise_power, p_tot,
+        )
+        for shift in (0, 1)
     )
-    hi, _ = _asymptotic_mmf(
-        betas_by_group, counts_by_group, num_tx_antennas,
-        overhead_factor, noise_power, p_tot, denom_shift=1,
-    )
-    return lo, max(hi, lo)
+    return lo, np.maximum(hi, lo)
 
 
-def _asymptotic_mmf(
-    betas_by_group,
-    counts_by_group,
-    l_tx,
-    xi,
-    n0,
-    p_tot,
-    denom_shift,
-):
-    """Root of the budget equation with concentrated per-stream gains.
+def _surrogate_users(betas_by_group, counts_by_group, l_tx, denom_shift):
+    """Per-user stream-gain factor and stream count under concentrated gains.
 
     ``denom_shift`` of ``None`` uses gain ``beta * (L - M_group + M_k)``;
     an integer ``s`` uses ``beta * (L - M_group + s)``.
     """
-    users = _flatten_groups(betas_by_group, counts_by_group)
-    n = len(users)
-    factors = []
-    for beta, m, m_group in users:
+    factors, ms = [], []
+    for betas, counts in zip(betas_by_group, counts_by_group):
+        m_group = int(sum(counts))
         if m_group > l_tx:
             raise ValueError("group antennas exceed transmit antennas")
-        shift = m if denom_shift is None else denom_shift
-        factors.append(beta * (l_tx - m_group + shift))
-    factors = np.asarray(factors)
-    ms = np.array([m for _, m, _ in users])
+        for beta, m in zip(betas, counts):
+            shift = m if denom_shift is None else denom_shift
+            factors.append(float(beta) * (l_tx - m_group + shift))
+            ms.append(int(m))
+    return np.asarray(factors), np.asarray(ms)
 
+
+def _surrogate_rate(factors, ms, xi, n0, p_tot):
+    """Sum rate when every stream of user k has gain ``factors[k]``: the
+    budget equation of the surrogate users in :func:`mmf_brackets`."""
+    p = np.maximum(p_tot, 0.0)
     # A vanishing gain factor pins the equal-rate optimum at zero.
-    if p_tot <= 0 or np.any(factors <= 0):
-        return 0.0, _group_powers(counts_by_group, np.zeros(n))
-    # Every stream of user k has gain factors[k]: the budget equation of the
-    # surrogate users in mmf_brackets, solved by the same root.
-    rate = _bound_root(factors, ms, xi, n0, p_tot)
-    per_stream = n0 * np.expm1(rate / (xi * ms * n)) / factors
-    return rate, _group_powers(counts_by_group, per_stream)
+    if np.any(factors <= 0):
+        return np.zeros_like(p)
+    return _bound_root(factors, ms, xi, n0, p)
 
 
 def _group_powers(counts_by_group, per_stream_by_user):

@@ -27,3 +27,7 @@ class ContractViolationError(SimulationError):
 
 class UnsupportedConfigurationError(SimulationError):
     """The requested configuration is outside the supported scope."""
+
+
+class ConvergenceError(SimulationError):
+    """An iterative solver did not converge within its iteration cap."""

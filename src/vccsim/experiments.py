@@ -7,9 +7,13 @@ sweep.  Every runner submits its location tasks to one location loop
 1. draw: the location's pathloss row once, then, per fading, the channels
    of every group once at the largest served-user count ``q``;
 2. kernel: per ``q``, the stream gains of the ``q``-user prefixes of those
-   draws (BD-MRC eigenvalues, ZF or MSV beam gains);
+   draws.  For BD-MRC and ZF this is one batched Gram-inverse kernel over
+   every group (:func:`~vccsim.precoding.bd_mrc_gains`,
+   :func:`~vccsim.precoding.zf_gains`); MSV has its own beam gains;
 3. rule: the rates of every curve the scheme owns over the whole power
-   vector (max-min-fair, equal-power ZF under CSI errors, or MSV);
+   vector.  Max-min-fair rates come from one rate-only root solve over the
+   pooled users of every group (:func:`~vccsim.allocation.mmf_sum_rates`);
+   the other rules are equal-power ZF under CSI errors and MSV;
 4. reduce: per-location means over fadings, then the mean and standard
    error over locations.
 
@@ -38,10 +42,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .allocation import UserRateFunction, mmf_massive_mimo, solve_mmf, zf_mmf_bounds
+# UserRateFunction, solve_mmf and bd_mrc_eigenvalues are on no run path; they
+# stay importable here, where bench/spans.py resolves the names it traces.
+from .allocation import (
+    UserRateFunction,
+    mmf_massive_mimo_rates,
+    mmf_sum_rates,
+    solve_mmf,
+    zf_mmf_bounds,
+)
 from .caching import q_max_uniform
 from .channel import (
-    GroupChannel,
     complex_gaussian,
     corrupt_csit,
     csi_overhead,
@@ -54,8 +65,10 @@ from .channel import (
 from .errors import InvalidConfigurationError, UnsupportedConfigurationError
 from .precoding import (
     bd_mrc_eigenvalues,
+    bd_mrc_gains,
     msv_gains_fast,
     msv_rate_from_gains,
+    zf_gains,
     zf_imperfect_csir_sinr,
     zf_imperfect_csit_sinr,
     zf_matrix,
@@ -135,8 +148,21 @@ class Scenario:
                 raise InvalidConfigurationError(
                     f"users_per_group {self.users_per_group} outside 1..{cap}"
                 )
+        # A variance of 1 (the channel's) leaves a zero channel estimate.
+        if not 0 <= self.csit_error_var < 1:
+            raise InvalidConfigurationError(
+                f"csit_error_var {self.csit_error_var} outside [0, 1)"
+            )
+        for var in self.csir_error_vars:
+            if not 0 <= var < math.inf:
+                raise InvalidConfigurationError(
+                    f"csir_error_vars entry {var} is negative or not finite"
+                )
         if self.geometry is not None:
-            geometry_preset(self.geometry)
+            try:
+                geometry_preset(self.geometry)
+            except ValueError as exc:
+                raise InvalidConfigurationError(str(exc)) from exc
 
     @property
     def coded_gain(self) -> int:
@@ -254,14 +280,6 @@ def _unit_channels(scenario: Scenario, num_groups: int, q_top: int, loc: int, fa
     ]
 
 
-def _group_channel(unit: np.ndarray, betas_row: np.ndarray, q: int, m: int) -> GroupChannel:
-    per_user = tuple(
-        (unit[:, k * m : (k + 1) * m] * math.sqrt(betas_row[k]), float(betas_row[k]))
-        for k in range(q)
-    )
-    return GroupChannel(per_user)
-
-
 def _curve_from_draws(
     scheme: str, scenario: Scenario, q_values, samples: np.ndarray
 ) -> SchemeCurve:
@@ -288,30 +306,32 @@ class _Rule(NamedTuple):
     rates: object
 
 
-# Gain kernels look their leaf up at call time, where bench/spans.py wraps it.
-def _bd_gains(group: GroupChannel) -> list[np.ndarray]:
-    return bd_mrc_eigenvalues(group)
+# Kernels and solvers are looked up as module globals at call time, so a
+# tracer (bench/spans.py) can wrap them.
+def _bd_gains(h: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    return bd_mrc_gains(h, m)
 
 
-def _zf_gains(group: GroupChannel) -> np.ndarray:
-    _, gains = zf_matrix(group.stacked())
-    return gains.reshape(len(group.per_user), -1)
+def _zf_gains(h: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    gains = zf_gains(h).reshape(h.shape[0], -1, m)
+    return np.sort(gains, axis=-1)[..., ::-1], np.full(gains.shape[:-1], m)
 
 
 def _mmf_rates(kernel, scenario: Scenario, num_groups: int, q: int, units, betas):
     """Max-min-fair sum rate over every served user of every group."""
     m = scenario.antennas_per_user
-    xi = scenario.overhead_factor(num_groups, q)
-    fns = [
-        UserRateFunction(gains, scenario.noise_power, xi)
-        for gi in range(num_groups)
-        for gains in kernel(_group_channel(units[gi], betas[gi], q, m))
-    ]
-    return [[solve_mmf(fns, p).sum_rate for p in scenario.p_watts]]
+    # Columns of user k scaled by sqrt(beta_k), groups stacked: (G, L, q*m).
+    scale = np.repeat(np.sqrt(betas[:, :q]), m, axis=1)
+    h = np.stack([u[:, : q * m] for u in units]) * scale[:, None, :]
+    gains, counts = kernel(h, m)
+    return [mmf_sum_rates(
+        gains.reshape(-1, m), counts.ravel(), scenario.overhead_factor(num_groups, q),
+        scenario.noise_power, np.asarray(scenario.p_watts),
+    )]
 
 
 def _analytic_args(scenario: Scenario, num_groups: int, q: int, betas):
-    """Leading arguments of the fading-free closed forms, before the power."""
+    """Arguments of the fading-free closed forms, over the power vector."""
     m = scenario.antennas_per_user
     return (
         [list(betas[gi, :q]) for gi in range(num_groups)],
@@ -319,17 +339,16 @@ def _analytic_args(scenario: Scenario, num_groups: int, q: int, betas):
         scenario.num_tx_antennas,
         scenario.overhead_factor(num_groups, q),
         scenario.noise_power,
+        np.asarray(scenario.p_watts),
     )
 
 
 def _asym_rates(scenario: Scenario, num_groups: int, q: int, _, betas):
-    args = _analytic_args(scenario, num_groups, q, betas)
-    return [[mmf_massive_mimo(*args, p)[0] for p in scenario.p_watts]]
+    return [mmf_massive_mimo_rates(*_analytic_args(scenario, num_groups, q, betas))]
 
 
 def _zf_bound_rates(scenario: Scenario, num_groups: int, q: int, _, betas):
-    args = _analytic_args(scenario, num_groups, q, betas)
-    return np.array([zf_mmf_bounds(*args, p) for p in scenario.p_watts]).T
+    return zf_mmf_bounds(*_analytic_args(scenario, num_groups, q, betas))
 
 
 def _csi_draws(scenario: Scenario, num_groups: int, q_top: int, loc: int, fad: int):

@@ -2,21 +2,33 @@
 
 Three beamformer families are implemented:
 
-* block-diagonalization with per-stream maximal-ratio combining (BD-MRC),
-  built from the eigendecomposition of a small per-user matrix instead of
-  the full transmit-side covariance;
+* block-diagonalization with per-stream maximal-ratio combining (BD-MRC);
 * zero-forcing (ZF), which diagonalizes the whole group channel;
 * multicast/unicast null-steering beamformers for the bit-level
   multi-server (MSV) baseline.
 
+BD-MRC and ZF share one kernel, the inverse of the group Gram matrix
+``G = H.T @ H.conj()``, taken from the QR factor of ``H.conj()`` so that it
+is as accurate as ``H`` itself.  ZF stream gains are ``1 / diag(inv(G))``.
+By the Schur complement, the k-th ``M x M`` diagonal block of ``inv(G)`` is
+the inverse of user k's projected matrix ``H_k.T @ T_k @ H_k.conj()``, with
+``T_k`` the null projector of the other users' channels, so user k's BD-MRC
+stream gains are the reciprocal eigenvalues of that block.
+
 The Monte Carlo runners call only the fast paths, which return gains
-without forming every beam: :func:`bd_mrc_eigenvalues`, :func:`zf_matrix`,
-:func:`msv_gains_fast`, plus the rate and SINR formulas
-:func:`msv_rate_from_gains`, :func:`zf_imperfect_csit_sinr` and
-:func:`zf_imperfect_csir_sinr`.  The definition-level designs
-:func:`bd_mrc`, :func:`sinr_from_matrices`, :func:`bd_mrc_sinr`,
-:func:`msv_beamformers` and :func:`null_projector` are oracles: the tests
-check the fast paths against them.
+without forming every beam: :func:`bd_mrc_gains` and :func:`zf_gains` on a
+stack of groups, :func:`zf_matrix` and :func:`msv_gains_fast`, plus the
+rate and SINR formulas :func:`msv_rate_from_gains`,
+:func:`zf_imperfect_csit_sinr` and :func:`zf_imperfect_csir_sinr`.
+:func:`bd_mrc_eigenvalues` applies the same kernel to one group of any
+antenna counts.  A group whose Gram matrix is numerically singular, or
+whose blocks give a non-finite gain or trip :data:`RANK_CUTOFF`, falls back
+to the per-user Schur-complement path (safety code for singular draws),
+which truncates rank-deficient streams and raises
+:class:`InfeasibleDimensionError` for a user left with none.  The definition-level designs :func:`bd_mrc`,
+:func:`sinr_from_matrices`, :func:`bd_mrc_sinr`, :func:`msv_beamformers`
+and :func:`null_projector` are oracles: the tests check the fast paths
+against them.
 
 Channels follow the convention that a user with channel matrix ``H``
 receives ``H.T @ x``, so a beam ``v`` is invisible to ``H`` iff
@@ -28,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .channel import GroupChannel, csi_overhead
 from .errors import (
@@ -44,9 +57,11 @@ __all__ = [
     "null_projector",
     "bd_mrc",
     "bd_mrc_eigenvalues",
+    "bd_mrc_gains",
     "bd_mrc_sinr",
     "sinr_from_matrices",
     "zf_matrix",
+    "zf_gains",
     "zf_imperfect_csit_sinr",
     "zf_imperfect_csir_sinr",
     "msv_beamformers",
@@ -57,8 +72,8 @@ __all__ = [
 
 # Eigenvalues below this fraction of the largest one count as zero rank.
 RANK_CUTOFF = 1e-10
-# Gram matrices whose eigenvalue spread exceeds this go through the
-# pseudo-inverse instead of a Cholesky solve.
+# Gram matrices whose eigenvalue spread exceeds this count as numerically
+# singular: _gram_solve takes the pseudo-inverse, _gram_inverse flags them.
 PINV_CUTOFF = 1e-12
 HERMITIAN_TOL = 1e-10
 
@@ -184,28 +199,111 @@ def bd_mrc(group: GroupChannel) -> PrecoderSolution:
     return PrecoderSolution(tuple(users))
 
 
+def _gram_inverse(h: np.ndarray) -> np.ndarray | None:
+    """Inverse Gram matrix ``inv(H.T @ H.conj())`` of one ``(L, N)`` channel.
+
+    The inverse comes from the triangular factor ``R`` of
+    ``H.conj() = Q @ R`` (the Gram matrix's Cholesky factor), as
+    ``inv(R) @ inv(R).conj().T``, which keeps the accuracy of ``H`` instead
+    of squaring its condition number by forming the Gram matrix.  Returns
+    ``None`` if the Gram matrix is numerically singular: a squared pivot of
+    ``R`` at or below :data:`PINV_CUTOFF` times the largest one.
+    """
+    l_tx, n = h.shape
+    if n > l_tx:
+        return None
+    # LAPACK's QR directly: numpy.linalg.qr costs several times more per call
+    # on these small matrices.  R is the upper triangle of the first n rows.
+    r = np.triu(lapack.zgeqrf(h.conj())[0][:n])
+    pivots = np.abs(r.diagonal())
+    if not pivots.min() ** 2 > PINV_CUTOFF * pivots.max() ** 2:
+        return None
+    r_inv = np.linalg.inv(r)
+    return r_inv @ r_inv.conj().T
+
+
+def _gram_inverses(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_gram_inverse` over a ``(G, L, N)`` stack: ``(inv, ok)``, with
+    the identity as a placeholder where ``ok`` is False."""
+    n = h.shape[-1]
+    inv = np.empty((h.shape[0], n, n), dtype=complex)
+    ok = np.ones(h.shape[0], dtype=bool)
+    for g, h_g in enumerate(h):
+        inv_g = _gram_inverse(h_g)
+        ok[g] = inv_g is not None
+        inv[g] = inv_g if ok[g] else np.eye(n)
+    return inv, ok
+
+
+def _block_gains(blocks: np.ndarray) -> np.ndarray:
+    """BD-MRC stream gains, descending, from diagonal blocks of ``inv(G)``."""
+    return 1.0 / np.linalg.eigvalsh(blocks)
+
+
+def _usable(gains: np.ndarray) -> np.ndarray:
+    """Per user: every gain finite, positive and above the rank cutoff."""
+    top = np.max(gains, axis=-1, keepdims=True)
+    return np.all(np.isfinite(gains) & (gains > 0) & (gains > RANK_CUTOFF * top), axis=-1)
+
+
 def bd_mrc_eigenvalues(group: GroupChannel) -> list[np.ndarray]:
     """Per-user BD-MRC stream gains without building the beamformers.
 
-    Matches the eigenvalues of :func:`bd_mrc` but works on the small
-    per-user matrices only; with single-antenna users the stream gains are
-    the ZF gains of :func:`zf_matrix`, one Gram-matrix inverse per group.
+    Matches the eigenvalues of :func:`bd_mrc`: one Gram-matrix inverse per
+    group, one small eigenproblem per user, with the per-user fallback of
+    :func:`bd_mrc_gains` for singular or rank-deficient groups.
     """
     mats = [h for h, _ in group.per_user]
-    if all(h.shape[1] == 1 for h in mats) and len(mats) > 1:
-        try:
-            return list(zf_matrix(group.stacked())[1][:, None])
-        except SingularMatrixError:
-            pass
+    inv = _gram_inverse(group.stacked())
+    if inv is not None:
+        edges = np.cumsum((0,) + group.antenna_counts)
+        gains = [_block_gains(inv[a:b, a:b]) for a, b in zip(edges[:-1], edges[1:])]
+        if all(_usable(g) for g in gains):
+            return gains
     return _bd_eigs_generic(mats)
 
 
+def bd_mrc_gains(h: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """BD-MRC stream gains of a stack of groups of ``m``-antenna users.
+
+    ``h`` has shape ``(G, L, q * m)``: group g's users side by side, user k
+    in columns ``k*m`` to ``(k+1)*m``.  Returns ``(gains, counts)`` with
+    ``gains`` of shape ``(G, q, m)``, descending per user and zero past
+    ``counts`` ``(G, q)``.  Groups failing the checks of the batched kernel
+    go through the per-user path, which may truncate streams.
+
+    Raises
+    ------
+    InfeasibleDimensionError
+        If some user is left without a single positive-gain stream.
+    """
+    g_count, _, n = h.shape
+    q = n // m
+    inv, ok = _gram_inverses(h)
+    blocks = np.diagonal(inv.reshape(g_count, q, m, q, m), axis1=1, axis2=3)
+    gains = _block_gains(np.moveaxis(blocks, -1, 1))
+    counts = np.full((g_count, q), m)
+    for g in np.flatnonzero(~(ok & _usable(gains).all(axis=-1))):
+        per_user = _bd_eigs_generic([h[g][:, k * m : (k + 1) * m] for k in range(q)])
+        gains[g] = 0.0
+        for k, w in enumerate(per_user):
+            gains[g, k, : w.size] = w
+            counts[g, k] = w.size
+    return gains, counts
+
+
 def _bd_eigs_generic(mats: list[np.ndarray]) -> list[np.ndarray]:
+    """Per-user Schur-complement path for singular or rank-deficient groups.
+
+    A stream counts only above :data:`RANK_CUTOFF` times the user's own
+    channel energy, so a user inside the span of the others, whose
+    projected matrix holds rounding noise only, is left without streams.
+    """
     out = []
     for k, h_k in enumerate(mats):
         small = _bd_small_matrix(h_k, _others(mats, k))
         w = np.linalg.eigvalsh(small)[::-1]
-        j = int(np.sum(w > RANK_CUTOFF * max(w[0], 0.0)))
+        j = int(np.sum(w > RANK_CUTOFF * np.sum(np.abs(h_k) ** 2)))
         if j == 0:
             raise InfeasibleDimensionError(f"user {k}: no interference-free stream")
         out.append(w[:j].copy())
@@ -261,17 +359,26 @@ def zf_matrix(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     SingularMatrixError
         If the channel Gram matrix is not invertible.
     """
-    gram = stacked.T @ stacked.conj()
-    try:
-        np.linalg.cholesky((gram + gram.conj().T) / 2.0)
-        inv = np.linalg.inv(gram)
-    except np.linalg.LinAlgError:
+    inv = _gram_inverse(stacked)
+    if inv is None:
         raise SingularMatrixError("channel Gram matrix is numerically singular")
-    gains = 1.0 / np.real(np.diag(inv))
-    if not np.all(np.isfinite(gains)) or np.any(gains <= 0):
-        raise SingularMatrixError("channel Gram matrix is numerically singular")
+    gains = 1.0 / inv.diagonal().real
     v = stacked.conj() @ inv * np.sqrt(gains)[None, :]
     return v, gains
+
+
+def zf_gains(h: np.ndarray) -> np.ndarray:
+    """ZF per-stream gains ``(G, N)`` of a stack of channels ``(G, L, N)``.
+
+    Raises
+    ------
+    SingularMatrixError
+        If some channel Gram matrix is not invertible.
+    """
+    inv, ok = _gram_inverses(h)
+    if not ok.all():
+        raise SingularMatrixError("channel Gram matrix is numerically singular")
+    return 1.0 / np.diagonal(inv, axis1=1, axis2=2).real
 
 
 def zf_imperfect_csit_sinr(

@@ -4,18 +4,22 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from vccsim import allocation
 from vccsim.allocation import (
     MmfSolution,
     PowerAllocation,
     UserRateFunction,
     mmf_brackets,
     mmf_massive_mimo,
+    mmf_massive_mimo_rates,
+    mmf_sum_rates,
     solve_mmf,
     waterfill,
     zf_mmf_bounds,
     zf_user_rate_bounds,
 )
 from vccsim.channel import complex_gaussian, substream
+from vccsim.errors import ConvergenceError
 from vccsim.precoding import zf_matrix
 
 
@@ -215,6 +219,32 @@ class TestSolveMmf:
         assert solve_mmf(boosted, 2.0).sum_rate > r1
 
 
+class TestMmfSumRates:
+    def test_matches_solve_mmf_over_power_vector(self):
+        rng = substream(65, 0)
+        for _ in range(20):
+            fns = random_fns(rng, int(rng.integers(1, 7)))
+            powers = rng.uniform(0.1, 30.0, size=5)
+            counts = np.array([f.num_streams for f in fns])
+            gains = np.zeros((len(fns), counts.max()))
+            for row, f in zip(gains, fns):
+                row[: f.num_streams] = f.eigenvalues
+            rates = mmf_sum_rates(gains, counts, 0.95, 1.0, powers)
+            ref = [solve_mmf(fns, p).sum_rate for p in powers]
+            np.testing.assert_allclose(rates, ref, rtol=1e-14)
+
+    def test_nonpositive_budget_gives_zero(self):
+        gains = np.array([[2.0, 1.0], [3.0, 0.0]])
+        rates = mmf_sum_rates(gains, np.array([2, 1]), 1.0, 1.0, np.array([0.0, -1.0]))
+        assert np.array_equal(rates, [0.0, 0.0])
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(allocation, "_NEWTON_MAX_ITER", 1)
+        gains = np.array([[5.0, 0.1], [2.0, 1.0]])
+        with pytest.raises(ConvergenceError):
+            mmf_sum_rates(gains, np.array([2, 2]), 1.0, 1.0, np.array([10.0]))
+
+
 class TestBrackets:
     def test_degenerate_bracket_is_root(self):
         # every user one stream: surrogate users are the real users
@@ -271,6 +301,14 @@ class TestMassiveMimo:
         total = sum(float(np.sum(arr)) for grp in powers for arr in grp)
         assert total == pytest.approx(p, rel=1e-9)
 
+    def test_rates_match_per_power_solution(self):
+        betas = [[2e-12, 5e-13], [1e-12, 3e-12]]
+        counts = [[2, 2], [2, 2]]
+        powers = np.array([0.5, 10.0, 40.0])
+        rates = mmf_massive_mimo_rates(betas, counts, 24, 0.93, 8e-14, powers)
+        ref = [mmf_massive_mimo(betas, counts, 24, 0.93, 8e-14, p)[0] for p in powers]
+        np.testing.assert_allclose(rates, ref, rtol=1e-14)
+
     def test_heterogeneous_antennas(self):
         betas = [[1e-12, 2e-12]]
         counts = [[1, 3]]
@@ -296,6 +334,15 @@ class TestZfBounds:
         assert lo == pytest.approx(expected_lo, rel=1e-12)
         assert hi == pytest.approx(expected_hi, rel=1e-12)
         assert lo < hi
+
+    def test_power_vector_matches_scalar_calls(self):
+        betas = [[1e-12, 3e-12], [2e-12, 1e-12]]
+        counts = [[2, 2], [2, 2]]
+        powers = np.array([1.0, 4.0, 16.0])
+        lo, hi = zf_mmf_bounds(betas, counts, 16, 0.9, 1e-13, powers)
+        for i, p in enumerate(powers):
+            ref = zf_mmf_bounds(betas, counts, 16, 0.9, 1e-13, p)
+            np.testing.assert_allclose((lo[i], hi[i]), ref, rtol=1e-14)
 
     def test_single_user_plugin(self):
         lo, hi = zf_mmf_bounds([[1.0]], [[1]], 2, 1.0, 1.0, 3.0)

@@ -162,6 +162,18 @@ class TestParser:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("recipe, setting", [
+        ("fig9", "csit_error_var=2"),
+        ("fig9", "csir_error_vars=-0.1"),
+        ("fig4", "geometry=foo"),
+    ])
+    def test_bad_setting_rejected_before_sampling(self, capsys, tmp_path, recipe, setting):
+        code = main(["--recipe", recipe, "--set", setting, "--locations", "1",
+                     "--fadings", "1", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_negative_seed_rejected(self, capsys, tmp_path):
         code = main(["--recipe", "fig4", "--seed", "-1", "--locations", "1",
                      "--fadings", "1", "--out", str(tmp_path / "x.csv")])

@@ -62,6 +62,19 @@ class TestScenario:
         scn = symmetric_scenario()
         assert scn.snr_db == pytest.approx((10.0, 30.0))
 
+    @pytest.mark.parametrize("field, value", [
+        ("csit_error_var", -0.1), ("csit_error_var", 1.0), ("csit_error_var", 2.0),
+        ("csit_error_var", float("nan")), ("csir_error_vars", (0.01, -0.1)),
+        ("csir_error_vars", (float("inf"),)), ("csir_error_vars", (float("nan"),)),
+    ])
+    def test_csi_error_variances_validated(self, field, value):
+        with pytest.raises(InvalidConfigurationError):
+            symmetric_scenario(**{field: value})
+
+    def test_unknown_geometry_is_config_error(self):
+        with pytest.raises(InvalidConfigurationError, match="foo"):
+            macro_scenario(geometry="foo")
+
 
 class TestSchemeNesting:
     def test_single_group_equals_cacheless(self):
@@ -90,6 +103,15 @@ class TestDeterminism:
         b = run_vcc_bd_mrc(scn, workers=4)["vcc_bd_mrc"]
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.stderr, b.stderr)
+
+    def test_zf_worker_count_invariant(self):
+        scn = macro_scenario(n_locations=5, users_per_group=None)
+        a = run_vcc_zf(scn, workers=1)
+        b = run_vcc_zf(scn, workers=4)
+        assert a["vcc_zf"].q_values == (1, 2, 3, 4, 5, 6)
+        for name in ("vcc_zf", "vcc_zf_lower", "vcc_zf_upper"):
+            assert np.array_equal(a[name].mean, b[name].mean)
+            assert np.array_equal(a[name].stderr, b[name].stderr)
 
     def test_more_fadings_shrink_stderr(self):
         base = symmetric_scenario(

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from vccsim.channel import complex_gaussian, sample_group_channel, substream
+from vccsim import precoding
+from vccsim.channel import GroupChannel, complex_gaussian, sample_group_channel, substream
 from vccsim.errors import (
     ContractViolationError,
     InfeasibleDimensionError,
@@ -11,6 +12,7 @@ from vccsim.errors import (
 from vccsim.precoding import (
     bd_mrc,
     bd_mrc_eigenvalues,
+    bd_mrc_gains,
     bd_mrc_sinr,
     hermitian_eig,
     msv_beamformers,
@@ -161,6 +163,53 @@ class TestBdMrc:
         lam = sol.users[0].eigenvalues[0]
         out = bd_mrc_sinr(sol, [np.array([1.0 / lam])], 1.0)
         assert out[0][0] == pytest.approx(1.0, rel=1e-12)
+
+
+class TestBdMrcGainsFallback:
+    """Singular groups leave the batched kernel for the per-user path."""
+
+    def _spy(self, monkeypatch):
+        calls = []
+        original = precoding._bd_eigs_generic
+
+        def spy(mats):
+            calls.append(len(mats))
+            return original(mats)
+
+        monkeypatch.setattr(precoding, "_bd_eigs_generic", spy)
+        return calls
+
+    def test_healthy_groups_stay_batched(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        h = complex_gaussian(substream(92, 0), (3, 8, 6))
+        gains, counts = bd_mrc_gains(h, 2)
+        assert calls == [] and np.all(counts == 2)
+
+    def test_duplicated_column_truncates_like_bd_mrc(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        rng = substream(92, 1)
+        a, b = complex_gaussian(rng, (6, 1)), complex_gaussian(rng, (6, 2))
+        singular = np.hstack([a, a, b])  # user 0 receives one column twice
+        h = np.stack([singular, complex_gaussian(rng, (6, 4))])
+        gains, counts = bd_mrc_gains(h, 2)
+        assert calls == [2]  # the singular group only
+        assert counts.tolist() == [[1, 2], [2, 2]]
+        for g in range(2):
+            group = GroupChannel(((h[g][:, :2], 1.0), (h[g][:, 2:], 1.0)))
+            for k, user in enumerate(bd_mrc(group).users):
+                j = counts[g, k]
+                assert np.allclose(gains[g, k, :j], user.eigenvalues, rtol=1e-9)
+                assert not gains[g, k, j:].any()
+
+    def test_fully_dependent_user_infeasible(self):
+        a = complex_gaussian(substream(92, 2), (6, 2))
+        mix = np.array([[1.0, 2.0], [3.0, 4.0j]])
+        h = np.hstack([a, a @ mix])[None]  # user 1 inside user 0's span
+        with pytest.raises(InfeasibleDimensionError):
+            bd_mrc_gains(h, 2)
+        group = GroupChannel(((h[0][:, :2], 1.0), (h[0][:, 2:], 1.0)))
+        with pytest.raises(InfeasibleDimensionError):
+            bd_mrc_eigenvalues(group)
 
 
 class TestZf:

@@ -1,0 +1,134 @@
+"""Property tests: the batched fast paths against independent oracles.
+
+* :func:`mmf_sum_rates` against a Brent root of the summed closed-form
+  inverses of :class:`UserRateFunction`, and the sign of the budget
+  residual at the ends of :func:`mmf_brackets`;
+* :func:`bd_mrc_gains` against the eigenvalues of the :func:`bd_mrc`
+  beamformer design, and :func:`zf_gains` against :func:`zf_matrix` and a
+  plain Gram-matrix inverse.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
+
+from vccsim.allocation import UserRateFunction, mmf_brackets, mmf_sum_rates
+from vccsim.channel import GroupChannel, complex_gaussian
+from vccsim.precoding import bd_mrc, bd_mrc_gains, zf_gains, zf_matrix
+
+PROPERTY = settings(max_examples=50, deadline=None)
+
+
+def _log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def pools(draw, one_stream=False):
+    """Pooled users: descending gains per user, plus xi, n0 and powers."""
+    n = draw(st.integers(1, 8))
+    counts = [1] * n if one_stream else draw(
+        st.lists(st.integers(1, 4), min_size=n, max_size=n)
+    )
+    gains = [
+        sorted(draw(st.lists(_log_uniform(-2, 2), min_size=j, max_size=j)), reverse=True)
+        for j in counts
+    ]
+    xi = draw(st.floats(0.5, 1.0))
+    n0 = draw(_log_uniform(-1, 1))
+    powers = draw(st.lists(_log_uniform(-3, 6), min_size=1, max_size=4))
+    return gains, xi, n0, np.array(powers)
+
+
+def _padded(gains):
+    counts = np.array([len(g) for g in gains])
+    table = np.zeros((len(gains), counts.max()))
+    for row, g in zip(table, gains):
+        row[: len(g)] = g
+    return table, counts
+
+
+def _budget_residual(fns, p):
+    n = len(fns)
+    return lambda r: sum(f.inverse(r / n) for f in fns) - p
+
+
+def _brent_sum_rate(fns, p):
+    residual = _budget_residual(fns, p)
+    hi = 1.0
+    while residual(hi) < 0:
+        hi *= 2.0
+    return brentq(residual, 0.0, hi, xtol=1e-30, rtol=1e-14)
+
+
+@PROPERTY
+@given(st.one_of(pools(), pools(one_stream=True)))
+def test_rate_only_solver_matches_brent_root(pool):
+    gains, xi, n0, powers = pool
+    fns = [UserRateFunction(np.array(g), n0, xi) for g in gains]
+    rates = mmf_sum_rates(*_padded(gains), xi, n0, powers)
+    ref = np.array([_brent_sum_rate(fns, p) for p in powers])
+    np.testing.assert_allclose(rates, ref, rtol=1e-10, atol=0)
+
+
+@PROPERTY
+@given(st.one_of(pools(), pools(one_stream=True)))
+def test_budget_residual_changes_sign_across_bracket(pool):
+    # The bracket ends straddle the root, so the solver's clamp to a bracket
+    # end never fires on valid input.  Where an end is the root itself (one
+    # stream, or equal gains), the residual is rounding noise on the scale of
+    # the budget and the noise-to-gain terms that cancel in each inverse.
+    gains, xi, n0, powers = pool
+    fns = [UserRateFunction(np.array(g), n0, xi) for g in gains]
+    mins = [g[-1] for g in gains]
+    maxs = [g[0] for g in gains]
+    counts = [len(g) for g in gains]
+    cancelled = n0 * sum(1.0 / lam for g in gains for lam in g)
+    for p in powers:
+        lo, hi = mmf_brackets(mins, maxs, counts, xi, n0, p)
+        residual = _budget_residual(fns, p)
+        rounding = 1e-12 * (p + cancelled)
+        assert residual(lo) <= rounding
+        assert residual(hi) >= -rounding
+
+
+@st.composite
+def group_stacks(draw):
+    """Groups of ``q`` users with ``m`` antennas each, up to full load."""
+    m = draw(st.integers(1, 3))
+    q = draw(st.integers(1, 4))
+    l_tx = q * m + draw(st.integers(0, 4))
+    num_groups = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    betas = 10.0 ** rng.uniform(-2.0, 0.0, size=(num_groups, q))
+    h = complex_gaussian(rng, (num_groups, l_tx, q * m))
+    return h * np.repeat(np.sqrt(betas), m, axis=1)[:, None, :], m, betas
+
+
+@PROPERTY
+@given(group_stacks())
+def test_batched_bd_gains_match_beamformer_design(stack):
+    h, m, betas = stack
+    gains, counts = bd_mrc_gains(h, m)
+    assert np.all(counts == m)
+    for g, h_g in enumerate(h):
+        q = h_g.shape[1] // m
+        group = GroupChannel(tuple(
+            (h_g[:, k * m : (k + 1) * m], float(betas[g, k])) for k in range(q)
+        ))
+        for k, user in enumerate(bd_mrc(group).users):
+            np.testing.assert_allclose(
+                gains[g, k], user.eigenvalues, rtol=1e-8, atol=1e-10 * gains[g].max()
+            )
+
+
+@PROPERTY
+@given(group_stacks())
+def test_batched_zf_gains_match_zf_matrix(stack):
+    h, _, _ = stack
+    gains = zf_gains(h)
+    for g, h_g in enumerate(h):
+        np.testing.assert_array_equal(gains[g], zf_matrix(h_g)[1])
+        gram_inv = np.linalg.inv(h_g.T @ h_g.conj())
+        np.testing.assert_allclose(gains[g], 1.0 / np.diag(gram_inv).real, rtol=1e-8)
