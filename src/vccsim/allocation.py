@@ -203,15 +203,19 @@ class _StreamTable(NamedTuple):
     """Closed-form inverse rate functions of pooled users, padded per user.
 
     A user whose water level activates ``m`` streams needs the power
-    ``n0 * (m * exp((r / xi - log_cum[m-1]) / m) - inv_cum[m-1])`` for the
-    effective rate ``r``; ``breaks[j-1]`` is the rate at which stream
-    ``j + 1`` activates, infinite past the user's stream count.
+    ``n0 * (m * geo[m-1] * expm1(r / (xi m)) + gap[m-1])`` for the
+    effective rate ``r``, where ``geo[m-1]`` is the geometric mean of the
+    inverse gains of the first ``m`` streams and ``gap[m-1] = m * geo[m-1]
+    - sum(1 / lam[:m])``.  The gap is exactly zero for one stream, so low
+    rates lose no precision to ``exp(x) - 1``.  ``breaks[j-1]`` is the rate
+    at which stream ``j + 1`` activates, infinite past the user's stream
+    count.
     """
 
     lam: np.ndarray      # (n, J) gains, descending, 1 past the count
     counts: np.ndarray   # (n,)
-    log_cum: np.ndarray  # (n, J)
-    inv_cum: np.ndarray  # (n, J)
+    geo: np.ndarray      # (n, J)
+    gap: np.ndarray      # (n, J)
     breaks: np.ndarray   # (n, J - 1)
     xi: float
     n0: float
@@ -226,7 +230,10 @@ class _StreamTable(NamedTuple):
         m = np.arange(1, lam.shape[1])
         breaks = xi * (log_cum[:, :-1] - m * np.log(lam[:, 1:]))
         breaks = np.where(valid[:, 1:], breaks, np.inf)
-        return cls(lam, counts, log_cum, np.cumsum(1.0 / lam, axis=1), breaks, xi, n0)
+        geo = np.exp(-log_cum / np.arange(1, lam.shape[1] + 1))
+        gap = np.arange(1, lam.shape[1] + 1) * geo - np.cumsum(1.0 / lam, axis=1)
+        gap[:, 0] = 0.0
+        return cls(lam, counts, geo, gap, breaks, xi, n0)
 
     def user_budgets(self, rate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-user powers ``(P, n)`` reaching the per-user rates ``(P,)``,
@@ -234,9 +241,10 @@ class _StreamTable(NamedTuple):
         rate = rate[:, None]
         m = np.sum(self.breaks < rate[..., None], axis=-1) + 1
         rows = np.arange(self.counts.size)
-        growth = np.exp((rate / self.xi - self.log_cum[rows, m - 1]) / m)
-        power = self.n0 * (m * growth - self.inv_cum[rows, m - 1])
-        return power, self.n0 * growth
+        geo = self.geo[rows, m - 1]
+        excess = np.expm1(rate / (self.xi * m))
+        power = self.n0 * (m * geo * excess + self.gap[rows, m - 1])
+        return power, self.n0 * geo * (excess + 1.0)
 
 
 _NEWTON_RTOL = 1e-14
