@@ -40,7 +40,6 @@ __all__ = [
     "mmf_massive_mimo",
     "mmf_massive_mimo_rates",
     "zf_mmf_bounds",
-    "zf_user_rate_bounds",
 ]
 
 
@@ -440,25 +439,3 @@ def _group_powers(counts_by_group, per_stream_by_user):
             i += 1
         out.append(group)
     return out
-
-
-def zf_user_rate_bounds(
-    beta: float,
-    num_user_antennas: int,
-    num_group_antennas: int,
-    num_tx_antennas: int,
-    overhead_factor: float,
-    noise_power: float,
-    powers,
-) -> tuple[float, float]:
-    """Fading-averaged per-user ZF rate bounds for given per-symbol powers."""
-    p = np.asarray(powers, dtype=float)
-    if p.size != num_user_antennas:
-        raise ValueError("one power per receive antenna expected")
-    if np.any(p < 0):
-        raise ValueError("powers must be nonnegative")
-    lo_gain = beta * (num_tx_antennas - num_group_antennas)
-    hi_gain = beta * (num_tx_antennas - num_group_antennas + 1)
-    lo = overhead_factor * float(np.sum(np.log1p(p * lo_gain / noise_power)))
-    hi = overhead_factor * float(np.sum(np.log1p(p * hi_gain / noise_power)))
-    return lo, hi

@@ -6,14 +6,19 @@ sweep.  Every runner submits its location tasks to one location loop
 
 1. draw: the location's pathloss row once, then, per fading, the channels
    of every group once at the largest served-user count ``q``;
-2. kernel: per ``q``, the stream gains of the ``q``-user prefixes of those
-   draws.  For BD-MRC and ZF this is one batched Gram-inverse kernel over
-   every group (:func:`~vccsim.precoding.bd_mrc_gains`,
-   :func:`~vccsim.precoding.zf_gains`); MSV has its own beam gains;
-3. rule: the rates of every curve the scheme owns over the whole power
-   vector.  Max-min-fair rates come from one rate-only root solve over the
-   pooled users of every group (:func:`~vccsim.allocation.mmf_sum_rates`);
-   the other rules are equal-power ZF under CSI errors and MSV;
+2. kernel: the stream gains of every ``q``-user prefix of those draws at
+   once.  For BD-MRC and ZF this is one nested-prefix Gram kernel over
+   every group, one factorization per (group, fading) whatever the q sweep
+   (:func:`~vccsim.precoding.bd_mrc_prefix_gains`,
+   :func:`~vccsim.precoding.zf_prefix_gains`,
+   :func:`~vccsim.precoding.zf_prefix_couplings`); MSV has its own beam
+   gains;
+3. rule: the rates of every curve the scheme owns over the q sweep and the
+   power vector.  Max-min-fair rates come from one rate-only root solve per
+   q over the pooled users of every group
+   (:func:`~vccsim.allocation.mmf_sum_rates`; the pilot overhead depends on
+   q); the equal-power ZF rates under CSI errors are array expressions over
+   (q, power); MSV and the fading-free curves loop over q inside their rule;
 4. reduce: per-location means over fadings, then the mean and standard
    error over locations.
 
@@ -37,13 +42,13 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-# UserRateFunction, solve_mmf and bd_mrc_eigenvalues are on no run path; they
-# stay importable here, where bench/spans.py resolves the names it traces.
+# UserRateFunction, solve_mmf, bd_mrc_eigenvalues and zf_matrix are on no run
+# path; they stay importable here, where bench/spans.py resolves the names it
+# traces.
 from .allocation import (
     UserRateFunction,
     mmf_massive_mimo_rates,
@@ -65,13 +70,12 @@ from .channel import (
 from .errors import InvalidConfigurationError, UnsupportedConfigurationError
 from .precoding import (
     bd_mrc_eigenvalues,
-    bd_mrc_gains,
+    bd_mrc_prefix_gains,
     msv_gains_fast,
     msv_rate_from_gains,
-    zf_gains,
-    zf_imperfect_csir_sinr,
-    zf_imperfect_csit_sinr,
     zf_matrix,
+    zf_prefix_couplings,
+    zf_prefix_gains,
 )
 
 __all__ = [
@@ -83,7 +87,6 @@ __all__ = [
     "run_vcc_zf",
     "run_msv",
     "run_imperfect_csi",
-    "optimize_q",
     "effective_gain",
     "CSV_COLUMNS",
     "rows_for_curve",
@@ -148,6 +151,18 @@ class Scenario:
                 raise InvalidConfigurationError(
                     f"users_per_group {self.users_per_group} outside 1..{cap}"
                 )
+        if self.coherence_symbols < 1 or self.pilot_symbols < 0:
+            raise InvalidConfigurationError(
+                "need coherence_symbols >= 1 and pilot_symbols >= 0"
+            )
+        # The pilots of the largest served set, cache-aided and cacheless
+        # (one group, as in cacheless_counterpart, which is not built here
+        # because its own check would build its counterpart again), must fit
+        # the coherence block before any sampling starts.
+        for num_groups, fixed in (
+            (self.coded_gain, self.users_per_group), (1, self.baseline_users)
+        ):
+            self.overhead_factor(num_groups, max(self.group_user_counts(fixed)))
         # A variance of 1 (the channel's) leaves a zero channel estimate.
         if not 0 <= self.csit_error_var < 1:
             raise InvalidConfigurationError(
@@ -308,26 +323,40 @@ class _Rule(NamedTuple):
 
 # Kernels and solvers are looked up as module globals at call time, so a
 # tracer (bench/spans.py) can wrap them.
-def _bd_gains(h: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    return bd_mrc_gains(h, m)
+def _scaled_stack(scenario: Scenario, units, betas) -> np.ndarray:
+    """Groups stacked ``(G, L, q_top*m)``, user k's columns scaled by
+    ``sqrt(beta_k)``."""
+    scale = np.repeat(np.sqrt(betas), scenario.antennas_per_user, axis=1)
+    return np.stack(units) * scale[:, None, :]
 
 
-def _zf_gains(h: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    gains = zf_gains(h).reshape(h.shape[0], -1, m)
-    return np.sort(gains, axis=-1)[..., ::-1], np.full(gains.shape[:-1], m)
-
-
-def _mmf_rates(kernel, scenario: Scenario, num_groups: int, q: int, units, betas):
-    """Max-min-fair sum rate over every served user of every group."""
+def _mmf_sweep(scenario: Scenario, num_groups: int, q_values, gains, counts):
+    """Max-min-fair sum rate over every served user of every group, per q,
+    from prefix gains ``(G, S, q_top, m)`` and counts ``(G, S, q_top)``;
+    the overhead factor depends on q, so each q is one solve."""
     m = scenario.antennas_per_user
-    # Columns of user k scaled by sqrt(beta_k), groups stacked: (G, L, q*m).
-    scale = np.repeat(np.sqrt(betas[:, :q]), m, axis=1)
-    h = np.stack([u[:, : q * m] for u in units]) * scale[:, None, :]
-    gains, counts = kernel(h, m)
-    return [mmf_sum_rates(
-        gains.reshape(-1, m), counts.ravel(), scenario.overhead_factor(num_groups, q),
-        scenario.noise_power, np.asarray(scenario.p_watts),
-    )]
+    return np.array([[
+        mmf_sum_rates(
+            gains[:, qi, :q].reshape(-1, m), counts[:, qi, :q].ravel(),
+            scenario.overhead_factor(num_groups, q),
+            scenario.noise_power, np.asarray(scenario.p_watts),
+        )
+        for qi, q in enumerate(q_values)
+    ]])
+
+
+def _bd_rates(scenario: Scenario, num_groups: int, q_values, units, betas):
+    h = _scaled_stack(scenario, units, betas)
+    gains, counts = bd_mrc_prefix_gains(h, scenario.antennas_per_user, q_values)
+    return _mmf_sweep(scenario, num_groups, q_values, gains, counts)
+
+
+def _zf_rates(scenario: Scenario, num_groups: int, q_values, units, betas):
+    m = scenario.antennas_per_user
+    h = _scaled_stack(scenario, units, betas)
+    gains = zf_prefix_gains(h, [q * m for q in q_values])
+    gains = np.sort(gains.reshape(*gains.shape[:2], -1, m), axis=-1)[..., ::-1]
+    return _mmf_sweep(scenario, num_groups, q_values, gains, np.full(gains.shape[:-1], m))
 
 
 def _analytic_args(scenario: Scenario, num_groups: int, q: int, betas):
@@ -343,46 +372,63 @@ def _analytic_args(scenario: Scenario, num_groups: int, q: int, betas):
     )
 
 
-def _asym_rates(scenario: Scenario, num_groups: int, q: int, _, betas):
-    return [mmf_massive_mimo_rates(*_analytic_args(scenario, num_groups, q, betas))]
+def _asym_rates(scenario: Scenario, num_groups: int, q_values, _, betas):
+    return np.array([[
+        mmf_massive_mimo_rates(*_analytic_args(scenario, num_groups, q, betas))
+        for q in q_values
+    ]])
 
 
-def _zf_bound_rates(scenario: Scenario, num_groups: int, q: int, _, betas):
-    return zf_mmf_bounds(*_analytic_args(scenario, num_groups, q, betas))
+def _zf_bound_rates(scenario: Scenario, num_groups: int, q_values, _, betas):
+    bounds = [zf_mmf_bounds(*_analytic_args(scenario, num_groups, q, betas)) for q in q_values]
+    return np.stack(bounds, axis=1)
 
 
 def _csi_draws(scenario: Scenario, num_groups: int, q_top: int, loc: int, fad: int):
-    """Per group: true channels, their transmitter-side estimate and the
-    receiver-side coupling error draws."""
+    """Stacked over groups: true channels, their transmitter-side estimate
+    and the receiver-side coupling error draws."""
     draws = []
     for gi, h in enumerate(_unit_channels(scenario, num_groups, q_top, loc, fad)):
         rng = substream(scenario.seed, 2, loc, fad, gi)
         h_hat, _ = corrupt_csit(h, scenario.csit_error_var, rng)
         w = complex_gaussian(substream(scenario.seed, 3, loc, fad, gi), q_top)
         draws.append((h, h_hat, w))
-    return draws
+    return tuple(np.stack(d) for d in zip(*draws))
 
 
-def _csi_rates(scenario: Scenario, num_groups: int, q: int, draws, _):
+def _csi_rates(scenario: Scenario, num_groups: int, q_values, draws, _):
     """Equal-power ZF rates: perfect CSI, CSIT error, then CSIT plus each
-    CSIR error variance.  Inter-group residuals enter through their average
-    power only."""
-    p_tot = np.asarray(scenario.p_watts)[:, None]
-    per_stream = p_tot / (num_groups * q)
+    CSIR error variance, for every q.  Inter-group residuals enter through
+    their average power only."""
+    h, h_hat, w = draws
+    qs = np.asarray(q_values)
+    served = num_groups * qs[:, None, None]  # streams per q: (S, 1, 1)
+    per_stream = np.asarray(scenario.p_watts)[:, None] / served  # (S, P, 1)
     n0 = scenario.noise_power
-    rates = np.zeros((2 + len(scenario.csir_error_vars), p_tot.size))
-    for h, h_hat, w in draws:
-        h_q = h[:, :q]
+    # Users at or past q are not served: their entries are masked out.
+    inside = np.arange(h.shape[-1]) < qs[:, None, None]
+
+    def rate(num, den):  # SINR num / den of shape (G, S, P, N) -> (S, P)
+        sinr = np.divide(num, den, out=np.zeros(np.broadcast_shapes(num.shape, den.shape)),
+                         where=inside)
+        return np.log1p(sinr).sum(axis=(0, -1))
+
+    rates = []
+    for est in (h, h_hat):
         # Precoders from the true channels (perfect CSI) and from the estimate.
-        couplings = [h_q.T @ zf_matrix(est[:, :q])[0] for est in (h, h_hat)]
-        sinrs = [zf_imperfect_csit_sinr(c, per_stream, n0) for c in couplings]
-        own = np.diagonal(couplings[1])
-        for var in scenario.csir_error_vars:
-            # Each receiver's estimate of its own coupling coefficient.
-            est = own - math.sqrt(var) * w[:q]
-            sinrs.append(zf_imperfect_csir_sinr(p_tot, num_groups, q, var, est, n0))
-        rates += np.log1p(sinrs).sum(axis=-1)
-    return scenario.overhead_factor(num_groups, q) * rates
+        coupling = zf_prefix_couplings(h, est, qs)  # (G, S, N, N)
+        cross = np.abs(coupling) ** 2
+        received = per_stream * cross.sum(axis=-1)[:, :, None, :]
+        signal = per_stream * np.diagonal(cross, axis1=-2, axis2=-1)[:, :, None, :]
+        rates.append(rate(signal, n0 + received - signal))
+    own = np.diagonal(coupling, axis1=-2, axis2=-1)[:, :, None, :]
+    for var in scenario.csir_error_vars:
+        # Each receiver's estimate of its own coupling coefficient.
+        est = own - math.sqrt(var) * w[:, None, None, :]
+        interference = per_stream * var * (served - 1)
+        rates.append(rate(per_stream * (np.abs(est) ** 2 + var), n0 + interference))
+    xi = [scenario.overhead_factor(num_groups, q) for q in q_values]
+    return np.asarray(xi)[:, None] * np.array(rates)
 
 
 def _msv_draws(scenario: Scenario, num_groups: int, q_top: int, loc: int, fad: int):
@@ -392,19 +438,22 @@ def _msv_draws(scenario: Scenario, num_groups: int, q_top: int, loc: int, fad: i
     return mc, uc_pool
 
 
-def _msv_rates(scenario: Scenario, num_groups: int, num_unicast: int, draws, _):
-    mc_gains, uc_gains = msv_gains_fast(*draws, num_unicast)
-    return [[
-        msv_rate_from_gains(
-            mc_gains, uc_gains, p, scenario.noise_power, num_groups,
-            scenario.cached_load, scenario.coherence_symbols, scenario.pilot_symbols,
-        )
-        for p in scenario.p_watts
-    ]]
+def _msv_rates(scenario: Scenario, num_groups: int, q_values, draws, _):
+    rates = []
+    for num_unicast in q_values:
+        mc_gains, uc_gains = msv_gains_fast(*draws, num_unicast)
+        rates.append([
+            msv_rate_from_gains(
+                mc_gains, uc_gains, p, scenario.noise_power, num_groups,
+                scenario.cached_load, scenario.coherence_symbols, scenario.pilot_symbols,
+            )
+            for p in scenario.p_watts
+        ])
+    return np.array([rates])
 
 
-_BD_MMF = _Rule(_unit_channels, partial(_mmf_rates, _bd_gains))
-_ZF_MMF = _Rule(_unit_channels, partial(_mmf_rates, _zf_gains))
+_BD_MMF = _Rule(_unit_channels, _bd_rates)
+_ZF_MMF = _Rule(_unit_channels, _zf_rates)
 _BD_ASYM = _Rule(None, _asym_rates)
 _ZF_BOUNDS = _Rule(None, _zf_bound_rates)
 _CSI = _Rule(_csi_draws, _csi_rates)
@@ -420,10 +469,11 @@ def _location_task(args) -> list[np.ndarray]:
 
     A job is ``(scenario, num_groups, q_values, ((rule, curve_names), ...))``.
     ``rule.draw(scenario, num_groups, q_top, loc, fad)`` draws one fading's
-    channels at the largest ``q``; ``rule.rates(scenario, num_groups, q,
-    draws, betas)`` returns one row per curve over the power vector.  Both
-    are module-level functions so that tasks pickle.  Returns, per rule,
-    rates of shape ``(n_curves, n_fad, n_q, n_p)``, with ``n_fad`` 1 for
+    channels at the largest ``q``; ``rule.rates(scenario, num_groups,
+    q_values, draws, betas)`` returns the rates of every curve over the q
+    sweep and the power vector, shape ``(n_curves, n_q, n_p)``.  Both are
+    module-level functions so that tasks pickle.  Returns, per rule, rates
+    of shape ``(n_curves, n_fad, n_q, n_p)``, with ``n_fad`` 1 for
     fading-free rules.
     """
     (scenario, num_groups, q_values, rules), loc = args
@@ -435,8 +485,7 @@ def _location_task(args) -> list[np.ndarray]:
         rates = np.empty((len(names), n_fad, len(q_values), len(scenario.p_watts)))
         for fad in range(n_fad):
             draws = rule.draw(scenario, num_groups, q_top, loc, fad) if rule.draw else None
-            for qi, q in enumerate(q_values):
-                rates[:, fad, qi] = rule.rates(scenario, num_groups, q, draws, betas)
+            rates[:, fad] = rule.rates(scenario, num_groups, q_values, draws, betas)
         out.append(rates)
     return out
 
@@ -508,6 +557,8 @@ def run_msv(scenario: Scenario, workers: int = 1) -> RateReport:
             "multi-server baseline needs single-antenna users with unit pathloss"
         )
     l = scenario.num_tx_antennas
+    # All l - 1 unicast streams, the common one and the cached load need pilots.
+    csi_overhead(scenario.coherence_symbols, scenario.pilot_symbols, l + scenario.cached_load)
     job = (scenario, scenario.coded_gain, tuple(range(1, l)), ((_MSV, ("msv_modified",)),))
     full = _simulate([job], workers)["msv_modified"]
     original = SchemeCurve(
@@ -542,30 +593,8 @@ def run_imperfect_csi(scenario: Scenario, workers: int = 1) -> RateReport:
 
 
 # ---------------------------------------------------------------------------
-# Q optimization and effective gains
+# Effective gains
 # ---------------------------------------------------------------------------
-
-_SCHEME_RUNNERS = {
-    "vcc_bd_mrc": (run_vcc_bd_mrc, "vcc_bd_mrc"),
-    "cacheless_bd_mrc": (run_cacheless_bd_mrc, "cacheless_bd_mrc"),
-    "vcc_zf": (run_vcc_zf, "vcc_zf"),
-}
-
-
-def optimize_q(scenario: Scenario, scheme: str, workers: int = 1):
-    """Best served-user count and mean rate per power point for a scheme."""
-    try:
-        runner, curve_name = _SCHEME_RUNNERS[scheme]
-    except KeyError:
-        raise InvalidConfigurationError(f"unknown scheme {scheme!r}")
-    if scheme == "cacheless_bd_mrc":
-        sweep = dataclasses.replace(scenario, baseline_users=None)
-    else:
-        sweep = dataclasses.replace(scenario, users_per_group=None)
-    report = runner(sweep, workers=workers)
-    qs, means, _ = report[curve_name].best()
-    return list(zip(scenario.ptot_dbm, qs.tolist(), means.tolist()))
-
 
 def effective_gain(
     numerator: SchemeCurve, denominator: SchemeCurve, mode: str = "fixed"

@@ -8,27 +8,40 @@ Three beamformer families are implemented:
   multi-server (MSV) baseline.
 
 BD-MRC and ZF share one kernel, the inverse of the group Gram matrix
-``G = H.T @ H.conj()``, taken from the QR factor of ``H.conj()`` so that it
-is as accurate as ``H`` itself.  ZF stream gains are ``1 / diag(inv(G))``.
-By the Schur complement, the k-th ``M x M`` diagonal block of ``inv(G)`` is
-the inverse of user k's projected matrix ``H_k.T @ T_k @ H_k.conj()``, with
-``T_k`` the null projector of the other users' channels, so user k's BD-MRC
-stream gains are the reciprocal eigenvalues of that block.
+``G = H.T @ H.conj()``, taken from the QR factor of ``H.conj() = Q @ R`` so
+that it is as accurate as ``H`` itself: ``inv(G) = inv(R) @ inv(R).conj().T``.
+ZF stream gains are ``1 / diag(inv(G))``.  By the Schur complement, the k-th
+``M x M`` diagonal block of ``inv(G)`` is the inverse of user k's projected
+matrix ``H_k.T @ T_k @ H_k.conj()``, with ``T_k`` the null projector of the
+other users' channels, so user k's BD-MRC stream gains are the reciprocal
+eigenvalues of that block.
+
+The kernel serves every column prefix from one factorization (Golub and
+Van Loan, *Matrix Computations*, section 5.2): the factor of the first
+``n`` columns of ``H.conj()`` is ``R[:n, :n]``, and the inverse of that
+leading block of the triangular ``R`` is the leading block of ``inv(R)``.
+So the Gram inverse of the first ``q`` users of a group, for every ``q``,
+comes from one ``zgeqrf`` and one ``inv(R)`` per group: ZF gains are
+running sums of ``|inv(R)|**2`` along rows, BD-MRC blocks running sums of
+``M x M`` outer products.
 
 The Monte Carlo runners call only the fast paths, which return gains
-without forming every beam: :func:`bd_mrc_gains` and :func:`zf_gains` on a
-stack of groups, :func:`zf_matrix` and :func:`msv_gains_fast`, plus the
-rate and SINR formulas :func:`msv_rate_from_gains`,
-:func:`zf_imperfect_csit_sinr` and :func:`zf_imperfect_csir_sinr`.
-:func:`bd_mrc_eigenvalues` applies the same kernel to one group of any
-antenna counts.  A group whose Gram matrix is numerically singular, or
-whose blocks give a non-finite gain or trip :data:`RANK_CUTOFF`, falls back
-to the per-user Schur-complement path (safety code for singular draws),
-which truncates rank-deficient streams and raises
-:class:`InfeasibleDimensionError` for a user left with none.  The definition-level designs :func:`bd_mrc`,
-:func:`sinr_from_matrices`, :func:`bd_mrc_sinr`, :func:`msv_beamformers`
-and :func:`null_projector` are oracles: the tests check the fast paths
-against them.
+without forming every beam: :func:`bd_mrc_prefix_gains`,
+:func:`zf_prefix_gains` and :func:`zf_prefix_couplings` on a stack of
+groups for a whole sweep of served-user counts, :func:`msv_gains_fast`,
+and the rate formula :func:`msv_rate_from_gains`.  :func:`bd_mrc_gains`,
+:func:`zf_gains`, :func:`zf_matrix` and :func:`bd_mrc_eigenvalues` are the
+full-prefix case of the same kernel (the last for users of any antenna
+counts).  A prefix whose Gram matrix is numerically singular, or whose
+blocks give a non-finite gain or trip :data:`RANK_CUTOFF`, falls back to
+the per-user Schur-complement path for BD-MRC (safety code for singular
+draws), which truncates rank-deficient streams and raises
+:class:`InfeasibleDimensionError` for a user left with none; ZF raises
+:class:`SingularMatrixError`.  The definition-level designs :func:`bd_mrc`,
+:func:`sinr_from_matrices`, :func:`bd_mrc_sinr`, :func:`msv_beamformers`,
+:func:`null_projector` and the SINR formulas
+:func:`zf_imperfect_csit_sinr` and :func:`zf_imperfect_csir_sinr` are
+oracles: the tests check the fast paths against them.
 
 Channels follow the convention that a user with channel matrix ``H``
 receives ``H.T @ x``, so a beam ``v`` is invisible to ``H`` iff
@@ -58,10 +71,13 @@ __all__ = [
     "bd_mrc",
     "bd_mrc_eigenvalues",
     "bd_mrc_gains",
+    "bd_mrc_prefix_gains",
     "bd_mrc_sinr",
     "sinr_from_matrices",
     "zf_matrix",
     "zf_gains",
+    "zf_prefix_gains",
+    "zf_prefix_couplings",
     "zf_imperfect_csit_sinr",
     "zf_imperfect_csir_sinr",
     "msv_beamformers",
@@ -73,7 +89,7 @@ __all__ = [
 # Eigenvalues below this fraction of the largest one count as zero rank.
 RANK_CUTOFF = 1e-10
 # Gram matrices whose eigenvalue spread exceeds this count as numerically
-# singular: _gram_solve takes the pseudo-inverse, _gram_inverse flags them.
+# singular: _gram_solve takes the pseudo-inverse, _prefix_inverse flags them.
 PINV_CUTOFF = 1e-12
 HERMITIAN_TOL = 1e-10
 
@@ -199,40 +215,34 @@ def bd_mrc(group: GroupChannel) -> PrecoderSolution:
     return PrecoderSolution(tuple(users))
 
 
-def _gram_inverse(h: np.ndarray) -> np.ndarray | None:
-    """Inverse Gram matrix ``inv(H.T @ H.conj())`` of one ``(L, N)`` channel.
+def _prefix_inverse(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse QR factor of a ``(G, L, N)`` stack, valid for every prefix.
 
-    The inverse comes from the triangular factor ``R`` of
-    ``H.conj() = Q @ R`` (the Gram matrix's Cholesky factor), as
-    ``inv(R) @ inv(R).conj().T``, which keeps the accuracy of ``H`` instead
-    of squaring its condition number by forming the Gram matrix.  Returns
-    ``None`` if the Gram matrix is numerically singular: a squared pivot of
-    ``R`` at or below :data:`PINV_CUTOFF` times the largest one.
+    Per group, ``H.conj() = Q @ R`` (one LAPACK ``zgeqrf``; numpy.linalg.qr
+    costs several times more per call on these small matrices).  The first
+    ``n`` columns have factor ``R[:n, :n]``, whose inverse is the leading
+    block of ``inv(R)``, so the Gram inverse of that prefix is
+    ``r_inv[:n, :n] @ r_inv[:n, :n].conj().T``.  Returns ``(r_inv, valid)``:
+    ``valid[g]`` is the longest prefix of group g whose Gram matrix is not
+    numerically singular (every squared pivot of ``R`` above
+    :data:`PINV_CUTOFF` times the largest; the ratio only falls as columns
+    are added), and only that leading block of ``r_inv[g]`` is inverted,
+    the rest is zero.
     """
-    l_tx, n = h.shape
-    if n > l_tx:
-        return None
-    # LAPACK's QR directly: numpy.linalg.qr costs several times more per call
-    # on these small matrices.  R is the upper triangle of the first n rows.
-    r = np.triu(lapack.zgeqrf(h.conj())[0][:n])
-    pivots = np.abs(r.diagonal())
-    if not pivots.min() ** 2 > PINV_CUTOFF * pivots.max() ** 2:
-        return None
-    r_inv = np.linalg.inv(r)
-    return r_inv @ r_inv.conj().T
-
-
-def _gram_inverses(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_gram_inverse` over a ``(G, L, N)`` stack: ``(inv, ok)``, with
-    the identity as a placeholder where ``ok`` is False."""
-    n = h.shape[-1]
-    inv = np.empty((h.shape[0], n, n), dtype=complex)
-    ok = np.ones(h.shape[0], dtype=bool)
-    for g, h_g in enumerate(h):
-        inv_g = _gram_inverse(h_g)
-        ok[g] = inv_g is not None
-        inv[g] = inv_g if ok[g] else np.eye(n)
-    return inv, ok
+    g_count, l_tx, n = h.shape
+    k = min(l_tx, n)
+    r = np.triu(np.stack([lapack.zgeqrf(h_g.conj())[0][:k, :k] for h_g in h]))
+    pivots = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    ok = (np.minimum.accumulate(pivots, axis=-1) ** 2
+          > PINV_CUTOFF * np.maximum.accumulate(pivots, axis=-1) ** 2)
+    valid = np.where(ok.all(axis=-1), k, np.argmin(ok, axis=-1))
+    r_inv = np.zeros((g_count, n, n), dtype=complex)
+    full = valid == k
+    if full.any():
+        r_inv[full, :k, :k] = np.linalg.inv(r[full])
+    for g in np.flatnonzero(~full & (valid > 0)):
+        r_inv[g, : valid[g], : valid[g]] = np.linalg.inv(r[g, : valid[g], : valid[g]])
+    return r_inv, valid
 
 
 def _block_gains(blocks: np.ndarray) -> np.ndarray:
@@ -249,28 +259,38 @@ def _usable(gains: np.ndarray) -> np.ndarray:
 def bd_mrc_eigenvalues(group: GroupChannel) -> list[np.ndarray]:
     """Per-user BD-MRC stream gains without building the beamformers.
 
-    Matches the eigenvalues of :func:`bd_mrc`: one Gram-matrix inverse per
-    group, one small eigenproblem per user, with the per-user fallback of
-    :func:`bd_mrc_gains` for singular or rank-deficient groups.
+    Matches the eigenvalues of :func:`bd_mrc`: the full-prefix case of the
+    prefix kernel for users of any antenna counts, one small eigenproblem
+    per user, with the per-user fallback for singular or rank-deficient
+    groups.
     """
     mats = [h for h, _ in group.per_user]
-    inv = _gram_inverse(group.stacked())
-    if inv is not None:
+    stacked = group.stacked()
+    r_inv, valid = _prefix_inverse(stacked[None])
+    if valid[0] == stacked.shape[1]:
         edges = np.cumsum((0,) + group.antenna_counts)
-        gains = [_block_gains(inv[a:b, a:b]) for a, b in zip(edges[:-1], edges[1:])]
+        rows = [r_inv[0, a:b] for a, b in zip(edges[:-1], edges[1:])]
+        gains = [_block_gains(u @ u.conj().T) for u in rows]
         if all(_usable(g) for g in gains):
             return gains
     return _bd_eigs_generic(mats)
 
 
-def bd_mrc_gains(h: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """BD-MRC stream gains of a stack of groups of ``m``-antenna users.
+def bd_mrc_prefix_gains(
+    h: np.ndarray, m: int, q_values
+) -> tuple[np.ndarray, np.ndarray]:
+    """BD-MRC stream gains of the first ``q`` users of each group, every q.
 
-    ``h`` has shape ``(G, L, q * m)``: group g's users side by side, user k
-    in columns ``k*m`` to ``(k+1)*m``.  Returns ``(gains, counts)`` with
-    ``gains`` of shape ``(G, q, m)``, descending per user and zero past
-    ``counts`` ``(G, q)``.  Groups failing the checks of the batched kernel
-    go through the per-user path, which may truncate streams.
+    ``h`` has shape ``(G, L, q_top * m)``: group g's users side by side,
+    user k in columns ``k*m`` to ``(k+1)*m``.  Returns ``(gains, counts)``
+    of shapes ``(G, S, q_top, m)`` and ``(G, S, q_top)`` for the ``S``
+    entries of ``q_values``: gains descending per user and zero past each
+    user's count, users at or past q with count 0.  User k's block of the
+    prefix Gram inverse sums ``r_inv[k-block, c] @ r_inv[k-block, c]^H``
+    over the prefix columns c, so one factorization serves every q.  A
+    (group, q) cell whose prefix is singular, or whose blocks give an
+    unusable gain, goes through the per-user path, which may truncate
+    streams.
 
     Raises
     ------
@@ -278,18 +298,40 @@ def bd_mrc_gains(h: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
         If some user is left without a single positive-gain stream.
     """
     g_count, _, n = h.shape
-    q = n // m
-    inv, ok = _gram_inverses(h)
-    blocks = np.diagonal(inv.reshape(g_count, q, m, q, m), axis1=1, axis2=3)
-    gains = _block_gains(np.moveaxis(blocks, -1, 1))
-    counts = np.full((g_count, q), m)
-    for g in np.flatnonzero(~(ok & _usable(gains).all(axis=-1))):
+    q_top = n // m
+    qs = np.asarray(q_values)
+    r_inv, valid = _prefix_inverse(h)
+    # rows[g, k, j]: user k's rows of r_inv in column block j; blocks[g, k, j]
+    # is user k's diagonal block of the Gram inverse of the first j + 1 users.
+    rows = r_inv.reshape(g_count, q_top, m, q_top, m).transpose(0, 1, 3, 2, 4)
+    blocks = np.cumsum(rows @ rows.conj().swapaxes(-1, -2), axis=2)
+    served = np.arange(q_top) < qs[:, None]
+    prefix_ok = valid[:, None] >= qs * m
+    cells = prefix_ok[:, :, None] & served
+    g_idx, s_idx, k_idx = np.nonzero(cells)
+    gains = np.zeros((g_count, qs.size, q_top, m))
+    gains[cells] = _block_gains(blocks[g_idx, k_idx, qs[s_idx] - 1])
+    counts = np.where(cells, m, 0)
+    unusable = np.zeros(cells.shape, dtype=bool)
+    unusable[cells] = ~_usable(gains[cells])
+    for g, s in zip(*np.nonzero(~prefix_ok | unusable.any(axis=-1))):
+        q = qs[s]
         per_user = _bd_eigs_generic([h[g][:, k * m : (k + 1) * m] for k in range(q)])
-        gains[g] = 0.0
+        gains[g, s] = 0.0
         for k, w in enumerate(per_user):
-            gains[g, k, : w.size] = w
-            counts[g, k] = w.size
+            gains[g, s, k, : w.size] = w
+            counts[g, s, k] = w.size
     return gains, counts
+
+
+def bd_mrc_gains(h: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """BD-MRC stream gains of a stack of groups of ``m``-antenna users.
+
+    The full-prefix case of :func:`bd_mrc_prefix_gains`: ``gains`` of shape
+    ``(G, q, m)`` and ``counts`` ``(G, q)``.
+    """
+    gains, counts = bd_mrc_prefix_gains(h, m, (h.shape[-1] // m,))
+    return gains[:, 0], counts[:, 0]
 
 
 def _bd_eigs_generic(mats: list[np.ndarray]) -> list[np.ndarray]:
@@ -351,6 +393,38 @@ def sinr_from_matrices(
     return out
 
 
+def _zf_prefix(r_inv: np.ndarray, valid: np.ndarray, sizes) -> np.ndarray:
+    """ZF gains ``(G, S, N)`` of the first ``sizes[s]`` columns, zero past
+    them: ``1 / diag`` of each prefix Gram inverse, whose i-th diagonal
+    entry is the running sum of ``|r_inv[i, c]|**2`` over the columns c."""
+    sizes = np.asarray(sizes)
+    if np.any(valid < sizes.max()):
+        raise SingularMatrixError("channel Gram matrix is numerically singular")
+    diag = np.cumsum(r_inv.real ** 2 + r_inv.imag ** 2, axis=-1)[..., sizes - 1]
+    diag = np.moveaxis(diag, -1, 1)
+    inside = np.arange(r_inv.shape[-1]) < sizes[:, None]
+    return np.divide(1.0, diag, out=np.zeros_like(diag), where=inside)
+
+
+def zf_prefix_gains(h: np.ndarray, sizes) -> np.ndarray:
+    """ZF per-stream gains of the first ``n`` columns of each channel in a
+    ``(G, L, N)`` stack, for every ``n`` in ``sizes``: shape ``(G, S, N)``,
+    zero past each prefix, from one factorization per channel.
+
+    Raises
+    ------
+    SingularMatrixError
+        If the Gram matrix of some requested prefix is not invertible.
+    """
+    return _zf_prefix(*_prefix_inverse(h), sizes)
+
+
+def zf_gains(h: np.ndarray) -> np.ndarray:
+    """ZF per-stream gains ``(G, N)`` of a stack of channels ``(G, L, N)``:
+    the full-prefix case of :func:`zf_prefix_gains`."""
+    return zf_prefix_gains(h, (h.shape[-1],))[:, 0]
+
+
 def zf_matrix(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """ZF precoder and per-stream gains for a stacked ``(L, M)`` channel.
 
@@ -359,26 +433,41 @@ def zf_matrix(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     SingularMatrixError
         If the channel Gram matrix is not invertible.
     """
-    inv = _gram_inverse(stacked)
-    if inv is None:
-        raise SingularMatrixError("channel Gram matrix is numerically singular")
-    gains = 1.0 / inv.diagonal().real
-    v = stacked.conj() @ inv * np.sqrt(gains)[None, :]
+    r_inv, valid = _prefix_inverse(stacked[None])
+    gains = _zf_prefix(r_inv, valid, (stacked.shape[1],))[0, 0]
+    v = stacked.conj() @ (r_inv[0] @ r_inv[0].conj().T) * np.sqrt(gains)[None, :]
     return v, gains
 
 
-def zf_gains(h: np.ndarray) -> np.ndarray:
-    """ZF per-stream gains ``(G, N)`` of a stack of channels ``(G, L, N)``.
+def zf_prefix_couplings(h: np.ndarray, h_hat: np.ndarray, sizes) -> np.ndarray:
+    """True-channel couplings of ZF precoders designed on estimates.
+
+    ``h`` and ``h_hat`` are ``(G, L, N)`` stacks of true and estimated
+    channels.  For every ``n`` in ``sizes``, the ZF precoder ``V_n`` of
+    the first ``n`` estimated columns (unit-norm columns, as in
+    :func:`zf_matrix`) meets the true channels as ``h.T @ V_n``; the result
+    has shape ``(G, S, N, N)`` and is zero outside each prefix.  With
+    ``h_hat.conj() = Q @ R`` and ``X = (h.T @ h_hat.conj()) @ inv(R)``,
+    whose leading columns do not depend on the prefix, the block of the
+    first ``n`` users is ``X[:n, :n] @ inv(R)[:n, :n].conj().T`` times
+    ``sqrt`` of the prefix's ZF gains along its columns: one factorization
+    serves every prefix.  Perfect CSI is ``h_hat = h``.
 
     Raises
     ------
     SingularMatrixError
-        If some channel Gram matrix is not invertible.
+        If the Gram matrix of some requested estimated prefix is not
+        invertible.
     """
-    inv, ok = _gram_inverses(h)
-    if not ok.all():
-        raise SingularMatrixError("channel Gram matrix is numerically singular")
-    return 1.0 / np.diagonal(inv, axis1=1, axis2=2).real
+    r_inv, valid = _prefix_inverse(h_hat)
+    gains = _zf_prefix(r_inv, valid, sizes)
+    x = h.swapaxes(-1, -2) @ h_hat.conj() @ r_inv
+    r_inv_h = r_inv.conj().swapaxes(-1, -2)
+    coupling = np.zeros(gains.shape + gains.shape[-1:], dtype=complex)
+    for s, n in enumerate(sizes):
+        coupling[:, s, :n, :n] = x[:, :n, :n] @ r_inv_h[:, :n, :n]
+    coupling *= np.sqrt(gains)[:, :, None, :]
+    return coupling
 
 
 def zf_imperfect_csit_sinr(

@@ -16,7 +16,6 @@ from vccsim.allocation import (
     solve_mmf,
     waterfill,
     zf_mmf_bounds,
-    zf_user_rate_bounds,
 )
 from vccsim.channel import complex_gaussian, substream
 from vccsim.errors import ConvergenceError
@@ -350,18 +349,19 @@ class TestZfBounds:
         assert hi == pytest.approx(np.log1p(6.0), rel=1e-12)
 
     def test_per_user_bounds_zero_power(self):
-        lo, hi = zf_user_rate_bounds(1.0, 2, 4, 16, 0.9, 1.0, np.zeros(2))
+        lo, hi = zf_mmf_bounds([[1.0, 1.0]], [[2, 2]], 16, 0.9, 1.0, 0.0)
         assert lo == 0.0 and hi == 0.0
 
     def test_gap_vanishes_with_antennas(self):
-        p = np.array([1.0])
         gaps = []
         for l in (8, 32, 128, 512):
-            lo, hi = zf_user_rate_bounds(1.0, 1, 1, l, 1.0, 1.0, p)
+            lo, hi = zf_mmf_bounds([[1.0]], [[1]], l, 1.0, 1.0, 1.0)
             gaps.append(hi - lo)
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
     def test_monte_carlo_mean_inside_per_user_bounds(self):
+        # one 4-antenna user alone in its group: the max-min-fair split of
+        # the bounds' equal stream gains is the equal split used below
         l, m_group, beta, n0 = 16, 4, 1.0, 1.0
         powers = np.full(4, 0.8)
         rng = substream(70, 0)
@@ -370,7 +370,7 @@ class TestZfBounds:
             h = complex_gaussian(rng, (l, m_group), variance=beta)
             _, gains = zf_matrix(h)
             rates.append(np.sum(np.log1p(powers * gains / n0)))
-        lo, hi = zf_user_rate_bounds(beta, 4, m_group, l, 1.0, n0, powers)
+        lo, hi = zf_mmf_bounds([[beta]], [[m_group]], l, 1.0, n0, powers.sum())
         assert lo <= np.mean(rates) <= hi
 
     def test_bd_zf_closed_form_gap_small_at_large_arrays(self):

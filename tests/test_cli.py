@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from vccsim import experiments
 from vccsim.cli import RunConfig, build_parser, main, parse_config, run
 from vccsim.errors import InvalidConfigurationError
 from vccsim.recipes import RECIPES, list_recipes
@@ -179,3 +180,16 @@ class TestParser:
                      "--fadings", "1", "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_pilot_overhead_of_q_sweep_rejected_before_sampling(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        def no_sampling(args):
+            raise AssertionError("a location task ran")
+
+        monkeypatch.setattr(experiments, "_location_task", no_sampling)
+        code = main(["--recipe", "fig8", "--locations", "20", "--fadings", "1",
+                     "--set", "T=400", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "x.csv").exists()

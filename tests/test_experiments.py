@@ -1,16 +1,20 @@
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from vccsim import experiments
-from vccsim.errors import InvalidConfigurationError, UnsupportedConfigurationError
+from vccsim.errors import (
+    InvalidConfigurationError,
+    OverheadExceedsCoherenceError,
+    UnsupportedConfigurationError,
+)
 from vccsim.experiments import (
     Scenario,
     effective_gain,
     format_csv,
-    optimize_q,
     rows_for_best,
     rows_for_curve,
     run_cacheless_bd_mrc,
@@ -19,6 +23,7 @@ from vccsim.experiments import (
     run_vcc_bd_mrc,
     run_vcc_zf,
 )
+from vccsim.precoding import zf_imperfect_csir_sinr, zf_imperfect_csit_sinr, zf_matrix
 
 
 def macro_scenario(**kw):
@@ -74,6 +79,18 @@ class TestScenario:
     def test_unknown_geometry_is_config_error(self):
         with pytest.raises(InvalidConfigurationError, match="foo"):
             macro_scenario(geometry="foo")
+
+    def test_pilot_overhead_of_whole_sweep_checked(self):
+        # 10 pilots per receive antenna: 6 groups of 4 four-antenna users need
+        # 960 symbols, the sweep up to 6 users 1440
+        macro_scenario(coherence_symbols=1000, users_per_group=4, baseline_users=1)
+        with pytest.raises(OverheadExceedsCoherenceError):
+            macro_scenario(coherence_symbols=1000, users_per_group=None, baseline_users=1)
+        # 2 groups of one user need 80 symbols, the cacheless sweep 240
+        two_groups = dict(cache_fraction=Fraction(1, 6), users_per_group=1, coherence_symbols=200)
+        macro_scenario(baseline_users=4, **two_groups)
+        with pytest.raises(OverheadExceedsCoherenceError):
+            macro_scenario(baseline_users=None, **two_groups)
 
 
 class TestSchemeNesting:
@@ -202,25 +219,23 @@ class TestGains:
 
 
 class TestOptimizeQ:
+    """The best served-user count per power point, from a full q sweep."""
+
     def test_trivial_when_cap_is_one(self):
         scn = macro_scenario(
             antennas_per_user=4, num_tx_antennas=4, num_states=1,
             cache_fraction=Fraction(0), users_per_group=None, n_locations=2,
         )
-        out = optimize_q(scn, "vcc_bd_mrc")
-        assert all(q == 1 for _, q, _ in out)
+        qs, _, _ = run_vcc_bd_mrc(scn)["vcc_bd_mrc"].best()
+        assert all(q == 1 for q in qs)
 
     def test_cacheless_high_snr_prefers_full_multiplexing(self):
         # symmetric single-antenna users at very high SNR: multiplexing wins
         scn = symmetric_scenario(
             num_tx_antennas=8, ptot_dbm=(95.0,), n_locations=30,
         )
-        out = optimize_q(scn, "cacheless_bd_mrc")
-        assert out[0][1] == 8
-
-    def test_unknown_scheme(self):
-        with pytest.raises(InvalidConfigurationError):
-            optimize_q(macro_scenario(), "mrt")
+        qs, _, _ = run_cacheless_bd_mrc(scn)["cacheless_bd_mrc"].best()
+        assert qs[0] == 8
 
 
 class TestZfRuns:
@@ -306,6 +321,47 @@ class TestImperfectCsi:
             rep["vcc_zf_csit"], rep["cacheless_zf_csit"], "optimized"
         )
         assert np.all(g_csit > g_perfect)
+
+
+class TestCsiRule:
+    """The all-q imperfect-CSI rule against its per-q definition."""
+
+    @staticmethod
+    def _per_q_reference(scn, num_groups, q_values, draws):
+        h, h_hat, w = draws
+        p_tot = np.asarray(scn.p_watts)[:, None]
+        out = np.zeros((2 + len(scn.csir_error_vars), len(q_values), p_tot.size))
+        for qi, q in enumerate(q_values):
+            per_stream = p_tot / (num_groups * q)
+            for g in range(num_groups):
+                h_q = h[g][:, :q]
+                couplings = [h_q.T @ zf_matrix(est[g][:, :q])[0] for est in (h, h_hat)]
+                sinrs = [zf_imperfect_csit_sinr(c, per_stream, scn.noise_power) for c in couplings]
+                own = np.diagonal(couplings[1])
+                for var in scn.csir_error_vars:
+                    est = own - math.sqrt(var) * w[g][:q]
+                    sinrs.append(zf_imperfect_csir_sinr(
+                        p_tot, num_groups, q, var, est, scn.noise_power))
+                out[:, qi] += np.log1p(sinrs).sum(axis=-1)
+            out[:, qi] *= scn.overhead_factor(num_groups, q)
+        return out
+
+    @pytest.mark.parametrize("csit_var, csir_vars, fixed", [
+        (0.01, (0.01, 0.001), None),
+        (0.0, (0.01,), None),
+        (0.01, (0.0,), None),
+        (0.01, (0.01, 0.0), 3),
+    ])
+    def test_all_q_rates_match_per_q_definition(self, csit_var, csir_vars, fixed):
+        scn = symmetric_scenario(
+            num_tx_antennas=8, csit_error_var=csit_var, csir_error_vars=csir_vars,
+            users_per_group=fixed,
+        )
+        num_groups, q_values = scn.coded_gain, scn.group_user_counts(fixed)
+        draws = experiments._csi_draws(scn, num_groups, max(q_values), 2, 0)
+        got = experiments._csi_rates(scn, num_groups, q_values, draws, None)
+        want = self._per_q_reference(scn, num_groups, q_values, draws)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 class TestCsvRows:

@@ -13,6 +13,7 @@ from vccsim.precoding import (
     bd_mrc,
     bd_mrc_eigenvalues,
     bd_mrc_gains,
+    bd_mrc_prefix_gains,
     bd_mrc_sinr,
     hermitian_eig,
     msv_beamformers,
@@ -24,6 +25,7 @@ from vccsim.precoding import (
     zf_imperfect_csir_sinr,
     zf_imperfect_csit_sinr,
     zf_matrix,
+    zf_prefix_gains,
 )
 
 
@@ -200,6 +202,29 @@ class TestBdMrcGainsFallback:
                 j = counts[g, k]
                 assert np.allclose(gains[g, k, :j], user.eigenvalues, rtol=1e-9)
                 assert not gains[g, k, j:].any()
+
+    def test_prefixes_past_duplicated_column_fall_back(self, monkeypatch):
+        # Column 5 (user 2's second) repeats column 0 (user 0's first): the
+        # prefixes of one and two users stay batched, those of three and four
+        # users fall back and cut one stream of users 0 and 2, as bd_mrc does.
+        calls = self._spy(monkeypatch)
+        h = complex_gaussian(substream(92, 3), (1, 10, 8))
+        h[0, :, 5] = h[0, :, 0]
+        q_values = (1, 2, 3, 4)
+        gains, counts = bd_mrc_prefix_gains(h, 2, q_values)
+        assert calls == [3, 4]
+        assert counts[0].tolist() == [[2, 0, 0, 0], [2, 2, 0, 0], [1, 2, 1, 0], [1, 2, 1, 2]]
+        for s, q in enumerate(q_values):
+            group = GroupChannel(tuple((h[0][:, 2 * k : 2 * k + 2], 1.0) for k in range(q)))
+            for k, user in enumerate(bd_mrc(group).users):
+                j = counts[0, s, k]
+                assert j == user.num_streams
+                np.testing.assert_allclose(gains[0, s, k, :j], user.eigenvalues, rtol=1e-9)
+                assert not gains[0, s, k, j:].any()
+        assert zf_prefix_gains(h, (2, 4, 5)).shape == (1, 3, 8)
+        for sizes in ((6,), (2, 8)):
+            with pytest.raises(SingularMatrixError):
+                zf_prefix_gains(h, sizes)
 
     def test_fully_dependent_user_infeasible(self):
         a = complex_gaussian(substream(92, 2), (6, 2))

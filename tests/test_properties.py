@@ -5,7 +5,10 @@
   residual at the ends of :func:`mmf_brackets`;
 * :func:`bd_mrc_gains` against the eigenvalues of the :func:`bd_mrc`
   beamformer design, and :func:`zf_gains` against :func:`zf_matrix` and a
-  plain Gram-matrix inverse.
+  plain Gram-matrix inverse;
+* the nested-prefix kernels :func:`bd_mrc_prefix_gains` and
+  :func:`zf_prefix_gains` against the full-prefix kernels refactorizing
+  each prefix on its own.
 """
 
 import numpy as np
@@ -15,7 +18,14 @@ from scipy.optimize import brentq
 
 from vccsim.allocation import UserRateFunction, mmf_brackets, mmf_sum_rates
 from vccsim.channel import GroupChannel, complex_gaussian
-from vccsim.precoding import bd_mrc, bd_mrc_gains, zf_gains, zf_matrix
+from vccsim.precoding import (
+    bd_mrc,
+    bd_mrc_gains,
+    bd_mrc_prefix_gains,
+    zf_gains,
+    zf_matrix,
+    zf_prefix_gains,
+)
 
 PROPERTY = settings(max_examples=50, deadline=None)
 
@@ -132,3 +142,28 @@ def test_batched_zf_gains_match_zf_matrix(stack):
         np.testing.assert_array_equal(gains[g], zf_matrix(h_g)[1])
         gram_inv = np.linalg.inv(h_g.T @ h_g.conj())
         np.testing.assert_allclose(gains[g], 1.0 / np.diag(gram_inv).real, rtol=1e-8)
+
+
+@PROPERTY
+@given(group_stacks())
+def test_prefix_bd_gains_match_each_prefix_alone(stack):
+    h, m, _ = stack
+    q_values = range(1, h.shape[-1] // m + 1)
+    gains, counts = bd_mrc_prefix_gains(h, m, q_values)
+    for s, q in enumerate(q_values):
+        ref_gains, ref_counts = bd_mrc_gains(h[:, :, : q * m], m)
+        np.testing.assert_array_equal(counts[:, s, :q], ref_counts)
+        np.testing.assert_allclose(gains[:, s, :q], ref_gains, rtol=1e-10, atol=0)
+        assert not counts[:, s, q:].any() and not gains[:, s, q:].any()
+
+
+@PROPERTY
+@given(group_stacks())
+def test_prefix_zf_gains_match_zf_matrix_on_each_prefix(stack):
+    h, _, _ = stack
+    sizes = range(1, h.shape[-1] + 1)
+    gains = zf_prefix_gains(h, sizes)
+    for s, n in enumerate(sizes):
+        for g, h_g in enumerate(h):
+            np.testing.assert_allclose(gains[g, s, :n], zf_matrix(h_g[:, :n])[1], rtol=1e-10, atol=0)
+        assert not gains[:, s, n:].any()
