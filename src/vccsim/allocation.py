@@ -37,7 +37,6 @@ __all__ = [
     "solve_mmf",
     "mmf_sum_rates",
     "mmf_brackets",
-    "mmf_massive_mimo",
     "mmf_massive_mimo_rates",
     "zf_mmf_bounds",
 ]
@@ -337,30 +336,6 @@ def _bound_root(lam, js, xi, n0, p_tot):
     return np.vectorize(root, otypes=[float])(p_tot)
 
 
-def mmf_massive_mimo(
-    betas_by_group,
-    counts_by_group,
-    num_tx_antennas: int,
-    overhead_factor: float,
-    noise_power: float,
-    p_tot: float,
-):
-    """Large-antenna limit of the max-min-fair sum rate and its powers.
-
-    In the large-array regime every stream gain of user ``k`` concentrates
-    at ``beta_k * (L - M_group + M_k)``, so equal power over a user's
-    streams is optimal and the budget equation becomes explicit.  Returns
-    ``(sum_rate, per_symbol_powers_by_group)``; the uniform-antenna case is
-    evaluated in closed form.
-    """
-    factors, ms = _surrogate_users(betas_by_group, counts_by_group, num_tx_antennas, None)
-    rate = float(_surrogate_rate(factors, ms, overhead_factor, noise_power, p_tot))
-    per_stream = np.zeros(ms.size)
-    if rate > 0:
-        per_stream = noise_power * np.expm1(rate / (overhead_factor * ms * ms.size)) / factors
-    return rate, _group_powers(counts_by_group, per_stream)
-
-
 def mmf_massive_mimo_rates(
     betas_by_group,
     counts_by_group,
@@ -369,7 +344,13 @@ def mmf_massive_mimo_rates(
     noise_power: float,
     p_tot,
 ) -> np.ndarray:
-    """Sum rate of :func:`mmf_massive_mimo` alone, per entry of ``p_tot``."""
+    """Large-antenna limit of the max-min-fair sum rate, per entry of ``p_tot``.
+
+    In the large-array regime every stream gain of user ``k`` concentrates
+    at ``beta_k * (L - M_group + M_k)``, so equal power over a user's
+    streams is optimal and the budget equation becomes explicit; the
+    uniform-antenna case is evaluated in closed form.
+    """
     factors, ms = _surrogate_users(betas_by_group, counts_by_group, num_tx_antennas, None)
     return _surrogate_rate(factors, ms, overhead_factor, noise_power, p_tot)
 
@@ -427,15 +408,3 @@ def _surrogate_rate(factors, ms, xi, n0, p_tot):
         return np.zeros_like(p)
     return _bound_root(factors, ms, xi, n0, p)
 
-
-def _group_powers(counts_by_group, per_stream_by_user):
-    """Reshape flat per-user per-stream powers into nested per-group arrays."""
-    out = []
-    i = 0
-    for counts in counts_by_group:
-        group = []
-        for m in counts:
-            group.append(np.full(int(m), per_stream_by_user[i]))
-            i += 1
-        out.append(group)
-    return out

@@ -11,14 +11,16 @@ sweep.  Every runner submits its location tasks to one location loop
    every group, one factorization per (group, fading) whatever the q sweep
    (:func:`~vccsim.precoding.bd_mrc_prefix_gains`,
    :func:`~vccsim.precoding.zf_prefix_gains`,
-   :func:`~vccsim.precoding.zf_prefix_couplings`); MSV has its own beam
-   gains;
+   :func:`~vccsim.precoding.zf_prefix_couplings`).  MSV runs the same
+   kernel on one multicast/unicast draw for every unicast count
+   (:func:`~vccsim.precoding.msv_gains_fast`);
 3. rule: the rates of every curve the scheme owns over the q sweep and the
    power vector.  Max-min-fair rates come from one rate-only root solve per
    q over the pooled users of every group
    (:func:`~vccsim.allocation.mmf_sum_rates`; the pilot overhead depends on
-   q); the equal-power ZF rates under CSI errors are array expressions over
-   (q, power); MSV and the fading-free curves loop over q inside their rule;
+   q); the equal-power ZF rates under CSI errors and the MSV rates
+   (:func:`~vccsim.precoding.msv_rate_from_gains`) are array expressions
+   over (q, power); the fading-free curves loop over q inside their rule;
 4. reduce: per-location means over fadings, then the mean and standard
    error over locations.
 
@@ -145,12 +147,17 @@ class Scenario:
             raise InvalidConfigurationError("realization counts must be positive")
         if self.seed < 0:
             raise InvalidConfigurationError(f"seed {self.seed} is negative")
-        if self.users_per_group is not None:
-            cap = self.max_group_users()
-            if not 1 <= self.users_per_group <= cap:
-                raise InvalidConfigurationError(
-                    f"users_per_group {self.users_per_group} outside 1..{cap}"
-                )
+        # The cacheless counterpart has the same cap.
+        cap = self.max_group_users()
+        for field, count in (
+            ("users_per_group", self.users_per_group), ("baseline_users", self.baseline_users)
+        ):
+            if count is not None and not 1 <= count <= cap:
+                raise InvalidConfigurationError(f"{field} {count} outside 1..{cap}")
+        if not 0 < self.noise_power < math.inf:
+            raise InvalidConfigurationError(
+                f"noise_power {self.noise_power} is not positive and finite"
+            )
         if self.coherence_symbols < 1 or self.pilot_symbols < 0:
             raise InvalidConfigurationError(
                 "need coherence_symbols >= 1 and pilot_symbols >= 0"
@@ -416,7 +423,7 @@ def _csi_rates(scenario: Scenario, num_groups: int, q_values, draws, _):
     rates = []
     for est in (h, h_hat):
         # Precoders from the true channels (perfect CSI) and from the estimate.
-        coupling = zf_prefix_couplings(h, est, qs)  # (G, S, N, N)
+        _, coupling = zf_prefix_couplings(h, est, qs)  # (G, S, N, N)
         cross = np.abs(coupling) ** 2
         received = per_stream * cross.sum(axis=-1)[:, :, None, :]
         signal = per_stream * np.diagonal(cross, axis1=-2, axis2=-1)[:, :, None, :]
@@ -439,17 +446,11 @@ def _msv_draws(scenario: Scenario, num_groups: int, q_top: int, loc: int, fad: i
 
 
 def _msv_rates(scenario: Scenario, num_groups: int, q_values, draws, _):
-    rates = []
-    for num_unicast in q_values:
-        mc_gains, uc_gains = msv_gains_fast(*draws, num_unicast)
-        rates.append([
-            msv_rate_from_gains(
-                mc_gains, uc_gains, p, scenario.noise_power, num_groups,
-                scenario.cached_load, scenario.coherence_symbols, scenario.pilot_symbols,
-            )
-            for p in scenario.p_watts
-        ])
-    return np.array([rates])
+    mc_gains, uc_gains = msv_gains_fast(*draws, q_values)
+    return msv_rate_from_gains(
+        mc_gains, uc_gains, q_values, scenario.p_watts, scenario.noise_power, num_groups,
+        scenario.cached_load, scenario.coherence_symbols, scenario.pilot_symbols,
+    )[None]
 
 
 _BD_MMF = _Rule(_unit_channels, _bd_rates)

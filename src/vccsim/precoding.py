@@ -7,14 +7,16 @@ Three beamformer families are implemented:
 * multicast/unicast null-steering beamformers for the bit-level
   multi-server (MSV) baseline.
 
-BD-MRC and ZF share one kernel, the inverse of the group Gram matrix
+Every scheme shares one kernel, the inverse of the group Gram matrix
 ``G = H.T @ H.conj()``, taken from the QR factor of ``H.conj() = Q @ R`` so
 that it is as accurate as ``H`` itself: ``inv(G) = inv(R) @ inv(R).conj().T``.
 ZF stream gains are ``1 / diag(inv(G))``.  By the Schur complement, the k-th
 ``M x M`` diagonal block of ``inv(G)`` is the inverse of user k's projected
 matrix ``H_k.T @ T_k @ H_k.conj()``, with ``T_k`` the null projector of the
 other users' channels, so user k's BD-MRC stream gains are the reciprocal
-eigenvalues of that block.
+eigenvalues of that block.  The MSV beams for ``n`` unicast streams are the
+ZF precoder of the first ``n + 1`` columns of ``[mc_0, uc_1, ...]``: column
+0 is the common beam, the others the unicast beams.
 
 The kernel serves every column prefix from one factorization (Golub and
 Van Loan, *Matrix Computations*, section 5.2): the factor of the first
@@ -23,23 +25,25 @@ leading block of the triangular ``R`` is the leading block of ``inv(R)``.
 So the Gram inverse of the first ``q`` users of a group, for every ``q``,
 comes from one ``zgeqrf`` and one ``inv(R)`` per group: ZF gains are
 running sums of ``|inv(R)|**2`` along rows, BD-MRC blocks running sums of
-``M x M`` outer products.
+``M x M`` outer products, and the couplings of every prefix's ZF precoder
+with any receivers share one product with ``inv(R)``.
 
 The Monte Carlo runners call only the fast paths, which return gains
-without forming every beam: :func:`bd_mrc_prefix_gains`,
-:func:`zf_prefix_gains` and :func:`zf_prefix_couplings` on a stack of
-groups for a whole sweep of served-user counts, :func:`msv_gains_fast`,
-and the rate formula :func:`msv_rate_from_gains`.  :func:`bd_mrc_gains`,
-:func:`zf_gains`, :func:`zf_matrix` and :func:`bd_mrc_eigenvalues` are the
-full-prefix case of the same kernel (the last for users of any antenna
-counts).  A prefix whose Gram matrix is numerically singular, or whose
-blocks give a non-finite gain or trip :data:`RANK_CUTOFF`, falls back to
-the per-user Schur-complement path for BD-MRC (safety code for singular
-draws), which truncates rank-deficient streams and raises
-:class:`InfeasibleDimensionError` for a user left with none; ZF raises
-:class:`SingularMatrixError`.  The definition-level designs :func:`bd_mrc`,
-:func:`sinr_from_matrices`, :func:`bd_mrc_sinr`, :func:`msv_beamformers`,
-:func:`null_projector` and the SINR formulas
+without forming every beam, for a whole sweep of served-user counts:
+:func:`bd_mrc_prefix_gains`, :func:`zf_prefix_gains` and
+:func:`zf_prefix_couplings` on a stack of groups, :func:`msv_gains_fast`
+on one multicast/unicast draw, and the rate formula
+:func:`msv_rate_from_gains` over the (count, power) grid.
+:func:`zf_matrix` and :func:`bd_mrc_eigenvalues` are the full-prefix case
+of the same kernel (the last for users of any antenna counts).  A prefix
+whose Gram matrix is numerically singular, or whose blocks give a
+non-finite gain or trip :data:`RANK_CUTOFF`, falls back to the per-user
+Schur-complement path for BD-MRC (safety code for singular draws), which
+truncates rank-deficient streams and raises
+:class:`InfeasibleDimensionError` for a user left with none; ZF and MSV
+raise :class:`SingularMatrixError`.  The definition-level designs
+:func:`bd_mrc`, :func:`sinr_from_matrices`, :func:`bd_mrc_sinr`,
+:func:`msv_beamformers`, :func:`null_projector` and the SINR formulas
 :func:`zf_imperfect_csit_sinr` and :func:`zf_imperfect_csir_sinr` are
 oracles: the tests check the fast paths against them.
 
@@ -70,12 +74,10 @@ __all__ = [
     "null_projector",
     "bd_mrc",
     "bd_mrc_eigenvalues",
-    "bd_mrc_gains",
     "bd_mrc_prefix_gains",
     "bd_mrc_sinr",
     "sinr_from_matrices",
     "zf_matrix",
-    "zf_gains",
     "zf_prefix_gains",
     "zf_prefix_couplings",
     "zf_imperfect_csit_sinr",
@@ -324,16 +326,6 @@ def bd_mrc_prefix_gains(
     return gains, counts
 
 
-def bd_mrc_gains(h: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """BD-MRC stream gains of a stack of groups of ``m``-antenna users.
-
-    The full-prefix case of :func:`bd_mrc_prefix_gains`: ``gains`` of shape
-    ``(G, q, m)`` and ``counts`` ``(G, q)``.
-    """
-    gains, counts = bd_mrc_prefix_gains(h, m, (h.shape[-1] // m,))
-    return gains[:, 0], counts[:, 0]
-
-
 def _bd_eigs_generic(mats: list[np.ndarray]) -> list[np.ndarray]:
     """Per-user Schur-complement path for singular or rank-deficient groups.
 
@@ -419,12 +411,6 @@ def zf_prefix_gains(h: np.ndarray, sizes) -> np.ndarray:
     return _zf_prefix(*_prefix_inverse(h), sizes)
 
 
-def zf_gains(h: np.ndarray) -> np.ndarray:
-    """ZF per-stream gains ``(G, N)`` of a stack of channels ``(G, L, N)``:
-    the full-prefix case of :func:`zf_prefix_gains`."""
-    return zf_prefix_gains(h, (h.shape[-1],))[:, 0]
-
-
 def zf_matrix(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """ZF precoder and per-stream gains for a stacked ``(L, M)`` channel.
 
@@ -439,19 +425,23 @@ def zf_matrix(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v, gains
 
 
-def zf_prefix_couplings(h: np.ndarray, h_hat: np.ndarray, sizes) -> np.ndarray:
+def zf_prefix_couplings(
+    h: np.ndarray, h_hat: np.ndarray, sizes
+) -> tuple[np.ndarray, np.ndarray]:
     """True-channel couplings of ZF precoders designed on estimates.
 
-    ``h`` and ``h_hat`` are ``(G, L, N)`` stacks of true and estimated
-    channels.  For every ``n`` in ``sizes``, the ZF precoder ``V_n`` of
-    the first ``n`` estimated columns (unit-norm columns, as in
-    :func:`zf_matrix`) meets the true channels as ``h.T @ V_n``; the result
-    has shape ``(G, S, N, N)`` and is zero outside each prefix.  With
-    ``h_hat.conj() = Q @ R`` and ``X = (h.T @ h_hat.conj()) @ inv(R)``,
-    whose leading columns do not depend on the prefix, the block of the
-    first ``n`` users is ``X[:n, :n] @ inv(R)[:n, :n].conj().T`` times
+    ``h`` is a ``(G, L, K)`` stack of ``K`` receivers' true channels and
+    ``h_hat`` a ``(G, L, N)`` stack of the estimated channels the precoders
+    are designed on.  For every ``n`` in ``sizes``, the ZF precoder ``V_n``
+    of the first ``n`` estimated columns (unit-norm columns, as in
+    :func:`zf_matrix`) meets every receiver as ``h.T @ V_n``.  Returns the
+    prefix ZF gains ``(G, S, N)`` of :func:`zf_prefix_gains` and the
+    couplings ``(G, S, K, N)``, both zero past each prefix's ``n`` streams.
+    With ``h_hat.conj() = Q @ R`` and ``X = (h.T @ h_hat.conj()) @ inv(R)``,
+    whose leading columns do not depend on the prefix, the couplings of the
+    first ``n`` streams are ``X[:, :n] @ inv(R)[:n, :n].conj().T`` times
     ``sqrt`` of the prefix's ZF gains along its columns: one factorization
-    serves every prefix.  Perfect CSI is ``h_hat = h``.
+    serves every prefix.  Perfect CSI at the served users is ``h_hat = h``.
 
     Raises
     ------
@@ -463,11 +453,11 @@ def zf_prefix_couplings(h: np.ndarray, h_hat: np.ndarray, sizes) -> np.ndarray:
     gains = _zf_prefix(r_inv, valid, sizes)
     x = h.swapaxes(-1, -2) @ h_hat.conj() @ r_inv
     r_inv_h = r_inv.conj().swapaxes(-1, -2)
-    coupling = np.zeros(gains.shape + gains.shape[-1:], dtype=complex)
+    coupling = np.zeros(gains.shape[:2] + x.shape[-2:], dtype=complex)
     for s, n in enumerate(sizes):
-        coupling[:, s, :n, :n] = x[:, :n, :n] @ r_inv_h[:, :n, :n]
+        coupling[:, s, :, :n] = x[:, :, :n] @ r_inv_h[:, :n, :n]
     coupling *= np.sqrt(gains)[:, :, None, :]
-    return coupling
+    return gains, coupling
 
 
 def zf_imperfect_csit_sinr(
@@ -580,60 +570,65 @@ def msv_beamformers(
 def msv_rate_from_gains(
     multicast_gains: np.ndarray,
     unicast_gains: np.ndarray,
-    p_tot: float,
+    unicast_counts,
+    p_tot,
     noise_power: float,
     coded_gain: int,
     cached_load: int,
     coherence_symbols: int,
     pilot_symbols: int,
-) -> float:
+) -> np.ndarray:
     """Effective total rate of the multi-server baseline, in nats/s/Hz.
 
-    Power splits equally over the ``num_unicast + 1`` streams.  The common
-    stream is decoded by ``coded_gain`` users and runs at the worst of
-    their effective channels; pilot overhead covers all
-    ``num_unicast + 1 + cached_load`` served single-antenna users.
+    Row ``s`` of the ``(S, G)`` multicast and ``(S, U)`` unicast gains
+    serves ``unicast_counts[s]`` unicast streams, with unicast gains zero
+    past that count (they add ``log1p(0) = 0``); ``p_tot`` holds ``P`` total
+    powers, and the result has shape ``(S, P)``.  Power splits equally over
+    the ``count + 1`` streams.  The common stream is decoded by
+    ``coded_gain`` users and runs at the worst of their effective channels;
+    pilot overhead covers all ``count + 1 + cached_load`` served
+    single-antenna users.
 
     Raises
     ------
     OverheadExceedsCoherenceError
         If those pilots would consume more than the coherence block.
     """
-    streams = len(unicast_gains) + 1
-    xi = csi_overhead(
-        coherence_symbols, pilot_symbols, streams + cached_load
-    ).overhead_factor
-    p = p_tot / streams
-    r_mc = coded_gain * np.min(np.log1p(p * np.asarray(multicast_gains) / noise_power))
-    r_uc = float(np.sum(np.log1p(p * np.asarray(unicast_gains) / noise_power)))
-    return xi * (r_mc + r_uc)
+    streams = np.asarray(unicast_counts) + 1
+    xi = np.array([
+        csi_overhead(coherence_symbols, pilot_symbols, n + cached_load).overhead_factor
+        for n in streams
+    ])
+    p = (np.asarray(p_tot, dtype=float)[None, :] / streams[:, None])[..., None]
+    mc = np.asarray(multicast_gains)[:, None, :]
+    uc = np.asarray(unicast_gains)[:, None, :]
+    r_mc = coded_gain * np.min(np.log1p(p * mc / noise_power), axis=-1)
+    r_uc = np.sum(np.log1p(p * uc / noise_power), axis=-1)
+    return xi[:, None] * (r_mc + r_uc)
 
 
 def msv_gains_fast(
     multicast_channels: np.ndarray,
     unicast_channels: np.ndarray,
-    num_unicast: int,
+    unicast_counts,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Beam gains of :func:`msv_beamformers` without building every beam.
+    """Beam gains of :func:`msv_beamformers` for every unicast count.
 
-    The squared effective channel of a null-steered matched-filter beam
-    equals the squared distance of the target (conjugated) channel from the
-    span of the nulled ones, which is one diagonal entry of an inverse Gram
-    matrix; only the common beam is formed explicitly for its gains at the
-    non-targeted multicast users.
+    The beams of ``n`` unicast streams are the ZF precoder of the first
+    ``n + 1`` columns of ``[mc_0, uc_1, ..., uc_U]`` (channels as columns):
+    column 0 is the common beam, steered at the first multicast user inside
+    the null space of the unicast channels, and column ``k`` nulls the first
+    multicast user and every other unicast user.  So one prefix
+    factorization serves the whole sweep; a one-column prefix is the matched
+    filter.  Returns the multicast gains ``(S, G)`` (squared couplings of
+    the common beam at every multicast user) and the unicast gains
+    ``(S, U)``, zero past each count.
     """
     h_mc = np.asarray(multicast_channels, dtype=complex)
     h_uc = np.asarray(unicast_channels, dtype=complex)
-    if num_unicast == 0:
-        f0 = h_mc[0].conj() / np.linalg.norm(h_mc[0])
-        return np.abs(h_mc @ f0) ** 2, np.zeros(0)
-    stacked = np.concatenate([h_mc[:1], h_uc[:num_unicast]], axis=0).T
-    _, gains = zf_matrix(stacked)
-    u = h_uc[:num_unicast].T
-    alpha = np.linalg.solve(u.T @ u.conj(), u.T @ h_mc[0].conj())
-    f0 = h_mc[0].conj() - u.conj() @ alpha
-    f0 /= np.linalg.norm(f0)
-    return np.abs(h_mc @ f0) ** 2, gains[1:]
+    stack = np.concatenate([h_mc[:1], h_uc], axis=0).T[None]
+    gains, coupling = zf_prefix_couplings(h_mc.T[None], stack, np.asarray(unicast_counts) + 1)
+    return np.abs(coupling[0, :, :, 0]) ** 2, gains[0, :, 1:]
 
 
 def msv_high_snr_gain_limit(num_tx_antennas: int, cached_load: int) -> float:

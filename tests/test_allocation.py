@@ -10,7 +10,6 @@ from vccsim.allocation import (
     PowerAllocation,
     UserRateFunction,
     mmf_brackets,
-    mmf_massive_mimo,
     mmf_massive_mimo_rates,
     mmf_sum_rates,
     solve_mmf,
@@ -270,17 +269,28 @@ class TestBrackets:
         assert lo <= sol.sum_rate <= hi
 
 
+def massive_mimo_stream_powers(betas, counts, l, xi, n0, rate):
+    """Per-stream powers of the surrogate users that reach the per-user
+    rate ``rate / n``: ``n0 * expm1(rate / (xi M_k n)) / (beta_k (L - M_g + M_k))``."""
+    n = sum(len(row) for row in counts)
+    return [
+        [n0 * np.expm1(rate / (xi * m * n)) / (b * (l - sum(ms) + m)) for b, m in zip(bs, ms)]
+        for bs, ms in zip(betas, counts)
+    ]
+
+
 class TestMassiveMimo:
     def test_two_user_closed_form(self):
-        rate, powers = mmf_massive_mimo([[1.0], [1.0]], [[1], [1]], 2, 1.0, 1.0, 1.0)
+        rate = mmf_massive_mimo_rates([[1.0], [1.0]], [[1], [1]], 2, 1.0, 1.0, 1.0)
         assert rate == pytest.approx(2 * np.log(2), rel=1e-12)
-        assert powers[0][0][0] == pytest.approx(0.5, rel=1e-12)
+        powers = massive_mimo_stream_powers([[1.0], [1.0]], [[1], [1]], 2, 1.0, 1.0, rate)
+        assert powers[0][0] == pytest.approx(0.5, rel=1e-12)
 
     def test_uniform_closed_form_matches_root(self):
         betas = [[2e-12, 5e-13], [1e-12, 3e-12]]
         counts = [[2, 2], [2, 2]]
         l, xi, n0, p = 24, 0.93, 8e-14, 10.0
-        rate, powers = mmf_massive_mimo(betas, counts, l, xi, n0, p)
+        rate = mmf_massive_mimo_rates(betas, counts, l, xi, n0, p)
         # independent root solve of the budget equation
         from scipy.optimize import brentq
 
@@ -297,7 +307,8 @@ class TestMassiveMimo:
             hi *= 2.0
         ref = brentq(resid, 0.0, hi, xtol=1e-18, rtol=1e-14)
         assert rate == pytest.approx(ref, rel=1e-10)
-        total = sum(float(np.sum(arr)) for grp in powers for arr in grp)
+        powers = massive_mimo_stream_powers(betas, counts, l, xi, n0, rate)
+        total = sum(m * pk for grp, ms in zip(powers, counts) for pk, m in zip(grp, ms))
         assert total == pytest.approx(p, rel=1e-9)
 
     def test_rates_match_per_power_solution(self):
@@ -305,20 +316,22 @@ class TestMassiveMimo:
         counts = [[2, 2], [2, 2]]
         powers = np.array([0.5, 10.0, 40.0])
         rates = mmf_massive_mimo_rates(betas, counts, 24, 0.93, 8e-14, powers)
-        ref = [mmf_massive_mimo(betas, counts, 24, 0.93, 8e-14, p)[0] for p in powers]
+        ref = [mmf_massive_mimo_rates(betas, counts, 24, 0.93, 8e-14, p) for p in powers]
         np.testing.assert_allclose(rates, ref, rtol=1e-14)
 
     def test_heterogeneous_antennas(self):
         betas = [[1e-12, 2e-12]]
         counts = [[1, 3]]
-        rate, powers = mmf_massive_mimo(betas, counts, 16, 1.0, 1e-13, 2.0)
+        rate = mmf_massive_mimo_rates(betas, counts, 16, 1.0, 1e-13, 2.0)
         assert rate > 0
-        total = sum(float(np.sum(arr)) for grp in powers for arr in grp)
-        assert total == pytest.approx(2.0, rel=1e-9)
+        # the powers of the budget equation at that rate exhaust the budget
+        (p1, p2), = massive_mimo_stream_powers(betas, counts, 16, 1.0, 1e-13, rate)
+        assert 1 * p1 + 3 * p2 == pytest.approx(2.0, rel=1e-9)
         # per-user rates equalized: xi*M*ln(1 + p*beta*(L-Mg+M)/n0) identical
-        r1 = 1 * np.log1p(powers[0][0][0] * 1e-12 * 13 / 1e-13)
-        r2 = 3 * np.log1p(powers[0][1][0] * 2e-12 * 15 / 1e-13)
+        r1 = 1 * np.log1p(p1 * 1e-12 * 13 / 1e-13)
+        r2 = 3 * np.log1p(p2 * 2e-12 * 15 / 1e-13)
         assert r1 == pytest.approx(r2, rel=1e-9)
+        assert r1 + r2 == pytest.approx(rate, rel=1e-9)
 
 
 class TestZfBounds:
@@ -378,7 +391,7 @@ class TestZfBounds:
         l, m, q, g = 256, 2, 4, 1
         betas = [[1.0] * q]
         counts = [[m] * q]
-        bd, _ = mmf_massive_mimo(betas, counts, l, 1.0, 1.0, 50.0)
+        bd = mmf_massive_mimo_rates(betas, counts, l, 1.0, 1.0, 50.0)
         zf_lo, _ = zf_mmf_bounds(betas, counts, l, 1.0, 1.0, 50.0)
         assert abs(bd - zf_lo) / bd <= 0.01
 

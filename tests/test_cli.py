@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import vccsim
 from vccsim import experiments
 from vccsim.cli import RunConfig, build_parser, main, parse_config, run
 from vccsim.errors import InvalidConfigurationError
@@ -72,9 +75,12 @@ class TestListRecipes:
 
 
 def run_cli(args):
+    # The child imports the same vccsim as the tests, installed or not.
+    src = str(Path(vccsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "vccsim", *args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -192,4 +198,24 @@ class TestParser:
                      "--set", "T=400", "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("recipe, setting, field", [
+        ("fig9", "noise_power=0", "noise_power"),
+        ("fig9", "noise_power=-1", "noise_power"),
+        ("fig9", "noise_power=inf", "noise_power"),
+        ("fig4", "Qprime=100", "baseline_users"),
+    ])
+    def test_bad_field_named_before_sampling(
+        self, capsys, tmp_path, monkeypatch, recipe, setting, field
+    ):
+        def no_sampling(args):
+            raise AssertionError("a location task ran")
+
+        monkeypatch.setattr(experiments, "_location_task", no_sampling)
+        code = main(["--recipe", recipe, "--set", setting, "--locations", "1",
+                     "--fadings", "1", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
         assert not (tmp_path / "x.csv").exists()

@@ -76,6 +76,16 @@ class TestScenario:
         with pytest.raises(InvalidConfigurationError):
             symmetric_scenario(**{field: value})
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan")])
+    def test_noise_power_validated(self, value):
+        with pytest.raises(InvalidConfigurationError, match="noise_power"):
+            symmetric_scenario(noise_power=value)
+
+    @pytest.mark.parametrize("value", [0, 7])
+    def test_baseline_users_checked_against_cap(self, value):
+        with pytest.raises(InvalidConfigurationError, match="baseline_users"):
+            macro_scenario(baseline_users=value)
+
     def test_unknown_geometry_is_config_error(self):
         with pytest.raises(InvalidConfigurationError, match="foo"):
             macro_scenario(geometry="foo")
@@ -131,14 +141,14 @@ class TestDeterminism:
             assert np.array_equal(a[name].stderr, b[name].stderr)
 
     def test_more_fadings_shrink_stderr(self):
-        base = symmetric_scenario(
-            geometry="micro", noise_power=None, users_per_group=2,
-            baseline_users=2, num_tx_antennas=8, n_locations=40, n_fadings=1,
-        )
         # micro needs a physical noise power
         from vccsim.channel import noise_power_watts
 
-        base = dataclasses.replace(base, noise_power=noise_power_watts(), ptot_dbm=(33.0,))
+        base = symmetric_scenario(
+            geometry="micro", noise_power=noise_power_watts(), users_per_group=2,
+            baseline_users=2, num_tx_antennas=8, ptot_dbm=(33.0,), n_locations=40,
+            n_fadings=1,
+        )
         doubled = dataclasses.replace(base, n_fadings=4)
         se1 = run_vcc_bd_mrc(base)["vcc_bd_mrc"].stderr[0, 0]
         se4 = run_vcc_bd_mrc(doubled)["vcc_bd_mrc"].stderr[0, 0]
@@ -224,7 +234,8 @@ class TestOptimizeQ:
     def test_trivial_when_cap_is_one(self):
         scn = macro_scenario(
             antennas_per_user=4, num_tx_antennas=4, num_states=1,
-            cache_fraction=Fraction(0), users_per_group=None, n_locations=2,
+            cache_fraction=Fraction(0), users_per_group=None, baseline_users=1,
+            n_locations=2,
         )
         qs, _, _ = run_vcc_bd_mrc(scn)["vcc_bd_mrc"].best()
         assert all(q == 1 for q in qs)

@@ -12,7 +12,6 @@ from vccsim.errors import (
 from vccsim.precoding import (
     bd_mrc,
     bd_mrc_eigenvalues,
-    bd_mrc_gains,
     bd_mrc_prefix_gains,
     bd_mrc_sinr,
     hermitian_eig,
@@ -184,7 +183,7 @@ class TestBdMrcGainsFallback:
     def test_healthy_groups_stay_batched(self, monkeypatch):
         calls = self._spy(monkeypatch)
         h = complex_gaussian(substream(92, 0), (3, 8, 6))
-        gains, counts = bd_mrc_gains(h, 2)
+        gains, counts = bd_mrc_prefix_gains(h, 2, (3,))
         assert calls == [] and np.all(counts == 2)
 
     def test_duplicated_column_truncates_like_bd_mrc(self, monkeypatch):
@@ -193,7 +192,8 @@ class TestBdMrcGainsFallback:
         a, b = complex_gaussian(rng, (6, 1)), complex_gaussian(rng, (6, 2))
         singular = np.hstack([a, a, b])  # user 0 receives one column twice
         h = np.stack([singular, complex_gaussian(rng, (6, 4))])
-        gains, counts = bd_mrc_gains(h, 2)
+        gains, counts = bd_mrc_prefix_gains(h, 2, (2,))
+        gains, counts = gains[:, 0], counts[:, 0]
         assert calls == [2]  # the singular group only
         assert counts.tolist() == [[1, 2], [2, 2]]
         for g in range(2):
@@ -231,7 +231,7 @@ class TestBdMrcGainsFallback:
         mix = np.array([[1.0, 2.0], [3.0, 4.0j]])
         h = np.hstack([a, a @ mix])[None]  # user 1 inside user 0's span
         with pytest.raises(InfeasibleDimensionError):
-            bd_mrc_gains(h, 2)
+            bd_mrc_prefix_gains(h, 2, (2,))
         group = GroupChannel(((h[0][:, :2], 1.0), (h[0][:, 2:], 1.0)))
         with pytest.raises(InfeasibleDimensionError):
             bd_mrc_eigenvalues(group)
@@ -355,6 +355,11 @@ class TestMsv:
         expected = np.abs(mc[0] @ (mc[0].conj() / np.linalg.norm(mc[0]))) ** 2
         assert sol.multicast_gains[0] == pytest.approx(expected, rel=1e-12)
         assert sol.num_unicast == 0
+        # the one-column prefix of the fast path is the same matched filter
+        mg, ug = msv_gains_fast(mc, np.empty((0, 8), dtype=complex), [0])
+        f0 = mc[0].conj() / np.linalg.norm(mc[0])
+        np.testing.assert_allclose(mg[0], np.abs(mc @ f0) ** 2, rtol=1e-12)
+        assert ug.shape == (1, 0)
 
     def test_two_antenna_unique_null_direction(self):
         rng = substream(41, 0)
@@ -387,47 +392,68 @@ class TestMsv:
         for i in range(4000):
             mc = complex_gaussian(rng, (2, 8))
             uc = complex_gaussian(rng, (7, 8))
-            mg, _ = msv_gains_fast(mc, uc, 7)
-            vals.append(mg[1])
+            mg, _ = msv_gains_fast(mc, uc, [7])
+            vals.append(mg[0, 1])
         assert np.mean(vals) == pytest.approx(1.0, rel=0.03)
 
     def test_fast_gains_match_beamformers(self):
         rng = substream(44, 0)
-        for quc in (1, 3, 7):
-            mc = complex_gaussian(rng, (3, 8))
-            uc = complex_gaussian(rng, (7, 8))
+        mc = complex_gaussian(rng, (3, 8))
+        uc = complex_gaussian(rng, (7, 8))
+        counts = (0, 1, 3, 7)
+        mg, ug = msv_gains_fast(mc, uc, counts)
+        assert mg.shape == (4, 3) and ug.shape == (4, 7)
+        for s, quc in enumerate(counts):
             sol = msv_beamformers(mc, uc, quc)
-            mg, ug = msv_gains_fast(mc, uc, quc)
-            assert np.allclose(sol.multicast_gains, mg, rtol=1e-9)
-            assert np.allclose(sol.unicast_gains, ug, rtol=1e-9)
+            assert np.allclose(sol.multicast_gains, mg[s], rtol=1e-9)
+            assert np.allclose(sol.unicast_gains, ug[s, :quc], rtol=1e-9)
+            assert not ug[s, quc:].any()
 
     def test_too_many_streams(self):
         rng = substream(45, 0)
+        mc, uc = complex_gaussian(rng, (2, 4)), complex_gaussian(rng, (4, 4))
         with pytest.raises(InfeasibleDimensionError):
-            msv_beamformers(
-                complex_gaussian(rng, (2, 4)), complex_gaussian(rng, (4, 4)), 4
-            )
+            msv_beamformers(mc, uc, 4)
+        with pytest.raises(SingularMatrixError):
+            msv_gains_fast(mc, uc, [1, 4])
 
     def test_rates_degenerate_and_zero_power(self):
         rng = substream(46, 0)
         mc = complex_gaussian(rng, (1, 4))
         uc = complex_gaussian(rng, (3, 4))
         sol = msv_beamformers(mc, uc, 2)
-        gains = (sol.multicast_gains, sol.unicast_gains)
-        r = msv_rate_from_gains(*gains, 2.0, 1.0, 1, 0, 15000, 10)
+        gains = (sol.multicast_gains[None], sol.unicast_gains[None])
+        (r, zero), = msv_rate_from_gains(*gains, [2], [2.0, 0.0], 1.0, 1, 0, 15000, 10)
         # single multicast user: min over one element
         expected_mc = np.log1p((2.0 / 3) * sol.multicast_gains[0])
         expected_uc = np.log1p((2.0 / 3) * sol.unicast_gains).sum()
         xi = 1 - 10 * 3 / 15000
         assert r == pytest.approx(xi * (expected_mc + expected_uc), rel=1e-12)
-        assert msv_rate_from_gains(*gains, 0.0, 1.0, 1, 0, 15000, 10) == 0.0
+        assert zero == 0.0
+
+    def test_sweep_rows_match_unpadded_calls(self):
+        # zero-padded unicast gains add nothing: each row of the (count,
+        # power) grid equals a call on that count's own gains alone
+        rng = substream(48, 0)
+        mc = complex_gaussian(rng, (3, 8))
+        uc = complex_gaussian(rng, (7, 8))
+        counts, powers = (0, 2, 5, 7), np.array([0.5, 4.0, 30.0])
+        mg, ug = msv_gains_fast(mc, uc, counts)
+        grid = msv_rate_from_gains(mg, ug, counts, powers, 1.0, 3, 2, 15000, 10)
+        assert grid.shape == (4, 3)
+        for s, n in enumerate(counts):
+            alone = msv_rate_from_gains(
+                mg[s : s + 1], ug[s : s + 1, :n], [n], powers, 1.0, 3, 2, 15000, 10
+            )
+            np.testing.assert_allclose(grid[s], alone[0], rtol=1e-13)
 
     def test_pilots_beyond_coherence_rejected(self):
         # 2 unicast + 1 common stream + 1 cached listener = 4 pilot slots
-        mg, ug = np.ones(2), np.ones(2)
-        assert msv_rate_from_gains(mg, ug, 1.0, 1.0, 2, 1, 40, 10) == 0.0
+        mg, ug = np.ones((2, 2)), np.ones((2, 2))
+        assert msv_rate_from_gains(mg[:1], ug[:1], [2], [1.0], 1.0, 2, 1, 40, 10)[0, 0] == 0.0
+        # one count of the sweep over the block rejects the whole grid
         with pytest.raises(OverheadExceedsCoherenceError):
-            msv_rate_from_gains(mg, ug, 1.0, 1.0, 2, 1, 39, 10)
+            msv_rate_from_gains(mg, ug, [1, 2], [1.0], 1.0, 2, 1, 39, 10)
 
     def test_high_snr_gain_limit(self):
         assert msv_high_snr_gain_limit(32, 5) == pytest.approx(1.15625, abs=0)
@@ -436,8 +462,12 @@ class TestMsv:
         rng = substream(47, 0)
         mc = complex_gaussian(rng, (3, 8))
         uc = complex_gaussian(rng, (7, 8))
-        mg, ug = msv_gains_fast(mc, uc, 4)
-        with_pilots = msv_rate_from_gains(mg, ug, 5.0, 1.0, 3, 2, 15000, 10)
-        without = msv_rate_from_gains(mg, ug, 5.0, 1.0, 3, 2, 15000, 0)
-        # 4 unicast + 1 common stream + 2 cached listeners = 7 users
-        assert with_pilots / without == pytest.approx(1 - 10 * 7 / 15000, rel=1e-12)
+        counts = (1, 4)
+        mg, ug = msv_gains_fast(mc, uc, counts)
+        with_pilots = msv_rate_from_gains(mg, ug, counts, [5.0], 1.0, 3, 2, 15000, 10)
+        without = msv_rate_from_gains(mg, ug, counts, [5.0], 1.0, 3, 2, 15000, 0)
+        # n unicast + 1 common stream + 2 cached listeners: 4 and 7 users
+        for s, users in enumerate((4, 7)):
+            assert with_pilots[s, 0] / without[s, 0] == pytest.approx(
+                1 - 10 * users / 15000, rel=1e-12
+            )

@@ -3,12 +3,16 @@
 * :func:`mmf_sum_rates` against a Brent root of the summed closed-form
   inverses of :class:`UserRateFunction`, and the sign of the budget
   residual at the ends of :func:`mmf_brackets`;
-* :func:`bd_mrc_gains` against the eigenvalues of the :func:`bd_mrc`
-  beamformer design, and :func:`zf_gains` against :func:`zf_matrix` and a
-  plain Gram-matrix inverse;
+* the full-prefix case of :func:`bd_mrc_prefix_gains` against the
+  eigenvalues of the :func:`bd_mrc` beamformer design, and that of
+  :func:`zf_prefix_gains` against :func:`zf_matrix` and a plain Gram-matrix
+  inverse;
 * the nested-prefix kernels :func:`bd_mrc_prefix_gains` and
-  :func:`zf_prefix_gains` against the full-prefix kernels refactorizing
-  each prefix on its own.
+  :func:`zf_prefix_gains` against the full-prefix case refactorizing each
+  prefix on its own, and :func:`zf_prefix_couplings` with more or fewer
+  receivers than streams against :func:`zf_matrix` on each prefix;
+* the multi-server gains :func:`msv_gains_fast` over a sweep of unicast
+  counts against the :func:`msv_beamformers` design at each count.
 """
 
 import numpy as np
@@ -20,10 +24,11 @@ from vccsim.allocation import UserRateFunction, mmf_brackets, mmf_sum_rates
 from vccsim.channel import GroupChannel, complex_gaussian
 from vccsim.precoding import (
     bd_mrc,
-    bd_mrc_gains,
     bd_mrc_prefix_gains,
-    zf_gains,
+    msv_beamformers,
+    msv_gains_fast,
     zf_matrix,
+    zf_prefix_couplings,
     zf_prefix_gains,
 )
 
@@ -120,7 +125,8 @@ def group_stacks(draw):
 @given(group_stacks())
 def test_batched_bd_gains_match_beamformer_design(stack):
     h, m, betas = stack
-    gains, counts = bd_mrc_gains(h, m)
+    gains, counts = bd_mrc_prefix_gains(h, m, (h.shape[-1] // m,))
+    gains, counts = gains[:, 0], counts[:, 0]
     assert np.all(counts == m)
     for g, h_g in enumerate(h):
         q = h_g.shape[1] // m
@@ -137,7 +143,7 @@ def test_batched_bd_gains_match_beamformer_design(stack):
 @given(group_stacks())
 def test_batched_zf_gains_match_zf_matrix(stack):
     h, _, _ = stack
-    gains = zf_gains(h)
+    gains = zf_prefix_gains(h, (h.shape[-1],))[:, 0]
     for g, h_g in enumerate(h):
         np.testing.assert_array_equal(gains[g], zf_matrix(h_g)[1])
         gram_inv = np.linalg.inv(h_g.T @ h_g.conj())
@@ -151,9 +157,9 @@ def test_prefix_bd_gains_match_each_prefix_alone(stack):
     q_values = range(1, h.shape[-1] // m + 1)
     gains, counts = bd_mrc_prefix_gains(h, m, q_values)
     for s, q in enumerate(q_values):
-        ref_gains, ref_counts = bd_mrc_gains(h[:, :, : q * m], m)
-        np.testing.assert_array_equal(counts[:, s, :q], ref_counts)
-        np.testing.assert_allclose(gains[:, s, :q], ref_gains, rtol=1e-10, atol=0)
+        ref_gains, ref_counts = bd_mrc_prefix_gains(h[:, :, : q * m], m, (q,))
+        np.testing.assert_array_equal(counts[:, s, :q], ref_counts[:, 0])
+        np.testing.assert_allclose(gains[:, s, :q], ref_gains[:, 0], rtol=1e-10, atol=0)
         assert not counts[:, s, q:].any() and not gains[:, s, q:].any()
 
 
@@ -167,3 +173,39 @@ def test_prefix_zf_gains_match_zf_matrix_on_each_prefix(stack):
         for g, h_g in enumerate(h):
             np.testing.assert_allclose(gains[g, s, :n], zf_matrix(h_g[:, :n])[1], rtol=1e-10, atol=0)
         assert not gains[:, s, n:].any()
+
+
+@PROPERTY
+@given(group_stacks(), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_prefix_couplings_with_other_receivers_match_zf_matrix(stack, k, seed):
+    h_hat, _, _ = stack
+    g_count, l_tx, n_top = h_hat.shape
+    h = complex_gaussian(np.random.default_rng(seed), (g_count, l_tx, k))
+    sizes = range(1, n_top + 1)
+    gains, coupling = zf_prefix_couplings(h, h_hat, sizes)
+    np.testing.assert_array_equal(gains, zf_prefix_gains(h_hat, sizes))
+    assert coupling.shape == (g_count, n_top, k, n_top)
+    for s, n in enumerate(sizes):
+        for g in range(g_count):
+            ref = h[g].T @ zf_matrix(h_hat[g][:, :n])[0]
+            np.testing.assert_allclose(
+                coupling[g, s, :, :n], ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max()
+            )
+        assert not coupling[:, s, :, n:].any()
+
+
+@PROPERTY
+@given(st.integers(2, 8), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_msv_gains_match_beamformers_at_each_count(l_tx, num_multicast, seed):
+    rng = np.random.default_rng(seed)
+    mc = complex_gaussian(rng, (num_multicast, l_tx))
+    uc = complex_gaussian(rng, (l_tx - 1, l_tx))
+    counts = sorted({0, l_tx - 1, int(rng.integers(0, l_tx))})
+    mg, ug = msv_gains_fast(mc, uc, counts)
+    for s, n in enumerate(counts):
+        sol = msv_beamformers(mc, uc, n)
+        np.testing.assert_allclose(
+            mg[s], sol.multicast_gains, rtol=1e-9, atol=1e-9 * sol.multicast_gains.max()
+        )
+        np.testing.assert_allclose(ug[s, :n], sol.unicast_gains, rtol=1e-9, atol=0)
+        assert not ug[s, n:].any()
