@@ -10,6 +10,8 @@ There is one root solver, :func:`mmf_sum_rates`, vectorized over the power
 sweep.  With one stream per user the bracket collapses to a closed form;
 otherwise the budget residual is convex and increasing, and safeguarded
 Newton steps from the upper bracket converge monotonically onto the root.
+The same Newton routine solves the brackets' own budget equation when the
+users' stream counts differ.
 It returns rates only.  :func:`solve_mmf` takes the same root for one
 budget and adds the per-user water-filled power allocation.  The
 fading-free large-array curves (:func:`mmf_massive_mimo_rates`,
@@ -25,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError
 
@@ -253,9 +254,9 @@ def _mmf_root(table: _StreamTable, p_tot: np.ndarray):
     """Max-min-fair sum rates and their brackets ``(rate, lo, hi)`` per power.
 
     The budget residual ``sum_k inverse_k(R / n) - p_tot`` is convex and
-    increasing in ``R``, nonpositive at ``lo`` and nonnegative at ``hi``, so
-    Newton steps from ``hi`` decrease monotonically onto the root.  With one
-    stream per user the bracket collapses and the root is closed-form.
+    increasing in ``R``, nonpositive at ``lo`` and nonnegative at ``hi``.
+    With one stream per user the bracket collapses and the root is
+    closed-form.
     """
     n = table.counts.size
     p = np.maximum(p_tot, 0.0)
@@ -271,9 +272,19 @@ def _mmf_root(table: _StreamTable, p_tot: np.ndarray):
         power, level = table.user_budgets(r / n)
         return power.sum(axis=-1) - p, level.sum(axis=-1) / (table.xi * n)
 
+    return _newton_root(residual, lo, hi), lo, hi
+
+
+def _newton_root(residual, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Root in ``[lo, hi]`` of a convex residual increasing in ``R``, per power.
+
+    ``residual(r)`` returns the residual and its slope at the rates ``r``.
+    Newton steps from ``hi`` decrease monotonically onto the root and are
+    clamped at ``lo``.  A residual of the wrong sign at a bracket end
+    (rounding) pins the root there, so a zero-width bracket returns its end.
+    """
     f, slope = residual(hi)
     f_lo, _ = residual(lo)
-    # A residual of the wrong sign at a bracket end (rounding) pins the root there.
     r = np.where(f_lo > 0, lo, hi)
     active = (f_lo <= 0) & (f > 0)
     for _ in range(_NEWTON_MAX_ITER):
@@ -281,10 +292,10 @@ def _mmf_root(table: _StreamTable, p_tot: np.ndarray):
         r = np.maximum(r - step, lo)
         active &= step > _NEWTON_RTOL * r
         if not active.any():
-            return r, lo, hi
+            return r
         f, slope = residual(r)
     raise ConvergenceError(
-        f"max-min-fair root not within rtol {_NEWTON_RTOL} "
+        f"budget root not within rtol {_NEWTON_RTOL} "
         f"after {_NEWTON_MAX_ITER} Newton steps"
     )
 
@@ -316,24 +327,36 @@ def mmf_brackets(
 
 def _bound_root(lam, js, xi, n0, p_tot):
     """Sum rate ``R`` solving ``sum_k js_k n0 / lam_k expm1(R / (xi js_k n))
-    == p_tot`` for users whose streams all have gain ``lam_k``, per power."""
+    == p_tot`` for users whose streams all have gain ``lam_k``, per power.
+
+    A uniform stream count inverts in closed form.  Otherwise, since
+    ``j * expm1(c / j)`` decreases in ``j``, the closed form at the smallest
+    count is a lower bracket and that at the largest an upper one.  No
+    single user's term can exceed the budget, so each user's own closed
+    form is an upper bracket too; the least of them keeps the Newton steps
+    of :func:`_newton_root` few when one user's exponential dominates.
+    """
     n = lam.size
-    if np.all(js == js[0]):
-        j = int(js[0])
+
+    def uniform(j):
         return xi * n * j * np.log1p(p_tot / (n0 * j * np.sum(1.0 / lam)))
 
-    def root(p):
-        def residual(r):
-            return float(
-                np.sum(js * n0 / lam * np.expm1(r / (xi * js * n))) - p
-            )
+    if np.all(js == js[0]):
+        return uniform(int(js[0]))
+    p = np.asarray(p_tot, dtype=float)
+    scale = n0 / lam
+    unit = xi * js * n
+    alone = np.min(unit * np.log1p(p[..., None] / (js * scale)), axis=-1)
 
-        hi = 1.0
-        while residual(hi) < 0:
-            hi *= 2.0
-        return brentq(residual, 0.0, hi, xtol=1e-18, rtol=1e-14)
+    def residual(r):
+        excess = np.expm1(r[..., None] / unit)
+        return (
+            np.sum(js * scale * excess, axis=-1) - p,
+            np.sum(scale * (excess + 1.0), axis=-1) / (xi * n),
+        )
 
-    return np.vectorize(root, otypes=[float])(p_tot)
+    hi = np.minimum(uniform(int(js.max())), alone)
+    return _newton_root(residual, uniform(int(js.min())), hi)
 
 
 def mmf_massive_mimo_rates(

@@ -268,7 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--out", help="output CSV path (default <recipe>.csv)")
     parser.add_argument("--seed", type=int, help="master seed (default 0)")
-    parser.add_argument("--workers", type=int, default=1, help="worker processes")
+    parser.add_argument(
+        "--workers", type=int, default=1,
+        help="worker processes; each uses one OpenBLAS thread unless "
+        "OPENBLAS_NUM_THREADS is set",
+    )
     parser.add_argument("--locations", type=int, help="location realizations")
     parser.add_argument("--fadings", type=int, help="fading draws per location")
     parser.add_argument(

@@ -139,6 +139,9 @@ class Scenario:
             raise InvalidConfigurationError("cache_fraction outside [0, 1]")
         if not self.ptot_dbm:
             raise InvalidConfigurationError("power sweep must be nonempty")
+        for p in self.ptot_dbm:
+            if not math.isfinite(p):
+                raise InvalidConfigurationError(f"ptot_dbm entry {p} is not finite")
         if self.antennas_per_user < 1 or self.num_tx_antennas < self.antennas_per_user:
             raise InvalidConfigurationError(
                 "need 1 <= antennas_per_user <= num_tx_antennas"

@@ -23,7 +23,8 @@ Van Loan, *Matrix Computations*, section 5.2): the factor of the first
 ``n`` columns of ``H.conj()`` is ``R[:n, :n]``, and the inverse of that
 leading block of the triangular ``R`` is the leading block of ``inv(R)``.
 So the Gram inverse of the first ``q`` users of a group, for every ``q``,
-comes from one ``zgeqrf`` and one ``inv(R)`` per group: ZF gains are
+comes from one QR factorization and one ``inv(R)`` per group, both batched
+over the stack with numpy (LAPACK ``zgeqrf`` and ``zgesv``): ZF gains are
 running sums of ``|inv(R)|**2`` along rows, BD-MRC blocks running sums of
 ``M x M`` outer products, and the couplings of every prefix's ZF precoder
 with any receivers share one product with ``inv(R)``.
@@ -57,7 +58,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .channel import GroupChannel, csi_overhead
 from .errors import (
@@ -220,10 +220,10 @@ def bd_mrc(group: GroupChannel) -> PrecoderSolution:
 def _prefix_inverse(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inverse QR factor of a ``(G, L, N)`` stack, valid for every prefix.
 
-    Per group, ``H.conj() = Q @ R`` (one LAPACK ``zgeqrf``; numpy.linalg.qr
-    costs several times more per call on these small matrices).  The first
-    ``n`` columns have factor ``R[:n, :n]``, whose inverse is the leading
-    block of ``inv(R)``, so the Gram inverse of that prefix is
+    Per group, ``H.conj() = Q @ R``, from one ``np.linalg.qr`` over the
+    whole stack (LAPACK ``zgeqrf`` per group, without forming ``Q``).  The
+    first ``n`` columns have factor ``R[:n, :n]``, whose inverse is the
+    leading block of ``inv(R)``, so the Gram inverse of that prefix is
     ``r_inv[:n, :n] @ r_inv[:n, :n].conj().T``.  Returns ``(r_inv, valid)``:
     ``valid[g]`` is the longest prefix of group g whose Gram matrix is not
     numerically singular (every squared pivot of ``R`` above
@@ -233,7 +233,7 @@ def _prefix_inverse(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     g_count, l_tx, n = h.shape
     k = min(l_tx, n)
-    r = np.triu(np.stack([lapack.zgeqrf(h_g.conj())[0][:k, :k] for h_g in h]))
+    r = np.linalg.qr(h.conj(), mode="r")[..., :k, :k]
     pivots = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
     ok = (np.minimum.accumulate(pivots, axis=-1) ** 2
           > PINV_CUTOFF * np.maximum.accumulate(pivots, axis=-1) ** 2)

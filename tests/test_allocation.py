@@ -2,7 +2,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 
 from vccsim import allocation
 from vccsim.allocation import (
@@ -268,6 +268,31 @@ class TestBrackets:
         sol = solve_mmf(fns, 4.0)
         assert lo <= sol.sum_rate <= hi
 
+    def test_mixed_counts_match_brent_oracle(self):
+        # Newton on the surrogate users' budget equation against a Brent
+        # root, from a zero budget through a tiny one to a huge one.
+        mins = np.array([3e-10, 8e-11, 1.2e-9, 5e-10, 2e-10])
+        maxs = np.array([9e-10, 8e-11, 4e-9, 7e-10, 6e-10])
+        counts = np.array([2, 1, 4, 3, 2])
+        xi, n0 = 0.93, 8e-14
+        powers = np.array([0.0, 1e-18, 1e-3, 1.0, 100.0, 1e12])
+        lo, hi = mmf_brackets(mins, maxs, counts, xi, n0, powers)
+        n = counts.size
+
+        def brent(lam, p):
+            def resid(r):
+                return np.sum(counts * n0 / lam * np.expm1(r / (xi * counts * n))) - p
+
+            top = 1e-300
+            while resid(top) < 0:
+                top *= 2.0
+            return brentq(resid, top / 2, top, xtol=1e-300, rtol=1e-15)
+
+        assert lo[0] == 0.0 and hi[0] == 0.0
+        for bound, lam in ((lo, mins), (hi, maxs)):
+            ref = [brent(lam, p) for p in powers[1:]]
+            np.testing.assert_allclose(bound[1:], ref, rtol=1e-12, atol=0)
+
 
 def massive_mimo_stream_powers(betas, counts, l, xi, n0, rate):
     """Per-stream powers of the surrogate users that reach the per-user
@@ -292,8 +317,6 @@ class TestMassiveMimo:
         l, xi, n0, p = 24, 0.93, 8e-14, 10.0
         rate = mmf_massive_mimo_rates(betas, counts, l, xi, n0, p)
         # independent root solve of the budget equation
-        from scipy.optimize import brentq
-
         flat = [(b, 2, 4) for row in betas for b in row]
 
         def resid(r):

@@ -74,14 +74,63 @@ class TestListRecipes:
         assert list_recipes() == list_recipes()
 
 
-def run_cli(args):
+def _child_env(**overrides):
     # The child imports the same vccsim as the tests, installed or not.
     src = str(Path(vccsim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path, **overrides}
+    return {k: v for k, v in env.items() if v is not None}
+
+
+def run_cli(args):
     return subprocess.run(
         [sys.executable, "-m", "vccsim", *args],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, env=_child_env(),
     )
+
+
+def run_python(code, **env):
+    """Run ``code`` in a fresh interpreter; ``None`` unsets a variable."""
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=_child_env(**env),
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+needs_task_list = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task"
+)
+
+
+class TestImport:
+    def test_cli_import_loads_no_scipy(self):
+        out = run_python(
+            "import sys, vccsim.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        assert out.strip() == "[]"
+
+    THREADS = (
+        "import os, vccsim\n"
+        "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])"
+    )
+
+    @needs_task_list
+    def test_blas_capped_at_one_thread_by_default(self):
+        out = run_python(
+            self.THREADS, OPENBLAS_NUM_THREADS=None, OMP_NUM_THREADS=None,
+            GOTO_NUM_THREADS=None,
+        )
+        assert out.split() == ["1", "1"]
+
+    @needs_task_list
+    def test_user_blas_thread_count_wins(self):
+        threads, value = run_python(self.THREADS, OPENBLAS_NUM_THREADS="2").split()
+        assert value == "2"
+        if len(os.sched_getaffinity(0)) >= 2:
+            assert int(threads) == 2
 
 
 class TestRun:
@@ -205,6 +254,10 @@ class TestParser:
         ("fig9", "noise_power=-1", "noise_power"),
         ("fig9", "noise_power=inf", "noise_power"),
         ("fig4", "Qprime=100", "baseline_users"),
+        ("fig4", "ptot_dbm=nan", "ptot_dbm"),
+        ("fig4", "ptot_dbm=30,nan", "ptot_dbm"),
+        ("fig4", "ptot_dbm=inf", "ptot_dbm"),
+        ("fig4", "ptot_dbm=-inf", "ptot_dbm"),
     ])
     def test_bad_field_named_before_sampling(
         self, capsys, tmp_path, monkeypatch, recipe, setting, field
