@@ -10,6 +10,7 @@ echoed, keeping output bytes identical for any parallelism).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -131,22 +132,27 @@ def _typed(key: str, raw: str):
 
 
 def _read_config_lines(path: str) -> dict[str, str]:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise InvalidConfigurationError(f"cannot read config file {path}: {reason}") from exc
     entries: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if text.startswith("#"):
-                text = text[1:].strip()
-            if text.startswith("scheme,"):
-                break  # CSV body follows a result-file header
-            if not text:
-                continue
-            if "=" not in text:
-                raise InvalidConfigurationError(
-                    f"{path}:{lineno}: expected key=value, got {line.strip()!r}"
-                )
-            key, _, raw = text.partition("=")
-            entries[key.strip()] = raw.strip()
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if text.startswith("#"):
+            text = text[1:].strip()
+        if text.startswith("scheme,"):
+            break  # CSV body follows a result-file header
+        if not text:
+            continue
+        if "=" not in text:
+            raise InvalidConfigurationError(
+                f"{path}:{lineno}: expected key=value, got {line.strip()!r}"
+            )
+        key, _, raw = text.partition("=")
+        entries[key.strip()] = raw.strip()
     return entries
 
 
@@ -215,8 +221,24 @@ def _field_named(cli_overrides: dict) -> dict:
     return {SCENARIO_KEYS[k][0]: v for k, v in cli_overrides.items()}
 
 
+def _check_out_path(path: str) -> None:
+    """Fail before any sampling if the CSV cannot be written to ``path``."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        problem = "it is a directory"
+    elif not os.path.isdir(parent):
+        problem = f"directory {parent} does not exist"
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        problem = "not writable"
+    else:
+        return
+    raise InvalidConfigurationError(f"output path {path}: {problem}")
+
+
 def run(config: RunConfig) -> int:
     """Execute a run request; returns the process exit code."""
+    out_path = config.out or f"{config.recipe}.csv"
+    _check_out_path(out_path)
     rows, counts = run_recipe(
         config.recipe,
         seed=config.seed,
@@ -226,7 +248,6 @@ def run(config: RunConfig) -> int:
         overrides=_field_named(config.overrides),
     )
     text = format_csv(rows, config.header(counts))
-    out_path = config.out or f"{config.recipe}.csv"
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(text)
     print(_summary(config, rows, out_path))

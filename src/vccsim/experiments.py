@@ -1,11 +1,17 @@
 """Monte Carlo harness for effective sum-rates and effective gains.
 
 A scenario fixes the cell, antenna and caching parameters plus the power
-sweep.  Every runner submits its location tasks to one location loop
-(:func:`_location_task`), which does the same four steps for every scheme:
+sweep.  A :class:`Job` is one side of a comparison (the cache-aided groups
+or the cacheless single group) with the schemes, or rules, run on it.  A
+recipe hands all of its jobs to one :func:`_simulate` call, which runs
+every location of every job in one pool through one location loop
+(:func:`_location_task`).  Per location it does the same four steps:
 
-1. draw: the location's pathloss row once, then, per fading, the channels
-   of every group once at the largest served-user count ``q``;
+1. draw: the location's pathloss row once, then, per fading, one draw per
+   draw function of the job's rules, at the largest served-user count
+   ``q``.  BD-MRC and ZF use the same draw, the groups' channels with their
+   prefix factor (:func:`~vccsim.precoding.prefix_factor`), so each
+   (fading, group) channel is drawn and factored once per job;
 2. kernel: the stream gains of every ``q``-user prefix of those draws at
    once.  For BD-MRC and ZF this is one nested-prefix Gram kernel over
    every group, one factorization per (group, fading) whatever the q sweep
@@ -27,8 +33,9 @@ sweep.  Every runner submits its location tasks to one location loop
 A scheme is a :class:`_Rule`: a channel draw plus a rate rule that applies
 its gain kernel.  Fading-free analytic curves have no draw and a fading
 axis of length 1.  All randomness flows through keyed substreams of the
-master seed, and results are reduced in location order, so a report is
-bit-identical for any worker count.
+master seed, and results are reduced in location order, so the curves are
+bit-identical for any worker count.  The ``run_*`` functions are one-job
+(or, for imperfect CSI, two-job) wrappers over the same builders.
 
 Substream keys: ``(0, loc)`` user positions, ``(1, loc, fad, group)``
 fading, ``(2, loc, fad, group)`` transmitter CSI errors,
@@ -75,6 +82,7 @@ from .precoding import (
     bd_mrc_prefix_gains,
     msv_gains_fast,
     msv_rate_from_gains,
+    prefix_factor,
     zf_matrix,
     zf_prefix_couplings,
     zf_prefix_gains,
@@ -83,7 +91,16 @@ from .precoding import (
 __all__ = [
     "Scenario",
     "SchemeCurve",
-    "RateReport",
+    "Job",
+    "BD_MRC",
+    "BD_MRC_ASYM",
+    "ZF",
+    "ZF_BOUNDS",
+    "cache_aided_job",
+    "cacheless_job",
+    "msv_job",
+    "imperfect_csi_jobs",
+    "msv_original",
     "run_vcc_bd_mrc",
     "run_cacheless_bd_mrc",
     "run_vcc_zf",
@@ -95,9 +112,6 @@ __all__ = [
     "rows_for_best",
     "format_csv",
 ]
-
-OPTIMIZE = "optimize"
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -130,6 +144,12 @@ class Scenario:
     users_per_state: int | None = None
 
     def __post_init__(self):
+        if self.num_states < 1:
+            raise InvalidConfigurationError(f"num_states {self.num_states} is below 1")
+        if self.users_per_state is not None and self.users_per_state < 1:
+            raise InvalidConfigurationError(
+                f"users_per_state {self.users_per_state} is below 1"
+            )
         gain = self.num_states * Fraction(self.cache_fraction)
         if gain.denominator != 1:
             raise InvalidConfigurationError(
@@ -211,7 +231,7 @@ class Scenario:
         """Per-group multiplexing cap: null-space feasibility plus the
         whole-group antenna budget this simulator enforces."""
         l, m = self.num_tx_antennas, self.antennas_per_user
-        b = self.users_per_state if self.users_per_state else (m + l - 1) // m
+        b = self.users_per_state if self.users_per_state is not None else (m + l - 1) // m
         return max(1, min(q_max_uniform(l, m, b), l // m))
 
     def group_user_counts(self, fixed: int | None) -> tuple[int, ...]:
@@ -259,15 +279,6 @@ class SchemeCurve:
         if len(self.q_values) != 1:
             raise ValueError(f"curve {self.scheme} holds a q sweep, not one row")
         return self.q_values[0], self.mean[0], self.stderr[0]
-
-
-@dataclass(frozen=True)
-class RateReport:
-    scenario: Scenario
-    curves: dict[str, SchemeCurve]
-
-    def __getitem__(self, scheme: str) -> SchemeCurve:
-        return self.curves[scheme]
 
 
 def _usable_cpus() -> int:
@@ -333,11 +344,12 @@ class _Rule(NamedTuple):
 
 # Kernels and solvers are looked up as module globals at call time, so a
 # tracer (bench/spans.py) can wrap them.
-def _scaled_stack(scenario: Scenario, units, betas) -> np.ndarray:
+def _group_factor(scenario: Scenario, num_groups: int, q_top: int, loc: int, fad: int, betas):
     """Groups stacked ``(G, L, q_top*m)``, user k's columns scaled by
-    ``sqrt(beta_k)``."""
+    ``sqrt(beta_k)``, with their prefix factor: the draw of BD-MRC and ZF."""
     scale = np.repeat(np.sqrt(betas), scenario.antennas_per_user, axis=1)
-    return np.stack(units) * scale[:, None, :]
+    units = _unit_channels(scenario, num_groups, q_top, loc, fad)
+    return prefix_factor(np.stack(units) * scale[:, None, :])
 
 
 def _mmf_sweep(scenario: Scenario, num_groups: int, q_values, gains, counts):
@@ -355,16 +367,14 @@ def _mmf_sweep(scenario: Scenario, num_groups: int, q_values, gains, counts):
     ]])
 
 
-def _bd_rates(scenario: Scenario, num_groups: int, q_values, units, betas):
-    h = _scaled_stack(scenario, units, betas)
-    gains, counts = bd_mrc_prefix_gains(h, scenario.antennas_per_user, q_values)
+def _bd_rates(scenario: Scenario, num_groups: int, q_values, factor, _):
+    gains, counts = bd_mrc_prefix_gains(factor, scenario.antennas_per_user, q_values)
     return _mmf_sweep(scenario, num_groups, q_values, gains, counts)
 
 
-def _zf_rates(scenario: Scenario, num_groups: int, q_values, units, betas):
+def _zf_rates(scenario: Scenario, num_groups: int, q_values, factor, _):
     m = scenario.antennas_per_user
-    h = _scaled_stack(scenario, units, betas)
-    gains = zf_prefix_gains(h, [q * m for q in q_values])
+    gains = zf_prefix_gains(factor, [q * m for q in q_values])
     gains = np.sort(gains.reshape(*gains.shape[:2], -1, m), axis=-1)[..., ::-1]
     return _mmf_sweep(scenario, num_groups, q_values, gains, np.full(gains.shape[:-1], m))
 
@@ -394,7 +404,7 @@ def _zf_bound_rates(scenario: Scenario, num_groups: int, q_values, _, betas):
     return np.stack(bounds, axis=1)
 
 
-def _csi_draws(scenario: Scenario, num_groups: int, q_top: int, loc: int, fad: int):
+def _csi_draws(scenario: Scenario, num_groups: int, q_top: int, loc: int, fad: int, _):
     """Stacked over groups: true channels, their transmitter-side estimate
     and the receiver-side coupling error draws."""
     draws = []
@@ -441,7 +451,7 @@ def _csi_rates(scenario: Scenario, num_groups: int, q_values, draws, _):
     return np.asarray(xi)[:, None] * np.array(rates)
 
 
-def _msv_draws(scenario: Scenario, num_groups: int, q_top: int, loc: int, fad: int):
+def _msv_draws(scenario: Scenario, num_groups: int, q_top: int, loc: int, fad: int, _):
     l = scenario.num_tx_antennas
     uc_pool = complex_gaussian(substream(scenario.seed, 4, loc, fad, 0), (l - 1, l))
     mc = complex_gaussian(substream(scenario.seed, 4, loc, fad, 1), (num_groups, l))
@@ -456,12 +466,92 @@ def _msv_rates(scenario: Scenario, num_groups: int, q_values, draws, _):
     )[None]
 
 
-_BD_MMF = _Rule(_unit_channels, _bd_rates)
-_ZF_MMF = _Rule(_unit_channels, _zf_rates)
-_BD_ASYM = _Rule(None, _asym_rates)
-_ZF_BOUNDS = _Rule(None, _zf_bound_rates)
+BD_MRC = _Rule(_group_factor, _bd_rates)
+ZF = _Rule(_group_factor, _zf_rates)
+BD_MRC_ASYM = _Rule(None, _asym_rates)
+ZF_BOUNDS = _Rule(None, _zf_bound_rates)
 _CSI = _Rule(_csi_draws, _csi_rates)
 _MSV = _Rule(_msv_draws, _msv_rates)
+
+
+# ---------------------------------------------------------------------------
+# Jobs
+# ---------------------------------------------------------------------------
+
+class Job(NamedTuple):
+    """One side of a comparison: ``num_groups`` groups of ``scenario``
+    serving each count in ``q_values``, and the rules run on it, each paired
+    with the names of the curves it writes."""
+
+    scenario: Scenario
+    num_groups: int
+    q_values: tuple[int, ...]
+    rules: tuple[tuple[_Rule, tuple[str, ...]], ...]
+
+
+def cache_aided_job(scenario: Scenario, *rules) -> Job:
+    """The scenario's ``coded_gain`` groups, serving ``users_per_group``
+    users each, or every feasible count if that is ``None``."""
+    return Job(
+        scenario, scenario.coded_gain,
+        scenario.group_user_counts(scenario.users_per_group), rules,
+    )
+
+
+def cacheless_job(scenario: Scenario, *rules) -> Job:
+    """The cacheless MU-MIMO baseline: one group of the same physical setup,
+    serving ``baseline_users`` users, or every feasible count."""
+    return cache_aided_job(scenario.cacheless_counterpart(), *rules)
+
+
+def msv_job(scenario: Scenario) -> Job:
+    """The multi-server baseline over every unicast stream count
+    ``1 .. L-1``, as the curve ``msv_modified``.
+
+    The modified variant sweeps the unicast stream count for a better
+    multiplexing/beamforming balance; :func:`msv_original` takes the
+    original scheme, which always runs all ``L - 1`` streams, off the sweep.
+    """
+    if scenario.antennas_per_user != 1 or scenario.geometry is not None:
+        raise UnsupportedConfigurationError(
+            "multi-server baseline needs single-antenna users with unit pathloss"
+        )
+    l = scenario.num_tx_antennas
+    # All l - 1 unicast streams, the common one and the cached load need pilots.
+    csi_overhead(scenario.coherence_symbols, scenario.pilot_symbols, l + scenario.cached_load)
+    return Job(scenario, scenario.coded_gain, tuple(range(1, l)), ((_MSV, ("msv_modified",)),))
+
+
+def msv_original(modified: SchemeCurve) -> SchemeCurve:
+    """The original multi-server scheme: the full-count row of the sweep."""
+    return SchemeCurve(
+        "msv", modified.ptot_dbm, modified.q_values[-1:], modified.mean[-1:],
+        modified.stderr[-1:],
+    )
+
+
+def imperfect_csi_jobs(scenario: Scenario) -> list[Job]:
+    """Equal-power ZF rates under perfect and estimated CSI.
+
+    The cache-aided curves and their cacheless counterparts, for perfect
+    CSI, transmitter-side estimation error, and (if ``csir_error_vars`` is
+    set) additional receiver-side coupling error.
+    """
+    if scenario.antennas_per_user != 1 or scenario.geometry is not None:
+        raise UnsupportedConfigurationError(
+            "imperfect-CSI study needs single-antenna users with unit pathloss"
+        )
+    # Residual-coupling errors model imperfect cache-aided cancellation,
+    # which the cacheless baseline does not perform.
+    cacheless = dataclasses.replace(scenario, csir_error_vars=())
+    jobs = []
+    for prefix, side, build in (
+        ("vcc_zf", scenario, cache_aided_job), ("cacheless_zf", cacheless, cacheless_job)
+    ):
+        names = [f"{prefix}_perfect", f"{prefix}_csit"]
+        names += [f"{prefix}_csit_csir{var:g}" for var in side.csir_error_vars]
+        jobs.append(build(side, (_CSI, tuple(names))))
+    return jobs
 
 
 # ---------------------------------------------------------------------------
@@ -471,9 +561,9 @@ _MSV = _Rule(_msv_draws, _msv_rates)
 def _location_task(args) -> list[np.ndarray]:
     """Every rule of one job at one location.
 
-    A job is ``(scenario, num_groups, q_values, ((rule, curve_names), ...))``.
-    ``rule.draw(scenario, num_groups, q_top, loc, fad)`` draws one fading's
-    channels at the largest ``q``; ``rule.rates(scenario, num_groups,
+    ``rule.draw(scenario, num_groups, q_top, loc, fad, betas)`` draws one
+    fading's channels at the largest ``q``; the rules with the same draw
+    function share one draw per fading.  ``rule.rates(scenario, num_groups,
     q_values, draws, betas)`` returns the rates of every curve over the q
     sweep and the power vector, shape ``(n_curves, n_q, n_p)``.  Both are
     module-level functions so that tasks pickle.  Returns, per rule, rates
@@ -483,24 +573,26 @@ def _location_task(args) -> list[np.ndarray]:
     (scenario, num_groups, q_values, rules), loc = args
     q_top = max(q_values)
     betas = _location_betas(scenario, num_groups, q_top, loc)
-    out = []
-    for rule, names in rules:
-        n_fad = scenario.n_fadings if rule.draw else 1
-        rates = np.empty((len(names), n_fad, len(q_values), len(scenario.p_watts)))
-        for fad in range(n_fad):
-            draws = rule.draw(scenario, num_groups, q_top, loc, fad) if rule.draw else None
-            rates[:, fad] = rule.rates(scenario, num_groups, q_values, draws, betas)
-        out.append(rates)
+    out = [
+        np.empty((len(names), scenario.n_fadings if rule.draw else 1,
+                  len(q_values), len(scenario.p_watts)))
+        for rule, names in rules
+    ]
+    for fad in range(scenario.n_fadings):
+        draws = {None: None}  # fading-free rules run at the first fading only
+        for (rule, _), rates in zip(rules, out):
+            if fad < rates.shape[1]:
+                if rule.draw not in draws:
+                    draws[rule.draw] = rule.draw(scenario, num_groups, q_top, loc, fad, betas)
+                rates[:, fad] = rule.rates(scenario, num_groups, q_values, draws[rule.draw], betas)
     return out
 
 
-def _job(scenario: Scenario, num_groups: int, fixed: int | None, *rules):
-    return (scenario, num_groups, scenario.group_user_counts(fixed), rules)
-
-
 def _simulate(jobs, workers: int) -> dict[str, SchemeCurve]:
-    """Run every location of every job in one pool; reduce in location order."""
-    tasks = [(job, loc) for job in jobs for loc in range(job[0].n_locations)]
+    """Run every location of every job in one pool; reduce in location order.
+
+    Returns every job's curves by name."""
+    tasks = [(job, loc) for job in jobs for loc in range(job.scenario.n_locations)]
     results = iter(_parallel_map(_location_task, tasks, workers))
     curves = {}
     for scenario, _, q_values, rules in jobs:
@@ -513,87 +605,46 @@ def _simulate(jobs, workers: int) -> dict[str, SchemeCurve]:
 
 
 # ---------------------------------------------------------------------------
-# Runners
+# One-job runners
 # ---------------------------------------------------------------------------
 
 def run_vcc_bd_mrc(
     scenario: Scenario, workers: int = 1, include_asymptotic: bool = False
-) -> RateReport:
+) -> dict[str, SchemeCurve]:
     """Simulated BD-MRC effective sum-rate under max-min-fair allocation.
 
     With ``users_per_group=None`` all feasible per-group user counts are
     evaluated on common random numbers.  ``include_asymptotic`` adds the
     large-antenna closed-form curve evaluated on the same location draws.
     """
-    rules = [(_BD_MMF, ("vcc_bd_mrc",))]
+    rules = [(BD_MRC, ("vcc_bd_mrc",))]
     if include_asymptotic:
-        rules.append((_BD_ASYM, ("vcc_bd_mrc_asym",)))
-    job = _job(scenario, scenario.coded_gain, scenario.users_per_group, *rules)
-    return RateReport(scenario, _simulate([job], workers))
+        rules.append((BD_MRC_ASYM, ("vcc_bd_mrc_asym",)))
+    return _simulate([cache_aided_job(scenario, *rules)], workers)
 
 
-def run_cacheless_bd_mrc(scenario: Scenario, workers: int = 1) -> RateReport:
+def run_cacheless_bd_mrc(scenario: Scenario, workers: int = 1) -> dict[str, SchemeCurve]:
     """Cacheless MU-MIMO baseline: the same pipeline with a single group."""
-    base = scenario.cacheless_counterpart()
-    job = _job(base, 1, base.users_per_group, (_BD_MMF, ("cacheless_bd_mrc",)))
-    return RateReport(base, _simulate([job], workers))
+    return _simulate([cacheless_job(scenario, (BD_MRC, ("cacheless_bd_mrc",)))], workers)
 
 
-def run_vcc_zf(scenario: Scenario, workers: int = 1) -> RateReport:
+def run_vcc_zf(scenario: Scenario, workers: int = 1) -> dict[str, SchemeCurve]:
     """Simulated ZF max-min rate plus its fading-averaged analytic bounds."""
-    job = _job(
-        scenario, scenario.coded_gain, scenario.users_per_group,
-        (_ZF_MMF, ("vcc_zf",)),
-        (_ZF_BOUNDS, ("vcc_zf_lower", "vcc_zf_upper")),
+    job = cache_aided_job(
+        scenario, (ZF, ("vcc_zf",)), (ZF_BOUNDS, ("vcc_zf_lower", "vcc_zf_upper"))
     )
-    return RateReport(scenario, _simulate([job], workers))
+    return _simulate([job], workers)
 
 
-def run_msv(scenario: Scenario, workers: int = 1) -> RateReport:
-    """Original and stream-count-swept multi-server baseline rates.
-
-    The original scheme always runs all ``L - 1`` unicast streams; the
-    modified variant sweeps the unicast stream count for a better
-    multiplexing/beamforming balance.
-    """
-    if scenario.antennas_per_user != 1 or scenario.geometry is not None:
-        raise UnsupportedConfigurationError(
-            "multi-server baseline needs single-antenna users with unit pathloss"
-        )
-    l = scenario.num_tx_antennas
-    # All l - 1 unicast streams, the common one and the cached load need pilots.
-    csi_overhead(scenario.coherence_symbols, scenario.pilot_symbols, l + scenario.cached_load)
-    job = (scenario, scenario.coded_gain, tuple(range(1, l)), ((_MSV, ("msv_modified",)),))
-    full = _simulate([job], workers)["msv_modified"]
-    original = SchemeCurve(
-        "msv", scenario.ptot_dbm, (l - 1,), full.mean[-1:], full.stderr[-1:]
-    )
-    return RateReport(scenario, {"msv": original, "msv_modified": full})
+def run_msv(scenario: Scenario, workers: int = 1) -> dict[str, SchemeCurve]:
+    """Original and stream-count-swept multi-server baseline rates."""
+    modified = _simulate([msv_job(scenario)], workers)["msv_modified"]
+    return {"msv": msv_original(modified), "msv_modified": modified}
 
 
-def run_imperfect_csi(scenario: Scenario, workers: int = 1) -> RateReport:
-    """Equal-power ZF rates under perfect and estimated CSI.
-
-    Produces the cache-aided curves and their cacheless counterparts, for
-    perfect CSI, transmitter-side estimation error, and (if
-    ``csir_error_vars`` is set) additional receiver-side coupling error.
-    """
-    if scenario.antennas_per_user != 1 or scenario.geometry is not None:
-        raise UnsupportedConfigurationError(
-            "imperfect-CSI study needs single-antenna users with unit pathloss"
-        )
-    # Residual-coupling errors model imperfect cache-aided cancellation,
-    # which the cacheless baseline does not perform.
-    cacheless = dataclasses.replace(scenario, csir_error_vars=())
-    jobs = []
-    for prefix, side, num_groups, fixed in (
-        ("vcc_zf", scenario, scenario.coded_gain, scenario.users_per_group),
-        ("cacheless_zf", cacheless, 1, scenario.baseline_users),
-    ):
-        names = [f"{prefix}_perfect", f"{prefix}_csit"]
-        names += [f"{prefix}_csit_csir{var:g}" for var in side.csir_error_vars]
-        jobs.append(_job(side, num_groups, fixed, (_CSI, tuple(names))))
-    return RateReport(scenario, _simulate(jobs, workers))
+def run_imperfect_csi(scenario: Scenario, workers: int = 1) -> dict[str, SchemeCurve]:
+    """The curves of :func:`imperfect_csi_jobs`."""
+    return _simulate(imperfect_csi_jobs(scenario), workers)
 
 
 # ---------------------------------------------------------------------------

@@ -29,12 +29,13 @@ running sums of ``|inv(R)|**2`` along rows, BD-MRC blocks running sums of
 ``M x M`` outer products, and the couplings of every prefix's ZF precoder
 with any receivers share one product with ``inv(R)``.
 
-The Monte Carlo runners call only the fast paths, which return gains
+The Monte Carlo loop calls only the fast paths, which return gains
 without forming every beam, for a whole sweep of served-user counts:
-:func:`bd_mrc_prefix_gains`, :func:`zf_prefix_gains` and
-:func:`zf_prefix_couplings` on a stack of groups, :func:`msv_gains_fast`
-on one multicast/unicast draw, and the rate formula
-:func:`msv_rate_from_gains` over the (count, power) grid.
+:func:`bd_mrc_prefix_gains` and :func:`zf_prefix_gains` on the
+:func:`prefix_factor` of a stack of groups, so that BD-MRC and ZF on the
+same draw share one factorization, :func:`zf_prefix_couplings` on a stack
+of groups, :func:`msv_gains_fast` on one multicast/unicast draw, and the
+rate formula :func:`msv_rate_from_gains` over the (count, power) grid.
 :func:`zf_matrix` and :func:`bd_mrc_eigenvalues` are the full-prefix case
 of the same kernel (the last for users of any antenna counts).  A prefix
 whose Gram matrix is numerically singular, or whose blocks give a
@@ -56,6 +57,7 @@ receives ``H.T @ x``, so a beam ``v`` is invisible to ``H`` iff
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,6 +76,8 @@ __all__ = [
     "null_projector",
     "bd_mrc",
     "bd_mrc_eigenvalues",
+    "PrefixFactor",
+    "prefix_factor",
     "bd_mrc_prefix_gains",
     "bd_mrc_sinr",
     "sinr_from_matrices",
@@ -247,6 +251,21 @@ def _prefix_inverse(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r_inv, valid
 
 
+class PrefixFactor(NamedTuple):
+    """A ``(G, L, N)`` channel stack with the ``(r_inv, valid)`` of
+    :func:`_prefix_inverse`, shared by every gain kernel of that draw."""
+
+    h: np.ndarray
+    r_inv: np.ndarray
+    valid: np.ndarray
+
+
+def prefix_factor(h: np.ndarray) -> PrefixFactor:
+    """Factor a ``(G, L, N)`` stack once for :func:`bd_mrc_prefix_gains` and
+    :func:`zf_prefix_gains`."""
+    return PrefixFactor(h, *_prefix_inverse(h))
+
+
 def _block_gains(blocks: np.ndarray) -> np.ndarray:
     """BD-MRC stream gains, descending, from diagonal blocks of ``inv(G)``."""
     return 1.0 / np.linalg.eigvalsh(blocks)
@@ -279,13 +298,13 @@ def bd_mrc_eigenvalues(group: GroupChannel) -> list[np.ndarray]:
 
 
 def bd_mrc_prefix_gains(
-    h: np.ndarray, m: int, q_values
+    factor: PrefixFactor, m: int, q_values
 ) -> tuple[np.ndarray, np.ndarray]:
     """BD-MRC stream gains of the first ``q`` users of each group, every q.
 
-    ``h`` has shape ``(G, L, q_top * m)``: group g's users side by side,
-    user k in columns ``k*m`` to ``(k+1)*m``.  Returns ``(gains, counts)``
-    of shapes ``(G, S, q_top, m)`` and ``(G, S, q_top)`` for the ``S``
+    ``factor.h`` has shape ``(G, L, q_top * m)``: group g's users side by
+    side, user k in columns ``k*m`` to ``(k+1)*m``.  Returns ``(gains,
+    counts)`` of shapes ``(G, S, q_top, m)`` and ``(G, S, q_top)`` for the ``S``
     entries of ``q_values``: gains descending per user and zero past each
     user's count, users at or past q with count 0.  User k's block of the
     prefix Gram inverse sums ``r_inv[k-block, c] @ r_inv[k-block, c]^H``
@@ -299,10 +318,10 @@ def bd_mrc_prefix_gains(
     InfeasibleDimensionError
         If some user is left without a single positive-gain stream.
     """
+    h, r_inv, valid = factor
     g_count, _, n = h.shape
     q_top = n // m
     qs = np.asarray(q_values)
-    r_inv, valid = _prefix_inverse(h)
     # rows[g, k, j]: user k's rows of r_inv in column block j; blocks[g, k, j]
     # is user k's diagonal block of the Gram inverse of the first j + 1 users.
     rows = r_inv.reshape(g_count, q_top, m, q_top, m).transpose(0, 1, 3, 2, 4)
@@ -385,10 +404,19 @@ def sinr_from_matrices(
     return out
 
 
-def _zf_prefix(r_inv: np.ndarray, valid: np.ndarray, sizes) -> np.ndarray:
-    """ZF gains ``(G, S, N)`` of the first ``sizes[s]`` columns, zero past
-    them: ``1 / diag`` of each prefix Gram inverse, whose i-th diagonal
-    entry is the running sum of ``|r_inv[i, c]|**2`` over the columns c."""
+def zf_prefix_gains(factor: PrefixFactor, sizes) -> np.ndarray:
+    """ZF per-stream gains of the first ``n`` columns of each channel in the
+    factored ``(G, L, N)`` stack, for every ``n`` in ``sizes``: shape
+    ``(G, S, N)``, zero past each prefix.  They are ``1 / diag`` of each
+    prefix Gram inverse, whose i-th diagonal entry is the running sum of
+    ``|r_inv[i, c]|**2`` over the columns c.
+
+    Raises
+    ------
+    SingularMatrixError
+        If the Gram matrix of some requested prefix is not invertible.
+    """
+    _, r_inv, valid = factor
     sizes = np.asarray(sizes)
     if np.any(valid < sizes.max()):
         raise SingularMatrixError("channel Gram matrix is numerically singular")
@@ -396,19 +424,6 @@ def _zf_prefix(r_inv: np.ndarray, valid: np.ndarray, sizes) -> np.ndarray:
     diag = np.moveaxis(diag, -1, 1)
     inside = np.arange(r_inv.shape[-1]) < sizes[:, None]
     return np.divide(1.0, diag, out=np.zeros_like(diag), where=inside)
-
-
-def zf_prefix_gains(h: np.ndarray, sizes) -> np.ndarray:
-    """ZF per-stream gains of the first ``n`` columns of each channel in a
-    ``(G, L, N)`` stack, for every ``n`` in ``sizes``: shape ``(G, S, N)``,
-    zero past each prefix, from one factorization per channel.
-
-    Raises
-    ------
-    SingularMatrixError
-        If the Gram matrix of some requested prefix is not invertible.
-    """
-    return _zf_prefix(*_prefix_inverse(h), sizes)
 
 
 def zf_matrix(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -419,9 +434,10 @@ def zf_matrix(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     SingularMatrixError
         If the channel Gram matrix is not invertible.
     """
-    r_inv, valid = _prefix_inverse(stacked[None])
-    gains = _zf_prefix(r_inv, valid, (stacked.shape[1],))[0, 0]
-    v = stacked.conj() @ (r_inv[0] @ r_inv[0].conj().T) * np.sqrt(gains)[None, :]
+    factor = prefix_factor(stacked[None])
+    gains = zf_prefix_gains(factor, (stacked.shape[1],))[0, 0]
+    r_inv = factor.r_inv[0]
+    v = stacked.conj() @ (r_inv @ r_inv.conj().T) * np.sqrt(gains)[None, :]
     return v, gains
 
 
@@ -449,8 +465,9 @@ def zf_prefix_couplings(
         If the Gram matrix of some requested estimated prefix is not
         invertible.
     """
-    r_inv, valid = _prefix_inverse(h_hat)
-    gains = _zf_prefix(r_inv, valid, sizes)
+    factor = prefix_factor(h_hat)
+    gains = zf_prefix_gains(factor, sizes)
+    r_inv = factor.r_inv
     x = h.swapaxes(-1, -2) @ h_hat.conj() @ r_inv
     r_inv_h = r_inv.conj().swapaxes(-1, -2)
     coupling = np.zeros(gains.shape[:2] + x.shape[-2:], dtype=complex)

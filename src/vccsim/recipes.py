@@ -1,10 +1,12 @@
 """Named experiment recipes and their CSV assembly.
 
 Each recipe pins the scenario of one headline comparison (cell preset,
-antenna counts, caching parameters, power sweep) and composes the runner
-calls plus effective-gain bookkeeping into CSV rows.  Realization counts
-and any scenario field can be overridden; the paper-scale defaults are
-1000 location draws with 20 fading draws each for pathloss scenarios.
+antenna counts, caching parameters, power sweep), lists the jobs it needs
+(each side of the comparison with the schemes run on it), hands them to one
+:func:`~vccsim.experiments._simulate` call, and turns the curves plus
+effective-gain bookkeeping into CSV rows.  Realization counts and any
+scenario field can be overridden; the paper-scale defaults are 1000
+location draws with 20 fading draws each for pathloss scenarios.
 """
 
 from __future__ import annotations
@@ -13,9 +15,23 @@ import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 
+# experiments._simulate is looked up at call time, so that a test can wrap it.
+from . import experiments
+# run_vcc_bd_mrc, run_cacheless_bd_mrc, run_vcc_zf, run_msv and
+# run_imperfect_csi are on no recipe's run path; they stay importable here,
+# where bench/spans.py resolves the names it traces.
 from .experiments import (
+    BD_MRC,
+    BD_MRC_ASYM,
+    ZF,
+    ZF_BOUNDS,
     Scenario,
+    cache_aided_job,
+    cacheless_job,
     effective_gain,
+    imperfect_csi_jobs,
+    msv_job,
+    msv_original,
     rows_for_best,
     rows_for_curve,
     run_cacheless_bd_mrc,
@@ -51,6 +67,11 @@ def _snr_sweep(*snr_db: float) -> tuple[float, ...]:
     return tuple(s + 30.0 for s in snr_db)
 
 
+# A scheme's rule paired with the curves it writes on one side.
+_VCC_BD = (BD_MRC, ("vcc_bd_mrc",))
+_CACHELESS_BD = (BD_MRC, ("cacheless_bd_mrc",))
+
+
 def _fig2_rows(params: dict, workers: int) -> list[dict]:
     base = dict(
         name="fig2", geometry="macro", num_tx_antennas=64, num_states=5,
@@ -60,25 +81,20 @@ def _fig2_rows(params: dict, workers: int) -> list[dict]:
     m_values = (2, 4, 12)
     if "antennas_per_user" in params:
         m_values = (params["antennas_per_user"],)
+    scns = {m: _scenario(base, params, antennas_per_user=m, name=f"fig2-m{m}") for m in m_values}
+    curves = experiments._simulate([
+        cache_aided_job(
+            scn,
+            (BD_MRC, (f"vcc_bd_mrc_m{m}",)),
+            (ZF, (f"vcc_zf_m{m}",)),
+            (ZF_BOUNDS, (f"vcc_zf_lower_m{m}", f"vcc_zf_upper_m{m}")),
+        )
+        for m, scn in scns.items()
+    ], workers)
     rows = []
-    for m in m_values:
-        scn = _scenario(base, params, antennas_per_user=m, name=f"fig2-m{m}")
-        bd = run_vcc_bd_mrc(scn, workers=workers)
-        zf = run_vcc_zf(scn, workers=workers)
-        rows += rows_for_curve(bd["vcc_bd_mrc"], scn, scheme=f"vcc_bd_mrc_m{m}")
-        for key in ("vcc_zf", "vcc_zf_lower", "vcc_zf_upper"):
-            rows += rows_for_curve(zf[key], scn, scheme=f"{key}_m{m}")
-    return rows
-
-
-def _fixed_gain_rows(scn: Scenario, workers: int, include_asymptotic: bool) -> list[dict]:
-    vcc = run_vcc_bd_mrc(scn, workers=workers, include_asymptotic=include_asymptotic)
-    cl = run_cacheless_bd_mrc(scn, workers=workers)
-    gain = effective_gain(vcc["vcc_bd_mrc"], cl["cacheless_bd_mrc"], "fixed")
-    rows = rows_for_curve(vcc["vcc_bd_mrc"], scn, gain=gain)
-    if include_asymptotic:
-        rows += rows_for_curve(vcc["vcc_bd_mrc_asym"], scn)
-    rows += rows_for_curve(cl["cacheless_bd_mrc"], scn)
+    for m, scn in scns.items():
+        for key in ("vcc_bd_mrc", "vcc_zf", "vcc_zf_lower", "vcc_zf_upper"):
+            rows += rows_for_curve(curves[f"{key}_m{m}"], scn)
     return rows
 
 
@@ -89,7 +105,16 @@ def _fig3_rows(params: dict, workers: int) -> list[dict]:
         users_per_group=4, baseline_users=4,
         ptot_dbm=(36.0, 38.0, 40.0, 41.0, 42.0, 43.0, 44.0, 46.0),
     )
-    return _fixed_gain_rows(_scenario(base, params), workers, include_asymptotic=True)
+    scn = _scenario(base, params)
+    curves = experiments._simulate([
+        cache_aided_job(scn, _VCC_BD, (BD_MRC_ASYM, ("vcc_bd_mrc_asym",))),
+        cacheless_job(scn, _CACHELESS_BD),
+    ], workers)
+    vcc, cl = curves["vcc_bd_mrc"], curves["cacheless_bd_mrc"]
+    rows = rows_for_curve(vcc, scn, gain=effective_gain(vcc, cl, "fixed"))
+    rows += rows_for_curve(curves["vcc_bd_mrc_asym"], scn)
+    rows += rows_for_curve(cl, scn)
+    return rows
 
 
 def _fig4_rows(params: dict, workers: int) -> list[dict]:
@@ -99,23 +124,23 @@ def _fig4_rows(params: dict, workers: int) -> list[dict]:
         users_per_group=2, baseline_users=8,
         ptot_dbm=(34.0, 36.0, 38.0, 40.0, 41.0, 42.0, 43.0, 44.0, 46.0),
     )
-    return _fixed_gain_rows(_scenario(base, params), workers, include_asymptotic=False)
+    scn = _scenario(base, params)
+    curves = experiments._simulate(
+        [cache_aided_job(scn, _VCC_BD), cacheless_job(scn, _CACHELESS_BD)], workers
+    )
+    vcc, cl = curves["vcc_bd_mrc"], curves["cacheless_bd_mrc"]
+    rows = rows_for_curve(vcc, scn, gain=effective_gain(vcc, cl, "fixed"))
+    rows += rows_for_curve(cl, scn)
+    return rows
 
 
-def _optimized_gain_rows(scn: Scenario, workers: int, with_zf: bool) -> list[dict]:
-    vcc = run_vcc_bd_mrc(scn, workers=workers)
-    cl = run_cacheless_bd_mrc(scn, workers=workers)
-    gain_opt = effective_gain(vcc["vcc_bd_mrc"], cl["cacheless_bd_mrc"], "optimized")
-    rows = rows_for_curve(vcc["vcc_bd_mrc"], scn)
-    rows += rows_for_best(vcc["vcc_bd_mrc"], scn, gain_opt=gain_opt)
-    rows += rows_for_curve(cl["cacheless_bd_mrc"], scn)
-    rows += rows_for_best(cl["cacheless_bd_mrc"], scn)
-    if with_zf:
-        zf = run_vcc_zf(scn, workers=workers)
-        gain_zf = effective_gain(zf["vcc_zf"], cl["cacheless_bd_mrc"], "optimized")
-        rows += rows_for_best(zf["vcc_zf"], scn, gain_opt=gain_zf)
-        rows += rows_for_best(zf["vcc_zf_lower"], scn)
-        rows += rows_for_best(zf["vcc_zf_upper"], scn)
+def _optimized_bd_rows(scn: Scenario, curves: dict) -> list[dict]:
+    """Every q of both BD-MRC sides plus their best-q rows and gain."""
+    vcc, cl = curves["vcc_bd_mrc"], curves["cacheless_bd_mrc"]
+    rows = rows_for_curve(vcc, scn)
+    rows += rows_for_best(vcc, scn, gain_opt=effective_gain(vcc, cl, "optimized"))
+    rows += rows_for_curve(cl, scn)
+    rows += rows_for_best(cl, scn)
     return rows
 
 
@@ -126,7 +151,11 @@ def _fig5_rows(params: dict, workers: int) -> list[dict]:
         users_per_group=None, baseline_users=None,
         ptot_dbm=(36.0, 38.0, 40.0, 42.0, 44.0, 46.0),
     )
-    return _optimized_gain_rows(_scenario(base, params), workers, with_zf=False)
+    scn = _scenario(base, params)
+    curves = experiments._simulate(
+        [cache_aided_job(scn, _VCC_BD), cacheless_job(scn, _CACHELESS_BD)], workers
+    )
+    return _optimized_bd_rows(scn, curves)
 
 
 def _fig6_rows(params: dict, workers: int) -> list[dict]:
@@ -138,10 +167,10 @@ def _fig6_rows(params: dict, workers: int) -> list[dict]:
         ptot_dbm=_snr_sweep(0, 5, 10, 15, 20, 25, 30, 35, 40),
     )
     scn = _scenario(base, params)
-    rep = run_imperfect_csi(scn, workers=workers)
+    curves = experiments._simulate(imperfect_csi_jobs(scn), workers)
     rows = []
     for variant in ("perfect", "csit"):
-        num, den = rep[f"vcc_zf_{variant}"], rep[f"cacheless_zf_{variant}"]
+        num, den = curves[f"vcc_zf_{variant}"], curves[f"cacheless_zf_{variant}"]
         gain = effective_gain(num, den, "optimized")
         rows += rows_for_curve(num, scn)
         rows += rows_for_best(num, scn, gain_opt=gain)
@@ -156,7 +185,21 @@ def _fig7_rows(params: dict, workers: int) -> list[dict]:
         users_per_group=None, baseline_users=None,
         ptot_dbm=(24.0, 27.0, 30.0, 33.0, 36.0, 39.0),
     )
-    return _optimized_gain_rows(_scenario(base, params), workers, with_zf=True)
+    scn = _scenario(base, params)
+    curves = experiments._simulate([
+        cache_aided_job(
+            scn, _VCC_BD, (ZF, ("vcc_zf",)), (ZF_BOUNDS, ("vcc_zf_lower", "vcc_zf_upper"))
+        ),
+        cacheless_job(scn, _CACHELESS_BD),
+    ], workers)
+    rows = _optimized_bd_rows(scn, curves)
+    zf = curves["vcc_zf"]
+    rows += rows_for_best(
+        zf, scn, gain_opt=effective_gain(zf, curves["cacheless_bd_mrc"], "optimized")
+    )
+    rows += rows_for_best(curves["vcc_zf_lower"], scn)
+    rows += rows_for_best(curves["vcc_zf_upper"], scn)
+    return rows
 
 
 def _fig8_rows(params: dict, workers: int) -> list[dict]:
@@ -167,19 +210,18 @@ def _fig8_rows(params: dict, workers: int) -> list[dict]:
         ptot_dbm=_snr_sweep(0, 5, 10, 15, 20, 25, 30, 35, 40),
     )
     scn = _scenario(base, params)
-    msv = run_msv(scn, workers=workers)
-    vcc = run_vcc_bd_mrc(scn, workers=workers)
-    cl = run_cacheless_bd_mrc(scn, workers=workers)
-    den = cl["cacheless_bd_mrc"].best()[1]
-    rows = rows_for_curve(msv["msv"], scn, gain=msv["msv"].single()[1] / den)
-    rows += rows_for_curve(msv["msv_modified"], scn)
-    rows += rows_for_best(
-        msv["msv_modified"], scn, gain_opt=msv["msv_modified"].best()[1] / den
+    curves = experiments._simulate(
+        [msv_job(scn), cache_aided_job(scn, _VCC_BD), cacheless_job(scn, _CACHELESS_BD)],
+        workers,
     )
-    rows += rows_for_best(
-        vcc["vcc_bd_mrc"], scn, gain_opt=vcc["vcc_bd_mrc"].best()[1] / den
-    )
-    rows += rows_for_best(cl["cacheless_bd_mrc"], scn)
+    msv, modified = msv_original(curves["msv_modified"]), curves["msv_modified"]
+    vcc, cl = curves["vcc_bd_mrc"], curves["cacheless_bd_mrc"]
+    den = cl.best()[1]
+    rows = rows_for_curve(msv, scn, gain=msv.single()[1] / den)
+    rows += rows_for_curve(modified, scn)
+    rows += rows_for_best(modified, scn, gain_opt=modified.best()[1] / den)
+    rows += rows_for_best(vcc, scn, gain_opt=vcc.best()[1] / den)
+    rows += rows_for_best(cl, scn)
     return rows
 
 
@@ -192,15 +234,15 @@ def _fig9_rows(params: dict, workers: int) -> list[dict]:
         ptot_dbm=_snr_sweep(0, 5, 10, 15, 20, 25, 30, 35, 40),
     )
     scn = _scenario(base, params)
-    rep = run_imperfect_csi(scn, workers=workers)
-    den = rep["cacheless_zf_csit"]
+    curves = experiments._simulate(imperfect_csi_jobs(scn), workers)
+    den = curves["cacheless_zf_csit"]
     rows = rows_for_best(den, scn)
     rows += rows_for_best(
-        rep["vcc_zf_csit"], scn,
-        gain_opt=effective_gain(rep["vcc_zf_csit"], den, "optimized"),
+        curves["vcc_zf_csit"], scn,
+        gain_opt=effective_gain(curves["vcc_zf_csit"], den, "optimized"),
     )
     for var in scn.csir_error_vars:
-        curve = rep[f"vcc_zf_csit_csir{var:g}"]
+        curve = curves[f"vcc_zf_csit_csir{var:g}"]
         rows += rows_for_best(curve, scn, gain_opt=effective_gain(curve, den, "optimized"))
     return rows
 

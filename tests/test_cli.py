@@ -195,6 +195,18 @@ class TestRun:
         assert out.returncode == 0
         assert out.stdout == list_recipes()
 
+    @pytest.mark.parametrize("recipe", sorted(RECIPES))
+    def test_every_recipe_byte_identical_across_workers(self, tmp_path, recipe):
+        # A recipe pools the locations of all its jobs, mixed schemes and
+        # scenarios alike, so the reduction order is checked per recipe.
+        outs = []
+        for workers in (1, 2):
+            path = tmp_path / f"w{workers}.csv"
+            run(parse_config(recipe=recipe, seed=1, locations=2, fadings=2,
+                             out=str(path), workers=workers))
+            outs.append(path.read_bytes())
+        assert outs[0] == outs[1]
+
 
 class TestParser:
     def test_known_flags(self):
@@ -249,7 +261,32 @@ class TestParser:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("args", [["--config", "nope.cfg"], ["--config", "."]])
+    def test_unreadable_config_is_an_error(self, capsys, tmp_path, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read config file")
+
+    @pytest.mark.parametrize("out", ["no/such/dir/x.csv", "."])
+    def test_bad_out_path_rejected_before_sampling(
+        self, capsys, tmp_path, monkeypatch, out
+    ):
+        def no_sampling(args):
+            raise AssertionError("a location task ran")
+
+        monkeypatch.setattr(experiments, "_location_task", no_sampling)
+        monkeypatch.chdir(tmp_path)
+        code = main(["--recipe", "fig9", "--locations", "1", "--fadings", "1",
+                     "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: output path {out}")
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("recipe, setting, field", [
+        ("fig4", "Lambda=-4", "num_states"),
+        ("fig4", "Lambda=0", "num_states"),
+        ("fig4", "users_per_state=0", "users_per_state"),
+        ("fig4", "users_per_state=-3", "users_per_state"),
         ("fig9", "noise_power=0", "noise_power"),
         ("fig9", "noise_power=-1", "noise_power"),
         ("fig9", "noise_power=inf", "noise_power"),

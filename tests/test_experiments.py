@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vccsim import experiments
+from vccsim import experiments, precoding
 from vccsim.errors import (
     InvalidConfigurationError,
     OverheadExceedsCoherenceError,
@@ -24,6 +24,7 @@ from vccsim.experiments import (
     run_vcc_zf,
 )
 from vccsim.precoding import zf_imperfect_csir_sinr, zf_imperfect_csit_sinr, zf_matrix
+from vccsim.recipes import RECIPES, run_recipe
 
 
 def macro_scenario(**kw):
@@ -183,6 +184,59 @@ class TestPoolSize:
         out = experiments._parallel_map(abs, [-1, -2, -3], 10_000)
         assert out == [1, 2, 3]
         assert _SerialPool.sizes == [expected]
+
+
+class TestOneSimulatePerRecipe:
+    """A recipe hands all its jobs to one _simulate call, and the rules of a
+    job that use the same draw share it and its prefix factor."""
+
+    # Per (location, fading): complex_gaussian draws, one per group of each
+    # job (two per group under imperfect CSI, two for MSV), and
+    # _prefix_inverse calls, one per job that factors a stack (two per
+    # imperfect-CSI job: the true channels and their estimate).
+    PER_FADING = {
+        "fig2": (3 * 5, 3),  # three M values; BD-MRC and ZF share each draw
+        "fig3": (6 + 1, 2),
+        "fig4": (4 + 1, 2),
+        "fig5": (6 + 1, 2),
+        "fig6": (2 * (6 + 1), 2 * 2),
+        "fig7": (6 + 1, 2),  # BD-MRC and ZF share the cache-aided draw
+        "fig8": (2 + 6 + 1, 1 + 2),
+        "fig9": (2 * (6 + 1), 2 * 2),
+    }
+
+    @staticmethod
+    def _count(monkeypatch, module, name, counts):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    @pytest.mark.parametrize("recipe", sorted(RECIPES))
+    def test_each_draw_and_factor_once_per_job(self, monkeypatch, recipe):
+        counts = dict.fromkeys(("_simulate", "complex_gaussian", "_prefix_inverse"), 0)
+        self._count(monkeypatch, experiments, "_simulate", counts)
+        self._count(monkeypatch, experiments, "complex_gaussian", counts)
+        self._count(monkeypatch, precoding, "_prefix_inverse", counts)
+        n_loc, n_fad = 2, 3
+        run_recipe(recipe, seed=1, n_locations=n_loc, n_fadings=n_fad)
+        draws, factors = self.PER_FADING[recipe]
+        assert counts == {
+            "_simulate": 1,
+            "complex_gaussian": draws * n_loc * n_fad,
+            "_prefix_inverse": factors * n_loc * n_fad,
+        }
+
+    @pytest.mark.parametrize("recipe", sorted(RECIPES))
+    def test_at_most_one_pool_per_recipe(self, monkeypatch, recipe):
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", _SerialPool)
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 8)
+        _SerialPool.sizes.clear()
+        run_recipe(recipe, seed=1, n_locations=2, n_fadings=1, workers=2)
+        assert _SerialPool.sizes == [2]
 
 
 class TestOverheadAccounting:
@@ -369,7 +423,7 @@ class TestCsiRule:
             users_per_group=fixed,
         )
         num_groups, q_values = scn.coded_gain, scn.group_user_counts(fixed)
-        draws = experiments._csi_draws(scn, num_groups, max(q_values), 2, 0)
+        draws = experiments._csi_draws(scn, num_groups, max(q_values), 2, 0, None)
         got = experiments._csi_rates(scn, num_groups, q_values, draws, None)
         want = self._per_q_reference(scn, num_groups, q_values, draws)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)

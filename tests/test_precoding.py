@@ -20,6 +20,7 @@ from vccsim.precoding import (
     msv_high_snr_gain_limit,
     msv_rate_from_gains,
     null_projector,
+    prefix_factor,
     sinr_from_matrices,
     zf_imperfect_csir_sinr,
     zf_imperfect_csit_sinr,
@@ -183,7 +184,7 @@ class TestBdMrcGainsFallback:
     def test_healthy_groups_stay_batched(self, monkeypatch):
         calls = self._spy(monkeypatch)
         h = complex_gaussian(substream(92, 0), (3, 8, 6))
-        gains, counts = bd_mrc_prefix_gains(h, 2, (3,))
+        gains, counts = bd_mrc_prefix_gains(prefix_factor(h), 2, (3,))
         assert calls == [] and np.all(counts == 2)
 
     def test_duplicated_column_truncates_like_bd_mrc(self, monkeypatch):
@@ -192,7 +193,7 @@ class TestBdMrcGainsFallback:
         a, b = complex_gaussian(rng, (6, 1)), complex_gaussian(rng, (6, 2))
         singular = np.hstack([a, a, b])  # user 0 receives one column twice
         h = np.stack([singular, complex_gaussian(rng, (6, 4))])
-        gains, counts = bd_mrc_prefix_gains(h, 2, (2,))
+        gains, counts = bd_mrc_prefix_gains(prefix_factor(h), 2, (2,))
         gains, counts = gains[:, 0], counts[:, 0]
         assert calls == [2]  # the singular group only
         assert counts.tolist() == [[1, 2], [2, 2]]
@@ -211,7 +212,7 @@ class TestBdMrcGainsFallback:
         h = complex_gaussian(substream(92, 3), (1, 10, 8))
         h[0, :, 5] = h[0, :, 0]
         q_values = (1, 2, 3, 4)
-        gains, counts = bd_mrc_prefix_gains(h, 2, q_values)
+        gains, counts = bd_mrc_prefix_gains(prefix_factor(h), 2, q_values)
         assert calls == [3, 4]
         assert counts[0].tolist() == [[2, 0, 0, 0], [2, 2, 0, 0], [1, 2, 1, 0], [1, 2, 1, 2]]
         for s, q in enumerate(q_values):
@@ -221,17 +222,17 @@ class TestBdMrcGainsFallback:
                 assert j == user.num_streams
                 np.testing.assert_allclose(gains[0, s, k, :j], user.eigenvalues, rtol=1e-9)
                 assert not gains[0, s, k, j:].any()
-        assert zf_prefix_gains(h, (2, 4, 5)).shape == (1, 3, 8)
+        assert zf_prefix_gains(prefix_factor(h), (2, 4, 5)).shape == (1, 3, 8)
         for sizes in ((6,), (2, 8)):
             with pytest.raises(SingularMatrixError):
-                zf_prefix_gains(h, sizes)
+                zf_prefix_gains(prefix_factor(h), sizes)
 
     def test_fully_dependent_user_infeasible(self):
         a = complex_gaussian(substream(92, 2), (6, 2))
         mix = np.array([[1.0, 2.0], [3.0, 4.0j]])
         h = np.hstack([a, a @ mix])[None]  # user 1 inside user 0's span
         with pytest.raises(InfeasibleDimensionError):
-            bd_mrc_prefix_gains(h, 2, (2,))
+            bd_mrc_prefix_gains(prefix_factor(h), 2, (2,))
         group = GroupChannel(((h[0][:, :2], 1.0), (h[0][:, 2:], 1.0)))
         with pytest.raises(InfeasibleDimensionError):
             bd_mrc_eigenvalues(group)

@@ -27,6 +27,7 @@ from vccsim.precoding import (
     bd_mrc_prefix_gains,
     msv_beamformers,
     msv_gains_fast,
+    prefix_factor,
     zf_matrix,
     zf_prefix_couplings,
     zf_prefix_gains,
@@ -125,7 +126,7 @@ def group_stacks(draw):
 @given(group_stacks())
 def test_batched_bd_gains_match_beamformer_design(stack):
     h, m, betas = stack
-    gains, counts = bd_mrc_prefix_gains(h, m, (h.shape[-1] // m,))
+    gains, counts = bd_mrc_prefix_gains(prefix_factor(h), m, (h.shape[-1] // m,))
     gains, counts = gains[:, 0], counts[:, 0]
     assert np.all(counts == m)
     for g, h_g in enumerate(h):
@@ -143,7 +144,7 @@ def test_batched_bd_gains_match_beamformer_design(stack):
 @given(group_stacks())
 def test_batched_zf_gains_match_zf_matrix(stack):
     h, _, _ = stack
-    gains = zf_prefix_gains(h, (h.shape[-1],))[:, 0]
+    gains = zf_prefix_gains(prefix_factor(h), (h.shape[-1],))[:, 0]
     for g, h_g in enumerate(h):
         np.testing.assert_array_equal(gains[g], zf_matrix(h_g)[1])
         gram_inv = np.linalg.inv(h_g.T @ h_g.conj())
@@ -155,9 +156,9 @@ def test_batched_zf_gains_match_zf_matrix(stack):
 def test_prefix_bd_gains_match_each_prefix_alone(stack):
     h, m, _ = stack
     q_values = range(1, h.shape[-1] // m + 1)
-    gains, counts = bd_mrc_prefix_gains(h, m, q_values)
+    gains, counts = bd_mrc_prefix_gains(prefix_factor(h), m, q_values)
     for s, q in enumerate(q_values):
-        ref_gains, ref_counts = bd_mrc_prefix_gains(h[:, :, : q * m], m, (q,))
+        ref_gains, ref_counts = bd_mrc_prefix_gains(prefix_factor(h[:, :, : q * m]), m, (q,))
         np.testing.assert_array_equal(counts[:, s, :q], ref_counts[:, 0])
         np.testing.assert_allclose(gains[:, s, :q], ref_gains[:, 0], rtol=1e-10, atol=0)
         assert not counts[:, s, q:].any() and not gains[:, s, q:].any()
@@ -168,7 +169,7 @@ def test_prefix_bd_gains_match_each_prefix_alone(stack):
 def test_prefix_zf_gains_match_zf_matrix_on_each_prefix(stack):
     h, _, _ = stack
     sizes = range(1, h.shape[-1] + 1)
-    gains = zf_prefix_gains(h, sizes)
+    gains = zf_prefix_gains(prefix_factor(h), sizes)
     for s, n in enumerate(sizes):
         for g, h_g in enumerate(h):
             np.testing.assert_allclose(gains[g, s, :n], zf_matrix(h_g[:, :n])[1], rtol=1e-10, atol=0)
@@ -183,7 +184,7 @@ def test_prefix_couplings_with_other_receivers_match_zf_matrix(stack, k, seed):
     h = complex_gaussian(np.random.default_rng(seed), (g_count, l_tx, k))
     sizes = range(1, n_top + 1)
     gains, coupling = zf_prefix_couplings(h, h_hat, sizes)
-    np.testing.assert_array_equal(gains, zf_prefix_gains(h_hat, sizes))
+    np.testing.assert_array_equal(gains, zf_prefix_gains(prefix_factor(h_hat), sizes))
     assert coupling.shape == (g_count, n_top, k, n_top)
     for s, n in enumerate(sizes):
         for g in range(g_count):
