@@ -591,7 +591,11 @@ def _location_task(args) -> list[np.ndarray]:
 def _simulate(jobs, workers: int) -> dict[str, SchemeCurve]:
     """Run every location of every job in one pool; reduce in location order.
 
-    Returns every job's curves by name."""
+    Returns every job's curves by name; no two rules may write one name."""
+    names = [name for job in jobs for _, rule_names in job.rules for name in rule_names]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"curve names written more than once: {repeated}")
     tasks = [(job, loc) for job in jobs for loc in range(job.scenario.n_locations)]
     results = iter(_parallel_map(_location_task, tasks, workers))
     curves = {}
@@ -608,19 +612,13 @@ def _simulate(jobs, workers: int) -> dict[str, SchemeCurve]:
 # One-job runners
 # ---------------------------------------------------------------------------
 
-def run_vcc_bd_mrc(
-    scenario: Scenario, workers: int = 1, include_asymptotic: bool = False
-) -> dict[str, SchemeCurve]:
+def run_vcc_bd_mrc(scenario: Scenario, workers: int = 1) -> dict[str, SchemeCurve]:
     """Simulated BD-MRC effective sum-rate under max-min-fair allocation.
 
     With ``users_per_group=None`` all feasible per-group user counts are
-    evaluated on common random numbers.  ``include_asymptotic`` adds the
-    large-antenna closed-form curve evaluated on the same location draws.
+    evaluated on common random numbers.
     """
-    rules = [(BD_MRC, ("vcc_bd_mrc",))]
-    if include_asymptotic:
-        rules.append((BD_MRC_ASYM, ("vcc_bd_mrc_asym",)))
-    return _simulate([cache_aided_job(scenario, *rules)], workers)
+    return _simulate([cache_aided_job(scenario, (BD_MRC, ("vcc_bd_mrc",)))], workers)
 
 
 def run_cacheless_bd_mrc(scenario: Scenario, workers: int = 1) -> dict[str, SchemeCurve]:
@@ -709,10 +707,9 @@ def _row(scenario, scheme, p_idx, q, mean, stderr, gain=None, gain_opt=None):
     }
 
 
-def rows_for_curve(curve: SchemeCurve, scenario: Scenario, gain=None, scheme=None):
+def rows_for_curve(curve: SchemeCurve, scenario: Scenario, gain=None):
     """One CSV row per (q, power point); ``gain`` attaches to single-q curves."""
     rows = []
-    name = scheme or curve.scheme
     for qi, q in enumerate(curve.q_values):
         for pi in range(len(curve.ptot_dbm)):
             g = None
@@ -720,22 +717,21 @@ def rows_for_curve(curve: SchemeCurve, scenario: Scenario, gain=None, scheme=Non
                 g = float(gain[pi])
             rows.append(
                 _row(
-                    scenario, name, pi, q,
+                    scenario, curve.scheme, pi, q,
                     float(curve.mean[qi, pi]), float(curve.stderr[qi, pi]), gain=g,
                 )
             )
     return rows
 
 
-def rows_for_best(curve: SchemeCurve, scenario: Scenario, gain_opt=None, scheme=None):
+def rows_for_best(curve: SchemeCurve, scenario: Scenario, gain_opt=None):
     """Per power point, the best-q row of an optimized scheme."""
     qs, means, errs = curve.best()
-    name = scheme or f"{curve.scheme}_opt"
     rows = []
     for pi in range(len(curve.ptot_dbm)):
         rows.append(
             _row(
-                scenario, name, pi, int(qs[pi]),
+                scenario, f"{curve.scheme}_opt", pi, int(qs[pi]),
                 float(means[pi]), float(errs[pi]),
                 gain_opt=None if gain_opt is None else float(gain_opt[pi]),
             )

@@ -67,9 +67,12 @@ def _snr_sweep(*snr_db: float) -> tuple[float, ...]:
     return tuple(s + 30.0 for s in snr_db)
 
 
-# A scheme's rule paired with the curves it writes on one side.
-_VCC_BD = (BD_MRC, ("vcc_bd_mrc",))
-_CACHELESS_BD = (BD_MRC, ("cacheless_bd_mrc",))
+def _bd_jobs(scn: Scenario, *vcc_rules) -> list:
+    """BD-MRC on both sides; ``vcc_rules`` also run on the cache-aided side."""
+    return [
+        cache_aided_job(scn, (BD_MRC, ("vcc_bd_mrc",)), *vcc_rules),
+        cacheless_job(scn, (BD_MRC, ("cacheless_bd_mrc",))),
+    ]
 
 
 def _fig2_rows(params: dict, workers: int) -> list[dict]:
@@ -106,10 +109,7 @@ def _fig3_rows(params: dict, workers: int) -> list[dict]:
         ptot_dbm=(36.0, 38.0, 40.0, 41.0, 42.0, 43.0, 44.0, 46.0),
     )
     scn = _scenario(base, params)
-    curves = experiments._simulate([
-        cache_aided_job(scn, _VCC_BD, (BD_MRC_ASYM, ("vcc_bd_mrc_asym",))),
-        cacheless_job(scn, _CACHELESS_BD),
-    ], workers)
+    curves = experiments._simulate(_bd_jobs(scn, (BD_MRC_ASYM, ("vcc_bd_mrc_asym",))), workers)
     vcc, cl = curves["vcc_bd_mrc"], curves["cacheless_bd_mrc"]
     rows = rows_for_curve(vcc, scn, gain=effective_gain(vcc, cl, "fixed"))
     rows += rows_for_curve(curves["vcc_bd_mrc_asym"], scn)
@@ -125,9 +125,7 @@ def _fig4_rows(params: dict, workers: int) -> list[dict]:
         ptot_dbm=(34.0, 36.0, 38.0, 40.0, 41.0, 42.0, 43.0, 44.0, 46.0),
     )
     scn = _scenario(base, params)
-    curves = experiments._simulate(
-        [cache_aided_job(scn, _VCC_BD), cacheless_job(scn, _CACHELESS_BD)], workers
-    )
+    curves = experiments._simulate(_bd_jobs(scn), workers)
     vcc, cl = curves["vcc_bd_mrc"], curves["cacheless_bd_mrc"]
     rows = rows_for_curve(vcc, scn, gain=effective_gain(vcc, cl, "fixed"))
     rows += rows_for_curve(cl, scn)
@@ -152,9 +150,7 @@ def _fig5_rows(params: dict, workers: int) -> list[dict]:
         ptot_dbm=(36.0, 38.0, 40.0, 42.0, 44.0, 46.0),
     )
     scn = _scenario(base, params)
-    curves = experiments._simulate(
-        [cache_aided_job(scn, _VCC_BD), cacheless_job(scn, _CACHELESS_BD)], workers
-    )
+    curves = experiments._simulate(_bd_jobs(scn), workers)
     return _optimized_bd_rows(scn, curves)
 
 
@@ -186,12 +182,9 @@ def _fig7_rows(params: dict, workers: int) -> list[dict]:
         ptot_dbm=(24.0, 27.0, 30.0, 33.0, 36.0, 39.0),
     )
     scn = _scenario(base, params)
-    curves = experiments._simulate([
-        cache_aided_job(
-            scn, _VCC_BD, (ZF, ("vcc_zf",)), (ZF_BOUNDS, ("vcc_zf_lower", "vcc_zf_upper"))
-        ),
-        cacheless_job(scn, _CACHELESS_BD),
-    ], workers)
+    curves = experiments._simulate(
+        _bd_jobs(scn, (ZF, ("vcc_zf",)), (ZF_BOUNDS, ("vcc_zf_lower", "vcc_zf_upper"))), workers
+    )
     rows = _optimized_bd_rows(scn, curves)
     zf = curves["vcc_zf"]
     rows += rows_for_best(
@@ -210,10 +203,7 @@ def _fig8_rows(params: dict, workers: int) -> list[dict]:
         ptot_dbm=_snr_sweep(0, 5, 10, 15, 20, 25, 30, 35, 40),
     )
     scn = _scenario(base, params)
-    curves = experiments._simulate(
-        [msv_job(scn), cache_aided_job(scn, _VCC_BD), cacheless_job(scn, _CACHELESS_BD)],
-        workers,
-    )
+    curves = experiments._simulate([msv_job(scn), *_bd_jobs(scn)], workers)
     msv, modified = msv_original(curves["msv_modified"]), curves["msv_modified"]
     vcc, cl = curves["vcc_bd_mrc"], curves["cacheless_bd_mrc"]
     den = cl.best()[1]

@@ -12,10 +12,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from vccsim import experiments
 from vccsim.allocation import UserRateFunction, solve_mmf, waterfill
 from vccsim.caching import build_placement, build_schedule, verify_delivery
 from vccsim.channel import sample_group_channel, substream
-from vccsim.experiments import Scenario, run_vcc_bd_mrc, run_vcc_zf
+from vccsim.experiments import BD_MRC, BD_MRC_ASYM, Scenario, cache_aided_job, run_vcc_zf
 from vccsim.precoding import bd_mrc, null_projector
 from vccsim.recipes import run_recipe
 
@@ -174,7 +175,10 @@ class TestCriterion3MassiveMimo:
             cache_fraction=Fraction(4, 5), antennas_per_user=2, users_per_group=4,
             ptot_dbm=(40.0,), n_locations=200, n_fadings=20, seed=30,
         )
-        rep = run_vcc_bd_mrc(scn, workers=WORKERS, include_asymptotic=True)
+        job = cache_aided_job(
+            scn, (BD_MRC, ("vcc_bd_mrc",)), (BD_MRC_ASYM, ("vcc_bd_mrc_asym",))
+        )
+        rep = experiments._simulate([job], WORKERS)
         sim = rep["vcc_bd_mrc"].mean[0, 0]
         asym = rep["vcc_bd_mrc_asym"].mean[0, 0]
         rel = abs(sim - asym) / sim

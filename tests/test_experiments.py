@@ -238,6 +238,17 @@ class TestOneSimulatePerRecipe:
         run_recipe(recipe, seed=1, n_locations=2, n_fadings=1, workers=2)
         assert _SerialPool.sizes == [2]
 
+    def test_repeated_curve_name_rejected_before_sampling(self, monkeypatch):
+        def fail(_):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(experiments, "_location_task", fail)
+        scn = macro_scenario()
+        rule = (experiments.BD_MRC, ("bd",))
+        jobs = [experiments.cache_aided_job(scn, rule), experiments.cacheless_job(scn, rule)]
+        with pytest.raises(ValueError, match="'bd'"):
+            experiments._simulate(jobs, workers=1)
+
 
 class TestOverheadAccounting:
     def test_rate_scales_linearly_with_overhead_factor(self):
