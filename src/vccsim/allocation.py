@@ -6,17 +6,22 @@ served user runs at the same effective rate, and the sum of the per-user
 power costs of that rate exhausts the budget.  Analytic brackets built from
 each user's best and worst stream gain confine the root.
 
-There is one root solver, :func:`mmf_sum_rates`, vectorized over the power
-sweep.  With one stream per user the bracket collapses to a closed form;
-otherwise the budget residual is convex and increasing, and safeguarded
-Newton steps from the upper bracket converge monotonically onto the root.
-The same Newton routine solves the brackets' own budget equation when the
-users' stream counts differ.
+There is one root solver, :func:`mmf_sum_rates`.  It takes a batch of
+ragged problems, each with its own users and overhead factor, and solves
+all of them over the whole power sweep in one Newton loop on ``(problem,
+power)`` arrays.  The users of every problem are flattened in order, and
+the per-problem budget sums are segment sums.  A problem whose users all
+have one stream has a closed-form root.  Otherwise the budget residual is
+convex and increasing, and safeguarded Newton steps from the upper bracket
+converge monotonically onto the root.  The brackets are closed-form when
+all of a problem's users have the same stream count; the same Newton
+routine solves the brackets' own budget equation when the counts differ.
 It returns rates only.  :func:`solve_mmf` takes the same root for one
-budget and adds the per-user water-filled power allocation.  The
-fading-free large-array curves (:func:`mmf_massive_mimo_rates`,
-:func:`zf_mmf_bounds`) solve the budget equation of the bracket's
-surrogate users, also over the whole power vector.
+problem and one budget and adds the per-user water-filled power
+allocation.  The fading-free large-array curves
+(:func:`mmf_massive_mimo_rates`, :func:`zf_mmf_bounds`) solve the budget
+equation of the bracket's surrogate users, also over the whole power
+vector.
 
 Rates are nats/s/Hz throughout; conversion to bits happens at reporting.
 """
@@ -110,7 +115,8 @@ class UserRateFunction:
             raise ValueError("need at least one positive stream gain")
         object.__setattr__(self, "eigenvalues", lam)
         table = _StreamTable.build(
-            lam[None, :], np.array([lam.size]), self.overhead_factor, self.noise_power
+            lam[None, :], np.array([lam.size]), np.array([1]),
+            np.array([self.overhead_factor]), self.noise_power,
         )
         object.__setattr__(self, "_table", table)
 
@@ -133,7 +139,7 @@ class UserRateFunction:
         """Power budget achieving the given effective rate (closed form)."""
         if rate <= 0:
             return 0.0
-        return float(self._table.user_budgets(np.array([rate]))[0][0, 0])
+        return float(self._table.user_budgets(np.array([[rate]]))[0][0, 0])
 
 
 @dataclass(frozen=True)
@@ -164,13 +170,13 @@ def solve_mmf(rate_functions: list[UserRateFunction], p_tot: float) -> MmfSoluti
     for row, f in zip(gains, rate_functions):
         row[: f.num_streams] = f.eigenvalues
     table = _StreamTable.build(
-        gains, counts, _shared(rate_functions, "overhead_factor"),
+        gains, counts, np.array([n]), np.array([_shared(rate_functions, "overhead_factor")]),
         _shared(rate_functions, "noise_power"),
     )
-    r_star, lo, hi = (float(x[0]) for x in _mmf_root(table, np.array([p_tot])))
-    budgets, _ = table.user_budgets(np.array([r_star / n]))
+    r_star, lo, hi = (float(x[0, 0]) for x in _mmf_root(table, np.array([p_tot])))
+    budgets, _ = table.user_budgets(np.full((n, 1), r_star / n))
     alloc = PowerAllocation(
-        tuple(f.waterfill(b)[0] for f, b in zip(rate_functions, budgets[0]))
+        tuple(f.waterfill(b)[0] for f, b in zip(rate_functions, budgets[:, 0]))
     )
     return MmfSolution(r_star, r_star / n, alloc, (lo, hi))
 
@@ -182,47 +188,58 @@ def _shared(fns: list[UserRateFunction], attr: str) -> float:
     return values.pop()
 
 
-def mmf_sum_rates(gains, counts, overhead_factor: float, noise_power: float, p_tot):
-    """Max-min-fair effective sum rate at every power point.
+def mmf_sum_rates(gains, counts, sizes, overhead_factors, noise_power: float, p_tot):
+    """Max-min-fair effective sum rate of every problem at every power point.
 
-    ``gains`` holds each pooled user's stream gains, descending, in a row
-    of shape ``(n_users, J)``; entries past the user's stream count in
-    ``counts`` are ignored.  Returns one sum rate per entry of ``p_tot``.
-    Every user runs at the same effective rate ``R / n`` and the per-user
-    water-filled powers of that rate exhaust the budget; nonpositive
-    budgets give 0.
+    A batch of ``S`` problems, each pooling its own users.  ``gains`` holds
+    every user's stream gains, descending, in a row of shape ``(N, J)``,
+    the users of problem 0 first, then those of problem 1 and so on;
+    ``sizes[s]`` is problem ``s``'s user count and ``overhead_factors[s]``
+    its overhead factor.  Entries past a user's stream count in ``counts``
+    are ignored.  Returns the sum rates, shape ``(S, len(p_tot))``.  Within
+    a problem every user runs at the same effective rate ``R / n`` and the
+    per-user water-filled powers of that rate exhaust the budget;
+    nonpositive budgets give 0.
     """
+    sizes = np.asarray(sizes)
+    gains = np.asarray(gains, dtype=float)
+    if sizes.ndim != 1 or np.any(sizes < 1) or sizes.sum() != gains.shape[0]:
+        raise ValueError("sizes must be positive and add up to the user count")
     table = _StreamTable.build(
-        np.asarray(gains, dtype=float), np.asarray(counts), overhead_factor, noise_power
+        gains, np.asarray(counts), sizes, np.asarray(overhead_factors, dtype=float),
+        noise_power,
     )
     return _mmf_root(table, np.asarray(p_tot, dtype=float))[0]
 
 
 class _StreamTable(NamedTuple):
-    """Closed-form inverse rate functions of pooled users, padded per user.
+    """Closed-form inverse rate functions of a batch of problems' users,
+    flattened in problem order and padded per user.
 
     A user whose water level activates ``m`` streams needs the power
     ``n0 * (m * geo[m-1] * expm1(r / (xi m)) + gap[m-1])`` for the
-    effective rate ``r``, where ``geo[m-1]`` is the geometric mean of the
-    inverse gains of the first ``m`` streams and ``gap[m-1] = m * geo[m-1]
-    - sum(1 / lam[:m])``.  The gap is exactly zero for one stream, so low
-    rates lose no precision to ``exp(x) - 1``.  ``breaks[j-1]`` is the rate
-    at which stream ``j + 1`` activates, infinite past the user's stream
-    count.
+    effective rate ``r``, where ``xi`` is its problem's overhead factor,
+    ``geo[m-1]`` is the geometric mean of the inverse gains of the first
+    ``m`` streams and ``gap[m-1] = m * geo[m-1] - sum(1 / lam[:m])``.  The
+    gap is exactly zero for one stream, so low rates lose no precision to
+    ``exp(x) - 1``.  ``breaks[j-1]`` is the rate at which stream ``j + 1``
+    activates, infinite past the user's stream count.
     """
 
-    lam: np.ndarray      # (n, J) gains, descending, 1 past the count
-    counts: np.ndarray   # (n,)
-    geo: np.ndarray      # (n, J)
-    gap: np.ndarray      # (n, J)
-    breaks: np.ndarray   # (n, J - 1)
-    xi: float
+    lam: np.ndarray      # (N, J) gains, descending, 1 past the count
+    counts: np.ndarray   # (N,)
+    geo: np.ndarray      # (N, J)
+    gap: np.ndarray      # (N, J)
+    breaks: np.ndarray   # (N, J - 1)
+    xi: np.ndarray       # (N, 1) the overhead factor of each user's problem
+    sizes: np.ndarray    # (S,) users per problem
     n0: float
 
     @classmethod
-    def build(cls, gains, counts, xi, n0) -> "_StreamTable":
-        if not 0 < xi <= 1:
+    def build(cls, gains, counts, sizes, xi, n0) -> "_StreamTable":
+        if not np.all((0 < xi) & (xi <= 1)):
             raise ValueError("overhead_factor must be in (0, 1]")
+        xi = np.repeat(xi, sizes)[:, None]
         valid = np.arange(gains.shape[1]) < counts[:, None]
         lam = np.where(valid, gains, 1.0)
         log_cum = np.cumsum(np.log(lam), axis=1)
@@ -232,17 +249,19 @@ class _StreamTable(NamedTuple):
         geo = np.exp(-log_cum / np.arange(1, lam.shape[1] + 1))
         gap = np.arange(1, lam.shape[1] + 1) * geo - np.cumsum(1.0 / lam, axis=1)
         gap[:, 0] = 0.0
-        return cls(lam, counts, geo, gap, breaks, xi, n0)
+        return cls(lam, counts, geo, gap, breaks, xi, sizes, n0)
 
     def user_budgets(self, rate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-user powers ``(P, n)`` reaching the per-user rates ``(P,)``,
+        """Per-user powers ``(N, P)`` reaching the per-user rates ``(N, P)``,
         and their water levels, ``xi`` times the derivative of the power."""
-        rate = rate[:, None]
-        m = np.sum(self.breaks < rate[..., None], axis=-1) + 1
-        rows = np.arange(self.counts.size)
-        geo = self.geo[rows, m - 1]
+        # Streams active beyond the first, and the flat index of each user's
+        # entry for its m active streams.
+        extra = np.sum(self.breaks[:, None, :] < rate[..., None], axis=-1)
+        at = np.arange(0, self.geo.size, self.geo.shape[1])[:, None] + extra
+        m = extra + 1
+        geo = self.geo.take(at)
         excess = np.expm1(rate / (self.xi * m))
-        power = self.n0 * (m * geo * excess + self.gap[rows, m - 1])
+        power = self.n0 * (m * geo * excess + self.gap.take(at))
         return power, self.n0 * geo * (excess + 1.0)
 
 
@@ -251,37 +270,67 @@ _NEWTON_MAX_ITER = 100
 
 
 def _mmf_root(table: _StreamTable, p_tot: np.ndarray):
-    """Max-min-fair sum rates and their brackets ``(rate, lo, hi)`` per power.
+    """Max-min-fair sum rates and their brackets ``(rate, lo, hi)``, each of
+    shape ``(S, P)``: one row per problem, one column per power.
 
-    The budget residual ``sum_k inverse_k(R / n) - p_tot`` is convex and
-    increasing in ``R``, nonpositive at ``lo`` and nonnegative at ``hi``.
-    With one stream per user the bracket collapses and the root is
+    A problem's budget residual ``sum_k inverse_k(R / n) - p_tot`` is convex
+    and increasing in ``R``, nonpositive at ``lo`` and nonnegative at
+    ``hi``.  With one stream per user the bracket collapses and the root is
     closed-form.
     """
-    n = table.counts.size
+    n = table.sizes[:, None]
+    starts = np.cumsum(table.sizes) - table.sizes
+    prob = np.repeat(np.arange(table.sizes.size), table.sizes)
+    xi = table.xi[starts]
     p = np.maximum(p_tot, 0.0)
-    rows = np.arange(n)
-    lo, hi = mmf_brackets(
-        table.lam[rows, table.counts - 1], table.lam[:, 0], table.counts,
-        table.xi, table.n0, p,
-    )
-    if np.all(table.counts == 1):
+    lo, hi, one_stream = _batch_brackets(table, starts, xi, p)
+    if one_stream.all():
         return lo, lo, hi
 
     def residual(r):
-        power, level = table.user_budgets(r / n)
-        return power.sum(axis=-1) - p, level.sum(axis=-1) / (table.xi * n)
+        power, level = table.user_budgets((r / n)[prob])
+        return (
+            np.add.reduceat(power, starts) - p,
+            np.add.reduceat(level, starts) / (xi * n),
+        )
 
-    return _newton_root(residual, lo, hi), lo, hi
+    return _newton_root(residual, lo, np.where(one_stream[:, None], lo, hi)), lo, hi
+
+
+def _batch_brackets(table: _StreamTable, starts, xi, p):
+    """:func:`mmf_brackets` of every problem ``(S, P)``, and which problems
+    have one stream per user.
+
+    A problem whose users share one stream count takes the closed form;
+    only problems with mixed counts solve the bracket equation alone.
+    """
+    counts = table.counts
+    lam_lo = table.lam[np.arange(counts.size), counts - 1]
+    lam_hi = table.lam[:, 0]
+    j = counts[starts]
+    uniform = np.minimum.reduceat(counts, starts) == np.maximum.reduceat(counts, starts)
+    lo, hi = (
+        _uniform_bound(np.add.reduceat(1.0 / lam, starts)[:, None], table.sizes[:, None],
+                       j[:, None], xi, table.n0, p)
+        for lam in (lam_lo, lam_hi)
+    )
+    for s in np.flatnonzero(~uniform):
+        users = slice(starts[s], starts[s] + table.sizes[s])
+        lo[s], hi[s] = mmf_brackets(
+            lam_lo[users], lam_hi[users], counts[users], xi[s, 0], table.n0, p
+        )
+    return lo, np.maximum(hi, lo), uniform & (j == 1)
 
 
 def _newton_root(residual, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Root in ``[lo, hi]`` of a convex residual increasing in ``R``, per power.
+    """Root in ``[lo, hi]`` of a convex residual increasing in ``R``, per entry.
 
     ``residual(r)`` returns the residual and its slope at the rates ``r``.
     Newton steps from ``hi`` decrease monotonically onto the root and are
     clamped at ``lo``.  A residual of the wrong sign at a bracket end
-    (rounding) pins the root there, so a zero-width bracket returns its end.
+    (rounding) pins that entry's root there, so a zero-width bracket
+    returns its end.  Raises if any entry needs more than
+    ``_NEWTON_MAX_ITER`` steps.
     """
     f, slope = residual(hi)
     f_lo, _ = residual(lo)
@@ -339,7 +388,7 @@ def _bound_root(lam, js, xi, n0, p_tot):
     n = lam.size
 
     def uniform(j):
-        return xi * n * j * np.log1p(p_tot / (n0 * j * np.sum(1.0 / lam)))
+        return _uniform_bound(np.sum(1.0 / lam), n, j, xi, n0, p_tot)
 
     if np.all(js == js[0]):
         return uniform(int(js[0]))
@@ -357,6 +406,12 @@ def _bound_root(lam, js, xi, n0, p_tot):
 
     hi = np.minimum(uniform(int(js.max())), alone)
     return _newton_root(residual, uniform(int(js.min())), hi)
+
+
+def _uniform_bound(inv_gain_sum, n, j, xi, n0, p_tot):
+    """The closed-form root of :func:`_bound_root` when all ``n`` users have
+    ``j`` streams, where ``inv_gain_sum`` is ``sum_k 1 / lam_k``."""
+    return xi * n * j * np.log1p(p_tot / (n0 * j * inv_gain_sum))
 
 
 def mmf_massive_mimo_rates(

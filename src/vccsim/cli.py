@@ -191,6 +191,8 @@ def parse_config(
     if out is not None:
         values["out"] = out
 
+    if workers < 1:
+        raise InvalidConfigurationError(f"workers {workers} is below 1")
     if "recipe" not in values:
         raise InvalidConfigurationError("no recipe given (use --recipe or a config file)")
     if values["recipe"] not in RECIPES:
@@ -316,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
             fadings=args.fadings,
             out=args.out,
             sets=args.set,
-            workers=max(1, args.workers),
+            workers=args.workers,
         )
         return run(config)
     except SimulationError as exc:

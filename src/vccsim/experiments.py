@@ -21,10 +21,11 @@ every location of every job in one pool through one location loop
    kernel on one multicast/unicast draw for every unicast count
    (:func:`~vccsim.precoding.msv_gains_fast`);
 3. rule: the rates of every curve the scheme owns over the q sweep and the
-   power vector.  Max-min-fair rates come from one rate-only root solve per
-   q over the pooled users of every group
-   (:func:`~vccsim.allocation.mmf_sum_rates`; the pilot overhead depends on
-   q); the equal-power ZF rates under CSI errors and the MSV rates
+   power vector.  Max-min-fair rates come from one batched rate-only root
+   solve per (rule, fading) (:func:`~vccsim.allocation.mmf_sum_rates`):
+   each q is one problem over the pooled users of every group, with its own
+   pilot overhead, and every q runs in one Newton loop.  The equal-power ZF
+   rates under CSI errors and the MSV rates
    (:func:`~vccsim.precoding.msv_rate_from_gains`) are array expressions
    over (q, power); the fading-free curves loop over q inside their rule;
 4. reduce: per-location means over fadings, then the mean and standard
@@ -49,7 +50,7 @@ import dataclasses
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -142,6 +143,9 @@ class Scenario:
     n_fadings: int = 20
     seed: int = 0
     users_per_state: int | None = None
+    # The power sweep in watts and as SNR, set once from the fields above.
+    p_watts: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    snr_db: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.num_states < 1:
@@ -159,9 +163,6 @@ class Scenario:
             raise InvalidConfigurationError("cache_fraction outside [0, 1]")
         if not self.ptot_dbm:
             raise InvalidConfigurationError("power sweep must be nonempty")
-        for p in self.ptot_dbm:
-            if not math.isfinite(p):
-                raise InvalidConfigurationError(f"ptot_dbm entry {p} is not finite")
         if self.antennas_per_user < 1 or self.num_tx_antennas < self.antennas_per_user:
             raise InvalidConfigurationError(
                 "need 1 <= antennas_per_user <= num_tx_antennas"
@@ -172,15 +173,16 @@ class Scenario:
             raise InvalidConfigurationError(f"seed {self.seed} is negative")
         # The cacheless counterpart has the same cap.
         cap = self.max_group_users()
-        for field, count in (
+        for key, count in (
             ("users_per_group", self.users_per_group), ("baseline_users", self.baseline_users)
         ):
             if count is not None and not 1 <= count <= cap:
-                raise InvalidConfigurationError(f"{field} {count} outside 1..{cap}")
+                raise InvalidConfigurationError(f"{key} {count} outside 1..{cap}")
         if not 0 < self.noise_power < math.inf:
             raise InvalidConfigurationError(
                 f"noise_power {self.noise_power} is not positive and finite"
             )
+        self._set_power_sweep()
         if self.coherence_symbols < 1 or self.pilot_symbols < 0:
             raise InvalidConfigurationError(
                 "need coherence_symbols >= 1 and pilot_symbols >= 0"
@@ -217,15 +219,28 @@ class Scenario:
     def cached_load(self) -> int:
         return self.coded_gain - 1
 
-    @property
-    def p_watts(self) -> tuple[float, ...]:
-        return tuple(dbm_to_watts(p) for p in self.ptot_dbm)
-
-    @property
-    def snr_db(self) -> tuple[float, ...]:
-        return tuple(
-            10.0 * math.log10(p / self.noise_power) for p in self.p_watts
-        )
+    def _set_power_sweep(self) -> None:
+        """Set ``p_watts`` and ``snr_db``, rejecting any power that is not
+        positive and finite in watts or gives no finite SNR."""
+        watts, snr = [], []
+        for p in self.ptot_dbm:
+            try:
+                w = dbm_to_watts(p)
+            except OverflowError:
+                w = math.inf
+            if not 0 < w < math.inf:
+                raise InvalidConfigurationError(
+                    f"ptot_dbm entry {p} is not a positive finite power in watts"
+                )
+            if not 0 < w / self.noise_power < math.inf:
+                raise InvalidConfigurationError(
+                    f"ptot_dbm entry {p} over noise_power {self.noise_power} "
+                    "gives no finite SNR"
+                )
+            watts.append(w)
+            snr.append(10.0 * math.log10(w / self.noise_power))
+        object.__setattr__(self, "p_watts", tuple(watts))
+        object.__setattr__(self, "snr_db", tuple(snr))
 
     def max_group_users(self) -> int:
         """Per-group multiplexing cap: null-space feasibility plus the
@@ -354,17 +369,18 @@ def _group_factor(scenario: Scenario, num_groups: int, q_top: int, loc: int, fad
 
 def _mmf_sweep(scenario: Scenario, num_groups: int, q_values, gains, counts):
     """Max-min-fair sum rate over every served user of every group, per q,
-    from prefix gains ``(G, S, q_top, m)`` and counts ``(G, S, q_top)``;
-    the overhead factor depends on q, so each q is one solve."""
-    m = scenario.antennas_per_user
-    return np.array([[
-        mmf_sum_rates(
-            gains[:, qi, :q].reshape(-1, m), counts[:, qi, :q].ravel(),
-            scenario.overhead_factor(num_groups, q),
-            scenario.noise_power, np.asarray(scenario.p_watts),
-        )
-        for qi, q in enumerate(q_values)
-    ]])
+    from prefix gains ``(G, S, q_top, m)`` and counts ``(G, S, q_top)``.
+
+    One batched solve: each q is one problem, with its own overhead factor,
+    over the first q users of every group."""
+    qs = np.asarray(q_values)
+    gains, counts = gains.swapaxes(0, 1), counts.swapaxes(0, 1)
+    served = np.broadcast_to(np.arange(counts.shape[-1]) < qs[:, None, None], counts.shape)
+    return mmf_sum_rates(
+        gains[served], counts[served], num_groups * qs,
+        [scenario.overhead_factor(num_groups, q) for q in q_values],
+        scenario.noise_power, np.asarray(scenario.p_watts),
+    )[None]
 
 
 def _bd_rates(scenario: Scenario, num_groups: int, q_values, factor, _):

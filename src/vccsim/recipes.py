@@ -43,7 +43,7 @@ from .experiments import (
 
 __all__ = ["Recipe", "RECIPES", "list_recipes", "run_recipe"]
 
-_SCENARIO_FIELDS = {f.name for f in dataclasses.fields(Scenario)}
+_SCENARIO_FIELDS = {f.name for f in dataclasses.fields(Scenario) if f.init}
 
 
 @dataclass(frozen=True)

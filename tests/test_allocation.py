@@ -227,20 +227,36 @@ class TestMmfSumRates:
             gains = np.zeros((len(fns), counts.max()))
             for row, f in zip(gains, fns):
                 row[: f.num_streams] = f.eigenvalues
-            rates = mmf_sum_rates(gains, counts, 0.95, 1.0, powers)
+            rates = mmf_sum_rates(gains, counts, [len(fns)], [0.95], 1.0, powers)
             ref = [solve_mmf(fns, p).sum_rate for p in powers]
-            np.testing.assert_allclose(rates, ref, rtol=1e-14)
+            np.testing.assert_allclose(rates, [ref], rtol=1e-14)
 
     def test_nonpositive_budget_gives_zero(self):
         gains = np.array([[2.0, 1.0], [3.0, 0.0]])
-        rates = mmf_sum_rates(gains, np.array([2, 1]), 1.0, 1.0, np.array([0.0, -1.0]))
-        assert np.array_equal(rates, [0.0, 0.0])
+        rates = mmf_sum_rates(gains, np.array([2, 1]), [2], [1.0], 1.0, np.array([0.0, -1.0]))
+        assert np.array_equal(rates, [[0.0, 0.0]])
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(allocation, "_NEWTON_MAX_ITER", 1)
-        gains = np.array([[5.0, 0.1], [2.0, 1.0]])
+        hard = np.array([[5.0, 0.1], [2.0, 1.0]])
         with pytest.raises(ConvergenceError):
-            mmf_sum_rates(gains, np.array([2, 2]), 1.0, 1.0, np.array([10.0]))
+            mmf_sum_rates(hard, np.array([2, 2]), [2], [1.0], 1.0, np.array([10.0]))
+        # Beside a problem with equal gains, whose bracket is closed, and a
+        # one-stream one, both within the cap, the hard problem alone raises.
+        easy = np.array([[1.5, 1.5], [3.0, 0.0]])
+        easy_counts = np.array([2, 1])
+        rates = mmf_sum_rates(easy, easy_counts, [1, 1], [1.0, 0.9], 1.0, np.array([10.0]))
+        assert np.all(rates > 0)
+        with pytest.raises(ConvergenceError):
+            mmf_sum_rates(
+                np.vstack([easy[:1], hard, easy[1:]]), np.array([2, 2, 2, 1]),
+                [1, 2, 1], [1.0, 1.0, 0.9], 1.0, np.array([10.0]),
+            )
+
+    @pytest.mark.parametrize("sizes", [[1, 0], [2, 1], [1]])
+    def test_sizes_must_partition_the_users(self, sizes):
+        with pytest.raises(ValueError):
+            mmf_sum_rates(np.ones((2, 1)), [1, 1], sizes, [1.0] * len(sizes), 1.0, [1.0])
 
 
 class TestBrackets:

@@ -242,6 +242,15 @@ class TestParser:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_worker_count_below_one_rejected(self, capsys, tmp_path, workers):
+        code = main(["--recipe", "fig9", "--workers", workers, "--locations", "1",
+                     "--fadings", "1", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "workers" in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_negative_seed_rejected(self, capsys, tmp_path):
         code = main(["--recipe", "fig4", "--seed", "-1", "--locations", "1",
                      "--fadings", "1", "--out", str(tmp_path / "x.csv")])
@@ -295,6 +304,8 @@ class TestParser:
         ("fig4", "ptot_dbm=30,nan", "ptot_dbm"),
         ("fig4", "ptot_dbm=inf", "ptot_dbm"),
         ("fig4", "ptot_dbm=-inf", "ptot_dbm"),
+        ("fig9", "ptot_dbm=4000", "ptot_dbm"),
+        ("fig9", "ptot_dbm=-4000", "ptot_dbm"),
     ])
     def test_bad_field_named_before_sampling(
         self, capsys, tmp_path, monkeypatch, recipe, setting, field

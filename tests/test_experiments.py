@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -67,6 +68,26 @@ class TestScenario:
     def test_snr_grid(self):
         scn = symmetric_scenario()
         assert scn.snr_db == pytest.approx((10.0, 30.0))
+
+    def test_power_sweep_set_once_and_kept_out_of_equality(self):
+        scn = macro_scenario()
+        assert scn.p_watts is scn.p_watts and scn.snr_db is scn.snr_db
+        assert scn.p_watts == tuple(10 ** ((p - 30.0) / 10.0) for p in scn.ptot_dbm)
+        copy = pickle.loads(pickle.dumps(scn))
+        assert copy == scn and hash(copy) == hash(scn)
+        assert (copy.p_watts, copy.snr_db) == (scn.p_watts, scn.snr_db)
+        assert "p_watts" not in repr(scn)
+        with pytest.raises(ValueError):
+            dataclasses.replace(scn, p_watts=(1.0,))
+
+    @pytest.mark.parametrize("ptot_dbm", [(4000.0,), (30.0, -4000.0), (float("nan"),)])
+    def test_power_not_finite_in_watts_rejected(self, ptot_dbm):
+        with pytest.raises(InvalidConfigurationError, match="ptot_dbm"):
+            macro_scenario(ptot_dbm=ptot_dbm)
+
+    def test_power_without_finite_snr_rejected(self):
+        with pytest.raises(InvalidConfigurationError, match="ptot_dbm"):
+            symmetric_scenario(ptot_dbm=(-3000.0,), noise_power=1e300)
 
     @pytest.mark.parametrize("field, value", [
         ("csit_error_var", -0.1), ("csit_error_var", 1.0), ("csit_error_var", 2.0),
@@ -229,6 +250,16 @@ class TestOneSimulatePerRecipe:
             "complex_gaussian": draws * n_loc * n_fad,
             "_prefix_inverse": factors * n_loc * n_fad,
         }
+
+    # Max-min-fair rules per location: BD-MRC and ZF cache-aided plus
+    # cacheless BD-MRC for fig7, BD-MRC on each side for fig8.
+    @pytest.mark.parametrize("recipe, rules", [("fig7", 3), ("fig8", 2)])
+    def test_one_mmf_solve_per_rule_and_fading(self, monkeypatch, recipe, rules):
+        counts = {"mmf_sum_rates": 0}
+        self._count(monkeypatch, experiments, "mmf_sum_rates", counts)
+        n_loc, n_fad = 2, 1
+        run_recipe(recipe, seed=1, n_locations=n_loc, n_fadings=n_fad)
+        assert counts["mmf_sum_rates"] == rules * n_loc * n_fad
 
     @pytest.mark.parametrize("recipe", sorted(RECIPES))
     def test_at_most_one_pool_per_recipe(self, monkeypatch, recipe):

@@ -1,8 +1,9 @@
 """Property tests: the batched fast paths against independent oracles.
 
 * :func:`mmf_sum_rates` against a Brent root of the summed closed-form
-  inverses of :class:`UserRateFunction`, and the sign of the budget
-  residual at the ends of :func:`mmf_brackets`;
+  inverses of :class:`UserRateFunction`, a ragged batch of problems
+  against each problem solved alone, and the sign of the budget residual at
+  the ends of :func:`mmf_brackets`;
 * the full-prefix case of :func:`bd_mrc_prefix_gains` against the
   eigenvalues of the :func:`bd_mrc` beamformer design, and that of
   :func:`zf_prefix_gains` against :func:`zf_matrix` and a plain Gram-matrix
@@ -41,12 +42,13 @@ def _log_uniform(lo_exp, hi_exp):
 
 
 @st.composite
-def pools(draw, one_stream=False):
+def pools(draw, one_stream=False, uniform=False):
     """Pooled users: descending gains per user, plus xi, n0 and powers."""
     n = draw(st.integers(1, 8))
-    counts = [1] * n if one_stream else draw(
-        st.lists(st.integers(1, 4), min_size=n, max_size=n)
-    )
+    if one_stream or uniform:
+        counts = [1 if one_stream else draw(st.integers(1, 4))] * n
+    else:
+        counts = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
     gains = [
         sorted(draw(st.lists(_log_uniform(-2, 2), min_size=j, max_size=j)), reverse=True)
         for j in counts
@@ -71,6 +73,8 @@ def _budget_residual(fns, p):
 
 
 def _brent_sum_rate(fns, p):
+    if p <= 0:
+        return 0.0
     residual = _budget_residual(fns, p)
     hi = 1.0
     while residual(hi) < 0:
@@ -83,9 +87,36 @@ def _brent_sum_rate(fns, p):
 def test_rate_only_solver_matches_brent_root(pool):
     gains, xi, n0, powers = pool
     fns = [UserRateFunction(np.array(g), n0, xi) for g in gains]
-    rates = mmf_sum_rates(*_padded(gains), xi, n0, powers)
+    rates = mmf_sum_rates(*_padded(gains), [len(gains)], [xi], n0, powers)
     ref = np.array([_brent_sum_rate(fns, p) for p in powers])
-    np.testing.assert_allclose(rates, ref, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(rates, [ref], rtol=1e-10, atol=0)
+
+
+@st.composite
+def batches(draw):
+    """Ragged batches of pools with mixed, uniform and one-stream counts,
+    each with its own xi, sharing n0 and powers with a zero and a negative
+    budget."""
+    pool_kinds = st.one_of(pools(), pools(uniform=True), pools(one_stream=True))
+    problems = draw(st.lists(pool_kinds, min_size=1, max_size=5))
+    _, _, n0, powers = problems[0]
+    return [(g, xi) for g, xi, _, _ in problems], n0, np.append(powers, [0.0, -1.0])
+
+
+@PROPERTY
+@given(batches())
+def test_batched_solver_matches_each_problem_alone_and_brent(batch):
+    problems, n0, powers = batch
+    gains, counts = _padded([g for pool, _ in problems for g in pool])
+    sizes = [len(pool) for pool, _ in problems]
+    rates = mmf_sum_rates(gains, counts, sizes, [xi for _, xi in problems], n0, powers)
+    assert rates.shape == (len(problems), powers.size)
+    for row, (pool, xi) in zip(rates, problems):
+        alone = mmf_sum_rates(*_padded(pool), [len(pool)], [xi], n0, powers)[0]
+        np.testing.assert_allclose(row, alone, rtol=1e-13, atol=0)
+        fns = [UserRateFunction(np.array(g), n0, xi) for g in pool]
+        ref = np.array([_brent_sum_rate(fns, p) for p in powers])
+        np.testing.assert_allclose(row, ref, rtol=1e-10, atol=0)
 
 
 @PROPERTY
