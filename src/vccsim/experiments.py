@@ -24,9 +24,15 @@ every location of every job in one pool through one location loop
    power vector.  Max-min-fair rates come from one batched rate-only root
    solve per (rule, fading) (:func:`~vccsim.allocation.mmf_sum_rates`):
    each q is one problem over the pooled users of every group, with its own
-   pilot overhead, and every q runs in one Newton loop.  The equal-power ZF
-   rates under CSI errors and the MSV rates
-   (:func:`~vccsim.precoding.msv_rate_from_gains`) are array expressions
+   pilot overhead, and every q runs in one Newton loop.  Equal-power ZF
+   under imperfect CSI is two rules on one draw, and a recipe lists only the
+   one whose curves it writes: :data:`CSI_PERFECT` takes its SINRs from the
+   prefix ZF gains alone, and :data:`CSI_ERROR` from one
+   :func:`~vccsim.precoding.zf_prefix_couplings` call, for the CSIT curve
+   and one curve per CSIR variance.  Both evaluate SINRs on the served
+   ``(q, user)`` pairs only, flattened q by q, and sum each q's pairs with
+   ``np.add.reduceat``.  The MSV rates
+   (:func:`~vccsim.precoding.msv_rate_from_gains`) are an array expression
    over (q, power); the fading-free curves loop over q inside their rule;
 4. reduce: per-location means over fadings, then the mean and standard
    error over locations.
@@ -97,6 +103,8 @@ __all__ = [
     "BD_MRC_ASYM",
     "ZF",
     "ZF_BOUNDS",
+    "CSI_PERFECT",
+    "CSI_ERROR",
     "cache_aided_job",
     "cacheless_job",
     "msv_job",
@@ -432,39 +440,58 @@ def _csi_draws(scenario: Scenario, num_groups: int, q_top: int, loc: int, fad: i
     return tuple(np.stack(d) for d in zip(*draws))
 
 
-def _csi_rates(scenario: Scenario, num_groups: int, q_values, draws, _):
-    """Equal-power ZF rates: perfect CSI, CSIT error, then CSIT plus each
+def _served_pairs(scenario: Scenario, num_groups: int, q_values):
+    """The served ``(q, user)`` pairs of one group, flattened q by q: each
+    pair's q index and user index, the start of each q's run, and each
+    pair's SNR per stream over the power vector, shape ``(T, P)``."""
+    qs = np.asarray(q_values)
+    starts = np.cumsum(qs) - qs
+    q_idx = np.repeat(np.arange(qs.size), qs)
+    streams = num_groups * qs[q_idx]
+    snr = np.asarray(scenario.p_watts) / (scenario.noise_power * streams[:, None])
+    return q_idx, np.arange(q_idx.size) - starts[q_idx], starts, snr
+
+
+def _csi_sum_rates(scenario: Scenario, num_groups: int, q_values, starts, sinrs):
+    """Per-q rates ``(n_curves, S, P)`` from served-pair SINRs
+    ``(n_curves, G, T, P)``: summed over groups and each q's pairs, times
+    that q's overhead factor."""
+    xi = [scenario.overhead_factor(num_groups, q) for q in q_values]
+    per_pair = np.log1p(sinrs).sum(axis=1)
+    return np.asarray(xi)[:, None] * np.add.reduceat(per_pair, starts, axis=1)
+
+
+def _csi_perfect_rates(scenario: Scenario, num_groups: int, q_values, draws, _):
+    """Equal-power ZF rates under perfect CSI, for every q.  The couplings
+    are then ``diag(sqrt(g))``, so each stream's SINR is ``snr * g``."""
+    q_idx, users, starts, snr = _served_pairs(scenario, num_groups, q_values)
+    gains = zf_prefix_gains(prefix_factor(draws[0]), q_values)[:, q_idx, users]
+    return _csi_sum_rates(scenario, num_groups, q_values, starts, (snr * gains[..., None])[None])
+
+
+def _csi_error_rates(scenario: Scenario, num_groups: int, q_values, draws, _):
+    """Equal-power ZF rates under CSIT error, then under CSIT error plus each
     CSIR error variance, for every q.  Inter-group residuals enter through
     their average power only."""
     h, h_hat, w = draws
-    qs = np.asarray(q_values)
-    served = num_groups * qs[:, None, None]  # streams per q: (S, 1, 1)
-    per_stream = np.asarray(scenario.p_watts)[:, None] / served  # (S, P, 1)
-    n0 = scenario.noise_power
-    # Users at or past q are not served: their entries are masked out.
-    inside = np.arange(h.shape[-1]) < qs[:, None, None]
-
-    def rate(num, den):  # SINR num / den of shape (G, S, P, N) -> (S, P)
-        sinr = np.divide(num, den, out=np.zeros(np.broadcast_shapes(num.shape, den.shape)),
-                         where=inside)
-        return np.log1p(sinr).sum(axis=(0, -1))
-
-    rates = []
-    for est in (h, h_hat):
-        # Precoders from the true channels (perfect CSI) and from the estimate.
-        _, coupling = zf_prefix_couplings(h, est, qs)  # (G, S, N, N)
-        cross = np.abs(coupling) ** 2
-        received = per_stream * cross.sum(axis=-1)[:, :, None, :]
-        signal = per_stream * np.diagonal(cross, axis1=-2, axis2=-1)[:, :, None, :]
-        rates.append(rate(signal, n0 + received - signal))
-    own = np.diagonal(coupling, axis1=-2, axis2=-1)[:, :, None, :]
+    q_idx, users, starts, snr = _served_pairs(scenario, num_groups, q_values)
+    _, coupling = zf_prefix_couplings(h, h_hat, q_values)
+    # Each served user's coupling with every stream of its prefix: (G, T, N).
+    rows = coupling[:, q_idx, users]
+    own = rows[:, np.arange(users.size), users]
+    signal = own.real ** 2 + own.imag ** 2
+    interference = (rows.real ** 2 + rows.imag ** 2).sum(axis=-1) - signal
+    sinrs = [snr * signal[..., None] / (1.0 + snr * interference[..., None])]
+    others = (num_groups * np.asarray(q_values)[q_idx] - 1)[:, None]
     for var in scenario.csir_error_vars:
-        # Each receiver's estimate of its own coupling coefficient.
-        est = own - math.sqrt(var) * w[:, None, None, :]
-        interference = per_stream * var * (served - 1)
-        rates.append(rate(per_stream * (np.abs(est) ** 2 + var), n0 + interference))
-    xi = [scenario.overhead_factor(num_groups, q) for q in q_values]
-    return np.asarray(xi)[:, None] * np.array(rates)
+        # Each receiver's estimate of its own coupling coefficient, and the
+        # SINR with numerator and denominator scaled by 1 / (1 + var), so
+        # that it stays finite for any finite variance.
+        scale = 1.0 + var
+        est = own / math.sqrt(scale) - math.sqrt(var / scale) * w[:, users]
+        num = est.real ** 2 + est.imag ** 2 + var / scale
+        sinrs.append(snr * num[..., None] / (1.0 / scale + snr * (var / scale) * others))
+    return _csi_sum_rates(scenario, num_groups, q_values, starts, np.array(sinrs))
 
 
 def _msv_draws(scenario: Scenario, num_groups: int, q_top: int, loc: int, fad: int, _):
@@ -486,7 +513,8 @@ BD_MRC = _Rule(_group_factor, _bd_rates)
 ZF = _Rule(_group_factor, _zf_rates)
 BD_MRC_ASYM = _Rule(None, _asym_rates)
 ZF_BOUNDS = _Rule(None, _zf_bound_rates)
-_CSI = _Rule(_csi_draws, _csi_rates)
+CSI_PERFECT = _Rule(_csi_draws, _csi_perfect_rates)
+CSI_ERROR = _Rule(_csi_draws, _csi_error_rates)
 _MSV = _Rule(_msv_draws, _msv_rates)
 
 
@@ -546,12 +574,15 @@ def msv_original(modified: SchemeCurve) -> SchemeCurve:
     )
 
 
-def imperfect_csi_jobs(scenario: Scenario) -> list[Job]:
-    """Equal-power ZF rates under perfect and estimated CSI.
+def imperfect_csi_jobs(scenario: Scenario, *rules: _Rule) -> list[Job]:
+    """Equal-power ZF rates under perfect or estimated CSI, cache-aided and
+    cacheless, for the listed CSI rules.
 
-    The cache-aided curves and their cacheless counterparts, for perfect
-    CSI, transmitter-side estimation error, and (if ``csir_error_vars`` is
-    set) additional receiver-side coupling error.
+    :data:`CSI_PERFECT` writes ``{side}_perfect``.  :data:`CSI_ERROR` writes
+    ``{side}_csit``, under transmitter-side estimation error, and, on the
+    cache-aided side, ``{side}_csit_csir{var:g}`` for each variance in
+    ``csir_error_vars``, with receiver-side coupling error as well.  Both
+    rules share one draw per fading; any other rule is a ``KeyError``.
     """
     if scenario.antennas_per_user != 1 or scenario.geometry is not None:
         raise UnsupportedConfigurationError(
@@ -564,9 +595,12 @@ def imperfect_csi_jobs(scenario: Scenario) -> list[Job]:
     for prefix, side, build in (
         ("vcc_zf", scenario, cache_aided_job), ("cacheless_zf", cacheless, cacheless_job)
     ):
-        names = [f"{prefix}_perfect", f"{prefix}_csit"]
-        names += [f"{prefix}_csit_csir{var:g}" for var in side.csir_error_vars]
-        jobs.append(build(side, (_CSI, tuple(names))))
+        names = {
+            CSI_PERFECT: (f"{prefix}_perfect",),
+            CSI_ERROR: (f"{prefix}_csit",
+                        *(f"{prefix}_csit_csir{var:g}" for var in side.csir_error_vars)),
+        }
+        jobs.append(build(side, *((rule, names[rule]) for rule in rules)))
     return jobs
 
 
@@ -657,8 +691,8 @@ def run_msv(scenario: Scenario, workers: int = 1) -> dict[str, SchemeCurve]:
 
 
 def run_imperfect_csi(scenario: Scenario, workers: int = 1) -> dict[str, SchemeCurve]:
-    """The curves of :func:`imperfect_csi_jobs`."""
-    return _simulate(imperfect_csi_jobs(scenario), workers)
+    """Every curve of :func:`imperfect_csi_jobs`: both CSI rules."""
+    return _simulate(imperfect_csi_jobs(scenario, CSI_PERFECT, CSI_ERROR), workers)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ comes from one QR factorization and one ``inv(R)`` per group, both batched
 over the stack with numpy (LAPACK ``zgeqrf`` and ``zgesv``): ZF gains are
 running sums of ``|inv(R)|**2`` along rows, BD-MRC blocks running sums of
 ``M x M`` outer products, and the couplings of every prefix's ZF precoder
-with any receivers share one product with ``inv(R)``.
+with any receivers running sums of rank-one terms, one per column of
+``inv(R)``: a cube of those terms, summed up to every prefix size at once.
 
 The Monte Carlo loop calls only the fast paths, which return gains
 without forming every beam, for a whole sweep of served-user counts:
@@ -456,8 +457,15 @@ def zf_prefix_couplings(
     With ``h_hat.conj() = Q @ R`` and ``X = (h.T @ h_hat.conj()) @ inv(R)``,
     whose leading columns do not depend on the prefix, the couplings of the
     first ``n`` streams are ``X[:, :n] @ inv(R)[:n, :n].conj().T`` times
-    ``sqrt`` of the prefix's ZF gains along its columns: one factorization
-    serves every prefix.  Perfect CSI at the served users is ``h_hat = h``.
+    ``sqrt`` of the prefix's ZF gains along its columns.  That product is
+    the sum over the prefix columns ``c < n`` of the rank-one terms
+    ``outer(X[:, c], conj(inv(R)[:, c]))``, which are zero in every stream
+    past ``c`` because ``inv(R)`` is upper triangular.  So the cumulative sum
+    of those terms over c, a cube of ``N`` rank-one ``(G, K, N)`` slices,
+    holds every prefix: each size takes its running sum, all of them as one
+    product of the cube with the 0/1 prefix mask of the sizes.  One
+    factorization, and no loop over sizes.  Perfect CSI at the served users
+    is ``h_hat = h``.
 
     Raises
     ------
@@ -469,10 +477,17 @@ def zf_prefix_couplings(
     gains = zf_prefix_gains(factor, sizes)
     r_inv = factor.r_inv
     x = h.swapaxes(-1, -2) @ h_hat.conj() @ r_inv
-    r_inv_h = r_inv.conj().swapaxes(-1, -2)
-    coupling = np.zeros(gains.shape[:2] + x.shape[-2:], dtype=complex)
-    for s, n in enumerate(sizes):
-        coupling[:, s, :, :n] = x[:, :, :n] @ r_inv_h[:, :n, :n]
+    # terms[c, g, k, j] = x[g, k, c] * conj(r_inv[g, j, c]): the rank-one
+    # term of prefix column c.  Its running sums over c at the requested
+    # sizes are one product with the 0/1 prefix mask.
+    n = r_inv.shape[-1]
+    terms = np.multiply(
+        x.transpose(2, 0, 1)[..., None], r_inv.conj().transpose(2, 0, 1)[:, :, None, :],
+        order="C",
+    )
+    prefix = (np.arange(n) < np.asarray(sizes)[:, None]).astype(complex)
+    sums = prefix @ terms.reshape(n, -1)
+    coupling = sums.reshape(-1, *terms.shape[1:]).swapaxes(0, 1)
     coupling *= np.sqrt(gains)[:, :, None, :]
     return gains, coupling
 

@@ -23,6 +23,8 @@ from . import experiments
 from .experiments import (
     BD_MRC,
     BD_MRC_ASYM,
+    CSI_ERROR,
+    CSI_PERFECT,
     ZF,
     ZF_BOUNDS,
     Scenario,
@@ -163,7 +165,7 @@ def _fig6_rows(params: dict, workers: int) -> list[dict]:
         ptot_dbm=_snr_sweep(0, 5, 10, 15, 20, 25, 30, 35, 40),
     )
     scn = _scenario(base, params)
-    curves = experiments._simulate(imperfect_csi_jobs(scn), workers)
+    curves = experiments._simulate(imperfect_csi_jobs(scn, CSI_PERFECT, CSI_ERROR), workers)
     rows = []
     for variant in ("perfect", "csit"):
         num, den = curves[f"vcc_zf_{variant}"], curves[f"cacheless_zf_{variant}"]
@@ -224,7 +226,8 @@ def _fig9_rows(params: dict, workers: int) -> list[dict]:
         ptot_dbm=_snr_sweep(0, 5, 10, 15, 20, 25, 30, 35, 40),
     )
     scn = _scenario(base, params)
-    curves = experiments._simulate(imperfect_csi_jobs(scn), workers)
+    # fig9 writes only the estimated-CSI curves.
+    curves = experiments._simulate(imperfect_csi_jobs(scn, CSI_ERROR), workers)
     den = curves["cacheless_zf_csit"]
     rows = rows_for_best(den, scn)
     rows += rows_for_best(

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -241,6 +242,23 @@ class TestParser:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "x.csv").exists()
+
+    def test_huge_csir_variance_gives_finite_rates(self, capsys, tmp_path):
+        # Any finite variance is accepted, so the SINR must stay finite:
+        # an overflow would write inf or empty cells (or raise its warning).
+        out = tmp_path / "x.csv"
+        code = main(["--recipe", "fig9", "--set", "csir_error_vars=1e308", "--locations", "2",
+                     "--fadings", "1", "--out", str(out)])
+        capsys.readouterr()
+        assert code == 0
+        lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        columns = lines[0].split(",")
+        rows = [dict(zip(columns, ln.split(","))) for ln in lines[1:]]
+        huge = [r for r in rows if r["scheme"] == "vcc_zf_csit_csir1e+308_opt"]
+        assert len(huge) == 9
+        for row in huge:
+            for col in ("mean_rate_nats", "stderr", "gain_optimized"):
+                assert math.isfinite(float(row[col])), (col, row[col])
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_worker_count_below_one_rejected(self, capsys, tmp_path, workers):

@@ -214,7 +214,8 @@ class TestOneSimulatePerRecipe:
     # Per (location, fading): complex_gaussian draws, one per group of each
     # job (two per group under imperfect CSI, two for MSV), and
     # _prefix_inverse calls, one per job that factors a stack (two per
-    # imperfect-CSI job: the true channels and their estimate).
+    # fig6 job: the perfect-CSI rule factors the true channels and the
+    # error rule their estimate; fig9 runs the error rule alone).
     PER_FADING = {
         "fig2": (3 * 5, 3),  # three M values; BD-MRC and ZF share each draw
         "fig3": (6 + 1, 2),
@@ -223,7 +224,7 @@ class TestOneSimulatePerRecipe:
         "fig6": (2 * (6 + 1), 2 * 2),
         "fig7": (6 + 1, 2),  # BD-MRC and ZF share the cache-aided draw
         "fig8": (2 + 6 + 1, 1 + 2),
-        "fig9": (2 * (6 + 1), 2 * 2),
+        "fig9": (2 * (6 + 1), 2),
     }
 
     @staticmethod
@@ -260,6 +261,34 @@ class TestOneSimulatePerRecipe:
         n_loc, n_fad = 2, 1
         run_recipe(recipe, seed=1, n_locations=n_loc, n_fadings=n_fad)
         assert counts["mmf_sum_rates"] == rules * n_loc * n_fad
+
+    # Rate-rule calls per (location, fading) under imperfect CSI: one per
+    # job (cache-aided and cacheless) for each rule the recipe lists.
+    @pytest.mark.parametrize("recipe, per_fading", [
+        ("fig6", {"_csi_perfect_rates": 2, "_csi_error_rates": 2}),
+        ("fig9", {"_csi_perfect_rates": 0, "_csi_error_rates": 2}),
+    ])
+    def test_csi_rules_run_only_where_listed(self, monkeypatch, recipe, per_fading):
+        counts = dict.fromkeys(per_fading, 0)
+
+        def counted(rates):
+            def wrapper(*args):
+                counts[rates.__name__] += 1
+                return rates(*args)
+            return wrapper
+
+        simulate = experiments._simulate
+
+        def counting_simulate(jobs, workers):
+            jobs = [job._replace(rules=tuple(
+                (rule._replace(rates=counted(rule.rates)), names) for rule, names in job.rules
+            )) for job in jobs]
+            return simulate(jobs, workers)
+
+        monkeypatch.setattr(experiments, "_simulate", counting_simulate)
+        n_loc, n_fad = 2, 3
+        run_recipe(recipe, seed=1, n_locations=n_loc, n_fadings=n_fad)
+        assert counts == {name: n * n_loc * n_fad for name, n in per_fading.items()}
 
     @pytest.mark.parametrize("recipe", sorted(RECIPES))
     def test_at_most_one_pool_per_recipe(self, monkeypatch, recipe):
@@ -405,6 +434,16 @@ class TestMsvRun:
 
 
 class TestImperfectCsi:
+    @pytest.mark.parametrize("recipe", ["fig6", "fig9"])
+    @pytest.mark.parametrize("override", [{"antennas_per_user": 2}, {"geometry": "macro"}])
+    def test_recipes_reject_multi_antenna_and_pathloss(self, recipe, override):
+        with pytest.raises(UnsupportedConfigurationError):
+            run_recipe(recipe, n_locations=1, n_fadings=1, overrides=override)
+
+    def test_jobs_take_csi_rules_only(self):
+        with pytest.raises(KeyError):
+            experiments.imperfect_csi_jobs(symmetric_scenario(), experiments.BD_MRC)
+
     def test_perfect_error_vars_collapse(self):
         scn = symmetric_scenario(
             num_tx_antennas=8, csit_error_var=0.0, csir_error_vars=(0.0,),
@@ -431,7 +470,7 @@ class TestImperfectCsi:
 
 
 class TestCsiRule:
-    """The all-q imperfect-CSI rule against its per-q definition."""
+    """The all-q imperfect-CSI rules against their per-q definition."""
 
     @staticmethod
     def _per_q_reference(scn, num_groups, q_values, draws):
@@ -466,9 +505,18 @@ class TestCsiRule:
         )
         num_groups, q_values = scn.coded_gain, scn.group_user_counts(fixed)
         draws = experiments._csi_draws(scn, num_groups, max(q_values), 2, 0, None)
-        got = experiments._csi_rates(scn, num_groups, q_values, draws, None)
+        got = self.both_rules(scn, num_groups, q_values, draws)
         want = self._per_q_reference(scn, num_groups, q_values, draws)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @staticmethod
+    def both_rules(scn, num_groups, q_values, draws):
+        """The perfect-CSI curve, then the estimated-CSI curves, as the
+        per-q reference orders them."""
+        return np.concatenate([
+            rule.rates(scn, num_groups, q_values, draws, None)
+            for rule in (experiments.CSI_PERFECT, experiments.CSI_ERROR)
+        ])
 
 
 class TestCsvRows:

@@ -13,14 +13,21 @@
   prefix on its own, and :func:`zf_prefix_couplings` with more or fewer
   receivers than streams against :func:`zf_matrix` on each prefix;
 * the multi-server gains :func:`msv_gains_fast` over a sweep of unicast
-  counts against the :func:`msv_beamformers` design at each count.
+  counts against the :func:`msv_beamformers` design at each count;
+* the perfect-CSI and estimated-CSI rate rules of :mod:`vccsim.experiments`
+  against their per-q definition, ``TestCsiRule._per_q_reference`` in
+  ``test_experiments.py``.
 """
 
+from fractions import Fraction
+
 import numpy as np
+import test_experiments
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from vccsim import experiments
 from vccsim.allocation import UserRateFunction, mmf_brackets, mmf_sum_rates
 from vccsim.channel import GroupChannel, complex_gaussian
 from vccsim.precoding import (
@@ -241,3 +248,33 @@ def test_msv_gains_match_beamformers_at_each_count(l_tx, num_multicast, seed):
         )
         np.testing.assert_allclose(ug[s, :n], sol.unicast_gains, rtol=1e-9, atol=0)
         assert not ug[s, n:].any()
+
+
+@st.composite
+def csi_cases(draw):
+    """A single-antenna scenario for the CSI rules, its job's groups and q
+    sweep, and one location's draws.  CSIR variances always include 0."""
+    l_tx = draw(st.integers(2, 10))
+    num_states = draw(st.integers(1, 6))
+    csir = draw(st.lists(st.floats(1e-4, 1.0), max_size=2))
+    csir.insert(draw(st.integers(0, len(csir))), 0.0)
+    scn = test_experiments.symmetric_scenario(
+        num_tx_antennas=l_tx, num_states=num_states,
+        cache_fraction=Fraction(draw(st.integers(0, num_states)), num_states),
+        csit_error_var=draw(st.just(0.0) | st.floats(1e-4, 0.5)),
+        csir_error_vars=tuple(csir), seed=draw(st.integers(0, 2**16)),
+    )
+    fixed = draw(st.none() | st.integers(1, scn.max_group_users()))
+    q_values = scn.group_user_counts(fixed)
+    loc, fad = draw(st.integers(0, 99)), draw(st.integers(0, 19))
+    draws = experiments._csi_draws(scn, scn.coded_gain, max(q_values), loc, fad, None)
+    return scn, scn.coded_gain, q_values, draws
+
+
+@PROPERTY
+@given(csi_cases())
+def test_csi_rules_match_per_q_definition(case):
+    rule_test = test_experiments.TestCsiRule
+    np.testing.assert_allclose(
+        rule_test.both_rules(*case), rule_test._per_q_reference(*case), rtol=1e-12, atol=0
+    )
