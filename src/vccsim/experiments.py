@@ -3,56 +3,80 @@
 A scenario fixes the cell, antenna and caching parameters plus the power
 sweep.  A :class:`Job` is one side of a comparison (the cache-aided groups
 or the cacheless single group) with the schemes, or rules, run on it.  A
-recipe hands all of its jobs to one :func:`_simulate` call, which runs
-every location of every job in one pool through one location loop
-(:func:`_location_task`).  Per location it does the same four steps:
+recipe hands all of its jobs to one :func:`_simulate` call, which runs one
+pool task per location (:func:`_location_task`), and each task runs every
+job of the recipe at that location.  Per location it does the same four
+steps:
 
-1. draw: the location's pathloss row once, then, per fading, one draw per
-   draw function of the job's rules, at the largest served-user count
-   ``q``.  BD-MRC and ZF use the same draw, the groups' channels with their
-   prefix factor (:func:`~vccsim.precoding.prefix_factor`), so each
-   (fading, group) channel is drawn and factored once per job;
+1. draw: each job's pathloss rows once, then, per fading, one draw per
+   shared draw key (below), at the largest served-user count ``q``.
+   BD-MRC and ZF use the same draw, the groups' channels with their prefix
+   factor (:func:`~vccsim.precoding.prefix_factor`), so each (fading,
+   group) channel is drawn and factored once per location;
 2. kernel: the stream gains of every ``q``-user prefix of those draws at
-   once.  For BD-MRC and ZF this is one nested-prefix Gram kernel over
-   every group, one factorization per (group, fading) whatever the q sweep
+   once, per group (groups on axis 0).  For BD-MRC and ZF this is one
+   nested-prefix Gram kernel over every group, one factorization per
+   (group, fading) whatever the q sweep
    (:func:`~vccsim.precoding.bd_mrc_prefix_gains`,
-   :func:`~vccsim.precoding.zf_prefix_gains`,
-   :func:`~vccsim.precoding.zf_prefix_couplings`).  MSV runs the same
-   kernel on one multicast/unicast draw for every unicast count
+   :func:`~vccsim.precoding.zf_prefix_gains`); under imperfect CSI it is
+   the ZF gains, or the couplings
+   (:func:`~vccsim.precoding.zf_prefix_couplings`), at the served
+   ``(q, user)`` pairs only.  MSV runs the same kernel on one
+   multicast/unicast draw for every unicast count
    (:func:`~vccsim.precoding.msv_gains_fast`);
-3. rule: the rates of every curve the scheme owns over the q sweep and the
-   power vector.  Max-min-fair rates come from one batched rate-only root
-   solve per (rule, fading) (:func:`~vccsim.allocation.mmf_sum_rates`):
-   each q is one problem over the pooled users of every group, with its own
-   pilot overhead, and every q runs in one Newton loop.  Equal-power ZF
-   under imperfect CSI is two rules on one draw, and a recipe lists only the
-   one whose curves it writes: :data:`CSI_PERFECT` takes its SINRs from the
-   prefix ZF gains alone, and :data:`CSI_ERROR` from one
-   :func:`~vccsim.precoding.zf_prefix_couplings` call, for the CSIT curve
-   and one curve per CSIR variance.  Both evaluate SINRs on the served
-   ``(q, user)`` pairs only, flattened q by q, and sum each q's pairs with
-   ``np.add.reduceat``.  The MSV rates
+3. rates: the rates of every curve the scheme owns over the q sweep and
+   the power vector, from the kernel output of the job's groups.
+   Max-min-fair rates come from one batched rate-only root solve per (job,
+   rule, fading) (:func:`~vccsim.allocation.mmf_sum_rates`): each q is one
+   problem over the pooled users of every group, with its own pilot
+   overhead, and every q runs in one Newton loop.  Equal-power ZF under
+   imperfect CSI is two rules on one draw, and a recipe lists only the one
+   whose curves it writes: :data:`CSI_PERFECT` takes its SINRs from the
+   prefix ZF gains alone, and :data:`CSI_ERROR` from the couplings, for
+   the CSIT curve and one curve per CSIR variance.  Both sum each q's
+   served pairs with ``np.add.reduceat``.  The MSV rates
    (:func:`~vccsim.precoding.msv_rate_from_gains`) are an array expression
    over (q, power); the fading-free curves loop over q inside their rule;
 4. reduce: per-location means over fadings, then the mean and standard
    error over locations.
 
-A scheme is a :class:`_Rule`: a channel draw plus a rate rule that applies
-its gain kernel.  Fading-free analytic curves have no draw and a fading
-axis of length 1.  All randomness flows through keyed substreams of the
-master seed, and results are reduced in location order, so the curves are
-bit-identical for any worker count.  The ``run_*`` functions are one-job
-(or, for imperfect CSI, two-job) wrappers over the same builders.
+A scheme is a :class:`_Rule`: a channel draw, a gain kernel and a rate
+rule.  Fading-free analytic curves have neither a draw nor a kernel, and a
+fading axis of length 1.  The tables a rule needs that depend only on the
+job (served pairs, per-stream SNRs, overhead factors) are built once per
+process.
+
+Sharing.  Within a task, a draw is kept per fading under its draw
+function plus the fields it reads (``seed``, ``L``, ``M``, ``geometry``,
+``csit_error_var``) and ``q_top``, the largest served count of the job; a
+kernel output under its kernel, that draw key and the q sweep.  Each is
+made once, by the first job with the most groups among those that share
+the key, and every job takes its first ``num_groups`` groups.  This is
+exact because group g of a draw reads only the substreams ``(., loc, fad,
+g)`` and every kernel works group by group; the pathloss rows of group g
+are likewise the same in every job with the same ``q_top``.  So the
+cacheless job reads the cache-aided group 0 wherever both sides have the
+same ``q_top`` (common random numbers), and jobs whose ``q_top`` differs
+keep their own draws.
+The MSV draw is not per group (its multicast channels come from one
+substream), so its key holds its group count and it is never sliced.
+
+All randomness flows through keyed substreams of the master seed, and
+results are reduced in location order, so the curves are bit-identical for
+any worker count.  The ``run_*`` functions are one-job (or, for imperfect
+CSI, two-job) wrappers over the same builders.
 
 Substream keys: ``(0, loc)`` user positions, ``(1, loc, fad, group)``
 fading, ``(2, loc, fad, group)`` transmitter CSI errors,
-``(3, loc, fad, group)`` receiver coupling errors, ``(4, loc, fad, 0|1)``
+``(3, loc, fad, group)`` receiver coupling errors (drawn only when the job
+that makes the draw has CSIR variances), ``(4, loc, fad, 0|1)``
 baseline-scheme channels.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -354,15 +378,28 @@ def _curve_from_draws(
 
 
 # ---------------------------------------------------------------------------
-# Schemes: a channel draw plus a rate rule that applies the gain kernel
+# Schemes: a channel draw, a gain kernel and a rate rule
 # ---------------------------------------------------------------------------
 
 class _Rule(NamedTuple):
-    """A scheme: a channel draw (``None`` for fading-free curves) and a rate
-    rule; see :func:`_location_task` for their signatures."""
+    """A scheme: a channel draw and a gain kernel (both ``None`` for
+    fading-free curves) and a rate rule; see :func:`_location_task` for
+    their signatures."""
 
     draw: object
+    kernel: object
     rates: object
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=None)
+def _overhead_factors(scenario: Scenario, num_groups: int, q_values) -> np.ndarray:
+    """Each q's pilot overhead factor, built once per process."""
+    return _read_only(np.array([scenario.overhead_factor(num_groups, q) for q in q_values]))
 
 
 # Kernels and solvers are looked up as module globals at call time, so a
@@ -375,32 +412,32 @@ def _group_factor(scenario: Scenario, num_groups: int, q_top: int, loc: int, fad
     return prefix_factor(np.stack(units) * scale[:, None, :])
 
 
-def _mmf_sweep(scenario: Scenario, num_groups: int, q_values, gains, counts):
+def _bd_kernel(scenario: Scenario, q_values, factor):
+    return bd_mrc_prefix_gains(factor, scenario.antennas_per_user, q_values)
+
+
+def _zf_kernel(scenario: Scenario, q_values, factor):
+    """ZF prefix gains per user, descending, with every stream counted."""
+    m = scenario.antennas_per_user
+    gains = zf_prefix_gains(factor, [q * m for q in q_values])
+    gains = np.sort(gains.reshape(*gains.shape[:2], -1, m), axis=-1)[..., ::-1]
+    return gains, np.full(gains.shape[:-1], m)
+
+
+def _mmf_rates(scenario: Scenario, num_groups: int, q_values, gains_counts, _):
     """Max-min-fair sum rate over every served user of every group, per q,
     from prefix gains ``(G, S, q_top, m)`` and counts ``(G, S, q_top)``.
 
     One batched solve: each q is one problem, with its own overhead factor,
     over the first q users of every group."""
     qs = np.asarray(q_values)
-    gains, counts = gains.swapaxes(0, 1), counts.swapaxes(0, 1)
+    gains, counts = (a.swapaxes(0, 1) for a in gains_counts)
     served = np.broadcast_to(np.arange(counts.shape[-1]) < qs[:, None, None], counts.shape)
     return mmf_sum_rates(
         gains[served], counts[served], num_groups * qs,
-        [scenario.overhead_factor(num_groups, q) for q in q_values],
+        _overhead_factors(scenario, num_groups, q_values),
         scenario.noise_power, np.asarray(scenario.p_watts),
     )[None]
-
-
-def _bd_rates(scenario: Scenario, num_groups: int, q_values, factor, _):
-    gains, counts = bd_mrc_prefix_gains(factor, scenario.antennas_per_user, q_values)
-    return _mmf_sweep(scenario, num_groups, q_values, gains, counts)
-
-
-def _zf_rates(scenario: Scenario, num_groups: int, q_values, factor, _):
-    m = scenario.antennas_per_user
-    gains = zf_prefix_gains(factor, [q * m for q in q_values])
-    gains = np.sort(gains.reshape(*gains.shape[:2], -1, m), axis=-1)[..., ::-1]
-    return _mmf_sweep(scenario, num_groups, q_values, gains, np.full(gains.shape[:-1], m))
 
 
 def _analytic_args(scenario: Scenario, num_groups: int, q: int, betas):
@@ -430,68 +467,93 @@ def _zf_bound_rates(scenario: Scenario, num_groups: int, q_values, _, betas):
 
 def _csi_draws(scenario: Scenario, num_groups: int, q_top: int, loc: int, fad: int, _):
     """Stacked over groups: true channels, their transmitter-side estimate
-    and the receiver-side coupling error draws."""
+    and, if the scenario has CSIR variances, the receiver-side coupling
+    error draws."""
     draws = []
     for gi, h in enumerate(_unit_channels(scenario, num_groups, q_top, loc, fad)):
         rng = substream(scenario.seed, 2, loc, fad, gi)
         h_hat, _ = corrupt_csit(h, scenario.csit_error_var, rng)
-        w = complex_gaussian(substream(scenario.seed, 3, loc, fad, gi), q_top)
-        draws.append((h, h_hat, w))
+        draws.append((h, h_hat))
+        if scenario.csir_error_vars:
+            draws[-1] += (complex_gaussian(substream(scenario.seed, 3, loc, fad, gi), q_top),)
     return tuple(np.stack(d) for d in zip(*draws))
 
 
-def _served_pairs(scenario: Scenario, num_groups: int, q_values):
+@functools.lru_cache(maxsize=None)
+def _served_pairs(q_values):
     """The served ``(q, user)`` pairs of one group, flattened q by q: each
-    pair's q index and user index, the start of each q's run, and each
-    pair's SNR per stream over the power vector, shape ``(T, P)``."""
+    pair's ``(streams, user)`` (single-antenna users, so ``q`` streams) and
+    q index, and the start of each q's run."""
     qs = np.asarray(q_values)
     starts = np.cumsum(qs) - qs
     q_idx = np.repeat(np.arange(qs.size), qs)
-    streams = num_groups * qs[q_idx]
-    snr = np.asarray(scenario.p_watts) / (scenario.noise_power * streams[:, None])
-    return q_idx, np.arange(q_idx.size) - starts[q_idx], starts, snr
+    pairs = np.stack([qs[q_idx], np.arange(q_idx.size) - starts[q_idx]], axis=1)
+    return _read_only(pairs), _read_only(q_idx), _read_only(starts)
 
 
-def _csi_sum_rates(scenario: Scenario, num_groups: int, q_values, starts, sinrs):
+@functools.lru_cache(maxsize=None)
+def _pair_snr(scenario: Scenario, num_groups: int, q_values) -> np.ndarray:
+    """Each served pair's SNR per stream over the power vector, ``(T, P)``."""
+    pairs, _, _ = _served_pairs(q_values)
+    streams = num_groups * pairs[:, 0]
+    return _read_only(np.asarray(scenario.p_watts) / (scenario.noise_power * streams[:, None]))
+
+
+def _csi_sum_rates(scenario: Scenario, num_groups: int, q_values, sinrs):
     """Per-q rates ``(n_curves, S, P)`` from served-pair SINRs
     ``(n_curves, G, T, P)``: summed over groups and each q's pairs, times
     that q's overhead factor."""
-    xi = [scenario.overhead_factor(num_groups, q) for q in q_values]
+    xi = _overhead_factors(scenario, num_groups, q_values)
     per_pair = np.log1p(sinrs).sum(axis=1)
-    return np.asarray(xi)[:, None] * np.add.reduceat(per_pair, starts, axis=1)
+    return xi[:, None] * np.add.reduceat(per_pair, _served_pairs(q_values)[2], axis=1)
 
 
-def _csi_perfect_rates(scenario: Scenario, num_groups: int, q_values, draws, _):
+def _csi_perfect_kernel(scenario: Scenario, q_values, draws):
+    """Perfect-CSI ZF gains at the served pairs, ``(G, T)``."""
+    pairs, q_idx, _ = _served_pairs(q_values)
+    return (zf_prefix_gains(prefix_factor(draws[0]), q_values)[:, q_idx, pairs[:, 1]],)
+
+
+def _csi_perfect_rates(scenario: Scenario, num_groups: int, q_values, gains, _):
     """Equal-power ZF rates under perfect CSI, for every q.  The couplings
     are then ``diag(sqrt(g))``, so each stream's SINR is ``snr * g``."""
-    q_idx, users, starts, snr = _served_pairs(scenario, num_groups, q_values)
-    gains = zf_prefix_gains(prefix_factor(draws[0]), q_values)[:, q_idx, users]
-    return _csi_sum_rates(scenario, num_groups, q_values, starts, (snr * gains[..., None])[None])
+    snr = _pair_snr(scenario, num_groups, q_values)
+    return _csi_sum_rates(scenario, num_groups, q_values, (snr * gains[0][..., None])[None])
 
 
-def _csi_error_rates(scenario: Scenario, num_groups: int, q_values, draws, _):
+def _csi_error_kernel(scenario: Scenario, q_values, draws):
+    """At the served pairs, ``(G, T)`` each: each user's coupling with its
+    own stream, its received power (the row sum of ``|coupling|**2`` over
+    its prefix's streams) and, if drawn, its coupling error draw."""
+    h, h_hat, *w = draws
+    pairs, _, _ = _served_pairs(q_values)
+    users = pairs[:, 1]
+    _, rows = zf_prefix_couplings(h, h_hat, pairs)
+    own = rows[:, np.arange(users.size), users]
+    received = (rows.real ** 2 + rows.imag ** 2).sum(axis=-1)
+    return (own, received, *(e[:, users] for e in w))
+
+
+def _csi_error_rates(scenario: Scenario, num_groups: int, q_values, kernel_out, _):
     """Equal-power ZF rates under CSIT error, then under CSIT error plus each
     CSIR error variance, for every q.  Inter-group residuals enter through
     their average power only."""
-    h, h_hat, w = draws
-    q_idx, users, starts, snr = _served_pairs(scenario, num_groups, q_values)
-    _, coupling = zf_prefix_couplings(h, h_hat, q_values)
-    # Each served user's coupling with every stream of its prefix: (G, T, N).
-    rows = coupling[:, q_idx, users]
-    own = rows[:, np.arange(users.size), users]
+    own, received, *w = kernel_out
+    pairs, _, _ = _served_pairs(q_values)
+    snr = _pair_snr(scenario, num_groups, q_values)
     signal = own.real ** 2 + own.imag ** 2
-    interference = (rows.real ** 2 + rows.imag ** 2).sum(axis=-1) - signal
+    interference = received - signal
     sinrs = [snr * signal[..., None] / (1.0 + snr * interference[..., None])]
-    others = (num_groups * np.asarray(q_values)[q_idx] - 1)[:, None]
+    others = (num_groups * pairs[:, 0] - 1)[:, None]
     for var in scenario.csir_error_vars:
         # Each receiver's estimate of its own coupling coefficient, and the
         # SINR with numerator and denominator scaled by 1 / (1 + var), so
         # that it stays finite for any finite variance.
         scale = 1.0 + var
-        est = own / math.sqrt(scale) - math.sqrt(var / scale) * w[:, users]
+        est = own / math.sqrt(scale) - math.sqrt(var / scale) * w[0]
         num = est.real ** 2 + est.imag ** 2 + var / scale
         sinrs.append(snr * num[..., None] / (1.0 / scale + snr * (var / scale) * others))
-    return _csi_sum_rates(scenario, num_groups, q_values, starts, np.array(sinrs))
+    return _csi_sum_rates(scenario, num_groups, q_values, np.array(sinrs))
 
 
 def _msv_draws(scenario: Scenario, num_groups: int, q_top: int, loc: int, fad: int, _):
@@ -501,21 +563,27 @@ def _msv_draws(scenario: Scenario, num_groups: int, q_top: int, loc: int, fad: i
     return mc, uc_pool
 
 
-def _msv_rates(scenario: Scenario, num_groups: int, q_values, draws, _):
-    mc_gains, uc_gains = msv_gains_fast(*draws, q_values)
+def _msv_kernel(scenario: Scenario, q_values, draws):
+    return msv_gains_fast(*draws, q_values)
+
+
+def _msv_rates(scenario: Scenario, num_groups: int, q_values, gains, _):
     return msv_rate_from_gains(
-        mc_gains, uc_gains, q_values, scenario.p_watts, scenario.noise_power, num_groups,
+        *gains, q_values, scenario.p_watts, scenario.noise_power, num_groups,
         scenario.cached_load, scenario.coherence_symbols, scenario.pilot_symbols,
     )[None]
 
 
-BD_MRC = _Rule(_group_factor, _bd_rates)
-ZF = _Rule(_group_factor, _zf_rates)
-BD_MRC_ASYM = _Rule(None, _asym_rates)
-ZF_BOUNDS = _Rule(None, _zf_bound_rates)
-CSI_PERFECT = _Rule(_csi_draws, _csi_perfect_rates)
-CSI_ERROR = _Rule(_csi_draws, _csi_error_rates)
-_MSV = _Rule(_msv_draws, _msv_rates)
+BD_MRC = _Rule(_group_factor, _bd_kernel, _mmf_rates)
+ZF = _Rule(_group_factor, _zf_kernel, _mmf_rates)
+BD_MRC_ASYM = _Rule(None, None, _asym_rates)
+ZF_BOUNDS = _Rule(None, None, _zf_bound_rates)
+CSI_PERFECT = _Rule(_csi_draws, _csi_perfect_kernel, _csi_perfect_rates)
+CSI_ERROR = _Rule(_csi_draws, _csi_error_kernel, _csi_error_rates)
+_MSV = _Rule(_msv_draws, _msv_kernel, _msv_rates)
+# Draws whose group g reads only the substreams (., loc, fad, g), so that a
+# job with fewer groups can take the first groups of another job's draw.
+_PER_GROUP_DRAWS = frozenset({_group_factor, _csi_draws})
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +629,11 @@ def msv_job(scenario: Scenario) -> Job:
             "multi-server baseline needs single-antenna users with unit pathloss"
         )
     l = scenario.num_tx_antennas
+    if l < 2:
+        raise InvalidConfigurationError(
+            f"L (num_tx_antennas) {l} is below 2: the multi-server baseline needs "
+            "a unicast stream"
+        )
     # All l - 1 unicast streams, the common one and the cached load need pilots.
     csi_overhead(scenario.coherence_symbols, scenario.pilot_symbols, l + scenario.cached_load)
     return Job(scenario, scenario.coded_gain, tuple(range(1, l)), ((_MSV, ("msv_modified",)),))
@@ -582,7 +655,9 @@ def imperfect_csi_jobs(scenario: Scenario, *rules: _Rule) -> list[Job]:
     ``{side}_csit``, under transmitter-side estimation error, and, on the
     cache-aided side, ``{side}_csit_csir{var:g}`` for each variance in
     ``csir_error_vars``, with receiver-side coupling error as well.  Both
-    rules share one draw per fading; any other rule is a ``KeyError``.
+    rules share one draw per fading; any other rule is a ``KeyError``.  The
+    cache-aided job comes first, so that it makes the draw both sides share
+    (with its coupling errors), and the cacheless job reads its group 0.
     """
     if scenario.antennas_per_user != 1 or scenario.geometry is not None:
         raise UnsupportedConfigurationError(
@@ -608,52 +683,97 @@ def imperfect_csi_jobs(scenario: Scenario, *rules: _Rule) -> list[Job]:
 # The location loop and its reduction
 # ---------------------------------------------------------------------------
 
-def _location_task(args) -> list[np.ndarray]:
-    """Every rule of one job at one location.
+def _draw_key(job: Job, draw):
+    """What a draw reads besides the location, fading and group count; a
+    draw that is not per group is keyed with its group count as well."""
+    s = job.scenario
+    key = (draw, s.seed, s.num_tx_antennas, s.antennas_per_user, s.geometry,
+           s.csit_error_var, max(job.q_values))
+    return key if draw in _PER_GROUP_DRAWS else key + (job.num_groups,)
+
+
+def _first_groups(arrays: tuple, made: int, num_groups: int) -> tuple:
+    """The first ``num_groups`` groups (axis 0) of arrays made for ``made``."""
+    return arrays if made == num_groups else tuple(a[:num_groups] for a in arrays)
+
+
+def _location_task(args) -> list[list[np.ndarray]]:
+    """Every rule of every job at one location.
 
     ``rule.draw(scenario, num_groups, q_top, loc, fad, betas)`` draws one
-    fading's channels at the largest ``q``; the rules with the same draw
-    function share one draw per fading.  ``rule.rates(scenario, num_groups,
-    q_values, draws, betas)`` returns the rates of every curve over the q
-    sweep and the power vector, shape ``(n_curves, n_q, n_p)``.  Both are
-    module-level functions so that tasks pickle.  Returns, per rule, rates
-    of shape ``(n_curves, n_fad, n_q, n_p)``, with ``n_fad`` 1 for
-    fading-free rules.
+    fading's channels at the largest ``q``, and ``rule.kernel(scenario,
+    q_values, draw)`` returns a tuple of per-group arrays, groups on axis 0.
+    Both are shared by key (:func:`_draw_key`; a kernel output under its
+    kernel, the draw key and ``q_values``), made by the first job with the
+    most groups among those that share the key, a kernel on the whole draw;
+    each job takes its first ``num_groups`` groups.  ``betas`` are a job's
+    own pathloss rows.  ``rule.rates(scenario, num_groups, q_values,
+    kernel_out, betas)`` returns the rates of every curve over the q sweep
+    and the power vector, shape ``(n_curves, n_q, n_p)``; fading-free rules
+    have no draw or kernel and get ``None``.  All are module-level functions
+    so that tasks pickle.  Returns, per job and rule, rates of shape
+    ``(n_curves, n_fad, n_q, n_p)``, with ``n_fad`` 1 for fading-free rules.
     """
-    (scenario, num_groups, q_values, rules), loc = args
-    q_top = max(q_values)
-    betas = _location_betas(scenario, num_groups, q_top, loc)
+    jobs, loc = args
+    betas = [_location_betas(job.scenario, job.num_groups, max(job.q_values), loc) for job in jobs]
+    makers = {}  # draw key -> index of the first job with the most groups that reads it
+    for ji, job in enumerate(jobs):
+        for key in (_draw_key(job, rule.draw) for rule, _ in job.rules if rule.draw):
+            if key not in makers or job.num_groups > jobs[makers[key]].num_groups:
+                makers[key] = ji
     out = [
-        np.empty((len(names), scenario.n_fadings if rule.draw else 1,
-                  len(q_values), len(scenario.p_watts)))
-        for rule, names in rules
+        [np.empty((len(names), job.scenario.n_fadings if rule.draw else 1,
+                   len(job.q_values), len(job.scenario.p_watts)))
+         for rule, names in job.rules]
+        for job in jobs
     ]
-    for fad in range(scenario.n_fadings):
-        draws = {None: None}  # fading-free rules run at the first fading only
-        for (rule, _), rates in zip(rules, out):
-            if fad < rates.shape[1]:
-                if rule.draw not in draws:
-                    draws[rule.draw] = rule.draw(scenario, num_groups, q_top, loc, fad, betas)
-                rates[:, fad] = rule.rates(scenario, num_groups, q_values, draws[rule.draw], betas)
+    for fad in range(max(job.scenario.n_fadings for job in jobs)):
+        draws, kernels = {}, {}
+        for job, job_betas, job_out in zip(jobs, betas, out):
+            for (rule, _), rates in zip(job.rules, job_out):
+                if fad >= rates.shape[1]:  # fading-free rules run at the first fading only
+                    continue
+                kernel_out = None
+                if rule.draw:
+                    key = _draw_key(job, rule.draw)
+                    maker = jobs[makers[key]]
+                    if key not in draws:
+                        draws[key] = rule.draw(
+                            maker.scenario, maker.num_groups, max(maker.q_values), loc, fad,
+                            betas[makers[key]],
+                        )
+                    kernel_key = (rule.kernel, key, job.q_values)
+                    if kernel_key not in kernels:
+                        kernels[kernel_key] = rule.kernel(maker.scenario, job.q_values, draws[key])
+                    kernel_out = _first_groups(
+                        kernels[kernel_key], maker.num_groups, job.num_groups
+                    )
+                rates[:, fad] = rule.rates(
+                    job.scenario, job.num_groups, job.q_values, kernel_out, job_betas
+                )
     return out
 
 
 def _simulate(jobs, workers: int) -> dict[str, SchemeCurve]:
-    """Run every location of every job in one pool; reduce in location order.
+    """Run every job at every location, one pool task per location; reduce
+    in location order.
 
-    Returns every job's curves by name; no two rules may write one name."""
+    Returns every job's curves by name; no two rules may write one name,
+    and every job must have the same number of locations."""
     names = [name for job in jobs for _, rule_names in job.rules for name in rule_names]
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         raise ValueError(f"curve names written more than once: {repeated}")
-    tasks = [(job, loc) for job in jobs for loc in range(job.scenario.n_locations)]
-    results = iter(_parallel_map(_location_task, tasks, workers))
+    n_locations = {job.scenario.n_locations for job in jobs}
+    if len(n_locations) != 1:
+        raise ValueError(f"jobs differ in their location counts: {sorted(n_locations)}")
+    tasks = [(jobs, loc) for loc in range(n_locations.pop())]
+    per_loc = _parallel_map(_location_task, tasks, workers)
     curves = {}
-    for scenario, _, q_values, rules in jobs:
-        per_loc = [next(results) for _ in range(scenario.n_locations)]
+    for ji, (scenario, _, q_values, rules) in enumerate(jobs):
         for ri, (_, names) in enumerate(rules):
             for ci, name in enumerate(names):
-                samples = np.stack([r[ri][ci] for r in per_loc])
+                samples = np.stack([r[ji][ri][ci] for r in per_loc])
                 curves[name] = _curve_from_draws(name, scenario, q_values, samples)
     return curves
 

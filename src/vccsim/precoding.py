@@ -26,16 +26,18 @@ So the Gram inverse of the first ``q`` users of a group, for every ``q``,
 comes from one QR factorization and one ``inv(R)`` per group, both batched
 over the stack with numpy (LAPACK ``zgeqrf`` and ``zgesv``): ZF gains are
 running sums of ``|inv(R)|**2`` along rows, BD-MRC blocks running sums of
-``M x M`` outer products, and the couplings of every prefix's ZF precoder
-with any receivers running sums of rank-one terms, one per column of
-``inv(R)``: a cube of those terms, summed up to every prefix size at once.
+``M x M`` outer products, and the couplings of a prefix's ZF precoder with
+a receiver one row of ``(h.T @ H.conj()) @ inv(R)``, cut at the prefix size,
+times ``inv(R).conj().T``: every requested (prefix, receiver) pair is one
+row of a single batched product.
 
 The Monte Carlo loop calls only the fast paths, which return gains
 without forming every beam, for a whole sweep of served-user counts:
 :func:`bd_mrc_prefix_gains` and :func:`zf_prefix_gains` on the
 :func:`prefix_factor` of a stack of groups, so that BD-MRC and ZF on the
 same draw share one factorization, :func:`zf_prefix_couplings` on a stack
-of groups, :func:`msv_gains_fast` on one multicast/unicast draw, and the
+of groups at the (prefix, receiver) pairs a caller reads,
+:func:`msv_gains_fast` on one multicast/unicast draw, and the
 rate formula :func:`msv_rate_from_gains` over the (count, power) grid.
 :func:`zf_matrix` and :func:`bd_mrc_eigenvalues` are the full-prefix case
 of the same kernel (the last for users of any antenna counts).  A prefix
@@ -443,29 +445,27 @@ def zf_matrix(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def zf_prefix_couplings(
-    h: np.ndarray, h_hat: np.ndarray, sizes
+    h: np.ndarray, h_hat: np.ndarray, pairs
 ) -> tuple[np.ndarray, np.ndarray]:
-    """True-channel couplings of ZF precoders designed on estimates.
+    """True-channel couplings of ZF precoders designed on estimates, at the
+    requested (prefix size, receiver) pairs only.
 
     ``h`` is a ``(G, L, K)`` stack of ``K`` receivers' true channels and
     ``h_hat`` a ``(G, L, N)`` stack of the estimated channels the precoders
-    are designed on.  For every ``n`` in ``sizes``, the ZF precoder ``V_n``
-    of the first ``n`` estimated columns (unit-norm columns, as in
-    :func:`zf_matrix`) meets every receiver as ``h.T @ V_n``.  Returns the
-    prefix ZF gains ``(G, S, N)`` of :func:`zf_prefix_gains` and the
-    couplings ``(G, S, K, N)``, both zero past each prefix's ``n`` streams.
-    With ``h_hat.conj() = Q @ R`` and ``X = (h.T @ h_hat.conj()) @ inv(R)``,
-    whose leading columns do not depend on the prefix, the couplings of the
-    first ``n`` streams are ``X[:, :n] @ inv(R)[:n, :n].conj().T`` times
-    ``sqrt`` of the prefix's ZF gains along its columns.  That product is
-    the sum over the prefix columns ``c < n`` of the rank-one terms
-    ``outer(X[:, c], conj(inv(R)[:, c]))``, which are zero in every stream
-    past ``c`` because ``inv(R)`` is upper triangular.  So the cumulative sum
-    of those terms over c, a cube of ``N`` rank-one ``(G, K, N)`` slices,
-    holds every prefix: each size takes its running sum, all of them as one
-    product of the cube with the 0/1 prefix mask of the sizes.  One
-    factorization, and no loop over sizes.  Perfect CSI at the served users
-    is ``h_hat = h``.
+    are designed on.  ``pairs`` holds ``T`` pairs ``(n, k)``: receiver ``k``
+    meets the ZF precoder ``V_n`` of the first ``n`` estimated columns
+    (unit-norm columns, as in :func:`zf_matrix`) as ``h[:, :, k].T @ V_n``.
+    Returns, per pair, the ZF gains of its prefix (as in
+    :func:`zf_prefix_gains`) and its couplings, both of shape ``(G, T, N)``
+    and zero past the pair's ``n`` streams.  With ``h_hat.conj() = Q @ R``
+    and ``X = (h.T @ h_hat.conj()) @ inv(R)``, whose leading columns do not
+    depend on the prefix, receiver k's couplings with the first ``n``
+    streams are ``X[k, :n] @ inv(R)[:n, :n].conj().T`` times ``sqrt`` of the
+    prefix's ZF gains along its streams.  As ``inv(R)`` is upper
+    triangular, that is row k of X with its columns from ``n`` on set to
+    zero, times ``inv(R).conj().T``: so all ``T`` pairs are one batched
+    product of their masked rows, from one factorization.  Perfect CSI at
+    the served users is ``h_hat = h``.
 
     Raises
     ------
@@ -473,22 +473,15 @@ def zf_prefix_couplings(
         If the Gram matrix of some requested estimated prefix is not
         invertible.
     """
+    sizes, receivers = np.asarray(pairs).reshape(-1, 2).T
     factor = prefix_factor(h_hat)
     gains = zf_prefix_gains(factor, sizes)
     r_inv = factor.r_inv
     x = h.swapaxes(-1, -2) @ h_hat.conj() @ r_inv
-    # terms[c, g, k, j] = x[g, k, c] * conj(r_inv[g, j, c]): the rank-one
-    # term of prefix column c.  Its running sums over c at the requested
-    # sizes are one product with the 0/1 prefix mask.
-    n = r_inv.shape[-1]
-    terms = np.multiply(
-        x.transpose(2, 0, 1)[..., None], r_inv.conj().transpose(2, 0, 1)[:, :, None, :],
-        order="C",
-    )
-    prefix = (np.arange(n) < np.asarray(sizes)[:, None]).astype(complex)
-    sums = prefix @ terms.reshape(n, -1)
-    coupling = sums.reshape(-1, *terms.shape[1:]).swapaxes(0, 1)
-    coupling *= np.sqrt(gains)[:, :, None, :]
+    rows = np.take(x, receivers, axis=1)
+    rows *= np.arange(r_inv.shape[-1]) < sizes[:, None]
+    coupling = rows @ r_inv.conj().swapaxes(-1, -2)
+    coupling *= np.sqrt(gains)
     return gains, coupling
 
 
@@ -653,14 +646,17 @@ def msv_gains_fast(
     multicast user and every other unicast user.  So one prefix
     factorization serves the whole sweep; a one-column prefix is the matched
     filter.  Returns the multicast gains ``(S, G)`` (squared couplings of
-    the common beam at every multicast user) and the unicast gains
-    ``(S, U)``, zero past each count.
+    the common beam at every multicast user, from the couplings at every
+    (count, multicast user) pair) and the unicast gains ``(S, U)``, zero
+    past each count.
     """
     h_mc = np.asarray(multicast_channels, dtype=complex)
     h_uc = np.asarray(unicast_channels, dtype=complex)
     stack = np.concatenate([h_mc[:1], h_uc], axis=0).T[None]
-    gains, coupling = zf_prefix_couplings(h_mc.T[None], stack, np.asarray(unicast_counts) + 1)
-    return np.abs(coupling[0, :, :, 0]) ** 2, gains[0, :, 1:]
+    g_mc = h_mc.shape[0]
+    pairs = [(n + 1, k) for n in unicast_counts for k in range(g_mc)]
+    gains, coupling = zf_prefix_couplings(h_mc.T[None], stack, pairs)
+    return np.abs(coupling[0, :, 0].reshape(-1, g_mc)) ** 2, gains[0, ::g_mc, 1:]
 
 
 def msv_high_snr_gain_limit(num_tx_antennas: int, cached_load: int) -> float:

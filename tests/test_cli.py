@@ -324,6 +324,7 @@ class TestParser:
         ("fig4", "ptot_dbm=-inf", "ptot_dbm"),
         ("fig9", "ptot_dbm=4000", "ptot_dbm"),
         ("fig9", "ptot_dbm=-4000", "ptot_dbm"),
+        ("fig8", "L=1", "L"),
     ])
     def test_bad_field_named_before_sampling(
         self, capsys, tmp_path, monkeypatch, recipe, setting, field

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from vccsim import experiments, precoding
+from vccsim.channel import noise_power_watts
 from vccsim.errors import (
     InvalidConfigurationError,
     OverheadExceedsCoherenceError,
@@ -164,8 +165,6 @@ class TestDeterminism:
 
     def test_more_fadings_shrink_stderr(self):
         # micro needs a physical noise power
-        from vccsim.channel import noise_power_watts
-
         base = symmetric_scenario(
             geometry="micro", noise_power=noise_power_watts(), users_per_group=2,
             baseline_users=2, num_tx_antennas=8, ptot_dbm=(33.0,), n_locations=40,
@@ -208,23 +207,27 @@ class TestPoolSize:
 
 
 class TestOneSimulatePerRecipe:
-    """A recipe hands all its jobs to one _simulate call, and the rules of a
-    job that use the same draw share it and its prefix factor."""
+    """A recipe hands all its jobs to one _simulate call, and the jobs of a
+    location share each draw and its prefix factor where their draw keys
+    match."""
 
     # Per (location, fading): complex_gaussian draws, one per group of each
-    # job (two per group under imperfect CSI, two for MSV), and
-    # _prefix_inverse calls, one per job that factors a stack (two per
-    # fig6 job: the perfect-CSI rule factors the true channels and the
-    # error rule their estimate; fig9 runs the error rule alone).
+    # shared draw (two per group when the imperfect-CSI draw has CSIR
+    # variances, two for MSV), and _prefix_inverse calls, one per shared
+    # stack factored.  The cacheless job reads the cache-aided group 0
+    # wherever both sides have the same largest served count; fig4 (Q=2,
+    # Q'=8) does not.  fig6 factors two stacks: the perfect-CSI kernel the
+    # true channels and the error kernel their estimate; fig9 runs the
+    # error rule alone.
     PER_FADING = {
         "fig2": (3 * 5, 3),  # three M values; BD-MRC and ZF share each draw
-        "fig3": (6 + 1, 2),
+        "fig3": (6, 1),
         "fig4": (4 + 1, 2),
-        "fig5": (6 + 1, 2),
-        "fig6": (2 * (6 + 1), 2 * 2),
-        "fig7": (6 + 1, 2),  # BD-MRC and ZF share the cache-aided draw
-        "fig8": (2 + 6 + 1, 1 + 2),
-        "fig9": (2 * (6 + 1), 2),
+        "fig5": (6, 1),
+        "fig6": (6, 2),
+        "fig7": (6, 1),  # BD-MRC and ZF share the cache-aided draw
+        "fig8": (2 + 6, 1 + 1),
+        "fig9": (2 * 6, 1),
     }
 
     @staticmethod
@@ -307,6 +310,117 @@ class TestOneSimulatePerRecipe:
         rule = (experiments.BD_MRC, ("bd",))
         jobs = [experiments.cache_aided_job(scn, rule), experiments.cacheless_job(scn, rule)]
         with pytest.raises(ValueError, match="'bd'"):
+            experiments._simulate(jobs, workers=1)
+
+
+class TestSharedLocationTask:
+    """A location task runs every job, and the jobs that share a draw key
+    share that draw and its kernel output, sliced to their groups.  The
+    sharing is exact: each shared side equals its job run alone, bit for
+    bit."""
+
+    BD_SCENARIOS = {
+        "fig5": dict(geometry="macro", num_tx_antennas=24, antennas_per_user=4),
+        "fig7": dict(geometry="micro", num_tx_antennas=32, antennas_per_user=2,
+                     noise_power=noise_power_watts(), ptot_dbm=(27.0, 36.0)),
+        "fig8": dict(geometry=None, noise_power=1.0, num_tx_antennas=32,
+                     antennas_per_user=1, ptot_dbm=(40.0, 60.0)),
+    }
+
+    @staticmethod
+    def _equal(a, b):
+        assert a.q_values == b.q_values
+        assert np.array_equal(a.mean, b.mean) and np.array_equal(a.stderr, b.stderr)
+
+    @staticmethod
+    def _counting(monkeypatch, module, name):
+        counts = {name: 0}
+        TestOneSimulatePerRecipe._count(monkeypatch, module, name, counts)
+        return counts
+
+    @pytest.mark.parametrize("like", sorted(BD_SCENARIOS))
+    def test_cacheless_bd_equals_lone_job(self, monkeypatch, like):
+        scn = macro_scenario(
+            users_per_group=None, baseline_users=None, n_locations=2, n_fadings=2,
+            **self.BD_SCENARIOS[like],
+        )
+        vcc = experiments.cache_aided_job(
+            scn, (experiments.BD_MRC, ("vcc_bd_mrc",)), (experiments.ZF, ("vcc_zf",)),
+            (experiments.ZF_BOUNDS, ("vcc_zf_lower", "vcc_zf_upper")),
+        )
+        cl = experiments.cacheless_job(
+            scn, (experiments.BD_MRC, ("cacheless_bd_mrc",)), (experiments.ZF, ("cacheless_zf",)),
+        )
+        jobs = [experiments.msv_job(scn), vcc, cl] if like == "fig8" else [vcc, cl]
+        factors = self._counting(monkeypatch, precoding, "_prefix_inverse")
+        shared = experiments._simulate(jobs, workers=1)
+        # the cacheless side factors nothing of its own
+        per_fading = 1 + (like == "fig8")
+        assert factors["_prefix_inverse"] == per_fading * scn.n_locations * scn.n_fadings
+        lone = run_cacheless_bd_mrc(scn)["cacheless_bd_mrc"]
+        self._equal(shared["cacheless_bd_mrc"], lone)
+        lone_zf = experiments._simulate([cl], workers=1)["cacheless_zf"]
+        self._equal(shared["cacheless_zf"], lone_zf)
+        self._equal(shared["vcc_bd_mrc"], run_vcc_bd_mrc(scn)["vcc_bd_mrc"])
+
+    @pytest.mark.parametrize("rules, csir_vars", [
+        ((experiments.CSI_PERFECT, experiments.CSI_ERROR), ()),  # fig6-like
+        ((experiments.CSI_ERROR,), (0.01, 0.001, 0.0)),  # fig9-like
+    ])
+    def test_cacheless_csi_equals_lone_job(self, monkeypatch, rules, csir_vars):
+        scn = symmetric_scenario(
+            csit_error_var=0.01, csir_error_vars=csir_vars, n_locations=3, n_fadings=2,
+        )
+        vcc, cl = experiments.imperfect_csi_jobs(scn, *rules)
+        draws = self._counting(monkeypatch, experiments, "complex_gaussian")
+        shared = experiments._simulate([vcc, cl], workers=1)
+        # one draw per cache-aided group, plus coupling errors only with CSIR
+        per_fading = scn.coded_gain * (1 + bool(csir_vars))
+        assert draws["complex_gaussian"] == per_fading * scn.n_locations * scn.n_fadings
+        lone = experiments._simulate([cl], workers=1)
+        assert lone.keys() == {name for _, names in cl.rules for name in names}
+        for name, curve in lone.items():
+            self._equal(shared[name], curve)
+
+    def test_different_q_top_draws_its_own_group_zero(self, monkeypatch):
+        # fig4-like: Q=2 against Q'=8, so the two sides' draws differ
+        scn = macro_scenario(
+            num_tx_antennas=32, num_states=4, cache_fraction=Fraction(3, 4),
+            users_per_group=2, baseline_users=8, n_locations=2, n_fadings=2,
+        )
+        jobs = [
+            experiments.cache_aided_job(scn, (experiments.BD_MRC, ("vcc",))),
+            experiments.cacheless_job(scn, (experiments.BD_MRC, ("cl",))),
+        ]
+        draws = self._counting(monkeypatch, experiments, "complex_gaussian")
+        shared = experiments._simulate(jobs, workers=1)
+        assert draws["complex_gaussian"] == (scn.coded_gain + 1) * scn.n_locations * scn.n_fadings
+        self._equal(shared["cl"], run_cacheless_bd_mrc(scn)["cacheless_bd_mrc"])
+
+    def test_msv_draw_is_never_sliced(self, monkeypatch):
+        # Two MSV jobs with 6 and 4 groups: the multicast channels of 4
+        # groups are not the first 4 rows of those of 6, so each job keeps
+        # its own draw.
+        six = symmetric_scenario(num_tx_antennas=8, n_locations=2, n_fadings=2)
+        four = dataclasses.replace(six, cache_fraction=Fraction(1, 2))
+        assert (six.coded_gain, four.coded_gain) == (6, 4)
+        small = experiments.msv_job(four)
+        small = small._replace(rules=((small.rules[0][0], ("msv_small",)),))
+        draws = self._counting(monkeypatch, experiments, "complex_gaussian")
+        shared = experiments._simulate([experiments.msv_job(six), small], workers=1)
+        assert draws["complex_gaussian"] == 2 * 2 * six.n_locations * six.n_fadings
+        self._equal(shared["msv_modified"], run_msv(six)["msv_modified"])
+        self._equal(shared["msv_small"], run_msv(four)["msv_modified"])
+
+    def test_jobs_must_share_location_count(self):
+        scn = macro_scenario()
+        jobs = [
+            experiments.cache_aided_job(scn, (experiments.BD_MRC, ("a",))),
+            experiments.cacheless_job(
+                dataclasses.replace(scn, n_locations=3), (experiments.BD_MRC, ("b",))
+            ),
+        ]
+        with pytest.raises(ValueError, match="location counts"):
             experiments._simulate(jobs, workers=1)
 
 
@@ -512,9 +626,9 @@ class TestCsiRule:
     @staticmethod
     def both_rules(scn, num_groups, q_values, draws):
         """The perfect-CSI curve, then the estimated-CSI curves, as the
-        per-q reference orders them."""
+        per-q reference orders them: draw, kernel, rates."""
         return np.concatenate([
-            rule.rates(scn, num_groups, q_values, draws, None)
+            rule.rates(scn, num_groups, q_values, rule.kernel(scn, q_values, draws), None)
             for rule in (experiments.CSI_PERFECT, experiments.CSI_ERROR)
         ])
 

@@ -10,8 +10,9 @@
   inverse;
 * the nested-prefix kernels :func:`bd_mrc_prefix_gains` and
   :func:`zf_prefix_gains` against the full-prefix case refactorizing each
-  prefix on its own, and :func:`zf_prefix_couplings` with more or fewer
-  receivers than streams against :func:`zf_matrix` on each prefix;
+  prefix on its own, and :func:`zf_prefix_couplings` at any set of
+  (prefix, receiver) pairs, with more or fewer receivers than streams,
+  against :func:`zf_matrix` on each prefix;
 * the multi-server gains :func:`msv_gains_fast` over a sweep of unicast
   counts against the :func:`msv_beamformers` design at each count;
 * the perfect-CSI and estimated-CSI rate rules of :mod:`vccsim.experiments`
@@ -219,18 +220,23 @@ def test_prefix_zf_gains_match_zf_matrix_on_each_prefix(stack):
 def test_prefix_couplings_with_other_receivers_match_zf_matrix(stack, k, seed):
     h_hat, _, _ = stack
     g_count, l_tx, n_top = h_hat.shape
-    h = complex_gaussian(np.random.default_rng(seed), (g_count, l_tx, k))
-    sizes = range(1, n_top + 1)
-    gains, coupling = zf_prefix_couplings(h, h_hat, sizes)
+    rng = np.random.default_rng(seed)
+    h = complex_gaussian(rng, (g_count, l_tx, k))
+    # every (size, receiver) pair, then a random subset in random order
+    pairs = [(n, r) for n in range(1, n_top + 1) for r in range(k)]
+    if rng.integers(2):
+        pairs = [pairs[i] for i in rng.choice(len(pairs), rng.integers(1, len(pairs) + 1))]
+    gains, coupling = zf_prefix_couplings(h, h_hat, pairs)
+    sizes = [n for n, _ in pairs]
     np.testing.assert_array_equal(gains, zf_prefix_gains(prefix_factor(h_hat), sizes))
-    assert coupling.shape == (g_count, n_top, k, n_top)
-    for s, n in enumerate(sizes):
+    assert coupling.shape == (g_count, len(pairs), n_top)
+    for t, (n, r) in enumerate(pairs):
         for g in range(g_count):
-            ref = h[g].T @ zf_matrix(h_hat[g][:, :n])[0]
+            ref = h[g][:, r] @ zf_matrix(h_hat[g][:, :n])[0]
             np.testing.assert_allclose(
-                coupling[g, s, :, :n], ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max()
+                coupling[g, t, :n], ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max()
             )
-        assert not coupling[:, s, :, n:].any()
+        assert not coupling[:, t, n:].any()
 
 
 @PROPERTY
