@@ -199,24 +199,16 @@ def parse_config(
         raise InvalidConfigurationError(
             f"unknown recipe {values['recipe']!r}; see --list-recipes"
         )
-    overrides = {
-        SCENARIO_KEYS[k][0]: v for k, v in values.items() if k in SCENARIO_KEYS
-    }
     return RunConfig(
         recipe=values["recipe"],
         seed=values.get("seed", 0),
         n_locations=values.get("locations"),
         n_fadings=values.get("fadings"),
         out=values.get("out"),
-        overrides=_cli_named(overrides),
+        # Kept under their CLI key names for faithful echoing.
+        overrides={k: v for k, v in values.items() if k in SCENARIO_KEYS},
         workers=workers,
     )
-
-
-def _cli_named(field_overrides: dict) -> dict:
-    """Store overrides under their CLI key names for faithful echoing."""
-    back = {v[0]: k for k, v in SCENARIO_KEYS.items()}
-    return {back[f]: v for f, v in field_overrides.items()}
 
 
 def _field_named(cli_overrides: dict) -> dict:

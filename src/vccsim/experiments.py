@@ -37,14 +37,15 @@ steps:
    served pairs with ``np.add.reduceat``.  The MSV rates
    (:func:`~vccsim.precoding.msv_rate_from_gains`) are an array expression
    over (q, power); the fading-free curves loop over q inside their rule;
-4. reduce: per-location means over fadings, then the mean and standard
-   error over locations.
+4. reduce: the task returns each rule's mean over the location's fadings,
+   so only per-location means leave it; :func:`_simulate` reduces those,
+   in location order, to the mean and standard error over locations.
 
 A scheme is a :class:`_Rule`: a channel draw, a gain kernel and a rate
-rule.  Fading-free analytic curves have neither a draw nor a kernel, and a
-fading axis of length 1.  The tables a rule needs that depend only on the
-job (served pairs, per-stream SNRs, overhead factors) are built once per
-process.
+rule.  Fading-free analytic curves have neither a draw nor a kernel, and
+run once per location, before its fadings.  The tables a rule needs that
+depend only on the job (served pairs, per-stream SNRs, overhead factors)
+are built once per process.
 
 Sharing.  Within a task, a draw is kept per fading under its draw
 function plus the fields it reads (``seed``, ``L``, ``M``, ``geometry``,
@@ -96,7 +97,6 @@ from .allocation import (
     solve_mmf,
     zf_mmf_bounds,
 )
-from .caching import q_max_uniform
 from .channel import (
     complex_gaussian,
     corrupt_csit,
@@ -275,11 +275,11 @@ class Scenario:
         object.__setattr__(self, "snr_db", tuple(snr))
 
     def max_group_users(self) -> int:
-        """Per-group multiplexing cap: null-space feasibility plus the
-        whole-group antenna budget this simulator enforces."""
-        l, m = self.num_tx_antennas, self.antennas_per_user
-        b = self.users_per_state if self.users_per_state is not None else (m + l - 1) // m
-        return max(1, min(q_max_uniform(l, m, b), l // m))
+        """Per-group multiplexing cap: the whole-group antenna budget this
+        simulator enforces, and the users available per state."""
+        cap = self.num_tx_antennas // self.antennas_per_user
+        # Null-space feasibility (ceil(L / M) users) never binds below this budget.
+        return cap if self.users_per_state is None else min(cap, self.users_per_state)
 
     def group_user_counts(self, fixed: int | None) -> tuple[int, ...]:
         """Candidate served-user counts: the fixed value or the full sweep."""
@@ -363,13 +363,13 @@ def _unit_channels(scenario: Scenario, num_groups: int, q_top: int, loc: int, fa
     ]
 
 
-def _curve_from_draws(
-    scheme: str, scenario: Scenario, q_values, samples: np.ndarray
+def _curve_from_means(
+    scheme: str, scenario: Scenario, q_values, loc_means: np.ndarray
 ) -> SchemeCurve:
-    """Reduce draw-level rates ``(n_loc, n_fad, n_q, n_p)`` to a curve."""
-    loc_means = samples.mean(axis=1)
+    """Reduce per-location mean rates ``(n_loc, n_q, n_p)``, in location
+    order, to a curve."""
     mean = loc_means.mean(axis=0)
-    n_loc = samples.shape[0]
+    n_loc = loc_means.shape[0]
     if n_loc > 1:
         stderr = loc_means.std(axis=0, ddof=1) / math.sqrt(n_loc)
     else:
@@ -698,7 +698,7 @@ def _first_groups(arrays: tuple, made: int, num_groups: int) -> tuple:
 
 
 def _location_task(args) -> list[list[np.ndarray]]:
-    """Every rule of every job at one location.
+    """Every rule of every job at one location, reduced over its fadings.
 
     ``rule.draw(scenario, num_groups, q_top, loc, fad, betas)`` draws one
     fading's channels at the largest ``q``, and ``rule.kernel(scenario,
@@ -710,71 +710,75 @@ def _location_task(args) -> list[list[np.ndarray]]:
     own pathloss rows.  ``rule.rates(scenario, num_groups, q_values,
     kernel_out, betas)`` returns the rates of every curve over the q sweep
     and the power vector, shape ``(n_curves, n_q, n_p)``; fading-free rules
-    have no draw or kernel and get ``None``.  All are module-level functions
-    so that tasks pickle.  Returns, per job and rule, rates of shape
-    ``(n_curves, n_fad, n_q, n_p)``, with ``n_fad`` 1 for fading-free rules.
+    have no draw or kernel, get ``None`` and run once, before the fadings.
+    All are module-level functions so that tasks pickle.  Every job has the
+    same fading count (:func:`_simulate` checks it).  Returns, per job and
+    rule, this location's mean rates over its fadings, shape ``(n_curves,
+    n_q, n_p)``.
     """
     jobs, loc = args
+    n_fadings = jobs[0].scenario.n_fadings
     betas = [_location_betas(job.scenario, job.num_groups, max(job.q_values), loc) for job in jobs]
     makers = {}  # draw key -> index of the first job with the most groups that reads it
+    out = [[None] * len(job.rules) for job in jobs]
+    samples = {}  # (job, rule) index -> per-fading rates (n_curves, n_fad, n_q, n_p)
     for ji, job in enumerate(jobs):
-        for key in (_draw_key(job, rule.draw) for rule, _ in job.rules if rule.draw):
+        for ri, (rule, names) in enumerate(job.rules):
+            if not rule.draw:
+                out[ji][ri] = rule.rates(job.scenario, job.num_groups, job.q_values, None, betas[ji])
+                continue
+            key = _draw_key(job, rule.draw)
             if key not in makers or job.num_groups > jobs[makers[key]].num_groups:
                 makers[key] = ji
-    out = [
-        [np.empty((len(names), job.scenario.n_fadings if rule.draw else 1,
-                   len(job.q_values), len(job.scenario.p_watts)))
-         for rule, names in job.rules]
-        for job in jobs
-    ]
-    for fad in range(max(job.scenario.n_fadings for job in jobs)):
+            samples[ji, ri] = np.empty(
+                (len(names), n_fadings, len(job.q_values), len(job.scenario.p_watts))
+            )
+    for fad in range(n_fadings):
         draws, kernels = {}, {}
-        for job, job_betas, job_out in zip(jobs, betas, out):
-            for (rule, _), rates in zip(job.rules, job_out):
-                if fad >= rates.shape[1]:  # fading-free rules run at the first fading only
-                    continue
-                kernel_out = None
-                if rule.draw:
-                    key = _draw_key(job, rule.draw)
-                    maker = jobs[makers[key]]
-                    if key not in draws:
-                        draws[key] = rule.draw(
-                            maker.scenario, maker.num_groups, max(maker.q_values), loc, fad,
-                            betas[makers[key]],
-                        )
-                    kernel_key = (rule.kernel, key, job.q_values)
-                    if kernel_key not in kernels:
-                        kernels[kernel_key] = rule.kernel(maker.scenario, job.q_values, draws[key])
-                    kernel_out = _first_groups(
-                        kernels[kernel_key], maker.num_groups, job.num_groups
-                    )
-                rates[:, fad] = rule.rates(
-                    job.scenario, job.num_groups, job.q_values, kernel_out, job_betas
+        for (ji, ri), rates in samples.items():
+            job, rule = jobs[ji], jobs[ji].rules[ri][0]
+            key = _draw_key(job, rule.draw)
+            maker = jobs[makers[key]]
+            if key not in draws:
+                draws[key] = rule.draw(
+                    maker.scenario, maker.num_groups, max(maker.q_values), loc, fad,
+                    betas[makers[key]],
                 )
+            kernel_key = (rule.kernel, key, job.q_values)
+            if kernel_key not in kernels:
+                kernels[kernel_key] = rule.kernel(maker.scenario, job.q_values, draws[key])
+            kernel_out = _first_groups(kernels[kernel_key], maker.num_groups, job.num_groups)
+            rates[:, fad] = rule.rates(
+                job.scenario, job.num_groups, job.q_values, kernel_out, betas[ji]
+            )
+    for (ji, ri), rates in samples.items():
+        out[ji][ri] = rates.mean(axis=1)
     return out
 
 
 def _simulate(jobs, workers: int) -> dict[str, SchemeCurve]:
     """Run every job at every location, one pool task per location; reduce
-    in location order.
+    the per-location means in location order.
 
     Returns every job's curves by name; no two rules may write one name,
-    and every job must have the same number of locations."""
+    and every job must have the same location and fading counts."""
     names = [name for job in jobs for _, rule_names in job.rules for name in rule_names]
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         raise ValueError(f"curve names written more than once: {repeated}")
-    n_locations = {job.scenario.n_locations for job in jobs}
-    if len(n_locations) != 1:
-        raise ValueError(f"jobs differ in their location counts: {sorted(n_locations)}")
-    tasks = [(jobs, loc) for loc in range(n_locations.pop())]
+    counts = {(job.scenario.n_locations, job.scenario.n_fadings) for job in jobs}
+    if len(counts) != 1:
+        raise ValueError(
+            f"jobs differ in their (location, fading) counts: {sorted(counts)}"
+        )
+    tasks = [(jobs, loc) for loc in range(counts.pop()[0])]
     per_loc = _parallel_map(_location_task, tasks, workers)
     curves = {}
     for ji, (scenario, _, q_values, rules) in enumerate(jobs):
         for ri, (_, names) in enumerate(rules):
             for ci, name in enumerate(names):
-                samples = np.stack([r[ji][ri][ci] for r in per_loc])
-                curves[name] = _curve_from_draws(name, scenario, q_values, samples)
+                loc_means = np.stack([r[ji][ri][ci] for r in per_loc])
+                curves[name] = _curve_from_means(name, scenario, q_values, loc_means)
     return curves
 
 

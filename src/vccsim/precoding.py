@@ -475,7 +475,8 @@ def zf_prefix_couplings(
     """
     sizes, receivers = np.asarray(pairs).reshape(-1, 2).T
     factor = prefix_factor(h_hat)
-    gains = zf_prefix_gains(factor, sizes)
+    distinct, per_pair = np.unique(sizes, return_inverse=True)
+    gains = zf_prefix_gains(factor, distinct)[:, per_pair]
     r_inv = factor.r_inv
     x = h.swapaxes(-1, -2) @ h_hat.conj() @ r_inv
     rows = np.take(x, receivers, axis=1)

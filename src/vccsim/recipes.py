@@ -17,6 +17,7 @@ from fractions import Fraction
 
 # experiments._simulate is looked up at call time, so that a test can wrap it.
 from . import experiments
+from .errors import InvalidConfigurationError
 # run_vcc_bd_mrc, run_cacheless_bd_mrc, run_vcc_zf, run_msv and
 # run_imperfect_csi are on no recipe's run path; they stay importable here,
 # where bench/spans.py resolves the names it traces.
@@ -77,6 +78,21 @@ def _bd_jobs(scn: Scenario, *vcc_rules) -> list:
     ]
 
 
+def _fixed_q_scenario(base: dict, params: dict) -> Scenario:
+    """The scenario of a recipe whose gain is taken at fixed Q and Q'."""
+    scn = _scenario(base, params)
+    for key, field, count in (
+        ("Q", "users_per_group", scn.users_per_group),
+        ("Qprime", "baseline_users", scn.baseline_users),
+    ):
+        if count is None:
+            raise InvalidConfigurationError(
+                f"{key} ({field}) cannot be optimize in {scn.name}, whose gain is "
+                "taken at fixed Q and Q'"
+            )
+    return scn
+
+
 def _fig2_rows(params: dict, workers: int) -> list[dict]:
     base = dict(
         name="fig2", geometry="macro", num_tx_antennas=64, num_states=5,
@@ -110,7 +126,7 @@ def _fig3_rows(params: dict, workers: int) -> list[dict]:
         users_per_group=4, baseline_users=4,
         ptot_dbm=(36.0, 38.0, 40.0, 41.0, 42.0, 43.0, 44.0, 46.0),
     )
-    scn = _scenario(base, params)
+    scn = _fixed_q_scenario(base, params)
     curves = experiments._simulate(_bd_jobs(scn, (BD_MRC_ASYM, ("vcc_bd_mrc_asym",))), workers)
     vcc, cl = curves["vcc_bd_mrc"], curves["cacheless_bd_mrc"]
     rows = rows_for_curve(vcc, scn, gain=effective_gain(vcc, cl, "fixed"))
@@ -126,7 +142,7 @@ def _fig4_rows(params: dict, workers: int) -> list[dict]:
         users_per_group=2, baseline_users=8,
         ptot_dbm=(34.0, 36.0, 38.0, 40.0, 41.0, 42.0, 43.0, 44.0, 46.0),
     )
-    scn = _scenario(base, params)
+    scn = _fixed_q_scenario(base, params)
     curves = experiments._simulate(_bd_jobs(scn), workers)
     vcc, cl = curves["vcc_bd_mrc"], curves["cacheless_bd_mrc"]
     rows = rows_for_curve(vcc, scn, gain=effective_gain(vcc, cl, "fixed"))

@@ -325,6 +325,11 @@ class TestParser:
         ("fig9", "ptot_dbm=4000", "ptot_dbm"),
         ("fig9", "ptot_dbm=-4000", "ptot_dbm"),
         ("fig8", "L=1", "L"),
+        # fig3 and fig4 take their gain at fixed Q and Q'
+        ("fig3", "Q=optimize", "Q (users_per_group)"),
+        ("fig3", "Qprime=optimize", "Qprime (baseline_users)"),
+        ("fig4", "Q=optimize", "Q (users_per_group)"),
+        ("fig4", "Qprime=optimize", "Qprime (baseline_users)"),
     ])
     def test_bad_field_named_before_sampling(
         self, capsys, tmp_path, monkeypatch, recipe, setting, field

@@ -265,11 +265,16 @@ class TestOneSimulatePerRecipe:
         run_recipe(recipe, seed=1, n_locations=n_loc, n_fadings=n_fad)
         assert counts["mmf_sum_rates"] == rules * n_loc * n_fad
 
-    # Rate-rule calls per (location, fading) under imperfect CSI: one per
-    # job (cache-aided and cacheless) for each rule the recipe lists.
+    # Rate-rule calls per (location, fading): under imperfect CSI one per
+    # job (cache-aided and cacheless) for each rule the recipe lists; for
+    # fig7 one per max-min-fair rule.  Fading-free rules run once per
+    # location, before its fadings.
+    FADING_FREE = ("_asym_rates", "_zf_bound_rates")
+
     @pytest.mark.parametrize("recipe, per_fading", [
         ("fig6", {"_csi_perfect_rates": 2, "_csi_error_rates": 2}),
         ("fig9", {"_csi_perfect_rates": 0, "_csi_error_rates": 2}),
+        ("fig7", {"_mmf_rates": 3, "_zf_bound_rates": 1}),
     ])
     def test_csi_rules_run_only_where_listed(self, monkeypatch, recipe, per_fading):
         counts = dict.fromkeys(per_fading, 0)
@@ -291,7 +296,10 @@ class TestOneSimulatePerRecipe:
         monkeypatch.setattr(experiments, "_simulate", counting_simulate)
         n_loc, n_fad = 2, 3
         run_recipe(recipe, seed=1, n_locations=n_loc, n_fadings=n_fad)
-        assert counts == {name: n * n_loc * n_fad for name, n in per_fading.items()}
+        assert counts == {
+            name: n * n_loc * (1 if name in self.FADING_FREE else n_fad)
+            for name, n in per_fading.items()
+        }
 
     @pytest.mark.parametrize("recipe", sorted(RECIPES))
     def test_at_most_one_pool_per_recipe(self, monkeypatch, recipe):
@@ -412,16 +420,45 @@ class TestSharedLocationTask:
         self._equal(shared["msv_modified"], run_msv(six)["msv_modified"])
         self._equal(shared["msv_small"], run_msv(four)["msv_modified"])
 
-    def test_jobs_must_share_location_count(self):
+    def test_jobs_must_share_location_count(self, monkeypatch):
+        def fail(_):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(experiments, "_location_task", fail)
         scn = macro_scenario()
+        for other in (dict(n_locations=3), dict(n_fadings=3)):
+            jobs = [
+                experiments.cache_aided_job(scn, (experiments.BD_MRC, ("a",))),
+                experiments.cacheless_job(
+                    dataclasses.replace(scn, **other), (experiments.BD_MRC, ("b",))
+                ),
+            ]
+            with pytest.raises(ValueError, match=r"\(location, fading\) counts"):
+                experiments._simulate(jobs, workers=1)
+
+    def test_task_returns_location_means(self):
+        scn = macro_scenario(
+            users_per_group=None, baseline_users=None, n_locations=1, n_fadings=3,
+            **self.BD_SCENARIOS["fig7"],
+        )
         jobs = [
-            experiments.cache_aided_job(scn, (experiments.BD_MRC, ("a",))),
-            experiments.cacheless_job(
-                dataclasses.replace(scn, n_locations=3), (experiments.BD_MRC, ("b",))
+            experiments.cache_aided_job(
+                scn, (experiments.BD_MRC, ("vcc_bd_mrc",)), (experiments.ZF, ("vcc_zf",)),
+                (experiments.ZF_BOUNDS, ("vcc_zf_lower", "vcc_zf_upper")),
             ),
+            experiments.cacheless_job(scn, (experiments.BD_MRC, ("cacheless_bd_mrc",))),
         ]
-        with pytest.raises(ValueError, match="location counts"):
-            experiments._simulate(jobs, workers=1)
+        out = experiments._location_task((jobs, 0))
+        for job, job_out in zip(jobs, out):
+            assert [rates.shape for rates in job_out] == [
+                (len(names), len(job.q_values), len(scn.p_watts)) for _, names in job.rules
+            ]
+        # one location: the curves are that location's means
+        curves = experiments._simulate(jobs, workers=1)
+        for job, job_out in zip(jobs, out):
+            for (_, names), rates in zip(job.rules, job_out):
+                for name, mean in zip(names, rates):
+                    assert np.array_equal(curves[name].mean, mean)
 
 
 class TestOverheadAccounting:
