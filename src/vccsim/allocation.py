@@ -6,22 +6,23 @@ served user runs at the same effective rate, and the sum of the per-user
 power costs of that rate exhausts the budget.  Analytic brackets built from
 each user's best and worst stream gain confine the root.
 
-There is one root solver, :func:`mmf_sum_rates`.  It takes a batch of
-ragged problems, each with its own users and overhead factor, and solves
-all of them over the whole power sweep in one Newton loop on ``(problem,
-power)`` arrays.  The users of every problem are flattened in order, and
-the per-problem budget sums are segment sums.  A problem whose users all
-have one stream has a closed-form root.  Otherwise the budget residual is
-convex and increasing, and safeguarded Newton steps from the upper bracket
-converge monotonically onto the root.  The brackets are closed-form when
-all of a problem's users have the same stream count; the same Newton
-routine solves the brackets' own budget equation when the counts differ.
-It returns rates only.  :func:`solve_mmf` takes the same root for one
-problem and one budget and adds the per-user water-filled power
-allocation.  The fading-free large-array curves
-(:func:`mmf_massive_mimo_rates`, :func:`zf_mmf_bounds`) solve the budget
-equation of the bracket's surrogate users, also over the whole power
-vector.
+Two batched roots take a ragged batch of problems, each with its own users
+and overhead factor, over the whole power sweep.  The users of every
+problem are flattened in order, and the per-problem budget sums are
+segment sums (``np.add.reduceat``).
+
+* :func:`surrogate_sum_rates` solves the budget equation of surrogate
+  users, whose streams all share one gain: in closed form when a problem's
+  users share one stream count, else in one Newton loop over all such
+  problems.  It gives the brackets of :func:`mmf_sum_rates` and every
+  fading-free curve; :func:`mmf_brackets`, :func:`mmf_massive_mimo_rates`
+  and :func:`zf_mmf_bounds` are its one-problem front ends.
+* :func:`mmf_sum_rates` solves the equal-rate budget equation of
+  water-filled users.  The root is closed-form when every user has one
+  stream; otherwise the residual is convex and increasing, and safeguarded
+  Newton steps from the upper bracket converge monotonically onto it.  It
+  returns rates only; :func:`solve_mmf` adds, for one problem and one
+  budget, the per-user water-filled power allocation.
 
 Rates are nats/s/Hz throughout; conversion to bits happens at reporting.
 """
@@ -42,6 +43,7 @@ __all__ = [
     "waterfill",
     "solve_mmf",
     "mmf_sum_rates",
+    "surrogate_sum_rates",
     "mmf_brackets",
     "mmf_massive_mimo_rates",
     "zf_mmf_bounds",
@@ -201,10 +203,8 @@ def mmf_sum_rates(gains, counts, sizes, overhead_factors, noise_power: float, p_
     per-user water-filled powers of that rate exhaust the budget;
     nonpositive budgets give 0.
     """
-    sizes = np.asarray(sizes)
     gains = np.asarray(gains, dtype=float)
-    if sizes.ndim != 1 or np.any(sizes < 1) or sizes.sum() != gains.shape[0]:
-        raise ValueError("sizes must be positive and add up to the user count")
+    sizes = _checked_sizes(sizes, gains.shape[0])
     table = _StreamTable.build(
         gains, np.asarray(counts), sizes, np.asarray(overhead_factors, dtype=float),
         noise_power,
@@ -275,15 +275,25 @@ def _mmf_root(table: _StreamTable, p_tot: np.ndarray):
 
     A problem's budget residual ``sum_k inverse_k(R / n) - p_tot`` is convex
     and increasing in ``R``, nonpositive at ``lo`` and nonnegative at
-    ``hi``.  With one stream per user the bracket collapses and the root is
-    closed-form.
+    ``hi``.  The brackets are the surrogate-user roots of each user's worst
+    and best stream gain (:func:`mmf_brackets`).  With one stream per user
+    the bracket collapses and the root is closed-form.
     """
     n = table.sizes[:, None]
     starts = np.cumsum(table.sizes) - table.sizes
     prob = np.repeat(np.arange(table.sizes.size), table.sizes)
     xi = table.xi[starts]
     p = np.maximum(p_tot, 0.0)
-    lo, hi, one_stream = _batch_brackets(table, starts, xi, p)
+    counts = table.counts
+    # One call for both brackets: every problem's worst-gain users, then its
+    # best-gain ones.
+    bounds = surrogate_sum_rates(
+        np.concatenate([table.lam[np.arange(counts.size), counts - 1], table.lam[:, 0]]),
+        *(np.concatenate([a, a]) for a in (counts, table.sizes, xi[:, 0])), table.n0, p,
+    )
+    lo = bounds[: starts.size]
+    hi = np.maximum(bounds[starts.size :], lo)
+    one_stream = np.maximum.reduceat(counts, starts) == 1
     if one_stream.all():
         return lo, lo, hi
 
@@ -295,31 +305,6 @@ def _mmf_root(table: _StreamTable, p_tot: np.ndarray):
         )
 
     return _newton_root(residual, lo, np.where(one_stream[:, None], lo, hi)), lo, hi
-
-
-def _batch_brackets(table: _StreamTable, starts, xi, p):
-    """:func:`mmf_brackets` of every problem ``(S, P)``, and which problems
-    have one stream per user.
-
-    A problem whose users share one stream count takes the closed form;
-    only problems with mixed counts solve the bracket equation alone.
-    """
-    counts = table.counts
-    lam_lo = table.lam[np.arange(counts.size), counts - 1]
-    lam_hi = table.lam[:, 0]
-    j = counts[starts]
-    uniform = np.minimum.reduceat(counts, starts) == np.maximum.reduceat(counts, starts)
-    lo, hi = (
-        _uniform_bound(np.add.reduceat(1.0 / lam, starts)[:, None], table.sizes[:, None],
-                       j[:, None], xi, table.n0, p)
-        for lam in (lam_lo, lam_hi)
-    )
-    for s in np.flatnonzero(~uniform):
-        users = slice(starts[s], starts[s] + table.sizes[s])
-        lo[s], hi[s] = mmf_brackets(
-            lam_lo[users], lam_hi[users], counts[users], xi[s, 0], table.n0, p
-        )
-    return lo, np.maximum(hi, lo), uniform & (j == 1)
 
 
 def _newton_root(residual, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -349,6 +334,83 @@ def _newton_root(residual, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     )
 
 
+def surrogate_sum_rates(factors, counts, sizes, overhead_factors, noise_power: float, p_tot):
+    """Max-min-fair sum rate of surrogate users, whose streams all share one
+    gain, for every problem at every power point.
+
+    The batch layout is that of :func:`mmf_sum_rates`: user ``k`` has
+    ``counts[k]`` streams of gain ``factors[k]``, the users of problem 0
+    first, and ``sizes[s]`` is problem ``s``'s user count.  Returns the
+    sum rates ``R``, shape ``(S, len(p_tot))``, solving
+    ``sum_k counts_k n0 / factors_k expm1(R / (xi counts_k n)) == p_tot``.
+
+    A problem whose users share one stream count ``j`` inverts in closed
+    form.  Otherwise, since ``j * expm1(c / j)`` decreases in ``j``, the
+    closed form at the smallest count is a lower bracket and that at the
+    largest an upper one.  No single user's term can exceed the budget, so
+    each user's own closed form is an upper bracket too; the least of them
+    keeps the Newton steps of :func:`_newton_root` few when one user's
+    exponential dominates.  All such problems share one Newton loop.  A
+    problem with a nonpositive factor has its equal-rate optimum at 0, and
+    so do nonpositive budgets.
+    """
+    factors = np.asarray(factors, dtype=float)
+    counts = np.asarray(counts)
+    sizes = _checked_sizes(sizes, factors.size)
+    starts = np.cumsum(sizes) - sizes
+    n = sizes[:, None]
+    xi = np.asarray(overhead_factors, dtype=float)[:, None]
+    p = np.maximum(p_tot, 0.0)
+    # A nonpositive factor makes its problem's inverse-gain sum infinite, so
+    # that its closed form is 0 and it takes no Newton step.
+    inv = np.divide(1.0, factors, out=np.full_like(factors, np.inf), where=factors > 0)
+    inv_sum = np.add.reduceat(inv, starts)[:, None]
+    j_min = np.minimum.reduceat(counts, starts)[:, None]
+    j_max = np.maximum.reduceat(counts, starts)[:, None]
+
+    def closed_form(j):
+        return xi * n * j * np.log1p(p / (noise_power * j * inv_sum))
+
+    rate = closed_form(j_min)
+    mixed = (j_min != j_max)[:, 0] & (inv_sum[:, 0] < np.inf)
+    if mixed.any():
+        users = np.repeat(mixed, sizes)
+        m_sizes = sizes[mixed]
+        m_starts = np.cumsum(m_sizes) - m_sizes
+        m_n, m_xi = n[mixed], xi[mixed]
+        prob = np.repeat(np.arange(m_sizes.size), m_sizes)
+        js, scale = counts[users][:, None], noise_power / factors[users][:, None]
+        unit = m_xi[prob] * js * m_n[prob]
+        alone = np.minimum.reduceat(unit * np.log1p(p / (js * scale)), m_starts)
+
+        def residual(r):
+            excess = np.expm1(r[prob] / unit)
+            return (
+                np.add.reduceat(js * scale * excess, m_starts) - p,
+                np.add.reduceat(scale * (excess + 1.0), m_starts) / (m_xi * m_n),
+            )
+
+        hi = np.minimum(closed_form(j_max)[mixed], alone)
+        rate[mixed] = _newton_root(residual, rate[mixed], hi)
+    return rate
+
+
+def _checked_sizes(sizes, n_users: int) -> np.ndarray:
+    sizes = np.asarray(sizes)
+    if sizes.ndim != 1 or sizes.min() < 1 or sizes.sum() != n_users:
+        raise ValueError("sizes must be positive and add up to the user count")
+    return sizes
+
+
+def _one_problem(factors, counts, overhead_factor: float, noise_power: float, p_tot):
+    """:func:`surrogate_sum_rates` of one problem, shaped like ``p_tot``."""
+    p = np.asarray(p_tot, dtype=float)
+    rate = surrogate_sum_rates(
+        factors, counts, [len(factors)], [overhead_factor], noise_power, p.ravel()
+    )
+    return rate[0].reshape(p.shape)[()]
+
+
 def mmf_brackets(
     lambda_mins,
     lambda_maxs,
@@ -361,57 +423,15 @@ def mmf_brackets(
 
     Replacing every stream gain of a user by its worst (best) one makes the
     per-user rate pessimistic (optimistic); solving the budget equation for
-    those surrogate users brackets the true optimum.  With a uniform stream
-    count per user both equations invert in closed form.  Broadcasts over
-    ``p_tot``; nonpositive budgets give ``(0, 0)``.
+    those surrogate users (:func:`surrogate_sum_rates`) brackets the true
+    optimum.  Broadcasts over ``p_tot``; nonpositive budgets give
+    ``(0, 0)``.
     """
-    lam_lo = np.asarray(lambda_mins, dtype=float)
-    lam_hi = np.asarray(lambda_maxs, dtype=float)
-    js = np.asarray(stream_counts, dtype=int)
-    p = np.maximum(p_tot, 0.0)
-    lo = _bound_root(lam_lo, js, overhead_factor, noise_power, p)
-    hi = _bound_root(lam_hi, js, overhead_factor, noise_power, p)
+    lo, hi = (
+        _one_problem(lam, stream_counts, overhead_factor, noise_power, p_tot)
+        for lam in (lambda_mins, lambda_maxs)
+    )
     return lo, np.maximum(hi, lo)
-
-
-def _bound_root(lam, js, xi, n0, p_tot):
-    """Sum rate ``R`` solving ``sum_k js_k n0 / lam_k expm1(R / (xi js_k n))
-    == p_tot`` for users whose streams all have gain ``lam_k``, per power.
-
-    A uniform stream count inverts in closed form.  Otherwise, since
-    ``j * expm1(c / j)`` decreases in ``j``, the closed form at the smallest
-    count is a lower bracket and that at the largest an upper one.  No
-    single user's term can exceed the budget, so each user's own closed
-    form is an upper bracket too; the least of them keeps the Newton steps
-    of :func:`_newton_root` few when one user's exponential dominates.
-    """
-    n = lam.size
-
-    def uniform(j):
-        return _uniform_bound(np.sum(1.0 / lam), n, j, xi, n0, p_tot)
-
-    if np.all(js == js[0]):
-        return uniform(int(js[0]))
-    p = np.asarray(p_tot, dtype=float)
-    scale = n0 / lam
-    unit = xi * js * n
-    alone = np.min(unit * np.log1p(p[..., None] / (js * scale)), axis=-1)
-
-    def residual(r):
-        excess = np.expm1(r[..., None] / unit)
-        return (
-            np.sum(js * scale * excess, axis=-1) - p,
-            np.sum(scale * (excess + 1.0), axis=-1) / (xi * n),
-        )
-
-    hi = np.minimum(uniform(int(js.max())), alone)
-    return _newton_root(residual, uniform(int(js.min())), hi)
-
-
-def _uniform_bound(inv_gain_sum, n, j, xi, n0, p_tot):
-    """The closed-form root of :func:`_bound_root` when all ``n`` users have
-    ``j`` streams, where ``inv_gain_sum`` is ``sum_k 1 / lam_k``."""
-    return xi * n * j * np.log1p(p_tot / (n0 * j * inv_gain_sum))
 
 
 def mmf_massive_mimo_rates(
@@ -421,16 +441,15 @@ def mmf_massive_mimo_rates(
     overhead_factor: float,
     noise_power: float,
     p_tot,
-) -> np.ndarray:
+):
     """Large-antenna limit of the max-min-fair sum rate, per entry of ``p_tot``.
 
     In the large-array regime every stream gain of user ``k`` concentrates
     at ``beta_k * (L - M_group + M_k)``, so equal power over a user's
-    streams is optimal and the budget equation becomes explicit; the
-    uniform-antenna case is evaluated in closed form.
+    streams is optimal and the budget equation is that of surrogate users.
     """
-    factors, ms = _surrogate_users(betas_by_group, counts_by_group, num_tx_antennas, None)
-    return _surrogate_rate(factors, ms, overhead_factor, noise_power, p_tot)
+    betas, ms, room = _flat_groups(betas_by_group, counts_by_group, num_tx_antennas)
+    return _one_problem(betas * (room + ms), ms, overhead_factor, noise_power, p_tot)
 
 
 def zf_mmf_bounds(
@@ -449,40 +468,23 @@ def zf_mmf_bounds(
     which is what makes the power split depend on pathloss only.  Returns
     ``(lower, upper)``, each with one rate per entry of ``p_tot``.
     """
+    betas, ms, room = _flat_groups(betas_by_group, counts_by_group, num_tx_antennas)
     lo, hi = (
-        _surrogate_rate(
-            *_surrogate_users(betas_by_group, counts_by_group, num_tx_antennas, shift),
-            overhead_factor, noise_power, p_tot,
-        )
+        _one_problem(betas * (room + shift), ms, overhead_factor, noise_power, p_tot)
         for shift in (0, 1)
     )
     return lo, np.maximum(hi, lo)
 
 
-def _surrogate_users(betas_by_group, counts_by_group, l_tx, denom_shift):
-    """Per-user stream-gain factor and stream count under concentrated gains.
-
-    ``denom_shift`` of ``None`` uses gain ``beta * (L - M_group + M_k)``;
-    an integer ``s`` uses ``beta * (L - M_group + s)``.
-    """
-    factors, ms = [], []
-    for betas, counts in zip(betas_by_group, counts_by_group):
+def _flat_groups(betas_by_group, counts_by_group, l_tx):
+    """Every user's pathloss and antenna count, group by group, and the
+    antennas ``L - M_group`` its group leaves free."""
+    betas, ms, room = [], [], []
+    for group_betas, counts in zip(betas_by_group, counts_by_group):
         m_group = int(sum(counts))
         if m_group > l_tx:
             raise ValueError("group antennas exceed transmit antennas")
-        for beta, m in zip(betas, counts):
-            shift = m if denom_shift is None else denom_shift
-            factors.append(float(beta) * (l_tx - m_group + shift))
-            ms.append(int(m))
-    return np.asarray(factors), np.asarray(ms)
-
-
-def _surrogate_rate(factors, ms, xi, n0, p_tot):
-    """Sum rate when every stream of user k has gain ``factors[k]``: the
-    budget equation of the surrogate users in :func:`mmf_brackets`."""
-    p = np.maximum(p_tot, 0.0)
-    # A vanishing gain factor pins the equal-rate optimum at zero.
-    if np.any(factors <= 0):
-        return np.zeros_like(p)
-    return _bound_root(factors, ms, xi, n0, p)
-
+        betas += [float(b) for b in group_betas]
+        ms += [int(m) for m in counts]
+        room += [l_tx - m_group] * len(counts)
+    return np.asarray(betas), np.asarray(ms), np.asarray(room)

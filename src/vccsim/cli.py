@@ -22,18 +22,6 @@ from .recipes import RECIPES, list_recipes, run_recipe
 __all__ = ["RunConfig", "parse_config", "run", "main"]
 
 
-def _parse_int(text: str) -> int:
-    return int(text, 10)
-
-
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(",") if tok)
 
@@ -41,7 +29,7 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 def _parse_q(text: str):
     if text.lower() == "optimize":
         return None
-    return int(text, 10)
+    return int(text)
 
 
 def _parse_geometry(text: str):
@@ -63,26 +51,26 @@ def _render(value) -> str:
 # CLI key -> (scenario field, parser).  These are the overridable constants.
 SCENARIO_KEYS = {
     "geometry": ("geometry", _parse_geometry),
-    "L": ("num_tx_antennas", _parse_int),
-    "Lambda": ("num_states", _parse_int),
-    "gamma": ("cache_fraction", _parse_fraction),
-    "M": ("antennas_per_user", _parse_int),
+    "L": ("num_tx_antennas", int),
+    "Lambda": ("num_states", int),
+    "gamma": ("cache_fraction", Fraction),
+    "M": ("antennas_per_user", int),
     "Q": ("users_per_group", _parse_q),
     "Qprime": ("baseline_users", _parse_q),
     "ptot_dbm": ("ptot_dbm", _parse_float_list),
-    "T": ("coherence_symbols", _parse_int),
-    "Theta": ("pilot_symbols", _parse_int),
-    "noise_power": ("noise_power", _parse_float),
-    "csit_error_var": ("csit_error_var", _parse_float),
+    "T": ("coherence_symbols", int),
+    "Theta": ("pilot_symbols", int),
+    "noise_power": ("noise_power", float),
+    "csit_error_var": ("csit_error_var", float),
     "csir_error_vars": ("csir_error_vars", _parse_float_list),
     "users_per_state": ("users_per_state", _parse_q),
 }
 
 RUN_KEYS = {
     "recipe": str,
-    "seed": _parse_int,
-    "locations": _parse_int,
-    "fadings": _parse_int,
+    "seed": int,
+    "locations": int,
+    "fadings": int,
     "out": str,
 }
 

@@ -36,7 +36,10 @@ steps:
    the CSIT curve and one curve per CSIR variance.  Both sum each q's
    served pairs with ``np.add.reduceat``.  The MSV rates
    (:func:`~vccsim.precoding.msv_rate_from_gains`) are an array expression
-   over (q, power); the fading-free curves loop over q inside their rule;
+   over (q, power).  The fading-free curves are one surrogate-user root
+   solve per rule over the whole q sweep
+   (:func:`~vccsim.allocation.surrogate_sum_rates`), one problem per
+   (stream-gain surrogate, q);
 4. reduce: the task returns each rule's mean over the location's fadings,
    so only per-location means leave it; :func:`_simulate` reduces those,
    in location order, to the mean and standard error over locations.
@@ -87,14 +90,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-# UserRateFunction, solve_mmf, bd_mrc_eigenvalues and zf_matrix are on no run
-# path; they stay importable here, where bench/spans.py resolves the names it
-# traces.
+# UserRateFunction, solve_mmf, zf_mmf_bounds, bd_mrc_eigenvalues and zf_matrix
+# are on no run path; they stay importable here, where bench/spans.py resolves
+# the names it traces.
 from .allocation import (
     UserRateFunction,
-    mmf_massive_mimo_rates,
     mmf_sum_rates,
     solve_mmf,
+    surrogate_sum_rates,
     zf_mmf_bounds,
 )
 from .channel import (
@@ -440,29 +443,33 @@ def _mmf_rates(scenario: Scenario, num_groups: int, q_values, gains_counts, _):
     )[None]
 
 
-def _analytic_args(scenario: Scenario, num_groups: int, q: int, betas):
-    """Arguments of the fading-free closed forms, over the power vector."""
+def _surrogate_rates(scenario: Scenario, num_groups: int, q_values, betas, shifts):
+    """Max-min-fair rates ``(len(shifts), n_q, n_p)`` of surrogate users
+    whose streams all have gain ``beta * (L - q*m + shift)``, in one root
+    solve: a problem per (shift, q) over every served user, group by group."""
+    qs = np.asarray(q_values)
     m = scenario.antennas_per_user
-    return (
-        [list(betas[gi, :q]) for gi in range(num_groups)],
-        [[m] * q] * num_groups,
-        scenario.num_tx_antennas,
-        scenario.overhead_factor(num_groups, q),
-        scenario.noise_power,
-        np.asarray(scenario.p_watts),
+    room = scenario.num_tx_antennas - qs * m + np.asarray(shifts)[:, None]
+    gains = betas * room[..., None, None]
+    served = np.broadcast_to(np.arange(betas.shape[1]) < qs[:, None, None], gains.shape)
+    rates = surrogate_sum_rates(
+        gains[served], np.full(served.sum(), m), np.tile(num_groups * qs, len(shifts)),
+        np.tile(_overhead_factors(scenario, num_groups, q_values), len(shifts)),
+        scenario.noise_power, np.asarray(scenario.p_watts),
     )
+    return rates.reshape(len(shifts), qs.size, -1)
 
 
 def _asym_rates(scenario: Scenario, num_groups: int, q_values, _, betas):
-    return np.array([[
-        mmf_massive_mimo_rates(*_analytic_args(scenario, num_groups, q, betas))
-        for q in q_values
-    ]])
+    """Large-array BD-MRC limit: every stream gain at ``beta * (L - q*m + m)``."""
+    return _surrogate_rates(scenario, num_groups, q_values, betas, (scenario.antennas_per_user,))
 
 
 def _zf_bound_rates(scenario: Scenario, num_groups: int, q_values, _, betas):
-    bounds = [zf_mmf_bounds(*_analytic_args(scenario, num_groups, q, betas)) for q in q_values]
-    return np.stack(bounds, axis=1)
+    """Fading-averaged ZF bounds: stream gains ``beta * (L - q*m)`` and
+    ``beta * (L - q*m + 1)``."""
+    lo, hi = _surrogate_rates(scenario, num_groups, q_values, betas, (0, 1))
+    return np.stack([lo, np.maximum(hi, lo)])
 
 
 def _csi_draws(scenario: Scenario, num_groups: int, q_top: int, loc: int, fad: int, _):
@@ -654,14 +661,20 @@ def imperfect_csi_jobs(scenario: Scenario, *rules: _Rule) -> list[Job]:
     :data:`CSI_PERFECT` writes ``{side}_perfect``.  :data:`CSI_ERROR` writes
     ``{side}_csit``, under transmitter-side estimation error, and, on the
     cache-aided side, ``{side}_csit_csir{var:g}`` for each variance in
-    ``csir_error_vars``, with receiver-side coupling error as well.  Both
-    rules share one draw per fading; any other rule is a ``KeyError``.  The
-    cache-aided job comes first, so that it makes the draw both sides share
-    (with its coupling errors), and the cacheless job reads its group 0.
+    ``csir_error_vars``, with receiver-side coupling error as well; two
+    variances with one label are rejected.  Both rules share one draw per
+    fading; any other rule is a ``KeyError``.  The cache-aided job comes
+    first, so that it makes the draw both sides share (with its coupling
+    errors), and the cacheless job reads its group 0.
     """
     if scenario.antennas_per_user != 1 or scenario.geometry is not None:
         raise UnsupportedConfigurationError(
             "imperfect-CSI study needs single-antenna users with unit pathloss"
+        )
+    labels = [f"{var:g}" for var in scenario.csir_error_vars]
+    if len(set(labels)) != len(labels):
+        raise InvalidConfigurationError(
+            f"csir_error_vars {scenario.csir_error_vars} repeat a curve label: {labels}"
         )
     # Residual-coupling errors model imperfect cache-aided cancellation,
     # which the cacheless baseline does not perform.

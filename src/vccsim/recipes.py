@@ -181,6 +181,10 @@ def _fig6_rows(params: dict, workers: int) -> list[dict]:
         ptot_dbm=_snr_sweep(0, 5, 10, 15, 20, 25, 30, 35, 40),
     )
     scn = _scenario(base, params)
+    if scn.csir_error_vars:
+        raise InvalidConfigurationError(
+            f"csir_error_vars must be empty in {scn.name}, which writes no CSIR curve"
+        )
     curves = experiments._simulate(imperfect_csi_jobs(scn, CSI_PERFECT, CSI_ERROR), workers)
     rows = []
     for variant in ("perfect", "csit"):

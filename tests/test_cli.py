@@ -106,15 +106,16 @@ needs_task_list = pytest.mark.skipif(
 
 
 class TestImport:
-    def test_cli_import_loads_no_scipy(self):
+    @pytest.mark.parametrize("unused", ["scipy", "vccsim.caching"])
+    def test_cli_import_loads_no_scipy(self, unused):
         out = run_python(
             "import sys, vccsim.cli\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            f"print(sorted(m for m in sys.modules if (m + '.').startswith({unused!r} + '.')))"
         )
         assert out.strip() == "[]"
 
     THREADS = (
-        "import os, vccsim\n"
+        "import os, vccsim.cli\n"
         "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])"
     )
 
@@ -330,6 +331,10 @@ class TestParser:
         ("fig3", "Qprime=optimize", "Qprime (baseline_users)"),
         ("fig4", "Q=optimize", "Q (users_per_group)"),
         ("fig4", "Qprime=optimize", "Qprime (baseline_users)"),
+        # two CSIR variances with one curve label, and CSIR curves fig6 never writes
+        ("fig9", "csir_error_vars=0.01,0.01", "csir_error_vars"),
+        ("fig9", "csir_error_vars=0.01,1e-2", "csir_error_vars"),
+        ("fig6", "csir_error_vars=0.1", "csir_error_vars"),
     ])
     def test_bad_field_named_before_sampling(
         self, capsys, tmp_path, monkeypatch, recipe, setting, field

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from vccsim import experiments, precoding
+from vccsim.allocation import mmf_massive_mimo_rates, zf_mmf_bounds
 from vccsim.channel import noise_power_watts
 from vccsim.errors import (
     InvalidConfigurationError,
@@ -138,6 +139,25 @@ class TestSchemeNesting:
         b = run_cacheless_bd_mrc(vcc_scn)["cacheless_bd_mrc"]
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.stderr, b.stderr)
+
+
+class TestFadingFreeRules:
+    def test_one_solve_matches_each_q_alone(self):
+        # The q sweep in one surrogate-user solve against the one-problem
+        # front ends, q by q; q = 6 is full load (L = q*m), where the lower
+        # ZF bound's stream gain is 0.
+        scn = macro_scenario(users_per_group=None)
+        job = experiments.cache_aided_job(scn)
+        g, m = job.num_groups, scn.antennas_per_user
+        betas = experiments._location_betas(scn, g, max(job.q_values), 0)
+        asym = experiments._asym_rates(scn, g, job.q_values, None, betas)
+        bounds = experiments._zf_bound_rates(scn, g, job.q_values, None, betas)
+        for qi, q in enumerate(job.q_values):
+            args = ([list(row[:q]) for row in betas], [[m] * q] * g, scn.num_tx_antennas,
+                    scn.overhead_factor(g, q), scn.noise_power, np.asarray(scn.p_watts))
+            assert np.array_equal(asym[0, qi], mmf_massive_mimo_rates(*args))
+            assert np.array_equal(bounds[:, qi], zf_mmf_bounds(*args))
+        assert np.all(bounds[0, -1] == 0) and np.all(bounds[1, -1] > 0)
 
 
 class TestDeterminism:

@@ -4,6 +4,9 @@
   inverses of :class:`UserRateFunction`, a ragged batch of problems
   against each problem solved alone, and the sign of the budget residual at
   the ends of :func:`mmf_brackets`;
+* the surrogate-user root :func:`surrogate_sum_rates` over a ragged batch
+  with mixed stream counts, a zero factor and nonpositive budgets against
+  each problem's closed form or Brent root;
 * the full-prefix case of :func:`bd_mrc_prefix_gains` against the
   eigenvalues of the :func:`bd_mrc` beamformer design, and that of
   :func:`zf_prefix_gains` against :func:`zf_matrix` and a plain Gram-matrix
@@ -29,7 +32,12 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from vccsim import experiments
-from vccsim.allocation import UserRateFunction, mmf_brackets, mmf_sum_rates
+from vccsim.allocation import (
+    UserRateFunction,
+    mmf_brackets,
+    mmf_sum_rates,
+    surrogate_sum_rates,
+)
 from vccsim.channel import GroupChannel, complex_gaussian
 from vccsim.precoding import (
     bd_mrc,
@@ -124,6 +132,51 @@ def test_batched_solver_matches_each_problem_alone_and_brent(batch):
         np.testing.assert_allclose(row, alone, rtol=1e-13, atol=0)
         fns = [UserRateFunction(np.array(g), n0, xi) for g in pool]
         ref = np.array([_brent_sum_rate(fns, p) for p in powers])
+        np.testing.assert_allclose(row, ref, rtol=1e-10, atol=0)
+
+
+@st.composite
+def surrogate_batches(draw):
+    """:func:`batches` as surrogate users, each user's streams all at its best
+    gain, with one factor of at most one problem set to zero."""
+    problems, n0, powers = draw(batches())
+    factors = [[g[0] for g in pool] for pool, _ in problems]
+    zeroed = draw(st.integers(-1, len(problems) - 1))
+    if zeroed >= 0:
+        factors[zeroed][draw(st.integers(0, len(factors[zeroed]) - 1))] = 0.0
+    counts = [[len(g) for g in pool] for pool, _ in problems]
+    return factors, counts, [xi for _, xi in problems], n0, powers
+
+
+def _surrogate_rate_alone(factors, counts, xi, n0, p):
+    """One problem's surrogate-user sum rate: 0 for a zero factor or budget,
+    the closed form for one stream count, else a Brent root."""
+    f, j, n = np.array(factors), np.array(counts), len(factors)
+    if p <= 0 or np.any(f <= 0):
+        return 0.0
+    if np.all(j == j[0]):
+        return xi * n * j[0] * np.log1p(p / (n0 * j[0] * np.sum(1.0 / f)))
+
+    def residual(r):
+        return np.sum(j * n0 / f * np.expm1(r / (xi * j * n))) - p
+
+    hi = 1.0
+    while residual(hi) < 0:
+        hi *= 2.0
+    return brentq(residual, 0.0, hi, xtol=1e-30, rtol=1e-14)
+
+
+@PROPERTY
+@given(surrogate_batches())
+def test_surrogate_root_matches_each_problem_alone(batch):
+    factors, counts, xis, n0, powers = batch
+    rates = surrogate_sum_rates(
+        [f for fs in factors for f in fs], [j for js in counts for j in js],
+        [len(fs) for fs in factors], xis, n0, powers,
+    )
+    assert rates.shape == (len(factors), powers.size)
+    for row, fs, js, xi in zip(rates, factors, counts, xis):
+        ref = [_surrogate_rate_alone(fs, js, xi, n0, p) for p in powers]
         np.testing.assert_allclose(row, ref, rtol=1e-10, atol=0)
 
 
