@@ -18,11 +18,13 @@ segment sums (``np.add.reduceat``).
   fading-free curve; :func:`mmf_brackets`, :func:`mmf_massive_mimo_rates`
   and :func:`zf_mmf_bounds` are its one-problem front ends.
 * :func:`mmf_sum_rates` solves the equal-rate budget equation of
-  water-filled users.  The root is closed-form when every user has one
-  stream; otherwise the residual is convex and increasing, and safeguarded
-  Newton steps from the upper bracket converge monotonically onto it.  It
-  returns rates only; :func:`solve_mmf` adds, for one problem and one
-  budget, the per-user water-filled power allocation.
+  water-filled users.  The root is closed-form first: when every user has
+  one stream, and where every stream of every user is active in a problem
+  whose users share one stream count.  The residual is convex and
+  increasing, so on the problems left open safeguarded Newton steps from
+  the upper bracket converge monotonically onto it.  It returns rates
+  only; :func:`solve_mmf` adds, for one problem and one budget, the
+  per-user water-filled power allocation.
 
 Rates are nats/s/Hz throughout; conversion to bits happens at reporting.
 """
@@ -118,7 +120,7 @@ class UserRateFunction:
         object.__setattr__(self, "eigenvalues", lam)
         table = _StreamTable.build(
             lam[None, :], np.array([lam.size]), np.array([1]),
-            np.array([self.overhead_factor]), self.noise_power,
+            _checked_overheads([self.overhead_factor]), self.noise_power,
         )
         object.__setattr__(self, "_table", table)
 
@@ -204,12 +206,23 @@ def mmf_sum_rates(gains, counts, sizes, overhead_factors, noise_power: float, p_
     nonpositive budgets give 0.
     """
     gains = np.asarray(gains, dtype=float)
+    counts = np.asarray(counts)
     sizes = _checked_sizes(sizes, gains.shape[0])
-    table = _StreamTable.build(
-        gains, np.asarray(counts), sizes, np.asarray(overhead_factors, dtype=float),
-        noise_power,
-    )
-    return _mmf_root(table, np.asarray(p_tot, dtype=float))[0]
+    xi = _checked_overheads(overhead_factors)
+    p_tot = np.asarray(p_tot, dtype=float)
+    if np.all(counts == 1):
+        # The brackets collapse onto their closed form (see _mmf_root), and
+        # the stream table is never read.
+        return surrogate_sum_rates(gains[:, 0], counts, sizes, xi, noise_power, p_tot)
+    table = _StreamTable.build(gains, counts, sizes, xi, noise_power)
+    return _mmf_root(table, p_tot)[0]
+
+
+def _checked_overheads(overhead_factors) -> np.ndarray:
+    xi = np.asarray(overhead_factors, dtype=float)
+    if not np.all((0 < xi) & (xi <= 1)):
+        raise ValueError("overhead_factor must be in (0, 1]")
+    return xi
 
 
 class _StreamTable(NamedTuple):
@@ -237,8 +250,6 @@ class _StreamTable(NamedTuple):
 
     @classmethod
     def build(cls, gains, counts, sizes, xi, n0) -> "_StreamTable":
-        if not np.all((0 < xi) & (xi <= 1)):
-            raise ValueError("overhead_factor must be in (0, 1]")
         xi = np.repeat(xi, sizes)[:, None]
         valid = np.arange(gains.shape[1]) < counts[:, None]
         lam = np.where(valid, gains, 1.0)
@@ -250,6 +261,12 @@ class _StreamTable(NamedTuple):
         gap = np.arange(1, lam.shape[1] + 1) * geo - np.cumsum(1.0 / lam, axis=1)
         gap[:, 0] = 0.0
         return cls(lam, counts, geo, gap, breaks, xi, sizes, n0)
+
+    def take(self, problems: np.ndarray) -> "_StreamTable":
+        """The table of the problems selected by a boolean mask."""
+        users = np.repeat(problems, self.sizes)
+        arrays = (self.lam, self.counts, self.geo, self.gap, self.breaks, self.xi)
+        return _StreamTable(*(a[users] for a in arrays), self.sizes[problems], self.n0)
 
     def user_budgets(self, rate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-user powers ``(N, P)`` reaching the per-user rates ``(N, P)``,
@@ -276,12 +293,25 @@ def _mmf_root(table: _StreamTable, p_tot: np.ndarray):
     A problem's budget residual ``sum_k inverse_k(R / n) - p_tot`` is convex
     and increasing in ``R``, nonpositive at ``lo`` and nonnegative at
     ``hi``.  The brackets are the surrogate-user roots of each user's worst
-    and best stream gain (:func:`mmf_brackets`).  With one stream per user
-    the bracket collapses and the root is closed-form.
+    and best stream gain (:func:`mmf_brackets`).  The root is closed-form
+    first:
+
+    * with one stream per user the bracket collapses onto it;
+    * where every user has ``J`` streams, forcing all of them active (and
+      so dropping the constraint that powers be nonnegative, which can only
+      lower each user's cost) gives the upper bracket ``R_all = xi n J
+      log1p((p / n0 - sum_k gap_k[J-1]) / (J sum_k geo_k[J-1]))``.  It is
+      the root wherever each user's rate ``R_all / n`` clears the break at
+      which its last stream activates.
+
+    Newton (:func:`_newton_root`) runs only on the problems with an entry
+    left open, from ``hi`` tightened by ``R_all``; the closed-form entries
+    of those problems keep their value.  The brackets returned are the
+    surrogate-user ones.
     """
-    n = table.sizes[:, None]
-    starts = np.cumsum(table.sizes) - table.sizes
-    prob = np.repeat(np.arange(table.sizes.size), table.sizes)
+    sizes, n0 = table.sizes, table.n0
+    n = sizes[:, None]
+    starts = np.cumsum(sizes) - sizes
     xi = table.xi[starts]
     p = np.maximum(p_tot, 0.0)
     counts = table.counts
@@ -289,13 +319,46 @@ def _mmf_root(table: _StreamTable, p_tot: np.ndarray):
     # best-gain ones.
     bounds = surrogate_sum_rates(
         np.concatenate([table.lam[np.arange(counts.size), counts - 1], table.lam[:, 0]]),
-        *(np.concatenate([a, a]) for a in (counts, table.sizes, xi[:, 0])), table.n0, p,
+        *(np.concatenate([a, a]) for a in (counts, sizes, xi[:, 0])), n0, p,
     )
     lo = bounds[: starts.size]
     hi = np.maximum(bounds[starts.size :], lo)
-    one_stream = np.maximum.reduceat(counts, starts) == 1
-    if one_stream.all():
-        return lo, lo, hi
+    j = np.maximum.reduceat(counts, starts)
+    top = hi.copy()
+    settled = np.zeros(lo.shape, dtype=bool)
+    settled[j == 1] = True
+    forced = (np.minimum.reduceat(counts, starts) == j) & (j > 1)
+    if forced.any():
+        f_sizes, jf = sizes[forced], j[forced][:, None]
+        f_starts = np.cumsum(f_sizes) - f_sizes
+        rows = np.flatnonzero(np.repeat(forced, sizes))
+        last = np.repeat(jf[:, 0], f_sizes) - 1
+        geo_sum, gap_sum, last_break = (
+            reduce.reduceat(a[rows, at], f_starts)[:, None]
+            for reduce, a, at in (
+                (np.add, table.geo, last), (np.add, table.gap, last),
+                (np.maximum, table.breaks, last - 1),
+            )
+        )
+        nf = n[forced]
+        r_all = xi[forced] * nf * jf * np.log1p((p / n0 - gap_sum) / (jf * geo_sum))
+        top[forced] = np.maximum(np.minimum(hi[forced], r_all), lo[forced])
+        settled[forced] = r_all / nf >= last_break
+    # Settled entries start as zero-width brackets, which Newton returns.
+    rate = np.where(settled, top, lo)
+    open_ = ~settled.all(axis=1)
+    if open_.any():
+        residual = _budget_residual(table.take(open_), p)
+        rate[open_] = _newton_root(residual, rate[open_], top[open_])
+    return rate, lo, hi
+
+
+def _budget_residual(table: _StreamTable, p: np.ndarray):
+    """The budget residual of :func:`_mmf_root` and its slope in ``R``."""
+    n = table.sizes[:, None]
+    starts = np.cumsum(table.sizes) - table.sizes
+    prob = np.repeat(np.arange(table.sizes.size), table.sizes)
+    xi = table.xi[starts]
 
     def residual(r):
         power, level = table.user_budgets((r / n)[prob])
@@ -304,7 +367,7 @@ def _mmf_root(table: _StreamTable, p_tot: np.ndarray):
             np.add.reduceat(level, starts) / (xi * n),
         )
 
-    return _newton_root(residual, lo, np.where(one_stream[:, None], lo, hi)), lo, hi
+    return residual
 
 
 def _newton_root(residual, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ __all__ = [
     "geometry_preset",
     "substream",
     "sample_user_position",
+    "sample_user_pathlosses",
     "sample_group_channel",
     "csi_overhead",
     "corrupt_csit",
@@ -162,6 +163,21 @@ def sample_user_position(geometry: CellGeometry, rng: np.random.Generator) -> Li
     hi = geometry.outer_radius_m ** 2
     distance = math.sqrt(rng.uniform(lo, hi))
     return LinkGain(distance, geometry.pathloss(distance))
+
+
+def sample_user_pathlosses(
+    geometry: CellGeometry, rng: np.random.Generator, count: int
+) -> np.ndarray:
+    """Link gains of ``count`` users placed as by :func:`sample_user_position`.
+
+    One draw of ``count`` squared distances takes the same doubles from
+    ``rng``, in the same order, as ``count`` calls of that function, and
+    the gains are the same: the square root and the pathloss are taken per
+    user in Python floats, whose power can round differently from
+    ``np.power``.
+    """
+    squared = rng.uniform(geometry.inner_radius_m ** 2, geometry.outer_radius_m ** 2, count)
+    return np.array([geometry.pathloss(math.sqrt(d2)) for d2 in squared.tolist()])
 
 
 def sample_group_channel(

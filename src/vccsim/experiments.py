@@ -24,12 +24,14 @@ steps:
    ``(q, user)`` pairs only.  MSV runs the same kernel on one
    multicast/unicast draw for every unicast count
    (:func:`~vccsim.precoding.msv_gains_fast`);
-3. rates: the rates of every curve the scheme owns over the q sweep and
-   the power vector, from the kernel output of the job's groups.
-   Max-min-fair rates come from one batched rate-only root solve per (job,
-   rule, fading) (:func:`~vccsim.allocation.mmf_sum_rates`): each q is one
-   problem over the pooled users of every group, with its own pilot
-   overhead, and every q runs in one Newton loop.  Equal-power ZF under
+3. rates: the rates of every curve the scheme owns over the fadings, the
+   q sweep and the power vector, from the kernel outputs of the job's
+   groups at every fading of the location, stacked on a leading fading
+   axis.  Max-min-fair rates come from one batched rate-only root solve per
+   (job, rule, location) (:func:`~vccsim.allocation.mmf_sum_rates`): each
+   (fading, q) is one problem over the pooled users of every group, with
+   that q's pilot overhead, solved in closed form where it can be and
+   otherwise in one Newton loop with the others.  Equal-power ZF under
    imperfect CSI is two rules on one draw, and a recipe lists only the one
    whose curves it writes: :data:`CSI_PERFECT` takes its SINRs from the
    prefix ZF gains alone, and :data:`CSI_ERROR` from the couplings, for
@@ -90,9 +92,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-# UserRateFunction, solve_mmf, zf_mmf_bounds, bd_mrc_eigenvalues and zf_matrix
-# are on no run path; they stay importable here, where bench/spans.py resolves
-# the names it traces.
+# UserRateFunction, solve_mmf, zf_mmf_bounds, sample_user_position,
+# bd_mrc_eigenvalues and zf_matrix are on no run path; they stay importable
+# here, where bench/spans.py resolves the names it traces.
 from .allocation import (
     UserRateFunction,
     mmf_sum_rates,
@@ -107,6 +109,7 @@ from .channel import (
     dbm_to_watts,
     geometry_preset,
     noise_power_watts,
+    sample_user_pathlosses,
     sample_user_position,
     substream,
 )
@@ -350,12 +353,9 @@ def _parallel_map(fn, args_list, workers: int) -> list:
 def _location_betas(scenario: Scenario, num_groups: int, q_top: int, loc: int) -> np.ndarray:
     if scenario.geometry is None:
         return np.ones((num_groups, q_top))
-    geom = geometry_preset(scenario.geometry)
     rng = substream(scenario.seed, 0, loc)
-    draws = [
-        sample_user_position(geom, rng).beta for _ in range(num_groups * q_top)
-    ]
-    return np.asarray(draws).reshape(num_groups, q_top)
+    betas = sample_user_pathlosses(geometry_preset(scenario.geometry), rng, num_groups * q_top)
+    return betas.reshape(num_groups, q_top)
 
 
 def _unit_channels(scenario: Scenario, num_groups: int, q_top: int, loc: int, fad: int):
@@ -428,19 +428,22 @@ def _zf_kernel(scenario: Scenario, q_values, factor):
 
 
 def _mmf_rates(scenario: Scenario, num_groups: int, q_values, gains_counts, _):
-    """Max-min-fair sum rate over every served user of every group, per q,
-    from prefix gains ``(G, S, q_top, m)`` and counts ``(G, S, q_top)``.
+    """Max-min-fair sum rate over every served user of every group, per
+    fading and q, from prefix gains ``(F, G, S, q_top, m)`` and counts
+    ``(F, G, S, q_top)``.
 
-    One batched solve: each q is one problem, with its own overhead factor,
-    over the first q users of every group."""
+    One batched solve: each (fading, q) is one problem, with that q's
+    overhead factor, over the first q users of every group."""
     qs = np.asarray(q_values)
-    gains, counts = (a.swapaxes(0, 1) for a in gains_counts)
+    gains, counts = (a.swapaxes(1, 2) for a in gains_counts)
+    n_fad = counts.shape[0]
     served = np.broadcast_to(np.arange(counts.shape[-1]) < qs[:, None, None], counts.shape)
-    return mmf_sum_rates(
-        gains[served], counts[served], num_groups * qs,
-        _overhead_factors(scenario, num_groups, q_values),
+    rates = mmf_sum_rates(
+        gains[served], counts[served], np.tile(num_groups * qs, n_fad),
+        np.tile(_overhead_factors(scenario, num_groups, q_values), n_fad),
         scenario.noise_power, np.asarray(scenario.p_watts),
-    )[None]
+    )
+    return rates.reshape(1, n_fad, qs.size, -1)
 
 
 def _surrogate_rates(scenario: Scenario, num_groups: int, q_values, betas, shifts):
@@ -507,12 +510,12 @@ def _pair_snr(scenario: Scenario, num_groups: int, q_values) -> np.ndarray:
 
 
 def _csi_sum_rates(scenario: Scenario, num_groups: int, q_values, sinrs):
-    """Per-q rates ``(n_curves, S, P)`` from served-pair SINRs
-    ``(n_curves, G, T, P)``: summed over groups and each q's pairs, times
+    """Per-q rates ``(n_curves, F, S, P)`` from served-pair SINRs
+    ``(n_curves, F, G, T, P)``: summed over groups and each q's pairs, times
     that q's overhead factor."""
     xi = _overhead_factors(scenario, num_groups, q_values)
-    per_pair = np.log1p(sinrs).sum(axis=1)
-    return xi[:, None] * np.add.reduceat(per_pair, _served_pairs(q_values)[2], axis=1)
+    per_pair = np.log1p(sinrs).sum(axis=2)
+    return xi[:, None] * np.add.reduceat(per_pair, _served_pairs(q_values)[2], axis=2)
 
 
 def _csi_perfect_kernel(scenario: Scenario, q_values, draws):
@@ -522,8 +525,9 @@ def _csi_perfect_kernel(scenario: Scenario, q_values, draws):
 
 
 def _csi_perfect_rates(scenario: Scenario, num_groups: int, q_values, gains, _):
-    """Equal-power ZF rates under perfect CSI, for every q.  The couplings
-    are then ``diag(sqrt(g))``, so each stream's SINR is ``snr * g``."""
+    """Equal-power ZF rates under perfect CSI, for every fading and q, from
+    the gains ``(F, G, T)``.  The couplings are then ``diag(sqrt(g))``, so
+    each stream's SINR is ``snr * g``."""
     snr = _pair_snr(scenario, num_groups, q_values)
     return _csi_sum_rates(scenario, num_groups, q_values, (snr * gains[0][..., None])[None])
 
@@ -543,8 +547,9 @@ def _csi_error_kernel(scenario: Scenario, q_values, draws):
 
 def _csi_error_rates(scenario: Scenario, num_groups: int, q_values, kernel_out, _):
     """Equal-power ZF rates under CSIT error, then under CSIT error plus each
-    CSIR error variance, for every q.  Inter-group residuals enter through
-    their average power only."""
+    CSIR error variance, for every fading and q, from kernel outputs
+    ``(F, G, T)``.  Inter-group residuals enter through their average power
+    only."""
     own, received, *w = kernel_out
     pairs, _, _ = _served_pairs(q_values)
     snr = _pair_snr(scenario, num_groups, q_values)
@@ -706,8 +711,9 @@ def _draw_key(job: Job, draw):
 
 
 def _first_groups(arrays: tuple, made: int, num_groups: int) -> tuple:
-    """The first ``num_groups`` groups (axis 0) of arrays made for ``made``."""
-    return arrays if made == num_groups else tuple(a[:num_groups] for a in arrays)
+    """The first ``num_groups`` groups (axis 1, after the fadings) of arrays
+    made for ``made``."""
+    return arrays if made == num_groups else tuple(a[:, :num_groups] for a in arrays)
 
 
 def _location_task(args) -> list[list[np.ndarray]]:
@@ -720,51 +726,51 @@ def _location_task(args) -> list[list[np.ndarray]]:
     kernel, the draw key and ``q_values``), made by the first job with the
     most groups among those that share the key, a kernel on the whole draw;
     each job takes its first ``num_groups`` groups.  ``betas`` are a job's
-    own pathloss rows.  ``rule.rates(scenario, num_groups, q_values,
-    kernel_out, betas)`` returns the rates of every curve over the q sweep
-    and the power vector, shape ``(n_curves, n_q, n_p)``; fading-free rules
-    have no draw or kernel, get ``None`` and run once, before the fadings.
-    All are module-level functions so that tasks pickle.  Every job has the
-    same fading count (:func:`_simulate` checks it).  Returns, per job and
-    rule, this location's mean rates over its fadings, shape ``(n_curves,
-    n_q, n_p)``.
+    own pathloss rows.  After the fadings, ``rule.rates(scenario,
+    num_groups, q_values, kernel_out, betas)`` gets the kernel outputs of
+    every fading, stacked on a leading axis, and returns the rates of every
+    curve, shape ``(n_curves, n_fad, n_q, n_p)``; fading-free rules have no
+    draw or kernel, get ``None``, run once and return ``(n_curves, n_q,
+    n_p)``.  All are module-level functions so that tasks pickle.  Every
+    job has the same fading count (:func:`_simulate` checks it).  Returns,
+    per job and rule, this location's mean rates over its fadings, shape
+    ``(n_curves, n_q, n_p)``.
     """
     jobs, loc = args
-    n_fadings = jobs[0].scenario.n_fadings
     betas = [_location_betas(job.scenario, job.num_groups, max(job.q_values), loc) for job in jobs]
     makers = {}  # draw key -> index of the first job with the most groups that reads it
     out = [[None] * len(job.rules) for job in jobs]
-    samples = {}  # (job, rule) index -> per-fading rates (n_curves, n_fad, n_q, n_p)
+    drawn = []  # (job, rule) indices and draw key of the rules with a draw
     for ji, job in enumerate(jobs):
-        for ri, (rule, names) in enumerate(job.rules):
+        for ri, (rule, _) in enumerate(job.rules):
             if not rule.draw:
                 out[ji][ri] = rule.rates(job.scenario, job.num_groups, job.q_values, None, betas[ji])
                 continue
             key = _draw_key(job, rule.draw)
             if key not in makers or job.num_groups > jobs[makers[key]].num_groups:
                 makers[key] = ji
-            samples[ji, ri] = np.empty(
-                (len(names), n_fadings, len(job.q_values), len(job.scenario.p_watts))
-            )
-    for fad in range(n_fadings):
-        draws, kernels = {}, {}
-        for (ji, ri), rates in samples.items():
+            drawn.append((ji, ri, key))
+    kernels = {}  # kernel key -> the maker's kernel output at each fading
+    for fad in range(jobs[0].scenario.n_fadings):
+        draws = {}
+        for ji, ri, key in drawn:
             job, rule = jobs[ji], jobs[ji].rules[ri][0]
-            key = _draw_key(job, rule.draw)
             maker = jobs[makers[key]]
             if key not in draws:
                 draws[key] = rule.draw(
                     maker.scenario, maker.num_groups, max(maker.q_values), loc, fad,
                     betas[makers[key]],
                 )
-            kernel_key = (rule.kernel, key, job.q_values)
-            if kernel_key not in kernels:
-                kernels[kernel_key] = rule.kernel(maker.scenario, job.q_values, draws[key])
-            kernel_out = _first_groups(kernels[kernel_key], maker.num_groups, job.num_groups)
-            rates[:, fad] = rule.rates(
-                job.scenario, job.num_groups, job.q_values, kernel_out, betas[ji]
-            )
-    for (ji, ri), rates in samples.items():
+            made = kernels.setdefault((rule.kernel, key, job.q_values), [])
+            if len(made) == fad:  # not yet made at this fading
+                made.append(rule.kernel(maker.scenario, job.q_values, draws[key]))
+    stacked = {k: tuple(np.stack(a) for a in zip(*made)) for k, made in kernels.items()}
+    for ji, ri, key in drawn:
+        job, rule = jobs[ji], jobs[ji].rules[ri][0]
+        kernel_out = _first_groups(
+            stacked[rule.kernel, key, job.q_values], jobs[makers[key]].num_groups, job.num_groups
+        )
+        rates = rule.rates(job.scenario, job.num_groups, job.q_values, kernel_out, betas[ji])
         out[ji][ri] = rates.mean(axis=1)
     return out
 

@@ -325,16 +325,24 @@ def bd_mrc_prefix_gains(
     g_count, _, n = h.shape
     q_top = n // m
     qs = np.asarray(q_values)
-    # rows[g, k, j]: user k's rows of r_inv in column block j; blocks[g, k, j]
-    # is user k's diagonal block of the Gram inverse of the first j + 1 users.
+    q_max = int(qs.max())
+    # rows[g, k, j]: user k's rows of r_inv in column block j, for the users
+    # and blocks of the largest requested prefix; blocks[j, g, k] is user k's
+    # diagonal block of the Gram inverse of the first j + 1 users, summed
+    # block by block in column order.
     rows = r_inv.reshape(g_count, q_top, m, q_top, m).transpose(0, 1, 3, 2, 4)
-    blocks = np.cumsum(rows @ rows.conj().swapaxes(-1, -2), axis=2)
+    rows = rows[:, :q_max, :q_max]
+    products = rows @ rows.conj().swapaxes(-1, -2)
+    blocks = np.empty((q_max, g_count, q_max, m, m), dtype=complex)
+    blocks[0] = products[:, :, 0]
+    for j in range(1, q_max):
+        blocks[j] = blocks[j - 1] + products[:, :, j]
     served = np.arange(q_top) < qs[:, None]
     prefix_ok = valid[:, None] >= qs * m
     cells = prefix_ok[:, :, None] & served
     g_idx, s_idx, k_idx = np.nonzero(cells)
     gains = np.zeros((g_count, qs.size, q_top, m))
-    gains[cells] = _block_gains(blocks[g_idx, k_idx, qs[s_idx] - 1])
+    gains[cells] = _block_gains(blocks[qs[s_idx] - 1, g_idx, k_idx])
     counts = np.where(cells, m, 0)
     unusable = np.zeros(cells.shape, dtype=bool)
     unusable[cells] = ~_usable(gains[cells])
@@ -606,11 +614,11 @@ def msv_rate_from_gains(
 ) -> np.ndarray:
     """Effective total rate of the multi-server baseline, in nats/s/Hz.
 
-    Row ``s`` of the ``(S, G)`` multicast and ``(S, U)`` unicast gains
-    serves ``unicast_counts[s]`` unicast streams, with unicast gains zero
-    past that count (they add ``log1p(0) = 0``); ``p_tot`` holds ``P`` total
-    powers, and the result has shape ``(S, P)``.  Power splits equally over
-    the ``count + 1`` streams.  The common stream is decoded by
+    Row ``s`` of the ``(..., S, G)`` multicast and ``(..., S, U)`` unicast
+    gains serves ``unicast_counts[s]`` unicast streams, with unicast gains
+    zero past that count (they add ``log1p(0) = 0``); ``p_tot`` holds ``P``
+    total powers, and the result has shape ``(..., S, P)``.  Power splits
+    equally over the ``count + 1`` streams.  The common stream is decoded by
     ``coded_gain`` users and runs at the worst of their effective channels;
     pilot overhead covers all ``count + 1 + cached_load`` served
     single-antenna users.
@@ -626,8 +634,8 @@ def msv_rate_from_gains(
         for n in streams
     ])
     p = (np.asarray(p_tot, dtype=float)[None, :] / streams[:, None])[..., None]
-    mc = np.asarray(multicast_gains)[:, None, :]
-    uc = np.asarray(unicast_gains)[:, None, :]
+    mc = np.asarray(multicast_gains)[..., None, :]
+    uc = np.asarray(unicast_gains)[..., None, :]
     r_mc = coded_gain * np.min(np.log1p(p * mc / noise_power), axis=-1)
     r_uc = np.sum(np.log1p(p * uc / noise_power), axis=-1)
     return xi[:, None] * (r_mc + r_uc)

@@ -15,6 +15,7 @@ from vccsim.channel import (
     geometry_preset,
     noise_power_watts,
     sample_group_channel,
+    sample_user_pathlosses,
     sample_user_position,
     substream,
     watts_to_dbm,
@@ -73,6 +74,13 @@ class TestUserPositions:
     def test_beta_matches_law(self):
         link = sample_user_position(MACRO, substream(3, 0))
         assert link.beta == pytest.approx(MACRO.pathloss(link.distance_m), rel=1e-12)
+
+    @pytest.mark.parametrize("geom", [MACRO, MICRO])
+    def test_array_sampler_matches_scalar_draws(self, geom):
+        for loc in range(50):
+            rng = substream(9, 0, loc)
+            scalar = [sample_user_position(geom, rng).beta for _ in range(112)]
+            assert np.array_equal(sample_user_pathlosses(geom, substream(9, 0, loc), 112), scalar)
 
 
 class TestGroupChannel:

@@ -276,21 +276,20 @@ class TestOneSimulatePerRecipe:
         }
 
     # Max-min-fair rules per location: BD-MRC and ZF cache-aided plus
-    # cacheless BD-MRC for fig7, BD-MRC on each side for fig8.
+    # cacheless BD-MRC for fig7, BD-MRC on each side for fig8.  Each rule
+    # solves all the fadings of a location in one call.
     @pytest.mark.parametrize("recipe, rules", [("fig7", 3), ("fig8", 2)])
     def test_one_mmf_solve_per_rule_and_fading(self, monkeypatch, recipe, rules):
         counts = {"mmf_sum_rates": 0}
         self._count(monkeypatch, experiments, "mmf_sum_rates", counts)
-        n_loc, n_fad = 2, 1
+        n_loc, n_fad = 2, 3
         run_recipe(recipe, seed=1, n_locations=n_loc, n_fadings=n_fad)
-        assert counts["mmf_sum_rates"] == rules * n_loc * n_fad
+        assert counts["mmf_sum_rates"] == rules * n_loc
 
-    # Rate-rule calls per (location, fading): under imperfect CSI one per
-    # job (cache-aided and cacheless) for each rule the recipe lists; for
-    # fig7 one per max-min-fair rule.  Fading-free rules run once per
-    # location, before its fadings.
-    FADING_FREE = ("_asym_rates", "_zf_bound_rates")
-
+    # Rate-rule calls per location, whatever its fading count: under
+    # imperfect CSI one per job (cache-aided and cacheless) for each rule the
+    # recipe lists; for fig7 one per max-min-fair rule and one for the
+    # fading-free ZF bounds.
     @pytest.mark.parametrize("recipe, per_fading", [
         ("fig6", {"_csi_perfect_rates": 2, "_csi_error_rates": 2}),
         ("fig9", {"_csi_perfect_rates": 0, "_csi_error_rates": 2}),
@@ -316,10 +315,7 @@ class TestOneSimulatePerRecipe:
         monkeypatch.setattr(experiments, "_simulate", counting_simulate)
         n_loc, n_fad = 2, 3
         run_recipe(recipe, seed=1, n_locations=n_loc, n_fadings=n_fad)
-        assert counts == {
-            name: n * n_loc * (1 if name in self.FADING_FREE else n_fad)
-            for name, n in per_fading.items()
-        }
+        assert counts == {name: n * n_loc for name, n in per_fading.items()}
 
     @pytest.mark.parametrize("recipe", sorted(RECIPES))
     def test_at_most_one_pool_per_recipe(self, monkeypatch, recipe):
@@ -683,9 +679,13 @@ class TestCsiRule:
     @staticmethod
     def both_rules(scn, num_groups, q_values, draws):
         """The perfect-CSI curve, then the estimated-CSI curves, as the
-        per-q reference orders them: draw, kernel, rates."""
+        per-q reference orders them: draw, kernel, rates on a fading axis of
+        one."""
         return np.concatenate([
-            rule.rates(scn, num_groups, q_values, rule.kernel(scn, q_values, draws), None)
+            rule.rates(
+                scn, num_groups, q_values,
+                tuple(a[None] for a in rule.kernel(scn, q_values, draws)), None,
+            )[:, 0]
             for rule in (experiments.CSI_PERFECT, experiments.CSI_ERROR)
         ])
 

@@ -2,8 +2,10 @@
 
 * :func:`mmf_sum_rates` against a Brent root of the summed closed-form
   inverses of :class:`UserRateFunction`, a ragged batch of problems
-  against each problem solved alone, and the sign of the budget residual at
-  the ends of :func:`mmf_brackets`;
+  against each problem solved alone, the batches of several fadings in one
+  call against one call per fading, a batch that its closed form settles
+  in part against Brent roots, and the sign of the budget residual at the
+  ends of :func:`mmf_brackets`;
 * the surrogate-user root :func:`surrogate_sum_rates` over a ragged batch
   with mixed stream counts, a zero factor and nonpositive budgets against
   each problem's closed form or Brent root;
@@ -31,7 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from vccsim import experiments
+from vccsim import allocation, experiments
 from vccsim.allocation import (
     UserRateFunction,
     mmf_brackets,
@@ -133,6 +135,62 @@ def test_batched_solver_matches_each_problem_alone_and_brent(batch):
         fns = [UserRateFunction(np.array(g), n0, xi) for g in pool]
         ref = np.array([_brent_sum_rate(fns, p) for p in powers])
         np.testing.assert_allclose(row, ref, rtol=1e-10, atol=0)
+
+
+@PROPERTY
+@given(st.lists(batches(), min_size=1, max_size=4))
+def test_one_solve_over_fadings_equals_one_solve_per_fading(fadings):
+    # Each batch is one fading's problems; all share the first one's noise
+    # and powers, as the fadings of one location do.
+    _, n0, powers = fadings[0]
+    per_fading = []
+    for problems, _, _ in fadings:
+        gains, counts = _padded([g for pool, _ in problems for g in pool])
+        sizes = [len(pool) for pool, _ in problems]
+        per_fading.append(
+            mmf_sum_rates(gains, counts, sizes, [xi for _, xi in problems], n0, powers)
+        )
+    problems = [problem for batch, _, _ in fadings for problem in batch]
+    gains, counts = _padded([g for pool, _ in problems for g in pool])
+    together = mmf_sum_rates(
+        gains, counts, [len(pool) for pool, _ in problems], [xi for _, xi in problems],
+        n0, powers,
+    )
+    assert np.array_equal(together, np.concatenate(per_fading))
+
+
+def test_closed_form_settles_part_of_a_batch(monkeypatch):
+    # Uniform stream counts at high power keep every stream active, so the
+    # closed form settles them; mixed counts, and uniform counts whose
+    # weakest streams stay off at low power, are left to Newton.
+    rng = np.random.default_rng(5)
+    n0, xi = 0.5, 0.9
+
+    def pool(counts):
+        return [sorted(rng.uniform(0.1, 10.0, j), reverse=True) for j in counts]
+
+    settled = [pool([j] * 4) for j in (2, 3, 4)]
+    mixed = pool([1, 3, 2, 4])
+    weak = [[8.0, 1e-6, 1e-6], [5.0, 2e-6, 1e-6]]
+    problems = [settled[0], mixed, settled[1], weak, settled[2]]
+    solved = []  # problem count of each Newton solve
+    residual = allocation._budget_residual
+
+    def spy(table, p):
+        solved.append(table.sizes.size)
+        return residual(table, p)
+
+    monkeypatch.setattr(allocation, "_budget_residual", spy)
+    for powers, newton in ((np.array([1e5, 1e6]), [2]), (np.array([1e-2, 1e6]), [5])):
+        solved.clear()
+        gains, counts = _padded([g for users in problems for g in users])
+        sizes = [len(users) for users in problems]
+        rates = mmf_sum_rates(gains, counts, sizes, [xi] * len(problems), n0, powers)
+        assert solved == newton
+        for row, users in zip(rates, problems):
+            fns = [UserRateFunction(np.array(g), n0, xi) for g in users]
+            ref = np.array([_brent_sum_rate(fns, p) for p in powers])
+            np.testing.assert_allclose(row, ref, rtol=1e-10, atol=0)
 
 
 @st.composite
