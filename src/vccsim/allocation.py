@@ -1,4 +1,4 @@
-"""Power allocation: per-user water-filling and max-min-fair solvers.
+"""Power allocation: per-user water-filling and the max-min-fair solver.
 
 The max-min problem decouples per user once the per-symbol gains are fixed,
 so the optimum is the root of a one-dimensional monotone equation: every
@@ -6,25 +6,19 @@ served user runs at the same effective rate, and the sum of the per-user
 power costs of that rate exhausts the budget.  Analytic brackets built from
 each user's best and worst stream gain confine the root.
 
-Two batched roots take a ragged batch of problems, each with its own users
-and overhead factor, over the whole power sweep.  The users of every
-problem are flattened in order, and the per-problem budget sums are
-segment sums (``np.add.reduceat``).
-
-* :func:`surrogate_sum_rates` solves the budget equation of surrogate
-  users, whose streams all share one gain: in closed form when a problem's
-  users share one stream count, else in one Newton loop over all such
-  problems.  It gives the brackets of :func:`mmf_sum_rates` and every
-  fading-free curve; :func:`mmf_brackets`, :func:`mmf_massive_mimo_rates`
-  and :func:`zf_mmf_bounds` are its one-problem front ends.
-* :func:`mmf_sum_rates` solves the equal-rate budget equation of
-  water-filled users.  The root is closed-form first: when every user has
-  one stream, and where every stream of every user is active in a problem
-  whose users share one stream count.  The residual is convex and
-  increasing, so on the problems left open safeguarded Newton steps from
-  the upper bracket converge monotonically onto it.  It returns rates
-  only; :func:`solve_mmf` adds, for one problem and one budget, the
-  per-user water-filled power allocation.
+One batched root, :func:`mmf_sum_rates`, takes a ragged batch of problems,
+each with its own users and overhead factor, over the whole power sweep.
+The users of every problem are flattened in order, and the per-problem
+budget sums are segment sums (``np.add.reduceat``).  The root is
+closed-form first: where a problem's brackets meet, and where every stream
+of every user is active in a problem whose users share one stream count.
+The residual is convex and increasing, so on the problems left open
+safeguarded Newton steps from the upper bracket converge monotonically onto
+it.  Surrogate users, whose streams all share one gain, are its equal-gain
+rows: :func:`mmf_brackets`, :func:`mmf_massive_mimo_rates` and
+:func:`zf_mmf_bounds` are one-problem front ends of that kind.  The root
+returns rates only; :func:`solve_mmf` adds, for one problem and one budget,
+the per-user water-filled power allocation.
 
 Rates are nats/s/Hz throughout; conversion to bits happens at reporting.
 """
@@ -45,7 +39,6 @@ __all__ = [
     "waterfill",
     "solve_mmf",
     "mmf_sum_rates",
-    "surrogate_sum_rates",
     "mmf_brackets",
     "mmf_massive_mimo_rates",
     "zf_mmf_bounds",
@@ -160,27 +153,23 @@ def solve_mmf(rate_functions: list[UserRateFunction], p_tot: float) -> MmfSoluti
     """Max-min-fair sum rate over pooled users, with its power allocation.
 
     The sum rate is the root of :func:`mmf_sum_rates`; each user's share of
-    the budget is then water-filled over its streams.  A nonpositive budget
+    the budget is then water-filled over its streams.  The bracket is the
+    closed-form one that the root starts from.  A nonpositive budget
     returns the all-zero solution.
     """
     n = len(rate_functions)
     if n == 0:
         raise ValueError("need at least one rate function")
-    if p_tot <= 0:
-        alloc = PowerAllocation(tuple(np.zeros(f.num_streams) for f in rate_functions))
-        return MmfSolution(0.0, 0.0, alloc, (0.0, 0.0))
     counts = np.array([f.num_streams for f in rate_functions])
     gains = np.zeros((n, counts.max()))
     for row, f in zip(gains, rate_functions):
         row[: f.num_streams] = f.eigenvalues
-    table = _StreamTable.build(
+    r_star, lo, hi = (float(x[0, 0]) for x in _mmf_root(
         gains, counts, np.array([n]), np.array([_shared(rate_functions, "overhead_factor")]),
-        _shared(rate_functions, "noise_power"),
-    )
-    r_star, lo, hi = (float(x[0, 0]) for x in _mmf_root(table, np.array([p_tot])))
-    budgets, _ = table.user_budgets(np.full((n, 1), r_star / n))
+        _shared(rate_functions, "noise_power"), np.array([p_tot], dtype=float),
+    ))
     alloc = PowerAllocation(
-        tuple(f.waterfill(b)[0] for f, b in zip(rate_functions, budgets[:, 0]))
+        tuple(f.waterfill(f.inverse(r_star / n))[0] for f in rate_functions)
     )
     return MmfSolution(r_star, r_star / n, alloc, (lo, hi))
 
@@ -199,23 +188,26 @@ def mmf_sum_rates(gains, counts, sizes, overhead_factors, noise_power: float, p_
     every user's stream gains, descending, in a row of shape ``(N, J)``,
     the users of problem 0 first, then those of problem 1 and so on;
     ``sizes[s]`` is problem ``s``'s user count and ``overhead_factors[s]``
-    its overhead factor.  Entries past a user's stream count in ``counts``
-    are ignored.  Returns the sum rates, shape ``(S, len(p_tot))``.  Within
-    a problem every user runs at the same effective rate ``R / n`` and the
+    its overhead factor.  Each user's stream count in ``counts`` lies in
+    ``1..J``, and entries past it are ignored; so a surrogate user, whose
+    streams all share one gain, is a row repeating that gain up to its
+    count.  Returns the sum rates, shape ``(S, len(p_tot))``.  Within a
+    problem every user runs at the same effective rate ``R / n`` and the
     per-user water-filled powers of that rate exhaust the budget;
-    nonpositive budgets give 0.
+    nonpositive budgets, and a user with no positive gain, give 0.
     """
     gains = np.asarray(gains, dtype=float)
-    counts = np.asarray(counts)
+    counts = _checked_counts(counts, gains.shape)
     sizes = _checked_sizes(sizes, gains.shape[0])
     xi = _checked_overheads(overhead_factors)
-    p_tot = np.asarray(p_tot, dtype=float)
-    if np.all(counts == 1):
-        # The brackets collapse onto their closed form (see _mmf_root), and
-        # the stream table is never read.
-        return surrogate_sum_rates(gains[:, 0], counts, sizes, xi, noise_power, p_tot)
-    table = _StreamTable.build(gains, counts, sizes, xi, noise_power)
-    return _mmf_root(table, p_tot)[0]
+    return _mmf_root(gains, counts, sizes, xi, noise_power, np.asarray(p_tot, dtype=float))[0]
+
+
+def _checked_counts(counts, shape) -> np.ndarray:
+    counts = np.asarray(counts)
+    if counts.shape != shape[:1] or counts.min() < 1 or counts.max() > shape[1]:
+        raise ValueError(f"need one stream count in 1..{shape[1]} per user")
+    return counts
 
 
 def _checked_overheads(overhead_factors) -> np.ndarray:
@@ -286,47 +278,78 @@ _NEWTON_RTOL = 1e-14
 _NEWTON_MAX_ITER = 100
 
 
-def _mmf_root(table: _StreamTable, p_tot: np.ndarray):
+def _mmf_root(gains, counts, sizes, xi, n0: float, p_tot: np.ndarray):
     """Max-min-fair sum rates and their brackets ``(rate, lo, hi)``, each of
-    shape ``(S, P)``: one row per problem, one column per power.
+    shape ``(S, P)``: one row per problem, one column per power.  The
+    arguments are those of :func:`mmf_sum_rates`, checked.
 
     A problem's budget residual ``sum_k inverse_k(R / n) - p_tot`` is convex
     and increasing in ``R``, nonpositive at ``lo`` and nonnegative at
-    ``hi``.  The brackets are the surrogate-user roots of each user's worst
-    and best stream gain (:func:`mmf_brackets`).  The root is closed-form
-    first:
+    ``hi``.  Both brackets are closed forms of surrogate users, whose ``j``
+    streams all share one gain ``f``: ``xi n j log1p(p / (n0 j sum_k 1 /
+    f_k))``.  Since ``j * expm1(c / j)`` decreases in ``j``, it is a lower
+    bracket on every user's worst gain at the problem's smallest count, and
+    an upper one on every user's best gain at its largest.  Where the counts
+    are mixed, no single user's term can exceed the budget, so each user's
+    own closed form caps ``hi`` too; the least of them keeps the Newton
+    steps few when one user's exponential dominates.  A user with no
+    positive gain makes both inverse-gain sums of its problem infinite, so
+    that both brackets are 0.
 
-    * with one stream per user the bracket collapses onto it;
-    * where every user has ``J`` streams, forcing all of them active (and
-      so dropping the constraint that powers be nonnegative, which can only
-      lower each user's cost) gives the upper bracket ``R_all = xi n J
-      log1p((p / n0 - sum_k gap_k[J-1]) / (J sum_k geo_k[J-1]))``.  It is
-      the root wherever each user's rate ``R_all / n`` clears the break at
-      which its last stream activates.
+    Where a problem's brackets meet at every power (one stream per user,
+    equal gains with one count, a zero gain), they are its root, and it
+    gets no stream table.  The others go to :func:`_open_root`.
+    """
+    n = sizes[:, None]
+    starts = np.cumsum(sizes) - sizes
+    xi = xi[:, None]
+    p = np.maximum(p_tot, 0.0)
+    # Both brackets at once, on axis 0: every user's worst gain (at the flat
+    # index of its last stream) and the problem's smallest count, then every
+    # user's best gain and the largest count.
+    last = np.arange(0, gains.size, gains.shape[1]) + counts - 1
+    lam = np.stack([gains.take(last), gains[:, 0]])
+    inv = np.divide(1.0, lam, out=np.full_like(lam, np.inf), where=lam > 0)
+    inv_sum = np.stack([np.add.reduceat(row, starts) for row in inv])[..., None]
+    j = np.stack([r.reduceat(counts, starts) for r in (np.minimum, np.maximum)])[..., None]
+    lo, hi = xi * n * j * np.log1p(p / (n0 * j * inv_sum))
+    mixed = j[0] != j[1]
+    if mixed.any():
+        k, own = np.repeat(np.arange(sizes.size), sizes), counts[:, None]
+        alone = xi[k] * own * n[k] * np.log1p(p / (n0 * own * inv[1][:, None]))
+        hi = np.where(mixed, np.minimum(hi, np.minimum.reduceat(alone, starts)), hi)
+    hi = np.maximum(hi, lo)
+    rate = lo.copy()
+    open_ = ~(lo == hi).all(axis=1)
+    if open_.any():
+        users = np.flatnonzero(np.repeat(open_, sizes))
+        table = _StreamTable.build(
+            gains.take(users, axis=0), counts[users], sizes[open_], xi[open_, 0], n0
+        )
+        rate[open_] = _open_root(table, lo[open_], hi[open_], p)
+    return rate, lo, hi
 
-    Newton (:func:`_newton_root`) runs only on the problems with an entry
-    left open, from ``hi`` tightened by ``R_all``; the closed-form entries
-    of those problems keep their value.  The brackets returned are the
-    surrogate-user ones.
+
+def _open_root(table: _StreamTable, lo: np.ndarray, hi: np.ndarray, p: np.ndarray):
+    """The roots ``(S, P)`` of the problems of ``table`` in their brackets.
+
+    Where every user has ``J`` streams, forcing all of them active (and so
+    dropping the constraint that powers be nonnegative, which can only lower
+    each user's cost) gives the upper bracket ``R_all = xi n J log1p((p / n0
+    - sum_k gap_k[J-1]) / (J sum_k geo_k[J-1]))``.  It is the root wherever
+    each user's rate ``R_all / n`` clears the break at which its last stream
+    activates.  Newton (:func:`_newton_root`) runs only on the problems with
+    an entry left open, from ``hi`` tightened by ``R_all``; the closed-form
+    entries of those problems keep their value.
     """
     sizes, n0 = table.sizes, table.n0
     n = sizes[:, None]
     starts = np.cumsum(sizes) - sizes
     xi = table.xi[starts]
-    p = np.maximum(p_tot, 0.0)
     counts = table.counts
-    # One call for both brackets: every problem's worst-gain users, then its
-    # best-gain ones.
-    bounds = surrogate_sum_rates(
-        np.concatenate([table.lam[np.arange(counts.size), counts - 1], table.lam[:, 0]]),
-        *(np.concatenate([a, a]) for a in (counts, sizes, xi[:, 0])), n0, p,
-    )
-    lo = bounds[: starts.size]
-    hi = np.maximum(bounds[starts.size :], lo)
     j = np.maximum.reduceat(counts, starts)
     top = hi.copy()
     settled = np.zeros(lo.shape, dtype=bool)
-    settled[j == 1] = True
     forced = (np.minimum.reduceat(counts, starts) == j) & (j > 1)
     if forced.any():
         f_sizes, jf = sizes[forced], j[forced][:, None]
@@ -350,7 +373,7 @@ def _mmf_root(table: _StreamTable, p_tot: np.ndarray):
     if open_.any():
         residual = _budget_residual(table.take(open_), p)
         rate[open_] = _newton_root(residual, rate[open_], top[open_])
-    return rate, lo, hi
+    return rate
 
 
 def _budget_residual(table: _StreamTable, p: np.ndarray):
@@ -397,67 +420,6 @@ def _newton_root(residual, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     )
 
 
-def surrogate_sum_rates(factors, counts, sizes, overhead_factors, noise_power: float, p_tot):
-    """Max-min-fair sum rate of surrogate users, whose streams all share one
-    gain, for every problem at every power point.
-
-    The batch layout is that of :func:`mmf_sum_rates`: user ``k`` has
-    ``counts[k]`` streams of gain ``factors[k]``, the users of problem 0
-    first, and ``sizes[s]`` is problem ``s``'s user count.  Returns the
-    sum rates ``R``, shape ``(S, len(p_tot))``, solving
-    ``sum_k counts_k n0 / factors_k expm1(R / (xi counts_k n)) == p_tot``.
-
-    A problem whose users share one stream count ``j`` inverts in closed
-    form.  Otherwise, since ``j * expm1(c / j)`` decreases in ``j``, the
-    closed form at the smallest count is a lower bracket and that at the
-    largest an upper one.  No single user's term can exceed the budget, so
-    each user's own closed form is an upper bracket too; the least of them
-    keeps the Newton steps of :func:`_newton_root` few when one user's
-    exponential dominates.  All such problems share one Newton loop.  A
-    problem with a nonpositive factor has its equal-rate optimum at 0, and
-    so do nonpositive budgets.
-    """
-    factors = np.asarray(factors, dtype=float)
-    counts = np.asarray(counts)
-    sizes = _checked_sizes(sizes, factors.size)
-    starts = np.cumsum(sizes) - sizes
-    n = sizes[:, None]
-    xi = np.asarray(overhead_factors, dtype=float)[:, None]
-    p = np.maximum(p_tot, 0.0)
-    # A nonpositive factor makes its problem's inverse-gain sum infinite, so
-    # that its closed form is 0 and it takes no Newton step.
-    inv = np.divide(1.0, factors, out=np.full_like(factors, np.inf), where=factors > 0)
-    inv_sum = np.add.reduceat(inv, starts)[:, None]
-    j_min = np.minimum.reduceat(counts, starts)[:, None]
-    j_max = np.maximum.reduceat(counts, starts)[:, None]
-
-    def closed_form(j):
-        return xi * n * j * np.log1p(p / (noise_power * j * inv_sum))
-
-    rate = closed_form(j_min)
-    mixed = (j_min != j_max)[:, 0] & (inv_sum[:, 0] < np.inf)
-    if mixed.any():
-        users = np.repeat(mixed, sizes)
-        m_sizes = sizes[mixed]
-        m_starts = np.cumsum(m_sizes) - m_sizes
-        m_n, m_xi = n[mixed], xi[mixed]
-        prob = np.repeat(np.arange(m_sizes.size), m_sizes)
-        js, scale = counts[users][:, None], noise_power / factors[users][:, None]
-        unit = m_xi[prob] * js * m_n[prob]
-        alone = np.minimum.reduceat(unit * np.log1p(p / (js * scale)), m_starts)
-
-        def residual(r):
-            excess = np.expm1(r[prob] / unit)
-            return (
-                np.add.reduceat(js * scale * excess, m_starts) - p,
-                np.add.reduceat(scale * (excess + 1.0), m_starts) / (m_xi * m_n),
-            )
-
-        hi = np.minimum(closed_form(j_max)[mixed], alone)
-        rate[mixed] = _newton_root(residual, rate[mixed], hi)
-    return rate
-
-
 def _checked_sizes(sizes, n_users: int) -> np.ndarray:
     sizes = np.asarray(sizes)
     if sizes.ndim != 1 or sizes.min() < 1 or sizes.sum() != n_users:
@@ -466,10 +428,14 @@ def _checked_sizes(sizes, n_users: int) -> np.ndarray:
 
 
 def _one_problem(factors, counts, overhead_factor: float, noise_power: float, p_tot):
-    """:func:`surrogate_sum_rates` of one problem, shaped like ``p_tot``."""
+    """:func:`mmf_sum_rates` of one problem of surrogate users, user ``k``
+    with ``counts[k]`` streams all of gain ``factors[k]``, shaped like
+    ``p_tot``."""
+    factors, counts = np.asarray(factors, dtype=float), np.asarray(counts)
     p = np.asarray(p_tot, dtype=float)
-    rate = surrogate_sum_rates(
-        factors, counts, [len(factors)], [overhead_factor], noise_power, p.ravel()
+    gains = np.broadcast_to(factors[:, None], (factors.size, counts.max()))
+    rate = mmf_sum_rates(
+        gains, counts, [factors.size], [overhead_factor], noise_power, p.ravel()
     )
     return rate[0].reshape(p.shape)[()]
 
@@ -486,9 +452,10 @@ def mmf_brackets(
 
     Replacing every stream gain of a user by its worst (best) one makes the
     per-user rate pessimistic (optimistic); solving the budget equation for
-    those surrogate users (:func:`surrogate_sum_rates`) brackets the true
-    optimum.  Broadcasts over ``p_tot``; nonpositive budgets give
-    ``(0, 0)``.
+    those surrogate users (:func:`mmf_sum_rates` on equal-gain rows)
+    brackets the true optimum.  These are the brackets that the root starts
+    from where the stream counts are uniform; with mixed counts they are
+    tighter.  Broadcasts over ``p_tot``; nonpositive budgets give ``(0, 0)``.
     """
     lo, hi = (
         _one_problem(lam, stream_counts, overhead_factor, noise_power, p_tot)

@@ -19,7 +19,6 @@ __all__ = [
     "CellGeometry",
     "LinkGain",
     "GroupChannel",
-    "CsiOverhead",
     "MACRO",
     "MICRO",
     "geometry_preset",
@@ -132,15 +131,6 @@ class GroupChannel:
         return np.hstack([h for h, _ in self.per_user])
 
 
-@dataclass(frozen=True)
-class CsiOverhead:
-    """Fraction of a coherence block left after pilot transmission."""
-
-    coherence_symbols: int
-    pilot_symbols: int
-    overhead_factor: float
-
-
 def substream(master_seed: int, *key: int) -> np.random.Generator:
     """Deterministic, independent random stream for one Monte Carlo cell.
 
@@ -217,8 +207,9 @@ def complex_gaussian(rng: np.random.Generator, shape, variance: float = 1.0) -> 
 
 def csi_overhead(
     coherence_symbols: int, pilot_symbols: int, total_receive_antennas: int
-) -> CsiOverhead:
-    """Remaining fraction of the coherence block after per-antenna pilots.
+) -> float:
+    """Remaining fraction of the coherence block after per-antenna pilots:
+    the overhead factor.
 
     Raises
     ------
@@ -235,7 +226,7 @@ def csi_overhead(
             f"{pilot_symbols} pilot symbols for {total_receive_antennas} antennas "
             f"exceed the coherence block of {coherence_symbols} symbols"
         )
-    return CsiOverhead(coherence_symbols, pilot_symbols, factor)
+    return factor
 
 
 def corrupt_csit(

@@ -38,10 +38,10 @@ steps:
    the CSIT curve and one curve per CSIR variance.  Both sum each q's
    served pairs with ``np.add.reduceat``.  The MSV rates
    (:func:`~vccsim.precoding.msv_rate_from_gains`) are an array expression
-   over (q, power).  The fading-free curves are one surrogate-user root
-   solve per rule over the whole q sweep
-   (:func:`~vccsim.allocation.surrogate_sum_rates`), one problem per
-   (stream-gain surrogate, q);
+   over (q, power).  The fading-free curves are one root solve per rule
+   over the whole q sweep, the same :func:`~vccsim.allocation.mmf_sum_rates`
+   call on surrogate users, whose streams all share one gain: one problem
+   per (stream-gain surrogate, q), which the closed form settles;
 4. reduce: the task returns each rule's mean over the location's fadings,
    so only per-location means leave it; :func:`_simulate` reduces those,
    in location order, to the mean and standard error over locations.
@@ -99,7 +99,6 @@ from .allocation import (
     UserRateFunction,
     mmf_sum_rates,
     solve_mmf,
-    surrogate_sum_rates,
     zf_mmf_bounds,
 )
 from .channel import (
@@ -305,10 +304,8 @@ class Scenario:
 
     def overhead_factor(self, num_groups: int, q: int) -> float:
         return csi_overhead(
-            self.coherence_symbols,
-            self.pilot_symbols,
-            num_groups * q * self.antennas_per_user,
-        ).overhead_factor
+            self.coherence_symbols, self.pilot_symbols, num_groups * q * self.antennas_per_user
+        )
 
 
 @dataclass(frozen=True)
@@ -438,8 +435,12 @@ def _mmf_rates(scenario: Scenario, num_groups: int, q_values, gains_counts, _):
     gains, counts = (a.swapaxes(1, 2) for a in gains_counts)
     n_fad = counts.shape[0]
     served = np.broadcast_to(np.arange(counts.shape[-1]) < qs[:, None, None], counts.shape)
+    # Served rows by flat index: a boolean mask that leaves out the stream
+    # axis is several times slower.
+    served_at = np.flatnonzero(served)
+    rows = gains.reshape(-1, gains.shape[-1]).take(served_at, axis=0)
     rates = mmf_sum_rates(
-        gains[served], counts[served], np.tile(num_groups * qs, n_fad),
+        rows, counts.reshape(-1)[served_at], np.tile(num_groups * qs, n_fad),
         np.tile(_overhead_factors(scenario, num_groups, q_values), n_fad),
         scenario.noise_power, np.asarray(scenario.p_watts),
     )
@@ -448,19 +449,14 @@ def _mmf_rates(scenario: Scenario, num_groups: int, q_values, gains_counts, _):
 
 def _surrogate_rates(scenario: Scenario, num_groups: int, q_values, betas, shifts):
     """Max-min-fair rates ``(len(shifts), n_q, n_p)`` of surrogate users
-    whose streams all have gain ``beta * (L - q*m + shift)``, in one root
-    solve: a problem per (shift, q) over every served user, group by group."""
-    qs = np.asarray(q_values)
+    whose ``m`` streams all have gain ``beta * (L - q*m + shift)``: the
+    equal-gain rows of :func:`_mmf_rates`, with the shifts on its fading
+    axis."""
     m = scenario.antennas_per_user
-    room = scenario.num_tx_antennas - qs * m + np.asarray(shifts)[:, None]
-    gains = betas * room[..., None, None]
-    served = np.broadcast_to(np.arange(betas.shape[1]) < qs[:, None, None], gains.shape)
-    rates = surrogate_sum_rates(
-        gains[served], np.full(served.sum(), m), np.tile(num_groups * qs, len(shifts)),
-        np.tile(_overhead_factors(scenario, num_groups, q_values), len(shifts)),
-        scenario.noise_power, np.asarray(scenario.p_watts),
-    )
-    return rates.reshape(len(shifts), qs.size, -1)
+    room = scenario.num_tx_antennas - np.asarray(q_values) * m + np.asarray(shifts)[:, None]
+    gains = betas[:, None] * room[:, None, :, None]
+    gains_counts = (np.broadcast_to(gains[..., None], (*gains.shape, m)), np.full(gains.shape, m))
+    return _mmf_rates(scenario, num_groups, q_values, gains_counts, None)[0]
 
 
 def _asym_rates(scenario: Scenario, num_groups: int, q_values, _, betas):

@@ -629,10 +629,9 @@ def msv_rate_from_gains(
         If those pilots would consume more than the coherence block.
     """
     streams = np.asarray(unicast_counts) + 1
-    xi = np.array([
-        csi_overhead(coherence_symbols, pilot_symbols, n + cached_load).overhead_factor
-        for n in streams
-    ])
+    xi = np.array(
+        [csi_overhead(coherence_symbols, pilot_symbols, n + cached_load) for n in streams]
+    )
     p = (np.asarray(p_tot, dtype=float)[None, :] / streams[:, None])[..., None]
     mc = np.asarray(multicast_gains)[..., None, :]
     uc = np.asarray(unicast_gains)[..., None, :]

@@ -258,6 +258,42 @@ class TestMmfSumRates:
         with pytest.raises(ValueError):
             mmf_sum_rates(np.ones((2, 1)), [1, 1], sizes, [1.0] * len(sizes), 1.0, [1.0])
 
+    # A count of 0 used to give a silent NaN, and one above the row width an
+    # IndexError; one count per user.
+    @pytest.mark.parametrize("counts", [[0], [3], [1, 1], [-1]])
+    def test_counts_must_lie_within_the_rows(self, counts):
+        with pytest.raises(ValueError, match="stream count"):
+            mmf_sum_rates([[2.0, 1.0]], counts, [1], [1.0], 1.0, [1.0])
+
+    def test_stream_table_built_only_over_open_problems(self, monkeypatch):
+        built = []  # the problem sizes of each table built
+        build = allocation._StreamTable.build
+
+        def spy(gains, counts, sizes, xi, n0):
+            built.append(list(sizes))
+            return build(gains, counts, sizes, xi, n0)
+
+        monkeypatch.setattr(allocation._StreamTable, "build", spy)
+        powers = np.array([0.5, 10.0])
+        one_stream = ([[3.0, 9.0], [0.5, 9.0]], [1, 1])
+        equal_gains = ([[2.0, 2.0], [0.7, 0.7], [4.0, 4.0]], [2, 2, 2])
+        zero_gain = ([[2.0, 1.0], [0.0, 0.0]], [2, 2])
+        mixed = ([[5.0, 1.0], [2.0, 9.0], [3.0, 0.5]], [2, 1, 2])
+        uniform = ([[4.0, 0.1], [3.0, 2.0]], [2, 2])
+
+        def solve(*problems):
+            gains = np.array([row for rows, _ in problems for row in rows])
+            counts = [j for _, js in problems for j in js]
+            sizes = [len(js) for _, js in problems]
+            return mmf_sum_rates(gains, counts, sizes, [0.9] * len(sizes), 1.0, powers)
+
+        rates = solve(one_stream, equal_gains, zero_gain)
+        assert built == []
+        assert np.all(rates[:2] > 0) and np.array_equal(rates[2], [0.0, 0.0])
+        rates = solve(one_stream, mixed, equal_gains, uniform)
+        assert built == [[3, 2]]
+        assert np.all(rates > 0)
+
 
 class TestBrackets:
     def test_degenerate_bracket_is_root(self):

@@ -6,9 +6,9 @@
   call against one call per fading, a batch that its closed form settles
   in part against Brent roots, and the sign of the budget residual at the
   ends of :func:`mmf_brackets`;
-* the surrogate-user root :func:`surrogate_sum_rates` over a ragged batch
-  with mixed stream counts, a zero factor and nonpositive budgets against
-  each problem's closed form or Brent root;
+* :func:`mmf_sum_rates` on surrogate users, equal-gain rows, over a ragged
+  batch with mixed stream counts, a zero factor and nonpositive budgets
+  against each problem's closed form or Brent root;
 * the full-prefix case of :func:`bd_mrc_prefix_gains` against the
   eigenvalues of the :func:`bd_mrc` beamformer design, and that of
   :func:`zf_prefix_gains` against :func:`zf_matrix` and a plain Gram-matrix
@@ -38,7 +38,6 @@ from vccsim.allocation import (
     UserRateFunction,
     mmf_brackets,
     mmf_sum_rates,
-    surrogate_sum_rates,
 )
 from vccsim.channel import GroupChannel, complex_gaussian
 from vccsim.precoding import (
@@ -228,10 +227,9 @@ def _surrogate_rate_alone(factors, counts, xi, n0, p):
 @given(surrogate_batches())
 def test_surrogate_root_matches_each_problem_alone(batch):
     factors, counts, xis, n0, powers = batch
-    rates = surrogate_sum_rates(
-        [f for fs in factors for f in fs], [j for js in counts for j in js],
-        [len(fs) for fs in factors], xis, n0, powers,
-    )
+    flat_counts = np.array([j for js in counts for j in js])
+    rows = np.repeat([[f] for fs in factors for f in fs], flat_counts.max(), axis=1)
+    rates = mmf_sum_rates(rows, flat_counts, [len(fs) for fs in factors], xis, n0, powers)
     assert rates.shape == (len(factors), powers.size)
     for row, fs, js, xi in zip(rates, factors, counts, xis):
         ref = [_surrogate_rate_alone(fs, js, xi, n0, p) for p in powers]
