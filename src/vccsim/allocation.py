@@ -15,10 +15,9 @@ of every user is active in a problem whose users share one stream count.
 The residual is convex and increasing, so on the problems left open
 safeguarded Newton steps from the upper bracket converge monotonically onto
 it.  Surrogate users, whose streams all share one gain, are its equal-gain
-rows: :func:`mmf_brackets`, :func:`mmf_massive_mimo_rates` and
-:func:`zf_mmf_bounds` are one-problem front ends of that kind.  The root
-returns rates only; :func:`solve_mmf` adds, for one problem and one budget,
-the per-user water-filled power allocation.
+rows, as in :func:`zf_mmf_bounds`.  The root returns rates only;
+:func:`solve_mmf` adds, for one problem and one budget, the per-user
+water-filled power allocation and the brackets the root started from.
 
 Rates are nats/s/Hz throughout; conversion to bits happens at reporting.
 """
@@ -39,8 +38,6 @@ __all__ = [
     "waterfill",
     "solve_mmf",
     "mmf_sum_rates",
-    "mmf_brackets",
-    "mmf_massive_mimo_rates",
     "zf_mmf_bounds",
 ]
 
@@ -198,6 +195,7 @@ def mmf_sum_rates(gains, counts, sizes, overhead_factors, noise_power: float, p_
     """
     gains = np.asarray(gains, dtype=float)
     counts = _checked_counts(counts, gains.shape)
+    gains = _checked_gains(gains, counts)
     sizes = _checked_sizes(sizes, gains.shape[0])
     xi = _checked_overheads(overhead_factors)
     return _mmf_root(gains, counts, sizes, xi, noise_power, np.asarray(p_tot, dtype=float))[0]
@@ -208,6 +206,23 @@ def _checked_counts(counts, shape) -> np.ndarray:
     if counts.shape != shape[:1] or counts.min() < 1 or counts.max() > shape[1]:
         raise ValueError(f"need one stream count in 1..{shape[1]} per user")
     return counts
+
+
+def _checked_gains(gains: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Within its count, each user's gains must be finite and descending,
+    and either all positive or all zero."""
+    inside = np.arange(1, gains.shape[1]) < counts[:, None]
+    descending = (gains[:, :-1] >= gains[:, 1:]) | ~inside
+    # Descending from a finite best gain to a worst one of at least 0, every
+    # gain is finite.
+    best = gains[:, 0]
+    worst = gains.take(np.arange(0, gains.size, gains.shape[1]) + counts - 1)
+    signed = (worst > 0) | ((best == 0) & (worst == 0))
+    if not (descending.all() and np.isfinite(best).all() and signed.all()):
+        raise ValueError(
+            "each user's gains must be finite, descending, and all positive or all zero"
+        )
+    return gains
 
 
 def _checked_overheads(overhead_factors) -> np.ndarray:
@@ -256,9 +271,12 @@ class _StreamTable(NamedTuple):
 
     def take(self, problems: np.ndarray) -> "_StreamTable":
         """The table of the problems selected by a boolean mask."""
-        users = np.repeat(problems, self.sizes)
+        # Rows by flat index: a boolean row mask is several times slower.
+        users = np.flatnonzero(np.repeat(problems, self.sizes))
         arrays = (self.lam, self.counts, self.geo, self.gap, self.breaks, self.xi)
-        return _StreamTable(*(a[users] for a in arrays), self.sizes[problems], self.n0)
+        return _StreamTable(
+            *(a.take(users, axis=0) for a in arrays), self.sizes[problems], self.n0
+        )
 
     def user_budgets(self, rate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-user powers ``(N, P)`` reaching the per-user rates ``(N, P)``,
@@ -427,61 +445,6 @@ def _checked_sizes(sizes, n_users: int) -> np.ndarray:
     return sizes
 
 
-def _one_problem(factors, counts, overhead_factor: float, noise_power: float, p_tot):
-    """:func:`mmf_sum_rates` of one problem of surrogate users, user ``k``
-    with ``counts[k]`` streams all of gain ``factors[k]``, shaped like
-    ``p_tot``."""
-    factors, counts = np.asarray(factors, dtype=float), np.asarray(counts)
-    p = np.asarray(p_tot, dtype=float)
-    gains = np.broadcast_to(factors[:, None], (factors.size, counts.max()))
-    rate = mmf_sum_rates(
-        gains, counts, [factors.size], [overhead_factor], noise_power, p.ravel()
-    )
-    return rate[0].reshape(p.shape)[()]
-
-
-def mmf_brackets(
-    lambda_mins,
-    lambda_maxs,
-    stream_counts,
-    overhead_factor: float,
-    noise_power: float,
-    p_tot,
-):
-    """Analytic lower/upper bounds on the max-min-fair sum rate.
-
-    Replacing every stream gain of a user by its worst (best) one makes the
-    per-user rate pessimistic (optimistic); solving the budget equation for
-    those surrogate users (:func:`mmf_sum_rates` on equal-gain rows)
-    brackets the true optimum.  These are the brackets that the root starts
-    from where the stream counts are uniform; with mixed counts they are
-    tighter.  Broadcasts over ``p_tot``; nonpositive budgets give ``(0, 0)``.
-    """
-    lo, hi = (
-        _one_problem(lam, stream_counts, overhead_factor, noise_power, p_tot)
-        for lam in (lambda_mins, lambda_maxs)
-    )
-    return lo, np.maximum(hi, lo)
-
-
-def mmf_massive_mimo_rates(
-    betas_by_group,
-    counts_by_group,
-    num_tx_antennas: int,
-    overhead_factor: float,
-    noise_power: float,
-    p_tot,
-):
-    """Large-antenna limit of the max-min-fair sum rate, per entry of ``p_tot``.
-
-    In the large-array regime every stream gain of user ``k`` concentrates
-    at ``beta_k * (L - M_group + M_k)``, so equal power over a user's
-    streams is optimal and the budget equation is that of surrogate users.
-    """
-    betas, ms, room = _flat_groups(betas_by_group, counts_by_group, num_tx_antennas)
-    return _one_problem(betas * (room + ms), ms, overhead_factor, noise_power, p_tot)
-
-
 def zf_mmf_bounds(
     betas_by_group,
     counts_by_group,
@@ -496,25 +459,24 @@ def zf_mmf_bounds(
     ``beta * (L - M_group)`` and ``beta * (L - M_group + 1)``.  The
     expectation over fading is taken before the fairness optimization,
     which is what makes the power split depend on pathloss only.  Returns
-    ``(lower, upper)``, each with one rate per entry of ``p_tot``.
+    ``(lower, upper)``, each with one rate per entry of ``p_tot``: one
+    :func:`mmf_sum_rates` batch of two problems of surrogate users.
     """
-    betas, ms, room = _flat_groups(betas_by_group, counts_by_group, num_tx_antennas)
-    lo, hi = (
-        _one_problem(betas * (room + shift), ms, overhead_factor, noise_power, p_tot)
-        for shift in (0, 1)
-    )
-    return lo, np.maximum(hi, lo)
-
-
-def _flat_groups(betas_by_group, counts_by_group, l_tx):
-    """Every user's pathloss and antenna count, group by group, and the
-    antennas ``L - M_group`` its group leaves free."""
+    # Every user's pathloss and antenna count, group by group, and the
+    # antennas L - M_group its group leaves free.
     betas, ms, room = [], [], []
     for group_betas, counts in zip(betas_by_group, counts_by_group):
         m_group = int(sum(counts))
-        if m_group > l_tx:
+        if m_group > num_tx_antennas:
             raise ValueError("group antennas exceed transmit antennas")
         betas += [float(b) for b in group_betas]
         ms += [int(m) for m in counts]
-        room += [l_tx - m_group] * len(counts)
-    return np.asarray(betas), np.asarray(ms), np.asarray(room)
+        room += [num_tx_antennas - m_group] * len(counts)
+    betas, ms, room = np.asarray(betas), np.asarray(ms), np.asarray(room)
+    gains = np.concatenate([betas * room, betas * (room + 1)])
+    rows = np.broadcast_to(gains[:, None], (gains.size, ms.max()))
+    p = np.asarray(p_tot, dtype=float)
+    lo, hi = mmf_sum_rates(
+        rows, np.tile(ms, 2), [betas.size] * 2, [overhead_factor] * 2, noise_power, p.ravel()
+    ).reshape(2, *p.shape)
+    return lo[()], np.maximum(hi, lo)[()]

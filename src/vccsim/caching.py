@@ -23,8 +23,6 @@ __all__ = [
     "build_schedule",
     "verify_delivery",
     "dump_schedule",
-    "q_max",
-    "q_max_uniform",
 ]
 
 Subfile = tuple[int, frozenset]
@@ -298,34 +296,3 @@ def dump_schedule(schedule: DeliverySchedule) -> str:
         for e in schedule.entries
     ]
     return "\n".join(lines) + "\n"
-
-
-def q_max(num_tx_antennas: int, antenna_counts_by_group) -> int:
-    """Largest per-group multiplexing gain that keeps null-space precoding feasible.
-
-    ``antenna_counts_by_group`` lists, per group, the receive antenna count
-    of each candidate user in selection order.  User ``k`` stays decodable
-    only while the other served users of its group leave at least one
-    transmit dimension free, i.e. the served antennas minus its own stay
-    at most ``num_tx_antennas - 1``.
-    """
-    caps = []
-    for counts in antenna_counts_by_group:
-        counts = list(counts)
-        if any(m < 1 for m in counts):
-            raise ValueError("antenna counts must be positive")
-        best = 0
-        for q in range(1, len(counts) + 1):
-            head = counts[:q]
-            if sum(head) - min(head) <= num_tx_antennas - 1:
-                best = q
-            else:
-                break
-        caps.append(best)
-    return min(caps)
-
-
-def q_max_uniform(num_tx_antennas: int, antennas_per_user: int, users_per_state: int) -> int:
-    """Closed form of :func:`q_max` when every user has the same antenna count."""
-    m = antennas_per_user
-    return min((m + num_tx_antennas - 1) // m, users_per_state)

@@ -245,16 +245,6 @@ def _summary(config: RunConfig, rows: list[dict], out_path: str) -> str:
             f"  {r['scheme']} @ {r['ptot_dbm']:g} dBm (snr {r['snr_db']:.1f} dB, "
             f"q={r['q']}): rate {r['mean_rate_nats']:.4g} nats, gain {g:.4g}"
         )
-    bounds = {}
-    for r in rows:
-        if "_lower" in r["scheme"] or "_upper" in r["scheme"]:
-            key = (r["scheme"].rsplit("_", 1)[0], r["ptot_dbm"])
-            bounds.setdefault(key, {})[r["scheme"].rsplit("_", 1)[1]] = r["mean_rate_nats"]
-    for (scheme, p), band in sorted(bounds.items()):
-        if "lower" in band and "upper" in band:
-            lines.append(
-                f"  {scheme} band @ {p:g} dBm: [{band['lower']:.4g}, {band['upper']:.4g}] nats"
-            )
     return "\n".join(lines)
 
 

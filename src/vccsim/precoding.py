@@ -39,18 +39,19 @@ same draw share one factorization, :func:`zf_prefix_couplings` on a stack
 of groups at the (prefix, receiver) pairs a caller reads,
 :func:`msv_gains_fast` on one multicast/unicast draw, and the
 rate formula :func:`msv_rate_from_gains` over the (count, power) grid.
-:func:`zf_matrix` and :func:`bd_mrc_eigenvalues` are the full-prefix case
-of the same kernel (the last for users of any antenna counts).  A prefix
+:func:`zf_matrix` is the full-prefix case of the same kernel.  A prefix
 whose Gram matrix is numerically singular, or whose blocks give a
 non-finite gain or trip :data:`RANK_CUTOFF`, falls back to the per-user
 Schur-complement path for BD-MRC (safety code for singular draws), which
 truncates rank-deficient streams and raises
 :class:`InfeasibleDimensionError` for a user left with none; ZF and MSV
-raise :class:`SingularMatrixError`.  The definition-level designs
-:func:`bd_mrc`, :func:`sinr_from_matrices`, :func:`bd_mrc_sinr`,
-:func:`msv_beamformers`, :func:`null_projector` and the SINR formulas
-:func:`zf_imperfect_csit_sinr` and :func:`zf_imperfect_csir_sinr` are
-oracles: the tests check the fast paths against them.
+raise :class:`SingularMatrixError`.  :func:`bd_mrc_eigenvalues` is that
+per-user path on one group, for users of any antenna counts.  The
+definition-level designs :func:`bd_mrc`, :func:`sinr_from_matrices`,
+:func:`bd_mrc_sinr`, :func:`msv_beamformers`, :func:`null_projector` and
+the SINR formulas :func:`zf_imperfect_csit_sinr` and
+:func:`zf_imperfect_csir_sinr` are oracles: the tests check the fast paths
+against them.
 
 Channels follow the convention that a user with channel matrix ``H``
 receives ``H.T @ x``, so a beam ``v`` is invisible to ``H`` iff
@@ -283,21 +284,12 @@ def _usable(gains: np.ndarray) -> np.ndarray:
 def bd_mrc_eigenvalues(group: GroupChannel) -> list[np.ndarray]:
     """Per-user BD-MRC stream gains without building the beamformers.
 
-    Matches the eigenvalues of :func:`bd_mrc`: the full-prefix case of the
-    prefix kernel for users of any antenna counts, one small eigenproblem
-    per user, with the per-user fallback for singular or rank-deficient
-    groups.
+    Matches the eigenvalues of :func:`bd_mrc` for users of any antenna
+    counts: the per-user Schur-complement path that
+    :func:`bd_mrc_prefix_gains` falls back on, which truncates
+    rank-deficient streams.
     """
-    mats = [h for h, _ in group.per_user]
-    stacked = group.stacked()
-    r_inv, valid = _prefix_inverse(stacked[None])
-    if valid[0] == stacked.shape[1]:
-        edges = np.cumsum((0,) + group.antenna_counts)
-        rows = [r_inv[0, a:b] for a, b in zip(edges[:-1], edges[1:])]
-        gains = [_block_gains(u @ u.conj().T) for u in rows]
-        if all(_usable(g) for g in gains):
-            return gains
-    return _bd_eigs_generic(mats)
+    return _bd_eigs_generic([h for h, _ in group.per_user])
 
 
 def bd_mrc_prefix_gains(

@@ -9,8 +9,6 @@ from vccsim.allocation import (
     MmfSolution,
     PowerAllocation,
     UserRateFunction,
-    mmf_brackets,
-    mmf_massive_mimo_rates,
     mmf_sum_rates,
     solve_mmf,
     waterfill,
@@ -265,6 +263,16 @@ class TestMmfSumRates:
         with pytest.raises(ValueError, match="stream count"):
             mmf_sum_rates([[2.0, 1.0]], counts, [1], [1.0], 1.0, [1.0])
 
+    # Unsorted gains used to give a wrong rate (1.386 where the sorted row
+    # gives 1.139), a zero worst gain a divide-by-zero warning, and negative
+    # or NaN gains a rate.
+    @pytest.mark.parametrize("row", [
+        [1.0, 2.0], [2.0, 0.0], [-1.0, -2.0], [np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf],
+    ])
+    def test_gains_must_be_descending_and_all_positive_or_all_zero(self, row):
+        with pytest.raises(ValueError, match="gains"):
+            mmf_sum_rates([row], [2], [1], [1.0], 1.0, [1.0])
+
     def test_stream_table_built_only_over_open_problems(self, monkeypatch):
         built = []  # the problem sizes of each table built
         build = allocation._StreamTable.build
@@ -296,40 +304,56 @@ class TestMmfSumRates:
 
 
 class TestBrackets:
+    """The closed-form brackets that the root starts from, as
+    :func:`solve_mmf` reports them, and the surrogate users behind them as
+    equal-gain rows of :func:`mmf_sum_rates`."""
+
     def test_degenerate_bracket_is_root(self):
         # every user one stream: surrogate users are the real users
         fns = [
             UserRateFunction(np.array([1.5]), 1.0, 0.9),
             UserRateFunction(np.array([0.4]), 1.0, 0.9),
         ]
-        lo, hi = mmf_brackets([1.5, 0.4], [1.5, 0.4], [1, 1], 0.9, 1.0, 3.0)
+        sol = solve_mmf(fns, 3.0)
+        lo, hi = sol.bracket
         assert lo == pytest.approx(hi, rel=1e-12)
-        assert solve_mmf(fns, 3.0).sum_rate == pytest.approx(lo, rel=1e-10)
+        assert sol.sum_rate == pytest.approx(lo, rel=1e-10)
 
     def test_uniform_closed_form(self):
-        lo, hi = mmf_brackets([2.0, 1.0], [4.0, 3.0], [2, 2], 0.9, 1.0, 5.0)
+        fns = [
+            UserRateFunction(np.array([4.0, 2.0]), 1.0, 0.9),
+            UserRateFunction(np.array([3.0, 1.0]), 1.0, 0.9),
+        ]
         expected_lo = 0.9 * 4 * np.log1p(5.0 / (2 * (1 / 2.0 + 1 / 1.0)))
         expected_hi = 0.9 * 4 * np.log1p(5.0 / (2 * (1 / 4.0 + 1 / 3.0)))
+        lo, hi = solve_mmf(fns, 5.0).bracket
         assert lo == pytest.approx(expected_lo, rel=1e-12)
         assert hi == pytest.approx(expected_hi, rel=1e-12)
+        # each user's streams all at its worst (best) gain
+        surrogate = mmf_sum_rates(
+            [[2.0, 2.0], [1.0, 1.0], [4.0, 4.0], [3.0, 3.0]], [2] * 4, [2, 2],
+            [0.9, 0.9], 1.0, [5.0],
+        )
+        np.testing.assert_allclose(surrogate[:, 0], [expected_lo, expected_hi], rtol=1e-12)
 
     def test_mixed_stream_counts(self):
         lams = [np.array([3.0, 1.0]), np.array([2.0])]
         fns = [UserRateFunction(l, 1.0, 1.0) for l in lams]
-        lo, hi = mmf_brackets([1.0, 2.0], [3.0, 2.0], [2, 1], 1.0, 1.0, 4.0)
         sol = solve_mmf(fns, 4.0)
-        assert lo <= sol.sum_rate <= hi
+        lo, hi = sol.bracket
+        assert 0 < lo <= sol.sum_rate <= hi
 
     def test_mixed_counts_match_brent_oracle(self):
-        # Newton on the surrogate users' budget equation against a Brent
+        # Newton on surrogate users with mixed stream counts against a Brent
         # root, from a zero budget through a tiny one to a huge one.
         mins = np.array([3e-10, 8e-11, 1.2e-9, 5e-10, 2e-10])
         maxs = np.array([9e-10, 8e-11, 4e-9, 7e-10, 6e-10])
         counts = np.array([2, 1, 4, 3, 2])
         xi, n0 = 0.93, 8e-14
         powers = np.array([0.0, 1e-18, 1e-3, 1.0, 100.0, 1e12])
-        lo, hi = mmf_brackets(mins, maxs, counts, xi, n0, powers)
         n = counts.size
+        rows = np.repeat(np.concatenate([mins, maxs])[:, None], counts.max(), axis=1)
+        lo, hi = mmf_sum_rates(rows, np.tile(counts, 2), [n, n], [xi, xi], n0, powers)
 
         def brent(lam, p):
             def resid(r):
@@ -344,69 +368,6 @@ class TestBrackets:
         for bound, lam in ((lo, mins), (hi, maxs)):
             ref = [brent(lam, p) for p in powers[1:]]
             np.testing.assert_allclose(bound[1:], ref, rtol=1e-12, atol=0)
-
-
-def massive_mimo_stream_powers(betas, counts, l, xi, n0, rate):
-    """Per-stream powers of the surrogate users that reach the per-user
-    rate ``rate / n``: ``n0 * expm1(rate / (xi M_k n)) / (beta_k (L - M_g + M_k))``."""
-    n = sum(len(row) for row in counts)
-    return [
-        [n0 * np.expm1(rate / (xi * m * n)) / (b * (l - sum(ms) + m)) for b, m in zip(bs, ms)]
-        for bs, ms in zip(betas, counts)
-    ]
-
-
-class TestMassiveMimo:
-    def test_two_user_closed_form(self):
-        rate = mmf_massive_mimo_rates([[1.0], [1.0]], [[1], [1]], 2, 1.0, 1.0, 1.0)
-        assert rate == pytest.approx(2 * np.log(2), rel=1e-12)
-        powers = massive_mimo_stream_powers([[1.0], [1.0]], [[1], [1]], 2, 1.0, 1.0, rate)
-        assert powers[0][0] == pytest.approx(0.5, rel=1e-12)
-
-    def test_uniform_closed_form_matches_root(self):
-        betas = [[2e-12, 5e-13], [1e-12, 3e-12]]
-        counts = [[2, 2], [2, 2]]
-        l, xi, n0, p = 24, 0.93, 8e-14, 10.0
-        rate = mmf_massive_mimo_rates(betas, counts, l, xi, n0, p)
-        # independent root solve of the budget equation
-        flat = [(b, 2, 4) for row in betas for b in row]
-
-        def resid(r):
-            return sum(
-                n0 * m * np.expm1(r / (xi * m * 4)) / (b * (l - mg + m))
-                for b, m, mg in flat
-            ) - p
-
-        hi = 1.0
-        while resid(hi) < 0:
-            hi *= 2.0
-        ref = brentq(resid, 0.0, hi, xtol=1e-18, rtol=1e-14)
-        assert rate == pytest.approx(ref, rel=1e-10)
-        powers = massive_mimo_stream_powers(betas, counts, l, xi, n0, rate)
-        total = sum(m * pk for grp, ms in zip(powers, counts) for pk, m in zip(grp, ms))
-        assert total == pytest.approx(p, rel=1e-9)
-
-    def test_rates_match_per_power_solution(self):
-        betas = [[2e-12, 5e-13], [1e-12, 3e-12]]
-        counts = [[2, 2], [2, 2]]
-        powers = np.array([0.5, 10.0, 40.0])
-        rates = mmf_massive_mimo_rates(betas, counts, 24, 0.93, 8e-14, powers)
-        ref = [mmf_massive_mimo_rates(betas, counts, 24, 0.93, 8e-14, p) for p in powers]
-        np.testing.assert_allclose(rates, ref, rtol=1e-14)
-
-    def test_heterogeneous_antennas(self):
-        betas = [[1e-12, 2e-12]]
-        counts = [[1, 3]]
-        rate = mmf_massive_mimo_rates(betas, counts, 16, 1.0, 1e-13, 2.0)
-        assert rate > 0
-        # the powers of the budget equation at that rate exhaust the budget
-        (p1, p2), = massive_mimo_stream_powers(betas, counts, 16, 1.0, 1e-13, rate)
-        assert 1 * p1 + 3 * p2 == pytest.approx(2.0, rel=1e-9)
-        # per-user rates equalized: xi*M*ln(1 + p*beta*(L-Mg+M)/n0) identical
-        r1 = 1 * np.log1p(p1 * 1e-12 * 13 / 1e-13)
-        r2 = 3 * np.log1p(p2 * 2e-12 * 15 / 1e-13)
-        assert r1 == pytest.approx(r2, rel=1e-9)
-        assert r1 + r2 == pytest.approx(rate, rel=1e-9)
 
 
 class TestZfBounds:
@@ -462,13 +423,13 @@ class TestZfBounds:
         assert lo <= np.mean(rates) <= hi
 
     def test_bd_zf_closed_form_gap_small_at_large_arrays(self):
-        # at L=256, M=2, Q=4 the two fading-averaged closed forms agree to 1%
-        l, m, q, g = 256, 2, 4, 1
-        betas = [[1.0] * q]
-        counts = [[m] * q]
-        bd = mmf_massive_mimo_rates(betas, counts, l, 1.0, 1.0, 50.0)
-        zf_lo, _ = zf_mmf_bounds(betas, counts, l, 1.0, 1.0, 50.0)
-        assert abs(bd - zf_lo) / bd <= 0.01
+        # at L=256, M=2, Q=4 the two fading-averaged closed forms agree to 1%:
+        # the large-array BD-MRC limit, every stream gain at L - Q*M + M, and
+        # the lower ZF bound
+        l, m, q = 256, 2, 4
+        bd = mmf_sum_rates(np.full((q, m), l - q * m + m), [m] * q, [q], [1.0], 1.0, [50.0])
+        zf_lo, _ = zf_mmf_bounds([[1.0] * q], [[m] * q], l, 1.0, 1.0, 50.0)
+        assert abs(bd[0, 0] - zf_lo) / bd[0, 0] <= 0.01
 
 
 class TestEigenvalueConcentration:

@@ -10,8 +10,6 @@ from vccsim.caching import (
     build_placement,
     build_schedule,
     dump_schedule,
-    q_max,
-    q_max_uniform,
     verify_delivery,
 )
 from vccsim.errors import InvalidConfigurationError
@@ -133,35 +131,6 @@ class TestVerifier:
         ok, report = verify_delivery(sched, plan, cache_groups=cache_groups)
         assert not ok
         assert any("cannot cancel" in line for line in report)
-
-
-class TestQMax:
-    def test_uniform_values(self):
-        assert q_max_uniform(32, 4, 100) == 8
-        assert q_max_uniform(2, 1, 100) == 2
-        assert q_max_uniform(16, 16, 100) == 1
-        assert q_max_uniform(32, 4, 3) == 3  # capped by users available
-
-    def test_general_matches_uniform(self):
-        for l in (4, 8, 16, 33):
-            for m in (1, 2, 4):
-                b = 50
-                assert q_max(l, [[m] * b]) == q_max_uniform(l, m, b)
-
-    def test_heterogeneous(self):
-        # antennas 4,4,2: serving all three needs 10 - 2 = 8 <= L-1
-        assert q_max(9, [[4, 4, 2]]) == 3
-        assert q_max(8, [[4, 4, 2]]) == 2
-        assert q_max(4, [[4, 4, 2]]) == 1
-
-    def test_min_over_groups(self):
-        assert q_max(8, [[1] * 8, [4] * 8]) == 2
-
-    def test_monotone(self):
-        vals_l = [q_max_uniform(l, 3, 99) for l in range(3, 40)]
-        assert all(a <= b for a, b in zip(vals_l, vals_l[1:]))
-        vals_m = [q_max_uniform(24, m, 99) for m in range(1, 24)]
-        assert all(a >= b for a, b in zip(vals_m, vals_m[1:]))
 
 
 class TestDump:

@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import subprocess
@@ -136,7 +137,7 @@ class TestImport:
 
 
 class TestRun:
-    def test_smoke_and_summary(self, tmp_path):
+    def test_smoke_and_summary(self, tmp_path, capsys):
         out = tmp_path / "fig4.csv"
         cfg = parse_config(
             recipe="fig4", seed=1, locations=3, fadings=1, out=str(out)
@@ -146,6 +147,16 @@ class TestRun:
         assert text.splitlines()[0] == "# recipe=fig4"
         assert "scheme,ptot_dbm,snr_db,q,mean_rate_nats" in text
         assert "vcc_bd_mrc," in text and "cacheless_bd_mrc," in text
+        # The summary: the row count, then one line per row with a gain.
+        rows = list(csv.DictReader(line for line in text.splitlines() if line[0] != "#"))
+        expected = [f"fig4: wrote {len(rows)} rows to {out}"] + [
+            f"  {r['scheme']} @ {float(r['ptot_dbm']):g} dBm "
+            f"(snr {float(r['snr_db']):.1f} dB, q={r['q']}): "
+            f"rate {float(r['mean_rate_nats']):.4g} nats, gain {float(r['gain']):.4g}"
+            for r in rows if r["gain"]
+        ]
+        assert len(expected) == 10  # the vcc_bd_mrc rows, one per power
+        assert capsys.readouterr().out.splitlines() == expected
 
     def test_same_seed_byte_identical(self, tmp_path):
         outs = []

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from vccsim import experiments, precoding
-from vccsim.allocation import mmf_massive_mimo_rates, zf_mmf_bounds
+from vccsim.allocation import zf_mmf_bounds
 from vccsim.channel import noise_power_watts
 from vccsim.errors import (
     InvalidConfigurationError,
@@ -144,20 +145,41 @@ class TestSchemeNesting:
 class TestFadingFreeRules:
     def test_one_solve_matches_each_q_alone(self):
         # The q sweep in one surrogate-user solve against the one-problem
-        # front ends, q by q; q = 6 is full load (L = q*m), where the lower
+        # front end, q by q; q = 6 is full load (L = q*m), where the lower
         # ZF bound's stream gain is 0.
         scn = macro_scenario(users_per_group=None)
         job = experiments.cache_aided_job(scn)
         g, m = job.num_groups, scn.antennas_per_user
         betas = experiments._location_betas(scn, g, max(job.q_values), 0)
-        asym = experiments._asym_rates(scn, g, job.q_values, None, betas)
         bounds = experiments._zf_bound_rates(scn, g, job.q_values, None, betas)
         for qi, q in enumerate(job.q_values):
             args = ([list(row[:q]) for row in betas], [[m] * q] * g, scn.num_tx_antennas,
                     scn.overhead_factor(g, q), scn.noise_power, np.asarray(scn.p_watts))
-            assert np.array_equal(asym[0, qi], mmf_massive_mimo_rates(*args))
             assert np.array_equal(bounds[:, qi], zf_mmf_bounds(*args))
         assert np.all(bounds[0, -1] == 0) and np.all(bounds[1, -1] > 0)
+
+    def test_asymptotic_rule_matches_brent_root(self):
+        # Large-array BD-MRC: every stream gain of user k at
+        # beta_k * (L - q*m + m), so equal power over a user's streams, and
+        # the rate is the root of the surrogate users' budget equation.
+        scn = macro_scenario(users_per_group=None)
+        job = experiments.cache_aided_job(scn)
+        g, m, l = job.num_groups, scn.antennas_per_user, scn.num_tx_antennas
+        betas = experiments._location_betas(scn, g, max(job.q_values), 0)
+        asym = experiments._asym_rates(scn, g, job.q_values, None, betas)
+        n0 = scn.noise_power
+        for qi, q in enumerate(job.q_values):
+            gains, n, xi = betas[:, :q] * (l - q * m + m), g * q, scn.overhead_factor(g, q)
+
+            def resid(r, p):
+                return np.sum(n0 * m * np.expm1(r / (xi * m * n)) / gains) - p
+
+            for pi, p in enumerate(scn.p_watts):
+                hi = 1.0
+                while resid(hi, p) < 0:
+                    hi *= 2.0
+                ref = brentq(resid, 0.0, hi, args=(p,), xtol=1e-18, rtol=1e-14)
+                assert asym[0, qi, pi] == pytest.approx(ref, rel=1e-10)
 
 
 class TestDeterminism:

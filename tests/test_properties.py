@@ -5,7 +5,7 @@
   against each problem solved alone, the batches of several fadings in one
   call against one call per fading, a batch that its closed form settles
   in part against Brent roots, and the sign of the budget residual at the
-  ends of :func:`mmf_brackets`;
+  ends of the bracket that the root starts from (``solve_mmf(...).bracket``);
 * :func:`mmf_sum_rates` on surrogate users, equal-gain rows, over a ragged
   batch with mixed stream counts, a zero factor and nonpositive budgets
   against each problem's closed form or Brent root;
@@ -34,11 +34,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from vccsim import allocation, experiments
-from vccsim.allocation import (
-    UserRateFunction,
-    mmf_brackets,
-    mmf_sum_rates,
-)
+from vccsim.allocation import UserRateFunction, mmf_sum_rates, solve_mmf
 from vccsim.channel import GroupChannel, complex_gaussian
 from vccsim.precoding import (
     bd_mrc,
@@ -237,7 +233,7 @@ def test_surrogate_root_matches_each_problem_alone(batch):
 
 
 @PROPERTY
-@given(st.one_of(pools(), pools(one_stream=True)))
+@given(st.one_of(pools(), pools(uniform=True), pools(one_stream=True)))
 def test_budget_residual_changes_sign_across_bracket(pool):
     # The bracket ends straddle the root, so the solver's clamp to a bracket
     # end never fires on valid input.  Where an end is the root itself (one
@@ -245,12 +241,9 @@ def test_budget_residual_changes_sign_across_bracket(pool):
     # the budget and the noise-to-gain terms that cancel in each inverse.
     gains, xi, n0, powers = pool
     fns = [UserRateFunction(np.array(g), n0, xi) for g in gains]
-    mins = [g[-1] for g in gains]
-    maxs = [g[0] for g in gains]
-    counts = [len(g) for g in gains]
     cancelled = n0 * sum(1.0 / lam for g in gains for lam in g)
     for p in powers:
-        lo, hi = mmf_brackets(mins, maxs, counts, xi, n0, p)
+        lo, hi = solve_mmf(fns, p).bracket
         residual = _budget_residual(fns, p)
         rounding = 1e-12 * (p + cancelled)
         assert residual(lo) <= rounding
