@@ -370,6 +370,85 @@ class TestBrackets:
             np.testing.assert_allclose(bound[1:], ref, rtol=1e-12, atol=0)
 
 
+def massive_mimo_rates(betas, counts, l, xi, n0, p_tot):
+    """Large-array max-min-fair sum rate, shaped like ``p_tot``: user ``k``
+    of a group is a surrogate user whose ``M_k`` streams all have gain
+    ``beta_k (L - M_group + M_k)``, an equal-gain row of :func:`mmf_sum_rates`."""
+    gains = [b * (l - sum(ms) + m) for bs, ms in zip(betas, counts) for b, m in zip(bs, ms)]
+    ms = np.array([m for row in counts for m in row])
+    rows = np.repeat(np.array(gains)[:, None], ms.max(), axis=1)
+    p = np.asarray(p_tot, dtype=float)
+    rate = mmf_sum_rates(rows, ms, [ms.size], [xi], n0, p.ravel())
+    return rate[0].reshape(p.shape)[()]
+
+
+def massive_mimo_stream_powers(betas, counts, l, xi, n0, rate):
+    """Per-stream powers of the surrogate users that reach the per-user
+    rate ``rate / n``: ``n0 * expm1(rate / (xi M_k n)) / (beta_k (L - M_g + M_k))``."""
+    n = sum(len(row) for row in counts)
+    return [
+        [n0 * np.expm1(rate / (xi * m * n)) / (b * (l - sum(ms) + m)) for b, m in zip(bs, ms)]
+        for bs, ms in zip(betas, counts)
+    ]
+
+
+class TestMassiveMimo:
+    """The large-array limit as :func:`experiments._asym_rates` solves it:
+    surrogate users as equal-gain rows of :func:`mmf_sum_rates`."""
+
+    def test_two_user_closed_form(self):
+        rate = massive_mimo_rates([[1.0], [1.0]], [[1], [1]], 2, 1.0, 1.0, 1.0)
+        assert rate == pytest.approx(2 * np.log(2), rel=1e-12)
+        powers = massive_mimo_stream_powers([[1.0], [1.0]], [[1], [1]], 2, 1.0, 1.0, rate)
+        assert powers[0][0] == pytest.approx(0.5, rel=1e-12)
+
+    def test_uniform_closed_form_matches_root(self):
+        betas = [[2e-12, 5e-13], [1e-12, 3e-12]]
+        counts = [[2, 2], [2, 2]]
+        l, xi, n0, p = 24, 0.93, 8e-14, 10.0
+        rate = massive_mimo_rates(betas, counts, l, xi, n0, p)
+        # independent root solve of the budget equation
+        flat = [(b, 2, 4) for row in betas for b in row]
+
+        def resid(r):
+            return sum(
+                n0 * m * np.expm1(r / (xi * m * 4)) / (b * (l - mg + m))
+                for b, m, mg in flat
+            ) - p
+
+        hi = 1.0
+        while resid(hi) < 0:
+            hi *= 2.0
+        ref = brentq(resid, 0.0, hi, xtol=1e-18, rtol=1e-14)
+        assert rate == pytest.approx(ref, rel=1e-10)
+        powers = massive_mimo_stream_powers(betas, counts, l, xi, n0, rate)
+        total = sum(m * pk for grp, ms in zip(powers, counts) for pk, m in zip(grp, ms))
+        assert total == pytest.approx(p, rel=1e-9)
+
+    def test_rates_match_per_power_solution(self):
+        betas = [[2e-12, 5e-13], [1e-12, 3e-12]]
+        counts = [[2, 2], [2, 2]]
+        powers = np.array([0.5, 10.0, 40.0])
+        rates = massive_mimo_rates(betas, counts, 24, 0.93, 8e-14, powers)
+        ref = [massive_mimo_rates(betas, counts, 24, 0.93, 8e-14, p) for p in powers]
+        np.testing.assert_allclose(rates, ref, rtol=1e-14)
+
+    def test_heterogeneous_antennas(self):
+        # Mixed stream counts in one problem: rows of one gain, counts 1 and 3.
+        betas = [[1e-12, 2e-12]]
+        counts = [[1, 3]]
+        rate = massive_mimo_rates(betas, counts, 16, 1.0, 1e-13, 2.0)
+        assert rate > 0
+        # the powers of the budget equation at that rate exhaust the budget
+        (p1, p2), = massive_mimo_stream_powers(betas, counts, 16, 1.0, 1e-13, rate)
+        assert 1 * p1 + 3 * p2 == pytest.approx(2.0, rel=1e-9)
+        # per-user rates equalized: xi*M*ln(1 + p*beta*(L-Mg+M)/n0) identical
+        r1 = 1 * np.log1p(p1 * 1e-12 * 13 / 1e-13)
+        r2 = 3 * np.log1p(p2 * 2e-12 * 15 / 1e-13)
+        assert r1 == pytest.approx(r2, rel=1e-9)
+        assert r1 + r2 == pytest.approx(rate, rel=1e-9)
+
+
 class TestZfBounds:
     def test_symmetric_closed_forms(self):
         betas = [[1e-12, 1e-12]]

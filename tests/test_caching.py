@@ -13,6 +13,7 @@ from vccsim.caching import (
     verify_delivery,
 )
 from vccsim.errors import InvalidConfigurationError
+from vccsim.experiments import Scenario
 
 
 class TestPlacement:
@@ -131,6 +132,32 @@ class TestVerifier:
         ok, report = verify_delivery(sched, plan, cache_groups=cache_groups)
         assert not ok
         assert any("cannot cancel" in line for line in report)
+
+
+def group_cap(num_tx_antennas, antennas_per_user, users_per_state):
+    """Served users per cache group, as a scenario with a swept count caps them."""
+    return Scenario(
+        num_tx_antennas=num_tx_antennas, antennas_per_user=antennas_per_user,
+        users_per_state=users_per_state, users_per_group=None, baseline_users=None,
+    ).max_group_users()
+
+
+class TestQMax:
+    """The per-group cap on served users: every user's antennas fit the
+    whole-group budget ``L``, and no more users than a state holds."""
+
+    def test_uniform_values(self):
+        assert group_cap(32, 4, 100) == 8
+        assert group_cap(2, 1, 100) == 2
+        assert group_cap(16, 16, 100) == 1
+        assert group_cap(32, 4, 3) == 3  # capped by users available
+        assert group_cap(9, 4, 100) == 2  # 3 users would need 12 > 9 antennas
+
+    def test_monotone(self):
+        vals_l = [group_cap(l, 3, 99) for l in range(3, 40)]
+        assert all(a <= b for a, b in zip(vals_l, vals_l[1:]))
+        vals_m = [group_cap(24, m, 99) for m in range(1, 24)]
+        assert all(a >= b for a, b in zip(vals_m, vals_m[1:]))
 
 
 class TestDump:
