@@ -105,8 +105,8 @@ class UserRateFunction:
 
     def __post_init__(self):
         lam = np.sort(np.asarray(self.eigenvalues, dtype=float))[::-1]
-        if lam.size == 0 or lam[-1] <= 0:
-            raise ValueError("need at least one positive stream gain")
+        if lam.size == 0 or not (np.isfinite(lam).all() and lam[-1] > 0):
+            raise ValueError("need at least one stream gain, all finite and positive")
         object.__setattr__(self, "eigenvalues", lam)
         table = _StreamTable.build(
             lam[None, :], np.array([lam.size]), np.array([1]),

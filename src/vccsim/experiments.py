@@ -16,10 +16,11 @@ steps:
 2. kernel: the stream gains of every ``q``-user prefix of those draws at
    once, per group (groups on axis 0).  For BD-MRC and ZF this is one
    nested-prefix Gram kernel over every group, one factorization per
-   (group, fading) whatever the q sweep
-   (:func:`~vccsim.precoding.bd_mrc_prefix_gains`,
-   :func:`~vccsim.precoding.zf_prefix_gains`); under imperfect CSI it is
-   the ZF gains, or the couplings
+   (group, fading) whatever the q sweep, whose per-user diagonal blocks of
+   every prefix Gram inverse both read: BD-MRC their reciprocal
+   eigenvalues (:func:`~vccsim.precoding.bd_mrc_prefix_gains`), ZF the
+   reciprocal ``1 x 1`` blocks (:func:`~vccsim.precoding.zf_prefix_gains`);
+   under imperfect CSI it is the ZF gains, or the couplings
    (:func:`~vccsim.precoding.zf_prefix_couplings`), at the served
    ``(q, user)`` pairs only.  MSV runs the same kernel on one
    multicast/unicast draw for every unicast count

@@ -24,12 +24,16 @@ Van Loan, *Matrix Computations*, section 5.2): the factor of the first
 leading block of the triangular ``R`` is the leading block of ``inv(R)``.
 So the Gram inverse of the first ``q`` users of a group, for every ``q``,
 comes from one QR factorization and one ``inv(R)`` per group, both batched
-over the stack with numpy (LAPACK ``zgeqrf`` and ``zgesv``): ZF gains are
-running sums of ``|inv(R)|**2`` along rows, BD-MRC blocks running sums of
-``M x M`` outer products, and the couplings of a prefix's ZF precoder with
-a receiver one row of ``(h.T @ H.conj()) @ inv(R)``, cut at the prefix size,
-times ``inv(R).conj().T``: every requested (prefix, receiver) pair is one
-row of a single batched product.
+over the stack with numpy (LAPACK ``zgeqrf`` and ``zgesv``).  One block
+function, :func:`_prefix_blocks`, forms every user's ``M x M`` diagonal
+block of every prefix Gram inverse: the outer products of the user's rows
+of ``inv(R)``, column by column, contracted with a 0/1 prefix mask in one
+matrix product.  BD-MRC gains are the reciprocal eigenvalues of those
+blocks, and ZF gains the ``M = 1`` case, the reciprocal ``1 x 1`` blocks.
+The couplings of a prefix's ZF precoder with a receiver are one row of
+``(h.T @ H.conj()) @ inv(R)``, cut at the prefix size, times
+``inv(R).conj().T``: every requested (prefix, receiver) pair is one row of
+a single batched product.
 
 The Monte Carlo loop calls only the fast paths, which return gains
 without forming every beam, for a whole sweep of served-user counts:
@@ -270,6 +274,31 @@ def prefix_factor(h: np.ndarray) -> PrefixFactor:
     return PrefixFactor(h, *_prefix_inverse(h))
 
 
+def _prefix_blocks(factor: PrefixFactor, m: int, q_values) -> np.ndarray:
+    """Each user's ``m x m`` diagonal block of every prefix Gram inverse.
+
+    User k holds columns ``k*m`` to ``(k+1)*m`` of ``factor.h``.  Returns
+    shape ``(G, S, N // m, m, m)``: the block of user k in the Gram inverse
+    of the first ``q * m`` columns, for the ``S`` entries q of ``q_values``,
+    zero for users at or past q.  That block is the sum over the prefix
+    columns c of the outer products ``r_inv[k rows, c] ⊗ conj(r_inv[k rows,
+    c])``, so every block of every prefix is one product of a 0/1 prefix
+    mask with the per-column outer products (a user past the prefix has no
+    entries there, ``r_inv`` being upper triangular).
+    """
+    g_count, n, _ = factor.r_inv.shape
+    qs = np.asarray(q_values)
+    cols = int(qs.max()) * m
+    # rows[i, c, g, k]: row k*m + i of r_inv[g] in column c.  With (i, j)
+    # leading, numpy's loops run over every (column, group, user) at once;
+    # a (column, group, user, i, j) layout is 2-3x slower at m = 2.
+    rows = factor.r_inv[..., :cols].reshape(g_count, n // m, m, cols).transpose(2, 3, 0, 1).copy()
+    outer = rows[:, None] * rows[None].conj()
+    mask = (np.arange(cols) < qs[:, None] * m).astype(float)
+    blocks = (mask @ outer.reshape(m, m, cols, -1).view(float)).view(complex)
+    return blocks.reshape(m, m, qs.size, g_count, n // m).transpose(3, 2, 4, 0, 1)
+
+
 def _block_gains(blocks: np.ndarray) -> np.ndarray:
     """BD-MRC stream gains, descending, from diagonal blocks of ``inv(G)``."""
     return 1.0 / np.linalg.eigvalsh(blocks)
@@ -301,9 +330,9 @@ def bd_mrc_prefix_gains(
     side, user k in columns ``k*m`` to ``(k+1)*m``.  Returns ``(gains,
     counts)`` of shapes ``(G, S, q_top, m)`` and ``(G, S, q_top)`` for the ``S``
     entries of ``q_values``: gains descending per user and zero past each
-    user's count, users at or past q with count 0.  User k's block of the
-    prefix Gram inverse sums ``r_inv[k-block, c] @ r_inv[k-block, c]^H``
-    over the prefix columns c, so one factorization serves every q.  A
+    user's count, users at or past q with count 0.  The gains are the
+    reciprocal eigenvalues of user k's block of the prefix Gram inverse
+    (:func:`_prefix_blocks`), so one factorization serves every q.  A
     (group, q) cell whose prefix is singular, or whose blocks give an
     unusable gain, goes through the per-user path, which may truncate
     streams.
@@ -313,28 +342,15 @@ def bd_mrc_prefix_gains(
     InfeasibleDimensionError
         If some user is left without a single positive-gain stream.
     """
-    h, r_inv, valid = factor
+    h, _, valid = factor
     g_count, _, n = h.shape
     q_top = n // m
     qs = np.asarray(q_values)
-    q_max = int(qs.max())
-    # rows[g, k, j]: user k's rows of r_inv in column block j, for the users
-    # and blocks of the largest requested prefix; blocks[j, g, k] is user k's
-    # diagonal block of the Gram inverse of the first j + 1 users, summed
-    # block by block in column order.
-    rows = r_inv.reshape(g_count, q_top, m, q_top, m).transpose(0, 1, 3, 2, 4)
-    rows = rows[:, :q_max, :q_max]
-    products = rows @ rows.conj().swapaxes(-1, -2)
-    blocks = np.empty((q_max, g_count, q_max, m, m), dtype=complex)
-    blocks[0] = products[:, :, 0]
-    for j in range(1, q_max):
-        blocks[j] = blocks[j - 1] + products[:, :, j]
     served = np.arange(q_top) < qs[:, None]
     prefix_ok = valid[:, None] >= qs * m
     cells = prefix_ok[:, :, None] & served
-    g_idx, s_idx, k_idx = np.nonzero(cells)
     gains = np.zeros((g_count, qs.size, q_top, m))
-    gains[cells] = _block_gains(blocks[qs[s_idx] - 1, g_idx, k_idx])
+    gains[cells] = _block_gains(_prefix_blocks(factor, m, qs)[cells])
     counts = np.where(cells, m, 0)
     unusable = np.zeros(cells.shape, dtype=bool)
     unusable[cells] = ~_usable(gains[cells])
@@ -411,21 +427,18 @@ def zf_prefix_gains(factor: PrefixFactor, sizes) -> np.ndarray:
     """ZF per-stream gains of the first ``n`` columns of each channel in the
     factored ``(G, L, N)`` stack, for every ``n`` in ``sizes``: shape
     ``(G, S, N)``, zero past each prefix.  They are ``1 / diag`` of each
-    prefix Gram inverse, whose i-th diagonal entry is the running sum of
-    ``|r_inv[i, c]|**2`` over the columns c.
+    prefix Gram inverse: the ``1 x 1`` blocks of :func:`_prefix_blocks`.
 
     Raises
     ------
     SingularMatrixError
         If the Gram matrix of some requested prefix is not invertible.
     """
-    _, r_inv, valid = factor
     sizes = np.asarray(sizes)
-    if np.any(valid < sizes.max()):
+    if np.any(factor.valid < sizes.max()):
         raise SingularMatrixError("channel Gram matrix is numerically singular")
-    diag = np.cumsum(r_inv.real ** 2 + r_inv.imag ** 2, axis=-1)[..., sizes - 1]
-    diag = np.moveaxis(diag, -1, 1)
-    inside = np.arange(r_inv.shape[-1]) < sizes[:, None]
+    diag = _prefix_blocks(factor, 1, sizes)[..., 0, 0].real
+    inside = np.arange(diag.shape[-1]) < sizes[:, None]
     return np.divide(1.0, diag, out=np.zeros_like(diag), where=inside)
 
 

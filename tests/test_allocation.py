@@ -136,6 +136,11 @@ class TestUserRateFunction:
             p = rng.uniform(0.01, 40.0)
             assert f.inverse(f.rate(p)) == pytest.approx(p, rel=1e-8)
 
+    @pytest.mark.parametrize("gains", [[np.nan, 1.0], [np.inf, 1.0], [2.0, -np.inf], [], [1.0, 0.0]])
+    def test_rejects_gains_not_finite_and_positive(self, gains):
+        with pytest.raises(ValueError, match="finite and positive"):
+            UserRateFunction(np.array(gains), 1.0, 1.0)
+
     def test_monotone_increasing(self):
         f = UserRateFunction(np.array([4.0, 2.0, 0.5]), 1.0, 1.0)
         ps = np.linspace(0, 10, 50)

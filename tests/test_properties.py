@@ -14,10 +14,15 @@
   :func:`zf_prefix_gains` against :func:`zf_matrix` and a plain Gram-matrix
   inverse;
 * the nested-prefix kernels :func:`bd_mrc_prefix_gains` and
-  :func:`zf_prefix_gains` against the full-prefix case refactorizing each
-  prefix on its own, and :func:`zf_prefix_couplings` at any set of
-  (prefix, receiver) pairs, with more or fewer receivers than streams,
-  against :func:`zf_matrix` on each prefix;
+  :func:`zf_prefix_gains`, on small stacks and at the recipes' shapes
+  (``m`` = 2, 4 and 12), against the full-prefix case refactorizing each
+  prefix on its own.  Both read one Gram-block kernel, so ZF equals the
+  one-antenna BD-MRC gains exactly, and per served user the sum of the
+  reciprocal BD-MRC gains equals that of its ``m`` ZF streams (the trace
+  of its block);
+* :func:`zf_prefix_couplings` at any set of (prefix, receiver) pairs, with
+  more or fewer receivers than streams, against :func:`zf_matrix` on each
+  prefix;
 * the multi-server gains :func:`msv_gains_fast` over a sweep of unicast
   counts against the :func:`msv_beamformers` design at each count;
 * the perfect-CSI and estimated-CSI rate rules of :mod:`vccsim.experiments`
@@ -250,6 +255,13 @@ def test_budget_residual_changes_sign_across_bracket(pool):
         assert residual(hi) >= -rounding
 
 
+def _scaled_stack(rng, l_tx, m, q, num_groups):
+    """``(G, L, q*m)`` channels, user k's columns scaled by ``sqrt(beta_k)``."""
+    betas = 10.0 ** rng.uniform(-2.0, 0.0, size=(num_groups, q))
+    h = complex_gaussian(rng, (num_groups, l_tx, q * m))
+    return h * np.repeat(np.sqrt(betas), m, axis=1)[:, None, :], m, betas
+
+
 @st.composite
 def group_stacks(draw):
     """Groups of ``q`` users with ``m`` antennas each, up to full load."""
@@ -258,9 +270,19 @@ def group_stacks(draw):
     l_tx = q * m + draw(st.integers(0, 4))
     num_groups = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    betas = 10.0 ** rng.uniform(-2.0, 0.0, size=(num_groups, q))
-    h = complex_gaussian(rng, (num_groups, l_tx, q * m))
-    return h * np.repeat(np.sqrt(betas), m, axis=1)[:, None, :], m, betas
+    return _scaled_stack(rng, l_tx, m, q, num_groups)
+
+
+# (L, m, q_top, G) of the recipes' BD-MRC draws: fig2 at m = 2, 4 and 12,
+# fig7, and fig3 and fig5 up to full load.
+RECIPE_SHAPES = [(64, 2, 4, 5), (64, 4, 4, 5), (64, 12, 4, 5), (32, 2, 16, 6), (24, 4, 6, 6)]
+
+
+@st.composite
+def recipe_stacks(draw):
+    """Groups at the recipes' shapes, with random pathlosses."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _scaled_stack(rng, *draw(st.sampled_from(RECIPE_SHAPES)))
 
 
 @PROPERTY
@@ -293,24 +315,35 @@ def test_batched_zf_gains_match_zf_matrix(stack):
 
 
 @PROPERTY
-@given(group_stacks())
+@given(st.one_of(group_stacks(), recipe_stacks()))
 def test_prefix_bd_gains_match_each_prefix_alone(stack):
     h, m, _ = stack
     q_values = range(1, h.shape[-1] // m + 1)
-    gains, counts = bd_mrc_prefix_gains(prefix_factor(h), m, q_values)
+    factor = prefix_factor(h)
+    gains, counts = bd_mrc_prefix_gains(factor, m, q_values)
     for s, q in enumerate(q_values):
         ref_gains, ref_counts = bd_mrc_prefix_gains(prefix_factor(h[:, :, : q * m]), m, (q,))
         np.testing.assert_array_equal(counts[:, s, :q], ref_counts[:, 0])
         np.testing.assert_allclose(gains[:, s, :q], ref_gains[:, 0], rtol=1e-10, atol=0)
         assert not counts[:, s, q:].any() and not gains[:, s, q:].any()
+    # The trace identity: a user's BD-MRC block and its m ZF streams read one
+    # block of the prefix Gram inverse, its eigenvalues and its diagonal.
+    zf = zf_prefix_gains(factor, np.asarray(q_values) * m).reshape(gains.shape)
+    served = counts > 0
+    np.testing.assert_allclose(
+        (1.0 / gains[served]).sum(axis=-1), (1.0 / zf[served]).sum(axis=-1), rtol=1e-12, atol=0
+    )
 
 
 @PROPERTY
-@given(group_stacks())
+@given(st.one_of(group_stacks(), recipe_stacks()))
 def test_prefix_zf_gains_match_zf_matrix_on_each_prefix(stack):
     h, _, _ = stack
     sizes = range(1, h.shape[-1] + 1)
-    gains = zf_prefix_gains(prefix_factor(h), sizes)
+    factor = prefix_factor(h)
+    gains = zf_prefix_gains(factor, sizes)
+    # ZF is the one-antenna reading of the BD-MRC blocks.
+    np.testing.assert_array_equal(bd_mrc_prefix_gains(factor, 1, sizes)[0][..., 0], gains)
     for s, n in enumerate(sizes):
         for g, h_g in enumerate(h):
             np.testing.assert_allclose(gains[g, s, :n], zf_matrix(h_g[:, :n])[1], rtol=1e-10, atol=0)

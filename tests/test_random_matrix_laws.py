@@ -1,0 +1,80 @@
+"""Exact random-matrix laws of the Gram-block kernel under unit pathloss.
+
+With i.i.d. CN(0, 1) channels (Rayleigh fading, unit pathloss) the kernel's
+outputs have exact laws.  So these tests check the fast paths against
+theory, not against another design on the same draw: a wrong variance in
+:func:`complex_gaussian`, a mis-scaled column or a wrong prefix each moves
+a law, while an oracle sharing that error would not see it.
+
+* ZF: the gain of any stream of an ``n``-column prefix at ``L`` transmit
+  antennas is Gamma(L - n + 1, 1), the classical ZF post-processing SNR law
+  (Winters, Salz and Gitlin, IEEE Trans. Commun. 1994).  At full load,
+  ``n = L``, it is Exp(1).
+* BD-MRC: at prefix ``q``, user k's gains are the eigenvalues of a complex
+  Wishart W_m(L - (q-1)m, I), so their sum is Gamma(m(L - (q-1)m), 1).
+
+The channels come from :func:`complex_gaussian` at pinned substreams and are
+batched through :func:`prefix_factor`, the draws on the group axis.  Each
+draw gives one sample per law, one stream or user chosen by the draw's
+index, so the samples of a law are independent.  Each law is checked by a
+one-sample Kolmogorov-Smirnov test that rejects at p < ``ALPHA`` = 1e-4.
+With a fresh seed, a correct kernel would fail any one check with
+probability 1e-4.  There are 35 checks here, so by the union bound the
+whole file would fail with probability below 3.5e-3.
+"""
+
+import numpy as np
+import pytest
+
+from vccsim.channel import complex_gaussian, substream
+from vccsim.precoding import bd_mrc_prefix_gains, prefix_factor, zf_prefix_gains
+
+stats = pytest.importorskip("scipy.stats")
+
+ALPHA = 1e-4
+SEED = 20260118
+# Draws per factored stack: bounds the kernel's outer products at fig2's
+# m = 12 to about 22 MB.
+CHUNK = 50
+
+
+def _factors(draws: int, l_tx: int, n: int):
+    """``draws`` unit-pathloss ``(L, n)`` channels, factored ``CHUNK`` at a time."""
+    rng = substream(SEED, l_tx, n)
+    return [
+        prefix_factor(complex_gaussian(rng, (CHUNK, l_tx, n))) for _ in range(draws // CHUNK)
+    ]
+
+
+def _assert_gamma(samples: np.ndarray, shape: int) -> None:
+    p = stats.kstest(samples, stats.gamma(shape).cdf).pvalue
+    assert p > ALPHA, f"KS p-value {p:.1e} against Gamma({shape}, 1)"
+
+
+@pytest.mark.parametrize(
+    "l_tx, sizes",
+    [(16, (1, 6, 15, 16)), (32, (2, 12, 24, 31, 32))],
+    ids=["fig9-L16", "fig7-L32"],
+)
+def test_zf_stream_gain_is_gamma(l_tx, sizes):
+    """9 checks; each full-load prefix (``n = L``) checks Exp(1)."""
+    gains = np.concatenate([zf_prefix_gains(f, sizes) for f in _factors(1000, l_tx, max(sizes))])
+    draw = np.arange(gains.shape[0])
+    for s, n in enumerate(sizes):
+        _assert_gamma(gains[draw, s, draw % n], l_tx - n + 1)
+
+
+@pytest.mark.parametrize(
+    "l_tx, m, q_top, draws",
+    [(32, 2, 16, 1000), (24, 4, 6, 1000), (64, 12, 4, 500)],
+    ids=["fig7-m2", "fig3-m4-full-load", "fig2-m12"],
+)
+def test_bd_gain_sum_is_gamma(l_tx, m, q_top, draws):
+    """One check per q: 16, 6 and 4 checks."""
+    q_values = np.arange(1, q_top + 1)
+    gains = np.concatenate([
+        bd_mrc_prefix_gains(f, m, q_values)[0] for f in _factors(draws, l_tx, q_top * m)
+    ])
+    draw = np.arange(gains.shape[0])
+    for s, q in enumerate(q_values):
+        _assert_gamma(gains[draw, s, draw % q].sum(axis=-1), m * (l_tx - (q - 1) * m))
