@@ -86,7 +86,6 @@ import dataclasses
 import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -340,8 +339,17 @@ def _usable_cpus() -> int:
 
 
 def _parallel_map(fn, args_list, workers: int) -> list:
+    """``[fn(a) for a in args_list]``, on a process pool when more than one
+    worker, usable CPU and task remain.
+
+    The pool is imported only on that branch: its import loads
+    ``concurrent.futures`` and ``multiprocessing``, whose memory and import
+    time ``import vccsim`` and 1-worker runs need not pay.
+    """
     workers = min(workers, _usable_cpus(), len(args_list))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(args_list) // (workers * 4))
             return list(pool.map(fn, args_list, chunksize=chunk))

@@ -29,7 +29,9 @@ function, :func:`_prefix_blocks`, forms every user's ``M x M`` diagonal
 block of every prefix Gram inverse: the outer products of the user's rows
 of ``inv(R)``, column by column, contracted with a 0/1 prefix mask in one
 matrix product.  BD-MRC gains are the reciprocal eigenvalues of those
-blocks, and ZF gains the ``M = 1`` case, the reciprocal ``1 x 1`` blocks.
+blocks, in closed form for ``M <= 2`` and from LAPACK's ``eigvalsh`` for
+larger blocks (:func:`_block_gains`), and ZF gains the ``M = 1`` case, the
+reciprocal ``1 x 1`` blocks.
 The couplings of a prefix's ZF precoder with a receiver are one row of
 ``(h.T @ H.conj()) @ inv(R)``, cut at the prefix size, times
 ``inv(R).conj().T``: every requested (prefix, receiver) pair is one row of
@@ -300,7 +302,31 @@ def _prefix_blocks(factor: PrefixFactor, m: int, q_values) -> np.ndarray:
 
 
 def _block_gains(blocks: np.ndarray) -> np.ndarray:
-    """BD-MRC stream gains, descending, from diagonal blocks of ``inv(G)``."""
+    """BD-MRC stream gains, descending, from diagonal blocks of ``inv(G)``.
+
+    The reciprocal eigenvalues of each Hermitian block, read from its lower
+    triangle as ``np.linalg.eigvalsh`` reads it.  Blocks of one or two rows
+    take closed forms; larger ones (fig2's and fig3-fig5's ``m = 4``, fig2's
+    ``m = 12``) go to ``eigvalsh``.
+
+    * ``m = 1``: the reciprocal real diagonal, bit for bit ``1 / eigvalsh``.
+    * ``m = 2``, block ``[[a, .], [c, d]]``: ``lam_max = (a + d) / 2 +
+      sqrt(((a - d) / 2)**2 + |c|**2)``.  The smaller root is taken as
+      ``det / lam_max``, which does not cancel as ``(a + d) / 2 - sqrt(...)``
+      does, so the gains are ``[lam_max / det, 1 / lam_max]``.  A block
+      that rounds singular (``det <= 0``) gives an infinite or negative gain,
+      which :func:`_usable` rejects.
+    """
+    m = blocks.shape[-1]
+    if m == 1:
+        return 1.0 / blocks[..., 0].real
+    if m == 2:
+        a, d = blocks[..., 0, 0].real, blocks[..., 1, 1].real
+        c = blocks[..., 1, 0]
+        c2 = c.real**2 + c.imag**2
+        top = 0.5 * (a + d) + np.sqrt((0.5 * (a - d)) ** 2 + c2)
+        with np.errstate(divide="ignore"):
+            return np.stack([top / (a * d - c2), 1.0 / top], axis=-1)
     return 1.0 / np.linalg.eigvalsh(blocks)
 
 
@@ -332,7 +358,11 @@ def bd_mrc_prefix_gains(
     entries of ``q_values``: gains descending per user and zero past each
     user's count, users at or past q with count 0.  The gains are the
     reciprocal eigenvalues of user k's block of the prefix Gram inverse
-    (:func:`_prefix_blocks`), so one factorization serves every q.  A
+    (:func:`_prefix_blocks`), so one factorization serves every q.  For
+    ``m <= 2`` they are closed forms (:func:`_block_gains`: the reciprocal
+    diagonal at ``m = 1``; at ``m = 2`` the larger eigenvalue ``lam_max``
+    from the quadratic formula and the smaller one as ``det / lam_max``);
+    for larger ``m``, one batched ``eigvalsh`` over every valid cell.  A
     (group, q) cell whose prefix is singular, or whose blocks give an
     unusable gain, goes through the per-user path, which may truncate
     streams.

@@ -115,6 +115,22 @@ class TestImport:
         )
         assert out.strip() == "[]"
 
+    POOL_MODULES = ("concurrent.futures", "multiprocessing")
+
+    @pytest.mark.parametrize("workers, locations", [(1, 1), (2, 2)])
+    def test_pool_modules_load_only_for_a_pool(self, tmp_path, workers, locations):
+        if workers > 1 and experiments._usable_cpus() < 2:
+            pytest.skip("a pool needs two usable CPUs")
+        out = run_python(
+            "import sys\n"
+            "from vccsim.cli import parse_config, run\n"
+            f"run(parse_config(recipe='fig8', locations={locations}, fadings=1, "
+            f"workers={workers}, out={str(tmp_path / 'fig8.csv')!r}))\n"
+            f"print(sorted(m for m in {self.POOL_MODULES!r} if m in sys.modules))"
+        )
+        expected = sorted(self.POOL_MODULES) if workers > 1 else []
+        assert out.splitlines()[-1] == str(expected)
+
     THREADS = (
         "import os, vccsim.cli\n"
         "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])"

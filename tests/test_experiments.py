@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import math
 import pickle
@@ -220,7 +221,8 @@ class TestDeterminism:
 
 
 class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records its size, starts nothing."""
+    """Stands in for concurrent.futures.ProcessPoolExecutor, which
+    ``_parallel_map`` imports when it runs: records its size, starts nothing."""
 
     sizes = []
 
@@ -240,7 +242,7 @@ class _SerialPool:
 class TestPoolSize:
     @pytest.mark.parametrize("cpus, expected", [(64, 3), (2, 2)])
     def test_workers_clamped_to_cpus_and_tasks(self, monkeypatch, cpus, expected):
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", _SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
         _SerialPool.sizes.clear()
         out = experiments._parallel_map(abs, [-1, -2, -3], 10_000)
@@ -344,7 +346,7 @@ class TestOneSimulatePerRecipe:
 
     @pytest.mark.parametrize("recipe", sorted(RECIPES))
     def test_at_most_one_pool_per_recipe(self, monkeypatch, recipe):
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", _SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: 8)
         _SerialPool.sizes.clear()
         run_recipe(recipe, seed=1, n_locations=2, n_fadings=1, workers=2)

@@ -27,6 +27,7 @@ from vccsim.precoding import (
     zf_matrix,
     zf_prefix_gains,
 )
+from vccsim.recipes import run_recipe
 
 
 def random_group(l, counts, betas, key):
@@ -227,6 +228,28 @@ class TestBdMrcGainsFallback:
             with pytest.raises(SingularMatrixError):
                 zf_prefix_gains(prefix_factor(h), sizes)
 
+    def test_block_rounding_singular_falls_back(self, monkeypatch):
+        # A 2 x 2 block whose determinant rounds to 0 or below gives an
+        # infinite or negative closed-form gain: that cell is unusable and
+        # goes to the per-user path, which finds the channel's true gains.
+        singular = np.array([[[1, 2], [2, 4]], [[1, 2], [2 + 1e-15, 4]]], dtype=complex)
+        assert not precoding._usable(precoding._block_gains(singular)).any()
+        h = complex_gaussian(substream(92, 4), (2, 8, 4))
+        ref_gains, ref_counts = bd_mrc_prefix_gains(prefix_factor(h), 2, (1, 2))
+        calls = self._spy(monkeypatch)
+        blocks = precoding._prefix_blocks
+
+        def with_singular_block(factor, m, q_values):
+            out = blocks(factor, m, q_values)
+            out[1, 1, 0] = singular[0]  # group 1, q = 2, user 0
+            return out
+
+        monkeypatch.setattr(precoding, "_prefix_blocks", with_singular_block)
+        gains, counts = bd_mrc_prefix_gains(prefix_factor(h), 2, (1, 2))
+        assert calls == [2]  # group 1 at q = 2 only
+        np.testing.assert_array_equal(counts, ref_counts)
+        np.testing.assert_allclose(gains, ref_gains, rtol=1e-9)
+
     def test_fully_dependent_user_infeasible(self):
         a = complex_gaussian(substream(92, 2), (6, 2))
         mix = np.array([[1.0, 2.0], [3.0, 4.0j]])
@@ -236,6 +259,27 @@ class TestBdMrcGainsFallback:
         group = GroupChannel(((h[0][:, :2], 1.0), (h[0][:, 2:], 1.0)))
         with pytest.raises(InfeasibleDimensionError):
             bd_mrc_eigenvalues(group)
+
+
+class TestBlockGainsClosedForm:
+    """Blocks of one and two rows take closed-form gains; only larger
+    blocks reach LAPACK's eigensolver."""
+
+    @pytest.mark.parametrize("recipe, m", [("fig7", 2), ("fig8", 1), ("fig3", 4)])
+    def test_eigvalsh_runs_only_past_two_rows(self, monkeypatch, recipe, m):
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        run_recipe(recipe, seed=1, n_locations=1, n_fadings=1)
+        if m <= 2:
+            assert shapes == []
+        else:
+            assert shapes and all(shape[-2:] == (m, m) for shape in shapes)
 
 
 class TestZf:

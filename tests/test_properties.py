@@ -20,6 +20,9 @@
   one-antenna BD-MRC gains exactly, and per served user the sum of the
   reciprocal BD-MRC gains equals that of its ``m`` ZF streams (the trace
   of its block);
+* the closed-form gains of one- and two-row blocks in :func:`_block_gains`
+  against ``1 / np.linalg.eigvalsh``: equal for one row, and within a
+  tolerance that scales with the condition number for two;
 * :func:`zf_prefix_couplings` at any set of (prefix, receiver) pairs, with
   more or fewer receivers than streams, against :func:`zf_matrix` on each
   prefix;
@@ -42,6 +45,8 @@ from vccsim import allocation, experiments
 from vccsim.allocation import UserRateFunction, mmf_sum_rates, solve_mmf
 from vccsim.channel import GroupChannel, complex_gaussian
 from vccsim.precoding import (
+    _block_gains,
+    _usable,
     bd_mrc,
     bd_mrc_prefix_gains,
     msv_beamformers,
@@ -348,6 +353,51 @@ def test_prefix_zf_gains_match_zf_matrix_on_each_prefix(stack):
         for g, h_g in enumerate(h):
             np.testing.assert_allclose(gains[g, s, :n], zf_matrix(h_g[:, :n])[1], rtol=1e-10, atol=0)
         assert not gains[:, s, n:].any()
+
+
+@PROPERTY
+@given(st.lists(st.tuples(_log_uniform(-8, 8), st.floats(-1.0, 1.0)), min_size=1, max_size=8))
+def test_one_row_block_gains_equal_eigvalsh(entries):
+    # eigvalsh reads only the real part of a diagonal entry.
+    blocks = np.array([[[complex(re, im)]] for re, im in entries])
+    np.testing.assert_array_equal(_block_gains(blocks), 1.0 / np.linalg.eigvalsh(blocks))
+
+
+@st.composite
+def hermitian_pairs(draw):
+    """Batches of Hermitian positive-definite 2 x 2 blocks, condition number
+    up to 1e10: rotated diagonal matrices, diagonal blocks (c = 0) and
+    blocks with equal diagonal entries (a = d)."""
+    kind = draw(st.sampled_from(["rotated", "diagonal", "equal-diagonal"]))
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** rng.uniform(-6.0, 6.0, n)
+    cond = 10.0 ** rng.uniform(0.0, 10.0, n)
+    phase = np.exp(2j * np.pi * rng.uniform(size=n))
+    if kind == "equal-diagonal":  # eigenvalues a +- |c|
+        a = d = scale
+        c = scale * (cond - 1.0) / (cond + 1.0) * phase
+    else:
+        theta = rng.uniform(0.0, np.pi / 2, n) if kind == "rotated" else np.zeros(n)
+        cos2, sin2 = np.cos(theta) ** 2, np.sin(theta) ** 2
+        a, d = scale * (cos2 + sin2 / cond), scale * (sin2 + cos2 / cond)
+        c = scale * (1.0 - 1.0 / cond) * np.sin(theta) * np.cos(theta) * phase
+    return np.stack([np.stack([a, c.conj()], -1), np.stack([c, d], -1)], -2)
+
+
+@PROPERTY
+@given(hermitian_pairs())
+def test_two_row_block_gains_match_eigvalsh(blocks):
+    w = np.linalg.eigvalsh(blocks)
+    # Both reciprocal eigenvalues move by a few eps times the condition
+    # number, and by a few eps on a diagonal block, where the smaller root
+    # det / lam_max = min(a, d) does not cancel as lam_max - 2 sqrt(...) would.
+    cond = np.where(blocks[:, 1, 0] == 0, 1.0, w[:, 1] / w[:, 0])
+    tol = 16 * np.finfo(float).eps * cond[:, None] / np.abs(w)
+    for b in (blocks, np.tril(blocks)):  # only the lower triangle is read
+        gains = _block_gains(b)
+        assert np.all(np.abs(gains - 1.0 / w) <= tol)
+        assert _usable(gains).all()
 
 
 @PROPERTY

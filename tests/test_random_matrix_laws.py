@@ -12,22 +12,27 @@ a law, while an oracle sharing that error would not see it.
   ``n = L``, it is Exp(1).
 * BD-MRC: at prefix ``q``, user k's gains are the eigenvalues of a complex
   Wishart W_m(L - (q-1)m, I), so their sum is Gamma(m(L - (q-1)m), 1).
+* MSV: with ``n`` unicast streams the beams are the ZF precoder of
+  ``n + 1`` columns, so the common beam's gain at multicast user 0 and each
+  unicast gain are Gamma(L - n, 1).  Any other multicast user's channel is
+  independent of the unit-norm common beam, so its gain there is Exp(1).
 
-The channels come from :func:`complex_gaussian` at pinned substreams and are
-batched through :func:`prefix_factor`, the draws on the group axis.  Each
+The channels come from :func:`complex_gaussian` at pinned substreams.  ZF
+and BD-MRC draws are batched through :func:`prefix_factor`, the draws on
+the group axis; MSV draws go through :func:`msv_gains_fast` one by one.  Each
 draw gives one sample per law, one stream or user chosen by the draw's
 index, so the samples of a law are independent.  Each law is checked by a
 one-sample Kolmogorov-Smirnov test that rejects at p < ``ALPHA`` = 1e-4.
 With a fresh seed, a correct kernel would fail any one check with
-probability 1e-4.  There are 35 checks here, so by the union bound the
-whole file would fail with probability below 3.5e-3.
+probability 1e-4.  There are 44 checks here, so by the union bound the
+whole file would fail with probability below 4.4e-3.
 """
 
 import numpy as np
 import pytest
 
 from vccsim.channel import complex_gaussian, substream
-from vccsim.precoding import bd_mrc_prefix_gains, prefix_factor, zf_prefix_gains
+from vccsim.precoding import bd_mrc_prefix_gains, msv_gains_fast, prefix_factor, zf_prefix_gains
 
 stats = pytest.importorskip("scipy.stats")
 
@@ -78,3 +83,23 @@ def test_bd_gain_sum_is_gamma(l_tx, m, q_top, draws):
     draw = np.arange(gains.shape[0])
     for s, q in enumerate(q_values):
         _assert_gamma(gains[draw, s, draw % q].sum(axis=-1), m * (l_tx - (q - 1) * m))
+
+
+def test_msv_gains_follow_gamma_and_exp():
+    """Three checks per unicast count: 9 checks.  ``n = L - 1`` is full
+    load, where Gamma(1, 1) is Exp(1)."""
+    l_tx, g_mc, counts, draws = 16, 4, (1, 5, 15), 3000
+    rng = substream(SEED, l_tx, g_mc)
+    out = [
+        msv_gains_fast(
+            complex_gaussian(rng, (g_mc, l_tx)), complex_gaussian(rng, (max(counts), l_tx)), counts
+        )
+        for _ in range(draws)
+    ]
+    multicast = np.stack([mc for mc, _ in out])
+    unicast = np.stack([uc for _, uc in out])
+    draw = np.arange(draws)
+    for s, n in enumerate(counts):
+        _assert_gamma(multicast[:, s, 0], l_tx - n)
+        _assert_gamma(unicast[draw, s, draw % n], l_tx - n)
+        _assert_gamma(multicast[draw, s, 1 + draw % (g_mc - 1)], 1)
