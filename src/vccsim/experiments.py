@@ -3,20 +3,23 @@
 A scenario fixes the cell, antenna and caching parameters plus the power
 sweep.  A :class:`Job` is one side of a comparison (the cache-aided groups
 or the cacheless single group) with the schemes, or rules, run on it.  A
-recipe hands all of its jobs to one :func:`_simulate` call, which runs one
-pool task per location (:func:`_location_task`), and each task runs every
-job of the recipe at that location.  Per location it does the same four
-steps:
+recipe hands all of its jobs to one :func:`_simulate` call, which cuts the
+locations, in order, into blocks of whole locations, ``_BLOCK_CELLS``
+(location, fading) cells' worth and at least one location, and runs one
+pool task per block (:func:`_block_task`).  Each task runs every job of the
+recipe over its block in the same four steps:
 
-1. draw: each job's pathloss rows once, then, per fading, one draw per
-   shared draw key (below), at the largest served-user count ``q``.
-   BD-MRC and ZF use the same draw, the groups' channels with their prefix
-   factor (:func:`~vccsim.precoding.prefix_factor`), so each (fading,
-   group) channel is drawn and factored once per location;
+1. draw: each job's pathloss rows once per location, then, per (location,
+   fading) cell, one draw per shared draw key (below), at the largest
+   served-user count ``q``.  BD-MRC and ZF use the same draw, the groups'
+   channels with their prefix factor
+   (:func:`~vccsim.precoding.prefix_factor`), so each (location, fading,
+   group) channel is drawn and factored once.  Draws are made one cell at a
+   time, so neither they nor the kernels grow with the block;
 2. kernel: the stream gains of every ``q``-user prefix of those draws at
    once, per group (groups on axis 0).  For BD-MRC and ZF this is one
    nested-prefix Gram kernel over every group, one factorization per
-   (group, fading) whatever the q sweep, whose per-user diagonal blocks of
+   (group, cell) whatever the q sweep, whose per-user diagonal blocks of
    every prefix Gram inverse both read: BD-MRC their reciprocal
    eigenvalues (:func:`~vccsim.precoding.bd_mrc_prefix_gains`), ZF the
    reciprocal ``1 x 1`` blocks (:func:`~vccsim.precoding.zf_prefix_gains`);
@@ -25,36 +28,46 @@ steps:
    ``(q, user)`` pairs only.  MSV runs the same kernel on one
    multicast/unicast draw for every unicast count
    (:func:`~vccsim.precoding.msv_gains_fast`);
-3. rates: the rates of every curve the scheme owns over the fadings, the
-   q sweep and the power vector, from the kernel outputs of the job's
-   groups at every fading of the location, stacked on a leading fading
-   axis.  Max-min-fair rates come from one batched rate-only root solve per
-   (job, rule, location) (:func:`~vccsim.allocation.mmf_sum_rates`): each
-   (fading, q) is one problem over the pooled users of every group, with
-   that q's pilot overhead, solved in closed form where it can be and
-   otherwise in one Newton loop with the others.  Equal-power ZF under
-   imperfect CSI is two rules on one draw, and a recipe lists only the one
-   whose curves it writes: :data:`CSI_PERFECT` takes its SINRs from the
-   prefix ZF gains alone, and :data:`CSI_ERROR` from the couplings, for
+3. rates: one rate call per (job, rule, block), for the rates of every
+   curve the scheme owns over the block's cells, the q sweep and the power
+   vector, from the kernel outputs of the job's groups at every cell,
+   stacked on a leading cell axis in (location, fading) order.
+   Max-min-fair rates come from one batched rate-only root solve
+   (:func:`~vccsim.allocation.mmf_sum_rates`): each (cell, q) is one
+   problem over the pooled users of every group, with that q's pilot
+   overhead, solved in closed form where it can be and otherwise in one
+   Newton loop with the others; problems do not interact, so a block's
+   solve gives each cell the bits of that cell solved alone.  Equal-power
+   ZF under imperfect CSI is two rules on one draw, and a recipe lists only
+   the one whose curves it writes: :data:`CSI_PERFECT` takes its SINRs from
+   the prefix ZF gains alone, and :data:`CSI_ERROR` from the couplings, for
    the CSIT curve and one curve per CSIR variance.  Both sum each q's
    served pairs with ``np.add.reduceat``.  The MSV rates
    (:func:`~vccsim.precoding.msv_rate_from_gains`) are an array expression
    over (q, power).  The fading-free curves are one root solve per rule
-   over the whole q sweep, the same :func:`~vccsim.allocation.mmf_sum_rates`
-   call on surrogate users, whose streams all share one gain: one problem
-   per (stream-gain surrogate, q), which the closed form settles;
-4. reduce: the task returns each rule's mean over the location's fadings,
-   so only per-location means leave it; :func:`_simulate` reduces those,
-   in location order, to the mean and standard error over locations.
+   and block over the whole q sweep, the same
+   :func:`~vccsim.allocation.mmf_sum_rates` call on surrogate users, whose
+   streams all share one gain: one problem per (stream-gain surrogate,
+   location, q), which the closed form settles;
+4. reduce: the task splits each rule's rates by location and takes each
+   location's mean over its fadings, so only per-location means leave it,
+   in location order; :func:`_simulate` reduces those to the mean and
+   standard error over locations.
 
 A scheme is a :class:`_Rule`: a channel draw, a gain kernel and a rate
 rule.  Fading-free analytic curves have neither a draw nor a kernel, and
-run once per location, before its fadings.  The tables a rule needs that
-depend only on the job (served pairs, per-stream SNRs, overhead factors)
-are built once per process.
+run once per block, on the pathloss rows of its locations.  The tables a
+rule needs that depend only on the job (served pairs, per-stream SNRs,
+overhead factors) are built once per process.
 
-Sharing.  Within a task, a draw is kept per fading under its draw
-function plus the fields it reads (``seed``, ``L``, ``M``, ``geometry``,
+Blocks.  At two or more fadings a block is one location, so paper-scale
+runs keep one location's draws and rates per task; one-fading runs, where
+per-call overhead outweighs the arithmetic of a rate solve, batch two
+locations into each rate call.  Draws are not stacked over a block, so
+the factor, the kernels and their memory do not grow with it.
+
+Sharing.  Within a task, a draw is kept per cell under its draw function
+plus the fields it reads (``seed``, ``L``, ``M``, ``geometry``,
 ``csit_error_var``) and ``q_top``, the largest served count of the job; a
 kernel output under its kernel, that draw key and the q sweep.  Each is
 made once, by the first job with the most groups among those that share
@@ -70,8 +83,8 @@ substream), so its key holds its group count and it is never sliced.
 
 All randomness flows through keyed substreams of the master seed, and
 results are reduced in location order, so the curves are bit-identical for
-any worker count.  The ``run_*`` functions are one-job (or, for imperfect
-CSI, two-job) wrappers over the same builders.
+any worker count and any block size.  The ``run_*`` functions are one-job
+(or, for imperfect CSI, two-job) wrappers over the same builders.
 
 Substream keys: ``(0, loc)`` user positions, ``(1, loc, fad, group)``
 fading, ``(2, loc, fad, group)`` transmitter CSI errors,
@@ -392,7 +405,7 @@ def _curve_from_means(
 
 class _Rule(NamedTuple):
     """A scheme: a channel draw and a gain kernel (both ``None`` for
-    fading-free curves) and a rate rule; see :func:`_location_task` for
+    fading-free curves) and a rate rule; see :func:`_block_task` for
     their signatures."""
 
     draw: object
@@ -457,15 +470,17 @@ def _mmf_rates(scenario: Scenario, num_groups: int, q_values, gains_counts, _):
 
 
 def _surrogate_rates(scenario: Scenario, num_groups: int, q_values, betas, shifts):
-    """Max-min-fair rates ``(len(shifts), n_q, n_p)`` of surrogate users
-    whose ``m`` streams all have gain ``beta * (L - q*m + shift)``: the
-    equal-gain rows of :func:`_mmf_rates`, with the shifts on its fading
-    axis."""
+    """Max-min-fair rates ``(len(shifts), n_loc, n_q, n_p)`` of surrogate
+    users whose ``m`` streams all have gain ``beta * (L - q*m + shift)``, from
+    pathloss rows ``(n_loc, G, q_top)``: the equal-gain rows of
+    :func:`_mmf_rates`, with every (shift, location) on its fading axis."""
     m = scenario.antennas_per_user
     room = scenario.num_tx_antennas - np.asarray(q_values) * m + np.asarray(shifts)[:, None]
-    gains = betas[:, None] * room[:, None, :, None]
+    gains = betas[None, :, :, None] * room[:, None, None, :, None]
+    gains = gains.reshape(-1, *gains.shape[2:])
     gains_counts = (np.broadcast_to(gains[..., None], (*gains.shape, m)), np.full(gains.shape, m))
-    return _mmf_rates(scenario, num_groups, q_values, gains_counts, None)[0]
+    rates = _mmf_rates(scenario, num_groups, q_values, gains_counts, None)[0]
+    return rates.reshape(len(shifts), betas.shape[0], *rates.shape[1:])
 
 
 def _asym_rates(scenario: Scenario, num_groups: int, q_values, _, betas):
@@ -517,9 +532,10 @@ def _pair_snr(scenario: Scenario, num_groups: int, q_values) -> np.ndarray:
 def _csi_sum_rates(scenario: Scenario, num_groups: int, q_values, sinrs):
     """Per-q rates ``(n_curves, F, S, P)`` from served-pair SINRs
     ``(n_curves, F, G, T, P)``: summed over groups and each q's pairs, times
-    that q's overhead factor."""
+    that q's overhead factor.  Takes the rates' logs in ``sinrs``, which it
+    overwrites."""
     xi = _overhead_factors(scenario, num_groups, q_values)
-    per_pair = np.log1p(sinrs).sum(axis=2)
+    per_pair = np.log1p(sinrs, out=sinrs).sum(axis=2)
     return xi[:, None] * np.add.reduceat(per_pair, _served_pairs(q_values)[2], axis=2)
 
 
@@ -560,17 +576,19 @@ def _csi_error_rates(scenario: Scenario, num_groups: int, q_values, kernel_out, 
     snr = _pair_snr(scenario, num_groups, q_values)
     signal = own.real ** 2 + own.imag ** 2
     interference = received - signal
-    sinrs = [snr * signal[..., None] / (1.0 + snr * interference[..., None])]
+    # One buffer for every curve's SINRs, filled curve by curve.
+    sinrs = np.empty((1 + len(scenario.csir_error_vars), *own.shape, snr.shape[-1]))
+    np.divide(snr * signal[..., None], 1.0 + snr * interference[..., None], out=sinrs[0])
     others = (num_groups * pairs[:, 0] - 1)[:, None]
-    for var in scenario.csir_error_vars:
+    for i, var in enumerate(scenario.csir_error_vars, start=1):
         # Each receiver's estimate of its own coupling coefficient, and the
         # SINR with numerator and denominator scaled by 1 / (1 + var), so
         # that it stays finite for any finite variance.
         scale = 1.0 + var
         est = own / math.sqrt(scale) - math.sqrt(var / scale) * w[0]
         num = est.real ** 2 + est.imag ** 2 + var / scale
-        sinrs.append(snr * num[..., None] / (1.0 / scale + snr * (var / scale) * others))
-    return _csi_sum_rates(scenario, num_groups, q_values, np.array(sinrs))
+        np.divide(snr * num[..., None], 1.0 / scale + snr * (var / scale) * others, out=sinrs[i])
+    return _csi_sum_rates(scenario, num_groups, q_values, sinrs)
 
 
 def _msv_draws(scenario: Scenario, num_groups: int, q_top: int, loc: int, fad: int, _):
@@ -716,33 +734,50 @@ def _draw_key(job: Job, draw):
 
 
 def _first_groups(arrays: tuple, made: int, num_groups: int) -> tuple:
-    """The first ``num_groups`` groups (axis 1, after the fadings) of arrays
+    """The first ``num_groups`` groups (axis 1, after the cells) of arrays
     made for ``made``."""
     return arrays if made == num_groups else tuple(a[:, :num_groups] for a in arrays)
 
 
-def _location_task(args) -> list[list[np.ndarray]]:
-    """Every rule of every job at one location, reduced over its fadings.
+# (location, fading) cells per block task: a block holds this many cells'
+# worth of whole locations, and at least one location.  A block's rate
+# arrays grow with its cells, so blocks stay just large enough to pair up
+# the locations of one-fading runs.
+_BLOCK_CELLS = 2
+
+
+def _block_task(args) -> list[list[np.ndarray]]:
+    """Every rule of every job over one block of whole locations, reduced
+    over each location's fadings.
 
     ``rule.draw(scenario, num_groups, q_top, loc, fad, betas)`` draws one
-    fading's channels at the largest ``q``, and ``rule.kernel(scenario,
-    q_values, draw)`` returns a tuple of per-group arrays, groups on axis 0.
-    Both are shared by key (:func:`_draw_key`; a kernel output under its
-    kernel, the draw key and ``q_values``), made by the first job with the
-    most groups among those that share the key, a kernel on the whole draw;
-    each job takes its first ``num_groups`` groups.  ``betas`` are a job's
-    own pathloss rows.  After the fadings, ``rule.rates(scenario,
-    num_groups, q_values, kernel_out, betas)`` gets the kernel outputs of
-    every fading, stacked on a leading axis, and returns the rates of every
-    curve, shape ``(n_curves, n_fad, n_q, n_p)``; fading-free rules have no
-    draw or kernel, get ``None``, run once and return ``(n_curves, n_q,
-    n_p)``.  All are module-level functions so that tasks pickle.  Every
-    job has the same fading count (:func:`_simulate` checks it).  Returns,
-    per job and rule, this location's mean rates over its fadings, shape
-    ``(n_curves, n_q, n_p)``.
+    (location, fading) cell's channels at the largest ``q``, and
+    ``rule.kernel(scenario, q_values, draw)`` returns a tuple of per-group
+    arrays, groups on axis 0.  Both run cell by cell and are shared by key
+    (:func:`_draw_key`; a kernel output under its kernel, the draw key and
+    ``q_values``), made by the first job with the most groups among those
+    that share the key, a kernel on the whole draw; each job takes its first
+    ``num_groups`` groups.  ``betas`` are a job's own pathloss rows at the
+    cell's location.  After the cells, ``rule.rates(scenario, num_groups,
+    q_values, kernel_out, betas)`` runs once per rule, on the kernel outputs
+    of every cell stacked on a leading axis in (location, fading) order and
+    the job's pathloss rows stacked over the block's locations, and returns
+    the rates of every curve, shape ``(n_curves, n_loc * n_fad, n_q,
+    n_p)``; fading-free rules have no draw or kernel, get ``None``, and
+    return ``(n_curves, n_loc, n_q, n_p)``.  All are module-level functions
+    so that tasks pickle.  Every job has the same fading count
+    (:func:`_simulate` checks it).  Returns, per job and rule, each
+    location's mean rates over its fadings, in location order, shape
+    ``(n_curves, n_loc, n_q, n_p)``.
     """
-    jobs, loc = args
-    betas = [_location_betas(job.scenario, job.num_groups, max(job.q_values), loc) for job in jobs]
+    jobs, locs = args
+    n_fad = jobs[0].scenario.n_fadings
+    betas = [
+        np.stack([
+            _location_betas(job.scenario, job.num_groups, max(job.q_values), loc) for loc in locs
+        ])
+        for job in jobs
+    ]
     makers = {}  # draw key -> index of the first job with the most groups that reads it
     out = [[None] * len(job.rules) for job in jobs]
     drawn = []  # (job, rule) indices and draw key of the rules with a draw
@@ -755,34 +790,42 @@ def _location_task(args) -> list[list[np.ndarray]]:
             if key not in makers or job.num_groups > jobs[makers[key]].num_groups:
                 makers[key] = ji
             drawn.append((ji, ri, key))
-    kernels = {}  # kernel key -> the maker's kernel output at each fading
-    for fad in range(jobs[0].scenario.n_fadings):
+    kernels = {}  # kernel key -> the maker's kernel output at each cell
+    for cell, (li, fad) in enumerate(np.ndindex(len(locs), n_fad)):
         draws = {}
         for ji, ri, key in drawn:
             job, rule = jobs[ji], jobs[ji].rules[ri][0]
             maker = jobs[makers[key]]
             if key not in draws:
                 draws[key] = rule.draw(
-                    maker.scenario, maker.num_groups, max(maker.q_values), loc, fad,
-                    betas[makers[key]],
+                    maker.scenario, maker.num_groups, max(maker.q_values), locs[li], fad,
+                    betas[makers[key]][li],
                 )
             made = kernels.setdefault((rule.kernel, key, job.q_values), [])
-            if len(made) == fad:  # not yet made at this fading
+            if len(made) == cell:  # not yet made at this cell
                 made.append(rule.kernel(maker.scenario, job.q_values, draws[key]))
-    stacked = {k: tuple(np.stack(a) for a in zip(*made)) for k, made in kernels.items()}
+    # The rates need neither the last cell's draws nor, once stacked, a
+    # kernel's per-cell outputs.
+    del draws
+    stacked = {}
+    while kernels:
+        k, made = kernels.popitem()
+        stacked[k] = tuple(np.stack(a) for a in zip(*made))
     for ji, ri, key in drawn:
         job, rule = jobs[ji], jobs[ji].rules[ri][0]
         kernel_out = _first_groups(
             stacked[rule.kernel, key, job.q_values], jobs[makers[key]].num_groups, job.num_groups
         )
         rates = rule.rates(job.scenario, job.num_groups, job.q_values, kernel_out, betas[ji])
-        out[ji][ri] = rates.mean(axis=1)
+        by_loc = rates.reshape(rates.shape[0], len(locs), n_fad, *rates.shape[2:])
+        out[ji][ri] = by_loc.mean(axis=2)
     return out
 
 
 def _simulate(jobs, workers: int) -> dict[str, SchemeCurve]:
-    """Run every job at every location, one pool task per location; reduce
-    the per-location means in location order.
+    """Run every job at every location, one pool task per block of
+    locations (:data:`_BLOCK_CELLS`); reduce the per-location means in
+    location order.
 
     Returns every job's curves by name; no two rules may write one name,
     and every job must have the same location and fading counts."""
@@ -795,13 +838,15 @@ def _simulate(jobs, workers: int) -> dict[str, SchemeCurve]:
         raise ValueError(
             f"jobs differ in their (location, fading) counts: {sorted(counts)}"
         )
-    tasks = [(jobs, loc) for loc in range(counts.pop()[0])]
-    per_loc = _parallel_map(_location_task, tasks, workers)
+    n_loc, n_fad = counts.pop()
+    size = max(1, _BLOCK_CELLS // n_fad)
+    tasks = [(jobs, range(n_loc)[start:start + size]) for start in range(0, n_loc, size)]
+    blocks = _parallel_map(_block_task, tasks, workers)
     curves = {}
     for ji, (scenario, _, q_values, rules) in enumerate(jobs):
         for ri, (_, names) in enumerate(rules):
             for ci, name in enumerate(names):
-                loc_means = np.stack([r[ji][ri][ci] for r in per_loc])
+                loc_means = np.concatenate([b[ji][ri][ci] for b in blocks])
                 curves[name] = _curve_from_means(name, scenario, q_values, loc_means)
     return curves
 

@@ -117,10 +117,13 @@ class TestImport:
 
     POOL_MODULES = ("concurrent.futures", "multiprocessing")
 
-    @pytest.mark.parametrize("workers, locations", [(1, 1), (2, 2)])
-    def test_pool_modules_load_only_for_a_pool(self, tmp_path, workers, locations):
+    # fig8 runs one fading per location, so each block task holds
+    # _BLOCK_CELLS locations; a pool starts only for two tasks or more.
+    @pytest.mark.parametrize("workers, blocks", [(1, 1), (2, 2)])
+    def test_pool_modules_load_only_for_a_pool(self, tmp_path, workers, blocks):
         if workers > 1 and experiments._usable_cpus() < 2:
             pytest.skip("a pool needs two usable CPUs")
+        locations = blocks * experiments._BLOCK_CELLS
         out = run_python(
             "import sys\n"
             "from vccsim.cli import parse_config, run\n"
@@ -307,9 +310,9 @@ class TestParser:
         self, capsys, tmp_path, monkeypatch
     ):
         def no_sampling(args):
-            raise AssertionError("a location task ran")
+            raise AssertionError("a block task ran")
 
-        monkeypatch.setattr(experiments, "_location_task", no_sampling)
+        monkeypatch.setattr(experiments, "_block_task", no_sampling)
         code = main(["--recipe", "fig8", "--locations", "20", "--fadings", "1",
                      "--set", "T=400", "--out", str(tmp_path / "x.csv")])
         assert code == 2
@@ -327,9 +330,9 @@ class TestParser:
         self, capsys, tmp_path, monkeypatch, out
     ):
         def no_sampling(args):
-            raise AssertionError("a location task ran")
+            raise AssertionError("a block task ran")
 
-        monkeypatch.setattr(experiments, "_location_task", no_sampling)
+        monkeypatch.setattr(experiments, "_block_task", no_sampling)
         monkeypatch.chdir(tmp_path)
         code = main(["--recipe", "fig9", "--locations", "1", "--fadings", "1",
                      "--out", out])
@@ -367,9 +370,9 @@ class TestParser:
         self, capsys, tmp_path, monkeypatch, recipe, setting, field
     ):
         def no_sampling(args):
-            raise AssertionError("a location task ran")
+            raise AssertionError("a block task ran")
 
-        monkeypatch.setattr(experiments, "_location_task", no_sampling)
+        monkeypatch.setattr(experiments, "_block_task", no_sampling)
         code = main(["--recipe", recipe, "--set", setting, "--locations", "1",
                      "--fadings", "1", "--out", str(tmp_path / "x.csv")])
         assert code == 2

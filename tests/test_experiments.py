@@ -152,7 +152,7 @@ class TestFadingFreeRules:
         job = experiments.cache_aided_job(scn)
         g, m = job.num_groups, scn.antennas_per_user
         betas = experiments._location_betas(scn, g, max(job.q_values), 0)
-        bounds = experiments._zf_bound_rates(scn, g, job.q_values, None, betas)
+        bounds = experiments._zf_bound_rates(scn, g, job.q_values, None, betas[None])[:, 0]
         for qi, q in enumerate(job.q_values):
             args = ([list(row[:q]) for row in betas], [[m] * q] * g, scn.num_tx_antennas,
                     scn.overhead_factor(g, q), scn.noise_power, np.asarray(scn.p_watts))
@@ -167,7 +167,7 @@ class TestFadingFreeRules:
         job = experiments.cache_aided_job(scn)
         g, m, l = job.num_groups, scn.antennas_per_user, scn.num_tx_antennas
         betas = experiments._location_betas(scn, g, max(job.q_values), 0)
-        asym = experiments._asym_rates(scn, g, job.q_values, None, betas)
+        asym = experiments._asym_rates(scn, g, job.q_values, None, betas[None])[:, 0]
         n0 = scn.noise_power
         for qi, q in enumerate(job.q_values):
             gains, n, xi = betas[:, :q] * (l - q * m + m), g * q, scn.overhead_factor(g, q)
@@ -181,6 +181,20 @@ class TestFadingFreeRules:
                     hi *= 2.0
                 ref = brentq(resid, 0.0, hi, args=(p,), xtol=1e-18, rtol=1e-14)
                 assert asym[0, qi, pi] == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("rule", [experiments._asym_rates, experiments._zf_bound_rates])
+    def test_block_equals_each_location_alone(self, rule):
+        # A block stacks its locations' pathloss rows into one solve; each
+        # location's rates must be those of that location solved alone.
+        scn = macro_scenario(users_per_group=None)
+        job = experiments.cache_aided_job(scn)
+        g, q_top = job.num_groups, max(job.q_values)
+        betas = np.stack([experiments._location_betas(scn, g, q_top, loc) for loc in range(4)])
+        block = rule(scn, g, job.q_values, None, betas)
+        assert block.shape[1] == len(betas)
+        for li in range(len(betas)):
+            alone = rule(scn, g, job.q_values, None, betas[li:li + 1])
+            assert np.array_equal(block[:, li:li + 1], alone)
 
 
 class TestDeterminism:
@@ -299,24 +313,30 @@ class TestOneSimulatePerRecipe:
             "_prefix_inverse": factors * n_loc * n_fad,
         }
 
-    # Max-min-fair rules per location: BD-MRC and ZF cache-aided plus
+    # Blocks per (locations, fadings): a block task holds two cells' worth of
+    # whole locations, so at 3 fadings a block is one location and at 1
+    # fading it is two, the last block taking the odd one.
+    BLOCKS = {(2, 3): 2, (5, 1): 3}
+
+    # Max-min-fair rules per block: BD-MRC and ZF cache-aided plus
     # cacheless BD-MRC for fig7, BD-MRC on each side for fig8.  Each rule
-    # solves all the fadings of a location in one call, and fig7's
-    # fading-free ZF bounds make one more.
+    # solves every (location, fading) cell of a block in one call, and
+    # fig7's fading-free ZF bounds make one more.
     FADING_FREE = {"fig7": 1, "fig8": 0}
 
     @pytest.mark.parametrize("recipe, rules", [("fig7", 3), ("fig8", 2)])
     def test_one_mmf_solve_per_rule_and_fading(self, monkeypatch, recipe, rules):
         counts = {"mmf_sum_rates": 0}
         self._count(monkeypatch, experiments, "mmf_sum_rates", counts)
-        n_loc, n_fad = 2, 3
-        run_recipe(recipe, seed=1, n_locations=n_loc, n_fadings=n_fad)
-        assert counts["mmf_sum_rates"] == (rules + self.FADING_FREE[recipe]) * n_loc
+        for (n_loc, n_fad), blocks in self.BLOCKS.items():
+            counts["mmf_sum_rates"] = 0
+            run_recipe(recipe, seed=1, n_locations=n_loc, n_fadings=n_fad)
+            assert counts["mmf_sum_rates"] == (rules + self.FADING_FREE[recipe]) * blocks
 
-    # Rate-rule calls per location, whatever its fading count: under
-    # imperfect CSI one per job (cache-aided and cacheless) for each rule the
-    # recipe lists; for fig7 one per max-min-fair rule and one for the
-    # fading-free ZF bounds.
+    # Rate-rule calls per block, whatever its location and fading counts:
+    # under imperfect CSI one per job (cache-aided and cacheless) for each
+    # rule the recipe lists; for fig7 one per max-min-fair rule and one for
+    # the fading-free ZF bounds.
     @pytest.mark.parametrize("recipe, per_fading", [
         ("fig6", {"_csi_perfect_rates": 2, "_csi_error_rates": 2}),
         ("fig9", {"_csi_perfect_rates": 0, "_csi_error_rates": 2}),
@@ -340,23 +360,25 @@ class TestOneSimulatePerRecipe:
             return simulate(jobs, workers)
 
         monkeypatch.setattr(experiments, "_simulate", counting_simulate)
-        n_loc, n_fad = 2, 3
-        run_recipe(recipe, seed=1, n_locations=n_loc, n_fadings=n_fad)
-        assert counts == {name: n * n_loc for name, n in per_fading.items()}
+        for (n_loc, n_fad), blocks in self.BLOCKS.items():
+            counts.update(dict.fromkeys(counts, 0))
+            run_recipe(recipe, seed=1, n_locations=n_loc, n_fadings=n_fad)
+            assert counts == {name: n * blocks for name, n in per_fading.items()}
 
     @pytest.mark.parametrize("recipe", sorted(RECIPES))
     def test_at_most_one_pool_per_recipe(self, monkeypatch, recipe):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: 8)
         _SerialPool.sizes.clear()
-        run_recipe(recipe, seed=1, n_locations=2, n_fadings=1, workers=2)
+        # 4 locations at 1 fading are two blocks, so two tasks for the pool.
+        run_recipe(recipe, seed=1, n_locations=4, n_fadings=1, workers=2)
         assert _SerialPool.sizes == [2]
 
     def test_repeated_curve_name_rejected_before_sampling(self, monkeypatch):
         def fail(_):
             raise AssertionError("sampling started")
 
-        monkeypatch.setattr(experiments, "_location_task", fail)
+        monkeypatch.setattr(experiments, "_block_task", fail)
         scn = macro_scenario()
         rule = (experiments.BD_MRC, ("bd",))
         jobs = [experiments.cache_aided_job(scn, rule), experiments.cacheless_job(scn, rule)]
@@ -467,7 +489,7 @@ class TestSharedLocationTask:
         def fail(_):
             raise AssertionError("sampling started")
 
-        monkeypatch.setattr(experiments, "_location_task", fail)
+        monkeypatch.setattr(experiments, "_block_task", fail)
         scn = macro_scenario()
         for other in (dict(n_locations=3), dict(n_fadings=3)):
             jobs = [
@@ -481,7 +503,7 @@ class TestSharedLocationTask:
 
     def test_task_returns_location_means(self):
         scn = macro_scenario(
-            users_per_group=None, baseline_users=None, n_locations=1, n_fadings=3,
+            users_per_group=None, baseline_users=None, n_locations=2, n_fadings=3,
             **self.BD_SCENARIOS["fig7"],
         )
         jobs = [
@@ -491,17 +513,43 @@ class TestSharedLocationTask:
             ),
             experiments.cacheless_job(scn, (experiments.BD_MRC, ("cacheless_bd_mrc",))),
         ]
-        out = experiments._location_task((jobs, 0))
+        out = experiments._block_task((jobs, range(2)))
         for job, job_out in zip(jobs, out):
             assert [rates.shape for rates in job_out] == [
-                (len(names), len(job.q_values), len(scn.p_watts)) for _, names in job.rules
+                (len(names), 2, len(job.q_values), len(scn.p_watts)) for _, names in job.rules
             ]
+        # a block of two locations holds each location's task alone, in order
+        alone = [experiments._block_task((jobs, (loc,))) for loc in range(2)]
+        for ji, job_out in enumerate(out):
+            for ri, rates in enumerate(job_out):
+                assert np.array_equal(
+                    rates, np.concatenate([a[ji][ri] for a in alone], axis=1)
+                )
         # one location: the curves are that location's means
+        one = dataclasses.replace(scn, n_locations=1)
+        jobs = [job._replace(scenario=one) for job in jobs]
         curves = experiments._simulate(jobs, workers=1)
-        for job, job_out in zip(jobs, out):
+        for job, job_out in zip(jobs, alone[0]):
             for (_, names), rates in zip(job.rules, job_out):
-                for name, mean in zip(names, rates):
+                for name, mean in zip(names, rates[:, 0]):
                     assert np.array_equal(curves[name].mean, mean)
+
+
+class TestBlocks:
+    """Cutting the locations into block tasks of any size moves no bit."""
+
+    @pytest.mark.parametrize("recipe", sorted(RECIPES))
+    def test_block_size_never_moves_a_bit(self, monkeypatch, recipe):
+        for n_loc, n_fad in ((5, 1), (3, 4)):
+            blobs = set()
+            for cells in (1, experiments._BLOCK_CELLS, 16):
+                monkeypatch.setattr(experiments, "_BLOCK_CELLS", cells)
+                for workers in (1, 2):
+                    rows, _ = run_recipe(
+                        recipe, seed=7, n_locations=n_loc, n_fadings=n_fad, workers=workers
+                    )
+                    blobs.add(format_csv(rows))
+            assert len(blobs) == 1, f"{n_loc}x{n_fad}: {len(blobs)} different CSVs"
 
 
 class TestOverheadAccounting:

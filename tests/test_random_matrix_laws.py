@@ -17,6 +17,13 @@ a law, while an oracle sharing that error would not see it.
   unicast gain are Gamma(L - n, 1).  Any other multicast user's channel is
   independent of the unit-norm common beam, so its gain there is Exp(1).
 
+Under pathloss, user k's columns are scaled by ``sqrt(beta_k)``, and every
+gain above scales by ``beta_k``: ZF gain / beta_k is still Gamma(L - n + 1),
+and the sum of user k's BD-MRC gains / beta_k still Gamma(m(L - (q-1)m)).
+The pathloss tests draw through the simulator's own draw
+(:func:`vccsim.experiments._group_factor`) with the macro geometry, so a
+wrong pathloss scaling there moves these laws too.
+
 The channels come from :func:`complex_gaussian` at pinned substreams.  ZF
 and BD-MRC draws are batched through :func:`prefix_factor`, the draws on
 the group axis; MSV draws go through :func:`msv_gains_fast` one by one.  Each
@@ -24,14 +31,15 @@ draw gives one sample per law, one stream or user chosen by the draw's
 index, so the samples of a law are independent.  Each law is checked by a
 one-sample Kolmogorov-Smirnov test that rejects at p < ``ALPHA`` = 1e-4.
 With a fresh seed, a correct kernel would fail any one check with
-probability 1e-4.  There are 44 checks here, so by the union bound the
-whole file would fail with probability below 4.4e-3.
+probability 1e-4.  There are 53 checks here, so by the union bound the
+whole file would fail with probability below 5.3e-3.
 """
 
 import numpy as np
 import pytest
 
 from vccsim.channel import complex_gaussian, substream
+from vccsim.experiments import Scenario, _group_factor, _location_betas
 from vccsim.precoding import bd_mrc_prefix_gains, msv_gains_fast, prefix_factor, zf_prefix_gains
 
 stats = pytest.importorskip("scipy.stats")
@@ -103,3 +111,51 @@ def test_msv_gains_follow_gamma_and_exp():
         _assert_gamma(multicast[:, s, 0], l_tx - n)
         _assert_gamma(unicast[draw, s, draw % n], l_tx - n)
         _assert_gamma(multicast[draw, s, 1 + draw % (g_mc - 1)], 1)
+
+
+# fig7's antennas (L = 32, m = 2) in the macro cell: 5 groups of up to 16
+# users, with each user's pathloss from the macro geometry.
+MACRO = Scenario(
+    geometry="macro", num_tx_antennas=32, antennas_per_user=2, users_per_group=None,
+    baseline_users=None, seed=SEED,
+)
+
+
+def _macro_draws(locations: int):
+    """Each location's groups, drawn and factored by the simulator, with
+    their pathloss rows ``(G, q_top)``."""
+    g, q_top = MACRO.coded_gain, MACRO.max_group_users()
+    for loc in range(locations):
+        betas = _location_betas(MACRO, g, q_top, loc)
+        yield _group_factor(MACRO, g, q_top, loc, 0, betas), betas
+
+
+def _pathloss_samples(kernel, locations: int = 200):
+    """The kernel's outputs and the pathloss rows of 1000 macro draws
+    (``locations`` times 5 groups), on one draw axis."""
+    out, betas = zip(*((kernel(f), b) for f, b in _macro_draws(locations)))
+    betas = np.concatenate(betas)
+    # The pathloss spans decades, so a mis-scaled column would show.
+    assert betas.max() > 100 * betas.min()
+    return np.concatenate(out), betas
+
+
+def test_zf_gain_over_pathloss_is_gamma():
+    """5 checks, one per prefix; 32 columns is full load."""
+    l_tx, m, sizes = MACRO.num_tx_antennas, MACRO.antennas_per_user, (2, 12, 24, 31, 32)
+    gains, betas = _pathloss_samples(lambda f: zf_prefix_gains(f, sizes))
+    draw = np.arange(gains.shape[0])
+    for s, n in enumerate(sizes):
+        col = draw % n
+        _assert_gamma(gains[draw, s, col] / betas[draw, col // m], l_tx - n + 1)
+
+
+def test_bd_gain_sum_over_pathloss_is_gamma():
+    """4 checks, one per q."""
+    l_tx, m, q_values = MACRO.num_tx_antennas, MACRO.antennas_per_user, (1, 6, 12, 16)
+    gains, betas = _pathloss_samples(lambda f: bd_mrc_prefix_gains(f, m, q_values)[0])
+    draw = np.arange(gains.shape[0])
+    for s, q in enumerate(q_values):
+        user = draw % q
+        sums = gains[draw, s, user].sum(axis=-1)
+        _assert_gamma(sums / betas[draw, user], m * (l_tx - (q - 1) * m))
