@@ -28,27 +28,29 @@ recipe over its block in the same four steps:
    ``(q, user)`` pairs only.  MSV runs the same kernel on one
    multicast/unicast draw for every unicast count
    (:func:`~vccsim.precoding.msv_gains_fast`);
-3. rates: one rate call per (job, rule, block), for the rates of every
+3. rates: one rate-rule call per (job, rule, block), for the rates of every
    curve the scheme owns over the block's cells, the q sweep and the power
    vector, from the kernel outputs of the job's groups at every cell,
    stacked on a leading cell axis in (location, fading) order.
-   Max-min-fair rates come from one batched rate-only root solve
+   Max-min-fair rules pose problems of one batched rate-only root solve
    (:func:`~vccsim.allocation.mmf_sum_rates`): each (cell, q) is one
    problem over the pooled users of every group, with that q's pilot
-   overhead, solved in closed form where it can be and otherwise in one
-   Newton loop with the others; problems do not interact, so a block's
-   solve gives each cell the bits of that cell solved alone.  Equal-power
-   ZF under imperfect CSI is two rules on one draw, and a recipe lists only
-   the one whose curves it writes: :data:`CSI_PERFECT` takes its SINRs from
-   the prefix ZF gains alone, and :data:`CSI_ERROR` from the couplings, for
-   the CSIT curve and one curve per CSIR variance.  Both sum each q's
-   served pairs with ``np.add.reduceat``.  The MSV rates
-   (:func:`~vccsim.precoding.msv_rate_from_gains`) are an array expression
-   over (q, power).  The fading-free curves are one root solve per rule
-   and block over the whole q sweep, the same
-   :func:`~vccsim.allocation.mmf_sum_rates` call on surrogate users, whose
+   overhead.  The block solves the problems of every such rule of every job
+   together (:func:`_solve_problems`): those that share a stream width, a
+   noise power and a power vector go into one call, cut between problems
+   at :data:`_SOLVE_USERS` pooled users, and are settled in closed form
+   where they can be and otherwise in one Newton loop with the others.  Problems
+   do not interact, so each gets the bits it has solved alone.  The
+   fading-free curves pose the same problems on surrogate users, whose
    streams all share one gain: one problem per (stream-gain surrogate,
-   location, q), which the closed form settles;
+   location, q), which the closed form settles.  Equal-power ZF under
+   imperfect CSI is two rules on one draw, and a recipe lists only the one
+   whose curves it writes: :data:`CSI_PERFECT` takes its SINRs from the
+   prefix ZF gains alone, and :data:`CSI_ERROR` from the couplings, for the
+   CSIT curve and one curve per CSIR variance.  Both sum each q's served
+   pairs with ``np.add.reduceat``.  The MSV rates
+   (:func:`~vccsim.precoding.msv_rate_from_gains`) are an array expression
+   over (q, power);
 4. reduce: the task splits each rule's rates by location and takes each
    location's mean over its fadings, so only per-location means leave it,
    in location order; :func:`_simulate` reduces those to the mean and
@@ -63,8 +65,11 @@ overhead factors) are built once per process.
 Blocks.  At two or more fadings a block is one location, so paper-scale
 runs keep one location's draws and rates per task; one-fading runs, where
 per-call overhead outweighs the arithmetic of a rate solve, batch two
-locations into each rate call.  Draws are not stacked over a block, so
-the factor, the kernels and their memory do not grow with it.
+locations into each rate-rule call and each solve.  Draws are not stacked
+over a block, so the factor, the kernels and their memory do not grow with
+it.  Nor does a solve grow with the rules: it holds at most
+:data:`_SOLVE_USERS` pooled users, unless one problem is larger, which at
+paper scale is about what fig7's largest rule poses on its own.
 
 Sharing.  Within a task, a draw is kept per cell under its draw function
 plus the fields it reads (``seed``, ``L``, ``M``, ``geometry``,
@@ -446,13 +451,31 @@ def _zf_kernel(scenario: Scenario, q_values, factor):
     return gains, np.full(gains.shape[:-1], m)
 
 
-def _mmf_rates(scenario: Scenario, num_groups: int, q_values, gains_counts, _):
-    """Max-min-fair sum rate over every served user of every group, per
-    fading and q, from prefix gains ``(F, G, S, q_top, m)`` and counts
-    ``(F, G, S, q_top)``.
+class _MmfProblems(NamedTuple):
+    """A rate rule's max-min-fair problems, still to solve: the gain rows
+    ``(N, J)``, stream counts ``(N,)``, problem sizes ``(S,)`` and overhead
+    factors ``(S,)`` of :func:`~vccsim.allocation.mmf_sum_rates`, the noise
+    power and power vector to solve them at, and the rule's leading rate
+    shape.  :func:`_solve_problems` reshapes their rates ``(S, P)`` to
+    ``(*shape, P)`` and passes them through ``finish``, if set."""
 
-    One batched solve: each (fading, q) is one problem, with that q's
-    overhead factor, over the first q users of every group."""
+    rows: np.ndarray
+    counts: np.ndarray
+    sizes: np.ndarray
+    xi: np.ndarray
+    noise_power: float
+    p_watts: tuple[float, ...]
+    shape: tuple[int, ...]
+    finish: object = None
+
+
+def _mmf_rates(scenario: Scenario, num_groups: int, q_values, gains_counts, _) -> _MmfProblems:
+    """The max-min-fair problems over every served user of every group, per
+    fading and q, from prefix gains ``(F, G, S, q_top, m)`` and counts
+    ``(F, G, S, q_top)``; their rates take the shape ``(1, F, n_q, n_p)``.
+
+    Each (fading, q) is one problem, with that q's overhead factor, over the
+    first q users of every group."""
     qs = np.asarray(q_values)
     gains, counts = (a.swapaxes(1, 2) for a in gains_counts)
     n_fad = counts.shape[0]
@@ -460,39 +483,91 @@ def _mmf_rates(scenario: Scenario, num_groups: int, q_values, gains_counts, _):
     # Served rows by flat index: a boolean mask that leaves out the stream
     # axis is several times slower.
     served_at = np.flatnonzero(served)
-    rows = gains.reshape(-1, gains.shape[-1]).take(served_at, axis=0)
-    rates = mmf_sum_rates(
-        rows, counts.reshape(-1)[served_at], np.tile(num_groups * qs, n_fad),
+    return _MmfProblems(
+        gains.reshape(-1, gains.shape[-1]).take(served_at, axis=0),
+        counts.reshape(-1)[served_at], np.tile(num_groups * qs, n_fad),
         np.tile(_overhead_factors(scenario, num_groups, q_values), n_fad),
-        scenario.noise_power, np.asarray(scenario.p_watts),
+        scenario.noise_power, scenario.p_watts, (1, n_fad, qs.size),
     )
-    return rates.reshape(1, n_fad, qs.size, -1)
 
 
-def _surrogate_rates(scenario: Scenario, num_groups: int, q_values, betas, shifts):
-    """Max-min-fair rates ``(len(shifts), n_loc, n_q, n_p)`` of surrogate
-    users whose ``m`` streams all have gain ``beta * (L - q*m + shift)``, from
-    pathloss rows ``(n_loc, G, q_top)``: the equal-gain rows of
-    :func:`_mmf_rates`, with every (shift, location) on its fading axis."""
+def _surrogate_rates(scenario: Scenario, num_groups: int, q_values, betas, shifts) -> _MmfProblems:
+    """The max-min-fair problems of surrogate users whose ``m`` streams all
+    have gain ``beta * (L - q*m + shift)``, from pathloss rows ``(n_loc, G,
+    q_top)``: the equal-gain rows of :func:`_mmf_rates`, with every (shift,
+    location) on its fading axis.  Their rates take the shape
+    ``(len(shifts), n_loc, n_q, n_p)``."""
     m = scenario.antennas_per_user
     room = scenario.num_tx_antennas - np.asarray(q_values) * m + np.asarray(shifts)[:, None]
     gains = betas[None, :, :, None] * room[:, None, None, :, None]
     gains = gains.reshape(-1, *gains.shape[2:])
     gains_counts = (np.broadcast_to(gains[..., None], (*gains.shape, m)), np.full(gains.shape, m))
-    rates = _mmf_rates(scenario, num_groups, q_values, gains_counts, None)[0]
-    return rates.reshape(len(shifts), betas.shape[0], *rates.shape[1:])
+    problems = _mmf_rates(scenario, num_groups, q_values, gains_counts, None)
+    return problems._replace(shape=(len(shifts), betas.shape[0], len(q_values)))
 
 
-def _asym_rates(scenario: Scenario, num_groups: int, q_values, _, betas):
+def _asym_rates(scenario: Scenario, num_groups: int, q_values, _, betas) -> _MmfProblems:
     """Large-array BD-MRC limit: every stream gain at ``beta * (L - q*m + m)``."""
     return _surrogate_rates(scenario, num_groups, q_values, betas, (scenario.antennas_per_user,))
 
 
-def _zf_bound_rates(scenario: Scenario, num_groups: int, q_values, _, betas):
+def _zf_bound_rates(scenario: Scenario, num_groups: int, q_values, _, betas) -> _MmfProblems:
     """Fading-averaged ZF bounds: stream gains ``beta * (L - q*m)`` and
     ``beta * (L - q*m + 1)``."""
-    lo, hi = _surrogate_rates(scenario, num_groups, q_values, betas, (0, 1))
+    problems = _surrogate_rates(scenario, num_groups, q_values, betas, (0, 1))
+    return problems._replace(finish=_ordered_bounds)
+
+
+def _ordered_bounds(rates: np.ndarray) -> np.ndarray:
+    """The ZF bounds ``(lo, hi)``, with ``hi`` kept at least ``lo``."""
+    lo, hi = rates
     return np.stack([lo, np.maximum(hi, lo)])
+
+
+# Pooled users per mmf_sum_rates call.  Consecutive problems of one stream
+# width, noise power and power vector share a call until the next would take
+# it past this many users; a problem is never split, so one that is larger
+# on its own gets a call of its own.  The solver's work arrays grow with the
+# call, so the cap keeps paper-scale calls at the size of the largest one
+# rule makes on its own (fig7's 16,320 users at 20 fadings).
+_SOLVE_USERS = 16384
+
+
+def _solve_problems(batches: list[_MmfProblems]) -> list[np.ndarray]:
+    """Each batch's max-min-fair rates, in its shape.
+
+    The batches that share a stream width, a noise power and a power vector
+    are concatenated in order, and their problems cut into
+    :func:`~vccsim.allocation.mmf_sum_rates` calls of at most
+    :data:`_SOLVE_USERS` users.  Problems do not interact in the solve, so
+    each gets the bits it has solved alone."""
+    rates = [None] * len(batches)
+    solves = {}  # (J, noise power, power vector) -> indices of its batches
+    for i, b in enumerate(batches):
+        solves.setdefault((b.rows.shape[1], b.noise_power, b.p_watts), []).append(i)
+    for (_, n0, p_watts), members in solves.items():
+        rows, counts, sizes, xi = (
+            np.concatenate(a) for a in zip(*(batches[i][:4] for i in members))
+        )
+        # Each problem's first user, and the user count at the end.
+        starts = np.concatenate([[0], np.cumsum(sizes)])
+        cuts = [0]
+        while cuts[-1] < sizes.size:
+            s = cuts[-1]
+            fit = int(np.searchsorted(starts, starts[s] + _SOLVE_USERS, side="right")) - 1
+            cuts.append(max(s + 1, fit))
+        solved = np.concatenate([
+            mmf_sum_rates(
+                rows[starts[s0]:starts[s1]], counts[starts[s0]:starts[s1]], sizes[s0:s1],
+                xi[s0:s1], n0, np.asarray(p_watts),
+            )
+            for s0, s1 in zip(cuts, cuts[1:])
+        ])
+        ends = np.cumsum([batches[i].sizes.size for i in members])
+        for i, r in zip(members, np.split(solved, ends[:-1])):
+            r = r.reshape(*batches[i].shape, -1)
+            rates[i] = r if batches[i].finish is None else batches[i].finish(r)
+    return rates
 
 
 def _csi_draws(scenario: Scenario, num_groups: int, q_top: int, loc: int, fad: int, _):
@@ -764,11 +839,13 @@ def _block_task(args) -> list[list[np.ndarray]]:
     the job's pathloss rows stacked over the block's locations, and returns
     the rates of every curve, shape ``(n_curves, n_loc * n_fad, n_q,
     n_p)``; fading-free rules have no draw or kernel, get ``None``, and
-    return ``(n_curves, n_loc, n_q, n_p)``.  All are module-level functions
-    so that tasks pickle.  Every job has the same fading count
-    (:func:`_simulate` checks it).  Returns, per job and rule, each
-    location's mean rates over its fadings, in location order, shape
-    ``(n_curves, n_loc, n_q, n_p)``.
+    return ``(n_curves, n_loc, n_q, n_p)``.  A max-min-fair rule returns
+    its problems (:class:`_MmfProblems`) instead, and the problems of every
+    such rule of every job are solved together (:func:`_solve_problems`),
+    once the kernel outputs are dropped.  All are module-level functions so
+    that tasks pickle.  Every job has the same fading count (:func:`_simulate`
+    checks it).  Returns, per job and rule, each location's mean rates over
+    its fadings, in location order, shape ``(n_curves, n_loc, n_q, n_p)``.
     """
     jobs, locs = args
     n_fad = jobs[0].scenario.n_fadings
@@ -779,47 +856,56 @@ def _block_task(args) -> list[list[np.ndarray]]:
         for job in jobs
     ]
     makers = {}  # draw key -> index of the first job with the most groups that reads it
-    out = [[None] * len(job.rules) for job in jobs]
-    drawn = []  # (job, rule) indices and draw key of the rules with a draw
+    keys = {}  # (job, rule) index -> kernel key, for the rules with a draw
     for ji, job in enumerate(jobs):
         for ri, (rule, _) in enumerate(job.rules):
-            if not rule.draw:
-                out[ji][ri] = rule.rates(job.scenario, job.num_groups, job.q_values, None, betas[ji])
-                continue
-            key = _draw_key(job, rule.draw)
-            if key not in makers or job.num_groups > jobs[makers[key]].num_groups:
-                makers[key] = ji
-            drawn.append((ji, ri, key))
+            if rule.draw:
+                key = _draw_key(job, rule.draw)
+                keys[ji, ri] = (rule.kernel, key, job.q_values)
+                if key not in makers or job.num_groups > jobs[makers[key]].num_groups:
+                    makers[key] = ji
     kernels = {}  # kernel key -> the maker's kernel output at each cell
     for cell, (li, fad) in enumerate(np.ndindex(len(locs), n_fad)):
         draws = {}
-        for ji, ri, key in drawn:
+        for (ji, ri), k in keys.items():
             job, rule = jobs[ji], jobs[ji].rules[ri][0]
-            maker = jobs[makers[key]]
+            key, maker = k[1], jobs[makers[k[1]]]
             if key not in draws:
                 draws[key] = rule.draw(
                     maker.scenario, maker.num_groups, max(maker.q_values), locs[li], fad,
                     betas[makers[key]][li],
                 )
-            made = kernels.setdefault((rule.kernel, key, job.q_values), [])
-            if len(made) == cell:  # not yet made at this cell
-                made.append(rule.kernel(maker.scenario, job.q_values, draws[key]))
+            if len(kernels.setdefault(k, [])) == cell:  # not yet made at this cell
+                kernels[k].append(rule.kernel(maker.scenario, job.q_values, draws[key]))
     # The rates need neither the last cell's draws nor, once stacked, a
-    # kernel's per-cell outputs.
+    # kernel's per-cell outputs; a stacked output goes once its last reader
+    # has its rates or problems, before the solve.
     del draws
     stacked = {}
-    while kernels:
-        k, made = kernels.popitem()
-        stacked[k] = tuple(np.stack(a) for a in zip(*made))
-    for ji, ri, key in drawn:
+    for k in list(kernels):
+        stacked[k] = tuple(np.stack(a) for a in zip(*kernels.pop(k)))
+    last_reader = {k: at for at, k in keys.items()}
+
+    def rates(ji, ri):
         job, rule = jobs[ji], jobs[ji].rules[ri][0]
-        kernel_out = _first_groups(
-            stacked[rule.kernel, key, job.q_values], jobs[makers[key]].num_groups, job.num_groups
-        )
-        rates = rule.rates(job.scenario, job.num_groups, job.q_values, kernel_out, betas[ji])
-        by_loc = rates.reshape(rates.shape[0], len(locs), n_fad, *rates.shape[2:])
-        out[ji][ri] = by_loc.mean(axis=2)
-    return out
+        kernel_out = None
+        if rule.draw:
+            k = keys[ji, ri]
+            kernel_out = _first_groups(stacked[k], jobs[makers[k[1]]].num_groups, job.num_groups)
+            if last_reader[k] == (ji, ri):
+                del stacked[k]
+        return rule.rates(job.scenario, job.num_groups, job.q_values, kernel_out, betas[ji])
+
+    out = [[rates(ji, ri) for ri in range(len(job.rules))] for ji, job in enumerate(jobs)]
+    pending = [(ji, ri) for ji, job_out in enumerate(out) for ri, r in enumerate(job_out)
+               if isinstance(r, _MmfProblems)]
+    for (ji, ri), r in zip(pending, _solve_problems([out[ji][ri] for ji, ri in pending])):
+        out[ji][ri] = r
+    # A fading-free rule's rates have one fading per location.
+    return [
+        [r.reshape(r.shape[0], len(locs), -1, *r.shape[2:]).mean(axis=2) for r in job_out]
+        for job_out in out
+    ]
 
 
 def _simulate(jobs, workers: int) -> dict[str, SchemeCurve]:

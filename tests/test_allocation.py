@@ -2,6 +2,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize
 
 from vccsim import allocation
@@ -220,6 +222,41 @@ class TestSolveMmf:
         assert solve_mmf(boosted, 2.0).sum_rate > r1
 
 
+@st.composite
+def problem_batches(draw):
+    """Batches of max-min-fair problems on one row width, each problem with
+    its own overhead factor: mixed stream counts; one count for every user,
+    which the all-active closed form settles at high power and leaves to
+    Newton where weak streams stay off; surrogate users, whose rows repeat
+    one gain; and mixed counts with a user of zero gains, which zeroes its
+    problem's rates."""
+    width = draw(st.integers(1, 4))
+    gain = st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e)
+
+    def problem():
+        kind = draw(st.sampled_from(("mixed", "uniform", "surrogate", "zero")))
+        n = draw(st.integers(1, 5))
+        if kind == "uniform":
+            counts = [draw(st.integers(1, width))] * n
+        else:
+            counts = draw(st.lists(st.integers(1, width), min_size=n, max_size=n))
+        rows = np.zeros((n, width))
+        for row, j in zip(rows, counts):
+            if kind == "surrogate":
+                row[:j] = draw(gain)
+            else:
+                row[:j] = sorted(draw(st.lists(gain, min_size=j, max_size=j)), reverse=True)
+        if kind == "zero":
+            rows[draw(st.integers(0, n - 1))] = 0.0
+        return rows, counts, draw(st.floats(0.5, 1.0))
+
+    batches = [
+        [problem() for _ in range(draw(st.integers(1, 3)))]
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    return batches, draw(gain)
+
+
 class TestMmfSumRates:
     def test_matches_solve_mmf_over_power_vector(self):
         rng = substream(65, 0)
@@ -277,6 +314,28 @@ class TestMmfSumRates:
     def test_gains_must_be_descending_and_all_positive_or_all_zero(self, row):
         with pytest.raises(ValueError, match="gains"):
             mmf_sum_rates([row], [2], [1], [1.0], 1.0, [1.0])
+
+    # A zero and a negative budget, low powers where weak streams stay off,
+    # and high ones where every stream is active.
+    PACKED_POWERS = np.array([-1.0, 0.0, 1e-3, 1.0, 1e3, 1e6])
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem_batches())
+    def test_one_call_over_batches_equals_each_batch_alone(self, case):
+        # Problems do not interact: one call over concatenated batches gives
+        # every problem the bits of its batch solved alone.
+        batches, n0 = case
+
+        def solve(problems):
+            rows = np.concatenate([rows for rows, _, _ in problems])
+            counts = [j for _, js, _ in problems for j in js]
+            sizes = [len(js) for _, js, _ in problems]
+            xis = [xi for _, _, xi in problems]
+            return mmf_sum_rates(rows, counts, sizes, xis, n0, self.PACKED_POWERS)
+
+        together = solve([problem for batch in batches for problem in batch])
+        alone = np.concatenate([solve(batch) for batch in batches])
+        assert np.array_equal(together, alone)
 
     def test_stream_table_built_only_over_open_problems(self, monkeypatch):
         built = []  # the problem sizes of each table built
@@ -398,7 +457,7 @@ def massive_mimo_stream_powers(betas, counts, l, xi, n0, rate):
 
 
 class TestMassiveMimo:
-    """The large-array limit as :func:`experiments._asym_rates` solves it:
+    """The large-array limit as :func:`experiments._asym_rates` poses it:
     surrogate users as equal-gain rows of :func:`mmf_sum_rates`."""
 
     def test_two_user_closed_form(self):

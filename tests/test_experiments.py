@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import math
 import pickle
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -143,6 +144,11 @@ class TestSchemeNesting:
         assert np.array_equal(a.stderr, b.stderr)
 
 
+def _solved(rule, *args):
+    """A max-min-fair rate rule's rates, its problems solved alone."""
+    return experiments._solve_problems([rule(*args)])[0]
+
+
 class TestFadingFreeRules:
     def test_one_solve_matches_each_q_alone(self):
         # The q sweep in one surrogate-user solve against the one-problem
@@ -152,7 +158,9 @@ class TestFadingFreeRules:
         job = experiments.cache_aided_job(scn)
         g, m = job.num_groups, scn.antennas_per_user
         betas = experiments._location_betas(scn, g, max(job.q_values), 0)
-        bounds = experiments._zf_bound_rates(scn, g, job.q_values, None, betas[None])[:, 0]
+        bounds = _solved(
+            experiments._zf_bound_rates, scn, g, job.q_values, None, betas[None]
+        )[:, 0]
         for qi, q in enumerate(job.q_values):
             args = ([list(row[:q]) for row in betas], [[m] * q] * g, scn.num_tx_antennas,
                     scn.overhead_factor(g, q), scn.noise_power, np.asarray(scn.p_watts))
@@ -167,7 +175,7 @@ class TestFadingFreeRules:
         job = experiments.cache_aided_job(scn)
         g, m, l = job.num_groups, scn.antennas_per_user, scn.num_tx_antennas
         betas = experiments._location_betas(scn, g, max(job.q_values), 0)
-        asym = experiments._asym_rates(scn, g, job.q_values, None, betas[None])[:, 0]
+        asym = _solved(experiments._asym_rates, scn, g, job.q_values, None, betas[None])[:, 0]
         n0 = scn.noise_power
         for qi, q in enumerate(job.q_values):
             gains, n, xi = betas[:, :q] * (l - q * m + m), g * q, scn.overhead_factor(g, q)
@@ -190,10 +198,10 @@ class TestFadingFreeRules:
         job = experiments.cache_aided_job(scn)
         g, q_top = job.num_groups, max(job.q_values)
         betas = np.stack([experiments._location_betas(scn, g, q_top, loc) for loc in range(4)])
-        block = rule(scn, g, job.q_values, None, betas)
+        block = _solved(rule, scn, g, job.q_values, None, betas)
         assert block.shape[1] == len(betas)
         for li in range(len(betas)):
-            alone = rule(scn, g, job.q_values, None, betas[li:li + 1])
+            alone = _solved(rule, scn, g, job.q_values, None, betas[li:li + 1])
             assert np.array_equal(block[:, li:li + 1], alone)
 
 
@@ -318,32 +326,64 @@ class TestOneSimulatePerRecipe:
     # fading it is two, the last block taking the odd one.
     BLOCKS = {(2, 3): 2, (5, 1): 3}
 
-    # Max-min-fair rules per block: BD-MRC and ZF cache-aided plus
-    # cacheless BD-MRC for fig7, BD-MRC on each side for fig8.  Each rule
-    # solves every (location, fading) cell of a block in one call, and
-    # fig7's fading-free ZF bounds make one more.
-    FADING_FREE = {"fig7": 1, "fig8": 0}
-
-    @pytest.mark.parametrize("recipe, rules", [("fig7", 3), ("fig8", 2)])
-    def test_one_mmf_solve_per_rule_and_fading(self, monkeypatch, recipe, rules):
+    # Max-min-fair rules per block: BD-MRC and ZF cache-aided, cacheless
+    # BD-MRC and the fading-free ZF bounds for fig7, BD-MRC on each side for
+    # fig8.  Each rule poses the problems of every (location, fading) cell of
+    # a block, and the block solves the problems of all its rules together,
+    # in one mmf_sum_rates call at these sizes.
+    @pytest.mark.parametrize("recipe, rules", [("fig7", 4), ("fig8", 2)])
+    def test_one_mmf_solve_per_block(self, monkeypatch, recipe, rules):
         counts = {"mmf_sum_rates": 0}
         self._count(monkeypatch, experiments, "mmf_sum_rates", counts)
+        posed = []  # the rule count of each _solve_problems call
+        solve = experiments._solve_problems
+
+        def spy(batches):
+            posed.append(len(batches))
+            return solve(batches)
+
+        monkeypatch.setattr(experiments, "_solve_problems", spy)
         for (n_loc, n_fad), blocks in self.BLOCKS.items():
             counts["mmf_sum_rates"] = 0
+            posed.clear()
             run_recipe(recipe, seed=1, n_locations=n_loc, n_fadings=n_fad)
-            assert counts["mmf_sum_rates"] == (rules + self.FADING_FREE[recipe]) * blocks
+            assert counts["mmf_sum_rates"] == blocks
+            assert posed == [rules] * blocks
+
+    def test_solve_pools_at_most_the_user_budget(self, monkeypatch):
+        # fig7's problems pool 6q users for q = 1..16 (cache-aided), q
+        # (cacheless) and 6q twice (the ZF bounds).  Under a budget of 50,
+        # consecutive problems share a call up to 50 users, and a problem of
+        # more than 50 users has a call of its own.
+        budget = 50
+        monkeypatch.setattr(experiments, "_SOLVE_USERS", budget)
+        calls = []  # the problem sizes of each mmf_sum_rates call
+        original = experiments.mmf_sum_rates
+
+        def spy(gains, counts, sizes, *args):
+            calls.append(list(sizes))
+            return original(gains, counts, sizes, *args)
+
+        monkeypatch.setattr(experiments, "mmf_sum_rates", spy)
+        run_recipe("fig7", seed=1, n_locations=2, n_fadings=1)
+        for sizes in calls:
+            assert sum(sizes) <= budget or len(sizes) == 1, sizes
+        assert any(len(sizes) > 1 for sizes in calls)
+        assert any(sizes[0] > budget for sizes in calls)
 
     # Rate-rule calls per block, whatever its location and fading counts:
     # under imperfect CSI one per job (cache-aided and cacheless) for each
-    # rule the recipe lists; for fig7 one per max-min-fair rule and one for
-    # the fading-free ZF bounds.
+    # rule the recipe lists, and no max-min-fair solve; for fig7 one per
+    # max-min-fair rule and one for the fading-free ZF bounds, whose problems
+    # the block solves in one mmf_sum_rates call.
     @pytest.mark.parametrize("recipe, per_fading", [
-        ("fig6", {"_csi_perfect_rates": 2, "_csi_error_rates": 2}),
-        ("fig9", {"_csi_perfect_rates": 0, "_csi_error_rates": 2}),
-        ("fig7", {"_mmf_rates": 3, "_zf_bound_rates": 1}),
+        ("fig6", {"_csi_perfect_rates": 2, "_csi_error_rates": 2, "mmf_sum_rates": 0}),
+        ("fig9", {"_csi_perfect_rates": 0, "_csi_error_rates": 2, "mmf_sum_rates": 0}),
+        ("fig7", {"_mmf_rates": 3, "_zf_bound_rates": 1, "mmf_sum_rates": 1}),
     ])
     def test_csi_rules_run_only_where_listed(self, monkeypatch, recipe, per_fading):
         counts = dict.fromkeys(per_fading, 0)
+        self._count(monkeypatch, experiments, "mmf_sum_rates", counts)
 
         def counted(rates):
             def wrapper(*args):
@@ -501,6 +541,26 @@ class TestSharedLocationTask:
             with pytest.raises(ValueError, match=r"\(location, fading\) counts"):
                 experiments._simulate(jobs, workers=1)
 
+    def test_kernel_outputs_dropped_before_the_solve(self, monkeypatch):
+        # A stacked kernel output goes once its last rule has posed its
+        # problems, so the block's max-min-fair solve never holds one.
+        stacked, alive = [], []
+        first_groups, solve = experiments._first_groups, experiments._solve_problems
+
+        def first_groups_spy(arrays, made, num_groups):
+            stacked.extend(weakref.ref(a) for a in arrays)
+            return first_groups(arrays, made, num_groups)
+
+        def solve_spy(batches):
+            alive.append(sum(ref() is not None for ref in stacked))
+            return solve(batches)
+
+        monkeypatch.setattr(experiments, "_first_groups", first_groups_spy)
+        monkeypatch.setattr(experiments, "_solve_problems", solve_spy)
+        run_recipe("fig7", seed=1, n_locations=2, n_fadings=2)
+        assert len(stacked) == 2 * 3 * 2  # two arrays per rule, 3 rules, 2 blocks
+        assert alive == [0, 0]
+
     def test_task_returns_location_means(self):
         scn = macro_scenario(
             users_per_group=None, baseline_users=None, n_locations=2, n_fadings=3,
@@ -535,21 +595,41 @@ class TestSharedLocationTask:
                     assert np.array_equal(curves[name].mean, mean)
 
 
+def _assert_one_csv(monkeypatch, recipe, constant, values):
+    """The recipe's CSV at 5x1 and 3x4, seed 7, is one set of bytes for
+    each value of the module constant, on 1 and 2 workers."""
+    for n_loc, n_fad in ((5, 1), (3, 4)):
+        blobs = set()
+        for value in values:
+            monkeypatch.setattr(experiments, constant, value)
+            for workers in (1, 2):
+                rows, _ = run_recipe(
+                    recipe, seed=7, n_locations=n_loc, n_fadings=n_fad, workers=workers
+                )
+                blobs.add(format_csv(rows))
+        assert len(blobs) == 1, f"{n_loc}x{n_fad}: {len(blobs)} different CSVs"
+
+
 class TestBlocks:
     """Cutting the locations into block tasks of any size moves no bit."""
 
     @pytest.mark.parametrize("recipe", sorted(RECIPES))
     def test_block_size_never_moves_a_bit(self, monkeypatch, recipe):
-        for n_loc, n_fad in ((5, 1), (3, 4)):
-            blobs = set()
-            for cells in (1, experiments._BLOCK_CELLS, 16):
-                monkeypatch.setattr(experiments, "_BLOCK_CELLS", cells)
-                for workers in (1, 2):
-                    rows, _ = run_recipe(
-                        recipe, seed=7, n_locations=n_loc, n_fadings=n_fad, workers=workers
-                    )
-                    blobs.add(format_csv(rows))
-            assert len(blobs) == 1, f"{n_loc}x{n_fad}: {len(blobs)} different CSVs"
+        _assert_one_csv(
+            monkeypatch, recipe, "_BLOCK_CELLS", (1, experiments._BLOCK_CELLS, 16)
+        )
+
+
+class TestSolvePacking:
+    """Packing a block's max-min-fair problems into solves of any user
+    budget, from one problem per call to one call per stream width, moves
+    no bit."""
+
+    @pytest.mark.parametrize("recipe", sorted(RECIPES))
+    def test_user_budget_never_moves_a_bit(self, monkeypatch, recipe):
+        _assert_one_csv(
+            monkeypatch, recipe, "_SOLVE_USERS", (1, experiments._SOLVE_USERS, 10**9)
+        )
 
 
 class TestOverheadAccounting:
