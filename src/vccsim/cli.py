@@ -263,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="master seed (default 0)")
     parser.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes; each uses one OpenBLAS thread unless "
-        "OPENBLAS_NUM_THREADS is set",
+        help="worker processes, the running one included (--workers 2 forks one "
+        "child); each uses one OpenBLAS thread unless OPENBLAS_NUM_THREADS is set",
     )
     parser.add_argument("--locations", type=int, help="location realizations")
     parser.add_argument("--fadings", type=int, help="fading draws per location")

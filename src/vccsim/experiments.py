@@ -6,8 +6,10 @@ or the cacheless single group) with the schemes, or rules, run on it.  A
 recipe hands all of its jobs to one :func:`_simulate` call, which cuts the
 locations, in order, into blocks of whole locations, ``_BLOCK_CELLS``
 (location, fading) cells' worth and at least one location, and runs one
-pool task per block (:func:`_block_task`).  Each task runs every job of the
-recipe over its block in the same four steps:
+task per block (:func:`_block_task`), on as many workers as are asked for,
+usable and needed: the parent runs the first contiguous slice of the tasks
+and forks a child for each other slice (:func:`_parallel_map`).  Each task
+runs every job of the recipe over its block in the same four steps:
 
 1. draw: each job's pathloss rows once per location, then, per (location,
    fading) cell, one draw per shared draw key (below), at the largest
@@ -104,6 +106,7 @@ import dataclasses
 import functools
 import math
 import os
+import pickle
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -357,21 +360,127 @@ def _usable_cpus() -> int:
 
 
 def _parallel_map(fn, args_list, workers: int) -> list:
-    """``[fn(a) for a in args_list]``, on a process pool when more than one
+    """``[fn(a) for a in args_list]``, over forked slices when more than one
     worker, usable CPU and task remain.
 
-    The pool is imported only on that branch: its import loads
-    ``concurrent.futures`` and ``multiprocessing``, whose memory and import
-    time ``import vccsim`` and 1-worker runs need not pay.
-    """
-    workers = min(workers, _usable_cpus(), len(args_list))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    The tasks are cut into that many contiguous slices whose sizes differ by
+    at most one.  The parent is one of the workers: it forks a child per
+    slice after the first (``os.fork``, one pipe each), runs the first slice
+    itself, then reads each child's pickled result in slice order and reaps
+    it.  So the results keep the tasks' order for any worker count, only
+    results are pickled, not tasks, and no pool machinery is imported.
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(args_list) // (workers * 4))
-            return list(pool.map(fn, args_list, chunksize=chunk))
-    return [fn(a) for a in args_list]
+    A child's exception is raised here with its type and message, its
+    traceback as the cause.  A child that dies without sending its whole
+    result raises a ``RuntimeError`` naming its slice and wait status.  If
+    anything here raises, the parent's own slice included, every child not
+    yet reaped is killed and reaped first, so no run leaves a child behind.
+    Where ``os`` has no ``fork``, the tasks run in-process.
+    """
+    cpus = _usable_cpus() if hasattr(os, "fork") else 1
+    workers = min(workers, cpus, len(args_list))
+    if workers < 2:
+        return [fn(a) for a in args_list]
+    size, extra = divmod(len(args_list), workers)
+    ends = [i * size + min(i, extra) for i in range(workers + 1)]
+    slices = [args_list[a:b] for a, b in zip(ends, ends[1:])]
+    children = []  # (pid, read end of its pipe), in slice order, until reaped
+    try:
+        for index in range(1, workers):
+            children.append(_fork_slice(fn, slices[index], index, children))
+        out = [fn(a) for a in slices[0]]
+        for index in range(1, workers):
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[0]
+            out += _slice_result(data, index, status)
+        return out
+    finally:
+        import signal  # like traceback below, loaded only by runs that fork
+
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _fork_slice(fn, tasks, index: int, children) -> tuple:
+    """Fork a child that sends slice ``index``'s results, or its exception,
+    down a pipe and exits; return its pid and the pipe's read end.
+
+    The child closes the read ends of the earlier ``children`` it inherits
+    and leaves through ``os._exit`` whatever happens, so it never returns
+    into the caller's stack, runs atexit handlers or flushes the stdio
+    buffers it inherits.
+    """
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            for _, pipe in children:
+                pipe.close()
+            with open(write, "wb") as pipe:
+                pipe.write(_slice_message(fn, tasks, index))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, open(read, "rb")
+
+
+def _slice_message(fn, tasks, index: int) -> bytes:
+    """The pickled ``(ok, payload)`` of one slice: ``(True, results)``, or
+    ``(False, (exception, formatted traceback))``.  An exception that does
+    not survive a pickle round trip is sent as a ``RuntimeError`` that
+    carries the traceback instead."""
+    try:
+        return pickle.dumps((True, [fn(a) for a in tasks]), pickle.HIGHEST_PROTOCOL)
+    except BaseException as exc:
+        import traceback
+
+        text = "".join(traceback.format_exception(exc))
+        try:
+            data = pickle.dumps((False, (exc, text)), pickle.HIGHEST_PROTOCOL)
+            pickle.loads(data)  # a class that cannot be rebuilt from its args fails here
+            return data
+        except Exception:
+            exc = RuntimeError(f"slice {index} raised an exception that does not pickle:\n{text}")
+            return pickle.dumps((False, (exc, None)), pickle.HIGHEST_PROTOCOL)
+
+
+def _slice_result(data: bytes, index: int, status: int) -> list:
+    """Slice ``index``'s results from its child's message; raise the child's
+    exception, or an error naming the slice and the child's wait status if
+    the message is not whole."""
+    try:
+        ok, payload = pickle.loads(data)
+    except Exception:
+        how = (f"killed by signal {os.WTERMSIG(status)}" if os.WIFSIGNALED(status)
+               else f"exit code {os.waitstatus_to_exitcode(status)}")
+        raise RuntimeError(
+            f"the child running slice {index} ended without its whole result "
+            f"(wait status {status}, {how}; {len(data)} bytes received)"
+        ) from None
+    if ok:
+        return payload
+    exc, text = payload
+    raise exc from (_ChildTraceback(text) if text else None)
+
+
+class _ChildTraceback(Exception):
+    """The formatted traceback of an exception raised in a forked child."""
+
+    def __str__(self) -> str:
+        return "\n" + self.args[0].rstrip()
 
 
 def _location_betas(scenario: Scenario, num_groups: int, q_top: int, loc: int) -> np.ndarray:
@@ -909,9 +1018,9 @@ def _block_task(args) -> list[list[np.ndarray]]:
 
 
 def _simulate(jobs, workers: int) -> dict[str, SchemeCurve]:
-    """Run every job at every location, one pool task per block of
-    locations (:data:`_BLOCK_CELLS`); reduce the per-location means in
-    location order.
+    """Run every job at every location, one task per block of locations
+    (:data:`_BLOCK_CELLS`) over ``workers`` forked slices; reduce the
+    per-location means in location order.
 
     Returns every job's curves by name; no two rules may write one name,
     and every job must have the same location and fading counts."""

@@ -118,21 +118,37 @@ class TestImport:
     POOL_MODULES = ("concurrent.futures", "multiprocessing")
 
     # fig8 runs one fading per location, so each block task holds
-    # _BLOCK_CELLS locations; a pool starts only for two tasks or more.
+    # _BLOCK_CELLS locations.  Forked slices need no pool module, so none
+    # loads on 1 worker or on 2, where the parent forks one child.
     @pytest.mark.parametrize("workers, blocks", [(1, 1), (2, 2)])
     def test_pool_modules_load_only_for_a_pool(self, tmp_path, workers, blocks):
         if workers > 1 and experiments._usable_cpus() < 2:
-            pytest.skip("a pool needs two usable CPUs")
+            pytest.skip("a fork needs two usable CPUs")
         locations = blocks * experiments._BLOCK_CELLS
         out = run_python(
-            "import sys\n"
+            "import os, sys\n"
             "from vccsim.cli import parse_config, run\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
             f"run(parse_config(recipe='fig8', locations={locations}, fadings=1, "
             f"workers={workers}, out={str(tmp_path / 'fig8.csv')!r}))\n"
-            f"print(sorted(m for m in {self.POOL_MODULES!r} if m in sys.modules))"
+            f"print(sorted(m for m in {self.POOL_MODULES!r} if m in sys.modules), len(forks))"
         )
-        expected = sorted(self.POOL_MODULES) if workers > 1 else []
-        assert out.splitlines()[-1] == str(expected)
+        assert out.splitlines()[-1] == f"[] {workers - 1}"
+
+    def test_forked_child_leaves_stdio_and_atexit_alone(self, tmp_path):
+        # Block-buffered stdout holds "before" when the parent forks; a child
+        # that flushed it or ran atexit handlers on its way out would repeat
+        # a line.
+        out = run_python(
+            "import atexit\n"
+            "from vccsim import experiments\n"
+            "experiments._usable_cpus = lambda: 3\n"
+            "atexit.register(print, 'atexit')\n"
+            "print('before')\n"
+            "print(experiments._parallel_map(abs, [-1, -2, -3], 3))\n"
+        )
+        assert out.splitlines() == ["before", "[1, 2, 3]", "atexit"]
 
     THREADS = (
         "import os, vccsim.cli\n"
@@ -228,16 +244,19 @@ class TestRun:
         assert out.stdout == list_recipes()
 
     @pytest.mark.parametrize("recipe", sorted(RECIPES))
-    def test_every_recipe_byte_identical_across_workers(self, tmp_path, recipe):
+    def test_every_recipe_byte_identical_across_workers(self, monkeypatch, tmp_path, recipe):
         # A recipe pools the locations of all its jobs, mixed schemes and
-        # scenarios alike, so the reduction order is checked per recipe.
+        # scenarios alike, so the reduction order is checked per recipe.  At
+        # 2 fadings a block is one location, so 5 locations cut into slices
+        # of 3 + 2 blocks on 2 workers and 2 + 2 + 1 on 3.
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
         outs = []
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             path = tmp_path / f"w{workers}.csv"
-            run(parse_config(recipe=recipe, seed=1, locations=2, fadings=2,
+            run(parse_config(recipe=recipe, seed=1, locations=5, fadings=2,
                              out=str(path), workers=workers))
             outs.append(path.read_bytes())
-        assert outs[0] == outs[1]
+        assert outs[1:] == outs[:1] * 2
 
 
 class TestParser:

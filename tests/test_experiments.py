@@ -1,7 +1,9 @@
-import concurrent.futures
 import dataclasses
 import math
+import os
 import pickle
+import signal
+import time
 import weakref
 from fractions import Fraction
 
@@ -242,34 +244,130 @@ class TestDeterminism:
         assert se4 < se1
 
 
-class _SerialPool:
-    """Stands in for concurrent.futures.ProcessPoolExecutor, which
-    ``_parallel_map`` imports when it runs: records its size, starts nothing."""
+def _count_forks(monkeypatch) -> list:
+    """Wrap ``os.fork``; the returned list gets the pid of each child the
+    calling process forks."""
+    fork = os.fork
+    pids = []
 
-    sizes = []
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
 
-    def __enter__(self):
-        return self
 
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, args, chunksize=1):
-        return map(fn, args)
+def _assert_all_reaped():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestPoolSize:
     @pytest.mark.parametrize("cpus, expected", [(64, 3), (2, 2)])
     def test_workers_clamped_to_cpus_and_tasks(self, monkeypatch, cpus, expected):
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+        forks = _count_forks(monkeypatch)
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
-        _SerialPool.sizes.clear()
         out = experiments._parallel_map(abs, [-1, -2, -3], 10_000)
         assert out == [1, 2, 3]
-        assert _SerialPool.sizes == [expected]
+        # The parent runs one of the slices, so it forks one child fewer.
+        assert len(forks) == expected - 1
+        _assert_all_reaped()
+
+    def test_parent_runs_the_first_of_near_equal_slices(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 8)
+        out = experiments._parallel_map(lambda a: (a, os.getpid()), list(range(7)), 3)
+        assert [a for a, _ in out] == list(range(7))
+        pids = [pid for _, pid in out]
+        assert pids[:3] == [os.getpid()] * 3
+        assert pids[3] == pids[4] != pids[5] == pids[6]
+        assert os.getpid() not in pids[3:]
+        _assert_all_reaped()
+
+    def test_runs_in_process_without_fork(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 8)
+        monkeypatch.delattr(os, "fork")
+        out = experiments._parallel_map(lambda a: (a, os.getpid()), list(range(5)), 3)
+        assert out == [(a, os.getpid()) for a in range(5)]
+
+
+class _NeedsTwoArgs(Exception):
+    """Pickles, but cannot be rebuilt from its args when unpickled."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}-{b}")
+
+
+class TestForkedSlices:
+    """A failure anywhere in a forked map reaches the caller as a named
+    error, and no run leaves a child behind."""
+
+    @pytest.fixture(autouse=True)
+    def _many_cpus_and_no_child_left(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 8)
+        yield
+        _assert_all_reaped()
+
+    @staticmethod
+    def _in_child(task, action):
+        """A map function that calls ``action`` on ``task``, in a child only."""
+        parent = os.getpid()
+
+        def fn(a):
+            if a == task and os.getpid() != parent:
+                action()
+            return a
+        return fn
+
+    def test_child_exception_keeps_type_and_message(self):
+        def fail():
+            raise ValueError("task 4 failed")
+
+        with pytest.raises(ValueError, match="^task 4 failed$") as info:
+            experiments._parallel_map(self._in_child(4, fail), list(range(6)), 2)
+        # The child's traceback is the cause, down to the raising frame.
+        assert "in fail" in str(info.value.__cause__)
+
+    def test_exception_that_does_not_pickle_is_sent_as_text(self):
+        def fail():
+            raise _NeedsTwoArgs(1, 2)
+
+        with pytest.raises(RuntimeError, match="slice 1 .* does not pickle") as info:
+            experiments._parallel_map(self._in_child(4, fail), list(range(6)), 2)
+        assert "_NeedsTwoArgs: 1-2" in str(info.value)
+
+    @pytest.mark.parametrize("action, how", [
+        (lambda: os._exit(3), "exit code 3"),
+        (lambda: os._exit(0), "exit code 0"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), f"killed by signal {signal.SIGKILL}"),
+    ])
+    @pytest.mark.parametrize("workers, task, index", [(2, 4, 1), (3, 5, 2)])
+    def test_child_dying_mid_slice_is_named(self, action, how, workers, task, index):
+        with pytest.raises(RuntimeError, match=f"slice {index} .*{how}"):
+            experiments._parallel_map(self._in_child(task, action), list(range(6)), workers)
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_parent_failure_kills_and_reaps_children(self, monkeypatch, error):
+        forks = _count_forks(monkeypatch)
+        parent = os.getpid()
+
+        def fn(a):
+            if os.getpid() != parent:
+                time.sleep(60)
+            elif a == 1:
+                raise error("parent slice failed")
+            return a
+
+        start = time.perf_counter()
+        with pytest.raises(error, match="parent slice failed"):
+            experiments._parallel_map(fn, list(range(6)), 3)
+        assert time.perf_counter() - start < 30
+        assert len(forks) == 2
+        for pid in forks:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 class TestOneSimulatePerRecipe:
@@ -407,12 +505,13 @@ class TestOneSimulatePerRecipe:
 
     @pytest.mark.parametrize("recipe", sorted(RECIPES))
     def test_at_most_one_pool_per_recipe(self, monkeypatch, recipe):
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+        forks = _count_forks(monkeypatch)
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: 8)
-        _SerialPool.sizes.clear()
-        # 4 locations at 1 fading are two blocks, so two tasks for the pool.
+        # 4 locations at 1 fading are two blocks, so one slice for the
+        # parent and one forked child, once per recipe.
         run_recipe(recipe, seed=1, n_locations=4, n_fadings=1, workers=2)
-        assert _SerialPool.sizes == [2]
+        assert len(forks) == 1
+        _assert_all_reaped()
 
     def test_repeated_curve_name_rejected_before_sampling(self, monkeypatch):
         def fail(_):
