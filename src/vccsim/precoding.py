@@ -296,8 +296,12 @@ def _prefix_blocks(factor: PrefixFactor, m: int, q_values) -> np.ndarray:
     # a (column, group, user, i, j) layout is 2-3x slower at m = 2.
     rows = factor.r_inv[..., :cols].reshape(g_count, n // m, m, cols).transpose(2, 3, 0, 1).copy()
     outer = rows[:, None] * rows[None].conj()
-    mask = (np.arange(cols) < qs[:, None] * m).astype(float)
-    blocks = (mask @ outer.reshape(m, m, cols, -1).view(float)).view(complex)
+    # A one-row mask takes BLAS's matrix-vector path, which rounds otherwise
+    # than the matrix-matrix one; padded to two rows, a prefix's blocks do
+    # not depend on which other prefixes are asked for.
+    padded = np.resize(qs, max(qs.size, 2))
+    mask = (np.arange(cols) < padded[:, None] * m).astype(float)
+    blocks = (mask @ outer.reshape(m, m, cols, -1).view(float))[:, :, : qs.size].view(complex)
     return blocks.reshape(m, m, qs.size, g_count, n // m).transpose(3, 2, 4, 0, 1)
 
 

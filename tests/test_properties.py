@@ -425,6 +425,28 @@ def test_prefix_couplings_with_other_receivers_match_zf_matrix(stack, k, seed):
 
 
 @PROPERTY
+@given(group_stacks(), st.integers(0, 2**32 - 1))
+def test_prefix_gains_of_one_size_match_any_size_list(stack, seed):
+    # a prefix's gains do not depend on the other sizes asked for with it,
+    # bit for bit: one size alone rounds as it does among others
+    h, m, _ = stack
+    q_top = h.shape[-1] // m
+    rng = np.random.default_rng(seed)
+    q = int(rng.integers(1, q_top + 1))
+    others = list(rng.integers(1, q_top + 1, rng.integers(1, 2 * q_top + 1))) + [q]
+    at = others.index(q)
+    factor = prefix_factor(h)
+    np.testing.assert_array_equal(
+        zf_prefix_gains(factor, [q * m])[:, 0],
+        zf_prefix_gains(factor, [o * m for o in others])[:, at],
+    )
+    one, one_counts = bd_mrc_prefix_gains(factor, m, [q])
+    many, many_counts = bd_mrc_prefix_gains(factor, m, others)
+    np.testing.assert_array_equal(one[:, 0], many[:, at])
+    np.testing.assert_array_equal(one_counts[:, 0], many_counts[:, at])
+
+
+@PROPERTY
 @given(st.integers(2, 8), st.integers(1, 4), st.integers(0, 2**32 - 1))
 def test_msv_gains_match_beamformers_at_each_count(l_tx, num_multicast, seed):
     rng = np.random.default_rng(seed)
