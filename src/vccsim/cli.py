@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvalidConfigurationError, SimulationError
-from .experiments import format_csv
+from .experiments import format_csv, gain_rows, row_count
 from .recipes import RECIPES, list_recipes, run_recipe
 
 __all__ = ["RunConfig", "parse_config", "run", "main"]
@@ -218,10 +218,14 @@ def _check_out_path(path: str) -> None:
 
 
 def run(config: RunConfig) -> int:
-    """Execute a run request; returns the process exit code."""
+    """Execute a run request; returns the process exit code.
+
+    Runs the recipe (:func:`run_recipe`), writes its CSV blocks rendered by
+    :func:`format_csv` under the configuration header, and prints a summary:
+    the row count, then one line per row with a gain."""
     out_path = config.out or f"{config.recipe}.csv"
     _check_out_path(out_path)
-    rows, counts = run_recipe(
+    blocks, counts = run_recipe(
         config.recipe,
         seed=config.seed,
         n_locations=config.n_locations,
@@ -229,21 +233,19 @@ def run(config: RunConfig) -> int:
         workers=config.workers,
         overrides=_field_named(config.overrides),
     )
-    text = format_csv(rows, config.header(counts))
+    text = format_csv(blocks, config.header(counts))
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(text)
-    print(_summary(config, rows, out_path))
+    print(_summary(config, blocks, out_path))
     return 0
 
 
-def _summary(config: RunConfig, rows: list[dict], out_path: str) -> str:
-    lines = [f"{config.recipe}: wrote {len(rows)} rows to {out_path}"]
-    gains = [r for r in rows if r.get("gain") is not None or r.get("gain_optimized") is not None]
-    for r in gains:
-        g = r["gain"] if r.get("gain") is not None else r["gain_optimized"]
+def _summary(config: RunConfig, blocks: list, out_path: str) -> str:
+    lines = [f"{config.recipe}: wrote {row_count(blocks)} rows to {out_path}"]
+    for scheme, ptot_dbm, snr_db, q, mean, gain in gain_rows(blocks):
         lines.append(
-            f"  {r['scheme']} @ {r['ptot_dbm']:g} dBm (snr {r['snr_db']:.1f} dB, "
-            f"q={r['q']}): rate {r['mean_rate_nats']:.4g} nats, gain {g:.4g}"
+            f"  {scheme} @ {ptot_dbm:g} dBm (snr {snr_db:.1f} dB, "
+            f"q={q}): rate {mean:.4g} nats, gain {gain:.4g}"
         )
     return "\n".join(lines)
 

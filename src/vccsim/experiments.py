@@ -98,6 +98,17 @@ fading, ``(2, loc, fad, group)`` transmitter CSI errors,
 ``(3, loc, fad, group)`` receiver coupling errors (drawn only when the job
 that makes the draw has CSIR variances), ``(4, loc, fad, 0|1)``
 baseline-scheme channels.
+
+CSV.  A recipe's rows come as one block per curve (:class:`CsvBlock`,
+from :func:`rows_for_curve` or :func:`rows_for_best`): its scenario and
+scheme, and one list per column, the q and power-index columns and the
+mean, stderr and gain columns, each taken from the curve's arrays with one
+``tolist()``.  :func:`format_csv` renders them block by block.  A float
+cell is empty for ``None`` and NaN and is otherwise the float's ``repr``,
+the shortest text that parses back to the same double, so a reader of the
+CSV gets every number exactly, the sign of zero, subnormals and infinities
+included; count cells are ``str``.  ``mean_rate_bits`` is
+``mean / math.log(2)``.
 """
 
 from __future__ import annotations
@@ -167,8 +178,11 @@ __all__ = [
     "run_imperfect_csi",
     "effective_gain",
     "CSV_COLUMNS",
+    "CsvBlock",
     "rows_for_curve",
     "rows_for_best",
+    "row_count",
+    "gain_rows",
     "format_csv",
 ]
 
@@ -342,7 +356,7 @@ class SchemeCurve:
     def best(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per power point: argmax-q (smallest on ties), its mean and stderr."""
         idx = np.argmax(self.mean, axis=0)
-        qs = np.array([self.q_values[i] for i in idx])
+        qs = np.asarray(self.q_values)[idx]
         cols = np.arange(self.mean.shape[1])
         return qs, self.mean[idx, cols], self.stderr[idx, cols]
 
@@ -1128,75 +1142,110 @@ CSV_COLUMNS = (
 )
 
 
-def _row(scenario, scheme, p_idx, q, mean, stderr, gain=None, gain_opt=None):
-    return {
-        "scheme": scheme,
-        "ptot_dbm": scenario.ptot_dbm[p_idx],
-        "snr_db": scenario.snr_db[p_idx],
-        "q": q,
-        "mean_rate_nats": mean,
-        "mean_rate_bits": mean / math.log(2),
-        "stderr": stderr,
-        "gain": gain,
-        "gain_optimized": gain_opt,
-        "n_locations": scenario.n_locations,
-        "n_fadings": scenario.n_fadings,
-        "seed": scenario.seed,
-    }
+class CsvBlock(NamedTuple):
+    """The CSV rows of one curve, one list per column.
+
+    Row ``i`` is served-user count ``q[i]`` at power point ``power[i]`` (an
+    index into ``scenario.ptot_dbm``).  A gain column of ``None`` is empty
+    in every row; a curve's block fills at most one of the two."""
+
+    scenario: Scenario
+    scheme: str
+    q: list
+    power: list
+    mean: list
+    stderr: list
+    gain: list | None = None
+    gain_optimized: list | None = None
 
 
-def rows_for_curve(curve: SchemeCurve, scenario: Scenario, gain=None):
-    """One CSV row per (q, power point); ``gain`` attaches to single-q curves."""
-    rows = []
-    for qi, q in enumerate(curve.q_values):
-        for pi in range(len(curve.ptot_dbm)):
-            g = None
-            if gain is not None and len(curve.q_values) == 1:
-                g = float(gain[pi])
-            rows.append(
-                _row(
-                    scenario, curve.scheme, pi, q,
-                    float(curve.mean[qi, pi]), float(curve.stderr[qi, pi]), gain=g,
-                )
-            )
-    return rows
+def rows_for_curve(curve: SchemeCurve, scenario: Scenario, gain=None) -> list[CsvBlock]:
+    """One block of a row per (q, power point), q by q; ``gain`` fills the
+    ``gain`` column of a single-q curve only."""
+    n_p = len(curve.ptot_dbm)
+    return [CsvBlock(
+        scenario, curve.scheme,
+        [q for q in curve.q_values for _ in range(n_p)],
+        list(range(n_p)) * len(curve.q_values),
+        curve.mean.ravel().tolist(),
+        curve.stderr.ravel().tolist(),
+        gain=np.asarray(gain, dtype=float).tolist()
+        if gain is not None and len(curve.q_values) == 1 else None,
+    )]
 
 
-def rows_for_best(curve: SchemeCurve, scenario: Scenario, gain_opt=None):
-    """Per power point, the best-q row of an optimized scheme."""
+def rows_for_best(curve: SchemeCurve, scenario: Scenario, gain_opt=None) -> list[CsvBlock]:
+    """One block of the best-q row per power point, as scheme
+    ``<scheme>_opt``; ``gain_opt`` fills its ``gain_optimized`` column."""
     qs, means, errs = curve.best()
-    rows = []
-    for pi in range(len(curve.ptot_dbm)):
-        rows.append(
-            _row(
-                scenario, f"{curve.scheme}_opt", pi, int(qs[pi]),
-                float(means[pi]), float(errs[pi]),
-                gain_opt=None if gain_opt is None else float(gain_opt[pi]),
-            )
-        )
-    return rows
+    return [CsvBlock(
+        scenario, f"{curve.scheme}_opt", qs.tolist(), list(range(len(curve.ptot_dbm))),
+        means.tolist(), errs.tolist(),
+        gain_optimized=None if gain_opt is None else np.asarray(gain_opt, dtype=float).tolist(),
+    )]
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        if math.isnan(value):
-            return ""
-        return repr(value)
-    return str(value)
+def row_count(blocks) -> int:
+    """The number of CSV rows in ``blocks``."""
+    return sum(len(block.mean) for block in blocks)
 
 
-def format_csv(rows, header: dict | None = None) -> str:
-    """Render rows (dicts keyed by :data:`CSV_COLUMNS`) as CSV text.
+def gain_rows(blocks) -> list[tuple[str, float, float, int, float, float]]:
+    """``(scheme, ptot_dbm, snr_db, q, mean_rate_nats, gain)`` of each row
+    with a gain, in CSV order: the fixed-Q gain where the row has one, else
+    the optimized one.  A NaN gain counts, though its cell is empty."""
+    out = []
+    for block in blocks:
+        gains = block.gain if block.gain is not None else block.gain_optimized
+        if gains is None:
+            continue
+        scn = block.scenario
+        out += [
+            (block.scheme, scn.ptot_dbm[p], scn.snr_db[p], q, mean, g)
+            for p, q, mean, g in zip(block.power, block.q, block.mean, gains, strict=True)
+        ]
+    return out
 
+
+def _cells(values) -> list[str]:
+    """The CSV cells of a column of floats: empty for NaN, else ``repr``,
+    which parses back to the same double."""
+    return ["" if v != v else repr(v) for v in values]
+
+
+def format_csv(blocks, header: dict | None = None) -> str:
+    """Render blocks (from :func:`rows_for_curve` and :func:`rows_for_best`)
+    as CSV text, block by block, with the columns of :data:`CSV_COLUMNS`.
+
+    A scenario's power, SNR and count cells are formatted once for all its
+    rows, and every other float cell column by column, by the rule of the
+    module docstring; ``mean_rate_bits`` is ``mean / math.log(2)``.
     ``header`` entries are echoed as ``# key=value`` comment lines so a run
     is reproducible from its own output.
     """
-    lines = []
-    for key, value in (header or {}).items():
-        lines.append(f"# {key}={value}")
+    lines = [f"# {key}={value}" for key, value in (header or {}).items()]
     lines.append(",".join(CSV_COLUMNS))
-    for row in rows:
-        lines.append(",".join(_fmt(row.get(col)) for col in CSV_COLUMNS))
+    ln2 = math.log(2)
+    scenario = None
+    for block in blocks:
+        if block.scenario is not scenario:
+            scenario = block.scenario
+            points = [
+                f"{p},{s}" for p, s in zip(_cells(scenario.ptot_dbm), _cells(scenario.snr_db))
+            ]
+            counts = f"{scenario.n_locations},{scenario.n_fadings},{scenario.seed}"
+        empty = [""] * len(block.mean)
+        lines += [
+            f"{block.scheme},{points[p]},{q},{mean},{bits},{err},{gain},{gain_opt},{counts}"
+            for p, q, mean, bits, err, gain, gain_opt in zip(
+                block.power,
+                block.q,
+                _cells(block.mean),
+                _cells([m / ln2 for m in block.mean]),
+                _cells(block.stderr),
+                empty if block.gain is None else _cells(block.gain),
+                empty if block.gain_optimized is None else _cells(block.gain_optimized),
+                strict=True,
+            )
+        ]
     return "\n".join(lines) + "\n"

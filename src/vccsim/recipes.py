@@ -4,8 +4,9 @@ Each recipe pins the scenario of one headline comparison (cell preset,
 antenna counts, caching parameters, power sweep), lists the jobs it needs
 (each side of the comparison with the schemes run on it), hands them to one
 :func:`~vccsim.experiments._simulate` call, and turns the curves plus
-effective-gain bookkeeping into CSV rows.  Realization counts and any
-scenario field can be overridden; the paper-scale defaults are 1000
+effective-gain bookkeeping into CSV blocks
+(:class:`~vccsim.experiments.CsvBlock`, one per curve).  Realization counts
+and any scenario field can be overridden; the paper-scale defaults are 1000
 location draws with 20 fading draws each for pathloss scenarios.
 """
 
@@ -28,6 +29,7 @@ from .experiments import (
     CSI_PERFECT,
     ZF,
     ZF_BOUNDS,
+    CsvBlock,
     Scenario,
     cache_aided_job,
     cacheless_job,
@@ -55,7 +57,7 @@ class Recipe:
     description: str
     default_locations: int
     default_fadings: int
-    build_rows: object  # callable(params: dict, workers: int) -> list[dict]
+    build_rows: object  # callable(params: dict, workers: int) -> list[CsvBlock]
 
 
 def _scenario(base: dict, params: dict, **extra) -> Scenario:
@@ -93,7 +95,7 @@ def _fixed_q_scenario(base: dict, params: dict) -> Scenario:
     return scn
 
 
-def _fig2_rows(params: dict, workers: int) -> list[dict]:
+def _fig2_rows(params: dict, workers: int) -> list[CsvBlock]:
     base = dict(
         name="fig2", geometry="macro", num_tx_antennas=64, num_states=5,
         cache_fraction=Fraction(4, 5), users_per_group=4,
@@ -119,7 +121,7 @@ def _fig2_rows(params: dict, workers: int) -> list[dict]:
     return rows
 
 
-def _fig3_rows(params: dict, workers: int) -> list[dict]:
+def _fig3_rows(params: dict, workers: int) -> list[CsvBlock]:
     base = dict(
         name="fig3", geometry="macro", num_tx_antennas=24, num_states=6,
         cache_fraction=Fraction(5, 6), antennas_per_user=4,
@@ -135,7 +137,7 @@ def _fig3_rows(params: dict, workers: int) -> list[dict]:
     return rows
 
 
-def _fig4_rows(params: dict, workers: int) -> list[dict]:
+def _fig4_rows(params: dict, workers: int) -> list[CsvBlock]:
     base = dict(
         name="fig4", geometry="macro", num_tx_antennas=32, num_states=4,
         cache_fraction=Fraction(3, 4), antennas_per_user=4,
@@ -150,7 +152,7 @@ def _fig4_rows(params: dict, workers: int) -> list[dict]:
     return rows
 
 
-def _optimized_bd_rows(scn: Scenario, curves: dict) -> list[dict]:
+def _optimized_bd_rows(scn: Scenario, curves: dict) -> list[CsvBlock]:
     """Every q of both BD-MRC sides plus their best-q rows and gain."""
     vcc, cl = curves["vcc_bd_mrc"], curves["cacheless_bd_mrc"]
     rows = rows_for_curve(vcc, scn)
@@ -160,7 +162,7 @@ def _optimized_bd_rows(scn: Scenario, curves: dict) -> list[dict]:
     return rows
 
 
-def _fig5_rows(params: dict, workers: int) -> list[dict]:
+def _fig5_rows(params: dict, workers: int) -> list[CsvBlock]:
     base = dict(
         name="fig5", geometry="macro", num_tx_antennas=24, num_states=6,
         cache_fraction=Fraction(5, 6), antennas_per_user=4,
@@ -172,7 +174,7 @@ def _fig5_rows(params: dict, workers: int) -> list[dict]:
     return _optimized_bd_rows(scn, curves)
 
 
-def _fig6_rows(params: dict, workers: int) -> list[dict]:
+def _fig6_rows(params: dict, workers: int) -> list[CsvBlock]:
     base = dict(
         name="fig6", geometry=None, noise_power=1.0, num_tx_antennas=16,
         num_states=6, cache_fraction=Fraction(5, 6), antennas_per_user=1,
@@ -196,7 +198,7 @@ def _fig6_rows(params: dict, workers: int) -> list[dict]:
     return rows
 
 
-def _fig7_rows(params: dict, workers: int) -> list[dict]:
+def _fig7_rows(params: dict, workers: int) -> list[CsvBlock]:
     base = dict(
         name="fig7", geometry="micro", num_tx_antennas=32, num_states=6,
         cache_fraction=Fraction(5, 6), antennas_per_user=2,
@@ -217,7 +219,7 @@ def _fig7_rows(params: dict, workers: int) -> list[dict]:
     return rows
 
 
-def _fig8_rows(params: dict, workers: int) -> list[dict]:
+def _fig8_rows(params: dict, workers: int) -> list[CsvBlock]:
     base = dict(
         name="fig8", geometry=None, noise_power=1.0, num_tx_antennas=32,
         num_states=6, cache_fraction=Fraction(5, 6), antennas_per_user=1,
@@ -237,7 +239,7 @@ def _fig8_rows(params: dict, workers: int) -> list[dict]:
     return rows
 
 
-def _fig9_rows(params: dict, workers: int) -> list[dict]:
+def _fig9_rows(params: dict, workers: int) -> list[CsvBlock]:
     base = dict(
         name="fig9", geometry=None, noise_power=1.0, num_tx_antennas=16,
         num_states=6, cache_fraction=Fraction(5, 6), antennas_per_user=1,
@@ -324,8 +326,10 @@ def run_recipe(
     n_fadings: int | None = None,
     workers: int = 1,
     overrides: dict | None = None,
-) -> tuple[list[dict], tuple[int, int]]:
-    """Run one recipe; returns ``(rows, (locations, fadings))`` as resolved."""
+) -> tuple[list[CsvBlock], tuple[int, int]]:
+    """Run one recipe; returns its CSV blocks, for
+    :func:`~vccsim.experiments.format_csv`, and ``(locations, fadings)`` as
+    resolved."""
     recipe = RECIPES[name]
     params = dict(overrides or {})
     params["seed"] = seed

@@ -20,6 +20,8 @@ from vccsim.experiments import BD_MRC, BD_MRC_ASYM, Scenario, cache_aided_job, r
 from vccsim.precoding import bd_mrc, null_projector
 from vccsim.recipes import run_recipe
 
+from csvrows import rendered_rows
+
 WORKERS = 4
 
 
@@ -29,8 +31,9 @@ def _report(criterion: int, description: str, failures: list[str]):
     assert not failures, f"criterion {criterion}: " + "; ".join(failures[:10])
 
 
-def _rows_by_scheme(rows, scheme):
-    return {r["ptot_dbm"]: r for r in rows if r["scheme"] == scheme}
+def _rows_by_scheme(blocks, scheme):
+    """The rendered CSV rows of ``scheme``, keyed by power in dBm."""
+    return {r["ptot_dbm"]: r for r in rendered_rows(blocks) if r["scheme"] == scheme}
 
 
 class TestCriterion1BdNulling:

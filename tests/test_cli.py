@@ -1,4 +1,3 @@
-import csv
 import math
 import os
 import subprocess
@@ -12,6 +11,8 @@ from vccsim import experiments
 from vccsim.cli import RunConfig, build_parser, main, parse_config, run
 from vccsim.errors import InvalidConfigurationError
 from vccsim.recipes import RECIPES, list_recipes
+
+from csvrows import parse_rows
 
 
 class TestParseConfig:
@@ -172,25 +173,49 @@ class TestImport:
 
 
 class TestRun:
-    def test_smoke_and_summary(self, tmp_path, capsys):
-        out = tmp_path / "fig4.csv"
+    @pytest.mark.parametrize("recipe, schemes, gain_schemes", [
+        ("fig4", {"vcc_bd_mrc", "cacheless_bd_mrc"}, {"vcc_bd_mrc"}),
+        # The fixed-Q gain of msv, and the optimized gain of the best-q rows.
+        (
+            "fig8",
+            {"msv", "msv_modified", "msv_modified_opt", "vcc_bd_mrc_opt", "cacheless_bd_mrc_opt"},
+            {"msv", "msv_modified_opt", "vcc_bd_mrc_opt"},
+        ),
+        # Only best-q rows, with optimized gains.
+        (
+            "fig9",
+            {"cacheless_zf_csit_opt", "vcc_zf_csit_opt", "vcc_zf_csit_csir0.01_opt",
+             "vcc_zf_csit_csir0.001_opt", "vcc_zf_csit_csir0_opt"},
+            {"vcc_zf_csit_opt", "vcc_zf_csit_csir0.01_opt", "vcc_zf_csit_csir0.001_opt",
+             "vcc_zf_csit_csir0_opt"},
+        ),
+    ], ids=["fig4", "fig8", "fig9"])
+    def test_smoke_and_summary(self, tmp_path, capsys, recipe, schemes, gain_schemes):
+        out = tmp_path / f"{recipe}.csv"
         cfg = parse_config(
-            recipe="fig4", seed=1, locations=3, fadings=1, out=str(out)
+            recipe=recipe, seed=1, locations=3, fadings=1, out=str(out)
         )
         assert run(cfg) == 0
         text = out.read_text()
-        assert text.splitlines()[0] == "# recipe=fig4"
+        assert text.splitlines()[0] == f"# recipe={recipe}"
         assert "scheme,ptot_dbm,snr_db,q,mean_rate_nats" in text
-        assert "vcc_bd_mrc," in text and "cacheless_bd_mrc," in text
-        # The summary: the row count, then one line per row with a gain.
-        rows = list(csv.DictReader(line for line in text.splitlines() if line[0] != "#"))
-        expected = [f"fig4: wrote {len(rows)} rows to {out}"] + [
-            f"  {r['scheme']} @ {float(r['ptot_dbm']):g} dBm "
-            f"(snr {float(r['snr_db']):.1f} dB, q={r['q']}): "
-            f"rate {float(r['mean_rate_nats']):.4g} nats, gain {float(r['gain']):.4g}"
-            for r in rows if r["gain"]
+        rows = parse_rows(text)
+        assert {r["scheme"] for r in rows} == schemes
+        # The summary: the row count, then one line per row with a gain, the
+        # fixed-Q one where the row has it, else the optimized one.
+        with_gain = [
+            (r, r["gain"] if r["gain"] is not None else r["gain_optimized"]) for r in rows
         ]
-        assert len(expected) == 10  # the vcc_bd_mrc rows, one per power
+        with_gain = [(r, g) for r, g in with_gain if g is not None]
+        expected = [f"{recipe}: wrote {len(rows)} rows to {out}"] + [
+            f"  {r['scheme']} @ {r['ptot_dbm']:g} dBm "
+            f"(snr {r['snr_db']:.1f} dB, q={r['q']}): "
+            f"rate {r['mean_rate_nats']:.4g} nats, gain {g:.4g}"
+            for r, g in with_gain
+        ]
+        assert {r["scheme"] for r, _ in with_gain} == gain_schemes
+        # One line per power (9 in each recipe) for each scheme with a gain.
+        assert len(expected) == 1 + 9 * len(gain_schemes)
         assert capsys.readouterr().out.splitlines() == expected
 
     def test_same_seed_byte_identical(self, tmp_path):
@@ -301,9 +326,7 @@ class TestParser:
                      "--fadings", "1", "--out", str(out)])
         capsys.readouterr()
         assert code == 0
-        lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
-        columns = lines[0].split(",")
-        rows = [dict(zip(columns, ln.split(","))) for ln in lines[1:]]
+        rows = parse_rows(out.read_text())
         huge = [r for r in rows if r["scheme"] == "vcc_zf_csit_csir1e+308_opt"]
         assert len(huge) == 9
         for row in huge:

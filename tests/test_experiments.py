@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from vccsim import experiments, precoding
@@ -20,7 +22,9 @@ from vccsim.errors import (
     UnsupportedConfigurationError,
 )
 from vccsim.experiments import (
+    CSV_COLUMNS,
     Scenario,
+    SchemeCurve,
     effective_gain,
     format_csv,
     rows_for_best,
@@ -33,6 +37,8 @@ from vccsim.experiments import (
 )
 from vccsim.precoding import zf_imperfect_csir_sinr, zf_imperfect_csit_sinr, zf_matrix
 from vccsim.recipes import RECIPES, run_recipe
+
+from csvrows import parse_rows, rendered_rows
 
 
 def macro_scenario(**kw):
@@ -948,12 +954,14 @@ class TestCsvRows:
     def test_row_shapes_and_formats(self):
         scn = macro_scenario(n_locations=3)
         rep = run_vcc_bd_mrc(scn)
-        rows = rows_for_curve(rep["vcc_bd_mrc"], scn, gain=np.array([2.0, 2.1]))
+        blocks = rows_for_curve(rep["vcc_bd_mrc"], scn, gain=np.array([2.0, 2.1]))
+        rows = rendered_rows(blocks)
         assert len(rows) == 2
         assert rows[0]["mean_rate_bits"] == pytest.approx(
             rows[0]["mean_rate_nats"] / np.log(2)
         )
-        text = format_csv(rows, {"recipe": "t", "seed": 11})
+        assert [r["gain"] for r in rows] == [2.0, 2.1]
+        text = format_csv(blocks, {"recipe": "t", "seed": 11})
         lines = text.strip().split("\n")
         assert lines[0] == "# recipe=t"
         assert lines[2].startswith("scheme,ptot_dbm,snr_db,q,")
@@ -962,6 +970,124 @@ class TestCsvRows:
     def test_best_rows(self):
         scn = symmetric_scenario(num_tx_antennas=8, n_locations=6)
         rep = run_vcc_bd_mrc(scn)
-        rows = rows_for_best(rep["vcc_bd_mrc"], scn)
+        rows = rendered_rows(rows_for_best(rep["vcc_bd_mrc"], scn))
         assert {r["scheme"] for r in rows} == {"vcc_bd_mrc_opt"}
         assert len(rows) == 2
+
+
+# The float columns of a CSV row.
+FLOAT_COLUMNS = (
+    "ptot_dbm", "snr_db", "mean_rate_nats", "mean_rate_bits", "stderr", "gain", "gain_optimized",
+)
+# Any float, and for certain -0.0, the smallest subnormal, a larger
+# subnormal and the largest double.
+EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([-0.0, 5e-324, 2.5e-310, 1.7976931348623157e308]),
+)
+GAINS = st.one_of(st.floats(), st.sampled_from([math.inf, -math.inf, math.nan]))
+
+
+@st.composite
+def csv_parts(draw):
+    """1-4 curves, each with its scenario (one of two), whether its
+    best-q rows are wanted, and a gain column (or ``None``)."""
+    n_p = draw(st.integers(1, 3))
+    scenarios = [
+        symmetric_scenario(
+            ptot_dbm=tuple(draw(st.lists(
+                st.floats(-20.0, 60.0), min_size=n_p, max_size=n_p, unique=True
+            ))),
+            n_locations=draw(st.integers(1, 4)),
+            seed=draw(st.integers(0, 2**32)),
+        )
+        for _ in range(2)
+    ]
+    parts = []
+    for i in range(draw(st.integers(1, 4))):
+        scn = draw(st.sampled_from(scenarios))
+        q_values = tuple(sorted(draw(st.lists(
+            st.integers(1, 16), min_size=1, max_size=3, unique=True
+        ))))
+        size = len(q_values) * n_p
+        mean = np.array(draw(st.lists(EDGE_FLOATS, min_size=size, max_size=size)))
+        if scn.n_locations == 1:
+            stderr = np.full(size, np.nan)
+        else:
+            stderr = np.array(draw(st.lists(
+                st.floats(0.0, allow_infinity=False), min_size=size, max_size=size
+            )))
+        curve = SchemeCurve(
+            f"c{i}", scn.ptot_dbm, q_values,
+            mean.reshape(-1, n_p), stderr.reshape(-1, n_p),
+        )
+        gain = draw(st.none() | st.lists(GAINS, min_size=n_p, max_size=n_p).map(np.array))
+        parts.append((curve, scn, draw(st.booleans()), gain))
+    return parts
+
+
+def _reference_rows(curve, scn, best, gain):
+    """The rows of one curve as dicts, one by one, as the CSV had them
+    before blocks."""
+    def row(scheme, p, q, mean, stderr, gain=None, gain_opt=None):
+        return dict(
+            scheme=scheme, ptot_dbm=scn.ptot_dbm[p], snr_db=scn.snr_db[p], q=q,
+            mean_rate_nats=mean, mean_rate_bits=mean / math.log(2), stderr=stderr,
+            gain=gain, gain_optimized=gain_opt, n_locations=scn.n_locations,
+            n_fadings=scn.n_fadings, seed=scn.seed,
+        )
+
+    def value(array, p):
+        return None if array is None else float(array[p])
+
+    n_q, n_p = curve.mean.shape
+    if best:
+        idx = np.argmax(curve.mean, axis=0)
+        return [
+            row(f"{curve.scheme}_opt", p, curve.q_values[idx[p]], float(curve.mean[idx[p], p]),
+                float(curve.stderr[idx[p], p]), gain_opt=value(gain, p))
+            for p in range(n_p)
+        ]
+    return [
+        row(curve.scheme, p, q, float(curve.mean[qi, p]), float(curve.stderr[qi, p]),
+            gain=value(gain, p) if n_q == 1 else None)
+        for qi, q in enumerate(curve.q_values)
+        for p in range(n_p)
+    ]
+
+
+def _reference_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return "" if math.isnan(value) else repr(value)
+    return str(value)
+
+
+class TestCsvRendering:
+    """The block renderer writes the bytes of a per-row, per-cell one."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(csv_parts())
+    def test_blocks_render_as_rows(self, parts):
+        blocks, rows = [], []
+        for curve, scn, best, gain in parts:
+            if best:
+                blocks += rows_for_best(curve, scn, gain_opt=gain)
+            else:
+                blocks += rows_for_curve(curve, scn, gain=gain)
+            rows += _reference_rows(curve, scn, best, gain)
+        header = {"recipe": "t", "seed": 5}
+        text = format_csv(blocks, header)
+        want = ["# recipe=t", "# seed=5", ",".join(CSV_COLUMNS)] + [
+            ",".join(_reference_cell(row[col]) for col in CSV_COLUMNS) for row in rows
+        ]
+        assert text == "\n".join(want) + "\n"
+        # Every float cell is empty for None and NaN, and otherwise parses
+        # back to the very double (the sign of zero included).
+        for got, row in zip(parse_rows(text), rows, strict=True):
+            for col in FLOAT_COLUMNS:
+                if row[col] is None or math.isnan(row[col]):
+                    assert got[col] is None, col
+                else:
+                    assert got[col].hex() == row[col].hex(), col

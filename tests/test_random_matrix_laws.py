@@ -17,6 +17,16 @@ a law, while an oracle sharing that error would not see it.
   unicast gain are Gamma(L - n, 1).  Any other multicast user's channel is
   independent of the unit-norm common beam, so its gain there is Exp(1).
 
+* CSI couplings: :func:`~vccsim.channel.corrupt_csit` splits ``h`` into
+  an estimate ``h_hat ~ CN(0, 1 - s2)`` and an independent error
+  ``e ~ CN(0, s2)``.  So the ZF gain ``g_hat`` of the unit-norm beams
+  designed on ``h_hat`` is ``(1 - s2)`` times Gamma(L - n + 1, 1); a user's
+  own coupling is ``sqrt(g_hat)`` plus ``e``'s coupling with a unit-norm
+  beam independent of it, CN(0, s2), independent of ``g_hat``; and each of
+  the other ``n - 1`` beams adds ``s2`` to the mean interference power,
+  ``s2 (n - 1)``.  With ``s2 = 0`` the own coupling is ``sqrt(g_hat)`` and
+  the interference is zero, to rounding.
+
 Under pathloss, user k's columns are scaled by ``sqrt(beta_k)``, and every
 gain above scales by ``beta_k``: ZF gain / beta_k is still Gamma(L - n + 1),
 and the sum of user k's BD-MRC gains / beta_k still Gamma(m(L - (q-1)m)).
@@ -28,18 +38,31 @@ The channels come from :func:`complex_gaussian` at pinned substreams.  ZF
 and BD-MRC draws are batched through :func:`prefix_factor`, the draws on
 the group axis; MSV draws go through :func:`msv_gains_fast` one by one.  Each
 draw gives one sample per law, one stream or user chosen by the draw's
-index, so the samples of a law are independent.  Each law is checked by a
-one-sample Kolmogorov-Smirnov test that rejects at p < ``ALPHA`` = 1e-4.
-With a fresh seed, a correct kernel would fail any one check with
-probability 1e-4.  There are 53 checks here, so by the union bound the
-whole file would fail with probability below 5.3e-3.
+index, so the samples of a law are independent.  CSI draws come from
+the simulator's draw and coupling kernel (:func:`vccsim.experiments._csi_draws`
+and :func:`vccsim.experiments._csi_error_kernel`), one sample per group of
+each draw.  Each law is checked by a test that rejects at a false-alarm
+rate of ``ALPHA`` = 1e-4: a one-sample Kolmogorov-Smirnov test of each
+distribution, a Spearman rank test of independence, and a two-sided test
+of a mean at ``|z| > 3.89`` (by the central limit theorem, over 3000
+samples).  With a fresh seed, a correct kernel would fail any one check
+with probability 1e-4.  There are 86 checks here, so by the union bound
+the whole file would fail with probability below 8.6e-3.  The ``s2 = 0``
+identities are bounds on rounding, which hold for any seed.
 """
 
 import numpy as np
 import pytest
 
 from vccsim.channel import complex_gaussian, substream
-from vccsim.experiments import Scenario, _group_factor, _location_betas
+from vccsim.experiments import (
+    Scenario,
+    _csi_draws,
+    _csi_error_kernel,
+    _group_factor,
+    _location_betas,
+    _served_pairs,
+)
 from vccsim.precoding import bd_mrc_prefix_gains, msv_gains_fast, prefix_factor, zf_prefix_gains
 
 stats = pytest.importorskip("scipy.stats")
@@ -159,3 +182,59 @@ def test_bd_gain_sum_over_pathloss_is_gamma():
         user = draw % q
         sums = gains[draw, s, user].sum(axis=-1)
         _assert_gamma(sums / betas[draw, user], m * (l_tx - (q - 1) * m))
+
+
+def _csi_samples(l_tx: int, sizes: tuple, csit_var: float, cells: int = 500, groups: int = 6):
+    """Per prefix size ``n``: ``(n, g_hat, own, interference)`` of one
+    served user per (cell, group), ``cells`` times ``groups`` samples,
+    from the simulator's CSI draw and coupling kernel at unit pathloss."""
+    scn = Scenario(
+        geometry=None, noise_power=1.0, num_tx_antennas=l_tx, antennas_per_user=1,
+        users_per_group=None, baseline_users=None, csit_error_var=csit_var, seed=SEED,
+    )
+    g_hat, own, interference = [], [], []
+    for loc in range(cells):
+        draws = _csi_draws(scn, groups, max(sizes), loc, 0, None)
+        coupling, received = _csi_error_kernel(scn, sizes, draws)[:2]
+        g_hat.append(zf_prefix_gains(prefix_factor(draws[1]), sizes))
+        own.append(coupling)
+        interference.append(received - (coupling.real ** 2 + coupling.imag ** 2))
+    g_hat, own, interference = (np.concatenate(a) for a in (g_hat, own, interference))
+    _, _, starts = _served_pairs(sizes)
+    draw = np.arange(g_hat.shape[0])
+    for s, n in enumerate(sizes):
+        user = draw % n
+        pair = starts[s] + user
+        yield n, g_hat[draw, s, user], own[draw, pair], interference[draw, pair]
+
+
+@pytest.mark.parametrize(
+    "l_tx, sizes, csit_var",
+    [(16, (1, 6, 16), 0.01), (8, (2, 5, 8), 0.2)],
+    ids=["fig9-L16", "L8-var0.2"],
+)
+def test_csi_couplings_follow_their_laws(l_tx, sizes, csit_var):
+    """Five checks per prefix size: 30 checks.  The largest size is full
+    load; at ``n = 1`` the interference is zero."""
+    z_max = stats.norm.isf(ALPHA / 2)
+    for n, g_hat, own, interference in _csi_samples(l_tx, sizes, csit_var):
+        _assert_gamma(g_hat / (1 - csit_var), l_tx - n + 1)
+        error = own - np.sqrt(g_hat)
+        for part in (error.real, error.imag):
+            p = stats.kstest(part, stats.norm(scale=np.sqrt(csit_var / 2)).cdf).pvalue
+            assert p > ALPHA, f"n={n}: KS p-value {p:.1e} against N(0, s2/2)"
+        p = stats.spearmanr(g_hat, np.abs(error) ** 2).pvalue
+        assert p > ALPHA, f"n={n}: own coupling error tracks g_hat, Spearman p {p:.1e}"
+        stderr = interference.std(ddof=1) / np.sqrt(interference.size)
+        gap = interference.mean() - csit_var * (n - 1)
+        assert abs(gap) <= z_max * stderr, f"n={n}: mean interference off by {gap:.2e}"
+
+
+def test_csi_couplings_without_error_are_exact():
+    """One Gamma check per prefix size (3 checks); with ``h_hat = h`` the
+    own coupling is ``sqrt(g_hat)`` and the interference zero, to rounding."""
+    l_tx = 16
+    for n, g_hat, own, interference in _csi_samples(l_tx, (1, 6, 16), 0.0):
+        _assert_gamma(g_hat, l_tx - n + 1)
+        np.testing.assert_allclose(own, np.sqrt(g_hat), rtol=1e-8, atol=0)
+        assert np.all(np.abs(interference) <= 1e-8 * g_hat)
