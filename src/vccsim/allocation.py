@@ -243,10 +243,10 @@ class _StreamTable(NamedTuple):
     ``m`` streams and ``gap[m-1] = m * geo[m-1] - sum(1 / lam[:m])``.  The
     gap is exactly zero for one stream, so low rates lose no precision to
     ``exp(x) - 1``.  ``breaks[j-1]`` is the rate at which stream ``j + 1``
-    activates, infinite past the user's stream count.
+    activates, infinite past the user's stream count.  The gains are not
+    kept: the inverse reads only ``geo``, ``gap`` and ``breaks``.
     """
 
-    lam: np.ndarray      # (N, J) gains, descending, 1 past the count
     counts: np.ndarray   # (N,)
     geo: np.ndarray      # (N, J)
     gap: np.ndarray      # (N, J)
@@ -267,13 +267,13 @@ class _StreamTable(NamedTuple):
         geo = np.exp(-log_cum / np.arange(1, lam.shape[1] + 1))
         gap = np.arange(1, lam.shape[1] + 1) * geo - np.cumsum(1.0 / lam, axis=1)
         gap[:, 0] = 0.0
-        return cls(lam, counts, geo, gap, breaks, xi, sizes, n0)
+        return cls(counts, geo, gap, breaks, xi, sizes, n0)
 
     def take(self, problems: np.ndarray) -> "_StreamTable":
         """The table of the problems selected by a boolean mask."""
         # Rows by flat index: a boolean row mask is several times slower.
         users = np.flatnonzero(np.repeat(problems, self.sizes))
-        arrays = (self.lam, self.counts, self.geo, self.gap, self.breaks, self.xi)
+        arrays = (self.counts, self.geo, self.gap, self.breaks, self.xi)
         return _StreamTable(
             *(a.take(users, axis=0) for a in arrays), self.sizes[problems], self.n0
         )

@@ -105,13 +105,16 @@ def build_placement(
 
     ``cache_fraction`` may be a :class:`~fractions.Fraction`, a string like
     ``"5/6"``, or an int; the product with ``num_states`` must be an
-    integer and ``num_users`` a multiple of ``num_states``.
+    integer below ``num_states`` and ``num_users`` a multiple of
+    ``num_states``.
     """
     gamma = Fraction(cache_fraction)
     if num_states < 1:
         raise InvalidConfigurationError("num_states must be at least 1")
-    if not 0 <= gamma <= 1:
-        raise InvalidConfigurationError(f"cache_fraction {gamma} outside [0, 1]")
+    # A full cache leaves a coded gain above the num_states cache states, so
+    # no stage to schedule.
+    if not 0 <= num_states * gamma < num_states:
+        raise InvalidConfigurationError(f"cache_fraction {gamma} outside [0, 1)")
     if (num_states * gamma).denominator != 1:
         raise InvalidConfigurationError(
             f"num_states * cache_fraction = {num_states * gamma} is not an integer"

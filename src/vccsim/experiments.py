@@ -231,8 +231,12 @@ class Scenario:
             raise InvalidConfigurationError(
                 f"num_states * cache_fraction = {gain} is not an integer"
             )
-        if not 0 <= Fraction(self.cache_fraction) <= 1:
-            raise InvalidConfigurationError("cache_fraction outside [0, 1]")
+        # A full cache (gain = num_states) leaves a coded gain above the
+        # num_states cache states, so no delivery stage to schedule.
+        if not 0 <= gain < self.num_states:
+            raise InvalidConfigurationError(
+                f"cache_fraction {self.cache_fraction} outside [0, 1)"
+            )
         if not self.ptot_dbm:
             raise InvalidConfigurationError("power sweep must be nonempty")
         if self.antennas_per_user < 1 or self.num_tx_antennas < self.antennas_per_user:
@@ -359,11 +363,6 @@ class SchemeCurve:
         qs = np.asarray(self.q_values)[idx]
         cols = np.arange(self.mean.shape[1])
         return qs, self.mean[idx, cols], self.stderr[idx, cols]
-
-    def single(self) -> tuple[int, np.ndarray, np.ndarray]:
-        if len(self.q_values) != 1:
-            raise ValueError(f"curve {self.scheme} holds a q sweep, not one row")
-        return self.q_values[0], self.mean[0], self.stderr[0]
 
 
 def _usable_cpus() -> int:
@@ -580,7 +579,7 @@ class _MmfProblems(NamedTuple):
     factors ``(S,)`` of :func:`~vccsim.allocation.mmf_sum_rates`, the noise
     power and power vector to solve them at, and the rule's leading rate
     shape.  :func:`_solve_problems` reshapes their rates ``(S, P)`` to
-    ``(*shape, P)`` and passes them through ``finish``, if set."""
+    ``(*shape, P)``, which are the rule's rates."""
 
     rows: np.ndarray
     counts: np.ndarray
@@ -589,7 +588,6 @@ class _MmfProblems(NamedTuple):
     noise_power: float
     p_watts: tuple[float, ...]
     shape: tuple[int, ...]
-    finish: object = None
 
 
 def _mmf_rates(scenario: Scenario, num_groups: int, q_values, gains_counts, _) -> _MmfProblems:
@@ -635,16 +633,11 @@ def _asym_rates(scenario: Scenario, num_groups: int, q_values, _, betas) -> _Mmf
 
 
 def _zf_bound_rates(scenario: Scenario, num_groups: int, q_values, _, betas) -> _MmfProblems:
-    """Fading-averaged ZF bounds: stream gains ``beta * (L - q*m)`` and
-    ``beta * (L - q*m + 1)``."""
-    problems = _surrogate_rates(scenario, num_groups, q_values, betas, (0, 1))
-    return problems._replace(finish=_ordered_bounds)
-
-
-def _ordered_bounds(rates: np.ndarray) -> np.ndarray:
-    """The ZF bounds ``(lo, hi)``, with ``hi`` kept at least ``lo``."""
-    lo, hi = rates
-    return np.stack([lo, np.maximum(hi, lo)])
+    """Fading-averaged ZF bounds ``(lower, upper)``: stream gains ``beta *
+    (L - q*m)`` and ``beta * (L - q*m + 1)``.  Each bound is the surrogate
+    users' closed-form root, which does not decrease as every stream gain
+    grows, so the upper bound is never below the lower one, bit for bit."""
+    return _surrogate_rates(scenario, num_groups, q_values, betas, (0, 1))
 
 
 # Pooled users per mmf_sum_rates call.  Consecutive problems of one stream
@@ -663,7 +656,8 @@ def _solve_problems(batches: list[_MmfProblems]) -> list[np.ndarray]:
     are concatenated in order, and their problems cut into
     :func:`~vccsim.allocation.mmf_sum_rates` calls of at most
     :data:`_SOLVE_USERS` users.  Problems do not interact in the solve, so
-    each gets the bits it has solved alone."""
+    each gets the bits it has solved alone; a batch's rates come back as
+    solved, reshaped to its ``shape``."""
     rates = [None] * len(batches)
     solves = {}  # (J, noise power, power vector) -> indices of its batches
     for i, b in enumerate(batches):
@@ -688,8 +682,7 @@ def _solve_problems(batches: list[_MmfProblems]) -> list[np.ndarray]:
         ])
         ends = np.cumsum([batches[i].sizes.size for i in members])
         for i, r in zip(members, np.split(solved, ends[:-1])):
-            r = r.reshape(*batches[i].shape, -1)
-            rates[i] = r if batches[i].finish is None else batches[i].finish(r)
+            rates[i] = r.reshape(*batches[i].shape, -1)
     return rates
 
 
@@ -1101,25 +1094,13 @@ def run_imperfect_csi(scenario: Scenario, workers: int = 1) -> dict[str, SchemeC
 # Effective gains
 # ---------------------------------------------------------------------------
 
-def effective_gain(
-    numerator: SchemeCurve, denominator: SchemeCurve, mode: str = "fixed"
-) -> np.ndarray:
-    """Ratio of mean rates per power point.
-
-    ``optimized`` mode takes the best served-user count on each side first,
-    i.e. the ratio of maxima rather than the maximum of ratios.
-    """
+def effective_gain(numerator: SchemeCurve, denominator: SchemeCurve) -> np.ndarray:
+    """Ratio of the two sides' best mean rates (:meth:`SchemeCurve.best`)
+    per power point: the ratio of maxima, not the maximum of ratios.  A
+    curve at one fixed served-user count has that count as its best."""
     if numerator.ptot_dbm != denominator.ptot_dbm:
         raise InvalidConfigurationError("power grids differ between the two reports")
-    if mode == "fixed":
-        num = numerator.single()[1]
-        den = denominator.single()[1]
-    elif mode == "optimized":
-        num = numerator.best()[1]
-        den = denominator.best()[1]
-    else:
-        raise ValueError("mode must be 'fixed' or 'optimized'")
-    return num / den
+    return numerator.best()[1] / denominator.best()[1]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ location draws with 20 fading draws each for pathloss scenarios.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,8 +47,6 @@ from .experiments import (
 
 __all__ = ["Recipe", "RECIPES", "list_recipes", "run_recipe"]
 
-_SCENARIO_FIELDS = {f.name for f in dataclasses.fields(Scenario) if f.init}
-
 
 @dataclass(frozen=True)
 class Recipe:
@@ -61,10 +58,9 @@ class Recipe:
 
 
 def _scenario(base: dict, params: dict, **extra) -> Scenario:
-    kw = dict(base)
-    kw.update({k: v for k, v in params.items() if k in _SCENARIO_FIELDS})
-    kw.update(extra)
-    return Scenario(**kw)
+    """``base`` with ``params`` and then ``extra`` over it; every key of
+    ``params`` must be a :class:`Scenario` field."""
+    return Scenario(**{**base, **params, **extra})
 
 
 def _snr_sweep(*snr_db: float) -> tuple[float, ...]:
@@ -131,7 +127,7 @@ def _fig3_rows(params: dict, workers: int) -> list[CsvBlock]:
     scn = _fixed_q_scenario(base, params)
     curves = experiments._simulate(_bd_jobs(scn, (BD_MRC_ASYM, ("vcc_bd_mrc_asym",))), workers)
     vcc, cl = curves["vcc_bd_mrc"], curves["cacheless_bd_mrc"]
-    rows = rows_for_curve(vcc, scn, gain=effective_gain(vcc, cl, "fixed"))
+    rows = rows_for_curve(vcc, scn, gain=effective_gain(vcc, cl))
     rows += rows_for_curve(curves["vcc_bd_mrc_asym"], scn)
     rows += rows_for_curve(cl, scn)
     return rows
@@ -147,7 +143,7 @@ def _fig4_rows(params: dict, workers: int) -> list[CsvBlock]:
     scn = _fixed_q_scenario(base, params)
     curves = experiments._simulate(_bd_jobs(scn), workers)
     vcc, cl = curves["vcc_bd_mrc"], curves["cacheless_bd_mrc"]
-    rows = rows_for_curve(vcc, scn, gain=effective_gain(vcc, cl, "fixed"))
+    rows = rows_for_curve(vcc, scn, gain=effective_gain(vcc, cl))
     rows += rows_for_curve(cl, scn)
     return rows
 
@@ -156,7 +152,7 @@ def _optimized_bd_rows(scn: Scenario, curves: dict) -> list[CsvBlock]:
     """Every q of both BD-MRC sides plus their best-q rows and gain."""
     vcc, cl = curves["vcc_bd_mrc"], curves["cacheless_bd_mrc"]
     rows = rows_for_curve(vcc, scn)
-    rows += rows_for_best(vcc, scn, gain_opt=effective_gain(vcc, cl, "optimized"))
+    rows += rows_for_best(vcc, scn, gain_opt=effective_gain(vcc, cl))
     rows += rows_for_curve(cl, scn)
     rows += rows_for_best(cl, scn)
     return rows
@@ -191,7 +187,7 @@ def _fig6_rows(params: dict, workers: int) -> list[CsvBlock]:
     rows = []
     for variant in ("perfect", "csit"):
         num, den = curves[f"vcc_zf_{variant}"], curves[f"cacheless_zf_{variant}"]
-        gain = effective_gain(num, den, "optimized")
+        gain = effective_gain(num, den)
         rows += rows_for_curve(num, scn)
         rows += rows_for_best(num, scn, gain_opt=gain)
         rows += rows_for_best(den, scn)
@@ -211,9 +207,7 @@ def _fig7_rows(params: dict, workers: int) -> list[CsvBlock]:
     )
     rows = _optimized_bd_rows(scn, curves)
     zf = curves["vcc_zf"]
-    rows += rows_for_best(
-        zf, scn, gain_opt=effective_gain(zf, curves["cacheless_bd_mrc"], "optimized")
-    )
+    rows += rows_for_best(zf, scn, gain_opt=effective_gain(zf, curves["cacheless_bd_mrc"]))
     rows += rows_for_best(curves["vcc_zf_lower"], scn)
     rows += rows_for_best(curves["vcc_zf_upper"], scn)
     return rows
@@ -230,11 +224,10 @@ def _fig8_rows(params: dict, workers: int) -> list[CsvBlock]:
     curves = experiments._simulate([msv_job(scn), *_bd_jobs(scn)], workers)
     msv, modified = msv_original(curves["msv_modified"]), curves["msv_modified"]
     vcc, cl = curves["vcc_bd_mrc"], curves["cacheless_bd_mrc"]
-    den = cl.best()[1]
-    rows = rows_for_curve(msv, scn, gain=msv.single()[1] / den)
+    rows = rows_for_curve(msv, scn, gain=effective_gain(msv, cl))
     rows += rows_for_curve(modified, scn)
-    rows += rows_for_best(modified, scn, gain_opt=modified.best()[1] / den)
-    rows += rows_for_best(vcc, scn, gain_opt=vcc.best()[1] / den)
+    rows += rows_for_best(modified, scn, gain_opt=effective_gain(modified, cl))
+    rows += rows_for_best(vcc, scn, gain_opt=effective_gain(vcc, cl))
     rows += rows_for_best(cl, scn)
     return rows
 
@@ -253,12 +246,11 @@ def _fig9_rows(params: dict, workers: int) -> list[CsvBlock]:
     den = curves["cacheless_zf_csit"]
     rows = rows_for_best(den, scn)
     rows += rows_for_best(
-        curves["vcc_zf_csit"], scn,
-        gain_opt=effective_gain(curves["vcc_zf_csit"], den, "optimized"),
+        curves["vcc_zf_csit"], scn, gain_opt=effective_gain(curves["vcc_zf_csit"], den)
     )
     for var in scn.csir_error_vars:
         curve = curves[f"vcc_zf_csit_csir{var:g}"]
-        rows += rows_for_best(curve, scn, gain_opt=effective_gain(curve, den, "optimized"))
+        rows += rows_for_best(curve, scn, gain_opt=effective_gain(curve, den))
     return rows
 
 

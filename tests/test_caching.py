@@ -47,6 +47,16 @@ class TestPlacement:
             build_placement(5, "1/5", 11, 11)  # K not multiple
         with pytest.raises(InvalidConfigurationError):
             build_placement(5, "6/5", 10, 10)  # gamma > 1
+        # gamma = 1: a coded gain num_states + 1 above the cache states
+        for num_states in (1, 5):
+            with pytest.raises(InvalidConfigurationError, match="cache_fraction"):
+                build_placement(num_states, 1, num_states, num_states)
+
+    def test_one_state_cacheless_plan_is_valid(self):
+        plan = build_placement(1, 0, 2, 2)
+        sched = build_schedule(plan, 1)
+        assert sched.stages == (frozenset({1}),)
+        assert verify_delivery(sched, plan) == (True, [])
 
 
 class TestSchedule:

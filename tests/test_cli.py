@@ -407,6 +407,9 @@ class TestParser:
         ("fig9", "csir_error_vars=0.01,0.01", "csir_error_vars"),
         ("fig9", "csir_error_vars=0.01,1e-2", "csir_error_vars"),
         ("fig6", "csir_error_vars=0.1", "csir_error_vars"),
+        # a full cache: coded gain num_states + 1 above the cache states
+        ("fig6", "gamma=1", "cache_fraction"),
+        ("fig8", "gamma=1", "cache_fraction"),
     ])
     def test_bad_field_named_before_sampling(
         self, capsys, tmp_path, monkeypatch, recipe, setting, field

@@ -121,6 +121,22 @@ class TestScenario:
         with pytest.raises(InvalidConfigurationError, match="baseline_users"):
             macro_scenario(baseline_users=value)
 
+    @pytest.mark.parametrize("num_states, gamma", [(6, Fraction(1)), (1, Fraction(1))])
+    def test_full_cache_rejected(self, num_states, gamma):
+        # The coded gain num_states * gamma + 1 would exceed the cache states.
+        with pytest.raises(InvalidConfigurationError, match="cache_fraction"):
+            macro_scenario(num_states=num_states, cache_fraction=gamma)
+
+    @pytest.mark.parametrize("recipe", sorted(RECIPES))
+    def test_misspelled_override_raises(self, monkeypatch, recipe):
+        # A key that is no Scenario field must not leave the default running.
+        def no_sampling(args):
+            raise AssertionError("a block task ran")
+
+        monkeypatch.setattr(experiments, "_block_task", no_sampling)
+        with pytest.raises(TypeError, match="num_tx_antenna"):
+            run_recipe(recipe, n_locations=1, n_fadings=1, overrides={"num_tx_antenna": 8})
+
     def test_unknown_geometry_is_config_error(self):
         with pytest.raises(InvalidConfigurationError, match="foo"):
             macro_scenario(geometry="foo")
@@ -155,6 +171,27 @@ class TestSchemeNesting:
 def _solved(rule, *args):
     """A max-min-fair rate rule's rates, its problems solved alone."""
     return experiments._solve_problems([rule(*args)])[0]
+
+
+@st.composite
+def zf_bound_cases(draw):
+    """A scenario, its q sweep and pathloss rows ``(n_loc, G, q_top)`` for
+    the ZF bounds: pathlosses over nine decades, SNRs from far below to far
+    above the noise, and sweeps that often reach full load (q*m = L)."""
+    m, q_top, g = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    l_tx = q_top * m + draw(st.just(0) | st.integers(0, 5))
+    n_loc = draw(st.integers(1, 3))
+    exponents = draw(st.lists(
+        st.floats(-9.0, 0.0), min_size=n_loc * g * q_top, max_size=n_loc * g * q_top
+    ))
+    snr_db = draw(st.lists(st.floats(-60.0, 160.0), min_size=1, max_size=4))
+    scn = Scenario(
+        name="b", geometry=None, noise_power=1.0, num_tx_antennas=l_tx, num_states=g,
+        cache_fraction=Fraction(g - 1, g), antennas_per_user=m, users_per_group=None,
+        baseline_users=None, ptot_dbm=tuple(s + 30.0 for s in snr_db),
+    )
+    q_values = tuple(range(draw(st.integers(1, q_top)), q_top + 1))
+    return scn, q_values, 10.0 ** np.reshape(exponents, (n_loc, g, q_top))
 
 
 class TestFadingFreeRules:
@@ -197,6 +234,20 @@ class TestFadingFreeRules:
                     hi *= 2.0
                 ref = brentq(resid, 0.0, hi, args=(p,), xtol=1e-18, rtol=1e-14)
                 assert asym[0, qi, pi] == pytest.approx(ref, rel=1e-10)
+
+    @settings(max_examples=300, deadline=None)
+    @given(zf_bound_cases())
+    def test_zf_upper_bound_never_below_lower(self, case):
+        # Each bound is the surrogate users' closed-form root, which does not
+        # decrease as the stream gains grow, so the rule's rates need no
+        # clamp to keep upper >= lower: checked exactly, entry by entry.
+        scn, q_values, betas = case
+        lower, upper = _solved(
+            experiments._zf_bound_rates, scn, scn.coded_gain, q_values, None, betas
+        )
+        assert np.all(lower <= upper)
+        if q_values[-1] * scn.antennas_per_user == scn.num_tx_antennas:
+            assert np.all(lower[:, -1] == 0)
 
     @pytest.mark.parametrize("rule", [experiments._asym_rates, experiments._zf_bound_rates])
     def test_block_equals_each_location_alone(self, rule):
@@ -763,21 +814,29 @@ class TestGains:
     def test_identical_reports_gain_one(self):
         scn = macro_scenario(n_locations=3)
         rep = run_vcc_bd_mrc(scn)["vcc_bd_mrc"]
-        assert np.allclose(effective_gain(rep, rep, "fixed"), 1.0)
+        assert np.allclose(effective_gain(rep, rep), 1.0)
 
     def test_grid_mismatch_rejected(self):
         a = run_vcc_bd_mrc(macro_scenario(n_locations=2))["vcc_bd_mrc"]
         b = run_vcc_bd_mrc(macro_scenario(n_locations=2, ptot_dbm=(40.0,)))["vcc_bd_mrc"]
         with pytest.raises(InvalidConfigurationError):
-            effective_gain(a, b, "fixed")
+            effective_gain(a, b)
 
     def test_optimized_gain_is_ratio_of_maxima(self):
         scn = symmetric_scenario(num_tx_antennas=8, n_locations=10)
         vcc = run_vcc_bd_mrc(scn)["vcc_bd_mrc"]
         cl = run_cacheless_bd_mrc(scn)["cacheless_bd_mrc"]
-        gain = effective_gain(vcc, cl, "optimized")
+        gain = effective_gain(vcc, cl)
         by_hand = vcc.mean.max(axis=0) / cl.mean.max(axis=0)
         assert np.array_equal(gain, by_hand)
+
+    def test_fixed_q_gain_is_ratio_of_the_one_rows(self):
+        # At one served-user count per side, the best count is that count.
+        scn = macro_scenario(n_locations=3)
+        vcc = run_vcc_bd_mrc(scn)["vcc_bd_mrc"]
+        cl = run_cacheless_bd_mrc(scn)["cacheless_bd_mrc"]
+        assert vcc.q_values == (4,) and cl.q_values == (4,)
+        assert np.array_equal(effective_gain(vcc, cl), vcc.mean[0] / cl.mean[0])
 
 
 class TestOptimizeQ:
@@ -857,7 +916,8 @@ class TestMsvRun:
     def test_modified_at_least_original(self):
         scn = symmetric_scenario(num_tx_antennas=8, n_locations=15)
         rep = run_msv(scn)
-        assert np.all(rep["msv_modified"].best()[1] >= rep["msv"].single()[1])
+        assert len(rep["msv"].q_values) == 1
+        assert np.all(rep["msv_modified"].best()[1] >= rep["msv"].mean[0])
 
 
 class TestImperfectCsi:
@@ -887,12 +947,8 @@ class TestImperfectCsi:
             ptot_dbm=(60.0, 65.0), n_locations=30,
         )
         rep = run_imperfect_csi(scn)
-        g_perfect = effective_gain(
-            rep["vcc_zf_perfect"], rep["cacheless_zf_perfect"], "optimized"
-        )
-        g_csit = effective_gain(
-            rep["vcc_zf_csit"], rep["cacheless_zf_csit"], "optimized"
-        )
+        g_perfect = effective_gain(rep["vcc_zf_perfect"], rep["cacheless_zf_perfect"])
+        g_csit = effective_gain(rep["vcc_zf_csit"], rep["cacheless_zf_csit"])
         assert np.all(g_csit > g_perfect)
 
 

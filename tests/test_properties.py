@@ -473,7 +473,7 @@ def csi_cases(draw):
     csir.insert(draw(st.integers(0, len(csir))), 0.0)
     scn = test_experiments.symmetric_scenario(
         num_tx_antennas=l_tx, num_states=num_states,
-        cache_fraction=Fraction(draw(st.integers(0, num_states)), num_states),
+        cache_fraction=Fraction(draw(st.integers(0, num_states - 1)), num_states),
         csit_error_var=draw(st.just(0.0) | st.floats(1e-4, 0.5)),
         csir_error_vars=tuple(csir), seed=draw(st.integers(0, 2**16)),
     )
