@@ -15,7 +15,7 @@ of every user is active in a problem whose users share one stream count.
 The residual is convex and increasing, so on the problems left open
 safeguarded Newton steps from the upper bracket converge monotonically onto
 it.  Surrogate users, whose streams all share one gain, are its equal-gain
-rows, as in :func:`zf_mmf_bounds`.  The root returns rates only;
+rows.  The root returns rates only;
 :func:`solve_mmf` adds, for one problem and one budget, the per-user
 water-filled power allocation and the brackets the root started from.
 
@@ -38,7 +38,6 @@ __all__ = [
     "waterfill",
     "solve_mmf",
     "mmf_sum_rates",
-    "zf_mmf_bounds",
 ]
 
 
@@ -443,40 +442,3 @@ def _checked_sizes(sizes, n_users: int) -> np.ndarray:
     if sizes.ndim != 1 or sizes.min() < 1 or sizes.sum() != n_users:
         raise ValueError("sizes must be positive and add up to the user count")
     return sizes
-
-
-def zf_mmf_bounds(
-    betas_by_group,
-    counts_by_group,
-    num_tx_antennas: int,
-    overhead_factor: float,
-    noise_power: float,
-    p_tot,
-):
-    """Fading-averaged bounds on the max-min-fair sum rate under ZF.
-
-    The two roots use the per-stream gain surrogates
-    ``beta * (L - M_group)`` and ``beta * (L - M_group + 1)``.  The
-    expectation over fading is taken before the fairness optimization,
-    which is what makes the power split depend on pathloss only.  Returns
-    ``(lower, upper)``, each with one rate per entry of ``p_tot``: one
-    :func:`mmf_sum_rates` batch of two problems of surrogate users.
-    """
-    # Every user's pathloss and antenna count, group by group, and the
-    # antennas L - M_group its group leaves free.
-    betas, ms, room = [], [], []
-    for group_betas, counts in zip(betas_by_group, counts_by_group):
-        m_group = int(sum(counts))
-        if m_group > num_tx_antennas:
-            raise ValueError("group antennas exceed transmit antennas")
-        betas += [float(b) for b in group_betas]
-        ms += [int(m) for m in counts]
-        room += [num_tx_antennas - m_group] * len(counts)
-    betas, ms, room = np.asarray(betas), np.asarray(ms), np.asarray(room)
-    gains = np.concatenate([betas * room, betas * (room + 1)])
-    rows = np.broadcast_to(gains[:, None], (gains.size, ms.max()))
-    p = np.asarray(p_tot, dtype=float)
-    lo, hi = mmf_sum_rates(
-        rows, np.tile(ms, 2), [betas.size] * 2, [overhead_factor] * 2, noise_power, p.ravel()
-    ).reshape(2, *p.shape)
-    return lo[()], np.maximum(hi, lo)[()]

@@ -233,28 +233,26 @@ def corrupt_csit(
     h: np.ndarray,
     error_var: float,
     rng: np.random.Generator,
-    channel_var: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split a channel into an MMSE-style estimate and an independent error.
 
     Returns ``(h_hat, h_tilde)`` with ``h == h_hat + h_tilde`` exactly, where
     the error entries are zero-mean complex Gaussian with variance
     ``error_var`` and, as under MMSE estimation, independent of the estimate.
-    ``channel_var`` is the per-entry variance of ``h`` and must dominate the
-    error variance.
+    ``h`` has unit per-entry variance, which must dominate the error
+    variance.
     """
     if error_var < 0:
         raise ValueError("error_var must be nonnegative")
     h = np.asarray(h, dtype=complex)
     if error_var == 0:
         return h, np.zeros_like(h)
-    if error_var > channel_var:
+    if error_var > 1:
         raise ValueError("error_var cannot exceed the channel variance")
     # Conditional draw of the error component given the realized channel:
     # keeps the estimate and error uncorrelated, unlike adding fresh noise.
     w = complex_gaussian(rng, h.shape)
-    ratio = error_var / channel_var
-    err = ratio * h + math.sqrt(error_var * (1.0 - ratio)) * w
+    err = error_var * h + math.sqrt(error_var * (1.0 - error_var)) * w
     h_hat = h - err
     # Rebuild the error as the residual so h - h_hat - h_tilde is exactly 0.
     return h_hat, h - h_hat

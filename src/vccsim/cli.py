@@ -236,7 +236,14 @@ def run(config: RunConfig) -> int:
     text = format_csv(blocks, config.header(counts))
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(text)
-    print(_summary(config, blocks, out_path))
+    try:
+        print(_summary(config, blocks, out_path), flush=True)
+    except BrokenPipeError:
+        # stdout closed early (say, `| head -1`): the CSV is whole, so stop
+        # printing, and leave the flush at exit nothing to fail on
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0
 
 

@@ -38,10 +38,10 @@ runs every job of the recipe over its block in the same four steps:
    (:func:`~vccsim.allocation.mmf_sum_rates`): each (cell, q) is one
    problem over the pooled users of every group, with that q's pilot
    overhead.  The block solves the problems of every such rule of every job
-   together (:func:`_solve_problems`): those that share a stream width, a
-   noise power and a power vector go into one call, cut between problems
-   at :data:`_SOLVE_USERS` pooled users, and are settled in closed form
-   where they can be and otherwise in one Newton loop with the others.  Problems
+   together (:func:`_solve_problems`): those that share a stream width go
+   into one call, cut between problems at :data:`_SOLVE_USERS` pooled users,
+   and are settled in closed form where they can be and otherwise in one
+   Newton loop with the others.  Problems
    do not interact, so each gets the bits it has solved alone.  The
    fading-free curves pose the same problems on surrogate users, whose
    streams all share one gain: one problem per (stream-gain surrogate,
@@ -58,11 +58,13 @@ runs every job of the recipe over its block in the same four steps:
    in location order; :func:`_simulate` reduces those to the mean and
    standard error over locations.
 
-A scheme is a :class:`_Rule`: a channel draw, a gain kernel and a rate
-rule.  Fading-free analytic curves have neither a draw nor a kernel, and
-run once per block, on the pathloss rows of its locations.  The tables a
-rule needs that depend only on the job (served pairs, per-stream SNRs,
-overhead factors) are built once per process.
+A scheme is a :class:`_Rule`: a channel draw ``draw(scenario, q_top, loc,
+fad, betas)``, a gain kernel ``kernel(scenario, q_values, draw)`` and a rate
+rule ``rates(scenario, q_values, inputs)``; each reads the group count from
+the scenario (``coded_gain``).  Fading-free analytic curves have neither a
+draw nor a kernel, and run once per block, their inputs the pathloss rows of
+its locations.  The tables a rule needs that depend only on the job (served
+pairs, per-stream SNRs, overhead factors) are built once per process.
 
 Blocks.  At two or more fadings a block is one location, so paper-scale
 runs keep one location's draws and rates per task; one-fading runs, where
@@ -78,7 +80,7 @@ plus the fields it reads (``seed``, ``L``, ``M``, ``geometry``,
 ``csit_error_var``) and ``q_top``, the largest served count of the job; a
 kernel output under its kernel, that draw key and the q sweep.  Each is
 made once, by the first job with the most groups among those that share
-the key, and every job takes its first ``num_groups`` groups.  This is
+the key, and every job takes its first ``coded_gain`` groups.  This is
 exact because group g of a draw reads only the substreams ``(., loc, fad,
 g)`` and every kernel works group by group; the pathloss rows of group g
 are likewise the same in every job with the same ``q_top``.  So the
@@ -124,15 +126,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-# UserRateFunction, solve_mmf, zf_mmf_bounds, sample_user_position,
-# bd_mrc_eigenvalues and zf_matrix are on no run path; they stay importable
-# here, where bench/spans.py resolves the names it traces.
-from .allocation import (
-    UserRateFunction,
-    mmf_sum_rates,
-    solve_mmf,
-    zf_mmf_bounds,
-)
+# UserRateFunction, solve_mmf, sample_user_position, bd_mrc_eigenvalues and
+# zf_matrix are on no run path; they stay importable here, where
+# bench/spans.py resolves the names it traces, zf_mmf_bounds among them.
+from .allocation import UserRateFunction, mmf_sum_rates, solve_mmf
 from .channel import (
     complex_gaussian,
     corrupt_csit,
@@ -164,6 +161,7 @@ __all__ = [
     "BD_MRC_ASYM",
     "ZF",
     "ZF_BOUNDS",
+    "zf_mmf_bounds",
     "CSI_PERFECT",
     "CSI_ERROR",
     "cache_aided_job",
@@ -496,7 +494,8 @@ class _ChildTraceback(Exception):
         return "\n" + self.args[0].rstrip()
 
 
-def _location_betas(scenario: Scenario, num_groups: int, q_top: int, loc: int) -> np.ndarray:
+def _location_betas(scenario: Scenario, q_top: int, loc: int) -> np.ndarray:
+    num_groups = scenario.coded_gain
     if scenario.geometry is None:
         return np.ones((num_groups, q_top))
     rng = substream(scenario.seed, 0, loc)
@@ -504,11 +503,11 @@ def _location_betas(scenario: Scenario, num_groups: int, q_top: int, loc: int) -
     return betas.reshape(num_groups, q_top)
 
 
-def _unit_channels(scenario: Scenario, num_groups: int, q_top: int, loc: int, fad: int):
+def _unit_channels(scenario: Scenario, q_top: int, loc: int, fad: int):
     l, m = scenario.num_tx_antennas, scenario.antennas_per_user
     return [
         complex_gaussian(substream(scenario.seed, 1, loc, fad, gi), (l, q_top * m))
-        for gi in range(num_groups)
+        for gi in range(scenario.coded_gain)
     ]
 
 
@@ -546,18 +545,19 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _overhead_factors(scenario: Scenario, num_groups: int, q_values) -> np.ndarray:
+def _overhead_factors(scenario: Scenario, q_values) -> np.ndarray:
     """Each q's pilot overhead factor, built once per process."""
-    return _read_only(np.array([scenario.overhead_factor(num_groups, q) for q in q_values]))
+    g = scenario.coded_gain
+    return _read_only(np.array([scenario.overhead_factor(g, q) for q in q_values]))
 
 
 # Kernels and solvers are looked up as module globals at call time, so a
 # tracer (bench/spans.py) can wrap them.
-def _group_factor(scenario: Scenario, num_groups: int, q_top: int, loc: int, fad: int, betas):
+def _group_factor(scenario: Scenario, q_top: int, loc: int, fad: int, betas):
     """Groups stacked ``(G, L, q_top*m)``, user k's columns scaled by
     ``sqrt(beta_k)``, with their prefix factor: the draw of BD-MRC and ZF."""
     scale = np.repeat(np.sqrt(betas), scenario.antennas_per_user, axis=1)
-    units = _unit_channels(scenario, num_groups, q_top, loc, fad)
+    units = _unit_channels(scenario, q_top, loc, fad)
     return prefix_factor(np.stack(units) * scale[:, None, :])
 
 
@@ -576,21 +576,18 @@ def _zf_kernel(scenario: Scenario, q_values, factor):
 class _MmfProblems(NamedTuple):
     """A rate rule's max-min-fair problems, still to solve: the gain rows
     ``(N, J)``, stream counts ``(N,)``, problem sizes ``(S,)`` and overhead
-    factors ``(S,)`` of :func:`~vccsim.allocation.mmf_sum_rates`, the noise
-    power and power vector to solve them at, and the rule's leading rate
-    shape.  :func:`_solve_problems` reshapes their rates ``(S, P)`` to
-    ``(*shape, P)``, which are the rule's rates."""
+    factors ``(S,)`` of :func:`~vccsim.allocation.mmf_sum_rates`, and the
+    rule's leading rate shape.  :func:`_solve_problems` reshapes their rates
+    ``(S, P)`` to ``(*shape, P)``, which are the rule's rates."""
 
     rows: np.ndarray
     counts: np.ndarray
     sizes: np.ndarray
     xi: np.ndarray
-    noise_power: float
-    p_watts: tuple[float, ...]
     shape: tuple[int, ...]
 
 
-def _mmf_rates(scenario: Scenario, num_groups: int, q_values, gains_counts, _) -> _MmfProblems:
+def _mmf_rates(scenario: Scenario, q_values, gains_counts) -> _MmfProblems:
     """The max-min-fair problems over every served user of every group, per
     fading and q, from prefix gains ``(F, G, S, q_top, m)`` and counts
     ``(F, G, S, q_top)``; their rates take the shape ``(1, F, n_q, n_p)``.
@@ -606,13 +603,12 @@ def _mmf_rates(scenario: Scenario, num_groups: int, q_values, gains_counts, _) -
     served_at = np.flatnonzero(served)
     return _MmfProblems(
         gains.reshape(-1, gains.shape[-1]).take(served_at, axis=0),
-        counts.reshape(-1)[served_at], np.tile(num_groups * qs, n_fad),
-        np.tile(_overhead_factors(scenario, num_groups, q_values), n_fad),
-        scenario.noise_power, scenario.p_watts, (1, n_fad, qs.size),
+        counts.reshape(-1)[served_at], np.tile(scenario.coded_gain * qs, n_fad),
+        np.tile(_overhead_factors(scenario, q_values), n_fad), (1, n_fad, qs.size),
     )
 
 
-def _surrogate_rates(scenario: Scenario, num_groups: int, q_values, betas, shifts) -> _MmfProblems:
+def _surrogate_rates(scenario: Scenario, q_values, betas, shifts) -> _MmfProblems:
     """The max-min-fair problems of surrogate users whose ``m`` streams all
     have gain ``beta * (L - q*m + shift)``, from pathloss rows ``(n_loc, G,
     q_top)``: the equal-gain rows of :func:`_mmf_rates`, with every (shift,
@@ -623,46 +619,53 @@ def _surrogate_rates(scenario: Scenario, num_groups: int, q_values, betas, shift
     gains = betas[None, :, :, None] * room[:, None, None, :, None]
     gains = gains.reshape(-1, *gains.shape[2:])
     gains_counts = (np.broadcast_to(gains[..., None], (*gains.shape, m)), np.full(gains.shape, m))
-    problems = _mmf_rates(scenario, num_groups, q_values, gains_counts, None)
+    problems = _mmf_rates(scenario, q_values, gains_counts)
     return problems._replace(shape=(len(shifts), betas.shape[0], len(q_values)))
 
 
-def _asym_rates(scenario: Scenario, num_groups: int, q_values, _, betas) -> _MmfProblems:
+def _asym_rates(scenario: Scenario, q_values, betas) -> _MmfProblems:
     """Large-array BD-MRC limit: every stream gain at ``beta * (L - q*m + m)``."""
-    return _surrogate_rates(scenario, num_groups, q_values, betas, (scenario.antennas_per_user,))
+    return _surrogate_rates(scenario, q_values, betas, (scenario.antennas_per_user,))
 
 
-def _zf_bound_rates(scenario: Scenario, num_groups: int, q_values, _, betas) -> _MmfProblems:
+def _zf_bound_rates(scenario: Scenario, q_values, betas) -> _MmfProblems:
     """Fading-averaged ZF bounds ``(lower, upper)``: stream gains ``beta *
     (L - q*m)`` and ``beta * (L - q*m + 1)``.  Each bound is the surrogate
     users' closed-form root, which does not decrease as every stream gain
     grows, so the upper bound is never below the lower one, bit for bit."""
-    return _surrogate_rates(scenario, num_groups, q_values, betas, (0, 1))
+    return _surrogate_rates(scenario, q_values, betas, (0, 1))
+
+
+def zf_mmf_bounds(scenario: Scenario, q_values, betas) -> np.ndarray:
+    """The ZF bounds of :data:`ZF_BOUNDS`, solved: lower, then upper, ``(2,
+    n_loc, n_q, n_p)``, from pathloss rows ``(n_loc, G, q_top)``."""
+    problems = [_zf_bound_rates(scenario, q_values, betas)]
+    return _solve_problems(problems, scenario.noise_power, scenario.p_watts)[0]
 
 
 # Pooled users per mmf_sum_rates call.  Consecutive problems of one stream
-# width, noise power and power vector share a call until the next would take
-# it past this many users; a problem is never split, so one that is larger
-# on its own gets a call of its own.  The solver's work arrays grow with the
-# call, so the cap keeps paper-scale calls at the size of the largest one
-# rule makes on its own (fig7's 16,320 users at 20 fadings).
+# width share a call until the next would take it past this many users; a
+# problem is never split, so one that is larger on its own gets a call of
+# its own.  The solver's work arrays grow with the call, so the cap keeps
+# paper-scale calls at the size of the largest one rule makes on its own
+# (fig7's 16,320 users at 20 fadings).
 _SOLVE_USERS = 16384
 
 
-def _solve_problems(batches: list[_MmfProblems]) -> list[np.ndarray]:
-    """Each batch's max-min-fair rates, in its shape.
+def _solve_problems(batches: list[_MmfProblems], n0: float, p_watts) -> list[np.ndarray]:
+    """Each batch's max-min-fair rates at noise power ``n0`` over the power
+    vector ``p_watts``, in its shape.
 
-    The batches that share a stream width, a noise power and a power vector
-    are concatenated in order, and their problems cut into
-    :func:`~vccsim.allocation.mmf_sum_rates` calls of at most
-    :data:`_SOLVE_USERS` users.  Problems do not interact in the solve, so
-    each gets the bits it has solved alone; a batch's rates come back as
-    solved, reshaped to its ``shape``."""
+    The batches that share a stream width are concatenated in order, and
+    their problems cut into :func:`~vccsim.allocation.mmf_sum_rates` calls
+    of at most :data:`_SOLVE_USERS` users.  Problems do not interact in the
+    solve, so each gets the bits it has solved alone; a batch's rates come
+    back as solved, reshaped to its ``shape``."""
     rates = [None] * len(batches)
-    solves = {}  # (J, noise power, power vector) -> indices of its batches
+    solves = {}  # stream width J -> indices of its batches
     for i, b in enumerate(batches):
-        solves.setdefault((b.rows.shape[1], b.noise_power, b.p_watts), []).append(i)
-    for (_, n0, p_watts), members in solves.items():
+        solves.setdefault(b.rows.shape[1], []).append(i)
+    for members in solves.values():
         rows, counts, sizes, xi = (
             np.concatenate(a) for a in zip(*(batches[i][:4] for i in members))
         )
@@ -686,12 +689,12 @@ def _solve_problems(batches: list[_MmfProblems]) -> list[np.ndarray]:
     return rates
 
 
-def _csi_draws(scenario: Scenario, num_groups: int, q_top: int, loc: int, fad: int, _):
+def _csi_draws(scenario: Scenario, q_top: int, loc: int, fad: int, _):
     """Stacked over groups: true channels, their transmitter-side estimate
     and, if the scenario has CSIR variances, the receiver-side coupling
     error draws."""
     draws = []
-    for gi, h in enumerate(_unit_channels(scenario, num_groups, q_top, loc, fad)):
+    for gi, h in enumerate(_unit_channels(scenario, q_top, loc, fad)):
         rng = substream(scenario.seed, 2, loc, fad, gi)
         h_hat, _ = corrupt_csit(h, scenario.csit_error_var, rng)
         draws.append((h, h_hat))
@@ -713,19 +716,19 @@ def _served_pairs(q_values):
 
 
 @functools.lru_cache(maxsize=None)
-def _pair_snr(scenario: Scenario, num_groups: int, q_values) -> np.ndarray:
+def _pair_snr(scenario: Scenario, q_values) -> np.ndarray:
     """Each served pair's SNR per stream over the power vector, ``(T, P)``."""
     pairs, _, _ = _served_pairs(q_values)
-    streams = num_groups * pairs[:, 0]
+    streams = scenario.coded_gain * pairs[:, 0]
     return _read_only(np.asarray(scenario.p_watts) / (scenario.noise_power * streams[:, None]))
 
 
-def _csi_sum_rates(scenario: Scenario, num_groups: int, q_values, sinrs):
+def _csi_sum_rates(scenario: Scenario, q_values, sinrs):
     """Per-q rates ``(n_curves, F, S, P)`` from served-pair SINRs
     ``(n_curves, F, G, T, P)``: summed over groups and each q's pairs, times
     that q's overhead factor.  Takes the rates' logs in ``sinrs``, which it
     overwrites."""
-    xi = _overhead_factors(scenario, num_groups, q_values)
+    xi = _overhead_factors(scenario, q_values)
     per_pair = np.log1p(sinrs, out=sinrs).sum(axis=2)
     return xi[:, None] * np.add.reduceat(per_pair, _served_pairs(q_values)[2], axis=2)
 
@@ -736,12 +739,12 @@ def _csi_perfect_kernel(scenario: Scenario, q_values, draws):
     return (zf_prefix_gains(prefix_factor(draws[0]), q_values)[:, q_idx, pairs[:, 1]],)
 
 
-def _csi_perfect_rates(scenario: Scenario, num_groups: int, q_values, gains, _):
+def _csi_perfect_rates(scenario: Scenario, q_values, gains):
     """Equal-power ZF rates under perfect CSI, for every fading and q, from
     the gains ``(F, G, T)``.  The couplings are then ``diag(sqrt(g))``, so
     each stream's SINR is ``snr * g``."""
-    snr = _pair_snr(scenario, num_groups, q_values)
-    return _csi_sum_rates(scenario, num_groups, q_values, (snr * gains[0][..., None])[None])
+    snr = _pair_snr(scenario, q_values)
+    return _csi_sum_rates(scenario, q_values, (snr * gains[0][..., None])[None])
 
 
 def _csi_error_kernel(scenario: Scenario, q_values, draws):
@@ -757,20 +760,20 @@ def _csi_error_kernel(scenario: Scenario, q_values, draws):
     return (own, received, *(e[:, users] for e in w))
 
 
-def _csi_error_rates(scenario: Scenario, num_groups: int, q_values, kernel_out, _):
+def _csi_error_rates(scenario: Scenario, q_values, kernel_out):
     """Equal-power ZF rates under CSIT error, then under CSIT error plus each
     CSIR error variance, for every fading and q, from kernel outputs
     ``(F, G, T)``.  Inter-group residuals enter through their average power
     only."""
     own, received, *w = kernel_out
     pairs, _, _ = _served_pairs(q_values)
-    snr = _pair_snr(scenario, num_groups, q_values)
+    snr = _pair_snr(scenario, q_values)
     signal = own.real ** 2 + own.imag ** 2
     interference = received - signal
     # One buffer for every curve's SINRs, filled curve by curve.
     sinrs = np.empty((1 + len(scenario.csir_error_vars), *own.shape, snr.shape[-1]))
     np.divide(snr * signal[..., None], 1.0 + snr * interference[..., None], out=sinrs[0])
-    others = (num_groups * pairs[:, 0] - 1)[:, None]
+    others = (scenario.coded_gain * pairs[:, 0] - 1)[:, None]
     for i, var in enumerate(scenario.csir_error_vars, start=1):
         # Each receiver's estimate of its own coupling coefficient, and the
         # SINR with numerator and denominator scaled by 1 / (1 + var), so
@@ -779,13 +782,13 @@ def _csi_error_rates(scenario: Scenario, num_groups: int, q_values, kernel_out, 
         est = own / math.sqrt(scale) - math.sqrt(var / scale) * w[0]
         num = est.real ** 2 + est.imag ** 2 + var / scale
         np.divide(snr * num[..., None], 1.0 / scale + snr * (var / scale) * others, out=sinrs[i])
-    return _csi_sum_rates(scenario, num_groups, q_values, sinrs)
+    return _csi_sum_rates(scenario, q_values, sinrs)
 
 
-def _msv_draws(scenario: Scenario, num_groups: int, q_top: int, loc: int, fad: int, _):
+def _msv_draws(scenario: Scenario, q_top: int, loc: int, fad: int, _):
     l = scenario.num_tx_antennas
     uc_pool = complex_gaussian(substream(scenario.seed, 4, loc, fad, 0), (l - 1, l))
-    mc = complex_gaussian(substream(scenario.seed, 4, loc, fad, 1), (num_groups, l))
+    mc = complex_gaussian(substream(scenario.seed, 4, loc, fad, 1), (scenario.coded_gain, l))
     return mc, uc_pool
 
 
@@ -793,9 +796,9 @@ def _msv_kernel(scenario: Scenario, q_values, draws):
     return msv_gains_fast(*draws, q_values)
 
 
-def _msv_rates(scenario: Scenario, num_groups: int, q_values, gains, _):
+def _msv_rates(scenario: Scenario, q_values, gains):
     return msv_rate_from_gains(
-        *gains, q_values, scenario.p_watts, scenario.noise_power, num_groups,
+        *gains, q_values, scenario.p_watts, scenario.noise_power, scenario.coded_gain,
         scenario.cached_load, scenario.coherence_symbols, scenario.pilot_symbols,
     )[None]
 
@@ -817,12 +820,13 @@ _PER_GROUP_DRAWS = frozenset({_group_factor, _csi_draws})
 # ---------------------------------------------------------------------------
 
 class Job(NamedTuple):
-    """One side of a comparison: ``num_groups`` groups of ``scenario``
+    """One side of a comparison: the ``coded_gain`` groups of ``scenario``
     serving each count in ``q_values``, and the rules run on it, each paired
-    with the names of the curves it writes."""
+    with the names of the curves it writes.  A rule's stages are
+    ``draw(scenario, q_top, loc, fad, betas)``, ``kernel(scenario, q_values,
+    draw)`` and ``rates(scenario, q_values, inputs)`` (:func:`_block_task`)."""
 
     scenario: Scenario
-    num_groups: int
     q_values: tuple[int, ...]
     rules: tuple[tuple[_Rule, tuple[str, ...]], ...]
 
@@ -830,10 +834,7 @@ class Job(NamedTuple):
 def cache_aided_job(scenario: Scenario, *rules) -> Job:
     """The scenario's ``coded_gain`` groups, serving ``users_per_group``
     users each, or every feasible count if that is ``None``."""
-    return Job(
-        scenario, scenario.coded_gain,
-        scenario.group_user_counts(scenario.users_per_group), rules,
-    )
+    return Job(scenario, scenario.group_user_counts(scenario.users_per_group), rules)
 
 
 def cacheless_job(scenario: Scenario, *rules) -> Job:
@@ -862,7 +863,7 @@ def msv_job(scenario: Scenario) -> Job:
         )
     # All l - 1 unicast streams, the common one and the cached load need pilots.
     csi_overhead(scenario.coherence_symbols, scenario.pilot_symbols, l + scenario.cached_load)
-    return Job(scenario, scenario.coded_gain, tuple(range(1, l)), ((_MSV, ("msv_modified",)),))
+    return Job(scenario, tuple(range(1, l)), ((_MSV, ("msv_modified",)),))
 
 
 def msv_original(modified: SchemeCurve) -> SchemeCurve:
@@ -921,7 +922,7 @@ def _draw_key(job: Job, draw):
     s = job.scenario
     key = (draw, s.seed, s.num_tx_antennas, s.antennas_per_user, s.geometry,
            s.csit_error_var, max(job.q_values))
-    return key if draw in _PER_GROUP_DRAWS else key + (job.num_groups,)
+    return key if draw in _PER_GROUP_DRAWS else key + (s.coded_gain,)
 
 
 def _first_groups(arrays: tuple, made: int, num_groups: int) -> tuple:
@@ -941,34 +942,35 @@ def _block_task(args) -> list[list[np.ndarray]]:
     """Every rule of every job over one block of whole locations, reduced
     over each location's fadings.
 
-    ``rule.draw(scenario, num_groups, q_top, loc, fad, betas)`` draws one
-    (location, fading) cell's channels at the largest ``q``, and
-    ``rule.kernel(scenario, q_values, draw)`` returns a tuple of per-group
-    arrays, groups on axis 0.  Both run cell by cell and are shared by key
-    (:func:`_draw_key`; a kernel output under its kernel, the draw key and
-    ``q_values``), made by the first job with the most groups among those
-    that share the key, a kernel on the whole draw; each job takes its first
-    ``num_groups`` groups.  ``betas`` are a job's own pathloss rows at the
-    cell's location.  After the cells, ``rule.rates(scenario, num_groups,
-    q_values, kernel_out, betas)`` runs once per rule, on the kernel outputs
-    of every cell stacked on a leading axis in (location, fading) order and
-    the job's pathloss rows stacked over the block's locations, and returns
-    the rates of every curve, shape ``(n_curves, n_loc * n_fad, n_q,
-    n_p)``; fading-free rules have no draw or kernel, get ``None``, and
-    return ``(n_curves, n_loc, n_q, n_p)``.  A max-min-fair rule returns
-    its problems (:class:`_MmfProblems`) instead, and the problems of every
-    such rule of every job are solved together (:func:`_solve_problems`),
-    once the kernel outputs are dropped.  All are module-level functions so
-    that tasks pickle.  Every job has the same fading count (:func:`_simulate`
-    checks it).  Returns, per job and rule, each location's mean rates over
-    its fadings, in location order, shape ``(n_curves, n_loc, n_q, n_p)``.
+    ``rule.draw(scenario, q_top, loc, fad, betas)`` draws one (location,
+    fading) cell's channels at the largest ``q``, and ``rule.kernel(scenario,
+    q_values, draw)`` returns a tuple of per-group arrays, groups on axis 0.
+    Both run cell by cell and are shared by key (:func:`_draw_key`; a kernel
+    output under its kernel, the draw key and ``q_values``), made by the
+    first job with the largest ``coded_gain`` among those that share the key,
+    a kernel on the whole draw; each job takes its first ``coded_gain``
+    groups.  ``betas`` are a job's own pathloss rows at the cell's location.
+    After the cells, ``rule.rates(scenario, q_values, inputs)`` runs once per
+    rule, on the kernel outputs of every cell stacked on a leading axis in
+    (location, fading) order, and returns the rates of every curve, shape
+    ``(n_curves, n_loc * n_fad, n_q, n_p)``; fading-free rules have no draw
+    or kernel, take the job's pathloss rows stacked over the block's
+    locations, and return ``(n_curves, n_loc, n_q, n_p)``.  A max-min-fair
+    rule returns its problems (:class:`_MmfProblems`) instead, and the
+    problems of every such rule of every job are solved together
+    (:func:`_solve_problems`) at the first job's power grid, once the kernel
+    outputs are dropped.  All are module-level functions so that tasks
+    pickle.  Every job has the same fading count and power grid
+    (:func:`_simulate` checks both).  Returns, per job and rule, each
+    location's mean rates over its fadings, in location order, shape
+    ``(n_curves, n_loc, n_q, n_p)``.
     """
     jobs, locs = args
-    n_fad = jobs[0].scenario.n_fadings
+    first = jobs[0].scenario
+    n_fad = first.n_fadings
+    groups = [job.scenario.coded_gain for job in jobs]
     betas = [
-        np.stack([
-            _location_betas(job.scenario, job.num_groups, max(job.q_values), loc) for loc in locs
-        ])
+        np.stack([_location_betas(job.scenario, max(job.q_values), loc) for loc in locs])
         for job in jobs
     ]
     makers = {}  # draw key -> index of the first job with the most groups that reads it
@@ -978,7 +980,7 @@ def _block_task(args) -> list[list[np.ndarray]]:
             if rule.draw:
                 key = _draw_key(job, rule.draw)
                 keys[ji, ri] = (rule.kernel, key, job.q_values)
-                if key not in makers or job.num_groups > jobs[makers[key]].num_groups:
+                if key not in makers or groups[ji] > groups[makers[key]]:
                     makers[key] = ji
     kernels = {}  # kernel key -> the maker's kernel output at each cell
     for cell, (li, fad) in enumerate(np.ndindex(len(locs), n_fad)):
@@ -988,8 +990,7 @@ def _block_task(args) -> list[list[np.ndarray]]:
             key, maker = k[1], jobs[makers[k[1]]]
             if key not in draws:
                 draws[key] = rule.draw(
-                    maker.scenario, maker.num_groups, max(maker.q_values), locs[li], fad,
-                    betas[makers[key]][li],
+                    maker.scenario, max(maker.q_values), locs[li], fad, betas[makers[key]][li]
                 )
             if len(kernels.setdefault(k, [])) == cell:  # not yet made at this cell
                 kernels[k].append(rule.kernel(maker.scenario, job.q_values, draws[key]))
@@ -1004,18 +1005,19 @@ def _block_task(args) -> list[list[np.ndarray]]:
 
     def rates(ji, ri):
         job, rule = jobs[ji], jobs[ji].rules[ri][0]
-        kernel_out = None
+        inputs = betas[ji]
         if rule.draw:
             k = keys[ji, ri]
-            kernel_out = _first_groups(stacked[k], jobs[makers[k[1]]].num_groups, job.num_groups)
+            inputs = _first_groups(stacked[k], groups[makers[k[1]]], groups[ji])
             if last_reader[k] == (ji, ri):
                 del stacked[k]
-        return rule.rates(job.scenario, job.num_groups, job.q_values, kernel_out, betas[ji])
+        return rule.rates(job.scenario, job.q_values, inputs)
 
     out = [[rates(ji, ri) for ri in range(len(job.rules))] for ji, job in enumerate(jobs)]
     pending = [(ji, ri) for ji, job_out in enumerate(out) for ri, r in enumerate(job_out)
                if isinstance(r, _MmfProblems)]
-    for (ji, ri), r in zip(pending, _solve_problems([out[ji][ri] for ji, ri in pending])):
+    solved = _solve_problems([out[ji][ri] for ji, ri in pending], first.noise_power, first.p_watts)
+    for (ji, ri), r in zip(pending, solved):
         out[ji][ri] = r
     # A fading-free rule's rates have one fading per location.
     return [
@@ -1030,22 +1032,25 @@ def _simulate(jobs, workers: int) -> dict[str, SchemeCurve]:
     per-location means in location order.
 
     Returns every job's curves by name; no two rules may write one name,
-    and every job must have the same location and fading counts."""
+    and every job must have the same location and fading counts, noise
+    power and power vector."""
     names = [name for job in jobs for _, rule_names in job.rules for name in rule_names]
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         raise ValueError(f"curve names written more than once: {repeated}")
-    counts = {(job.scenario.n_locations, job.scenario.n_fadings) for job in jobs}
-    if len(counts) != 1:
-        raise ValueError(
-            f"jobs differ in their (location, fading) counts: {sorted(counts)}"
-        )
-    n_loc, n_fad = counts.pop()
+    scenarios = [job.scenario for job in jobs]
+    for what, values in (
+        ("(location, fading) counts", {(s.n_locations, s.n_fadings) for s in scenarios}),
+        ("(noise power, power vector)", {(s.noise_power, s.p_watts) for s in scenarios}),
+    ):
+        if len(values) != 1:
+            raise ValueError(f"jobs differ in their {what}: {sorted(values)}")
+    n_loc, n_fad = scenarios[0].n_locations, scenarios[0].n_fadings
     size = max(1, _BLOCK_CELLS // n_fad)
     tasks = [(jobs, range(n_loc)[start:start + size]) for start in range(0, n_loc, size)]
     blocks = _parallel_map(_block_task, tasks, workers)
     curves = {}
-    for ji, (scenario, _, q_values, rules) in enumerate(jobs):
+    for ji, (scenario, q_values, rules) in enumerate(jobs):
         for ri, (_, names) in enumerate(rules):
             for ci, name in enumerate(names):
                 loc_means = np.concatenate([b[ji][ri][ci] for b in blocks])
@@ -1126,14 +1131,14 @@ CSV_COLUMNS = (
 class CsvBlock(NamedTuple):
     """The CSV rows of one curve, one list per column.
 
-    Row ``i`` is served-user count ``q[i]`` at power point ``power[i]`` (an
-    index into ``scenario.ptot_dbm``).  A gain column of ``None`` is empty
-    in every row; a curve's block fills at most one of the two."""
+    Row ``i`` is served-user count ``q[i]`` at power point ``i`` modulo the
+    number of powers (an index into ``scenario.ptot_dbm``): rows are q by q.
+    A gain column of ``None`` is empty in every row; a curve's block fills at
+    most one of the two."""
 
     scenario: Scenario
     scheme: str
     q: list
-    power: list
     mean: list
     stderr: list
     gain: list | None = None
@@ -1147,7 +1152,6 @@ def rows_for_curve(curve: SchemeCurve, scenario: Scenario, gain=None) -> list[Cs
     return [CsvBlock(
         scenario, curve.scheme,
         [q for q in curve.q_values for _ in range(n_p)],
-        list(range(n_p)) * len(curve.q_values),
         curve.mean.ravel().tolist(),
         curve.stderr.ravel().tolist(),
         gain=np.asarray(gain, dtype=float).tolist()
@@ -1160,8 +1164,7 @@ def rows_for_best(curve: SchemeCurve, scenario: Scenario, gain_opt=None) -> list
     ``<scheme>_opt``; ``gain_opt`` fills its ``gain_optimized`` column."""
     qs, means, errs = curve.best()
     return [CsvBlock(
-        scenario, f"{curve.scheme}_opt", qs.tolist(), list(range(len(curve.ptot_dbm))),
-        means.tolist(), errs.tolist(),
+        scenario, f"{curve.scheme}_opt", qs.tolist(), means.tolist(), errs.tolist(),
         gain_optimized=None if gain_opt is None else np.asarray(gain_opt, dtype=float).tolist(),
     )]
 
@@ -1181,9 +1184,10 @@ def gain_rows(blocks) -> list[tuple[str, float, float, int, float, float]]:
         if gains is None:
             continue
         scn = block.scenario
+        n_p = len(scn.ptot_dbm)
         out += [
-            (block.scheme, scn.ptot_dbm[p], scn.snr_db[p], q, mean, g)
-            for p, q, mean, g in zip(block.power, block.q, block.mean, gains, strict=True)
+            (block.scheme, scn.ptot_dbm[i % n_p], scn.snr_db[i % n_p], q, mean, g)
+            for i, (q, mean, g) in enumerate(zip(block.q, block.mean, gains, strict=True))
         ]
     return out
 
@@ -1217,9 +1221,9 @@ def format_csv(blocks, header: dict | None = None) -> str:
             counts = f"{scenario.n_locations},{scenario.n_fadings},{scenario.seed}"
         empty = [""] * len(block.mean)
         lines += [
-            f"{block.scheme},{points[p]},{q},{mean},{bits},{err},{gain},{gain_opt},{counts}"
-            for p, q, mean, bits, err, gain, gain_opt in zip(
-                block.power,
+            f"{block.scheme},{point},{q},{mean},{bits},{err},{gain},{gain_opt},{counts}"
+            for point, q, mean, bits, err, gain, gain_opt in zip(
+                points * (len(block.mean) // len(points)),
                 block.q,
                 _cells(block.mean),
                 _cells([m / ln2 for m in block.mean]),

@@ -1,3 +1,5 @@
+import dataclasses
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize
 
-from vccsim import allocation
+from vccsim import allocation, experiments
 from vccsim.allocation import (
     MmfSolution,
     PowerAllocation,
@@ -14,10 +16,10 @@ from vccsim.allocation import (
     mmf_sum_rates,
     solve_mmf,
     waterfill,
-    zf_mmf_bounds,
 )
 from vccsim.channel import complex_gaussian, substream
 from vccsim.errors import ConvergenceError
+from vccsim.experiments import Scenario
 from vccsim.precoding import zf_matrix
 
 
@@ -513,66 +515,92 @@ class TestMassiveMimo:
         assert r1 + r2 == pytest.approx(rate, rel=1e-9)
 
 
+def zf_scenario(groups=1, **kw):
+    """A scenario of ``groups`` cache groups at unit pathloss for the ZF
+    bounds, whose pathloss rows the tests pass in."""
+    base = dict(
+        geometry=None, noise_power=1.0, num_tx_antennas=16, num_states=groups,
+        cache_fraction=Fraction(groups - 1, groups), antennas_per_user=1, users_per_group=1,
+        ptot_dbm=(30.0,),
+    )
+    base.update(kw)
+    return Scenario(**base)
+
+
+def zf_bounds(scn, betas):
+    """The lower and upper ZF bounds of one location at the scenario's one
+    served count, per power point: pathloss rows ``(G, q)``."""
+    betas = np.asarray(betas, dtype=float)
+    return experiments.zf_mmf_bounds(scn, (betas.shape[1],), betas[None])[:, 0, 0]
+
+
 class TestZfBounds:
     def test_symmetric_closed_forms(self):
-        betas = [[1e-12, 1e-12]]
-        counts = [[2, 2]]
-        lo, hi = zf_mmf_bounds(betas, counts, 16, 0.9, 1e-13, 4.0)
-        s = 2 * 1e12
-        # one group of Q=2 users with M=2: xi * (GQ) * M = 0.9 * 2 * 2
-        expected_lo = 0.9 * 2 * 2 * np.log1p(4.0 * (16 - 4) / (2 * 1e-13 * s))
-        expected_hi = 0.9 * 2 * 2 * np.log1p(4.0 * (16 - 4 + 1) / (2 * 1e-13 * s))
-        assert lo == pytest.approx(expected_lo, rel=1e-12)
-        assert hi == pytest.approx(expected_hi, rel=1e-12)
-        assert lo < hi
+        # two groups of Q=2 users with M=2 and one pathloss: every stream
+        # gets p / (G*Q*M), and each bound is xi * (G*Q*M) * log1p(snr)
+        scn = zf_scenario(
+            2, noise_power=1e-13, antennas_per_user=2, users_per_group=2, ptot_dbm=(30.0, 36.0)
+        )
+        lo, hi = zf_bounds(scn, [[1e-12, 1e-12]] * 2)
+        xi, p, streams = scn.overhead_factor(2, 2), np.asarray(scn.p_watts), 2 * 2 * 2
+        for room, bound in ((16 - 4, lo), (16 - 4 + 1, hi)):
+            expected = xi * streams * np.log1p(p * 1e-12 * room / (streams * 1e-13))
+            np.testing.assert_allclose(bound, expected, rtol=1e-12)
+        assert np.all(lo < hi)
 
     def test_power_vector_matches_scalar_calls(self):
         betas = [[1e-12, 3e-12], [2e-12, 1e-12]]
-        counts = [[2, 2], [2, 2]]
-        powers = np.array([1.0, 4.0, 16.0])
-        lo, hi = zf_mmf_bounds(betas, counts, 16, 0.9, 1e-13, powers)
-        for i, p in enumerate(powers):
-            ref = zf_mmf_bounds(betas, counts, 16, 0.9, 1e-13, p)
-            np.testing.assert_allclose((lo[i], hi[i]), ref, rtol=1e-14)
+        scn = zf_scenario(
+            2, noise_power=1e-13, antennas_per_user=2, users_per_group=2,
+            ptot_dbm=(30.0, 36.0, 42.0),
+        )
+        lo, hi = zf_bounds(scn, betas)
+        for i, p_dbm in enumerate(scn.ptot_dbm):
+            ref = zf_bounds(dataclasses.replace(scn, ptot_dbm=(p_dbm,)), betas)
+            np.testing.assert_allclose((lo[i], hi[i]), ref[:, 0], rtol=1e-14)
 
     def test_single_user_plugin(self):
-        lo, hi = zf_mmf_bounds([[1.0]], [[1]], 2, 1.0, 1.0, 3.0)
-        assert lo == pytest.approx(np.log1p(3.0), rel=1e-12)
-        assert hi == pytest.approx(np.log1p(6.0), rel=1e-12)
-
-    def test_per_user_bounds_zero_power(self):
-        lo, hi = zf_mmf_bounds([[1.0, 1.0]], [[2, 2]], 16, 0.9, 1.0, 0.0)
-        assert lo == 0.0 and hi == 0.0
+        scn = zf_scenario(num_tx_antennas=2, ptot_dbm=(35.0,))
+        lo, hi = zf_bounds(scn, [[1.0]])
+        xi, p = scn.overhead_factor(1, 1), scn.p_watts[0]
+        assert lo[0] == pytest.approx(xi * np.log1p(p), rel=1e-12)
+        assert hi[0] == pytest.approx(xi * np.log1p(2 * p), rel=1e-12)
 
     def test_gap_vanishes_with_antennas(self):
         gaps = []
         for l in (8, 32, 128, 512):
-            lo, hi = zf_mmf_bounds([[1.0]], [[1]], l, 1.0, 1.0, 1.0)
-            gaps.append(hi - lo)
+            lo, hi = zf_bounds(zf_scenario(num_tx_antennas=l), [[1.0]])
+            gaps.append(hi[0] - lo[0])
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
     def test_monte_carlo_mean_inside_per_user_bounds(self):
         # one 4-antenna user alone in its group: the max-min-fair split of
         # the bounds' equal stream gains is the equal split used below
-        l, m_group, beta, n0 = 16, 4, 1.0, 1.0
-        powers = np.full(4, 0.8)
+        scn = zf_scenario(antennas_per_user=4, ptot_dbm=(35.0,))
+        l, m_group = scn.num_tx_antennas, scn.antennas_per_user
+        powers = np.full(m_group, scn.p_watts[0] / m_group)
         rng = substream(70, 0)
         rates = []
         for _ in range(10_000):
-            h = complex_gaussian(rng, (l, m_group), variance=beta)
+            h = complex_gaussian(rng, (l, m_group))
             _, gains = zf_matrix(h)
-            rates.append(np.sum(np.log1p(powers * gains / n0)))
-        lo, hi = zf_mmf_bounds([[beta]], [[m_group]], l, 1.0, n0, powers.sum())
-        assert lo <= np.mean(rates) <= hi
+            rates.append(np.sum(np.log1p(powers * gains / scn.noise_power)))
+        lo, hi = zf_bounds(scn, [[1.0]])
+        assert lo[0] <= scn.overhead_factor(1, 1) * np.mean(rates) <= hi[0]
 
     def test_bd_zf_closed_form_gap_small_at_large_arrays(self):
         # at L=256, M=2, Q=4 the two fading-averaged closed forms agree to 1%:
         # the large-array BD-MRC limit, every stream gain at L - Q*M + M, and
         # the lower ZF bound
-        l, m, q = 256, 2, 4
-        bd = mmf_sum_rates(np.full((q, m), l - q * m + m), [m] * q, [q], [1.0], 1.0, [50.0])
-        zf_lo, _ = zf_mmf_bounds([[1.0] * q], [[m] * q], l, 1.0, 1.0, 50.0)
-        assert abs(bd[0, 0] - zf_lo) / bd[0, 0] <= 0.01
+        scn = zf_scenario(num_tx_antennas=256, antennas_per_user=2, users_per_group=4,
+                          ptot_dbm=(47.0,))
+        l, m, q = scn.num_tx_antennas, scn.antennas_per_user, 4
+        bd = mmf_sum_rates(
+            np.full((q, m), l - q * m + m), [m] * q, [q], [scn.overhead_factor(1, q)],
+            scn.noise_power, scn.p_watts,
+        )
+        zf_lo, _ = zf_bounds(scn, [[1.0] * q])
+        assert abs(bd[0, 0] - zf_lo[0]) / bd[0, 0] <= 0.01
 
 
 class TestEigenvalueConcentration:

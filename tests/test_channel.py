@@ -176,7 +176,7 @@ class TestCsitError:
 
     def test_error_variance_exceeds_channel(self):
         with pytest.raises(ValueError):
-            corrupt_csit(np.ones(4, dtype=complex), 2.0, substream(0, 14), channel_var=1.0)
+            corrupt_csit(np.ones(4, dtype=complex), 2.0, substream(0, 14))
 
 
 class TestPowerUnits:

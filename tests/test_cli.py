@@ -263,6 +263,23 @@ class TestRun:
         assert bad.returncode == 2
         assert "L" in bad.stderr
 
+    def test_stdout_closed_before_the_summary(self, tmp_path):
+        # As under `| head -1`, but with the read end closed before the run
+        # writes anything, so that every write to stdout fails.
+        out = tmp_path / "x.csv"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "vccsim", "--recipe", "fig4", "--locations", "1",
+             "--fadings", "1", "--out", str(out)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
+        )
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert stderr == b""
+        rows = parse_rows(out.read_text())
+        assert rows and {row["scheme"] for row in rows} == {"vcc_bd_mrc", "cacheless_bd_mrc"}
+
     def test_list_recipes_flag(self):
         out = run_cli(["--list-recipes"])
         assert out.returncode == 0

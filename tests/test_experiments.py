@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from vccsim import experiments, precoding
-from vccsim.allocation import zf_mmf_bounds
 from vccsim.channel import noise_power_watts
 from vccsim.errors import (
     InvalidConfigurationError,
@@ -168,9 +167,9 @@ class TestSchemeNesting:
         assert np.array_equal(a.stderr, b.stderr)
 
 
-def _solved(rule, *args):
+def _solved(rule, scn, *args):
     """A max-min-fair rate rule's rates, its problems solved alone."""
-    return experiments._solve_problems([rule(*args)])[0]
+    return experiments._solve_problems([rule(scn, *args)], scn.noise_power, scn.p_watts)[0]
 
 
 @st.composite
@@ -196,44 +195,63 @@ def zf_bound_cases(draw):
 
 class TestFadingFreeRules:
     def test_one_solve_matches_each_q_alone(self):
-        # The q sweep in one surrogate-user solve against the one-problem
-        # front end, q by q; q = 6 is full load (L = q*m), where the lower
-        # ZF bound's stream gain is 0.
+        # The q sweep in one surrogate-user solve against each q solved
+        # alone through the same rule; q = 6 is full load (L = q*m), where
+        # the lower ZF bound's stream gain is 0.
         scn = macro_scenario(users_per_group=None)
-        job = experiments.cache_aided_job(scn)
-        g, m = job.num_groups, scn.antennas_per_user
-        betas = experiments._location_betas(scn, g, max(job.q_values), 0)
-        bounds = _solved(
-            experiments._zf_bound_rates, scn, g, job.q_values, None, betas[None]
-        )[:, 0]
-        for qi, q in enumerate(job.q_values):
-            args = ([list(row[:q]) for row in betas], [[m] * q] * g, scn.num_tx_antennas,
-                    scn.overhead_factor(g, q), scn.noise_power, np.asarray(scn.p_watts))
-            assert np.array_equal(bounds[:, qi], zf_mmf_bounds(*args))
+        q_values = scn.group_user_counts(None)
+        betas = experiments._location_betas(scn, max(q_values), 0)[None]
+        bounds = experiments.zf_mmf_bounds(scn, q_values, betas)[:, 0]
+        for qi, q in enumerate(q_values):
+            alone = experiments.zf_mmf_bounds(scn, (q,), betas[..., :q])[:, 0, 0]
+            assert np.array_equal(bounds[:, qi], alone)
         assert np.all(bounds[0, -1] == 0) and np.all(bounds[1, -1] > 0)
+
+    @staticmethod
+    def _assert_brent_roots(scn, rates, shifts):
+        """Each curve of a surrogate-user rule's rates ``(len(shifts), n_q,
+        n_p)`` at one location against the root, by Brent's method, of the
+        budget equation of users whose ``m`` streams all have gain ``beta *
+        (L - q*m + shift)``, so equal power over a user's streams; a curve
+        with no stream gain at some q reads 0 there."""
+        g, m, l = scn.coded_gain, scn.antennas_per_user, scn.num_tx_antennas
+        betas = experiments._location_betas(scn, scn.max_group_users(), 0)
+        n0 = scn.noise_power
+        for si, shift in enumerate(shifts):
+            for q in range(1, scn.max_group_users() + 1):
+                gains, n, xi = betas[:, :q] * (l - q * m + shift), g * q, scn.overhead_factor(g, q)
+                if not gains.any():
+                    assert np.all(rates[si, q - 1] == 0)
+                    continue
+
+                def resid(r, p):
+                    return np.sum(n0 * m * np.expm1(r / (xi * m * n)) / gains) - p
+
+                for pi, p in enumerate(scn.p_watts):
+                    hi = 1.0
+                    while resid(hi, p) < 0:
+                        hi *= 2.0
+                    ref = brentq(resid, 0.0, hi, args=(p,), xtol=1e-18, rtol=1e-14)
+                    assert rates[si, q - 1, pi] == pytest.approx(ref, rel=1e-10)
 
     def test_asymptotic_rule_matches_brent_root(self):
         # Large-array BD-MRC: every stream gain of user k at
-        # beta_k * (L - q*m + m), so equal power over a user's streams, and
-        # the rate is the root of the surrogate users' budget equation.
+        # beta_k * (L - q*m + m).
         scn = macro_scenario(users_per_group=None)
-        job = experiments.cache_aided_job(scn)
-        g, m, l = job.num_groups, scn.antennas_per_user, scn.num_tx_antennas
-        betas = experiments._location_betas(scn, g, max(job.q_values), 0)
-        asym = _solved(experiments._asym_rates, scn, g, job.q_values, None, betas[None])[:, 0]
-        n0 = scn.noise_power
-        for qi, q in enumerate(job.q_values):
-            gains, n, xi = betas[:, :q] * (l - q * m + m), g * q, scn.overhead_factor(g, q)
+        q_values = scn.group_user_counts(None)
+        betas = experiments._location_betas(scn, max(q_values), 0)
+        asym = _solved(experiments._asym_rates, scn, q_values, betas[None])[:, 0]
+        self._assert_brent_roots(scn, asym, (scn.antennas_per_user,))
 
-            def resid(r, p):
-                return np.sum(n0 * m * np.expm1(r / (xi * m * n)) / gains) - p
-
-            for pi, p in enumerate(scn.p_watts):
-                hi = 1.0
-                while resid(hi, p) < 0:
-                    hi *= 2.0
-                ref = brentq(resid, 0.0, hi, args=(p,), xtol=1e-18, rtol=1e-14)
-                assert asym[0, qi, pi] == pytest.approx(ref, rel=1e-10)
+    def test_zf_bound_rule_matches_brent_root(self):
+        # The ZF bounds: every stream gain of user k at beta_k * (L - q*m)
+        # (lower) and beta_k * (L - q*m + 1) (upper); at full load the lower
+        # bound has no stream gain.
+        scn = macro_scenario(users_per_group=None)
+        q_values = scn.group_user_counts(None)
+        betas = experiments._location_betas(scn, max(q_values), 0)
+        bounds = experiments.zf_mmf_bounds(scn, q_values, betas[None])[:, 0]
+        self._assert_brent_roots(scn, bounds, (0, 1))
 
     @settings(max_examples=300, deadline=None)
     @given(zf_bound_cases())
@@ -242,9 +260,7 @@ class TestFadingFreeRules:
         # decrease as the stream gains grow, so the rule's rates need no
         # clamp to keep upper >= lower: checked exactly, entry by entry.
         scn, q_values, betas = case
-        lower, upper = _solved(
-            experiments._zf_bound_rates, scn, scn.coded_gain, q_values, None, betas
-        )
+        lower, upper = experiments.zf_mmf_bounds(scn, q_values, betas)
         assert np.all(lower <= upper)
         if q_values[-1] * scn.antennas_per_user == scn.num_tx_antennas:
             assert np.all(lower[:, -1] == 0)
@@ -254,13 +270,12 @@ class TestFadingFreeRules:
         # A block stacks its locations' pathloss rows into one solve; each
         # location's rates must be those of that location solved alone.
         scn = macro_scenario(users_per_group=None)
-        job = experiments.cache_aided_job(scn)
-        g, q_top = job.num_groups, max(job.q_values)
-        betas = np.stack([experiments._location_betas(scn, g, q_top, loc) for loc in range(4)])
-        block = _solved(rule, scn, g, job.q_values, None, betas)
+        q_values = scn.group_user_counts(None)
+        betas = np.stack([experiments._location_betas(scn, max(q_values), loc) for loc in range(4)])
+        block = _solved(rule, scn, q_values, betas)
         assert block.shape[1] == len(betas)
         for li in range(len(betas)):
-            alone = _solved(rule, scn, g, job.q_values, None, betas[li:li + 1])
+            alone = _solved(rule, scn, q_values, betas[li:li + 1])
             assert np.array_equal(block[:, li:li + 1], alone)
 
 
@@ -493,9 +508,9 @@ class TestOneSimulatePerRecipe:
         posed = []  # the rule count of each _solve_problems call
         solve = experiments._solve_problems
 
-        def spy(batches):
+        def spy(batches, n0, p_watts):
             posed.append(len(batches))
-            return solve(batches)
+            return solve(batches, n0, p_watts)
 
         monkeypatch.setattr(experiments, "_solve_problems", spy)
         for (n_loc, n_fad), blocks in self.BLOCKS.items():
@@ -697,6 +712,22 @@ class TestSharedLocationTask:
             with pytest.raises(ValueError, match=r"\(location, fading\) counts"):
                 experiments._simulate(jobs, workers=1)
 
+    def test_jobs_must_share_power_grid(self, monkeypatch):
+        def fail(_):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(experiments, "_block_task", fail)
+        scn = macro_scenario()
+        for other in (dict(ptot_dbm=(40.0, 46.0)), dict(noise_power=2 * scn.noise_power)):
+            jobs = [
+                experiments.cache_aided_job(scn, (experiments.BD_MRC, ("a",))),
+                experiments.cacheless_job(
+                    dataclasses.replace(scn, **other), (experiments.BD_MRC, ("b",))
+                ),
+            ]
+            with pytest.raises(ValueError, match=r"\(noise power, power vector\)"):
+                experiments._simulate(jobs, workers=1)
+
     def test_kernel_outputs_dropped_before_the_solve(self, monkeypatch):
         # A stacked kernel output goes once its last rule has posed its
         # problems, so the block's max-min-fair solve never holds one.
@@ -707,9 +738,9 @@ class TestSharedLocationTask:
             stacked.extend(weakref.ref(a) for a in arrays)
             return first_groups(arrays, made, num_groups)
 
-        def solve_spy(batches):
+        def solve_spy(batches, n0, p_watts):
             alive.append(sum(ref() is not None for ref in stacked))
-            return solve(batches)
+            return solve(batches, n0, p_watts)
 
         monkeypatch.setattr(experiments, "_first_groups", first_groups_spy)
         monkeypatch.setattr(experiments, "_solve_problems", solve_spy)
@@ -742,8 +773,10 @@ class TestSharedLocationTask:
                     rates, np.concatenate([a[ji][ri] for a in alone], axis=1)
                 )
         # one location: the curves are that location's means
-        one = dataclasses.replace(scn, n_locations=1)
-        jobs = [job._replace(scenario=one) for job in jobs]
+        jobs = [
+            job._replace(scenario=dataclasses.replace(job.scenario, n_locations=1))
+            for job in jobs
+        ]
         curves = experiments._simulate(jobs, workers=1)
         for job, job_out in zip(jobs, alone[0]):
             for (_, names), rates in zip(job.rules, job_out):
@@ -956,8 +989,9 @@ class TestCsiRule:
     """The all-q imperfect-CSI rules against their per-q definition."""
 
     @staticmethod
-    def _per_q_reference(scn, num_groups, q_values, draws):
+    def _per_q_reference(scn, q_values, draws):
         h, h_hat, w = draws
+        num_groups = scn.coded_gain
         p_tot = np.asarray(scn.p_watts)[:, None]
         out = np.zeros((2 + len(scn.csir_error_vars), len(q_values), p_tot.size))
         for qi, q in enumerate(q_values):
@@ -986,21 +1020,20 @@ class TestCsiRule:
             num_tx_antennas=8, csit_error_var=csit_var, csir_error_vars=csir_vars,
             users_per_group=fixed,
         )
-        num_groups, q_values = scn.coded_gain, scn.group_user_counts(fixed)
-        draws = experiments._csi_draws(scn, num_groups, max(q_values), 2, 0, None)
-        got = self.both_rules(scn, num_groups, q_values, draws)
-        want = self._per_q_reference(scn, num_groups, q_values, draws)
+        q_values = scn.group_user_counts(fixed)
+        draws = experiments._csi_draws(scn, max(q_values), 2, 0, None)
+        got = self.both_rules(scn, q_values, draws)
+        want = self._per_q_reference(scn, q_values, draws)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     @staticmethod
-    def both_rules(scn, num_groups, q_values, draws):
+    def both_rules(scn, q_values, draws):
         """The perfect-CSI curve, then the estimated-CSI curves, as the
         per-q reference orders them: draw, kernel, rates on a fading axis of
         one."""
         return np.concatenate([
             rule.rates(
-                scn, num_groups, q_values,
-                tuple(a[None] for a in rule.kernel(scn, q_values, draws)), None,
+                scn, q_values, tuple(a[None] for a in rule.kernel(scn, q_values, draws))
             )[:, 0]
             for rule in (experiments.CSI_PERFECT, experiments.CSI_ERROR)
         ])

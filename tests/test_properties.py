@@ -480,8 +480,8 @@ def csi_cases(draw):
     fixed = draw(st.none() | st.integers(1, scn.max_group_users()))
     q_values = scn.group_user_counts(fixed)
     loc, fad = draw(st.integers(0, 99)), draw(st.integers(0, 19))
-    draws = experiments._csi_draws(scn, scn.coded_gain, max(q_values), loc, fad, None)
-    return scn, scn.coded_gain, q_values, draws
+    draws = experiments._csi_draws(scn, max(q_values), loc, fad, None)
+    return scn, q_values, draws
 
 
 @PROPERTY

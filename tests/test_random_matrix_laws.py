@@ -51,6 +51,8 @@ the whole file would fail with probability below 8.6e-3.  The ``s2 = 0``
 identities are bounds on rounding, which hold for any seed.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -147,10 +149,10 @@ MACRO = Scenario(
 def _macro_draws(locations: int):
     """Each location's groups, drawn and factored by the simulator, with
     their pathloss rows ``(G, q_top)``."""
-    g, q_top = MACRO.coded_gain, MACRO.max_group_users()
+    q_top = MACRO.max_group_users()
     for loc in range(locations):
-        betas = _location_betas(MACRO, g, q_top, loc)
-        yield _group_factor(MACRO, g, q_top, loc, 0, betas), betas
+        betas = _location_betas(MACRO, q_top, loc)
+        yield _group_factor(MACRO, q_top, loc, 0, betas), betas
 
 
 def _pathloss_samples(kernel, locations: int = 200):
@@ -189,12 +191,13 @@ def _csi_samples(l_tx: int, sizes: tuple, csit_var: float, cells: int = 500, gro
     served user per (cell, group), ``cells`` times ``groups`` samples,
     from the simulator's CSI draw and coupling kernel at unit pathloss."""
     scn = Scenario(
-        geometry=None, noise_power=1.0, num_tx_antennas=l_tx, antennas_per_user=1,
+        geometry=None, noise_power=1.0, num_tx_antennas=l_tx, num_states=groups,
+        cache_fraction=Fraction(groups - 1, groups), antennas_per_user=1,
         users_per_group=None, baseline_users=None, csit_error_var=csit_var, seed=SEED,
     )
     g_hat, own, interference = [], [], []
     for loc in range(cells):
-        draws = _csi_draws(scn, groups, max(sizes), loc, 0, None)
+        draws = _csi_draws(scn, max(sizes), loc, 0, None)
         coupling, received = _csi_error_kernel(scn, sizes, draws)[:2]
         g_hat.append(zf_prefix_gains(prefix_factor(draws[1]), sizes))
         own.append(coupling)
