@@ -190,7 +190,8 @@ def mmf_sum_rates(gains, counts, sizes, overhead_factors, noise_power: float, p_
     count.  Returns the sum rates, shape ``(S, len(p_tot))``.  Within a
     problem every user runs at the same effective rate ``R / n`` and the
     per-user water-filled powers of that rate exhaust the budget;
-    nonpositive budgets, and a user with no positive gain, give 0.
+    nonpositive budgets, a user with no positive gain and an overhead factor
+    of 0 (pilots that fill the coherence block) give 0.
     """
     gains = np.asarray(gains, dtype=float)
     counts = _checked_counts(counts, gains.shape)
@@ -226,8 +227,8 @@ def _checked_gains(gains: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 def _checked_overheads(overhead_factors) -> np.ndarray:
     xi = np.asarray(overhead_factors, dtype=float)
-    if not np.all((0 < xi) & (xi <= 1)):
-        raise ValueError("overhead_factor must be in (0, 1]")
+    if not np.all((0 <= xi) & (xi <= 1)):
+        raise ValueError("overhead_factor must be in [0, 1]")
     return xi
 
 
@@ -310,12 +311,13 @@ def _mmf_root(gains, counts, sizes, xi, n0: float, p_tot: np.ndarray):
     are mixed, no single user's term can exceed the budget, so each user's
     own closed form caps ``hi`` too; the least of them keeps the Newton
     steps few when one user's exponential dominates.  A user with no
-    positive gain makes both inverse-gain sums of its problem infinite, so
-    that both brackets are 0.
+    positive gain makes both inverse-gain sums of its problem infinite, and
+    an overhead factor of 0 scales both closed forms to 0, so that both
+    brackets are 0.
 
     Where a problem's brackets meet at every power (one stream per user,
-    equal gains with one count, a zero gain), they are its root, and it
-    gets no stream table.  The others go to :func:`_open_root`.
+    equal gains with one count, a zero gain or factor), they are its root,
+    and it gets no stream table.  The others go to :func:`_open_root`.
     """
     n = sizes[:, None]
     starts = np.cumsum(sizes) - sizes

@@ -209,7 +209,7 @@ def csi_overhead(
     coherence_symbols: int, pilot_symbols: int, total_receive_antennas: int
 ) -> float:
     """Remaining fraction of the coherence block after per-antenna pilots:
-    the overhead factor.
+    the overhead factor, 0 where the pilots fill the block.
 
     Raises
     ------

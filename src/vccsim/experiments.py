@@ -34,10 +34,13 @@ runs every job of the recipe over its block in the same four steps:
    curve the scheme owns over the block's cells, the q sweep and the power
    vector, from the kernel outputs of the job's groups at every cell,
    stacked on a leading cell axis in (location, fading) order.
+   Every rule takes each served set's pilot overhead factor from
+   :meth:`Scenario.overhead_factor`, in [0, 1]; a set whose pilots fill the
+   coherence block has factor 0 and rate 0.
    Max-min-fair rules pose problems of one batched rate-only root solve
    (:func:`~vccsim.allocation.mmf_sum_rates`): each (cell, q) is one
-   problem over the pooled users of every group, with that q's pilot
-   overhead.  The block solves the problems of every such rule of every job
+   problem over the pooled users of every group, with that q's overhead
+   factor.  The block solves the problems of every such rule of every job
    together (:func:`_solve_problems`): those that share a stream width go
    into one call, cut between problems at :data:`_SOLVE_USERS` pooled users,
    and are settled in closed form where they can be and otherwise in one
@@ -52,7 +55,8 @@ runs every job of the recipe over its block in the same four steps:
    CSIT curve and one curve per CSIR variance.  Both sum each q's served
    pairs with ``np.add.reduceat``.  The MSV rates
    (:func:`~vccsim.precoding.msv_rate_from_gains`) are an array expression
-   over (q, power);
+   over (q, power), each unicast count q's factor that of one group of
+   ``q + coded_gain`` single-antenna users;
 4. reduce: the task splits each rule's rates by location and takes each
    location's mean over its fadings, so only per-location means leave it,
    in location order; :func:`_simulate` reduces those to the mean and
@@ -213,7 +217,9 @@ class Scenario:
     n_fadings: int = 20
     seed: int = 0
     users_per_state: int | None = None
-    # The power sweep in watts and as SNR, set once from the fields above.
+    # The coded gain, and the power sweep in watts and as SNR, set once from
+    # the fields above.
+    coded_gain: int = field(init=False, repr=False, compare=False)
     p_watts: tuple[float, ...] = field(init=False, repr=False, compare=False)
     snr_db: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
@@ -235,6 +241,7 @@ class Scenario:
             raise InvalidConfigurationError(
                 f"cache_fraction {self.cache_fraction} outside [0, 1)"
             )
+        object.__setattr__(self, "coded_gain", int(gain) + 1)
         if not self.ptot_dbm:
             raise InvalidConfigurationError("power sweep must be nonempty")
         if self.antennas_per_user < 1 or self.num_tx_antennas < self.antennas_per_user:
@@ -284,10 +291,6 @@ class Scenario:
                 geometry_preset(self.geometry)
             except ValueError as exc:
                 raise InvalidConfigurationError(str(exc)) from exc
-
-    @property
-    def coded_gain(self) -> int:
-        return int(self.num_states * Fraction(self.cache_fraction)) + 1
 
     @property
     def cached_load(self) -> int:
@@ -340,6 +343,9 @@ class Scenario:
         )
 
     def overhead_factor(self, num_groups: int, q: int) -> float:
+        """Overhead factor in [0, 1] of ``num_groups`` groups of ``q`` users:
+        0, and so rate 0, where their pilots fill the coherence block.  The
+        package's one caller of :func:`~vccsim.channel.csi_overhead`."""
         return csi_overhead(
             self.coherence_symbols, self.pilot_symbols, num_groups * q * self.antennas_per_user
         )
@@ -797,9 +803,12 @@ def _msv_kernel(scenario: Scenario, q_values, draws):
 
 
 def _msv_rates(scenario: Scenario, q_values, gains):
+    # n unicast streams serve one group of n + coded_gain single-antenna
+    # users: the unicast users, the common stream's and the cached load.
+    g = scenario.coded_gain
     return msv_rate_from_gains(
-        *gains, q_values, scenario.p_watts, scenario.noise_power, scenario.coded_gain,
-        scenario.cached_load, scenario.coherence_symbols, scenario.pilot_symbols,
+        *gains, q_values, scenario.p_watts, scenario.noise_power, g,
+        [scenario.overhead_factor(1, n + g) for n in q_values],
     )[None]
 
 
@@ -862,7 +871,7 @@ def msv_job(scenario: Scenario) -> Job:
             "a unicast stream"
         )
     # All l - 1 unicast streams, the common one and the cached load need pilots.
-    csi_overhead(scenario.coherence_symbols, scenario.pilot_symbols, l + scenario.cached_load)
+    scenario.overhead_factor(1, l + scenario.cached_load)
     return Job(scenario, tuple(range(1, l)), ((_MSV, ("msv_modified",)),))
 
 
@@ -1102,10 +1111,13 @@ def run_imperfect_csi(scenario: Scenario, workers: int = 1) -> dict[str, SchemeC
 def effective_gain(numerator: SchemeCurve, denominator: SchemeCurve) -> np.ndarray:
     """Ratio of the two sides' best mean rates (:meth:`SchemeCurve.best`)
     per power point: the ratio of maxima, not the maximum of ratios.  A
-    curve at one fixed served-user count has that count as its best."""
+    curve at one fixed served-user count has that count as its best.  Where
+    pilots fill the coherence block, a best rate is 0: a gain of 0 / 0 is
+    NaN (an empty cell) and one of x / 0 is ``inf``, without a warning."""
     if numerator.ptot_dbm != denominator.ptot_dbm:
         raise InvalidConfigurationError("power grids differ between the two reports")
-    return numerator.best()[1] / denominator.best()[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return numerator.best()[1] / denominator.best()[1]
 
 
 # ---------------------------------------------------------------------------

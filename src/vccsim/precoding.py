@@ -44,7 +44,8 @@ without forming every beam, for a whole sweep of served-user counts:
 same draw share one factorization, :func:`zf_prefix_couplings` on a stack
 of groups at the (prefix, receiver) pairs a caller reads,
 :func:`msv_gains_fast` on one multicast/unicast draw, and the
-rate formula :func:`msv_rate_from_gains` over the (count, power) grid.
+rate formula :func:`msv_rate_from_gains` over the (count, power) grid, at
+overhead factors its caller gives.
 :func:`zf_matrix` is the full-prefix case of the same kernel.  A prefix
 whose Gram matrix is numerically singular, or whose blocks give a
 non-finite gain or trip :data:`RANK_CUTOFF`, falls back to the per-user
@@ -71,7 +72,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import GroupChannel, csi_overhead
+from .channel import GroupChannel
 from .errors import (
     ContractViolationError,
     InfeasibleDimensionError,
@@ -647,36 +648,26 @@ def msv_rate_from_gains(
     p_tot,
     noise_power: float,
     coded_gain: int,
-    cached_load: int,
-    coherence_symbols: int,
-    pilot_symbols: int,
+    overhead_factors,
 ) -> np.ndarray:
     """Effective total rate of the multi-server baseline, in nats/s/Hz.
 
     Row ``s`` of the ``(..., S, G)`` multicast and ``(..., S, U)`` unicast
     gains serves ``unicast_counts[s]`` unicast streams, with unicast gains
-    zero past that count (they add ``log1p(0) = 0``); ``p_tot`` holds ``P``
-    total powers, and the result has shape ``(..., S, P)``.  Power splits
-    equally over the ``count + 1`` streams.  The common stream is decoded by
-    ``coded_gain`` users and runs at the worst of their effective channels;
-    pilot overhead covers all ``count + 1 + cached_load`` served
-    single-antenna users.
-
-    Raises
-    ------
-    OverheadExceedsCoherenceError
-        If those pilots would consume more than the coherence block.
+    zero past that count (they add ``log1p(0) = 0``), at the overhead
+    factor ``overhead_factors[s]`` of its served users; ``p_tot`` holds
+    ``P`` total powers, and the result has shape ``(..., S, P)``.  Power
+    splits equally over the ``count + 1`` streams.  The common stream is
+    decoded by ``coded_gain`` users and runs at the worst of their effective
+    channels.
     """
     streams = np.asarray(unicast_counts) + 1
-    xi = np.array(
-        [csi_overhead(coherence_symbols, pilot_symbols, n + cached_load) for n in streams]
-    )
     p = (np.asarray(p_tot, dtype=float)[None, :] / streams[:, None])[..., None]
     mc = np.asarray(multicast_gains)[..., None, :]
     uc = np.asarray(unicast_gains)[..., None, :]
     r_mc = coded_gain * np.min(np.log1p(p * mc / noise_power), axis=-1)
     r_uc = np.sum(np.log1p(p * uc / noise_power), axis=-1)
-    return xi[:, None] * (r_mc + r_uc)
+    return np.asarray(overhead_factors, dtype=float)[:, None] * (r_mc + r_uc)
 
 
 def msv_gains_fast(

@@ -50,7 +50,6 @@ __all__ = ["Recipe", "RECIPES", "list_recipes", "run_recipe"]
 
 @dataclass(frozen=True)
 class Recipe:
-    name: str
     description: str
     default_locations: int
     default_fadings: int
@@ -256,48 +255,40 @@ def _fig9_rows(params: dict, workers: int) -> list[CsvBlock]:
 
 RECIPES: dict[str, Recipe] = {
     "fig2": Recipe(
-        "fig2",
         "Macro-cell effective sum-rate vs transmit power: L=64, G=5, Q=4, "
         "M in {2,4,12}; BD-MRC simulation with the ZF bound band",
         1000, 20, _fig2_rows,
     ),
     "fig3": Recipe(
-        "fig3",
         "Macro-cell gain at equal precoder load: M=4, L=24, G=6, Q=Q'=4; "
         "BD-MRC vs cacheless plus the large-antenna closed form",
         1000, 20, _fig3_rows,
     ),
     "fig4": Recipe(
-        "fig4",
         "Macro-cell gain at equal DoF: L=32, M=4, Q=2, Q'=8, G=4",
         1000, 20, _fig4_rows,
     ),
     "fig5": Recipe(
-        "fig5",
         "Macro-cell optimized gain: G=6, M=4, L=24; Q and Q' optimized "
         "independently per power point",
         1000, 20, _fig5_rows,
     ),
     "fig6": Recipe(
-        "fig6",
         "Symmetric ZF gain under imperfect transmitter CSI: L=16, M=1, G=6, "
         "csit_error_var=0.01; Q and Q' optimized; equal power",
         400, 1, _fig6_rows,
     ),
     "fig7": Recipe(
-        "fig7",
         "Micro-cell optimized gain: L=32, M=2, G=6; Q and Q' optimized "
         "independently; ZF bound band included",
         1000, 20, _fig7_rows,
     ),
     "fig8": Recipe(
-        "fig8",
         "Multi-server baseline vs cache-aided delivery: L=32, G=6, M=1, "
         "symmetric Rayleigh; original and stream-swept variants",
         300, 1, _fig8_rows,
     ),
     "fig9": Recipe(
-        "fig9",
         "Symmetric ZF gain under imperfect CSI at both ends: L=16, M=1, G=6, "
         "csit_error_var=0.01, csir_error_vars={0.01,0.001,0}; Q optimized",
         400, 1, _fig9_rows,

@@ -369,6 +369,56 @@ class TestMmfSumRates:
         assert np.all(rates > 0)
 
 
+@pytest.mark.filterwarnings("error")
+class TestZeroOverheadFactor:
+    """A served set whose pilots fill the coherence block has overhead
+    factor 0, and so rate 0; any factor in [0, 1] is legal."""
+
+    POWERS = np.array([-1.0, 0.0, 1e-3, 1.0, 1e3, 1e6])
+
+    def test_zero_factor_problem_in_a_batch_gives_zero(self):
+        # Mixed counts, which need Newton at a positive factor, one stream
+        # per user, closed form, and the same mixed problem at factor 0.
+        problems = [
+            ([[5.0, 1.0], [2.0, 9.0], [3.0, 0.5]], [2, 1, 2], 0.9),
+            ([[3.0, 9.0], [0.5, 9.0]], [1, 1], 1.0),
+            ([[5.0, 1.0], [2.0, 9.0], [3.0, 0.5]], [2, 1, 2], 0.0),
+            ([[4.0, 0.1], [3.0, 2.0]], [2, 2], 0.5),
+        ]
+
+        def solve(batch):
+            rows = np.concatenate([np.array(rows) for rows, _, _ in batch])
+            counts = [j for _, js, _ in batch for j in js]
+            sizes = [len(js) for _, js, _ in batch]
+            xis = [xi for _, _, xi in batch]
+            return mmf_sum_rates(rows, counts, sizes, xis, 1.0, self.POWERS)
+
+        rates = solve(problems)
+        assert np.array_equal(rates[2], np.zeros(self.POWERS.size))
+        for s, problem in enumerate(problems):
+            assert np.array_equal(rates[s], solve([problem])[0])
+        assert np.all(rates[[0, 1, 3]][:, 2:] > 0)
+
+    @pytest.mark.parametrize("xi", [-0.1, -1e-300, 1.0 + 1e-15, 2.0, np.nan])
+    def test_factor_outside_unit_interval_rejected(self, xi):
+        with pytest.raises(ValueError, match="overhead_factor"):
+            mmf_sum_rates([[2.0, 1.0]], [2], [1], [xi], 1.0, [1.0])
+        with pytest.raises(ValueError, match="overhead_factor"):
+            UserRateFunction(np.array([2.0, 1.0]), 1.0, xi)
+
+    def test_solve_mmf_and_rate_function_at_zero_factor(self):
+        fns = [
+            UserRateFunction(np.array([3.0, 1.0]), 1.0, 0.0),
+            UserRateFunction(np.array([2.0]), 1.0, 0.0),
+        ]
+        for p in self.POWERS:
+            sol = solve_mmf(fns, p)
+            assert sol.sum_rate == 0.0 and sol.per_user_rate == 0.0
+            assert sol.allocation.total == 0.0
+            assert all(not q.any() for q in sol.allocation.per_symbol)
+            assert all(f.rate(p) == 0.0 for f in fns)
+
+
 class TestBrackets:
     """The closed-form brackets that the root starts from, as
     :func:`solve_mmf` reports them, and the surrogate users behind them as

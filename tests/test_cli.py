@@ -378,6 +378,47 @@ class TestParser:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "x.csv").exists()
 
+    def test_msv_pilots_beyond_coherence_rejected(self, capsys, tmp_path, monkeypatch):
+        # The MSV job's full count, 31 unicast streams, the common one and
+        # 5 cached listeners, needs 370 pilot symbols; the cache-aided and
+        # cacheless sets at Q = Q' = 1 need 60 and 10.
+        def no_sampling(args):
+            raise AssertionError("a block task ran")
+
+        monkeypatch.setattr(experiments, "_block_task", no_sampling)
+        code = main(["--recipe", "fig8", "--set", "Q=1", "--set", "Qprime=1", "--set", "T=360",
+                     "--locations", "1", "--fadings", "1", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "37 antennas" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    # At 10 pilot symbols each coherence block T is exactly filled by the
+    # pilots of the largest served set of the listed curves, at the listed
+    # q: those rows read rate 0 and every other row a positive rate.  fig8
+    # fills its cache-aided set at q = 32, which it writes only at its best
+    # q, so none of its rows is 0.
+    @pytest.mark.parametrize("recipe, coherence, filled", [
+        ("fig2", 2400, {f"vcc_{s}_m12": 4 for s in ("bd_mrc", "zf", "zf_lower", "zf_upper")}),
+        ("fig3", 960, {"vcc_bd_mrc": 4, "vcc_bd_mrc_asym": 4}),
+        ("fig4", 320, {"vcc_bd_mrc": 2, "cacheless_bd_mrc": 8}),
+        ("fig5", 1440, {"vcc_bd_mrc": 6}),
+        ("fig7", 1920, {"vcc_bd_mrc": 16}),
+        ("fig8", 1920, {}),
+    ])
+    def test_pilots_filling_coherence_give_zero_rate(self, tmp_path, recipe, coherence, filled):
+        out = tmp_path / "x.csv"
+        done = run_cli(["--recipe", recipe, "--locations", "1", "--fadings", "1",
+                        "--set", "Theta=10", "--set", f"T={coherence}", "--out", str(out)])
+        assert (done.returncode, done.stderr) == (0, "")
+        rows = parse_rows(out.read_text())
+        for row in rows:
+            assert (row["mean_rate_nats"] == 0.0) == (filled.get(row["scheme"]) == row["q"]), row
+        assert sum(row["mean_rate_nats"] == 0.0 for row in rows) >= len(filled)
+        if recipe == "fig4":
+            # Both sides' rates are 0, so each gain is 0 / 0: an empty cell.
+            assert all(row["gain"] is None and row["gain_optimized"] is None for row in rows)
+
     @pytest.mark.parametrize("args", [["--config", "nope.cfg"], ["--config", "."]])
     def test_unreadable_config_is_an_error(self, capsys, tmp_path, monkeypatch, args):
         monkeypatch.chdir(tmp_path)
@@ -427,6 +468,8 @@ class TestParser:
         # a full cache: coded gain num_states + 1 above the cache states
         ("fig6", "gamma=1", "cache_fraction"),
         ("fig8", "gamma=1", "cache_fraction"),
+        ("fig4", "T=0", "coherence_symbols"),
+        ("fig4", "Theta=-1", "pilot_symbols"),
     ])
     def test_bad_field_named_before_sampling(
         self, capsys, tmp_path, monkeypatch, recipe, setting, field

@@ -1,12 +1,20 @@
+import dataclasses
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from vccsim import precoding
-from vccsim.channel import GroupChannel, complex_gaussian, sample_group_channel, substream
+from vccsim import experiments, precoding
+from vccsim.channel import (
+    GroupChannel,
+    complex_gaussian,
+    csi_overhead,
+    sample_group_channel,
+    substream,
+)
 from vccsim.errors import (
     ContractViolationError,
     InfeasibleDimensionError,
-    OverheadExceedsCoherenceError,
     SingularMatrixError,
 )
 from vccsim.precoding import (
@@ -27,6 +35,7 @@ from vccsim.precoding import (
     zf_matrix,
     zf_prefix_gains,
 )
+from vccsim.experiments import Scenario
 from vccsim.recipes import run_recipe
 
 
@@ -468,7 +477,10 @@ class TestMsv:
         uc = complex_gaussian(rng, (3, 4))
         sol = msv_beamformers(mc, uc, 2)
         gains = (sol.multicast_gains[None], sol.unicast_gains[None])
-        (r, zero), = msv_rate_from_gains(*gains, [2], [2.0, 0.0], 1.0, 1, 0, 15000, 10)
+        # 2 unicast + 1 common stream, no cached listener
+        (r, zero), = msv_rate_from_gains(
+            *gains, [2], [2.0, 0.0], 1.0, 1, [csi_overhead(15000, 10, 3)]
+        )
         # single multicast user: min over one element
         expected_mc = np.log1p((2.0 / 3) * sol.multicast_gains[0])
         expected_uc = np.log1p((2.0 / 3) * sol.unicast_gains).sum()
@@ -484,21 +496,22 @@ class TestMsv:
         uc = complex_gaussian(rng, (7, 8))
         counts, powers = (0, 2, 5, 7), np.array([0.5, 4.0, 30.0])
         mg, ug = msv_gains_fast(mc, uc, counts)
-        grid = msv_rate_from_gains(mg, ug, counts, powers, 1.0, 3, 2, 15000, 10)
+        xi = [csi_overhead(15000, 10, n + 3) for n in counts]
+        grid = msv_rate_from_gains(mg, ug, counts, powers, 1.0, 3, xi)
         assert grid.shape == (4, 3)
         for s, n in enumerate(counts):
             alone = msv_rate_from_gains(
-                mg[s : s + 1], ug[s : s + 1, :n], [n], powers, 1.0, 3, 2, 15000, 10
+                mg[s : s + 1], ug[s : s + 1, :n], [n], powers, 1.0, 3, xi[s : s + 1]
             )
             np.testing.assert_allclose(grid[s], alone[0], rtol=1e-13)
 
-    def test_pilots_beyond_coherence_rejected(self):
-        # 2 unicast + 1 common stream + 1 cached listener = 4 pilot slots
+    def test_pilots_filling_coherence_give_zero_rate(self):
+        # 2 unicast + 1 common stream + 1 cached listener = 4 pilot slots.
+        # Pilots beyond the block are rejected where the MSV job is built
+        # (tests/test_cli.py, test_msv_pilots_beyond_coherence_rejected).
         mg, ug = np.ones((2, 2)), np.ones((2, 2))
-        assert msv_rate_from_gains(mg[:1], ug[:1], [2], [1.0], 1.0, 2, 1, 40, 10)[0, 0] == 0.0
-        # one count of the sweep over the block rejects the whole grid
-        with pytest.raises(OverheadExceedsCoherenceError):
-            msv_rate_from_gains(mg, ug, [1, 2], [1.0], 1.0, 2, 1, 39, 10)
+        xi = [csi_overhead(40, 10, 4)]
+        assert msv_rate_from_gains(mg[:1], ug[:1], [2], [1.0], 1.0, 2, xi)[0, 0] == 0.0
 
     def test_high_snr_gain_limit(self):
         assert msv_high_snr_gain_limit(32, 5) == pytest.approx(1.15625, abs=0)
@@ -509,8 +522,15 @@ class TestMsv:
         uc = complex_gaussian(rng, (7, 8))
         counts = (1, 4)
         mg, ug = msv_gains_fast(mc, uc, counts)
-        with_pilots = msv_rate_from_gains(mg, ug, counts, [5.0], 1.0, 3, 2, 15000, 10)
-        without = msv_rate_from_gains(mg, ug, counts, [5.0], 1.0, 3, 2, 15000, 0)
+        # The MSV rule's factors: coded gain 3, so 2 cached listeners.
+        scn = Scenario(
+            geometry=None, noise_power=1.0, num_tx_antennas=8, num_states=3,
+            cache_fraction=Fraction(2, 3), antennas_per_user=1, ptot_dbm=(37.0,),
+        )
+        with_pilots, = experiments._msv_rates(scn, counts, (mg, ug))
+        without, = experiments._msv_rates(
+            dataclasses.replace(scn, pilot_symbols=0), counts, (mg, ug)
+        )
         # n unicast + 1 common stream + 2 cached listeners: 4 and 7 users
         for s, users in enumerate((4, 7)):
             assert with_pilots[s, 0] / without[s, 0] == pytest.approx(

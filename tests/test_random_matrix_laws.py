@@ -26,6 +26,13 @@ a law, while an oracle sharing that error would not see it.
   the other ``n - 1`` beams adds ``s2`` to the mean interference power,
   ``s2 (n - 1)``.  With ``s2 = 0`` the own coupling is ``sqrt(g_hat)`` and
   the interference is zero, to rounding.
+* Equal-power ZF rates under perfect CSI: a stream of ``G`` groups of ``q``
+  single-antenna users gets the SNR ``a X``, ``a = P / (N0 G q)`` and ``X``
+  the ZF gain, Gamma(L - q + 1, 1), so ``E[ln(1 + a X)] = e^{1/a}
+  sum_{k=1}^{L-q+1} E_k(1/a)`` (the Gamma-fading capacity formula, as in
+  Alouini and Goldsmith, IEEE Trans. Veh. Technol. 1999).  A point of the
+  curve is ``xi G q`` times that, with the overhead factor ``xi = 1 -
+  Theta G q / T``; the cacheless side has ``G = 1``.
 
 Under pathloss, user k's columns are scaled by ``sqrt(beta_k)``, and every
 gain above scales by ``beta_k``: ZF gain / beta_k is still Gamma(L - n + 1),
@@ -46,9 +53,10 @@ rate of ``ALPHA`` = 1e-4: a one-sample Kolmogorov-Smirnov test of each
 distribution, a Spearman rank test of independence, and a two-sided test
 of a mean at ``|z| > 3.89`` (by the central limit theorem, over 3000
 samples).  With a fresh seed, a correct kernel would fail any one check
-with probability 1e-4.  There are 86 checks here, so by the union bound
-the whole file would fail with probability below 8.6e-3.  The ``s2 = 0``
-identities are bounds on rounding, which hold for any seed.
+with probability 1e-4.  There are 86 such checks here, and the rate check
+fails with probability at most 1.1e-3 (its docstring), so by the union
+bound the whole file would fail with probability below 9.7e-3.  The ``s2 =
+0`` identities are bounds on rounding, which hold for any seed.
 """
 
 from fractions import Fraction
@@ -66,8 +74,12 @@ from vccsim.experiments import (
     _served_pairs,
 )
 from vccsim.precoding import bd_mrc_prefix_gains, msv_gains_fast, prefix_factor, zf_prefix_gains
+from vccsim.recipes import run_recipe
+
+from csvrows import rendered_rows
 
 stats = pytest.importorskip("scipy.stats")
+special = pytest.importorskip("scipy.special")
 
 ALPHA = 1e-4
 SEED = 20260118
@@ -241,3 +253,34 @@ def test_csi_couplings_without_error_are_exact():
         _assert_gamma(g_hat, l_tx - n + 1)
         np.testing.assert_allclose(own, np.sqrt(g_hat), rtol=1e-8, atol=0)
         assert np.all(np.abs(interference) <= 1e-8 * g_hat)
+
+
+def test_perfect_csi_zf_rates_match_exact_expectation():
+    """fig6's perfect-CSI curves through the whole recipe (overhead factor,
+    SNR scaling, the per-q sums and the reduction over locations) against
+    the exact expectation, at every point of ``vcc_zf_perfect`` (16 q by 9
+    powers) and of both sides' best-q curves: 162 points.  The points share
+    draws, so the bound is on the largest ``|z|``, ``z = (mean - exact) /
+    stderr``: one point is past 4.5 with probability 6.8e-6 (a normal
+    tail), so by the union bound all 162 stay inside it but with
+    probability at most 1.1e-3."""
+    theta, coherence, l_tx, groups = 10, 15000, 16, 6
+    blocks, _ = run_recipe(
+        "fig6", seed=0, n_locations=400, n_fadings=1,
+        overrides={"pilot_symbols": theta, "coherence_symbols": coherence},
+    )
+    curves = {
+        "vcc_zf_perfect": groups, "vcc_zf_perfect_opt": groups, "cacheless_zf_perfect_opt": 1,
+    }
+    z = []
+    for row in rendered_rows(blocks):
+        if row["scheme"] not in curves:
+            continue
+        g, q = curves[row["scheme"]], row["q"]
+        a = 10.0 ** ((row["ptot_dbm"] - 30.0) / 10.0) / (g * q)
+        k = np.arange(1, l_tx - q + 2)
+        per_stream = np.exp(1.0 / a) * special.expn(k, 1.0 / a).sum()
+        exact = (1.0 - theta * g * q / coherence) * g * q * per_stream
+        z.append((row["mean_rate_nats"] - exact) / row["stderr"])
+    assert len(z) == 16 * 9 + 2 * 9
+    assert np.max(np.abs(z)) <= 4.5, f"largest |z| {np.max(np.abs(z)):.2f}"
