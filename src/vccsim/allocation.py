@@ -24,6 +24,7 @@ Rates are nats/s/Hz throughout; conversion to bits happens at reporting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -129,9 +130,13 @@ class UserRateFunction:
         return self.overhead_factor * float(np.sum(np.log(np.maximum(snr, 1.0))))
 
     def inverse(self, rate: float) -> float:
-        """Power budget achieving the given effective rate (closed form)."""
+        """Power budget achieving the given effective rate (closed form);
+        infinite for a positive rate at overhead factor 0, where no power
+        gives one."""
         if rate <= 0:
             return 0.0
+        if self.overhead_factor == 0:
+            return math.inf
         return float(self._table.user_budgets(np.array([[rate]]))[0][0, 0])
 
 

@@ -11,10 +11,14 @@ usable and needed: the parent runs the first contiguous slice of the tasks
 and forks a child for each other slice (:func:`_parallel_map`).  Each task
 runs every job of the recipe over its block in the same four steps:
 
-1. draw: each job's pathloss rows once per location, then, per (location,
-   fading) cell, one draw per shared draw key (below), at the largest
-   served-user count ``q``.  BD-MRC and ZF use the same draw, the groups'
-   channels with their prefix factor
+1. draw: first the task seeds the generator of every substream (below) it
+   will read, in one vectorized pass per seed
+   (:func:`~vccsim.channel.substreams`, through :func:`_block_streams`),
+   bit-identical to one ``SeedSequence`` per key.  Then it takes each job's
+   pathloss rows once per location and, per (location, fading) cell, makes
+   one draw per shared draw key (below) from the cell's generators, at the
+   largest served-user count ``q``.  BD-MRC and ZF use the same draw, the
+   groups' channels with their prefix factor
    (:func:`~vccsim.precoding.prefix_factor`), so each (location, fading,
    group) channel is drawn and factored once.  Draws are made one cell at a
    time, so neither they nor the kernels grow with the block;
@@ -62,8 +66,10 @@ runs every job of the recipe over its block in the same four steps:
    in location order; :func:`_simulate` reduces those to the mean and
    standard error over locations.
 
-A scheme is a :class:`_Rule`: a channel draw ``draw(scenario, q_top, loc,
-fad, betas)``, a gain kernel ``kernel(scenario, q_values, draw)`` and a rate
+A scheme is a :class:`_Rule`: a channel draw (:class:`_Draw`), which lists
+the substream keys ``keys(scenario, loc, fad)`` it reads at a cell and draws
+the cell with ``make(scenario, q_top, rngs, betas)`` from their generators,
+in key order; a gain kernel ``kernel(scenario, q_values, draw)``; and a rate
 rule ``rates(scenario, q_values, inputs)``; each reads the group count from
 the scenario (``coded_gain``).  Fading-free analytic curves have neither a
 draw nor a kernel, and run once per block, their inputs the pathloss rows of
@@ -79,7 +85,7 @@ it.  Nor does a solve grow with the rules: it holds at most
 :data:`_SOLVE_USERS` pooled users, unless one problem is larger, which at
 paper scale is about what fig7's largest rule poses on its own.
 
-Sharing.  Within a task, a draw is kept per cell under its draw function
+Sharing.  Within a task, a draw is kept per cell under its draw
 plus the fields it reads (``seed``, ``L``, ``M``, ``geometry``,
 ``csit_error_var``) and ``q_top``, the largest served count of the job; a
 kernel output under its kernel, that draw key and the q sweep.  Each is
@@ -103,7 +109,12 @@ Substream keys: ``(0, loc)`` user positions, ``(1, loc, fad, group)``
 fading, ``(2, loc, fad, group)`` transmitter CSI errors,
 ``(3, loc, fad, group)`` receiver coupling errors (drawn only when the job
 that makes the draw has CSIR variances), ``(4, loc, fad, 0|1)``
-baseline-scheme channels.
+baseline-scheme channels.  A key's generator is bit-identical to
+``default_rng(SeedSequence(seed, spawn_key=key))``.  A block seeds all of
+its keys at once, one vectorized pass per seed: the hash of the seed's own
+words is computed once, and the key words of every generator are mixed in
+as array operations, so a key costs a few microseconds instead of the
+``SeedSequence`` and generator of its own.
 
 CSV.  A recipe's rows come as one block per curve (:class:`CsvBlock`,
 from :func:`rows_for_curve` or :func:`rows_for_best`): its scenario and
@@ -130,9 +141,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-# UserRateFunction, solve_mmf, sample_user_position, bd_mrc_eigenvalues and
-# zf_matrix are on no run path; they stay importable here, where
-# bench/spans.py resolves the names it traces, zf_mmf_bounds among them.
+# UserRateFunction, solve_mmf, sample_user_position, substream,
+# bd_mrc_eigenvalues and zf_matrix are on no run path; they stay importable
+# here, where bench/spans.py resolves the names it traces, zf_mmf_bounds
+# among them.
 from .allocation import UserRateFunction, mmf_sum_rates, solve_mmf
 from .channel import (
     complex_gaussian,
@@ -144,6 +156,7 @@ from .channel import (
     sample_user_pathlosses,
     sample_user_position,
     substream,
+    substreams,
 )
 from .errors import InvalidConfigurationError, UnsupportedConfigurationError
 from .precoding import (
@@ -500,21 +513,38 @@ class _ChildTraceback(Exception):
         return "\n" + self.args[0].rstrip()
 
 
-def _location_betas(scenario: Scenario, q_top: int, loc: int) -> np.ndarray:
+def _location_keys(scenario: Scenario, loc: int) -> list[tuple[int, ...]]:
+    """The substream keys of one location's pathloss rows: none without a
+    geometry."""
+    return [] if scenario.geometry is None else [(0, loc)]
+
+
+def _location_betas(scenario: Scenario, q_top: int, rngs) -> np.ndarray:
+    """One location's pathloss rows ``(G, q_top)``, from the generators of
+    :func:`_location_keys`."""
     num_groups = scenario.coded_gain
     if scenario.geometry is None:
         return np.ones((num_groups, q_top))
-    rng = substream(scenario.seed, 0, loc)
-    betas = sample_user_pathlosses(geometry_preset(scenario.geometry), rng, num_groups * q_top)
+    betas = sample_user_pathlosses(geometry_preset(scenario.geometry), rngs[0], num_groups * q_top)
     return betas.reshape(num_groups, q_top)
 
 
-def _unit_channels(scenario: Scenario, q_top: int, loc: int, fad: int):
+def _group_keys(streams, scenario: Scenario, loc: int, fad: int) -> list[tuple[int, ...]]:
+    """The keys ``(stream, loc, fad, group)`` of one cell, stream by stream,
+    each over every group."""
+    return [(s, loc, fad, g) for s in streams for g in range(scenario.coded_gain)]
+
+
+def _fading_keys(scenario: Scenario, loc: int, fad: int) -> list[tuple[int, ...]]:
+    """Each group's fading key at one cell: the keys of :func:`_unit_channels`."""
+    return _group_keys((1,), scenario, loc, fad)
+
+
+def _unit_channels(scenario: Scenario, q_top: int, rngs):
+    """Each group's unit-variance channels ``(L, q_top*m)``, one generator
+    per group."""
     l, m = scenario.num_tx_antennas, scenario.antennas_per_user
-    return [
-        complex_gaussian(substream(scenario.seed, 1, loc, fad, gi), (l, q_top * m))
-        for gi in range(scenario.coded_gain)
-    ]
+    return [complex_gaussian(rng, (l, q_top * m)) for rng in rngs]
 
 
 def _curve_from_means(
@@ -535,10 +565,19 @@ def _curve_from_means(
 # Schemes: a channel draw, a gain kernel and a rate rule
 # ---------------------------------------------------------------------------
 
+class _Draw(NamedTuple):
+    """A channel draw: ``keys(scenario, loc, fad)`` lists the substream keys
+    it reads at one (location, fading) cell, and ``make(scenario, q_top,
+    rngs, betas)`` draws the cell from their generators, in key order."""
+
+    keys: object
+    make: object
+
+
 class _Rule(NamedTuple):
-    """A scheme: a channel draw and a gain kernel (both ``None`` for
-    fading-free curves) and a rate rule; see :func:`_block_task` for
-    their signatures."""
+    """A scheme: a channel draw (:class:`_Draw`) and a gain kernel (both
+    ``None`` for fading-free curves) and a rate rule; see
+    :func:`_block_task` for their signatures."""
 
     draw: object
     kernel: object
@@ -559,11 +598,11 @@ def _overhead_factors(scenario: Scenario, q_values) -> np.ndarray:
 
 # Kernels and solvers are looked up as module globals at call time, so a
 # tracer (bench/spans.py) can wrap them.
-def _group_factor(scenario: Scenario, q_top: int, loc: int, fad: int, betas):
+def _group_factor(scenario: Scenario, q_top: int, rngs, betas):
     """Groups stacked ``(G, L, q_top*m)``, user k's columns scaled by
     ``sqrt(beta_k)``, with their prefix factor: the draw of BD-MRC and ZF."""
     scale = np.repeat(np.sqrt(betas), scenario.antennas_per_user, axis=1)
-    units = _unit_channels(scenario, q_top, loc, fad)
+    units = _unit_channels(scenario, q_top, rngs)
     return prefix_factor(np.stack(units) * scale[:, None, :])
 
 
@@ -695,17 +734,22 @@ def _solve_problems(batches: list[_MmfProblems], n0: float, p_watts) -> list[np.
     return rates
 
 
-def _csi_draws(scenario: Scenario, q_top: int, loc: int, fad: int, _):
+def _csi_keys(scenario: Scenario, loc: int, fad: int) -> list[tuple[int, ...]]:
+    """Fading, CSIT error and, with CSIR variances, coupling error keys."""
+    return _group_keys((1, 2, 3) if scenario.csir_error_vars else (1, 2), scenario, loc, fad)
+
+
+def _csi_draws(scenario: Scenario, q_top: int, rngs, _):
     """Stacked over groups: true channels, their transmitter-side estimate
     and, if the scenario has CSIR variances, the receiver-side coupling
     error draws."""
+    g = scenario.coded_gain
     draws = []
-    for gi, h in enumerate(_unit_channels(scenario, q_top, loc, fad)):
-        rng = substream(scenario.seed, 2, loc, fad, gi)
-        h_hat, _ = corrupt_csit(h, scenario.csit_error_var, rng)
+    for gi, h in enumerate(_unit_channels(scenario, q_top, rngs[:g])):
+        h_hat, _ = corrupt_csit(h, scenario.csit_error_var, rngs[g + gi])
         draws.append((h, h_hat))
         if scenario.csir_error_vars:
-            draws[-1] += (complex_gaussian(substream(scenario.seed, 3, loc, fad, gi), q_top),)
+            draws[-1] += (complex_gaussian(rngs[2 * g + gi], q_top),)
     return tuple(np.stack(d) for d in zip(*draws))
 
 
@@ -791,10 +835,15 @@ def _csi_error_rates(scenario: Scenario, q_values, kernel_out):
     return _csi_sum_rates(scenario, q_values, sinrs)
 
 
-def _msv_draws(scenario: Scenario, q_top: int, loc: int, fad: int, _):
+def _msv_keys(scenario: Scenario, loc: int, fad: int) -> list[tuple[int, ...]]:
+    """The unicast pool's key, then the multicast channels' key."""
+    return [(4, loc, fad, 0), (4, loc, fad, 1)]
+
+
+def _msv_draws(scenario: Scenario, q_top: int, rngs, _):
     l = scenario.num_tx_antennas
-    uc_pool = complex_gaussian(substream(scenario.seed, 4, loc, fad, 0), (l - 1, l))
-    mc = complex_gaussian(substream(scenario.seed, 4, loc, fad, 1), (scenario.coded_gain, l))
+    uc_pool = complex_gaussian(rngs[0], (l - 1, l))
+    mc = complex_gaussian(rngs[1], (scenario.coded_gain, l))
     return mc, uc_pool
 
 
@@ -812,16 +861,19 @@ def _msv_rates(scenario: Scenario, q_values, gains):
     )[None]
 
 
-BD_MRC = _Rule(_group_factor, _bd_kernel, _mmf_rates)
-ZF = _Rule(_group_factor, _zf_kernel, _mmf_rates)
+_GROUP_DRAW = _Draw(_fading_keys, _group_factor)
+_CSI_DRAW = _Draw(_csi_keys, _csi_draws)
+_MSV_DRAW = _Draw(_msv_keys, _msv_draws)
+BD_MRC = _Rule(_GROUP_DRAW, _bd_kernel, _mmf_rates)
+ZF = _Rule(_GROUP_DRAW, _zf_kernel, _mmf_rates)
 BD_MRC_ASYM = _Rule(None, None, _asym_rates)
 ZF_BOUNDS = _Rule(None, None, _zf_bound_rates)
-CSI_PERFECT = _Rule(_csi_draws, _csi_perfect_kernel, _csi_perfect_rates)
-CSI_ERROR = _Rule(_csi_draws, _csi_error_kernel, _csi_error_rates)
-_MSV = _Rule(_msv_draws, _msv_kernel, _msv_rates)
+CSI_PERFECT = _Rule(_CSI_DRAW, _csi_perfect_kernel, _csi_perfect_rates)
+CSI_ERROR = _Rule(_CSI_DRAW, _csi_error_kernel, _csi_error_rates)
+_MSV = _Rule(_MSV_DRAW, _msv_kernel, _msv_rates)
 # Draws whose group g reads only the substreams (., loc, fad, g), so that a
 # job with fewer groups can take the first groups of another job's draw.
-_PER_GROUP_DRAWS = frozenset({_group_factor, _csi_draws})
+_PER_GROUP_DRAWS = frozenset({_GROUP_DRAW, _CSI_DRAW})
 
 
 # ---------------------------------------------------------------------------
@@ -832,7 +884,7 @@ class Job(NamedTuple):
     """One side of a comparison: the ``coded_gain`` groups of ``scenario``
     serving each count in ``q_values``, and the rules run on it, each paired
     with the names of the curves it writes.  A rule's stages are
-    ``draw(scenario, q_top, loc, fad, betas)``, ``kernel(scenario, q_values,
+    ``draw.make(scenario, q_top, rngs, betas)``, ``kernel(scenario, q_values,
     draw)`` and ``rates(scenario, q_values, inputs)`` (:func:`_block_task`)."""
 
     scenario: Scenario
@@ -940,6 +992,17 @@ def _first_groups(arrays: tuple, made: int, num_groups: int) -> tuple:
     return arrays if made == num_groups else tuple(a[:, :num_groups] for a in arrays)
 
 
+def _block_streams(wanted: dict) -> dict:
+    """The generators of each ``(seed, keys)`` in ``wanted``, under its
+    name, in key order: one :func:`~vccsim.channel.substreams` call per
+    seed, over the keys of all its names."""
+    by_seed = {}
+    for seed, keys in wanted.values():
+        by_seed.setdefault(seed, []).extend(keys)
+    made = {seed: iter(substreams(seed, keys)) for seed, keys in by_seed.items()}
+    return {name: [next(made[seed]) for _ in keys] for name, (seed, keys) in wanted.items()}
+
+
 # (location, fading) cells per block task: a block holds this many cells'
 # worth of whole locations, and at least one location.  A block's rate
 # arrays grow with its cells, so blocks stay just large enough to pair up
@@ -951,8 +1014,10 @@ def _block_task(args) -> list[list[np.ndarray]]:
     """Every rule of every job over one block of whole locations, reduced
     over each location's fadings.
 
-    ``rule.draw(scenario, q_top, loc, fad, betas)`` draws one (location,
-    fading) cell's channels at the largest ``q``, and ``rule.kernel(scenario,
+    ``rule.draw.make(scenario, q_top, rngs, betas)`` draws one (location,
+    fading) cell's channels at the largest ``q`` from the generators of its
+    keys ``rule.draw.keys(scenario, loc, fad)``, all seeded before the first
+    cell (:func:`_block_streams`), and ``rule.kernel(scenario,
     q_values, draw)`` returns a tuple of per-group arrays, groups on axis 0.
     Both run cell by cell and are shared by key (:func:`_draw_key`; a kernel
     output under its kernel, the draw key and ``q_values``), made by the
@@ -978,10 +1043,6 @@ def _block_task(args) -> list[list[np.ndarray]]:
     first = jobs[0].scenario
     n_fad = first.n_fadings
     groups = [job.scenario.coded_gain for job in jobs]
-    betas = [
-        np.stack([_location_betas(job.scenario, max(job.q_values), loc) for loc in locs])
-        for job in jobs
-    ]
     makers = {}  # draw key -> index of the first job with the most groups that reads it
     keys = {}  # (job, rule) index -> kernel key, for the rules with a draw
     for ji, job in enumerate(jobs):
@@ -991,15 +1052,36 @@ def _block_task(args) -> list[list[np.ndarray]]:
                 keys[ji, ri] = (rule.kernel, key, job.q_values)
                 if key not in makers or groups[ji] > groups[makers[key]]:
                     makers[key] = ji
+    cells = list(np.ndindex(len(locs), n_fad))
+    # Every generator the block reads, seeded before any is drawn from: each
+    # job's at each location, for its pathloss rows, and each shared draw's
+    # (a draw key starts with its draw) at each cell, for its maker.
+    wanted = {}
+    for ji, job in enumerate(jobs):
+        for li, loc in enumerate(locs):
+            wanted[ji, li] = (job.scenario.seed, _location_keys(job.scenario, loc))
+    for key, mi in makers.items():
+        maker = jobs[mi].scenario
+        for li, fad in cells:
+            wanted[key, li, fad] = (maker.seed, key[0].keys(maker, locs[li], fad))
+    streams = _block_streams(wanted)
+    betas = [
+        np.stack([
+            _location_betas(job.scenario, max(job.q_values), streams.pop((ji, li)))
+            for li in range(len(locs))
+        ])
+        for ji, job in enumerate(jobs)
+    ]
     kernels = {}  # kernel key -> the maker's kernel output at each cell
-    for cell, (li, fad) in enumerate(np.ndindex(len(locs), n_fad)):
+    for cell, (li, fad) in enumerate(cells):
         draws = {}
         for (ji, ri), k in keys.items():
             job, rule = jobs[ji], jobs[ji].rules[ri][0]
             key, maker = k[1], jobs[makers[k[1]]]
             if key not in draws:
-                draws[key] = rule.draw(
-                    maker.scenario, max(maker.q_values), locs[li], fad, betas[makers[key]][li]
+                draws[key] = rule.draw.make(
+                    maker.scenario, max(maker.q_values), streams.pop((key, li, fad)),
+                    betas[makers[key]][li],
                 )
             if len(kernels.setdefault(k, [])) == cell:  # not yet made at this cell
                 kernels[k].append(rule.kernel(maker.scenario, job.q_values, draws[key]))

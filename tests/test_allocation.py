@@ -119,6 +119,14 @@ class TestUserRateFunction:
         assert f.rate(0.0) == 0.0
         assert f.inverse(0.0) == 0.0
 
+    def test_zero_overhead_factor_needs_infinite_power(self):
+        # No power gives a positive rate at factor 0; the inverse says so
+        # without dividing by the factor (a RuntimeWarning is an error here).
+        f = UserRateFunction(np.array([2.0, 1.0]), 1.0, 0.0)
+        assert f.inverse(1.0) == np.inf
+        assert f.inverse(0.0) == 0.0
+        assert f.rate(5.0) == 0.0
+
     def test_single_stream_closed_form(self):
         f = UserRateFunction(np.array([2.5]), 0.5, 0.8)
         p = 1.7

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from vccsim.channel import (
@@ -18,6 +20,7 @@ from vccsim.channel import (
     sample_user_pathlosses,
     sample_user_position,
     substream,
+    substreams,
     watts_to_dbm,
 )
 from vccsim.errors import InfeasibleDimensionError, OverheadExceedsCoherenceError
@@ -201,3 +204,35 @@ class TestSubstreams:
         c = substream(98, 1, 2, 3).standard_normal(8)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    # Seeds past 2**128 take more than the pool's four words; key elements
+    # from 2**32 on are split into several words, so keys differ in their
+    # word counts.
+    @settings(max_examples=200, deadline=None)
+    @example(0, [])
+    @example(2**128, [(2**32,), (0, 1, 2, 3, 2**64)])
+    @given(
+        st.integers(0, 2**130 + 5),
+        st.lists(st.lists(st.integers(0, 2**70), min_size=1, max_size=5).map(tuple), max_size=8),
+    )
+    def test_substreams_match_seed_sequence(self, seed, keys):
+        rngs = substreams(seed, keys)
+        assert len(rngs) == len(keys)
+        for key, rng in zip(keys, rngs):
+            ss = np.random.SeedSequence(seed, spawn_key=key)
+            words = rng.bit_generator.seed_seq.generate_state(4, np.uint64)
+            assert np.array_equal(words, ss.generate_state(4, np.uint64))
+            assert np.array_equal(rng.random(4), np.random.default_rng(ss).random(4))
+
+    def test_repeated_key_gets_fresh_generator(self):
+        a, b = substreams(5, [(1, 2), (1, 2)])
+        assert a is not b
+        assert np.array_equal(a.standard_normal(4), b.standard_normal(4))
+
+    def test_rejects_keys_seed_sequence_rejects(self):
+        with pytest.raises(ValueError):
+            substreams(0, [(1, -1)])
+        with pytest.raises(TypeError):
+            substreams(0, [(1, 1.5)])
+        with pytest.raises(ValueError):
+            substreams(-1, [(1,)])

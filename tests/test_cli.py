@@ -108,7 +108,8 @@ needs_task_list = pytest.mark.skipif(
 
 
 class TestImport:
-    @pytest.mark.parametrize("unused", ["scipy", "vccsim.caching"])
+    # numpy.random (about 6 MiB) loads at the first draw, not at import.
+    @pytest.mark.parametrize("unused", ["scipy", "vccsim.caching", "numpy.random"])
     def test_cli_import_loads_no_scipy(self, unused):
         out = run_python(
             "import sys, vccsim.cli\n"

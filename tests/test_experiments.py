@@ -14,7 +14,14 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from vccsim import experiments, precoding
-from vccsim.channel import noise_power_watts
+from vccsim.channel import (
+    MACRO,
+    complex_gaussian,
+    corrupt_csit,
+    noise_power_watts,
+    sample_user_pathlosses,
+    substreams,
+)
 from vccsim.errors import (
     InvalidConfigurationError,
     OverheadExceedsCoherenceError,
@@ -59,6 +66,17 @@ def symmetric_scenario(**kw):
     )
     base.update(kw)
     return Scenario(**base)
+
+
+def location_betas(scn, q_top, loc):
+    """One location's pathloss rows, seeded as a block task seeds them."""
+    keys = experiments._location_keys(scn, loc)
+    return experiments._location_betas(scn, q_top, substreams(scn.seed, keys))
+
+
+def cell_draw(draw, scn, q_top, loc, fad, betas=None):
+    """One (location, fading) cell's draw, seeded as a block task seeds it."""
+    return draw.make(scn, q_top, substreams(scn.seed, draw.keys(scn, loc, fad)), betas)
 
 
 class TestScenario:
@@ -200,7 +218,7 @@ class TestFadingFreeRules:
         # the lower ZF bound's stream gain is 0.
         scn = macro_scenario(users_per_group=None)
         q_values = scn.group_user_counts(None)
-        betas = experiments._location_betas(scn, max(q_values), 0)[None]
+        betas = location_betas(scn, max(q_values), 0)[None]
         bounds = experiments.zf_mmf_bounds(scn, q_values, betas)[:, 0]
         for qi, q in enumerate(q_values):
             alone = experiments.zf_mmf_bounds(scn, (q,), betas[..., :q])[:, 0, 0]
@@ -215,7 +233,7 @@ class TestFadingFreeRules:
         (L - q*m + shift)``, so equal power over a user's streams; a curve
         with no stream gain at some q reads 0 there."""
         g, m, l = scn.coded_gain, scn.antennas_per_user, scn.num_tx_antennas
-        betas = experiments._location_betas(scn, scn.max_group_users(), 0)
+        betas = location_betas(scn, scn.max_group_users(), 0)
         n0 = scn.noise_power
         for si, shift in enumerate(shifts):
             for q in range(1, scn.max_group_users() + 1):
@@ -239,7 +257,7 @@ class TestFadingFreeRules:
         # beta_k * (L - q*m + m).
         scn = macro_scenario(users_per_group=None)
         q_values = scn.group_user_counts(None)
-        betas = experiments._location_betas(scn, max(q_values), 0)
+        betas = location_betas(scn, max(q_values), 0)
         asym = _solved(experiments._asym_rates, scn, q_values, betas[None])[:, 0]
         self._assert_brent_roots(scn, asym, (scn.antennas_per_user,))
 
@@ -249,7 +267,7 @@ class TestFadingFreeRules:
         # bound has no stream gain.
         scn = macro_scenario(users_per_group=None)
         q_values = scn.group_user_counts(None)
-        betas = experiments._location_betas(scn, max(q_values), 0)
+        betas = location_betas(scn, max(q_values), 0)
         bounds = experiments.zf_mmf_bounds(scn, q_values, betas[None])[:, 0]
         self._assert_brent_roots(scn, bounds, (0, 1))
 
@@ -271,12 +289,83 @@ class TestFadingFreeRules:
         # location's rates must be those of that location solved alone.
         scn = macro_scenario(users_per_group=None)
         q_values = scn.group_user_counts(None)
-        betas = np.stack([experiments._location_betas(scn, max(q_values), loc) for loc in range(4)])
+        betas = np.stack([location_betas(scn, max(q_values), loc) for loc in range(4)])
         block = _solved(rule, scn, q_values, betas)
         assert block.shape[1] == len(betas)
         for li in range(len(betas)):
             alone = _solved(rule, scn, q_values, betas[li:li + 1])
             assert np.array_equal(block[:, li:li + 1], alone)
+
+
+def seed_sequence_rng(seed, *key):
+    """One key's generator, seeded by numpy's own SeedSequence."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+class TestCellSeeding:
+    """Each run-path draw, seeded as a block task seeds it, against the same
+    draw written out with one SeedSequence generator per substream key."""
+
+    LOC, FAD = 3, 1
+
+    def _rng(self, scn, stream, group):
+        return seed_sequence_rng(scn.seed, stream, self.LOC, self.FAD, group)
+
+    def test_location_betas(self):
+        scn = macro_scenario()
+        want = sample_user_pathlosses(MACRO, seed_sequence_rng(scn.seed, 0, self.LOC), 6 * 4)
+        assert np.array_equal(location_betas(scn, 4, self.LOC), want.reshape(6, 4))
+        assert experiments._location_keys(symmetric_scenario(), self.LOC) == []
+        assert np.array_equal(location_betas(symmetric_scenario(), 4, self.LOC), np.ones((6, 4)))
+
+    def test_group_factor(self):
+        scn = macro_scenario(users_per_group=None)
+        l, m, q_top = scn.num_tx_antennas, scn.antennas_per_user, scn.max_group_users()
+        betas = location_betas(scn, q_top, self.LOC)
+        got = cell_draw(experiments._GROUP_DRAW, scn, q_top, self.LOC, self.FAD, betas)
+        units = np.stack([
+            complex_gaussian(self._rng(scn, 1, g), (l, q_top * m)) for g in range(scn.coded_gain)
+        ])
+        want = precoding.prefix_factor(units * np.repeat(np.sqrt(betas), m, axis=1)[:, None, :])
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("csir_vars", [(), (0.01, 0.0)])
+    def test_csi_draws(self, csir_vars):
+        scn = symmetric_scenario(csit_error_var=0.01, csir_error_vars=csir_vars)
+        q_top = scn.max_group_users()
+        got = cell_draw(experiments._CSI_DRAW, scn, q_top, self.LOC, self.FAD)
+        want = []
+        for g in range(scn.coded_gain):
+            h = complex_gaussian(self._rng(scn, 1, g), (scn.num_tx_antennas, q_top))
+            h_hat, _ = corrupt_csit(h, scn.csit_error_var, self._rng(scn, 2, g))
+            want.append((h, h_hat))
+            if csir_vars:
+                want[-1] += (complex_gaussian(self._rng(scn, 3, g), q_top),)
+        want = [np.stack(d) for d in zip(*want)]
+        assert len(got) == len(want) == 2 + bool(csir_vars)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    def test_msv_draws(self):
+        scn = symmetric_scenario(num_tx_antennas=8)
+        l = scn.num_tx_antennas
+        mc, uc_pool = cell_draw(experiments._MSV_DRAW, scn, l - 1, self.LOC, self.FAD)
+        assert np.array_equal(mc, complex_gaussian(self._rng(scn, 4, 1), (scn.coded_gain, l)))
+        assert np.array_equal(uc_pool, complex_gaussian(self._rng(scn, 4, 0), (l - 1, l)))
+
+    def test_block_streams_pair_each_name_with_its_keys(self):
+        # Two seeds interleaved, a name with no keys and a key two names read.
+        wanted = {
+            "a": (7, [(1, 2), (0, 5)]), "b": (8, [(1, 2)]), "c": (7, []), "d": (7, [(2, 9), (1, 2)]),
+        }
+        streams = experiments._block_streams(wanted)
+        assert streams.keys() == wanted.keys()
+        for name, (seed, keys) in wanted.items():
+            assert len(streams[name]) == len(keys)
+            for key, rng in zip(keys, streams[name]):
+                assert np.array_equal(rng.random(3), seed_sequence_rng(seed, *key).random(3))
 
 
 class TestDeterminism:
@@ -519,6 +608,18 @@ class TestOneSimulatePerRecipe:
             run_recipe(recipe, seed=1, n_locations=n_loc, n_fadings=n_fad)
             assert counts["mmf_sum_rates"] == blocks
             assert posed == [rules] * blocks
+
+    # A block seeds every substream it reads in one substreams call per
+    # seed, and every job of a recipe has the same seed.
+    @pytest.mark.parametrize("recipe", sorted(RECIPES))
+    def test_one_seeding_call_per_block(self, monkeypatch, recipe):
+        counts = dict.fromkeys(("substreams", "substream"), 0)
+        self._count(monkeypatch, experiments, "substreams", counts)
+        self._count(monkeypatch, experiments, "substream", counts)
+        for (n_loc, n_fad), blocks in self.BLOCKS.items():
+            counts.update(substreams=0, substream=0)
+            run_recipe(recipe, seed=1, n_locations=n_loc, n_fadings=n_fad)
+            assert counts == {"substreams": blocks, "substream": 0}
 
     def test_solve_pools_at_most_the_user_budget(self, monkeypatch):
         # fig7's problems pool 6q users for q = 1..16 (cache-aided), q
@@ -1021,7 +1122,7 @@ class TestCsiRule:
             users_per_group=fixed,
         )
         q_values = scn.group_user_counts(fixed)
-        draws = experiments._csi_draws(scn, max(q_values), 2, 0, None)
+        draws = cell_draw(experiments._CSI_DRAW, scn, max(q_values), 2, 0)
         got = self.both_rules(scn, q_values, draws)
         want = self._per_q_reference(scn, q_values, draws)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)

@@ -480,7 +480,7 @@ def csi_cases(draw):
     fixed = draw(st.none() | st.integers(1, scn.max_group_users()))
     q_values = scn.group_user_counts(fixed)
     loc, fad = draw(st.integers(0, 99)), draw(st.integers(0, 19))
-    draws = experiments._csi_draws(scn, max(q_values), loc, fad, None)
+    draws = test_experiments.cell_draw(experiments._CSI_DRAW, scn, max(q_values), loc, fad)
     return scn, q_values, draws
 
 

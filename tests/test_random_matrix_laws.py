@@ -65,18 +65,12 @@ import numpy as np
 import pytest
 
 from vccsim.channel import complex_gaussian, substream
-from vccsim.experiments import (
-    Scenario,
-    _csi_draws,
-    _csi_error_kernel,
-    _group_factor,
-    _location_betas,
-    _served_pairs,
-)
+from vccsim.experiments import _CSI_DRAW, _GROUP_DRAW, Scenario, _csi_error_kernel, _served_pairs
 from vccsim.precoding import bd_mrc_prefix_gains, msv_gains_fast, prefix_factor, zf_prefix_gains
 from vccsim.recipes import run_recipe
 
 from csvrows import rendered_rows
+from test_experiments import cell_draw, location_betas
 
 stats = pytest.importorskip("scipy.stats")
 special = pytest.importorskip("scipy.special")
@@ -163,8 +157,8 @@ def _macro_draws(locations: int):
     their pathloss rows ``(G, q_top)``."""
     q_top = MACRO.max_group_users()
     for loc in range(locations):
-        betas = _location_betas(MACRO, q_top, loc)
-        yield _group_factor(MACRO, q_top, loc, 0, betas), betas
+        betas = location_betas(MACRO, q_top, loc)
+        yield cell_draw(_GROUP_DRAW, MACRO, q_top, loc, 0, betas), betas
 
 
 def _pathloss_samples(kernel, locations: int = 200):
@@ -209,7 +203,7 @@ def _csi_samples(l_tx: int, sizes: tuple, csit_var: float, cells: int = 500, gro
     )
     g_hat, own, interference = [], [], []
     for loc in range(cells):
-        draws = _csi_draws(scn, max(sizes), loc, 0, None)
+        draws = cell_draw(_CSI_DRAW, scn, max(sizes), loc, 0)
         coupling, received = _csi_error_kernel(scn, sizes, draws)[:2]
         g_hat.append(zf_prefix_gains(prefix_factor(draws[1]), sizes))
         own.append(coupling)
