@@ -14,6 +14,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import InvalidConfigurationError
+from .experiments import coded_gain_of
 
 __all__ = [
     "PlacementPlan",
@@ -54,11 +55,11 @@ class PlacementPlan:
 
     @property
     def tag_size(self) -> int:
-        return int(self.num_states * self.cache_fraction)
+        return self.coded_gain - 1
 
     @property
     def coded_gain(self) -> int:
-        return self.tag_size + 1
+        return coded_gain_of(self.num_states, self.cache_fraction)
 
     @property
     def subfile_tags(self) -> tuple[frozenset, ...]:
@@ -104,21 +105,12 @@ def build_placement(
     """Validate and build a placement plan.
 
     ``cache_fraction`` may be a :class:`~fractions.Fraction`, a string like
-    ``"5/6"``, or an int; the product with ``num_states`` must be an
-    integer below ``num_states`` and ``num_users`` a multiple of
+    ``"5/6"``, or an int; :func:`~vccsim.experiments.coded_gain_of` checks
+    it against ``num_states``, and ``num_users`` must be a multiple of
     ``num_states``.
     """
     gamma = Fraction(cache_fraction)
-    if num_states < 1:
-        raise InvalidConfigurationError("num_states must be at least 1")
-    # A full cache leaves a coded gain above the num_states cache states, so
-    # no stage to schedule.
-    if not 0 <= num_states * gamma < num_states:
-        raise InvalidConfigurationError(f"cache_fraction {gamma} outside [0, 1)")
-    if (num_states * gamma).denominator != 1:
-        raise InvalidConfigurationError(
-            f"num_states * cache_fraction = {num_states * gamma} is not an integer"
-        )
+    coded_gain_of(num_states, gamma)
     if num_users % num_states != 0:
         raise InvalidConfigurationError(
             f"num_users {num_users} is not a multiple of num_states {num_states}"
@@ -155,10 +147,6 @@ class DeliverySchedule:
     def num_rounds(self) -> int:
         b, q = self.plan.users_per_state, self.users_per_round
         return -(-b // q)
-
-    @property
-    def coded_gain(self) -> int:
-        return self.plan.coded_gain
 
 
 def build_schedule(

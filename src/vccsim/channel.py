@@ -31,7 +31,6 @@ __all__ = [
     "substreams",
     "sample_user_position",
     "sample_user_pathlosses",
-    "sample_group_channel",
     "csi_overhead",
     "corrupt_csit",
     "noise_power_watts",
@@ -319,35 +318,6 @@ def sample_user_pathlosses(
     """
     squared = rng.uniform(geometry.inner_radius_m ** 2, geometry.outer_radius_m ** 2, count)
     return np.array([geometry.pathloss(math.sqrt(d2)) for d2 in squared.tolist()])
-
-
-def sample_group_channel(
-    num_tx_antennas: int,
-    antenna_counts: list[int] | tuple[int, ...],
-    betas: list[float] | tuple[float, ...],
-    rng: np.random.Generator,
-) -> GroupChannel:
-    """Draw independent Rayleigh-fading channels for one served group.
-
-    Entries of user ``k``'s matrix are i.i.d. complex Gaussian with zero
-    mean and variance ``betas[k]`` (real/imaginary parts each ``beta/2``).
-
-    Raises
-    ------
-    InfeasibleDimensionError
-        If the receive antennas exceed the transmit antennas.
-    """
-    if len(antenna_counts) != len(betas):
-        raise ValueError("antenna_counts and betas must have equal length")
-    if sum(antenna_counts) > num_tx_antennas:
-        raise InfeasibleDimensionError(
-            f"{sum(antenna_counts)} receive antennas exceed {num_tx_antennas} transmit antennas"
-        )
-    per_user = []
-    for m, beta in zip(antenna_counts, betas):
-        h = complex_gaussian(rng, (num_tx_antennas, m), variance=beta)
-        per_user.append((h, float(beta)))
-    return GroupChannel(tuple(per_user))
 
 
 def complex_gaussian(rng: np.random.Generator, shape, variance: float = 1.0) -> np.ndarray:

@@ -21,10 +21,6 @@ class SingularMatrixError(SimulationError):
     """A matrix that must be inverted is numerically singular."""
 
 
-class ContractViolationError(SimulationError):
-    """An input does not satisfy a numerical-kernel precondition."""
-
-
 class UnsupportedConfigurationError(SimulationError):
     """The requested configuration is outside the supported scope."""
 

@@ -144,7 +144,8 @@ import numpy as np
 # UserRateFunction, solve_mmf, sample_user_position, substream,
 # bd_mrc_eigenvalues and zf_matrix are on no run path; they stay importable
 # here, where bench/spans.py resolves the names it traces, zf_mmf_bounds
-# among them.
+# among them.  They are oracles of the fast paths, and the table in
+# tests/oracles.py, where the other oracles live, says which path each checks.
 from .allocation import UserRateFunction, mmf_sum_rates, solve_mmf
 from .channel import (
     complex_gaussian,
@@ -171,6 +172,7 @@ from .precoding import (
 )
 
 __all__ = [
+    "coded_gain_of",
     "Scenario",
     "SchemeCurve",
     "Job",
@@ -201,6 +203,39 @@ __all__ = [
     "format_csv",
 ]
 
+
+# The largest noise power and SNR a scenario accepts.  The max-min-fair
+# solver's power sums scale with the noise power times the inverse gains,
+# and with the total power (noise power times SNR) times the spread of the
+# users' gains; past these bounds they can overflow.
+NOISE_POWER_MAX_W = 1e100
+SNR_MAX_DB = 1000.0
+
+
+def coded_gain_of(num_states: int, cache_fraction) -> int:
+    """The coded gain ``num_states * cache_fraction + 1``: the cache groups
+    served at once, each of the others' subfiles cancelled from its cache.
+
+    Raises
+    ------
+    InvalidConfigurationError
+        Unless ``num_states >= 1`` and the product is an integer in ``[0,
+        num_states)``.
+    """
+    if num_states < 1:
+        raise InvalidConfigurationError(f"num_states {num_states} is below 1")
+    gain = num_states * Fraction(cache_fraction)
+    if gain.denominator != 1:
+        raise InvalidConfigurationError(
+            f"num_states * cache_fraction = {gain} is not an integer"
+        )
+    # A full cache (gain = num_states) leaves a coded gain above the
+    # num_states cache states, so no delivery stage to schedule.
+    if not 0 <= gain < num_states:
+        raise InvalidConfigurationError(f"cache_fraction {cache_fraction} outside [0, 1)")
+    return int(gain) + 1
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Static parameters of one experiment.
@@ -210,6 +245,9 @@ class Scenario:
     request per-point optimization.  ``geometry`` of ``None`` means
     statistically symmetric users with unit pathloss, in which case
     ``noise_power`` should usually be 1 so the sweep reads as transmit SNR.
+    The noise power must be positive and at most :data:`NOISE_POWER_MAX_W`
+    watts, and each power's SNR (power over noise) above 0 and at most
+    :data:`SNR_MAX_DB` dB.
     """
 
     name: str = "custom"
@@ -237,24 +275,13 @@ class Scenario:
     snr_db: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.num_states < 1:
-            raise InvalidConfigurationError(f"num_states {self.num_states} is below 1")
+        object.__setattr__(
+            self, "coded_gain", coded_gain_of(self.num_states, self.cache_fraction)
+        )
         if self.users_per_state is not None and self.users_per_state < 1:
             raise InvalidConfigurationError(
                 f"users_per_state {self.users_per_state} is below 1"
             )
-        gain = self.num_states * Fraction(self.cache_fraction)
-        if gain.denominator != 1:
-            raise InvalidConfigurationError(
-                f"num_states * cache_fraction = {gain} is not an integer"
-            )
-        # A full cache (gain = num_states) leaves a coded gain above the
-        # num_states cache states, so no delivery stage to schedule.
-        if not 0 <= gain < self.num_states:
-            raise InvalidConfigurationError(
-                f"cache_fraction {self.cache_fraction} outside [0, 1)"
-            )
-        object.__setattr__(self, "coded_gain", int(gain) + 1)
         if not self.ptot_dbm:
             raise InvalidConfigurationError("power sweep must be nonempty")
         if self.antennas_per_user < 1 or self.num_tx_antennas < self.antennas_per_user:
@@ -277,6 +304,10 @@ class Scenario:
                 f"noise_power {self.noise_power} is not positive and finite"
             )
         self._set_power_sweep()
+        if self.noise_power > NOISE_POWER_MAX_W:
+            raise InvalidConfigurationError(
+                f"noise_power {self.noise_power} is above {NOISE_POWER_MAX_W:g} W"
+            )
         if self.coherence_symbols < 1 or self.pilot_symbols < 0:
             raise InvalidConfigurationError(
                 "need coherence_symbols >= 1 and pilot_symbols >= 0"
@@ -311,7 +342,8 @@ class Scenario:
 
     def _set_power_sweep(self) -> None:
         """Set ``p_watts`` and ``snr_db``, rejecting any power that is not
-        positive and finite in watts or gives no finite SNR."""
+        positive and finite in watts or whose SNR is not positive and at
+        most :data:`SNR_MAX_DB`."""
         watts, snr = [], []
         for p in self.ptot_dbm:
             try:
@@ -322,13 +354,14 @@ class Scenario:
                 raise InvalidConfigurationError(
                     f"ptot_dbm entry {p} is not a positive finite power in watts"
                 )
-            if not 0 < w / self.noise_power < math.inf:
+            ratio = w / self.noise_power
+            if not 0 < ratio <= 10.0 ** (SNR_MAX_DB / 10.0):
                 raise InvalidConfigurationError(
                     f"ptot_dbm entry {p} over noise_power {self.noise_power} "
-                    "gives no finite SNR"
+                    f"gives an SNR that is zero or above {SNR_MAX_DB:g} dB"
                 )
             watts.append(w)
-            snr.append(10.0 * math.log10(w / self.noise_power))
+            snr.append(10.0 * math.log10(ratio))
         object.__setattr__(self, "p_watts", tuple(watts))
         object.__setattr__(self, "snr_db", tuple(snr))
 

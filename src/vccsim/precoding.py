@@ -1,6 +1,6 @@
-"""Transmit precoders, receive combiners and per-symbol SINRs.
+"""Stream gains and couplings of the transmit precoders, from one kernel.
 
-Three beamformer families are implemented:
+Three beamformer families are covered:
 
 * block-diagonalization with per-stream maximal-ratio combining (BD-MRC);
 * zero-forcing (ZF), which diagonalizes the whole group channel;
@@ -54,11 +54,9 @@ truncates rank-deficient streams and raises
 :class:`InfeasibleDimensionError` for a user left with none; ZF and MSV
 raise :class:`SingularMatrixError`.  :func:`bd_mrc_eigenvalues` is that
 per-user path on one group, for users of any antenna counts.  The
-definition-level designs :func:`bd_mrc`, :func:`sinr_from_matrices`,
-:func:`bd_mrc_sinr`, :func:`msv_beamformers`, :func:`null_projector` and
-the SINR formulas :func:`zf_imperfect_csit_sinr` and
-:func:`zf_imperfect_csir_sinr` are oracles: the tests check the fast paths
-against them.
+definition-level beamformers and SINR formulas that the tests check these
+paths against are in ``tests/oracles.py``, with a table of which fast path
+each one checks.
 
 Channels follow the convention that a user with channel matrix ``H``
 receives ``H.T @ x``, so a beam ``v`` is invisible to ``H`` iff
@@ -67,40 +65,23 @@ receives ``H.T @ x``, so a beam ``v`` is invisible to ``H`` iff
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .channel import GroupChannel
-from .errors import (
-    ContractViolationError,
-    InfeasibleDimensionError,
-    SingularMatrixError,
-)
+from .errors import InfeasibleDimensionError, SingularMatrixError
 
 __all__ = [
-    "UserPrecoder",
-    "PrecoderSolution",
-    "MsvSolution",
-    "hermitian_eig",
-    "null_projector",
-    "bd_mrc",
     "bd_mrc_eigenvalues",
     "PrefixFactor",
     "prefix_factor",
     "bd_mrc_prefix_gains",
-    "bd_mrc_sinr",
-    "sinr_from_matrices",
     "zf_matrix",
     "zf_prefix_gains",
     "zf_prefix_couplings",
-    "zf_imperfect_csit_sinr",
-    "zf_imperfect_csir_sinr",
-    "msv_beamformers",
     "msv_rate_from_gains",
     "msv_gains_fast",
-    "msv_high_snr_gain_limit",
 ]
 
 # Eigenvalues below this fraction of the largest one count as zero rank.
@@ -108,23 +89,6 @@ RANK_CUTOFF = 1e-10
 # Gram matrices whose eigenvalue spread exceeds this count as numerically
 # singular: _gram_solve takes the pseudo-inverse, _prefix_inverse flags them.
 PINV_CUTOFF = 1e-12
-HERMITIAN_TOL = 1e-10
-
-
-def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
-
-    Raises
-    ------
-    ContractViolationError
-        If ``a`` deviates from Hermitian by more than ``1e-10`` relative.
-    """
-    a = np.asarray(a, dtype=complex)
-    scale = np.linalg.norm(a)
-    if scale > 0 and np.linalg.norm(a - a.conj().T) > HERMITIAN_TOL * scale:
-        raise ContractViolationError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
-    return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def _gram_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -138,42 +102,6 @@ def _gram_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if evals[0] < PINV_CUTOFF * evals[-1] or evals[-1] <= 0:
         return np.linalg.pinv(gram, rcond=PINV_CUTOFF, hermitian=True) @ rhs
     return np.linalg.solve(gram, rhs)
-
-
-def null_projector(h_others: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto the null space of ``h_others.T``.
-
-    ``h_others`` stacks the channels to be nulled as an ``(L, m)`` matrix;
-    the result ``T`` is Hermitian, idempotent, and satisfies
-    ``h_others.T @ T == 0``.  An empty ``h_others`` yields the identity.
-    """
-    h_others = np.asarray(h_others, dtype=complex)
-    L = h_others.shape[0]
-    if h_others.size == 0:
-        return np.eye(L, dtype=complex)
-    gram = h_others.T @ h_others.conj()
-    t = np.eye(L, dtype=complex) - h_others.conj() @ _gram_solve(gram, h_others.T)
-    return (t + t.conj().T) / 2.0
-
-
-@dataclass(frozen=True)
-class UserPrecoder:
-    """Per-user precoding columns, combining columns and stream gains."""
-
-    precoder: np.ndarray     # (L, J), unit-norm columns
-    combiner: np.ndarray     # (M, J), unit-norm columns
-    eigenvalues: np.ndarray  # (J,), descending, strictly positive
-
-    @property
-    def num_streams(self) -> int:
-        return self.eigenvalues.size
-
-
-@dataclass(frozen=True)
-class PrecoderSolution:
-    """BD-MRC beamformers for every served user of one group."""
-
-    users: tuple[UserPrecoder, ...]
 
 
 def _bd_small_matrix(h_k: np.ndarray, h_rest: np.ndarray) -> np.ndarray:
@@ -196,40 +124,6 @@ def _others(mats: list[np.ndarray], k: int) -> np.ndarray:
     """Channels of every user but ``k`` side by side; ``(L, 0)`` if none."""
     rest = [h for i, h in enumerate(mats) if i != k]
     return np.hstack(rest) if rest else np.empty((mats[k].shape[0], 0), dtype=complex)
-
-
-def bd_mrc(group: GroupChannel) -> PrecoderSolution:
-    """Design BD-MRC precoders and combiners for one served group.
-
-    Each user's precoding columns live in the null space of the other
-    users' channels, so intra-group interference vanishes; within a user,
-    the columns are eigen-directions of its effective channel, so the MRC
-    combiner also removes inter-stream interference.  The per-symbol SINR
-    is then ``power * eigenvalue / noise_power``.
-
-    Raises
-    ------
-    InfeasibleDimensionError
-        If some user is left without a single positive-gain stream.
-    """
-    mats = [h for h, _ in group.per_user]
-    users = []
-    for k, h_k in enumerate(mats):
-        t_proj = null_projector(_others(mats, k))
-        small = h_k.T @ t_proj @ h_k.conj()
-        w, tvecs = hermitian_eig(small)
-        j = int(np.sum(w > RANK_CUTOFF * max(w[0], 0.0)))
-        if j == 0:
-            raise InfeasibleDimensionError(
-                f"user {k}: no interference-free stream available "
-                f"(L={group.num_tx_antennas}, group antennas={group.total_antennas})"
-            )
-        v = t_proj @ h_k.conj() @ tvecs[:, :j]
-        v /= np.linalg.norm(v, axis=0, keepdims=True)
-        r = h_k.T @ v
-        r /= np.linalg.norm(r, axis=0, keepdims=True)
-        users.append(UserPrecoder(v, r, w[:j].copy()))
-    return PrecoderSolution(tuple(users))
 
 
 def _prefix_inverse(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -344,8 +238,8 @@ def _usable(gains: np.ndarray) -> np.ndarray:
 def bd_mrc_eigenvalues(group: GroupChannel) -> list[np.ndarray]:
     """Per-user BD-MRC stream gains without building the beamformers.
 
-    Matches the eigenvalues of :func:`bd_mrc` for users of any antenna
-    counts: the per-user Schur-complement path that
+    Matches the eigenvalues of the BD-MRC design (``bd_mrc`` in
+    ``tests/oracles.py``) for users of any antenna counts: the per-user Schur-complement path that
     :func:`bd_mrc_prefix_gains` falls back on, which truncates
     rank-deficient streams.
     """
@@ -414,47 +308,6 @@ def _bd_eigs_generic(mats: list[np.ndarray]) -> list[np.ndarray]:
         if j == 0:
             raise InfeasibleDimensionError(f"user {k}: no interference-free stream")
         out.append(w[:j].copy())
-    return out
-
-
-def bd_mrc_sinr(
-    solution: PrecoderSolution,
-    powers: list[np.ndarray],
-    noise_power: float,
-) -> list[np.ndarray]:
-    """Closed-form per-symbol SINRs: ``power * eigenvalue / noise``."""
-    return [
-        np.asarray(p, dtype=float) * u.eigenvalues / noise_power
-        for u, p in zip(solution.users, powers)
-    ]
-
-
-def sinr_from_matrices(
-    group: GroupChannel,
-    solution: PrecoderSolution,
-    powers: list[np.ndarray],
-    noise_power: float,
-) -> list[np.ndarray]:
-    """Definition-level SINRs computed from the raw beamformer matrices.
-
-    Evaluates signal and interference powers through the actual
-    ``combiner, channel, precoder`` products, including intra-group and
-    inter-stream leakage; serves as a cross-check of the closed form.
-    """
-    mats = [h for h, _ in group.per_user]
-    out = []
-    for k, user in enumerate(solution.users):
-        eff_own = user.combiner.conj().T @ mats[k].T @ user.precoder  # (J, J)
-        signal = np.abs(np.diag(eff_own)) ** 2 * np.asarray(powers[k], dtype=float)
-        interference = np.zeros(user.num_streams)
-        cross = np.abs(eff_own) ** 2 * np.asarray(powers[k], dtype=float)[None, :]
-        interference += cross.sum(axis=1) - np.diag(cross)
-        for kk, other in enumerate(solution.users):
-            if kk == k:
-                continue
-            eff = user.combiner.conj().T @ mats[k].T @ other.precoder
-            interference += (np.abs(eff) ** 2 * np.asarray(powers[kk], dtype=float)[None, :]).sum(axis=1)
-        out.append(signal / (noise_power + interference))
     return out
 
 
@@ -534,113 +387,6 @@ def zf_prefix_couplings(
     return gains, coupling
 
 
-def zf_imperfect_csit_sinr(
-    coupling: np.ndarray,
-    powers,
-    noise_power: float,
-) -> np.ndarray:
-    """Per-user SINRs of single-antenna users under a possibly mismatched ZF.
-
-    ``coupling[i, j]`` is user ``i``'s true channel times the unit-norm
-    precoding column of stream ``j``, i.e. ``h.T @ v_hat`` for true channels
-    ``h`` and a ZF precoder ``v_hat`` computed from estimated channels.
-    Nulling the estimated cross channels leaves residual intra-group
-    interference; cross-group terms are assumed cancelled from cached
-    content and do not appear.  ``powers`` holds per-stream powers along its
-    last axis and broadcasts, so a column of equal per-stream powers gives
-    one row of SINRs per power point.
-    """
-    cross = np.abs(np.asarray(coupling)) ** 2
-    powers = np.asarray(powers, dtype=float)
-    received = np.sum(cross * powers[..., None, :], axis=-1)
-    signal = np.diagonal(cross) * powers
-    return signal / (noise_power + received - signal)
-
-
-def zf_imperfect_csir_sinr(
-    p_tot: float,
-    num_groups: int,
-    users_per_group: int,
-    csir_error_var: float,
-    estimated_coupling,
-    noise_power: float,
-):
-    """SINR under equal power when coupling estimates carry Gaussian error.
-
-    Residual interference from all other served streams enters through its
-    average power ``per_stream_power * csir_error_var * (served - 1)``.
-    ``estimated_coupling`` is each receiver's estimate of its own coupling
-    coefficient; a column of ``p_tot`` values gives one row per power point.
-    """
-    served = num_groups * users_per_group
-    p = p_tot / served
-    interference = p * csir_error_var * (served - 1)
-    est = np.abs(np.asarray(estimated_coupling)) ** 2
-    return p * (est + csir_error_var) / (noise_power + interference)
-
-
-@dataclass(frozen=True)
-class MsvSolution:
-    """Multicast and unicast beams of the multi-server baseline.
-
-    ``multicast_gains[k']`` is the squared effective channel of the common
-    stream at multicast user ``k'``; ``unicast_gains[k]`` that of unicast
-    stream ``k`` at its own user.
-    """
-
-    multicast_beam: np.ndarray   # (L,)
-    unicast_beams: np.ndarray    # (L, Q_uc)
-    multicast_gains: np.ndarray  # (G,)
-    unicast_gains: np.ndarray    # (Q_uc,)
-
-    @property
-    def num_unicast(self) -> int:
-        return self.unicast_beams.shape[1]
-
-
-def msv_beamformers(
-    multicast_channels: np.ndarray,
-    unicast_channels: np.ndarray,
-    num_unicast: int,
-) -> MsvSolution:
-    """Null-steering beams for one multicast plus ``num_unicast`` streams.
-
-    Channels are rows of the given ``(G, L)`` / ``(Q_uc, L)`` arrays.  The
-    common beam is steered at the first multicast user inside the null
-    space of all unicast channels (plain matched filter when there is
-    nothing to null); each unicast beam nulls the first multicast user and
-    the other unicast users.
-    """
-    h_mc = np.asarray(multicast_channels, dtype=complex)
-    h_uc = np.asarray(unicast_channels, dtype=complex)
-    L = h_mc.shape[1]
-    if num_unicast > L - 1:
-        raise InfeasibleDimensionError(
-            f"{num_unicast} unicast streams exceed the {L - 1} null-space dimensions"
-        )
-    if h_uc.shape[0] < num_unicast:
-        raise ValueError("not enough unicast channels supplied")
-    uc_cols = h_uc[:num_unicast].T  # (L, Q_uc)
-
-    if num_unicast == 0:
-        f0 = h_mc[0].conj() / np.linalg.norm(h_mc[0])
-    else:
-        t0 = null_projector(uc_cols)
-        f0 = t0 @ h_mc[0].conj()
-        f0 /= np.linalg.norm(f0)
-
-    beams = np.zeros((L, num_unicast), dtype=complex)
-    for k in range(num_unicast):
-        others = np.hstack([h_mc[0][:, None], np.delete(uc_cols, k, axis=1)])
-        tk = null_projector(others)
-        fk = tk @ uc_cols[:, k].conj()
-        beams[:, k] = fk / np.linalg.norm(fk)
-
-    mc_gains = np.abs(h_mc @ f0) ** 2
-    uc_gains = np.abs(np.einsum("lk,lk->k", uc_cols, beams)) ** 2
-    return MsvSolution(f0, beams, mc_gains, uc_gains)
-
-
 def msv_rate_from_gains(
     multicast_gains: np.ndarray,
     unicast_gains: np.ndarray,
@@ -675,7 +421,8 @@ def msv_gains_fast(
     unicast_channels: np.ndarray,
     unicast_counts,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Beam gains of :func:`msv_beamformers` for every unicast count.
+    """Beam gains of the MSV null-steering design (``msv_beamformers`` in
+    ``tests/oracles.py``) for every unicast count.
 
     The beams of ``n`` unicast streams are the ZF precoder of the first
     ``n + 1`` columns of ``[mc_0, uc_1, ..., uc_U]`` (channels as columns):
@@ -695,8 +442,3 @@ def msv_gains_fast(
     pairs = [(n + 1, k) for n in unicast_counts for k in range(g_mc)]
     gains, coupling = zf_prefix_couplings(h_mc.T[None], stack, pairs)
     return np.abs(coupling[0, :, 0].reshape(-1, g_mc)) ** 2, gains[0, ::g_mc, 1:]
-
-
-def msv_high_snr_gain_limit(num_tx_antennas: int, cached_load: int) -> float:
-    """Limiting gain of the full-multiplexing baseline as power grows."""
-    return (num_tx_antennas + cached_load) / num_tx_antennas

@@ -15,12 +15,12 @@ import pytest
 from vccsim import experiments
 from vccsim.allocation import UserRateFunction, solve_mmf, waterfill
 from vccsim.caching import build_placement, build_schedule, verify_delivery
-from vccsim.channel import sample_group_channel, substream
+from vccsim.channel import substream
 from vccsim.experiments import BD_MRC, BD_MRC_ASYM, Scenario, cache_aided_job, run_vcc_zf
-from vccsim.precoding import bd_mrc, null_projector
 from vccsim.recipes import run_recipe
 
 from csvrows import rendered_rows
+from oracles import bd_mrc, null_projector, sample_group_channel
 
 WORKERS = 4
 
@@ -268,7 +268,7 @@ class TestCriterion5Figures:
         _report(5, f"fig7 optimized Micro-cell gain at 33 dBm: {gain:.2f}", failures)
 
     def test_fig8_msv_structure(self):
-        from vccsim.precoding import msv_high_snr_gain_limit
+        from oracles import msv_high_snr_gain_limit
 
         rows, _ = run_recipe("fig8", seed=53, n_locations=150, n_fadings=1, workers=WORKERS)
         msv = _rows_by_scheme(rows, "msv")

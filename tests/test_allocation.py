@@ -664,7 +664,7 @@ class TestZfBounds:
 class TestEigenvalueConcentration:
     def test_large_array_limit(self):
         # per-stream gains concentrate at beta * (L - M_group + M)
-        from vccsim.channel import sample_group_channel
+        from oracles import sample_group_channel
         from vccsim.precoding import bd_mrc_eigenvalues
 
         l, m, q, beta = 256, 2, 2, 1.0

@@ -16,7 +16,6 @@ from vccsim.channel import (
     dbm_to_watts,
     geometry_preset,
     noise_power_watts,
-    sample_group_channel,
     sample_user_pathlosses,
     sample_user_position,
     substream,
@@ -24,6 +23,8 @@ from vccsim.channel import (
     watts_to_dbm,
 )
 from vccsim.errors import InfeasibleDimensionError, OverheadExceedsCoherenceError
+
+from oracles import sample_group_channel
 
 
 class TestGeometry:

@@ -41,10 +41,11 @@ from vccsim.experiments import (
     run_vcc_bd_mrc,
     run_vcc_zf,
 )
-from vccsim.precoding import zf_imperfect_csir_sinr, zf_imperfect_csit_sinr, zf_matrix
+from vccsim.precoding import zf_matrix
 from vccsim.recipes import RECIPES, run_recipe
 
 from csvrows import parse_rows, rendered_rows
+from oracles import zf_imperfect_csir_sinr, zf_imperfect_csit_sinr
 
 
 def macro_scenario(**kw):

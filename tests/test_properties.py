@@ -47,15 +47,15 @@ from vccsim.channel import GroupChannel, complex_gaussian
 from vccsim.precoding import (
     _block_gains,
     _usable,
-    bd_mrc,
     bd_mrc_prefix_gains,
-    msv_beamformers,
     msv_gains_fast,
     prefix_factor,
     zf_matrix,
     zf_prefix_couplings,
     zf_prefix_gains,
 )
+
+from oracles import bd_mrc, msv_beamformers
 
 PROPERTY = settings(max_examples=50, deadline=None)
 
