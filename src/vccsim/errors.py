@@ -25,5 +25,10 @@ class UnsupportedConfigurationError(SimulationError):
     """The requested configuration is outside the supported scope."""
 
 
+class NumericalFaultError(SimulationError):
+    """A floating-point fault (division by zero, overflow or an invalid
+    operation) in a simulation's arithmetic, which no input check foresaw."""
+
+
 class ConvergenceError(SimulationError):
     """An iterative solver did not converge within its iteration cap."""

@@ -20,8 +20,15 @@ runs every job of the recipe over its block in the same four steps:
    largest served-user count ``q``.  BD-MRC and ZF use the same draw, the
    groups' channels with their prefix factor
    (:func:`~vccsim.precoding.prefix_factor`), so each (location, fading,
-   group) channel is drawn and factored once.  Draws are made one cell at a
-   time, so neither they nor the kernels grow with the block;
+   group) channel is drawn and factored once.  A draw fills one buffer with
+   one ``standard_normal`` call per substream, the doubles that
+   :func:`~vccsim.channel.complex_gaussian` draws from it, in its order,
+   and builds every array from that buffer in whole-stack expressions with
+   the operations of ``complex_gaussian`` and
+   :func:`~vccsim.channel.corrupt_csit`: the channels, the transmitter's
+   estimates and the error draws, bit-identical to those functions'
+   (:func:`_gaussians`).  Draws are made one cell at a time, so neither
+   they nor the kernels grow with the block;
 2. kernel: the stream gains of every ``q``-user prefix of those draws at
    once, per group (groups on axis 0).  For BD-MRC and ZF this is one
    nested-prefix Gram kernel over every group, one factorization per
@@ -81,9 +88,15 @@ runs keep one location's draws and rates per task; one-fading runs, where
 per-call overhead outweighs the arithmetic of a rate solve, batch two
 locations into each rate-rule call and each solve.  Draws are not stacked
 over a block, so the factor, the kernels and their memory do not grow with
-it.  Nor does a solve grow with the rules: it holds at most
-:data:`_SOLVE_USERS` pooled users, unless one problem is larger, which at
-paper scale is about what fig7's largest rule poses on its own.
+it, and no matrix product changes its width: the bits of a product's
+columns depend on its width, so stacking the cells would move the CSV
+(it also left ``fig9`` no faster, and fig2 at 2x20 slower).  Nor does a
+solve grow with the rules: it holds at most :data:`_SOLVE_USERS` pooled
+users, unless one problem is larger, which at paper scale is about what
+fig7's largest rule poses on its own.  A block runs with numpy raising on
+division by zero, overflow and invalid operations, so such a fault fails
+the run with an error that names the block's locations
+(:func:`_block_task`).
 
 Sharing.  Within a task, a draw is kept per cell under its draw
 plus the fields it reads (``seed``, ``L``, ``M``, ``geometry``,
@@ -146,6 +159,9 @@ import numpy as np
 # here, where bench/spans.py resolves the names it traces, zf_mmf_bounds
 # among them.  They are oracles of the fast paths, and the table in
 # tests/oracles.py, where the other oracles live, says which path each checks.
+# complex_gaussian and corrupt_csit stay for the tracer too: no run path
+# calls them, as _gaussians and _csi_draws make their values bit for bit, one
+# stack per cell, and the tests check the draws against them.
 from .allocation import UserRateFunction, mmf_sum_rates, solve_mmf
 from .channel import (
     complex_gaussian,
@@ -159,7 +175,11 @@ from .channel import (
     substream,
     substreams,
 )
-from .errors import InvalidConfigurationError, UnsupportedConfigurationError
+from .errors import (
+    InvalidConfigurationError,
+    NumericalFaultError,
+    UnsupportedConfigurationError,
+)
 from .precoding import (
     bd_mrc_eigenvalues,
     bd_mrc_prefix_gains,
@@ -569,15 +589,23 @@ def _group_keys(streams, scenario: Scenario, loc: int, fad: int) -> list[tuple[i
 
 
 def _fading_keys(scenario: Scenario, loc: int, fad: int) -> list[tuple[int, ...]]:
-    """Each group's fading key at one cell: the keys of :func:`_unit_channels`."""
+    """Each group's fading key at one cell: the keys of :func:`_group_factor`."""
     return _group_keys((1,), scenario, loc, fad)
 
 
-def _unit_channels(scenario: Scenario, q_top: int, rngs):
-    """Each group's unit-variance channels ``(L, q_top*m)``, one generator
-    per group."""
-    l, m = scenario.num_tx_antennas, scenario.antennas_per_user
-    return [complex_gaussian(rng, (l, q_top * m)) for rng in rngs]
+def _gaussians(rngs, shape) -> np.ndarray:
+    """Unit-variance complex Gaussians ``(len(rngs), *shape)``, one
+    generator per row, bit-identical to ``complex_gaussian(rng, shape)`` of
+    each.
+
+    Each generator fills its row's real and then imaginary parts with one
+    ``standard_normal`` call: the doubles, in the order, of the two calls
+    :func:`~vccsim.channel.complex_gaussian` makes.  The complex values come
+    from one expression over every row, with that function's operations."""
+    normals = np.empty((len(rngs), 2, *shape))
+    for out, rng in zip(normals, rngs):
+        rng.standard_normal(out=out)
+    return math.sqrt(0.5) * (normals[:, 0] + 1j * normals[:, 1])
 
 
 def _curve_from_means(
@@ -632,11 +660,12 @@ def _overhead_factors(scenario: Scenario, q_values) -> np.ndarray:
 # Kernels and solvers are looked up as module globals at call time, so a
 # tracer (bench/spans.py) can wrap them.
 def _group_factor(scenario: Scenario, q_top: int, rngs, betas):
-    """Groups stacked ``(G, L, q_top*m)``, user k's columns scaled by
-    ``sqrt(beta_k)``, with their prefix factor: the draw of BD-MRC and ZF."""
-    scale = np.repeat(np.sqrt(betas), scenario.antennas_per_user, axis=1)
-    units = _unit_channels(scenario, q_top, rngs)
-    return prefix_factor(np.stack(units) * scale[:, None, :])
+    """Groups stacked ``(G, L, q_top*m)``, one generator per group, of
+    unit-variance channels with user k's columns scaled by ``sqrt(beta_k)``,
+    with their prefix factor: the draw of BD-MRC and ZF."""
+    m = scenario.antennas_per_user
+    units = _gaussians(rngs, (scenario.num_tx_antennas, q_top * m))
+    return prefix_factor(units * np.repeat(np.sqrt(betas), m, axis=1)[:, None, :])
 
 
 def _bd_kernel(scenario: Scenario, q_values, factor):
@@ -775,15 +804,19 @@ def _csi_keys(scenario: Scenario, loc: int, fad: int) -> list[tuple[int, ...]]:
 def _csi_draws(scenario: Scenario, q_top: int, rngs, _):
     """Stacked over groups: true channels, their transmitter-side estimate
     and, if the scenario has CSIR variances, the receiver-side coupling
-    error draws."""
-    g = scenario.coded_gain
-    draws = []
-    for gi, h in enumerate(_unit_channels(scenario, q_top, rngs[:g])):
-        h_hat, _ = corrupt_csit(h, scenario.csit_error_var, rngs[g + gi])
-        draws.append((h, h_hat))
-        if scenario.csir_error_vars:
-            draws[-1] += (complex_gaussian(rngs[2 * g + gi], q_top),)
-    return tuple(np.stack(d) for d in zip(*draws))
+    error draws.
+
+    The estimate is that of :func:`~vccsim.channel.corrupt_csit`, bit for
+    bit: ``h - (var * h + sqrt(var * (1 - var)) * w)``, with ``w`` from the
+    CSIT error substreams, and at ``var == 0`` the channel itself, with no
+    ``w`` drawn."""
+    g, var = scenario.coded_gain, scenario.csit_error_var
+    drawn = _gaussians(rngs[:2 * g] if var else rngs[:g], (scenario.num_tx_antennas, q_top))
+    h = drawn[:g]
+    h_hat = h - (var * h + math.sqrt(var * (1.0 - var)) * drawn[g:]) if var else h
+    if scenario.csir_error_vars:
+        return h, h_hat, _gaussians(rngs[2 * g:], (q_top,))
+    return h, h_hat
 
 
 @functools.lru_cache(maxsize=None)
@@ -837,10 +870,11 @@ def _csi_error_kernel(scenario: Scenario, q_values, draws):
     h, h_hat, *w = draws
     pairs, _, _ = _served_pairs(q_values)
     users = pairs[:, 1]
-    _, rows = zf_prefix_couplings(h, h_hat, pairs)
+    _, _, rows = zf_prefix_couplings(h, h_hat, pairs)
     own = rows[:, np.arange(users.size), users]
-    received = (rows.real ** 2 + rows.imag ** 2).sum(axis=-1)
-    return (own, received, *(e[:, users] for e in w))
+    power = rows.real ** 2
+    power += rows.imag ** 2
+    return (own, power.sum(axis=-1), *(e[:, users] for e in w))
 
 
 def _csi_error_rates(scenario: Scenario, q_values, kernel_out):
@@ -851,20 +885,28 @@ def _csi_error_rates(scenario: Scenario, q_values, kernel_out):
     own, received, *w = kernel_out
     pairs, _, _ = _served_pairs(q_values)
     snr = _pair_snr(scenario, q_values)
-    signal = own.real ** 2 + own.imag ** 2
-    interference = received - signal
-    # One buffer for every curve's SINRs, filled curve by curve.
+    signal = own.real ** 2
+    signal += own.imag ** 2
+    # One buffer for every curve's SINRs, filled curve by curve: the
+    # numerator, then divided in place.
     sinrs = np.empty((1 + len(scenario.csir_error_vars), *own.shape, snr.shape[-1]))
-    np.divide(snr * signal[..., None], 1.0 + snr * interference[..., None], out=sinrs[0])
+    np.multiply(snr, signal[..., None], out=sinrs[0])
+    den = np.multiply(snr, (received - signal)[..., None])
+    den += 1.0
+    sinrs[0] /= den
     others = (scenario.coded_gain * pairs[:, 0] - 1)[:, None]
     for i, var in enumerate(scenario.csir_error_vars, start=1):
         # Each receiver's estimate of its own coupling coefficient, and the
         # SINR with numerator and denominator scaled by 1 / (1 + var), so
         # that it stays finite for any finite variance.
         scale = 1.0 + var
-        est = own / math.sqrt(scale) - math.sqrt(var / scale) * w[0]
-        num = est.real ** 2 + est.imag ** 2 + var / scale
-        np.divide(snr * num[..., None], 1.0 / scale + snr * (var / scale) * others, out=sinrs[i])
+        est = own / math.sqrt(scale)
+        est -= math.sqrt(var / scale) * w[0]
+        num = est.real ** 2
+        num += est.imag ** 2
+        num += var / scale
+        np.multiply(snr, num[..., None], out=sinrs[i])
+        sinrs[i] /= 1.0 / scale + snr * (var / scale) * others
     return _csi_sum_rates(scenario, q_values, sinrs)
 
 
@@ -875,8 +917,8 @@ def _msv_keys(scenario: Scenario, loc: int, fad: int) -> list[tuple[int, ...]]:
 
 def _msv_draws(scenario: Scenario, q_top: int, rngs, _):
     l = scenario.num_tx_antennas
-    uc_pool = complex_gaussian(rngs[0], (l - 1, l))
-    mc = complex_gaussian(rngs[1], (scenario.coded_gain, l))
+    uc_pool = _gaussians(rngs[:1], (l - 1, l))[0]
+    mc = _gaussians(rngs[1:], (scenario.coded_gain, l))[0]
     return mc, uc_pool
 
 
@@ -1071,8 +1113,25 @@ def _block_task(args) -> list[list[np.ndarray]]:
     (:func:`_simulate` checks both).  Returns, per job and rule, each
     location's mean rates over its fadings, in location order, shape
     ``(n_curves, n_loc, n_q, n_p)``.
+
+    The block runs with numpy raising on division by zero, overflow and
+    invalid operations, underflow left silent: such a fault, which no
+    scenario check foresaw, fails the run with a
+    :class:`~vccsim.errors.NumericalFaultError` that names the block's
+    locations, instead of warning and writing what it left.
     """
     jobs, locs = args
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            return _block_rates(jobs, locs)
+    except FloatingPointError as exc:
+        raise NumericalFaultError(
+            f"floating-point fault in the block of locations {list(locs)}: {exc}"
+        ) from exc
+
+
+def _block_rates(jobs, locs) -> list[list[np.ndarray]]:
+    """The body of :func:`_block_task`."""
     first = jobs[0].scenario
     n_fad = first.n_fadings
     groups = [job.scenario.coded_gain for job in jobs]

@@ -347,7 +347,7 @@ def zf_matrix(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def zf_prefix_couplings(
     h: np.ndarray, h_hat: np.ndarray, pairs
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """True-channel couplings of ZF precoders designed on estimates, at the
     requested (prefix size, receiver) pairs only.
 
@@ -356,17 +356,21 @@ def zf_prefix_couplings(
     are designed on.  ``pairs`` holds ``T`` pairs ``(n, k)``: receiver ``k``
     meets the ZF precoder ``V_n`` of the first ``n`` estimated columns
     (unit-norm columns, as in :func:`zf_matrix`) as ``h[:, :, k].T @ V_n``.
-    Returns, per pair, the ZF gains of its prefix (as in
-    :func:`zf_prefix_gains`) and its couplings, both of shape ``(G, T, N)``
-    and zero past the pair's ``n`` streams.  With ``h_hat.conj() = Q @ R``
-    and ``X = (h.T @ h_hat.conj()) @ inv(R)``, whose leading columns do not
-    depend on the prefix, receiver k's couplings with the first ``n``
-    streams are ``X[k, :n] @ inv(R)[:n, :n].conj().T`` times ``sqrt`` of the
-    prefix's ZF gains along its streams.  As ``inv(R)`` is upper
-    triangular, that is row k of X with its columns from ``n`` on set to
-    zero, times ``inv(R).conj().T``: so all ``T`` pairs are one batched
-    product of their masked rows, from one factorization.  Perfect CSI at
-    the served users is ``h_hat = h``.
+    Returns ``(gains, per_pair, coupling)``: the ZF gains ``(G, D, N)`` of
+    each of the ``D`` distinct prefix sizes, ascending (as in
+    :func:`zf_prefix_gains`), the index ``(T,)`` of each pair's size among
+    them, so that ``gains[:, per_pair]`` are the pairs' gains, and the
+    pairs' couplings ``(G, T, N)``, zero past each pair's ``n`` streams.
+
+    With ``h_hat.conj() = Q @ R`` and ``X = (h.T @ h_hat.conj()) @
+    inv(R)``, whose leading columns do not depend on the prefix, receiver
+    k's couplings with the first ``n`` streams are ``X[k, :n] @ inv(R)[:n,
+    :n].conj().T`` times ``sqrt`` of the prefix's ZF gains along its
+    streams, taken per size before they are gathered to the pairs.  As
+    ``inv(R)`` is upper triangular, that is row k of X with its columns from
+    ``n`` on set to zero, times ``inv(R).conj().T``: so all ``T`` pairs are
+    one batched product of their masked rows, from one factorization.
+    Perfect CSI at the served users is ``h_hat = h``.
 
     Raises
     ------
@@ -377,14 +381,14 @@ def zf_prefix_couplings(
     sizes, receivers = np.asarray(pairs).reshape(-1, 2).T
     factor = prefix_factor(h_hat)
     distinct, per_pair = np.unique(sizes, return_inverse=True)
-    gains = zf_prefix_gains(factor, distinct)[:, per_pair]
+    gains = zf_prefix_gains(factor, distinct)
     r_inv = factor.r_inv
     x = h.swapaxes(-1, -2) @ h_hat.conj() @ r_inv
     rows = np.take(x, receivers, axis=1)
     rows *= np.arange(r_inv.shape[-1]) < sizes[:, None]
     coupling = rows @ r_inv.conj().swapaxes(-1, -2)
-    coupling *= np.sqrt(gains)
-    return gains, coupling
+    coupling *= np.sqrt(gains)[:, per_pair]
+    return gains, per_pair, coupling
 
 
 def msv_rate_from_gains(
@@ -433,12 +437,12 @@ def msv_gains_fast(
     filter.  Returns the multicast gains ``(S, G)`` (squared couplings of
     the common beam at every multicast user, from the couplings at every
     (count, multicast user) pair) and the unicast gains ``(S, U)``, zero
-    past each count.
+    past each count: the per-size ZF gains, one row per count.
     """
     h_mc = np.asarray(multicast_channels, dtype=complex)
     h_uc = np.asarray(unicast_channels, dtype=complex)
     stack = np.concatenate([h_mc[:1], h_uc], axis=0).T[None]
     g_mc = h_mc.shape[0]
     pairs = [(n + 1, k) for n in unicast_counts for k in range(g_mc)]
-    gains, coupling = zf_prefix_couplings(h_mc.T[None], stack, pairs)
-    return np.abs(coupling[0, :, 0].reshape(-1, g_mc)) ** 2, gains[0, ::g_mc, 1:]
+    gains, per_pair, coupling = zf_prefix_couplings(h_mc.T[None], stack, pairs)
+    return np.abs(coupling[0, :, 0].reshape(-1, g_mc)) ** 2, gains[0, per_pair[::g_mc], 1:]

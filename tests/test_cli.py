@@ -485,3 +485,36 @@ class TestParser:
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
         assert not (tmp_path / "x.csv").exists()
+
+    # A floating-point fault that no scenario check foresees fails the run
+    # with one error line naming the faulty block's locations, and no CSV.
+    # 5 locations at one fading make the blocks [0, 1], [2, 3] and [4]: on 1
+    # worker every block's kernel divides by zero and the first block
+    # fails; on 2 workers only the forked child's kernel does, so the fault
+    # of its block [4] reaches the parent through the pipe.
+    @pytest.mark.parametrize("workers, child_only, locations", [
+        ("1", False, "[0, 1]"), ("2", True, "[4]"),
+    ])
+    def test_floating_point_fault_fails_the_run(
+        self, capsys, tmp_path, monkeypatch, workers, child_only, locations
+    ):
+        parent = os.getpid()
+        couplings = experiments.zf_prefix_couplings
+
+        def dividing_by_zero(h, h_hat, pairs):
+            gains, per_pair, coupling = couplings(h, h_hat, pairs)
+            if child_only and os.getpid() == parent:
+                return gains, per_pair, coupling
+            return gains / 0.0, per_pair, coupling
+
+        monkeypatch.setattr(experiments, "zf_prefix_couplings", dividing_by_zero)
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
+        out = tmp_path / "x.csv"
+        code = main(["--recipe", "fig9", "--locations", "5", "--fadings", "1",
+                     "--workers", workers, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: floating-point fault in the block of locations {locations}: "
+            "divide by zero encountered in divide"
+        ]
+        assert not out.exists()

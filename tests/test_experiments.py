@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -298,6 +298,29 @@ class TestFadingFreeRules:
             assert np.array_equal(block[:, li:li + 1], alone)
 
 
+def count_draws(monkeypatch):
+    """Spy on the run path's draws (``experiments._gaussians``): per
+    substream drawn, ``substreams`` counts one, and ``normal_calls`` counts
+    the ``standard_normal`` calls made on its generator."""
+    counts = {"substreams": 0, "normal_calls": 0}
+    draw = experiments._gaussians
+
+    class Counted:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, *args, **kwargs):
+            counts["normal_calls"] += 1
+            return self.rng.standard_normal(*args, **kwargs)
+
+    def counted(rngs, shape):
+        counts["substreams"] += len(rngs)
+        return draw([Counted(rng) for rng in rngs], shape)
+
+    monkeypatch.setattr(experiments, "_gaussians", counted)
+    return counts
+
+
 def seed_sequence_rng(seed, *key):
     """One key's generator, seeded by numpy's own SeedSequence."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
@@ -305,12 +328,26 @@ def seed_sequence_rng(seed, *key):
 
 class TestCellSeeding:
     """Each run-path draw, seeded as a block task seeds it, against the same
-    draw written out with one SeedSequence generator per substream key."""
+    draw written out with one SeedSequence generator per substream key:
+    ``complex_gaussian`` per substream, ``corrupt_csit`` per group and
+    ``np.stack`` over the groups, under ``np.array_equal``.  Hypothesis
+    draws the group count, the shapes, the seed and the CSIT error variance,
+    0 (no error drawn) or in (0, 1); the pinned example of each draw is the
+    fixed case it was once tested at."""
 
     LOC, FAD = 3, 1
+    DRAWS = settings(max_examples=40, deadline=None)
+    GROUPS = st.integers(1, 6)
+    SEEDS = st.integers(0, 2**32 - 1)
+    CSIT_VARS = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
 
     def _rng(self, scn, stream, group):
         return seed_sequence_rng(scn.seed, stream, self.LOC, self.FAD, group)
+
+    @staticmethod
+    def _groups(groups):
+        """The fields that give a scenario ``groups`` groups (its coded gain)."""
+        return dict(num_states=groups, cache_fraction=Fraction(groups - 1, groups))
 
     def test_location_betas(self):
         scn = macro_scenario()
@@ -319,13 +356,19 @@ class TestCellSeeding:
         assert experiments._location_keys(symmetric_scenario(), self.LOC) == []
         assert np.array_equal(location_betas(symmetric_scenario(), 4, self.LOC), np.ones((6, 4)))
 
-    def test_group_factor(self):
-        scn = macro_scenario(users_per_group=None)
-        l, m, q_top = scn.num_tx_antennas, scn.antennas_per_user, scn.max_group_users()
+    @DRAWS
+    @given(groups=GROUPS, m=st.integers(1, 4), extra=st.integers(0, 12),
+           q_top=st.integers(1, 6), seed=SEEDS)
+    @example(groups=6, m=4, extra=20, q_top=6, seed=11)
+    def test_group_factor(self, groups, m, extra, q_top, seed):
+        scn = macro_scenario(
+            num_tx_antennas=m + extra, antennas_per_user=m, users_per_group=None,
+            baseline_users=None, seed=seed, **self._groups(groups),
+        )
         betas = location_betas(scn, q_top, self.LOC)
         got = cell_draw(experiments._GROUP_DRAW, scn, q_top, self.LOC, self.FAD, betas)
         units = np.stack([
-            complex_gaussian(self._rng(scn, 1, g), (l, q_top * m)) for g in range(scn.coded_gain)
+            complex_gaussian(self._rng(scn, 1, g), (m + extra, q_top * m)) for g in range(groups)
         ])
         want = precoding.prefix_factor(units * np.repeat(np.sqrt(betas), m, axis=1)[:, None, :])
         assert len(got) == len(want)
@@ -333,14 +376,20 @@ class TestCellSeeding:
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("csir_vars", [(), (0.01, 0.0)])
-    def test_csi_draws(self, csir_vars):
-        scn = symmetric_scenario(csit_error_var=0.01, csir_error_vars=csir_vars)
-        q_top = scn.max_group_users()
+    @DRAWS
+    @given(groups=GROUPS, antennas=st.integers(1, 16), q_top=st.integers(1, 16),
+           var=CSIT_VARS, seed=SEEDS)
+    @example(groups=6, antennas=16, q_top=16, var=0.01, seed=4)
+    def test_csi_draws(self, csir_vars, groups, antennas, q_top, var, seed):
+        scn = symmetric_scenario(
+            num_tx_antennas=antennas, csit_error_var=var, csir_error_vars=csir_vars, seed=seed,
+            **self._groups(groups),
+        )
         got = cell_draw(experiments._CSI_DRAW, scn, q_top, self.LOC, self.FAD)
         want = []
-        for g in range(scn.coded_gain):
-            h = complex_gaussian(self._rng(scn, 1, g), (scn.num_tx_antennas, q_top))
-            h_hat, _ = corrupt_csit(h, scn.csit_error_var, self._rng(scn, 2, g))
+        for g in range(groups):
+            h = complex_gaussian(self._rng(scn, 1, g), (antennas, q_top))
+            h_hat, _ = corrupt_csit(h, var, self._rng(scn, 2, g))
             want.append((h, h_hat))
             if csir_vars:
                 want[-1] += (complex_gaussian(self._rng(scn, 3, g), q_top),)
@@ -349,11 +398,14 @@ class TestCellSeeding:
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
 
-    def test_msv_draws(self):
-        scn = symmetric_scenario(num_tx_antennas=8)
-        l = scn.num_tx_antennas
+    @DRAWS
+    @given(groups=GROUPS, antennas=st.integers(2, 12), seed=SEEDS)
+    @example(groups=6, antennas=8, seed=4)
+    def test_msv_draws(self, groups, antennas, seed):
+        scn = symmetric_scenario(num_tx_antennas=antennas, seed=seed, **self._groups(groups))
+        l = antennas
         mc, uc_pool = cell_draw(experiments._MSV_DRAW, scn, l - 1, self.LOC, self.FAD)
-        assert np.array_equal(mc, complex_gaussian(self._rng(scn, 4, 1), (scn.coded_gain, l)))
+        assert np.array_equal(mc, complex_gaussian(self._rng(scn, 4, 1), (groups, l)))
         assert np.array_equal(uc_pool, complex_gaussian(self._rng(scn, 4, 0), (l - 1, l)))
 
     def test_block_streams_pair_each_name_with_its_keys(self):
@@ -537,10 +589,11 @@ class TestOneSimulatePerRecipe:
     location share each draw and its prefix factor where their draw keys
     match."""
 
-    # Per (location, fading): complex_gaussian draws, one per group of each
-    # shared draw (two per group when the imperfect-CSI draw has CSIR
-    # variances, two for MSV), and _prefix_inverse calls, one per shared
-    # stack factored.  The cacheless job reads the cache-aided group 0
+    # Per (location, fading): substreams drawn, one per group of each shared
+    # draw (for the imperfect-CSI draw, one per group for the fading, one for
+    # the CSIT error and, with CSIR variances, one for the coupling error;
+    # two for MSV), each with one standard_normal call, and _prefix_inverse
+    # calls, one per shared stack factored.  The cacheless job reads the cache-aided group 0
     # wherever both sides have the same largest served count; fig4 (Q=2,
     # Q'=8) does not.  fig6 factors two stacks: the perfect-CSI kernel the
     # true channels and the error kernel their estimate; fig9 runs the
@@ -550,10 +603,10 @@ class TestOneSimulatePerRecipe:
         "fig3": (6, 1),
         "fig4": (4 + 1, 2),
         "fig5": (6, 1),
-        "fig6": (6, 2),
+        "fig6": (2 * 6, 2),
         "fig7": (6, 1),  # BD-MRC and ZF share the cache-aided draw
         "fig8": (2 + 6, 1 + 1),
-        "fig9": (2 * 6, 1),
+        "fig9": (3 * 6, 1),
     }
 
     @staticmethod
@@ -568,18 +621,15 @@ class TestOneSimulatePerRecipe:
 
     @pytest.mark.parametrize("recipe", sorted(RECIPES))
     def test_each_draw_and_factor_once_per_job(self, monkeypatch, recipe):
-        counts = dict.fromkeys(("_simulate", "complex_gaussian", "_prefix_inverse"), 0)
+        counts = dict.fromkeys(("_simulate", "_prefix_inverse"), 0)
         self._count(monkeypatch, experiments, "_simulate", counts)
-        self._count(monkeypatch, experiments, "complex_gaussian", counts)
         self._count(monkeypatch, precoding, "_prefix_inverse", counts)
+        drawn = count_draws(monkeypatch)
         n_loc, n_fad = 2, 3
         run_recipe(recipe, seed=1, n_locations=n_loc, n_fadings=n_fad)
         draws, factors = self.PER_FADING[recipe]
-        assert counts == {
-            "_simulate": 1,
-            "complex_gaussian": draws * n_loc * n_fad,
-            "_prefix_inverse": factors * n_loc * n_fad,
-        }
+        assert counts == {"_simulate": 1, "_prefix_inverse": factors * n_loc * n_fad}
+        assert drawn == dict.fromkeys(("substreams", "normal_calls"), draws * n_loc * n_fad)
 
     # Blocks per (locations, fadings): a block task holds two cells' worth of
     # whole locations, so at 3 fadings a block is one location and at 1
@@ -758,11 +808,14 @@ class TestSharedLocationTask:
             csit_error_var=0.01, csir_error_vars=csir_vars, n_locations=3, n_fadings=2,
         )
         vcc, cl = experiments.imperfect_csi_jobs(scn, *rules)
-        draws = self._counting(monkeypatch, experiments, "complex_gaussian")
+        draws = count_draws(monkeypatch)
         shared = experiments._simulate([vcc, cl], workers=1)
-        # one draw per cache-aided group, plus coupling errors only with CSIR
-        per_fading = scn.coded_gain * (1 + bool(csir_vars))
-        assert draws["complex_gaussian"] == per_fading * scn.n_locations * scn.n_fadings
+        # per cache-aided group, a fading and a CSIT error draw, plus
+        # coupling errors only with CSIR
+        per_fading = scn.coded_gain * (2 + bool(csir_vars))
+        assert draws == dict.fromkeys(
+            ("substreams", "normal_calls"), per_fading * scn.n_locations * scn.n_fadings
+        )
         lone = experiments._simulate([cl], workers=1)
         assert lone.keys() == {name for _, names in cl.rules for name in names}
         for name, curve in lone.items():
@@ -778,9 +831,11 @@ class TestSharedLocationTask:
             experiments.cache_aided_job(scn, (experiments.BD_MRC, ("vcc",))),
             experiments.cacheless_job(scn, (experiments.BD_MRC, ("cl",))),
         ]
-        draws = self._counting(monkeypatch, experiments, "complex_gaussian")
+        draws = count_draws(monkeypatch)
         shared = experiments._simulate(jobs, workers=1)
-        assert draws["complex_gaussian"] == (scn.coded_gain + 1) * scn.n_locations * scn.n_fadings
+        assert draws == dict.fromkeys(
+            ("substreams", "normal_calls"), (scn.coded_gain + 1) * scn.n_locations * scn.n_fadings
+        )
         self._equal(shared["cl"], run_cacheless_bd_mrc(scn)["cacheless_bd_mrc"])
 
     def test_msv_draw_is_never_sliced(self, monkeypatch):
@@ -792,9 +847,11 @@ class TestSharedLocationTask:
         assert (six.coded_gain, four.coded_gain) == (6, 4)
         small = experiments.msv_job(four)
         small = small._replace(rules=((small.rules[0][0], ("msv_small",)),))
-        draws = self._counting(monkeypatch, experiments, "complex_gaussian")
+        draws = count_draws(monkeypatch)
         shared = experiments._simulate([experiments.msv_job(six), small], workers=1)
-        assert draws["complex_gaussian"] == 2 * 2 * six.n_locations * six.n_fadings
+        assert draws == dict.fromkeys(
+            ("substreams", "normal_calls"), 2 * 2 * six.n_locations * six.n_fadings
+        )
         self._equal(shared["msv_modified"], run_msv(six)["msv_modified"])
         self._equal(shared["msv_small"], run_msv(four)["msv_modified"])
 

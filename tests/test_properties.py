@@ -411,9 +411,11 @@ def test_prefix_couplings_with_other_receivers_match_zf_matrix(stack, k, seed):
     pairs = [(n, r) for n in range(1, n_top + 1) for r in range(k)]
     if rng.integers(2):
         pairs = [pairs[i] for i in rng.choice(len(pairs), rng.integers(1, len(pairs) + 1))]
-    gains, coupling = zf_prefix_couplings(h, h_hat, pairs)
+    gains, per_pair, coupling = zf_prefix_couplings(h, h_hat, pairs)
     sizes = [n for n, _ in pairs]
-    np.testing.assert_array_equal(gains, zf_prefix_gains(prefix_factor(h_hat), sizes))
+    distinct = sorted(set(sizes))
+    np.testing.assert_array_equal(gains, zf_prefix_gains(prefix_factor(h_hat), distinct))
+    np.testing.assert_array_equal(np.asarray(distinct)[per_pair], sizes)
     assert coupling.shape == (g_count, len(pairs), n_top)
     for t, (n, r) in enumerate(pairs):
         for g in range(g_count):
