@@ -12,15 +12,16 @@ and forks a child for each other slice (:func:`_parallel_map`).  Each task
 runs every job of the recipe over its block in the same four steps:
 
 1. draw: first the task seeds the generator of every substream (below) it
-   will read, in one vectorized pass per seed
-   (:func:`~vccsim.channel.substreams`, through :func:`_block_streams`),
+   will read, in one vectorized call (:func:`~vccsim.channel.substreams`),
    bit-identical to one ``SeedSequence`` per key.  Then it takes each job's
-   pathloss rows once per location and, per (location, fading) cell, makes
-   one draw per shared draw key (below) from the cell's generators, at the
-   largest served-user count ``q``.  BD-MRC and ZF use the same draw, the
-   groups' channels with their prefix factor
+   pathloss rows once per location and, shared draw by shared draw (below),
+   makes the draw once per (location, fading) cell from the cell's
+   generators, at the largest served-user count ``q``, and runs each of its
+   kernels on it before the next cell is drawn.  BD-MRC and ZF use the same
+   draw, the groups' channels with their prefix factor
    (:func:`~vccsim.precoding.prefix_factor`), so each (location, fading,
-   group) channel is drawn and factored once.  A draw fills one buffer with
+   group) channel is drawn and factored once; the imperfect-CSI draw comes
+   with the factor of the transmitter's estimate.  A draw fills one buffer with
    one ``standard_normal`` call per substream, the doubles that
    :func:`~vccsim.channel.complex_gaussian` draws from it, in its order,
    and builds every array from that buffer in whole-stack expressions with
@@ -44,7 +45,8 @@ runs every job of the recipe over its block in the same four steps:
 3. rates: one rate-rule call per (job, rule, block), for the rates of every
    curve the scheme owns over the block's cells, the q sweep and the power
    vector, from the kernel outputs of the job's groups at every cell,
-   stacked on a leading cell axis in (location, fading) order.
+   stacked on a leading cell axis in (location, fading) order as soon as a
+   draw's cells are done, one kernel's stack at a time.
    Every rule takes each served set's pilot overhead factor from
    :meth:`Scenario.overhead_factor`, in [0, 1]; a set whose pilots fill the
    coherence block has factor 0 and rate 0.
@@ -98,12 +100,14 @@ division by zero, overflow and invalid operations, so such a fault fails
 the run with an error that names the block's locations
 (:func:`_block_task`).
 
-Sharing.  Within a task, a draw is kept per cell under its draw
-plus the fields it reads (``seed``, ``L``, ``M``, ``geometry``,
-``csit_error_var``) and ``q_top``, the largest served count of the job; a
-kernel output under its kernel, that draw key and the q sweep.  Each is
-made once, by the first job with the most groups among those that share
-the key, and every job takes its first ``coded_gain`` groups.  This is
+Sharing.  Within a task, the rules with a draw are grouped once by draw
+key: their draw plus the fields it reads (``L``, ``M``, ``geometry``,
+``csit_error_var``) and ``q_top``, the largest served count of the job.
+Every job of a task has the same seed (:func:`_simulate` checks it).  Each
+draw is made once per cell, by the first job with the most groups among
+those that share the key, and each of its kernels runs once per cell, for
+every rule that reads it with one q sweep; every job takes its first
+``coded_gain`` groups of the stacked output.  This is
 exact because group g of a draw reads only the substreams ``(., loc, fad,
 g)`` and every kernel works group by group; the pathloss rows of group g
 are likewise the same in every job with the same ``q_top``.  So the
@@ -119,12 +123,13 @@ any worker count and any block size.  The ``run_*`` functions are one-job
 (or, for imperfect CSI, two-job) wrappers over the same builders.
 
 Substream keys: ``(0, loc)`` user positions, ``(1, loc, fad, group)``
-fading, ``(2, loc, fad, group)`` transmitter CSI errors,
+fading, ``(2, loc, fad, group)`` transmitter CSI errors (drawn only at a
+positive ``csit_error_var``),
 ``(3, loc, fad, group)`` receiver coupling errors (drawn only when the job
 that makes the draw has CSIR variances), ``(4, loc, fad, 0|1)``
 baseline-scheme channels.  A key's generator is bit-identical to
 ``default_rng(SeedSequence(seed, spawn_key=key))``.  A block seeds all of
-its keys at once, one vectorized pass per seed: the hash of the seed's own
+its keys at once, in one vectorized pass: the hash of the seed's own
 words is computed once, and the key words of every generator are mixed in
 as array operations, so a key costs a few microseconds instead of the
 ``SeedSequence`` and generator of its own.
@@ -657,6 +662,15 @@ def _overhead_factors(scenario: Scenario, q_values) -> np.ndarray:
     return _read_only(np.array([scenario.overhead_factor(g, q) for q in q_values]))
 
 
+@functools.lru_cache(maxsize=None)
+def _msv_overhead_factors(scenario: Scenario, q_values) -> np.ndarray:
+    """Each unicast count n's pilot overhead factor, that of one group of
+    ``n + coded_gain`` single-antenna users (the unicast users, the common
+    stream's and the cached load), built once per process."""
+    g = scenario.coded_gain
+    return _read_only(np.array([scenario.overhead_factor(1, n + g) for n in q_values]))
+
+
 # Kernels and solvers are looked up as module globals at call time, so a
 # tracer (bench/spans.py) can wrap them.
 def _group_factor(scenario: Scenario, q_top: int, rngs, betas):
@@ -797,26 +811,29 @@ def _solve_problems(batches: list[_MmfProblems], n0: float, p_watts) -> list[np.
 
 
 def _csi_keys(scenario: Scenario, loc: int, fad: int) -> list[tuple[int, ...]]:
-    """Fading, CSIT error and, with CSIR variances, coupling error keys."""
-    return _group_keys((1, 2, 3) if scenario.csir_error_vars else (1, 2), scenario, loc, fad)
+    """Fading keys, then CSIT error keys if ``csit_error_var`` is positive
+    and coupling error keys if the scenario has CSIR variances."""
+    streams = [1] + [2] * (scenario.csit_error_var > 0) + [3] * bool(scenario.csir_error_vars)
+    return _group_keys(streams, scenario, loc, fad)
 
 
 def _csi_draws(scenario: Scenario, q_top: int, rngs, _):
-    """Stacked over groups: true channels, their transmitter-side estimate
-    and, if the scenario has CSIR variances, the receiver-side coupling
-    error draws.
+    """Stacked over groups: true channels, the prefix factor of their
+    transmitter-side estimate and, if the scenario has CSIR variances, the
+    receiver-side coupling error draws.
 
     The estimate is that of :func:`~vccsim.channel.corrupt_csit`, bit for
     bit: ``h - (var * h + sqrt(var * (1 - var)) * w)``, with ``w`` from the
     CSIT error substreams, and at ``var == 0`` the channel itself, with no
     ``w`` drawn."""
     g, var = scenario.coded_gain, scenario.csit_error_var
-    drawn = _gaussians(rngs[:2 * g] if var else rngs[:g], (scenario.num_tx_antennas, q_top))
+    split = 2 * g if var else g  # the generators before the coupling errors'
+    drawn = _gaussians(rngs[:split], (scenario.num_tx_antennas, q_top))
     h = drawn[:g]
-    h_hat = h - (var * h + math.sqrt(var * (1.0 - var)) * drawn[g:]) if var else h
+    factor = prefix_factor(h - (var * h + math.sqrt(var * (1.0 - var)) * drawn[g:]) if var else h)
     if scenario.csir_error_vars:
-        return h, h_hat, _gaussians(rngs[2 * g:], (q_top,))
-    return h, h_hat
+        return h, factor, _gaussians(rngs[split:], (q_top,))
+    return h, factor
 
 
 @functools.lru_cache(maxsize=None)
@@ -850,9 +867,14 @@ def _csi_sum_rates(scenario: Scenario, q_values, sinrs):
 
 
 def _csi_perfect_kernel(scenario: Scenario, q_values, draws):
-    """Perfect-CSI ZF gains at the served pairs, ``(G, T)``."""
+    """Perfect-CSI ZF gains at the served pairs, ``(G, T)``, from the
+    estimate's factor where ``csit_error_var == 0`` (the estimate is then
+    the channel) and otherwise from the channel's own."""
+    h, factor, *_ = draws
+    if scenario.csit_error_var:
+        factor = prefix_factor(h)
     pairs, q_idx, _ = _served_pairs(q_values)
-    return (zf_prefix_gains(prefix_factor(draws[0]), q_values)[:, q_idx, pairs[:, 1]],)
+    return (zf_prefix_gains(factor, q_values)[:, q_idx, pairs[:, 1]],)
 
 
 def _csi_perfect_rates(scenario: Scenario, q_values, gains):
@@ -867,10 +889,10 @@ def _csi_error_kernel(scenario: Scenario, q_values, draws):
     """At the served pairs, ``(G, T)`` each: each user's coupling with its
     own stream, its received power (the row sum of ``|coupling|**2`` over
     its prefix's streams) and, if drawn, its coupling error draw."""
-    h, h_hat, *w = draws
+    h, factor, *w = draws
     pairs, _, _ = _served_pairs(q_values)
     users = pairs[:, 1]
-    _, _, rows = zf_prefix_couplings(h, h_hat, pairs)
+    _, _, rows = zf_prefix_couplings(h, factor, pairs)
     own = rows[:, np.arange(users.size), users]
     power = rows.real ** 2
     power += rows.imag ** 2
@@ -927,12 +949,9 @@ def _msv_kernel(scenario: Scenario, q_values, draws):
 
 
 def _msv_rates(scenario: Scenario, q_values, gains):
-    # n unicast streams serve one group of n + coded_gain single-antenna
-    # users: the unicast users, the common stream's and the cached load.
-    g = scenario.coded_gain
     return msv_rate_from_gains(
-        *gains, q_values, scenario.p_watts, scenario.noise_power, g,
-        [scenario.overhead_factor(1, n + g) for n in q_values],
+        *gains, q_values, scenario.p_watts, scenario.noise_power, scenario.coded_gain,
+        _msv_overhead_factors(scenario, q_values),
     )[None]
 
 
@@ -1053,11 +1072,11 @@ def imperfect_csi_jobs(scenario: Scenario, *rules: _Rule) -> list[Job]:
 # ---------------------------------------------------------------------------
 
 def _draw_key(job: Job, draw):
-    """What a draw reads besides the location, fading and group count; a
-    draw that is not per group is keyed with its group count as well."""
+    """What a draw reads besides the seed, location, fading and group count;
+    a draw that is not per group is keyed with its group count as well."""
     s = job.scenario
-    key = (draw, s.seed, s.num_tx_antennas, s.antennas_per_user, s.geometry,
-           s.csit_error_var, max(job.q_values))
+    key = (draw, s.num_tx_antennas, s.antennas_per_user, s.geometry, s.csit_error_var,
+           max(job.q_values))
     return key if draw in _PER_GROUP_DRAWS else key + (s.coded_gain,)
 
 
@@ -1065,17 +1084,6 @@ def _first_groups(arrays: tuple, made: int, num_groups: int) -> tuple:
     """The first ``num_groups`` groups (axis 1, after the cells) of arrays
     made for ``made``."""
     return arrays if made == num_groups else tuple(a[:, :num_groups] for a in arrays)
-
-
-def _block_streams(wanted: dict) -> dict:
-    """The generators of each ``(seed, keys)`` in ``wanted``, under its
-    name, in key order: one :func:`~vccsim.channel.substreams` call per
-    seed, over the keys of all its names."""
-    by_seed = {}
-    for seed, keys in wanted.values():
-        by_seed.setdefault(seed, []).extend(keys)
-    made = {seed: iter(substreams(seed, keys)) for seed, keys in by_seed.items()}
-    return {name: [next(made[seed]) for _ in keys] for name, (seed, keys) in wanted.items()}
 
 
 # (location, fading) cells per block task: a block holds this many cells'
@@ -1091,26 +1099,29 @@ def _block_task(args) -> list[list[np.ndarray]]:
 
     ``rule.draw.make(scenario, q_top, rngs, betas)`` draws one (location,
     fading) cell's channels at the largest ``q`` from the generators of its
-    keys ``rule.draw.keys(scenario, loc, fad)``, all seeded before the first
-    cell (:func:`_block_streams`), and ``rule.kernel(scenario,
+    keys ``rule.draw.keys(scenario, loc, fad)``, and ``rule.kernel(scenario,
     q_values, draw)`` returns a tuple of per-group arrays, groups on axis 0.
-    Both run cell by cell and are shared by key (:func:`_draw_key`; a kernel
-    output under its kernel, the draw key and ``q_values``), made by the
-    first job with the largest ``coded_gain`` among those that share the key,
-    a kernel on the whole draw; each job takes its first ``coded_gain``
-    groups.  ``betas`` are a job's own pathloss rows at the cell's location.
-    After the cells, ``rule.rates(scenario, q_values, inputs)`` runs once per
-    rule, on the kernel outputs of every cell stacked on a leading axis in
-    (location, fading) order, and returns the rates of every curve, shape
-    ``(n_curves, n_loc * n_fad, n_q, n_p)``; fading-free rules have no draw
-    or kernel, take the job's pathloss rows stacked over the block's
-    locations, and return ``(n_curves, n_loc, n_q, n_p)``.  A max-min-fair
-    rule returns its problems (:class:`_MmfProblems`) instead, and the
-    problems of every such rule of every job are solved together
-    (:func:`_solve_problems`) at the first job's power grid, once the kernel
-    outputs are dropped.  All are module-level functions so that tasks
-    pickle.  Every job has the same fading count and power grid
-    (:func:`_simulate` checks both).  Returns, per job and rule, each
+    Every generator of the block is seeded in one
+    :func:`~vccsim.channel.substreams` call before the first is drawn from.
+    The rules with a draw are grouped by draw key (:func:`_draw_key`), and
+    each key's draw is made by the first job with the largest
+    ``coded_gain`` among those that share it; ``betas`` are the maker's
+    pathloss rows at the cell's location.  Draw key by draw key, each cell
+    is drawn once and each of the key's kernels (one per kernel and
+    ``q_values``) runs on the whole draw.  Then each kernel's outputs are
+    stacked on a leading cell axis in (location, fading) order, and each
+    rule that reads them, ``rule.rates(scenario, q_values, inputs)``, takes
+    its job's first ``coded_gain`` groups of that stack, which goes before
+    the next kernel's is built.  A rate rule returns the rates of every
+    curve, shape ``(n_curves, n_loc * n_fad, n_q, n_p)``; fading-free rules
+    have no draw or kernel, run first, take the job's pathloss rows stacked
+    over the block's locations, and return ``(n_curves, n_loc, n_q, n_p)``.
+    A max-min-fair rule returns its problems (:class:`_MmfProblems`)
+    instead, and the problems of every such rule of every job are solved
+    together (:func:`_solve_problems`) at the first job's power grid, once
+    the kernel outputs are dropped.  All are module-level functions so that
+    tasks pickle.  Every job has the same seed, fading count and power grid
+    (:func:`_simulate` checks them).  Returns, per job and rule, each
     location's mean rates over its fadings, in location order, shape
     ``(n_curves, n_loc, n_q, n_p)``.
 
@@ -1133,70 +1144,63 @@ def _block_task(args) -> list[list[np.ndarray]]:
 def _block_rates(jobs, locs) -> list[list[np.ndarray]]:
     """The body of :func:`_block_task`."""
     first = jobs[0].scenario
-    n_fad = first.n_fadings
+    cells = list(np.ndindex(len(locs), first.n_fadings))
     groups = [job.scenario.coded_gain for job in jobs]
-    makers = {}  # draw key -> index of the first job with the most groups that reads it
-    keys = {}  # (job, rule) index -> kernel key, for the rules with a draw
+    # Each shared draw's key -> its maker, the first job with the most groups
+    # that reads it, and its readers (job, rule) by (kernel, q sweep).
+    shared = {}
     for ji, job in enumerate(jobs):
         for ri, (rule, _) in enumerate(job.rules):
             if rule.draw:
-                key = _draw_key(job, rule.draw)
-                keys[ji, ri] = (rule.kernel, key, job.q_values)
-                if key not in makers or groups[ji] > groups[makers[key]]:
-                    makers[key] = ji
-    cells = list(np.ndindex(len(locs), n_fad))
-    # Every generator the block reads, seeded before any is drawn from: each
-    # job's at each location, for its pathloss rows, and each shared draw's
-    # (a draw key starts with its draw) at each cell, for its maker.
-    wanted = {}
-    for ji, job in enumerate(jobs):
-        for li, loc in enumerate(locs):
-            wanted[ji, li] = (job.scenario.seed, _location_keys(job.scenario, loc))
-    for key, mi in makers.items():
-        maker = jobs[mi].scenario
-        for li, fad in cells:
-            wanted[key, li, fad] = (maker.seed, key[0].keys(maker, locs[li], fad))
-    streams = _block_streams(wanted)
+                entry = shared.setdefault(_draw_key(job, rule.draw), [ji, {}])
+                if groups[ji] > groups[entry[0]]:
+                    entry[0] = ji
+                entry[1].setdefault((rule.kernel, job.q_values), []).append((ji, ri))
+    # Every generator the block reads, seeded in one call and taken in the
+    # order its keys are listed: each job's at each location, for its
+    # pathloss rows, then each shared draw's at each cell, for its maker.
+    loc_keys = [[_location_keys(job.scenario, loc) for loc in locs] for job in jobs]
+    cell_keys = [
+        [key[0].keys(jobs[mi].scenario, locs[li], fad) for li, fad in cells]
+        for key, (mi, _) in shared.items()
+    ]
+    rngs = iter(substreams(first.seed, [
+        k for lists in (*loc_keys, *cell_keys) for keys in lists for k in keys
+    ]))
     betas = [
         np.stack([
-            _location_betas(job.scenario, max(job.q_values), streams.pop((ji, li)))
-            for li in range(len(locs))
+            _location_betas(job.scenario, max(job.q_values), [next(rngs) for _ in keys])
+            for keys in job_keys
         ])
-        for ji, job in enumerate(jobs)
+        for job, job_keys in zip(jobs, loc_keys)
     ]
-    kernels = {}  # kernel key -> the maker's kernel output at each cell
-    for cell, (li, fad) in enumerate(cells):
-        draws = {}
-        for (ji, ri), k in keys.items():
-            job, rule = jobs[ji], jobs[ji].rules[ri][0]
-            key, maker = k[1], jobs[makers[k[1]]]
-            if key not in draws:
-                draws[key] = rule.draw.make(
-                    maker.scenario, max(maker.q_values), streams.pop((key, li, fad)),
-                    betas[makers[key]][li],
+    out = [
+        [None if rule.draw else rule.rates(job.scenario, job.q_values, job_betas)
+         for rule, _ in job.rules]
+        for job, job_betas in zip(jobs, betas)
+    ]
+    # Per shared draw: each cell drawn once and fed to each of its kernels,
+    # then each kernel's outputs stacked over the cells and handed to its
+    # readers, the stack dropped before the next kernel's, and so before the
+    # solve.
+    for (key, (mi, kernels)), keys_at in zip(shared.items(), cell_keys):
+        maker = jobs[mi]
+        made = {k: [] for k in kernels}
+        for (li, _), keys in zip(cells, keys_at):
+            draw = key[0].make(
+                maker.scenario, max(maker.q_values), [next(rngs) for _ in keys], betas[mi][li]
+            )
+            for kernel, q_values in kernels:
+                made[kernel, q_values].append(kernel(maker.scenario, q_values, draw))
+        del draw
+        for k, readers in kernels.items():
+            stacked = tuple(np.stack(a) for a in zip(*made.pop(k)))
+            for ji, ri in readers:
+                job = jobs[ji]
+                out[ji][ri] = job.rules[ri][0].rates(
+                    job.scenario, job.q_values, _first_groups(stacked, groups[mi], groups[ji])
                 )
-            if len(kernels.setdefault(k, [])) == cell:  # not yet made at this cell
-                kernels[k].append(rule.kernel(maker.scenario, job.q_values, draws[key]))
-    # The rates need neither the last cell's draws nor, once stacked, a
-    # kernel's per-cell outputs; a stacked output goes once its last reader
-    # has its rates or problems, before the solve.
-    del draws
-    stacked = {}
-    for k in list(kernels):
-        stacked[k] = tuple(np.stack(a) for a in zip(*kernels.pop(k)))
-    last_reader = {k: at for at, k in keys.items()}
-
-    def rates(ji, ri):
-        job, rule = jobs[ji], jobs[ji].rules[ri][0]
-        inputs = betas[ji]
-        if rule.draw:
-            k = keys[ji, ri]
-            inputs = _first_groups(stacked[k], groups[makers[k[1]]], groups[ji])
-            if last_reader[k] == (ji, ri):
-                del stacked[k]
-        return rule.rates(job.scenario, job.q_values, inputs)
-
-    out = [[rates(ji, ri) for ri in range(len(job.rules))] for ji, job in enumerate(jobs)]
+            del stacked
     pending = [(ji, ri) for ji, job_out in enumerate(out) for ri, r in enumerate(job_out)
                if isinstance(r, _MmfProblems)]
     solved = _solve_problems([out[ji][ri] for ji, ri in pending], first.noise_power, first.p_watts)
@@ -1216,7 +1220,7 @@ def _simulate(jobs, workers: int) -> dict[str, SchemeCurve]:
 
     Returns every job's curves by name; no two rules may write one name,
     and every job must have the same location and fading counts, noise
-    power and power vector."""
+    power, power vector and seed."""
     names = [name for job in jobs for _, rule_names in job.rules for name in rule_names]
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
@@ -1225,6 +1229,7 @@ def _simulate(jobs, workers: int) -> dict[str, SchemeCurve]:
     for what, values in (
         ("(location, fading) counts", {(s.n_locations, s.n_fadings) for s in scenarios}),
         ("(noise power, power vector)", {(s.noise_power, s.p_watts) for s in scenarios}),
+        ("seeds", {s.seed for s in scenarios}),
     ):
         if len(values) != 1:
             raise ValueError(f"jobs differ in their {what}: {sorted(values)}")

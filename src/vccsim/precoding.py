@@ -41,8 +41,9 @@ The Monte Carlo loop calls only the fast paths, which return gains
 without forming every beam, for a whole sweep of served-user counts:
 :func:`bd_mrc_prefix_gains` and :func:`zf_prefix_gains` on the
 :func:`prefix_factor` of a stack of groups, so that BD-MRC and ZF on the
-same draw share one factorization, :func:`zf_prefix_couplings` on a stack
-of groups at the (prefix, receiver) pairs a caller reads,
+same draw share one factorization, :func:`zf_prefix_couplings` on the
+factor of a stack of estimated channels, at the (prefix, receiver) pairs a
+caller reads,
 :func:`msv_gains_fast` on one multicast/unicast draw, and the
 rate formula :func:`msv_rate_from_gains` over the (count, power) grid, at
 overhead factors its caller gives.
@@ -346,14 +347,15 @@ def zf_matrix(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def zf_prefix_couplings(
-    h: np.ndarray, h_hat: np.ndarray, pairs
+    h: np.ndarray, factor: PrefixFactor, pairs
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """True-channel couplings of ZF precoders designed on estimates, at the
     requested (prefix size, receiver) pairs only.
 
     ``h`` is a ``(G, L, K)`` stack of ``K`` receivers' true channels and
-    ``h_hat`` a ``(G, L, N)`` stack of the estimated channels the precoders
-    are designed on.  ``pairs`` holds ``T`` pairs ``(n, k)``: receiver ``k``
+    ``factor`` the prefix factor (:func:`prefix_factor`) of ``h_hat``, a
+    ``(G, L, N)`` stack of the estimated channels the precoders are
+    designed on.  ``pairs`` holds ``T`` pairs ``(n, k)``: receiver ``k``
     meets the ZF precoder ``V_n`` of the first ``n`` estimated columns
     (unit-norm columns, as in :func:`zf_matrix`) as ``h[:, :, k].T @ V_n``.
     Returns ``(gains, per_pair, coupling)``: the ZF gains ``(G, D, N)`` of
@@ -370,7 +372,7 @@ def zf_prefix_couplings(
     ``inv(R)`` is upper triangular, that is row k of X with its columns from
     ``n`` on set to zero, times ``inv(R).conj().T``: so all ``T`` pairs are
     one batched product of their masked rows, from one factorization.
-    Perfect CSI at the served users is ``h_hat = h``.
+    Perfect CSI at the served users is ``factor = prefix_factor(h)``.
 
     Raises
     ------
@@ -379,11 +381,10 @@ def zf_prefix_couplings(
         invertible.
     """
     sizes, receivers = np.asarray(pairs).reshape(-1, 2).T
-    factor = prefix_factor(h_hat)
     distinct, per_pair = np.unique(sizes, return_inverse=True)
     gains = zf_prefix_gains(factor, distinct)
     r_inv = factor.r_inv
-    x = h.swapaxes(-1, -2) @ h_hat.conj() @ r_inv
+    x = h.swapaxes(-1, -2) @ factor.h.conj() @ r_inv
     rows = np.take(x, receivers, axis=1)
     rows *= np.arange(r_inv.shape[-1]) < sizes[:, None]
     coupling = rows @ r_inv.conj().swapaxes(-1, -2)
@@ -444,5 +445,5 @@ def msv_gains_fast(
     stack = np.concatenate([h_mc[:1], h_uc], axis=0).T[None]
     g_mc = h_mc.shape[0]
     pairs = [(n + 1, k) for n in unicast_counts for k in range(g_mc)]
-    gains, per_pair, coupling = zf_prefix_couplings(h_mc.T[None], stack, pairs)
+    gains, per_pair, coupling = zf_prefix_couplings(h_mc.T[None], prefix_factor(stack), pairs)
     return np.abs(coupling[0, :, 0].reshape(-1, g_mc)) ** 2, gains[0, per_pair[::g_mc], 1:]

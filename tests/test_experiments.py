@@ -395,7 +395,11 @@ class TestCellSeeding:
                 want[-1] += (complex_gaussian(self._rng(scn, 3, g), q_top),)
         want = [np.stack(d) for d in zip(*want)]
         assert len(got) == len(want) == 2 + bool(csir_vars)
-        for a, b in zip(got, want):
+        # the estimate comes with its prefix factor, which is the channel's
+        # own at var == 0
+        want[1] = precoding.prefix_factor(want[1])
+        assert (got[1].h is got[0]) == (var == 0)
+        for a, b in zip((got[0], *got[1], *got[2:]), (want[0], *want[1], *want[2:])):
             assert np.array_equal(a, b)
 
     @DRAWS
@@ -407,18 +411,6 @@ class TestCellSeeding:
         mc, uc_pool = cell_draw(experiments._MSV_DRAW, scn, l - 1, self.LOC, self.FAD)
         assert np.array_equal(mc, complex_gaussian(self._rng(scn, 4, 1), (groups, l)))
         assert np.array_equal(uc_pool, complex_gaussian(self._rng(scn, 4, 0), (l - 1, l)))
-
-    def test_block_streams_pair_each_name_with_its_keys(self):
-        # Two seeds interleaved, a name with no keys and a key two names read.
-        wanted = {
-            "a": (7, [(1, 2), (0, 5)]), "b": (8, [(1, 2)]), "c": (7, []), "d": (7, [(2, 9), (1, 2)]),
-        }
-        streams = experiments._block_streams(wanted)
-        assert streams.keys() == wanted.keys()
-        for name, (seed, keys) in wanted.items():
-            assert len(streams[name]) == len(keys)
-            for key, rng in zip(keys, streams[name]):
-                assert np.array_equal(rng.random(3), seed_sequence_rng(seed, *key).random(3))
 
 
 class TestDeterminism:
@@ -591,12 +583,14 @@ class TestOneSimulatePerRecipe:
 
     # Per (location, fading): substreams drawn, one per group of each shared
     # draw (for the imperfect-CSI draw, one per group for the fading, one for
-    # the CSIT error and, with CSIR variances, one for the coupling error;
-    # two for MSV), each with one standard_normal call, and _prefix_inverse
-    # calls, one per shared stack factored.  The cacheless job reads the cache-aided group 0
-    # wherever both sides have the same largest served count; fig4 (Q=2,
-    # Q'=8) does not.  fig6 factors two stacks: the perfect-CSI kernel the
-    # true channels and the error kernel their estimate; fig9 runs the
+    # the CSIT error if its variance is positive and, with CSIR variances,
+    # one for the coupling error; two for MSV), each with one standard_normal
+    # call, and _prefix_inverse calls, one per shared stack factored.  The
+    # cacheless job reads the cache-aided group 0 wherever both sides have
+    # the same largest served count; fig4 (Q=2, Q'=8) does not.  The
+    # imperfect-CSI draw factors the estimate, which the error rule reads;
+    # fig6's perfect-CSI rule factors the true channels as well, unless
+    # csit_error_var=0 makes the estimate the channel itself.  fig9 runs the
     # error rule alone.
     PER_FADING = {
         "fig2": (3 * 5, 3),  # three M values; BD-MRC and ZF share each draw
@@ -607,6 +601,8 @@ class TestOneSimulatePerRecipe:
         "fig7": (6, 1),  # BD-MRC and ZF share the cache-aided draw
         "fig8": (2 + 6, 1 + 1),
         "fig9": (3 * 6, 1),
+        "fig6-var0": (6, 1),  # at csit_error_var=0
+        "fig9-var0": (2 * 6, 1),
     }
 
     @staticmethod
@@ -619,15 +615,17 @@ class TestOneSimulatePerRecipe:
 
         monkeypatch.setattr(module, name, counted)
 
-    @pytest.mark.parametrize("recipe", sorted(RECIPES))
-    def test_each_draw_and_factor_once_per_job(self, monkeypatch, recipe):
+    @pytest.mark.parametrize("case", sorted(PER_FADING))
+    def test_each_draw_and_factor_once_per_job(self, monkeypatch, case):
+        recipe, _, var0 = case.partition("-")
         counts = dict.fromkeys(("_simulate", "_prefix_inverse"), 0)
         self._count(monkeypatch, experiments, "_simulate", counts)
         self._count(monkeypatch, precoding, "_prefix_inverse", counts)
         drawn = count_draws(monkeypatch)
         n_loc, n_fad = 2, 3
-        run_recipe(recipe, seed=1, n_locations=n_loc, n_fadings=n_fad)
-        draws, factors = self.PER_FADING[recipe]
+        overrides = {"csit_error_var": 0.0} if var0 else None
+        run_recipe(recipe, seed=1, n_locations=n_loc, n_fadings=n_fad, overrides=overrides)
+        draws, factors = self.PER_FADING[case]
         assert counts == {"_simulate": 1, "_prefix_inverse": factors * n_loc * n_fad}
         assert drawn == dict.fromkeys(("substreams", "normal_calls"), draws * n_loc * n_fad)
 
@@ -660,8 +658,8 @@ class TestOneSimulatePerRecipe:
             assert counts["mmf_sum_rates"] == blocks
             assert posed == [rules] * blocks
 
-    # A block seeds every substream it reads in one substreams call per
-    # seed, and every job of a recipe has the same seed.
+    # A block seeds every substream it reads in one substreams call, and
+    # every job of a recipe has the same seed.
     @pytest.mark.parametrize("recipe", sorted(RECIPES))
     def test_one_seeding_call_per_block(self, monkeypatch, recipe):
         counts = dict.fromkeys(("substreams", "substream"), 0)
@@ -886,6 +884,47 @@ class TestSharedLocationTask:
             ]
             with pytest.raises(ValueError, match=r"\(noise power, power vector\)"):
                 experiments._simulate(jobs, workers=1)
+
+    def test_jobs_must_share_seed(self, monkeypatch):
+        def fail(_):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(experiments, "_block_task", fail)
+        scn = macro_scenario()
+        jobs = [
+            experiments.cache_aided_job(scn, (experiments.BD_MRC, ("a",))),
+            experiments.cacheless_job(
+                dataclasses.replace(scn, seed=scn.seed + 1), (experiments.BD_MRC, ("b",))
+            ),
+        ]
+        with pytest.raises(ValueError, match=r"seeds: \[11, 12\]"):
+            experiments._simulate(jobs, workers=1)
+
+    @pytest.mark.parametrize("csir_vars", [(), (0.01,)])
+    @pytest.mark.parametrize("csit_var", [0.0, 0.01])
+    def test_csi_block_seeds_only_what_it_draws(self, monkeypatch, csit_var, csir_vars):
+        # Per cache-aided group and cell: a fading substream, a CSIT error
+        # one only at a positive variance and a coupling error one only
+        # with CSIR variances, each seeded once and drawn once.
+        scn = symmetric_scenario(
+            csit_error_var=csit_var, csir_error_vars=csir_vars, n_locations=2, n_fadings=1,
+        )
+        seeded = []
+        seed_all = experiments.substreams
+
+        def spy(seed, keys):
+            seeded.extend(keys)
+            return seed_all(seed, keys)
+
+        monkeypatch.setattr(experiments, "substreams", spy)
+        drawn = count_draws(monkeypatch)
+        experiments._simulate(
+            experiments.imperfect_csi_jobs(scn, experiments.CSI_PERFECT, experiments.CSI_ERROR),
+            workers=1,
+        )
+        streams = [1] + [2] * (csit_var > 0) + [3] * bool(csir_vars)
+        assert sorted({key[0] for key in seeded}) == streams
+        assert len(seeded) == drawn["substreams"] == len(streams) * scn.coded_gain * 2
 
     def test_kernel_outputs_dropped_before_the_solve(self, monkeypatch):
         # A stacked kernel output goes once its last rule has posed its
@@ -1149,7 +1188,8 @@ class TestCsiRule:
 
     @staticmethod
     def _per_q_reference(scn, q_values, draws):
-        h, h_hat, w = draws
+        h, factor, w = draws
+        h_hat = factor.h
         num_groups = scn.coded_gain
         p_tot = np.asarray(scn.p_watts)[:, None]
         out = np.zeros((2 + len(scn.csir_error_vars), len(q_values), p_tot.size))

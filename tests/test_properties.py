@@ -411,7 +411,7 @@ def test_prefix_couplings_with_other_receivers_match_zf_matrix(stack, k, seed):
     pairs = [(n, r) for n in range(1, n_top + 1) for r in range(k)]
     if rng.integers(2):
         pairs = [pairs[i] for i in rng.choice(len(pairs), rng.integers(1, len(pairs) + 1))]
-    gains, per_pair, coupling = zf_prefix_couplings(h, h_hat, pairs)
+    gains, per_pair, coupling = zf_prefix_couplings(h, prefix_factor(h_hat), pairs)
     sizes = [n for n, _ in pairs]
     distinct = sorted(set(sizes))
     np.testing.assert_array_equal(gains, zf_prefix_gains(prefix_factor(h_hat), distinct))
