@@ -83,7 +83,10 @@ rule ``rates(scenario, q_values, inputs)``; each reads the group count from
 the scenario (``coded_gain``).  Fading-free analytic curves have neither a
 draw nor a kernel, and run once per block, their inputs the pathloss rows of
 its locations.  The tables a rule needs that depend only on the job (served
-pairs, per-stream SNRs, overhead factors) are built once per process.
+pairs, per-stream SNRs, overhead factors) are built once per process, as are
+the kernels' tables that depend only on the q sweep (prefix masks, served
+users, the pairs' size indices and masks; see :mod:`vccsim.precoding`), and
+all are read-only.
 
 Blocks.  At two or more fadings a block is one location, so paper-scale
 runs keep one location's draws and rates per task; one-fading runs, where
@@ -186,6 +189,7 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .precoding import (
+    _read_only,
     bd_mrc_eigenvalues,
     bd_mrc_prefix_gains,
     msv_gains_fast,
@@ -650,11 +654,6 @@ class _Rule(NamedTuple):
     rates: object
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 @functools.lru_cache(maxsize=None)
 def _overhead_factors(scenario: Scenario, q_values) -> np.ndarray:
     """Each q's pilot overhead factor, built once per process."""
@@ -689,7 +688,7 @@ def _bd_kernel(scenario: Scenario, q_values, factor):
 def _zf_kernel(scenario: Scenario, q_values, factor):
     """ZF prefix gains per user, descending, with every stream counted."""
     m = scenario.antennas_per_user
-    gains = zf_prefix_gains(factor, [q * m for q in q_values])
+    gains = zf_prefix_gains(factor, tuple(q * m for q in q_values))
     gains = np.sort(gains.reshape(*gains.shape[:2], -1, m), axis=-1)[..., ::-1]
     return gains, np.full(gains.shape[:-1], m)
 

@@ -28,14 +28,20 @@ over the stack with numpy (LAPACK ``zgeqrf`` and ``zgesv``).  One block
 function, :func:`_prefix_blocks`, forms every user's ``M x M`` diagonal
 block of every prefix Gram inverse: the outer products of the user's rows
 of ``inv(R)``, column by column, contracted with a 0/1 prefix mask in one
-matrix product.  BD-MRC gains are the reciprocal eigenvalues of those
-blocks, in closed form for ``M <= 2`` and from LAPACK's ``eigvalsh`` for
-larger blocks (:func:`_block_gains`), and ZF gains the ``M = 1`` case, the
-reciprocal ``1 x 1`` blocks.
+matrix product per group, so that a group's bits do not depend on the
+other groups of its stack.  BD-MRC gains are the reciprocal eigenvalues of
+those blocks, in closed form for ``M <= 2`` and from LAPACK's ``eigvalsh``
+for larger blocks (:func:`_block_gains`), and ZF gains the ``M = 1`` case,
+the reciprocal ``1 x 1`` blocks.
 The couplings of a prefix's ZF precoder with a receiver are one row of
 ``(h.T @ H.conj()) @ inv(R)``, cut at the prefix size, times
 ``inv(R).conj().T``: every requested (prefix, receiver) pair is one row of
 a single batched product.
+Every array that depends only on the q sweep or the requested pairs (the
+prefix masks, the served users, the pairs' distinct sizes, size indices,
+receivers and masks, and MSV's pairs) is built once per process and sweep
+(:func:`_sweep`, :func:`_pair_table`, :func:`_msv_pairs`), and is
+read-only, so that every call shares it.
 
 The Monte Carlo loop calls only the fast paths, which return gains
 without forming every beam, for a whole sweep of served-user counts:
@@ -66,6 +72,7 @@ receives ``H.T @ x``, so a beam ``v`` is invisible to ``H`` iff
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -139,7 +146,8 @@ def _prefix_inverse(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     numerically singular (every squared pivot of ``R`` above
     :data:`PINV_CUTOFF` times the largest; the ratio only falls as columns
     are added), and only that leading block of ``r_inv[g]`` is inverted,
-    the rest is zero.
+    the rest is zero.  Where ``N <= L`` and no group is singular, that is
+    ``np.linalg.inv`` of the whole stack of ``R``, with no zero buffer.
     """
     g_count, l_tx, n = h.shape
     k = min(l_tx, n)
@@ -148,8 +156,10 @@ def _prefix_inverse(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ok = (np.minimum.accumulate(pivots, axis=-1) ** 2
           > PINV_CUTOFF * np.maximum.accumulate(pivots, axis=-1) ** 2)
     valid = np.where(ok.all(axis=-1), k, np.argmin(ok, axis=-1))
-    r_inv = np.zeros((g_count, n, n), dtype=complex)
     full = valid == k
+    if k == n and full.all():
+        return np.linalg.inv(r), valid
+    r_inv = np.zeros((g_count, n, n), dtype=complex)
     if full.any():
         r_inv[full, :k, :k] = np.linalg.inv(r[full])
     for g in np.flatnonzero(~full & (valid > 0)):
@@ -172,6 +182,40 @@ def prefix_factor(h: np.ndarray) -> PrefixFactor:
     return PrefixFactor(h, *_prefix_inverse(h))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only: a table that every later call shares."""
+    a.flags.writeable = False
+    return a
+
+
+def _key(values) -> tuple:
+    """A sequence of sizes or counts as a hashable key of the cached tables."""
+    return values if type(values) is tuple else tuple(np.asarray(values).tolist())
+
+
+class _Sweep(NamedTuple):
+    """The tables of a q sweep at ``m`` columns per user of an ``n``-column
+    stack, which depend on nothing else (:func:`_sweep`)."""
+
+    columns: np.ndarray  # (S,): each prefix's columns, q * m
+    served: np.ndarray  # (S, n // m) bool: user k inside the prefix
+    mask: np.ndarray  # (max(S, 2), max(q) * m) 0/1: column c inside the prefix
+
+
+@functools.lru_cache(maxsize=None)
+def _sweep(q_values: tuple, m: int, n: int) -> _Sweep:
+    """The :class:`_Sweep` of ``q_values``, built once per process and
+    read-only."""
+    qs = np.array(q_values)
+    # A one-row mask takes BLAS's matrix-vector path, which rounds otherwise
+    # than the matrix-matrix one; padded to two rows, a prefix's blocks do
+    # not depend on which other prefixes are asked for.
+    padded = np.resize(qs, max(qs.size, 2))
+    mask = (np.arange(qs.max() * m) < padded[:, None] * m).astype(float)
+    served = np.arange(n // m) < qs[:, None]
+    return _Sweep(*map(_read_only, (qs * m, served, mask)))
+
+
 def _prefix_blocks(factor: PrefixFactor, m: int, q_values) -> np.ndarray:
     """Each user's ``m x m`` diagonal block of every prefix Gram inverse.
 
@@ -180,34 +224,35 @@ def _prefix_blocks(factor: PrefixFactor, m: int, q_values) -> np.ndarray:
     of the first ``q * m`` columns, for the ``S`` entries q of ``q_values``,
     zero for users at or past q.  That block is the sum over the prefix
     columns c of the outer products ``r_inv[k rows, c] ⊗ conj(r_inv[k rows,
-    c])``, so every block of every prefix is one product of a 0/1 prefix
-    mask with the per-column outer products (a user past the prefix has no
-    entries there, ``r_inv`` being upper triangular).
+    c])``, so every block of every prefix of a group is one product of the
+    sweep's 0/1 prefix mask (:func:`_sweep`) with the group's per-column
+    outer products (a user past the prefix has no entries there, ``r_inv``
+    being upper triangular).  Each group has a product of its own, as wide
+    as its users: the bits of a product's columns depend on its width, so a
+    group's blocks would otherwise depend on how many groups share its stack.
     """
     g_count, n, _ = factor.r_inv.shape
-    qs = np.asarray(q_values)
-    cols = int(qs.max()) * m
-    # rows[i, c, g, k]: row k*m + i of r_inv[g] in column c.  With (i, j)
-    # leading, numpy's loops run over every (column, group, user) at once;
+    sweep = _sweep(_key(q_values), m, n)
+    cols = sweep.mask.shape[1]
+    # rows[i, g, c, k]: row k*m + i of r_inv[g] in column c.  With (i, j)
+    # leading, numpy's loops run over every (group, column, user) at once;
     # a (column, group, user, i, j) layout is 2-3x slower at m = 2.
-    rows = factor.r_inv[..., :cols].reshape(g_count, n // m, m, cols).transpose(2, 3, 0, 1).copy()
+    rows = factor.r_inv[..., :cols].reshape(g_count, n // m, m, cols).transpose(2, 0, 3, 1).copy()
     outer = rows[:, None] * rows[None].conj()
-    # A one-row mask takes BLAS's matrix-vector path, which rounds otherwise
-    # than the matrix-matrix one; padded to two rows, a prefix's blocks do
-    # not depend on which other prefixes are asked for.
-    padded = np.resize(qs, max(qs.size, 2))
-    mask = (np.arange(cols) < padded[:, None] * m).astype(float)
-    blocks = (mask @ outer.reshape(m, m, cols, -1).view(float))[:, :, : qs.size].view(complex)
-    return blocks.reshape(m, m, qs.size, g_count, n // m).transpose(3, 2, 4, 0, 1)
+    blocks = (sweep.mask @ outer.view(float))[..., : sweep.columns.size, :].view(complex)
+    return blocks.transpose(2, 3, 4, 0, 1)
 
 
-def _block_gains(blocks: np.ndarray) -> np.ndarray:
+def _block_gains(blocks: np.ndarray, where=True) -> np.ndarray:
     """BD-MRC stream gains, descending, from diagonal blocks of ``inv(G)``.
 
-    The reciprocal eigenvalues of each Hermitian block, read from its lower
-    triangle as ``np.linalg.eigvalsh`` reads it.  Blocks of one or two rows
-    take closed forms; larger ones (fig2's and fig3-fig5's ``m = 4``, fig2's
-    ``m = 12``) go to ``eigvalsh``.
+    The reciprocal eigenvalues of each Hermitian block at ``where``, read
+    from its lower triangle as ``np.linalg.eigvalsh`` reads it, and zero
+    elsewhere.  Blocks of one or two rows take closed forms over the whole
+    array, dividing only at ``where``, so that no block outside it (a zero
+    block of an unserved user) divides by zero; larger ones (fig2's and
+    fig3-fig5's ``m = 4``, fig2's ``m = 12``) go to ``eigvalsh``, at
+    ``where`` only.
 
     * ``m = 1``: the reciprocal real diagonal, bit for bit ``1 / eigvalsh``.
     * ``m = 2``, block ``[[a, .], [c, d]]``: ``lam_max = (a + d) / 2 +
@@ -218,16 +263,21 @@ def _block_gains(blocks: np.ndarray) -> np.ndarray:
       which :func:`_usable` rejects.
     """
     m = blocks.shape[-1]
+    where = np.broadcast_to(where, blocks.shape[:-2])
+    gains = np.zeros(blocks.shape[:-1])
     if m == 1:
-        return 1.0 / blocks[..., 0].real
-    if m == 2:
+        np.divide(1.0, blocks[..., 0, 0].real, out=gains[..., 0], where=where)
+    elif m == 2:
         a, d = blocks[..., 0, 0].real, blocks[..., 1, 1].real
         c = blocks[..., 1, 0]
         c2 = c.real**2 + c.imag**2
         top = 0.5 * (a + d) + np.sqrt((0.5 * (a - d)) ** 2 + c2)
         with np.errstate(divide="ignore"):
-            return np.stack([top / (a * d - c2), 1.0 / top], axis=-1)
-    return 1.0 / np.linalg.eigvalsh(blocks)
+            np.divide(top, a * d - c2, out=gains[..., 0], where=where)
+        np.divide(1.0, top, out=gains[..., 1], where=where)
+    else:
+        gains[where] = 1.0 / np.linalg.eigvalsh(blocks[where])
+    return gains
 
 
 def _usable(gains: np.ndarray) -> np.ndarray:
@@ -261,8 +311,9 @@ def bd_mrc_prefix_gains(
     (:func:`_prefix_blocks`), so one factorization serves every q.  For
     ``m <= 2`` they are closed forms (:func:`_block_gains`: the reciprocal
     diagonal at ``m = 1``; at ``m = 2`` the larger eigenvalue ``lam_max``
-    from the quadratic formula and the smaller one as ``det / lam_max``);
-    for larger ``m``, one batched ``eigvalsh`` over every valid cell.  A
+    from the quadratic formula and the smaller one as ``det / lam_max``),
+    over the whole block array with divisions at the valid cells only; for
+    larger ``m``, one batched ``eigvalsh`` over every valid cell.  A
     (group, q) cell whose prefix is singular, or whose blocks give an
     unusable gain, goes through the per-user path, which may truncate
     streams.
@@ -273,19 +324,14 @@ def bd_mrc_prefix_gains(
         If some user is left without a single positive-gain stream.
     """
     h, _, valid = factor
-    g_count, _, n = h.shape
-    q_top = n // m
-    qs = np.asarray(q_values)
-    served = np.arange(q_top) < qs[:, None]
-    prefix_ok = valid[:, None] >= qs * m
-    cells = prefix_ok[:, :, None] & served
-    gains = np.zeros((g_count, qs.size, q_top, m))
-    gains[cells] = _block_gains(_prefix_blocks(factor, m, qs)[cells])
+    sweep = _sweep(_key(q_values), m, h.shape[-1])
+    prefix_ok = valid[:, None] >= sweep.columns
+    cells = prefix_ok[:, :, None] & sweep.served
+    gains = _block_gains(_prefix_blocks(factor, m, q_values), cells)
     counts = np.where(cells, m, 0)
-    unusable = np.zeros(cells.shape, dtype=bool)
-    unusable[cells] = ~_usable(gains[cells])
+    unusable = cells & ~_usable(gains)
     for g, s in zip(*np.nonzero(~prefix_ok | unusable.any(axis=-1))):
-        q = qs[s]
+        q = sweep.columns[s] // m
         per_user = _bd_eigs_generic([h[g][:, k * m : (k + 1) * m] for k in range(q)])
         gains[g, s] = 0.0
         for k, w in enumerate(per_user):
@@ -323,12 +369,11 @@ def zf_prefix_gains(factor: PrefixFactor, sizes) -> np.ndarray:
     SingularMatrixError
         If the Gram matrix of some requested prefix is not invertible.
     """
-    sizes = np.asarray(sizes)
-    if np.any(factor.valid < sizes.max()):
+    sweep = _sweep(_key(sizes), 1, factor.r_inv.shape[-1])
+    if np.any(factor.valid < sweep.columns.max()):
         raise SingularMatrixError("channel Gram matrix is numerically singular")
     diag = _prefix_blocks(factor, 1, sizes)[..., 0, 0].real
-    inside = np.arange(diag.shape[-1]) < sizes[:, None]
-    return np.divide(1.0, diag, out=np.zeros_like(diag), where=inside)
+    return np.divide(1.0, diag, out=np.zeros_like(diag), where=sweep.served)
 
 
 def zf_matrix(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -344,6 +389,28 @@ def zf_matrix(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r_inv = factor.r_inv[0]
     v = stacked.conj() @ (r_inv @ r_inv.conj().T) * np.sqrt(gains)[None, :]
     return v, gains
+
+
+class _PairTable(NamedTuple):
+    """The tables of a list of (prefix size, receiver) pairs of an
+    ``n``-column stack, which depend on nothing else (:func:`_pair_table`)."""
+
+    sizes: tuple[int, ...]  # the D distinct prefix sizes, ascending
+    per_pair: np.ndarray  # (T,): each pair's size index among them
+    receivers: np.ndarray  # (T,)
+    mask: np.ndarray  # (T, n) complex 0/1: column c inside the pair's prefix
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_table(pairs: bytes, n: int) -> _PairTable:
+    """The :class:`_PairTable` of the pairs whose ``intp`` bytes are
+    ``pairs``, built once per process and read-only.  A complex 0/1 mask
+    multiplies to the bits of the boolean one."""
+    sizes, receivers = np.frombuffer(pairs, dtype=np.intp).reshape(-1, 2).T
+    distinct, per_pair = np.unique(sizes, return_inverse=True)
+    mask = (np.arange(n) < sizes[:, None]).astype(complex)
+    tables = map(_read_only, (per_pair, receivers.copy(), mask))
+    return _PairTable(tuple(distinct.tolist()), *tables)
 
 
 def zf_prefix_couplings(
@@ -380,16 +447,15 @@ def zf_prefix_couplings(
         If the Gram matrix of some requested estimated prefix is not
         invertible.
     """
-    sizes, receivers = np.asarray(pairs).reshape(-1, 2).T
-    distinct, per_pair = np.unique(sizes, return_inverse=True)
-    gains = zf_prefix_gains(factor, distinct)
     r_inv = factor.r_inv
+    table = _pair_table(np.asarray(pairs, dtype=np.intp).reshape(-1, 2).tobytes(), r_inv.shape[-1])
+    gains = zf_prefix_gains(factor, table.sizes)
     x = h.swapaxes(-1, -2) @ factor.h.conj() @ r_inv
-    rows = np.take(x, receivers, axis=1)
-    rows *= np.arange(r_inv.shape[-1]) < sizes[:, None]
+    rows = np.take(x, table.receivers, axis=1)
+    rows *= table.mask
     coupling = rows @ r_inv.conj().swapaxes(-1, -2)
-    coupling *= np.sqrt(gains)[:, per_pair]
-    return gains, per_pair, coupling
+    coupling *= np.sqrt(gains)[:, table.per_pair]
+    return gains, table.per_pair, coupling
 
 
 def msv_rate_from_gains(
@@ -421,6 +487,14 @@ def msv_rate_from_gains(
     return np.asarray(overhead_factors, dtype=float)[:, None] * (r_mc + r_uc)
 
 
+@functools.lru_cache(maxsize=None)
+def _msv_pairs(unicast_counts: tuple, g_mc: int) -> np.ndarray:
+    """The (prefix size, multicast user) pairs of :func:`msv_gains_fast`,
+    count by count, built once per process and read-only."""
+    pairs = [(n + 1, k) for n in unicast_counts for k in range(g_mc)]
+    return _read_only(np.array(pairs, dtype=np.intp).reshape(-1, 2))
+
+
 def msv_gains_fast(
     multicast_channels: np.ndarray,
     unicast_channels: np.ndarray,
@@ -444,6 +518,6 @@ def msv_gains_fast(
     h_uc = np.asarray(unicast_channels, dtype=complex)
     stack = np.concatenate([h_mc[:1], h_uc], axis=0).T[None]
     g_mc = h_mc.shape[0]
-    pairs = [(n + 1, k) for n in unicast_counts for k in range(g_mc)]
+    pairs = _msv_pairs(_key(unicast_counts), g_mc)
     gains, per_pair, coupling = zf_prefix_couplings(h_mc.T[None], prefix_factor(stack), pairs)
     return np.abs(coupling[0, :, 0].reshape(-1, g_mc)) ** 2, gains[0, per_pair[::g_mc], 1:]

@@ -774,8 +774,18 @@ class TestSharedLocationTask:
 
     @pytest.mark.parametrize("like", sorted(BD_SCENARIOS))
     def test_cacheless_bd_equals_lone_job(self, monkeypatch, like):
+        self._check_cacheless_bd(monkeypatch, like, seed=11)
+
+    # The bits of a group's gains must not depend on how many groups share
+    # its draw: at seed 11 alone, the fig5-like case hid that they did.
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("like", sorted(BD_SCENARIOS))
+    def test_cacheless_bd_equals_lone_job_at_other_seeds(self, monkeypatch, like, seed):
+        self._check_cacheless_bd(monkeypatch, like, seed)
+
+    def _check_cacheless_bd(self, monkeypatch, like, seed):
         scn = macro_scenario(
-            users_per_group=None, baseline_users=None, n_locations=2, n_fadings=2,
+            users_per_group=None, baseline_users=None, n_locations=2, n_fadings=2, seed=seed,
             **self.BD_SCENARIOS[like],
         )
         vcc = experiments.cache_aided_job(

@@ -14,6 +14,7 @@ from vccsim.precoding import (
     msv_rate_from_gains,
     prefix_factor,
     zf_matrix,
+    zf_prefix_couplings,
     zf_prefix_gains,
 )
 from vccsim.experiments import Scenario
@@ -530,3 +531,72 @@ class TestMsv:
             assert with_pilots[s, 0] / without[s, 0] == pytest.approx(
                 1 - 10 * users / 15000, rel=1e-12
             )
+
+
+class TestCachedTables:
+    """The tables built once per process from a q sweep or a pair list are
+    shared by every later call, so they must be read-only, and a call must
+    give the same bits on a cold cache as on a warm one."""
+
+    SCENARIO = Scenario(
+        geometry=None, noise_power=1.0, num_tx_antennas=8, num_states=3,
+        cache_fraction=Fraction(2, 3), antennas_per_user=1, ptot_dbm=(37.0,),
+    )
+
+    def _tables(self):
+        """Every cached table function of the kernels and the rules, each
+        called once."""
+        q = (1, 2, 4)
+        return {
+            precoding._sweep: precoding._sweep(q, 2, 8),
+            precoding._pair_table: precoding._pair_table(
+                np.array([[2, 0], [1, 1], [2, 1]], dtype=np.intp).tobytes(), 4),
+            precoding._msv_pairs: precoding._msv_pairs(q, 3),
+            experiments._overhead_factors: experiments._overhead_factors(self.SCENARIO, q),
+            experiments._msv_overhead_factors: experiments._msv_overhead_factors(self.SCENARIO, q),
+            experiments._served_pairs: experiments._served_pairs(q),
+            experiments._pair_snr: experiments._pair_snr(self.SCENARIO, q),
+        }
+
+    def test_every_cached_array_is_read_only(self):
+        tables = self._tables()
+        cached = {
+            f for module in (precoding, experiments) for f in vars(module).values()
+            if hasattr(f, "cache_info")
+        }
+        assert cached == tables.keys()
+        for out in tables.values():
+            arrays = [a for a in (out if isinstance(out, tuple) else (out,))
+                      if isinstance(a, np.ndarray)]
+            assert arrays
+            for a in arrays:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 0
+
+    def test_same_bits_from_list_or_array_on_a_cold_or_warm_cache(self):
+        rng = substream(93, 0)
+        h, h_hat = complex_gaussian(rng, (2, 2, 8, 5))
+        pairs = [(n, k) for n in (2, 5, 3) for k in range(5)]
+        mc, uc = complex_gaussian(rng, (3, 8)), complex_gaussian(rng, (7, 8))
+        q_values = [1, 3, 5]
+
+        def outputs(pairs, q_values):
+            factor = prefix_factor(h_hat)
+            return (
+                *zf_prefix_couplings(h, factor, pairs),
+                *bd_mrc_prefix_gains(factor, 1, q_values),
+                zf_prefix_gains(factor, q_values),
+                *msv_gains_fast(mc, uc, q_values),
+            )
+
+        for table in (precoding._sweep, precoding._pair_table, precoding._msv_pairs):
+            table.cache_clear()
+        cold = outputs(pairs, q_values)
+        for args in ((pairs, q_values), (np.array(pairs), np.array(q_values)),
+                     (np.array(pairs), tuple(q_values))):
+            warm = outputs(*args)
+            assert len(warm) == len(cold)
+            for a, b in zip(warm, cold):
+                np.testing.assert_array_equal(a, b)
+        assert precoding._pair_table.cache_info().hits > 0

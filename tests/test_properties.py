@@ -23,6 +23,15 @@
 * the closed-form gains of one- and two-row blocks in :func:`_block_gains`
   against ``1 / np.linalg.eigvalsh``: equal for one row, and within a
   tolerance that scales with the condition number for two;
+* a group's bits, in :func:`prefix_factor`, :func:`_prefix_blocks`,
+  :func:`bd_mrc_prefix_gains` and :func:`zf_prefix_gains`, against those of
+  the same group factored alone, at ``m`` = 1, 2, 4 and 12: a job with fewer
+  groups reads the first groups of a shared draw;
+* the dense closed forms of :func:`bd_mrc_prefix_gains` at ``m <= 2``
+  against the closed form on the gathered valid cells, bit for bit, also on
+  stacks whose prefixes are singular or near it, which take the per-user
+  path; and the inverse of an all-full-rank stack (one ``inv`` of the
+  stack) against the general path of :func:`_prefix_inverse`;
 * :func:`zf_prefix_couplings` at any set of (prefix, receiver) pairs, with
   more or fewer receivers than streams, against :func:`zf_matrix` on each
   prefix;
@@ -36,16 +45,21 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 import test_experiments
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from vccsim import allocation, experiments
 from vccsim.allocation import UserRateFunction, mmf_sum_rates, solve_mmf
 from vccsim.channel import GroupChannel, complex_gaussian
+from vccsim.errors import InfeasibleDimensionError
 from vccsim.precoding import (
+    _bd_eigs_generic,
     _block_gains,
+    _prefix_blocks,
+    _prefix_inverse,
     _usable,
     bd_mrc_prefix_gains,
     msv_gains_fast,
@@ -361,6 +375,133 @@ def test_one_row_block_gains_equal_eigvalsh(entries):
     # eigvalsh reads only the real part of a diagonal entry.
     blocks = np.array([[[complex(re, im)]] for re, im in entries])
     np.testing.assert_array_equal(_block_gains(blocks), 1.0 / np.linalg.eigvalsh(blocks))
+
+
+@st.composite
+def shared_stacks(draw):
+    """Stacks of 2-6 groups of ``q`` users at the recipes' ``m``, up to full
+    load, with random pathlosses."""
+    m = draw(st.sampled_from([1, 2, 4, 12]))
+    q = draw(st.integers(1, 4 if m == 12 else 8))
+    l_tx = q * m + draw(st.integers(0, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _scaled_stack(rng, l_tx, m, q, draw(st.integers(2, 6)))
+
+
+def _gains_or_error(kernel, *args):
+    try:
+        return kernel(*args)
+    except InfeasibleDimensionError:
+        return None
+
+
+@PROPERTY
+@given(shared_stacks())
+def test_a_group_reads_the_bits_it_has_alone(stack):
+    # The bits of a matrix product's columns depend on its width, so a
+    # product over every group of the stack would tie a group's bits to the
+    # group count.
+    h, m, _ = stack
+    q_values = tuple(range(1, h.shape[-1] // m + 1))
+    sizes = tuple(q * m for q in q_values)
+    factor = prefix_factor(h)
+    blocks = _prefix_blocks(factor, m, q_values)
+    bd = _gains_or_error(bd_mrc_prefix_gains, factor, m, q_values)
+    zf = zf_prefix_gains(factor, sizes) if factor.valid.min() == h.shape[-1] else None
+    lone_bd = []
+    for g in range(h.shape[0]):
+        alone = prefix_factor(h[g : g + 1])
+        for a, b in zip(alone, factor):
+            np.testing.assert_array_equal(a[0], b[g])
+        np.testing.assert_array_equal(_prefix_blocks(alone, m, q_values)[0], blocks[g])
+        lone_bd.append(_gains_or_error(bd_mrc_prefix_gains, alone, m, q_values))
+        if bd is not None:
+            for a, b in zip(lone_bd[-1], bd):
+                np.testing.assert_array_equal(a[0], b[g])
+        if zf is not None:
+            np.testing.assert_array_equal(zf_prefix_gains(alone, sizes)[0], zf[g])
+    # the stack fails where and only where some group fails alone
+    assert (bd is None) == any(out is None for out in lone_bd)
+
+
+def _gathered_bd_gains(factor, m, q_values):
+    """:func:`bd_mrc_prefix_gains` with its closed forms on the valid cells
+    only: their blocks gathered, their gains and usability computed on the
+    gathered array and scattered back."""
+    h, _, valid = factor
+    g_count, _, n = h.shape
+    qs = np.asarray(q_values)
+    prefix_ok = valid[:, None] >= qs * m
+    cells = prefix_ok[:, :, None] & (np.arange(n // m) < qs[:, None])
+    gains = np.zeros((*cells.shape, m))
+    gains[cells] = _block_gains(_prefix_blocks(factor, m, qs)[cells])
+    counts = np.where(cells, m, 0)
+    unusable = np.zeros(cells.shape, dtype=bool)
+    unusable[cells] = ~_usable(gains[cells])
+    for g, s in zip(*np.nonzero(~prefix_ok | unusable.any(axis=-1))):
+        per_user = _bd_eigs_generic([h[g][:, k * m : (k + 1) * m] for k in range(qs[s])])
+        gains[g, s] = 0.0
+        for k, w in enumerate(per_user):
+            gains[g, s, k, : w.size] = w
+            counts[g, s, k] = w.size
+    return gains, counts
+
+
+@st.composite
+def dependent_stacks(draw):
+    """Stacks at ``m`` = 1 or 2 where, in one group, the first column of one
+    user is (``"singular"``) or nearly is (``"near"``, up to a relative
+    1e-8 to 1e-3) a combination of the earlier users' columns, or no column
+    is (``"generic"``); with the group and its column count."""
+    m = draw(st.sampled_from([1, 2]))
+    q = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h, _, _ = _scaled_stack(rng, q * m + draw(st.integers(0, 4)), m, q, draw(st.integers(1, 4)))
+    kind = draw(st.sampled_from(["generic", "singular", "near"]))
+    g = draw(st.integers(0, h.shape[0] - 1))
+    if kind != "generic":
+        user = draw(st.integers(1, q - 1))
+        col = h[g, :, : user * m] @ complex_gaussian(rng, (user * m,))
+        if kind == "near":
+            noise = complex_gaussian(rng, col.shape)
+            noise *= np.linalg.norm(col) / np.linalg.norm(noise)
+            col += 10.0 ** draw(st.floats(-8.0, -3.0)) * noise
+        h[g, :, user * m] = col
+    return h, m, kind, g
+
+
+@PROPERTY
+@given(dependent_stacks())
+def test_dense_bd_gains_equal_the_gathered_closed_form(case):
+    h, m, kind, g = case
+    q_values = tuple(range(1, h.shape[-1] // m + 1))
+    factor = prefix_factor(h)
+    if kind == "singular":
+        assert factor.valid[g] < h.shape[-1]
+    # As a block task runs them: no block outside the valid cells divides.
+    with np.errstate(all="raise", under="ignore"):
+        want = _gains_or_error(_gathered_bd_gains, factor, m, q_values)
+        if want is None:
+            with pytest.raises(InfeasibleDimensionError):
+                bd_mrc_prefix_gains(factor, m, q_values)
+            return
+        got = bd_mrc_prefix_gains(factor, m, q_values)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+
+
+@PROPERTY
+@given(group_stacks())
+def test_full_rank_inverse_equals_the_general_path(stack):
+    h, _, _ = stack
+    r_inv, valid = _prefix_inverse(h)
+    assume(np.all(valid == h.shape[-1]))
+    singular = h[:1].copy()
+    singular[..., -1] = 0.0
+    general_r_inv, general_valid = _prefix_inverse(np.concatenate([h, singular]))
+    assert general_valid[-1] < h.shape[-1]
+    np.testing.assert_array_equal(general_r_inv[:-1], r_inv)
+    np.testing.assert_array_equal(general_valid[:-1], valid)
 
 
 @st.composite
