@@ -35,7 +35,6 @@ __all__ = [
     "corrupt_csit",
     "noise_power_watts",
     "dbm_to_watts",
-    "watts_to_dbm",
 ]
 
 AWGN_DENSITY_DBM_HZ = -174.0
@@ -381,10 +380,6 @@ def corrupt_csit(
 
 def dbm_to_watts(p_dbm: float) -> float:
     return 10 ** ((p_dbm - 30.0) / 10.0)
-
-
-def watts_to_dbm(p_watts: float) -> float:
-    return 10.0 * math.log10(p_watts) + 30.0
 
 
 def noise_power_watts(

@@ -37,11 +37,14 @@ runs every job of the recipe over its block in the same four steps:
    every prefix Gram inverse both read: BD-MRC their reciprocal
    eigenvalues (:func:`~vccsim.precoding.bd_mrc_prefix_gains`), ZF the
    reciprocal ``1 x 1`` blocks (:func:`~vccsim.precoding.zf_prefix_gains`);
-   under imperfect CSI it is the ZF gains, or the couplings
-   (:func:`~vccsim.precoding.zf_prefix_couplings`), at the served
-   ``(q, user)`` pairs only.  MSV runs the same kernel on one
-   multicast/unicast draw for every unicast count
-   (:func:`~vccsim.precoding.msv_gains_fast`);
+   under imperfect CSI it is the ZF gains, or the couplings, of the q
+   sweep's served ``(q, user)`` pairs only, q by q with users ascending
+   (:func:`_served_pairs`; the couplings from
+   :func:`~vccsim.precoding.zf_prefix_couplings`, which takes the sweep).
+   MSV factors one multicast/unicast draw for every unicast count
+   (:func:`~vccsim.precoding.msv_gains_fast`): the unicast gains are the
+   prefix ZF gains, and the common beam's couplings one product with the
+   sweep's prefix mask;
 3. rates: one rate-rule call per (job, rule, block), for the rates of every
    curve the scheme owns over the block's cells, the q sweep and the power
    vector, from the kernel outputs of the job's groups at every cell,
@@ -891,7 +894,7 @@ def _csi_error_kernel(scenario: Scenario, q_values, draws):
     h, factor, *w = draws
     pairs, _, _ = _served_pairs(q_values)
     users = pairs[:, 1]
-    _, _, rows = zf_prefix_couplings(h, factor, pairs)
+    rows = zf_prefix_couplings(h, factor, q_values)
     own = rows[:, np.arange(users.size), users]
     power = rows.real ** 2
     power += rows.imag ** 2
@@ -1337,15 +1340,25 @@ class CsvBlock(NamedTuple):
 
 def rows_for_curve(curve: SchemeCurve, scenario: Scenario, gain=None) -> list[CsvBlock]:
     """One block of a row per (q, power point), q by q; ``gain`` fills the
-    ``gain`` column of a single-q curve only."""
+    ``gain`` column, which only a single-q curve has.
+
+    Raises
+    ------
+    ValueError
+        If ``gain`` comes with a curve of more than one q.
+    """
+    if gain is not None and len(curve.q_values) != 1:
+        raise ValueError(
+            f"{curve.scheme}: a gain column needs a single-q curve, "
+            f"not q in {list(curve.q_values)}"
+        )
     n_p = len(curve.ptot_dbm)
     return [CsvBlock(
         scenario, curve.scheme,
         [q for q in curve.q_values for _ in range(n_p)],
         curve.mean.ravel().tolist(),
         curve.stderr.ravel().tolist(),
-        gain=np.asarray(gain, dtype=float).tolist()
-        if gain is not None and len(curve.q_values) == 1 else None,
+        gain=None if gain is None else np.asarray(gain, dtype=float).tolist(),
     )]
 
 

@@ -34,22 +34,22 @@ those blocks, in closed form for ``M <= 2`` and from LAPACK's ``eigvalsh``
 for larger blocks (:func:`_block_gains`), and ZF gains the ``M = 1`` case,
 the reciprocal ``1 x 1`` blocks.
 The couplings of a prefix's ZF precoder with a receiver are one row of
-``(h.T @ H.conj()) @ inv(R)``, cut at the prefix size, times
-``inv(R).conj().T``: every requested (prefix, receiver) pair is one row of
-a single batched product.
-Every array that depends only on the q sweep or the requested pairs (the
-prefix masks, the served users, the pairs' distinct sizes, size indices,
-receivers and masks, and MSV's pairs) is built once per process and sweep
-(:func:`_sweep`, :func:`_pair_table`, :func:`_msv_pairs`), and is
-read-only, so that every call shares it.
+``X = (h.T @ H.conj()) @ inv(R)``, cut at the prefix size, times
+``inv(R).conj().T``: every served ``(q, user)`` pair of a q sweep is one row
+of a single batched product.  MSV reads only the common beam, column 0 of
+that product, so a multicast user's coupling with it is the sum of its row
+of ``X`` times ``conj(inv(R)[0])`` over the prefix columns: every count is
+one product with the sweep's 0/1 prefix mask.
+Every array that depends only on the q sweep (the prefix masks, the served
+users, and the served pairs with their masks) is built once per process and
+sweep (:func:`_sweep`), and is read-only, so that every call shares it.
 
 The Monte Carlo loop calls only the fast paths, which return gains
 without forming every beam, for a whole sweep of served-user counts:
 :func:`bd_mrc_prefix_gains` and :func:`zf_prefix_gains` on the
 :func:`prefix_factor` of a stack of groups, so that BD-MRC and ZF on the
 same draw share one factorization, :func:`zf_prefix_couplings` on the
-factor of a stack of estimated channels, at the (prefix, receiver) pairs a
-caller reads,
+factor of a stack of estimated channels, at the served pairs of a q sweep,
 :func:`msv_gains_fast` on one multicast/unicast draw, and the
 rate formula :func:`msv_rate_from_gains` over the (count, power) grid, at
 overhead factors its caller gives.
@@ -200,6 +200,8 @@ class _Sweep(NamedTuple):
     columns: np.ndarray  # (S,): each prefix's columns, q * m
     served: np.ndarray  # (S, n // m) bool: user k inside the prefix
     mask: np.ndarray  # (max(S, 2), max(q) * m) 0/1: column c inside the prefix
+    pairs: np.ndarray  # (2, T): each served pair's q index and user, q by q
+    pair_mask: np.ndarray  # (T, n) bool: column c inside the pair's prefix
 
 
 @functools.lru_cache(maxsize=None)
@@ -213,7 +215,9 @@ def _sweep(q_values: tuple, m: int, n: int) -> _Sweep:
     padded = np.resize(qs, max(qs.size, 2))
     mask = (np.arange(qs.max() * m) < padded[:, None] * m).astype(float)
     served = np.arange(n // m) < qs[:, None]
-    return _Sweep(*map(_read_only, (qs * m, served, mask)))
+    pairs = np.array(np.nonzero(served))
+    pair_mask = np.arange(n) < qs[pairs[0], None] * m
+    return _Sweep(*map(_read_only, (qs * m, served, mask, pairs, pair_mask)))
 
 
 def _prefix_blocks(factor: PrefixFactor, m: int, q_values) -> np.ndarray:
@@ -391,71 +395,45 @@ def zf_matrix(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v, gains
 
 
-class _PairTable(NamedTuple):
-    """The tables of a list of (prefix size, receiver) pairs of an
-    ``n``-column stack, which depend on nothing else (:func:`_pair_table`)."""
-
-    sizes: tuple[int, ...]  # the D distinct prefix sizes, ascending
-    per_pair: np.ndarray  # (T,): each pair's size index among them
-    receivers: np.ndarray  # (T,)
-    mask: np.ndarray  # (T, n) complex 0/1: column c inside the pair's prefix
-
-
-@functools.lru_cache(maxsize=None)
-def _pair_table(pairs: bytes, n: int) -> _PairTable:
-    """The :class:`_PairTable` of the pairs whose ``intp`` bytes are
-    ``pairs``, built once per process and read-only.  A complex 0/1 mask
-    multiplies to the bits of the boolean one."""
-    sizes, receivers = np.frombuffer(pairs, dtype=np.intp).reshape(-1, 2).T
-    distinct, per_pair = np.unique(sizes, return_inverse=True)
-    mask = (np.arange(n) < sizes[:, None]).astype(complex)
-    tables = map(_read_only, (per_pair, receivers.copy(), mask))
-    return _PairTable(tuple(distinct.tolist()), *tables)
-
-
-def zf_prefix_couplings(
-    h: np.ndarray, factor: PrefixFactor, pairs
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def zf_prefix_couplings(h: np.ndarray, factor: PrefixFactor, q_values) -> np.ndarray:
     """True-channel couplings of ZF precoders designed on estimates, at the
-    requested (prefix size, receiver) pairs only.
+    served pairs of a q sweep only.
 
-    ``h`` is a ``(G, L, K)`` stack of ``K`` receivers' true channels and
-    ``factor`` the prefix factor (:func:`prefix_factor`) of ``h_hat``, a
-    ``(G, L, N)`` stack of the estimated channels the precoders are
-    designed on.  ``pairs`` holds ``T`` pairs ``(n, k)``: receiver ``k``
-    meets the ZF precoder ``V_n`` of the first ``n`` estimated columns
-    (unit-norm columns, as in :func:`zf_matrix`) as ``h[:, :, k].T @ V_n``.
-    Returns ``(gains, per_pair, coupling)``: the ZF gains ``(G, D, N)`` of
-    each of the ``D`` distinct prefix sizes, ascending (as in
-    :func:`zf_prefix_gains`), the index ``(T,)`` of each pair's size among
-    them, so that ``gains[:, per_pair]`` are the pairs' gains, and the
-    pairs' couplings ``(G, T, N)``, zero past each pair's ``n`` streams.
+    ``h`` is a ``(G, L, K)`` stack of the true channels of ``K >= max(q)``
+    single-antenna users and ``factor`` the prefix factor
+    (:func:`prefix_factor`) of ``h_hat``, a ``(G, L, N)`` stack of their
+    estimates, which the precoders are designed on.  For each q of
+    ``q_values`` and each user ``k < q`` (the served pairs, q by q, users
+    ascending), user ``k`` meets the ZF precoder ``V_q`` of the first ``q``
+    estimated columns (unit-norm columns, as in :func:`zf_matrix`) as
+    ``h[:, :, k].T @ V_q``.  Returns the ``T`` served pairs' couplings,
+    ``(G, T, N)``, zero past each pair's ``q`` streams.
 
     With ``h_hat.conj() = Q @ R`` and ``X = (h.T @ h_hat.conj()) @
-    inv(R)``, whose leading columns do not depend on the prefix, receiver
-    k's couplings with the first ``n`` streams are ``X[k, :n] @ inv(R)[:n,
-    :n].conj().T`` times ``sqrt`` of the prefix's ZF gains along its
-    streams, taken per size before they are gathered to the pairs.  As
-    ``inv(R)`` is upper triangular, that is row k of X with its columns from
-    ``n`` on set to zero, times ``inv(R).conj().T``: so all ``T`` pairs are
-    one batched product of their masked rows, from one factorization.
-    Perfect CSI at the served users is ``factor = prefix_factor(h)``.
+    inv(R)``, whose leading columns do not depend on the prefix, user k's
+    couplings with the first ``q`` streams are ``X[k, :q] @ inv(R)[:q,
+    :q].conj().T`` times ``sqrt`` of the prefix's ZF gains along its
+    streams.  As ``inv(R)`` is upper triangular, that is row k of X with its
+    columns from ``q`` on set to zero, times ``inv(R).conj().T``: so all
+    ``T`` pairs are one batched product of their masked rows, from one
+    factorization.  Perfect CSI at the served users is ``factor =
+    prefix_factor(h)``.
 
     Raises
     ------
     SingularMatrixError
-        If the Gram matrix of some requested estimated prefix is not
-        invertible.
+        If the Gram matrix of some estimated prefix is not invertible.
     """
     r_inv = factor.r_inv
-    table = _pair_table(np.asarray(pairs, dtype=np.intp).reshape(-1, 2).tobytes(), r_inv.shape[-1])
-    gains = zf_prefix_gains(factor, table.sizes)
+    sweep = _sweep(_key(q_values), 1, r_inv.shape[-1])
+    q_idx, users = sweep.pairs
+    gains = zf_prefix_gains(factor, q_values)
     x = h.swapaxes(-1, -2) @ factor.h.conj() @ r_inv
-    rows = np.take(x, table.receivers, axis=1)
-    rows *= table.mask
+    rows = np.take(x, users, axis=1)
+    rows *= sweep.pair_mask
     coupling = rows @ r_inv.conj().swapaxes(-1, -2)
-    coupling *= np.sqrt(gains)[:, table.per_pair]
-    return gains, table.per_pair, coupling
+    coupling *= np.sqrt(gains)[:, q_idx]
+    return coupling
 
 
 def msv_rate_from_gains(
@@ -487,14 +465,6 @@ def msv_rate_from_gains(
     return np.asarray(overhead_factors, dtype=float)[:, None] * (r_mc + r_uc)
 
 
-@functools.lru_cache(maxsize=None)
-def _msv_pairs(unicast_counts: tuple, g_mc: int) -> np.ndarray:
-    """The (prefix size, multicast user) pairs of :func:`msv_gains_fast`,
-    count by count, built once per process and read-only."""
-    pairs = [(n + 1, k) for n in unicast_counts for k in range(g_mc)]
-    return _read_only(np.array(pairs, dtype=np.intp).reshape(-1, 2))
-
-
 def msv_gains_fast(
     multicast_channels: np.ndarray,
     unicast_channels: np.ndarray,
@@ -509,15 +479,25 @@ def msv_gains_fast(
     the null space of the unicast channels, and column ``k`` nulls the first
     multicast user and every other unicast user.  So one prefix
     factorization serves the whole sweep; a one-column prefix is the matched
-    filter.  Returns the multicast gains ``(S, G)`` (squared couplings of
-    the common beam at every multicast user, from the couplings at every
-    (count, multicast user) pair) and the unicast gains ``(S, U)``, zero
-    past each count: the per-size ZF gains, one row per count.
+    filter.  Returns the multicast gains ``(S, G)``, the squared couplings
+    of the common beam at every multicast user, and the unicast gains
+    ``(S, U)``, zero past each count: the per-size ZF gains, one row per
+    count.  Multicast user k's coupling with the common beam at count ``n``
+    is column 0 of :func:`zf_prefix_couplings`' product, ``sqrt(g0) *
+    sum(X[k, c] * conj(inv(R)[0, c]) for c <= n)`` with ``g0`` the common
+    beam's ZF gain, so one product of those terms with the sweep's 0/1
+    prefix mask serves every count.
     """
     h_mc = np.asarray(multicast_channels, dtype=complex)
     h_uc = np.asarray(unicast_channels, dtype=complex)
-    stack = np.concatenate([h_mc[:1], h_uc], axis=0).T[None]
-    g_mc = h_mc.shape[0]
-    pairs = _msv_pairs(_key(unicast_counts), g_mc)
-    gains, per_pair, coupling = zf_prefix_couplings(h_mc.T[None], prefix_factor(stack), pairs)
-    return np.abs(coupling[0, :, 0].reshape(-1, g_mc)) ** 2, gains[0, per_pair[::g_mc], 1:]
+    stack = np.concatenate([h_mc[:1], h_uc], axis=0).T
+    factor = prefix_factor(stack[None])
+    sizes = tuple(n + 1 for n in _key(unicast_counts))
+    gains = zf_prefix_gains(factor, sizes)[0]
+    r_inv = factor.r_inv[0]
+    mask = _sweep(sizes, 1, r_inv.shape[-1]).mask
+    cols = mask.shape[1]
+    terms = h_mc @ stack.conj() @ r_inv[:, :cols]
+    terms *= r_inv[0, :cols].conj()
+    common = (mask @ terms.T)[: len(sizes)] * np.sqrt(gains[:, :1])
+    return np.abs(common) ** 2, gains[:, 1:]

@@ -20,7 +20,6 @@ from vccsim.channel import (
     sample_user_position,
     substream,
     substreams,
-    watts_to_dbm,
 )
 from vccsim.errors import InfeasibleDimensionError, OverheadExceedsCoherenceError
 
@@ -190,7 +189,7 @@ class TestPowerUnits:
         assert noise_power_watts() == pytest.approx(dbm_to_watts(expected_dbm), rel=1e-12)
 
     def test_dbm_round_trip(self):
-        assert watts_to_dbm(dbm_to_watts(33.0)) == pytest.approx(33.0, abs=1e-12)
+        assert 10.0 * math.log10(dbm_to_watts(33.0)) + 30.0 == pytest.approx(33.0, abs=1e-12)
 
 
 class TestSubstreams:

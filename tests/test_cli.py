@@ -501,11 +501,11 @@ class TestParser:
         parent = os.getpid()
         couplings = experiments.zf_prefix_couplings
 
-        def dividing_by_zero(h, h_hat, pairs):
-            gains, per_pair, coupling = couplings(h, h_hat, pairs)
+        def dividing_by_zero(h, factor, q_values):
+            coupling = couplings(h, factor, q_values)
             if child_only and os.getpid() == parent:
-                return gains, per_pair, coupling
-            return gains / 0.0, per_pair, coupling
+                return coupling
+            return coupling / 0.0
 
         monkeypatch.setattr(experiments, "zf_prefix_couplings", dividing_by_zero)
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)

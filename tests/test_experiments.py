@@ -1289,7 +1289,8 @@ GAINS = st.one_of(st.floats(), st.sampled_from([math.inf, -math.inf, math.nan]))
 @st.composite
 def csv_parts(draw):
     """1-4 curves, each with its scenario (one of two), whether its
-    best-q rows are wanted, and a gain column (or ``None``)."""
+    best-q rows are wanted, and a gain column (or ``None``), which only
+    best-q rows and a single-q curve's rows take."""
     n_p = draw(st.integers(1, 3))
     scenarios = [
         symmetric_scenario(
@@ -1319,8 +1320,11 @@ def csv_parts(draw):
             f"c{i}", scn.ptot_dbm, q_values,
             mean.reshape(-1, n_p), stderr.reshape(-1, n_p),
         )
-        gain = draw(st.none() | st.lists(GAINS, min_size=n_p, max_size=n_p).map(np.array))
-        parts.append((curve, scn, draw(st.booleans()), gain))
+        best = draw(st.booleans())
+        gain = None
+        if best or len(q_values) == 1:
+            gain = draw(st.none() | st.lists(GAINS, min_size=n_p, max_size=n_p).map(np.array))
+        parts.append((curve, scn, best, gain))
     return parts
 
 
@@ -1338,7 +1342,7 @@ def _reference_rows(curve, scn, best, gain):
     def value(array, p):
         return None if array is None else float(array[p])
 
-    n_q, n_p = curve.mean.shape
+    n_p = curve.mean.shape[1]
     if best:
         idx = np.argmax(curve.mean, axis=0)
         return [
@@ -1348,7 +1352,7 @@ def _reference_rows(curve, scn, best, gain):
         ]
     return [
         row(curve.scheme, p, q, float(curve.mean[qi, p]), float(curve.stderr[qi, p]),
-            gain=value(gain, p) if n_q == 1 else None)
+            gain=value(gain, p))
         for qi, q in enumerate(curve.q_values)
         for p in range(n_p)
     ]
@@ -1389,3 +1393,10 @@ class TestCsvRendering:
                     assert got[col] is None, col
                 else:
                     assert got[col].hex() == row[col].hex(), col
+
+    def test_gain_with_a_multi_q_curve_raises(self):
+        scn = symmetric_scenario(ptot_dbm=(10.0, 20.0))
+        curve = SchemeCurve("c", scn.ptot_dbm, (2, 4), np.ones((2, 2)), np.zeros((2, 2)))
+        message = r"c: a gain column needs a single-q curve, not q in \[2, 4\]"
+        with pytest.raises(ValueError, match=message):
+            rows_for_curve(curve, scn, gain=np.ones(2))

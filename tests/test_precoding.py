@@ -534,9 +534,9 @@ class TestMsv:
 
 
 class TestCachedTables:
-    """The tables built once per process from a q sweep or a pair list are
-    shared by every later call, so they must be read-only, and a call must
-    give the same bits on a cold cache as on a warm one."""
+    """The tables built once per process from a q sweep are shared by every
+    later call, so they must be read-only, and a call must give the same
+    bits on a cold cache as on a warm one."""
 
     SCENARIO = Scenario(
         geometry=None, noise_power=1.0, num_tx_antennas=8, num_states=3,
@@ -549,9 +549,6 @@ class TestCachedTables:
         q = (1, 2, 4)
         return {
             precoding._sweep: precoding._sweep(q, 2, 8),
-            precoding._pair_table: precoding._pair_table(
-                np.array([[2, 0], [1, 1], [2, 1]], dtype=np.intp).tobytes(), 4),
-            precoding._msv_pairs: precoding._msv_pairs(q, 3),
             experiments._overhead_factors: experiments._overhead_factors(self.SCENARIO, q),
             experiments._msv_overhead_factors: experiments._msv_overhead_factors(self.SCENARIO, q),
             experiments._served_pairs: experiments._served_pairs(q),
@@ -577,26 +574,23 @@ class TestCachedTables:
     def test_same_bits_from_list_or_array_on_a_cold_or_warm_cache(self):
         rng = substream(93, 0)
         h, h_hat = complex_gaussian(rng, (2, 2, 8, 5))
-        pairs = [(n, k) for n in (2, 5, 3) for k in range(5)]
         mc, uc = complex_gaussian(rng, (3, 8)), complex_gaussian(rng, (7, 8))
         q_values = [1, 3, 5]
 
-        def outputs(pairs, q_values):
+        def outputs(q_values):
             factor = prefix_factor(h_hat)
             return (
-                *zf_prefix_couplings(h, factor, pairs),
+                zf_prefix_couplings(h, factor, q_values),
                 *bd_mrc_prefix_gains(factor, 1, q_values),
                 zf_prefix_gains(factor, q_values),
                 *msv_gains_fast(mc, uc, q_values),
             )
 
-        for table in (precoding._sweep, precoding._pair_table, precoding._msv_pairs):
-            table.cache_clear()
-        cold = outputs(pairs, q_values)
-        for args in ((pairs, q_values), (np.array(pairs), np.array(q_values)),
-                     (np.array(pairs), tuple(q_values))):
-            warm = outputs(*args)
+        precoding._sweep.cache_clear()
+        cold = outputs(q_values)
+        for args in (q_values, np.array(q_values), tuple(q_values)):
+            warm = outputs(args)
             assert len(warm) == len(cold)
             for a, b in zip(warm, cold):
                 np.testing.assert_array_equal(a, b)
-        assert precoding._pair_table.cache_info().hits > 0
+        assert precoding._sweep.cache_info().hits > 0
