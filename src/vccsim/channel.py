@@ -331,15 +331,14 @@ def csi_overhead(
     """Remaining fraction of the coherence block after per-antenna pilots:
     the overhead factor, 0 where the pilots fill the block.
 
+    Needs ``coherence_symbols >= 1`` and ``pilot_symbols >= 0``, which
+    :class:`~vccsim.experiments.Scenario` checks before it calls this.
+
     Raises
     ------
     OverheadExceedsCoherenceError
         If the pilots would consume more than the whole coherence block.
     """
-    if coherence_symbols <= 0:
-        raise ValueError("coherence_symbols must be positive")
-    if pilot_symbols < 0:
-        raise ValueError("pilot_symbols must be nonnegative")
     factor = 1.0 - pilot_symbols * total_receive_antennas / coherence_symbols
     if factor < 0:
         raise OverheadExceedsCoherenceError(

@@ -39,8 +39,8 @@ runs every job of the recipe over its block in the same four steps:
    reciprocal ``1 x 1`` blocks (:func:`~vccsim.precoding.zf_prefix_gains`);
    under imperfect CSI it is the ZF gains, or the couplings, of the q
    sweep's served ``(q, user)`` pairs only, q by q with users ascending
-   (:func:`_served_pairs`; the couplings from
-   :func:`~vccsim.precoding.zf_prefix_couplings`, which takes the sweep).
+   (the couplings from :func:`~vccsim.precoding.zf_prefix_couplings`,
+   whose sweep table :func:`~vccsim.precoding._sweep` the rules read too);
    MSV factors one multicast/unicast draw for every unicast count
    (:func:`~vccsim.precoding.msv_gains_fast`): the unicast gains are the
    prefix ZF gains, and the common beam's couplings one product with the
@@ -85,10 +85,10 @@ in key order; a gain kernel ``kernel(scenario, q_values, draw)``; and a rate
 rule ``rates(scenario, q_values, inputs)``; each reads the group count from
 the scenario (``coded_gain``).  Fading-free analytic curves have neither a
 draw nor a kernel, and run once per block, their inputs the pathloss rows of
-its locations.  The tables a rule needs that depend only on the job (served
-pairs, per-stream SNRs, overhead factors) are built once per process, as are
-the kernels' tables that depend only on the q sweep (prefix masks, served
-users, the pairs' size indices and masks; see :mod:`vccsim.precoding`), and
+its locations.  The tables a rule needs that depend only on the job
+(per-stream SNRs, overhead factors) are built once per process, as are the
+kernels' tables that depend only on the q sweep (prefix masks, served users,
+served pairs; see :mod:`vccsim.precoding`), which the CSI rules read too, and
 all are read-only.
 
 Blocks.  At two or more fadings a block is one location, so paper-scale
@@ -193,6 +193,7 @@ from .errors import (
 )
 from .precoding import (
     _read_only,
+    _sweep,
     bd_mrc_eigenvalues,
     bd_mrc_prefix_gains,
     msv_gains_fast,
@@ -367,10 +368,6 @@ class Scenario:
                 geometry_preset(self.geometry)
             except ValueError as exc:
                 raise InvalidConfigurationError(str(exc)) from exc
-
-    @property
-    def cached_load(self) -> int:
-        return self.coded_gain - 1
 
     def _set_power_sweep(self) -> None:
         """Set ``p_watts`` and ``snr_db``, rejecting any power that is not
@@ -839,22 +836,10 @@ def _csi_draws(scenario: Scenario, q_top: int, rngs, _):
 
 
 @functools.lru_cache(maxsize=None)
-def _served_pairs(q_values):
-    """The served ``(q, user)`` pairs of one group, flattened q by q: each
-    pair's ``(streams, user)`` (single-antenna users, so ``q`` streams) and
-    q index, and the start of each q's run."""
-    qs = np.asarray(q_values)
-    starts = np.cumsum(qs) - qs
-    q_idx = np.repeat(np.arange(qs.size), qs)
-    pairs = np.stack([qs[q_idx], np.arange(q_idx.size) - starts[q_idx]], axis=1)
-    return _read_only(pairs), _read_only(q_idx), _read_only(starts)
-
-
-@functools.lru_cache(maxsize=None)
 def _pair_snr(scenario: Scenario, q_values) -> np.ndarray:
     """Each served pair's SNR per stream over the power vector, ``(T, P)``."""
-    pairs, _, _ = _served_pairs(q_values)
-    streams = scenario.coded_gain * pairs[:, 0]
+    sweep = _sweep(q_values, 1, max(q_values))
+    streams = scenario.coded_gain * sweep.columns[sweep.pairs[0]]
     return _read_only(np.asarray(scenario.p_watts) / (scenario.noise_power * streams[:, None]))
 
 
@@ -865,7 +850,8 @@ def _csi_sum_rates(scenario: Scenario, q_values, sinrs):
     overwrites."""
     xi = _overhead_factors(scenario, q_values)
     per_pair = np.log1p(sinrs, out=sinrs).sum(axis=2)
-    return xi[:, None] * np.add.reduceat(per_pair, _served_pairs(q_values)[2], axis=2)
+    starts = _sweep(q_values, 1, max(q_values)).starts
+    return xi[:, None] * np.add.reduceat(per_pair, starts, axis=2)
 
 
 def _csi_perfect_kernel(scenario: Scenario, q_values, draws):
@@ -875,8 +861,8 @@ def _csi_perfect_kernel(scenario: Scenario, q_values, draws):
     h, factor, *_ = draws
     if scenario.csit_error_var:
         factor = prefix_factor(h)
-    pairs, q_idx, _ = _served_pairs(q_values)
-    return (zf_prefix_gains(factor, q_values)[:, q_idx, pairs[:, 1]],)
+    q_idx, users = _sweep(q_values, 1, max(q_values)).pairs
+    return (zf_prefix_gains(factor, q_values)[:, q_idx, users],)
 
 
 def _csi_perfect_rates(scenario: Scenario, q_values, gains):
@@ -892,8 +878,7 @@ def _csi_error_kernel(scenario: Scenario, q_values, draws):
     own stream, its received power (the row sum of ``|coupling|**2`` over
     its prefix's streams) and, if drawn, its coupling error draw."""
     h, factor, *w = draws
-    pairs, _, _ = _served_pairs(q_values)
-    users = pairs[:, 1]
+    users = _sweep(q_values, 1, max(q_values)).pairs[1]
     rows = zf_prefix_couplings(h, factor, q_values)
     own = rows[:, np.arange(users.size), users]
     power = rows.real ** 2
@@ -907,7 +892,6 @@ def _csi_error_rates(scenario: Scenario, q_values, kernel_out):
     ``(F, G, T)``.  Inter-group residuals enter through their average power
     only."""
     own, received, *w = kernel_out
-    pairs, _, _ = _served_pairs(q_values)
     snr = _pair_snr(scenario, q_values)
     signal = own.real ** 2
     signal += own.imag ** 2
@@ -918,7 +902,8 @@ def _csi_error_rates(scenario: Scenario, q_values, kernel_out):
     den = np.multiply(snr, (received - signal)[..., None])
     den += 1.0
     sinrs[0] /= den
-    others = (scenario.coded_gain * pairs[:, 0] - 1)[:, None]
+    sweep = _sweep(q_values, 1, max(q_values))
+    others = (scenario.coded_gain * sweep.columns[sweep.pairs[0]] - 1)[:, None]
     for i, var in enumerate(scenario.csir_error_vars, start=1):
         # Each receiver's estimate of its own coupling coefficient, and the
         # SINR with numerator and denominator scaled by 1 / (1 + var), so
@@ -1018,9 +1003,10 @@ def msv_job(scenario: Scenario) -> Job:
             f"L (num_tx_antennas) {l} is below 2: the multi-server baseline needs "
             "a unicast stream"
         )
-    # All l - 1 unicast streams, the common one and the cached load need pilots.
-    scenario.overhead_factor(1, l + scenario.cached_load)
-    return Job(scenario, tuple(range(1, l)), ((_MSV, ("msv_modified",)),))
+    # Every unicast count's pilots, as the rate rule reads them, must fit.
+    q_values = tuple(range(1, l))
+    _msv_overhead_factors(scenario, q_values)
+    return Job(scenario, q_values, ((_MSV, ("msv_modified",)),))
 
 
 def msv_original(modified: SchemeCurve) -> SchemeCurve:

@@ -551,7 +551,6 @@ class TestCachedTables:
             precoding._sweep: precoding._sweep(q, 2, 8),
             experiments._overhead_factors: experiments._overhead_factors(self.SCENARIO, q),
             experiments._msv_overhead_factors: experiments._msv_overhead_factors(self.SCENARIO, q),
-            experiments._served_pairs: experiments._served_pairs(q),
             experiments._pair_snr: experiments._pair_snr(self.SCENARIO, q),
         }
 

@@ -32,9 +32,10 @@
   stacks whose prefixes are singular or near it, which take the per-user
   path; and the inverse of an all-full-rank stack (one ``inv`` of the
   stack) against the general path of :func:`_prefix_inverse`;
-* :func:`zf_prefix_couplings` at the served pairs of any q sweep, in the
-  order of ``experiments._served_pairs``, against :func:`zf_matrix` on
-  each prefix;
+* :func:`zf_prefix_couplings` at the served pairs of any q sweep, q by q
+  with users ascending, against :func:`zf_matrix` on each prefix, and the
+  start of each q's pairs in the sweep table ``_sweep``, which the
+  rate rules of :mod:`vccsim.experiments` read;
 * the multi-server gains :func:`msv_gains_fast` over a sweep of unicast
   counts against the :func:`msv_beamformers` design at each count, and
   multicast user 0's against the ZF gain of its prefix;
@@ -61,6 +62,7 @@ from vccsim.precoding import (
     _block_gains,
     _prefix_blocks,
     _prefix_inverse,
+    _sweep,
     _usable,
     bd_mrc_prefix_gains,
     msv_gains_fast,
@@ -553,8 +555,9 @@ def test_prefix_couplings_at_served_pairs_match_zf_matrix(stack, seed):
     sizes = rng.choice(np.arange(1, n_top + 1), rng.integers(1, n_top + 1), replace=False)
     q_values = tuple(sizes.tolist())
     pairs = [(q, k) for q in q_values for k in range(q)]
-    # the rules of vccsim.experiments read coupling row t as served pair t
-    np.testing.assert_array_equal(experiments._served_pairs(q_values)[0], pairs)
+    # the rules of vccsim.experiments sum each q's coupling rows from here
+    starts = [pairs.index((q, 0)) for q in q_values]
+    np.testing.assert_array_equal(_sweep(q_values, 1, n_top).starts, starts)
     coupling = zf_prefix_couplings(h, prefix_factor(h_hat), q_values)
     assert coupling.shape == (g_count, len(pairs), n_top)
     for t, (q, k) in enumerate(pairs):

@@ -65,8 +65,10 @@ import numpy as np
 import pytest
 
 from vccsim.channel import complex_gaussian, substream
-from vccsim.experiments import _CSI_DRAW, _GROUP_DRAW, Scenario, _csi_error_kernel, _served_pairs
-from vccsim.precoding import bd_mrc_prefix_gains, msv_gains_fast, prefix_factor, zf_prefix_gains
+from vccsim.experiments import _CSI_DRAW, _GROUP_DRAW, Scenario, _csi_error_kernel
+from vccsim.precoding import (
+    _sweep, bd_mrc_prefix_gains, msv_gains_fast, prefix_factor, zf_prefix_gains,
+)
 from vccsim.recipes import run_recipe
 
 from csvrows import rendered_rows
@@ -209,7 +211,7 @@ def _csi_samples(l_tx: int, sizes: tuple, csit_var: float, cells: int = 500, gro
         own.append(coupling)
         interference.append(received - (coupling.real ** 2 + coupling.imag ** 2))
     g_hat, own, interference = (np.concatenate(a) for a in (g_hat, own, interference))
-    _, _, starts = _served_pairs(sizes)
+    starts = _sweep(sizes, 1, max(sizes)).starts
     draw = np.arange(g_hat.shape[0])
     for s, n in enumerate(sizes):
         user = draw % n
