@@ -106,6 +106,21 @@ division by zero, overflow and invalid operations, so such a fault fails
 the run with an error that names the block's locations
 (:func:`_block_task`).
 
+Memory.  glibc's malloc moves its mmap and trim thresholds as a process
+frees memory, and under those dynamic thresholds a block that frees enough
+hands the top of the heap back to the kernel, which the next block faults
+in again, page by page: 130 minor faults per run of fig8 at 2x1, and about
+950 per location of fig7 at 20x20, at about 2 us each.  So
+:func:`_simulate` pins both once per process (:func:`_pin_heap`), before it
+cuts the tasks: ``mallopt(M_MMAP_THRESHOLD, 32 MiB)``, the cap the dynamic
+threshold reaches on a 64-bit host, and ``mallopt(M_TRIM_THRESHOLD,
+64 MiB)``, twice that, as the dynamic rule sets it.  Arrays below 32 MiB
+then come from the heap, and up to 64 MiB of its free top stays mapped for
+the next block, in the parent and in every forked slice, which inherits the
+setting.  It moves no number.  Where libc cannot be looked up through
+``ctypes`` or has no ``mallopt``, as on macOS, it does nothing.  Importing
+the package sets nothing, and no option or variable controls it.
+
 Sharing.  Within a task, the rules with a draw are grouped once by draw
 key: their draw plus the fields it reads (``L``, ``M``, ``geometry``,
 ``csit_error_var``) and ``q_top``, the largest served count of the job.
@@ -154,6 +169,7 @@ included; count cells are ``str``.  ``mean_rate_bits`` is
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import functools
 import math
@@ -444,6 +460,25 @@ class SchemeCurve:
         return qs, self.mean[idx, cols], self.stderr[idx, cols]
 
 
+_heap_pinned = False  # set by _pin_heap, and inherited by a forked child
+
+
+def _pin_heap() -> None:
+    """Pin glibc's mmap and trim thresholds, once per process (see Memory in
+    the module docstring); do nothing, silently, where libc cannot be looked
+    up or has no ``mallopt``."""
+    global _heap_pinned
+    if _heap_pinned:
+        return
+    _heap_pinned = True
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # TypeError: no CDLL(None) on Windows
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: its dynamic cap on a 64-bit host
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: twice that, as the dynamic rule sets it
+
+
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -467,7 +502,8 @@ def _parallel_map(fn, args_list, workers: int) -> list:
     result raises a ``RuntimeError`` naming its slice and wait status.  If
     anything here raises, the parent's own slice included, every child not
     yet reaped is killed and reaped first, so no run leaves a child behind.
-    Where ``os`` has no ``fork``, the tasks run in-process.
+    Where ``os`` has no ``fork``, the tasks run in-process.  A child inherits
+    the parent's heap policy (:func:`_pin_heap`) with the rest of its memory.
     """
     cpus = _usable_cpus() if hasattr(os, "fork") else 1
     workers = min(workers, cpus, len(args_list))
@@ -678,7 +714,9 @@ def _group_factor(scenario: Scenario, q_top: int, rngs, betas):
     with their prefix factor: the draw of BD-MRC and ZF."""
     m = scenario.antennas_per_user
     units = _gaussians(rngs, (scenario.num_tx_antennas, q_top * m))
-    return prefix_factor(units * np.repeat(np.sqrt(betas), m, axis=1)[:, None, :])
+    if scenario.geometry is not None:  # else every beta is 1, and x * 1.0 is x
+        units = units * np.repeat(np.sqrt(betas), m, axis=1)[:, None, :]
+    return prefix_factor(units)
 
 
 def _bd_kernel(scenario: Scenario, q_values, factor):
@@ -1204,7 +1242,8 @@ def _block_rates(jobs, locs) -> list[list[np.ndarray]]:
 def _simulate(jobs, workers: int) -> dict[str, SchemeCurve]:
     """Run every job at every location, one task per block of locations
     (:data:`_BLOCK_CELLS`) over ``workers`` forked slices; reduce the
-    per-location means in location order.
+    per-location means in location order.  It first pins the heap policy
+    (:func:`_pin_heap`), so every forked slice inherits it.
 
     Returns every job's curves by name; no two rules may write one name,
     and every job must have the same location and fading counts, noise
@@ -1221,6 +1260,7 @@ def _simulate(jobs, workers: int) -> dict[str, SchemeCurve]:
     ):
         if len(values) != 1:
             raise ValueError(f"jobs differ in their {what}: {sorted(values)}")
+    _pin_heap()
     n_loc, n_fad = scenarios[0].n_locations, scenarios[0].n_fadings
     size = max(1, _BLOCK_CELLS // n_fad)
     tasks = [(jobs, range(n_loc)[start:start + size]) for start in range(0, n_loc, size)]

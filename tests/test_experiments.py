@@ -1,11 +1,19 @@
+import ast
+import ctypes
 import dataclasses
 import math
 import os
 import pickle
+import platform
 import signal
+import subprocess
+import sys
 import time
+import warnings
 import weakref
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -356,12 +364,16 @@ class TestCellSeeding:
         assert experiments._location_keys(symmetric_scenario(), self.LOC) == []
         assert np.array_equal(location_betas(symmetric_scenario(), 4, self.LOC), np.ones((6, 4)))
 
+    # Without a geometry every pathloss is 1 and the draw skips the scaling,
+    # as x * 1.0 is x bit for bit.
+    @pytest.mark.parametrize("scenario", [macro_scenario, symmetric_scenario])
     @DRAWS
     @given(groups=GROUPS, m=st.integers(1, 4), extra=st.integers(0, 12),
            q_top=st.integers(1, 6), seed=SEEDS)
     @example(groups=6, m=4, extra=20, q_top=6, seed=11)
-    def test_group_factor(self, groups, m, extra, q_top, seed):
-        scn = macro_scenario(
+    @example(groups=6, m=1, extra=31, q_top=32, seed=4)  # fig8's BD draw
+    def test_group_factor(self, scenario, groups, m, extra, q_top, seed):
+        scn = scenario(
             num_tx_antennas=m + extra, antennas_per_user=m, users_per_group=None,
             baseline_users=None, seed=seed, **self._groups(groups),
         )
@@ -574,6 +586,87 @@ class TestForkedSlices:
         for pid in forks:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+
+# A fresh interpreter sets the heap policy through a 1x1 run, then frees a
+# 4 MiB array, allocates it again and touches it, in the parent's slice and
+# in a forked one, and prints each slice's pid and minor faults.
+_REFAULTS = """
+import os, resource
+import numpy as np
+from vccsim import experiments
+from vccsim.recipes import run_recipe
+
+def refaults(_):
+    resource.getrusage(resource.RUSAGE_SELF)
+    np.ones(1 << 19)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    np.ones(1 << 19)
+    return os.getpid(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+run_recipe("fig8", n_locations=1, n_fadings=1)
+print(experiments._parallel_map(refaults, [0, 1], 2))
+"""
+
+
+class TestHeapPolicy:
+    """_simulate pins glibc's mmap and trim thresholds once per process, so
+    a run reuses the heap pages an earlier block freed; where libc cannot
+    be looked up or has no mallopt, it runs as before, quietly."""
+
+    @staticmethod
+    def _csv():
+        rows, _ = run_recipe("fig8", n_locations=2, n_fadings=1)
+        return format_csv(rows)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mallopt only")
+    @pytest.mark.skipif(experiments._usable_cpus() < 2, reason="needs 2 usable CPUs")
+    def test_freed_heap_is_reused_in_parent_and_forked_slice(self):
+        src = str(Path(experiments.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        out = subprocess.run(
+            [sys.executable, "-c", _REFAULTS], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path}, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        (parent, parent_faults), (child, child_faults) = ast.literal_eval(out.stdout)
+        assert parent != child
+        # Without the policy each costs about 520 faults; a handful is noise.
+        assert parent_faults <= 16
+        assert child_faults <= 16
+
+    @pytest.mark.parametrize("libc", [
+        pytest.param(OSError("no libc"), id="lookup-fails"),
+        pytest.param(SimpleNamespace(), id="no-mallopt"),
+    ])
+    def test_without_mallopt_runs_quietly_with_the_same_csv(
+        self, monkeypatch, capfd, libc
+    ):
+        want = self._csv()
+
+        def cdll(name):
+            if isinstance(libc, Exception):
+                raise libc
+            return libc
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        monkeypatch.setattr(experiments, "_heap_pinned", False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = self._csv()
+        assert got == want
+        assert experiments._heap_pinned
+        assert capfd.readouterr() == ("", "")
+
+    def test_set_once_per_process(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "_heap_pinned", False)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(
+            mallopt=lambda param, value: calls.append((param, value))
+        ))
+        self._csv()
+        self._csv()
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
 
 
 class TestOneSimulatePerRecipe:
