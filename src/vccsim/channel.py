@@ -157,7 +157,12 @@ def substreams(master_seed: int, keys) -> list[np.random.Generator]:
     A key listed twice gets two generators in the same state.
     """
     keys = [tuple(key) for key in keys]
-    states = _spawn_states(master_seed, keys)
+    return _generators(_spawn_states(master_seed, *_spawn_words(keys)))
+
+
+def _generators(states: np.ndarray) -> list[np.random.Generator]:
+    """A generator per row of seed words ``(K, 4)`` from :func:`_spawn_states`,
+    in order: ``PCG64`` seeded from the row."""
     seed_words = _seed_words_type()
     return [np.random.Generator(np.random.PCG64(seed_words(s))) for s in states]
 
@@ -232,6 +237,8 @@ def _mix_constants(calls: int, width: int) -> tuple[np.ndarray, np.ndarray]:
 def _spawn_words(keys: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
     """Each key's 32-bit words ``(K, W)``, zero past its own word count, and
     those counts ``(K,)``."""
+    if not keys:
+        return np.empty((0, 0), dtype=np.uint32), np.empty(0, dtype=int)
     width = max(map(len, keys))
     rows = np.array([key + (0,) * (width - len(key)) for key in keys])
     if rows.dtype.kind in "iu" and rows.size and rows.min() >= 0 and rows.max() <= _MASK32:
@@ -245,14 +252,18 @@ def _spawn_words(keys: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
     return rows, counts
 
 
-def _spawn_states(master_seed: int, keys: list[tuple]) -> np.ndarray:
+def _spawn_states(master_seed: int, words: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """``SeedSequence(master_seed, spawn_key=key).generate_state(4,
-    np.uint64)`` of every key, ``(K, 4)``, computed for all keys at once."""
+    np.uint64)`` of every key, ``(K, 4)``, computed for all keys at once.
+
+    The keys come as 32-bit words: key k is the first ``counts[k]`` words
+    of row k of ``words`` ``(K, W)``, ``uint32``, zero past them, as
+    :func:`_spawn_words` splits tuples.  A caller whose keys are integer
+    arrays builds the rows itself, without a tuple per key."""
     pool, calls = _seed_pool(master_seed)
-    if not keys:
+    if not len(words):
         return np.empty((0, _POOL_WORDS), dtype=np.uint64)
-    words, counts = _spawn_words(keys)
-    pool = np.repeat(pool[None], len(keys), axis=0)
+    pool = np.repeat(pool[None], len(words), axis=0)
     if words.shape[1]:
         # Each spawn word is hashed once per pool word and mixed into it; a
         # key's pool stops at its own word count.

@@ -3,21 +3,23 @@
 A scenario fixes the cell, antenna and caching parameters plus the power
 sweep.  A :class:`Job` is one side of a comparison (the cache-aided groups
 or the cacheless single group) with the schemes, or rules, run on it.  A
-recipe hands all of its jobs to one :func:`_simulate` call, which cuts the
-locations, in order, into blocks of whole locations, ``_BLOCK_CELLS``
-(location, fading) cells' worth and at least one location, and runs one
-task per block (:func:`_block_task`), on as many workers as are asked for,
-usable and needed: the parent runs the first contiguous slice of the tasks
-and forks a child for each other slice (:func:`_parallel_map`).  Each task
-runs every job of the recipe over its block in the same four steps:
+recipe hands all of its jobs to one :func:`_simulate` call, which plans
+the run's shared draws once (:func:`_plan`), cuts the locations, in order,
+into blocks of whole locations, ``_BLOCK_CELLS`` (location, fading) cells'
+worth and at least one location, and runs one task per block
+(:func:`_block_task`), on as many workers as are asked for, usable and
+needed: the parent runs the first contiguous slice of the tasks and forks a
+child for each other slice (:func:`_parallel_map`).  Each task runs every
+job of the recipe over its block in the same four steps:
 
-1. draw: first the task seeds the generator of every substream (below) it
-   will read, in one vectorized call (:func:`~vccsim.channel.substreams`),
-   bit-identical to one ``SeedSequence`` per key.  Then it takes each job's
-   pathloss rows once per location and, shared draw by shared draw (below),
-   makes the draw once per (location, fading) cell from the cell's
-   generators, at the largest served-user count ``q``, and runs each of its
-   kernels on it before the next cell is drawn.  BD-MRC and ZF use the same
+1. draw: the task gets the generator of every substream (below) it will
+   read, bit-identical to one ``SeedSequence`` per key, from its worker,
+   which seeds the blocks of its slice a chunk of blocks at a time
+   (:func:`_seeded_blocks`).  It takes each job's pathloss rows once per
+   location and, shared draw by shared draw (below), makes the draw once
+   per (location, fading) cell from the cell's generators, at the largest
+   served-user count ``q``, and runs each of its kernels on it before the
+   next cell is drawn.  BD-MRC and ZF use the same
    draw, the groups' channels with their prefix factor
    (:func:`~vccsim.precoding.prefix_factor`), so each (location, fading,
    group) channel is drawn and factored once; the imperfect-CSI draw comes
@@ -79,9 +81,10 @@ runs every job of the recipe over its block in the same four steps:
    standard error over locations.
 
 A scheme is a :class:`_Rule`: a channel draw (:class:`_Draw`), which lists
-the substream keys ``keys(scenario, loc, fad)`` it reads at a cell and draws
-the cell with ``make(scenario, q_top, rngs, betas)`` from their generators,
-in key order; a gain kernel ``kernel(scenario, q_values, draw)``; and a rate
+the ``(stream, group)`` of the substream keys ``(stream, loc, fad, group)``
+it reads at each cell, ``streams(scenario)``, and draws the cell with
+``make(scenario, q_top, rngs, betas)`` from their generators, in key order;
+a gain kernel ``kernel(scenario, q_values, draw)``; and a rate
 rule ``rates(scenario, q_values, inputs)``; each reads the group count from
 the scenario (``coded_gain``).  Fading-free analytic curves have neither a
 draw nor a kernel, and run once per block, their inputs the pathloss rows of
@@ -121,15 +124,15 @@ setting.  It moves no number.  Where libc cannot be looked up through
 ``ctypes`` or has no ``mallopt``, as on macOS, it does nothing.  Importing
 the package sets nothing, and no option or variable controls it.
 
-Sharing.  Within a task, the rules with a draw are grouped once by draw
-key: their draw plus the fields it reads (``L``, ``M``, ``geometry``,
-``csit_error_var``) and ``q_top``, the largest served count of the job.
-Every job of a task has the same seed (:func:`_simulate` checks it).  Each
-draw is made once per cell, by the first job with the most groups among
-those that share the key, and each of its kernels runs once per cell, for
-every rule that reads it with one q sweep; every job takes its first
-``coded_gain`` groups of the stacked output.  This is
-exact because group g of a draw reads only the substreams ``(., loc, fad,
+Sharing.  Once per run, before any block, the rules with a draw are
+grouped by draw key (:func:`_plan`): their draw plus the fields it reads
+(``L``, ``M``, ``geometry``, ``csit_error_var``) and ``q_top``, the largest
+served count of the job.  Every job has the same seed (:func:`_simulate`
+checks it).  Each draw is made once per cell, by the first job with the
+most groups among those that share the key, and each of its kernels runs
+once per cell, for every rule that reads it with one q sweep; every job
+takes its first ``coded_gain`` groups of the stacked output.  This is exact
+because group g of a draw reads only the substreams ``(., loc, fad,
 g)`` and every kernel works group by group; the pathloss rows of group g
 are likewise the same in every job with the same ``q_top``.  So the
 cacheless job reads the cache-aided group 0 wherever both sides have the
@@ -140,7 +143,7 @@ substream), so its key holds its group count and it is never sliced.
 
 All randomness flows through keyed substreams of the master seed, and
 results are reduced in location order, so the curves are bit-identical for
-any worker count and any block size.  The ``run_*`` functions are one-job
+any worker count, block size and key budget.  The ``run_*`` functions are one-job
 (or, for imperfect CSI, two-job) wrappers over the same builders.
 
 Substream keys: ``(0, loc)`` user positions, ``(1, loc, fad, group)``
@@ -149,11 +152,17 @@ positive ``csit_error_var``),
 ``(3, loc, fad, group)`` receiver coupling errors (drawn only when the job
 that makes the draw has CSIR variances), ``(4, loc, fad, 0|1)``
 baseline-scheme channels.  A key's generator is bit-identical to
-``default_rng(SeedSequence(seed, spawn_key=key))``.  A block seeds all of
-its keys at once, in one vectorized pass: the hash of the seed's own
-words is computed once, and the key words of every generator are mixed in
-as array operations, so a key costs a few microseconds instead of the
-``SeedSequence`` and generator of its own.
+``default_rng(SeedSequence(seed, spawn_key=key))``.  A worker seeds the
+blocks of its slice in chunks of consecutive blocks, as many as fit in
+:data:`_SEED_KEYS` keys and at least one, each chunk's keys in one
+vectorized hashing pass (:func:`~vccsim.channel._spawn_states`): the hash
+of the seed's own words is computed once, the chunk's key words are one
+location's, which the run's plan holds as an integer array, repeated with
+each location's index filled in, and they are mixed in as array
+operations.  A block then only builds its generators from its rows of the
+chunk's seed words, in key order, so a key costs a few microseconds instead
+of the ``SeedSequence`` and generator of its own, and a one-fading run pays
+for one pass per chunk, not one per block.
 
 CSV.  A recipe's rows come as one block per curve (:class:`CsvBlock`,
 from :func:`rows_for_curve` or :func:`rows_for_best`): its scenario and
@@ -191,6 +200,8 @@ import numpy as np
 # stack per cell, and the tests check the draws against them.
 from .allocation import UserRateFunction, mmf_sum_rates, solve_mmf
 from .channel import (
+    _generators,
+    _spawn_states,
     complex_gaussian,
     corrupt_csit,
     csi_overhead,
@@ -200,7 +211,6 @@ from .channel import (
     sample_user_pathlosses,
     sample_user_position,
     substream,
-    substreams,
 )
 from .errors import (
     InvalidConfigurationError,
@@ -486,14 +496,17 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _parallel_map(fn, args_list, workers: int) -> list:
-    """``[fn(a) for a in args_list]``, over forked slices when more than one
-    worker, usable CPU and task remain.
+def _parallel_map(fn, tasks, workers: int) -> list:
+    """The results of ``tasks``, in order, from ``fn(slice)`` of each
+    contiguous slice of them, over forked slices when more than one worker,
+    usable CPU and task remain, and otherwise ``fn(tasks)``.  ``fn`` maps a
+    list of tasks to the list of their results, so a worker can share work
+    across its slice (:func:`_slice_task` seeds its blocks in few passes).
 
     The tasks are cut into that many contiguous slices whose sizes differ by
     at most one.  The parent is one of the workers: it forks a child per
     slice after the first (``os.fork``, one pipe each), runs the first slice
-    itself, then reads each child's pickled result in slice order and reaps
+    itself, then reads each child's pickled results in slice order and reaps
     it.  So the results keep the tasks' order for any worker count, only
     results are pickled, not tasks, and no pool machinery is imported.
 
@@ -506,17 +519,17 @@ def _parallel_map(fn, args_list, workers: int) -> list:
     the parent's heap policy (:func:`_pin_heap`) with the rest of its memory.
     """
     cpus = _usable_cpus() if hasattr(os, "fork") else 1
-    workers = min(workers, cpus, len(args_list))
+    workers = min(workers, cpus, len(tasks))
     if workers < 2:
-        return [fn(a) for a in args_list]
-    size, extra = divmod(len(args_list), workers)
+        return fn(tasks)
+    size, extra = divmod(len(tasks), workers)
     ends = [i * size + min(i, extra) for i in range(workers + 1)]
-    slices = [args_list[a:b] for a, b in zip(ends, ends[1:])]
+    slices = [tasks[a:b] for a, b in zip(ends, ends[1:])]
     children = []  # (pid, read end of its pipe), in slice order, until reaped
     try:
         for index in range(1, workers):
             children.append(_fork_slice(fn, slices[index], index, children))
-        out = [fn(a) for a in slices[0]]
+        out = fn(slices[0])
         for index in range(1, workers):
             pid, pipe = children[0]
             with pipe:
@@ -571,7 +584,7 @@ def _slice_message(fn, tasks, index: int) -> bytes:
     not survive a pickle round trip is sent as a ``RuntimeError`` that
     carries the traceback instead."""
     try:
-        return pickle.dumps((True, [fn(a) for a in tasks]), pickle.HIGHEST_PROTOCOL)
+        return pickle.dumps((True, fn(tasks)), pickle.HIGHEST_PROTOCOL)
     except BaseException as exc:
         import traceback
 
@@ -611,31 +624,28 @@ class _ChildTraceback(Exception):
         return "\n" + self.args[0].rstrip()
 
 
-def _location_keys(scenario: Scenario, loc: int) -> list[tuple[int, ...]]:
-    """The substream keys of one location's pathloss rows: none without a
-    geometry."""
-    return [] if scenario.geometry is None else [(0, loc)]
-
-
 def _location_betas(scenario: Scenario, q_top: int, rngs) -> np.ndarray:
-    """One location's pathloss rows ``(G, q_top)``, from the generators of
-    :func:`_location_keys`."""
+    """One location's pathloss rows ``(G, q_top)``: all 1 without a
+    geometry, and otherwise drawn from the next generator of the iterator
+    ``rngs``, that of the location's key ``(0, loc)``."""
     num_groups = scenario.coded_gain
     if scenario.geometry is None:
         return np.ones((num_groups, q_top))
-    betas = sample_user_pathlosses(geometry_preset(scenario.geometry), rngs[0], num_groups * q_top)
+    betas = sample_user_pathlosses(
+        geometry_preset(scenario.geometry), next(rngs), num_groups * q_top
+    )
     return betas.reshape(num_groups, q_top)
 
 
-def _group_keys(streams, scenario: Scenario, loc: int, fad: int) -> list[tuple[int, ...]]:
-    """The keys ``(stream, loc, fad, group)`` of one cell, stream by stream,
-    each over every group."""
-    return [(s, loc, fad, g) for s in streams for g in range(scenario.coded_gain)]
+def _group_streams(streams, scenario: Scenario) -> list[tuple[int, int]]:
+    """The ``(stream, group)`` of a cell's keys, stream by stream, each over
+    every group."""
+    return [(s, g) for s in streams for g in range(scenario.coded_gain)]
 
 
-def _fading_keys(scenario: Scenario, loc: int, fad: int) -> list[tuple[int, ...]]:
-    """Each group's fading key at one cell: the keys of :func:`_group_factor`."""
-    return _group_keys((1,), scenario, loc, fad)
+def _fading_streams(scenario: Scenario) -> list[tuple[int, int]]:
+    """Each group's fading stream: the keys of :func:`_group_factor`."""
+    return _group_streams((1,), scenario)
 
 
 def _gaussians(rngs, shape) -> np.ndarray:
@@ -672,11 +682,12 @@ def _curve_from_means(
 # ---------------------------------------------------------------------------
 
 class _Draw(NamedTuple):
-    """A channel draw: ``keys(scenario, loc, fad)`` lists the substream keys
-    it reads at one (location, fading) cell, and ``make(scenario, q_top,
-    rngs, betas)`` draws the cell from their generators, in key order."""
+    """A channel draw: ``streams(scenario)`` lists the ``(stream, group)``
+    of the substream keys ``(stream, loc, fad, group)`` it reads at each
+    (location, fading) cell, and ``make(scenario, q_top, rngs, betas)``
+    draws the cell from their generators, in key order."""
 
-    keys: object
+    streams: object
     make: object
 
 
@@ -847,11 +858,11 @@ def _solve_problems(batches: list[_MmfProblems], n0: float, p_watts) -> list[np.
     return rates
 
 
-def _csi_keys(scenario: Scenario, loc: int, fad: int) -> list[tuple[int, ...]]:
-    """Fading keys, then CSIT error keys if ``csit_error_var`` is positive
-    and coupling error keys if the scenario has CSIR variances."""
+def _csi_streams(scenario: Scenario) -> list[tuple[int, int]]:
+    """Fading streams, then CSIT error streams if ``csit_error_var`` is
+    positive and coupling error streams if the scenario has CSIR variances."""
     streams = [1] + [2] * (scenario.csit_error_var > 0) + [3] * bool(scenario.csir_error_vars)
-    return _group_keys(streams, scenario, loc, fad)
+    return _group_streams(streams, scenario)
 
 
 def _csi_draws(scenario: Scenario, q_top: int, rngs, _):
@@ -943,6 +954,11 @@ def _csi_error_rates(scenario: Scenario, q_values, kernel_out):
     sweep = _sweep(q_values, 1, max(q_values))
     others = (scenario.coded_gain * sweep.columns[sweep.pairs[0]] - 1)[:, None]
     for i, var in enumerate(scenario.csir_error_vars, start=1):
+        if not var:
+            # The exact limit, bit for bit: below, the estimate is own / 1.0
+            # - 0.0 * w, which is own, and the denominator 1.0.
+            np.multiply(snr, signal[..., None], out=sinrs[i])
+            continue
         # Each receiver's estimate of its own coupling coefficient, and the
         # SINR with numerator and denominator scaled by 1 / (1 + var), so
         # that it stays finite for any finite variance.
@@ -957,9 +973,9 @@ def _csi_error_rates(scenario: Scenario, q_values, kernel_out):
     return _csi_sum_rates(scenario, q_values, sinrs)
 
 
-def _msv_keys(scenario: Scenario, loc: int, fad: int) -> list[tuple[int, ...]]:
-    """The unicast pool's key, then the multicast channels' key."""
-    return [(4, loc, fad, 0), (4, loc, fad, 1)]
+def _msv_streams(scenario: Scenario) -> list[tuple[int, int]]:
+    """The unicast pool's stream, then the multicast channels'."""
+    return [(4, 0), (4, 1)]
 
 
 def _msv_draws(scenario: Scenario, q_top: int, rngs, _):
@@ -980,9 +996,9 @@ def _msv_rates(scenario: Scenario, q_values, gains):
     )[None]
 
 
-_GROUP_DRAW = _Draw(_fading_keys, _group_factor)
-_CSI_DRAW = _Draw(_csi_keys, _csi_draws)
-_MSV_DRAW = _Draw(_msv_keys, _msv_draws)
+_GROUP_DRAW = _Draw(_fading_streams, _group_factor)
+_CSI_DRAW = _Draw(_csi_streams, _csi_draws)
+_MSV_DRAW = _Draw(_msv_streams, _msv_draws)
 BD_MRC = _Rule(_GROUP_DRAW, _bd_kernel, _mmf_rates)
 ZF = _Rule(_GROUP_DRAW, _zf_kernel, _mmf_rates)
 BD_MRC_ASYM = _Rule(None, None, _asym_rates)
@@ -1118,22 +1134,129 @@ def _first_groups(arrays: tuple, made: int, num_groups: int) -> tuple:
 # the locations of one-fading runs.
 _BLOCK_CELLS = 2
 
+# Substream keys per hashing pass.  A worker seeds the blocks of its slice
+# in chunks of consecutive blocks, as many as fit in this many keys and at
+# least one, each chunk in one pass.  A chunk's seed words live until its
+# last block is done, 32 bytes a key: at paper scale fig2 reads about 300
+# keys per location, so a chunk holds 13 of its locations, and all of
+# fig9's 32 one-fading locations (18 keys each) fit one chunk.
+_SEED_KEYS = 4096
+
+
+class _Shared(NamedTuple):
+    """A draw that rules share (Sharing, in the module docstring): the
+    :class:`_Draw`; its maker, the index of the first job with the most
+    groups among those that read it; its readers ``(job, rule)`` by
+    ``(kernel, q_values)``; and the number of keys it reads at a cell."""
+
+    draw: _Draw
+    maker: int
+    readers: dict
+    keys: int
+
+
+class _Plan(NamedTuple):
+    """What every block of a run reads besides its locations, built once
+    per run (:func:`_plan`): the jobs, and their shared draws
+    (:class:`_Shared`) in the order their rules list them; and one
+    location's keys, as 32-bit words ``(K, 4)`` with the location's word
+    left 0, each key's word count ``(K,)``, and the slices of them (parts)
+    that a block reads location by location, in its key order: each job
+    with a geometry reads ``(0, loc)``, two words, and then each shared
+    draw its keys ``(stream, loc, fad, group)`` cell by cell."""
+
+    jobs: list
+    shared: list
+    words: np.ndarray
+    counts: np.ndarray
+    parts: list
+
+
+def _plan(jobs) -> _Plan:
+    """The :class:`_Plan` of ``jobs``: their rules with a draw grouped by
+    draw key (:func:`_draw_key`)."""
+    groups = [job.scenario.coded_gain for job in jobs]
+    shared = {}  # draw key -> [maker, readers]
+    for ji, job in enumerate(jobs):
+        for ri, (rule, _) in enumerate(job.rules):
+            if rule.draw:
+                entry = shared.setdefault(_draw_key(job, rule.draw), [ji, {}])
+                if groups[ji] > groups[entry[0]]:
+                    entry[0] = ji
+                entry[1].setdefault((rule.kernel, job.q_values), []).append((ji, ri))
+    n_fad = jobs[0].scenario.n_fadings
+    cells = [key[0].streams(jobs[mi].scenario) for key, (mi, _) in shared.items()]
+    parts = [[(0, 0, 0, 0)] for job in jobs if job.scenario.geometry is not None]
+    counts = [2] * len(parts)
+    parts += [[(s, 0, fad, g) for fad in range(n_fad) for s, g in cell] for cell in cells]
+    counts += [4] * len(cells)
+    ends = np.cumsum([0, *map(len, parts)])
+    return _Plan(
+        list(jobs),
+        [_Shared(key[0], mi, readers, len(cell))
+         for (key, (mi, readers)), cell in zip(shared.items(), cells)],
+        _read_only(np.array([k for p in parts for k in p], dtype=np.uint32).reshape(-1, 4)),
+        _read_only(np.array([c for c, p in zip(counts, parts) for _ in p], dtype=int)),
+        [slice(a, b) for a, b in zip(ends, ends[1:])],
+    )
+
+
+def _chunk_states(plan: _Plan, locs: range) -> np.ndarray:
+    """The seed words ``(n_loc, K, 4)`` of the plan's keys at each location
+    of ``locs``, in one :func:`~vccsim.channel._spawn_states` pass over
+    the plan's words with each location's index as its word 1 (no run has
+    2**32 locations)."""
+    words = np.repeat(plan.words[None], len(locs), axis=0)
+    words[..., 1] = np.arange(locs.start, locs.stop, dtype=np.uint32)[:, None]
+    states = _spawn_states(
+        plan.jobs[0].scenario.seed, words.reshape(-1, 4), np.tile(plan.counts, len(locs))
+    )
+    return states.reshape(words.shape)
+
+
+def _seeded_blocks(plan: _Plan, blocks):
+    """Yield each block of ``blocks``, consecutive ranges of locations, with
+    its generators in key order, as :func:`_block_rates` reads them, each
+    bit-identical to ``default_rng(SeedSequence(seed, spawn_key=key))``:
+    part by part of the plan's keys, each at every location of the block.
+
+    The blocks are seeded in chunks of consecutive blocks, as many as fit in
+    :data:`_SEED_KEYS` keys and at least one, each chunk in one hashing pass
+    (:func:`_chunk_states`); a block only builds its generators from its
+    rows of its chunk's seed words."""
+    per_block = len(plan.counts) * len(blocks[0]) if blocks else 0
+    step = max(1, _SEED_KEYS // max(1, per_block))
+    for c in range(0, len(blocks), step):
+        chunk = blocks[c:c + step]
+        start = chunk[0].start
+        states = _chunk_states(plan, range(start, chunk[-1].stop))
+        for locs in chunk:
+            block = states[locs.start - start:locs.stop - start]
+            yield locs, [
+                rng for part in plan.parts for rng in _generators(block[:, part].reshape(-1, 4))
+            ]
+
+
+def _slice_task(plan: _Plan, blocks) -> list:
+    """Each block of a worker's slice ``blocks``, seeded chunk by chunk
+    (:func:`_seeded_blocks`), run by :func:`_block_task`, in order."""
+    return [_block_task((plan, locs, rngs)) for locs, rngs in _seeded_blocks(plan, blocks)]
+
 
 def _block_task(args) -> list[list[np.ndarray]]:
     """Every rule of every job over one block of whole locations, reduced
     over each location's fadings.
 
-    ``rule.draw.make(scenario, q_top, rngs, betas)`` draws one (location,
-    fading) cell's channels at the largest ``q`` from the generators of its
-    keys ``rule.draw.keys(scenario, loc, fad)``, and ``rule.kernel(scenario,
-    q_values, draw)`` returns a tuple of per-group arrays, groups on axis 0.
-    Every generator of the block is seeded in one
-    :func:`~vccsim.channel.substreams` call before the first is drawn from.
-    The rules with a draw are grouped by draw key (:func:`_draw_key`), and
-    each key's draw is made by the first job with the largest
-    ``coded_gain`` among those that share it; ``betas`` are the maker's
-    pathloss rows at the cell's location.  Draw key by draw key, each cell
-    is drawn once and each of the key's kernels (one per kernel and
+    ``args`` is ``(plan, locs, rngs)``: the run's :class:`_Plan`, the
+    block's locations and its generators, in the key order of
+    :func:`_seeded_blocks`.  ``rule.draw.make(scenario, q_top, rngs,
+    betas)`` draws one (location, fading) cell's channels at the largest
+    ``q`` from the generators of its keys, one per ``(stream, group)`` of
+    ``rule.draw.streams(scenario)``, and ``rule.kernel(scenario, q_values,
+    draw)`` returns a tuple of per-group arrays, groups on axis 0.  Each
+    shared draw of the plan is made by its maker; ``betas`` are the maker's
+    pathloss rows at the cell's location.  Shared draw by shared draw, each
+    cell is drawn once and each of the draw's kernels (one per kernel and
     ``q_values``) runs on the whole draw.  Then each kernel's outputs are
     stacked on a leading cell axis in (location, fading) order, and each
     rule that reads them, ``rule.rates(scenario, q_values, inputs)``, takes
@@ -1145,11 +1268,10 @@ def _block_task(args) -> list[list[np.ndarray]]:
     A max-min-fair rule returns its problems (:class:`_MmfProblems`)
     instead, and the problems of every such rule of every job are solved
     together (:func:`_solve_problems`) at the first job's power grid, once
-    the kernel outputs are dropped.  All are module-level functions so that
-    tasks pickle.  Every job has the same seed, fading count and power grid
-    (:func:`_simulate` checks them).  Returns, per job and rule, each
-    location's mean rates over its fadings, in location order, shape
-    ``(n_curves, n_loc, n_q, n_p)``.
+    the kernel outputs are dropped.  Every job has the same seed, fading
+    count and power grid (:func:`_simulate` checks them).  Returns, per job
+    and rule, each location's mean rates over its fadings, in location
+    order, shape ``(n_curves, n_loc, n_q, n_p)``.
 
     The block runs with numpy raising on division by zero, overflow and
     invalid operations, underflow left silent: such a fault, which no
@@ -1157,48 +1279,26 @@ def _block_task(args) -> list[list[np.ndarray]]:
     :class:`~vccsim.errors.NumericalFaultError` that names the block's
     locations, instead of warning and writing what it left.
     """
-    jobs, locs = args
+    plan, locs, rngs = args
     try:
         with np.errstate(all="raise", under="ignore"):
-            return _block_rates(jobs, locs)
+            return _block_rates(plan, locs, rngs)
     except FloatingPointError as exc:
         raise NumericalFaultError(
             f"floating-point fault in the block of locations {list(locs)}: {exc}"
         ) from exc
 
 
-def _block_rates(jobs, locs) -> list[list[np.ndarray]]:
+def _block_rates(plan: _Plan, locs, rngs) -> list[list[np.ndarray]]:
     """The body of :func:`_block_task`."""
+    jobs = plan.jobs
     first = jobs[0].scenario
     cells = list(np.ndindex(len(locs), first.n_fadings))
     groups = [job.scenario.coded_gain for job in jobs]
-    # Each shared draw's key -> its maker, the first job with the most groups
-    # that reads it, and its readers (job, rule) by (kernel, q sweep).
-    shared = {}
-    for ji, job in enumerate(jobs):
-        for ri, (rule, _) in enumerate(job.rules):
-            if rule.draw:
-                entry = shared.setdefault(_draw_key(job, rule.draw), [ji, {}])
-                if groups[ji] > groups[entry[0]]:
-                    entry[0] = ji
-                entry[1].setdefault((rule.kernel, job.q_values), []).append((ji, ri))
-    # Every generator the block reads, seeded in one call and taken in the
-    # order its keys are listed: each job's at each location, for its
-    # pathloss rows, then each shared draw's at each cell, for its maker.
-    loc_keys = [[_location_keys(job.scenario, loc) for loc in locs] for job in jobs]
-    cell_keys = [
-        [key[0].keys(jobs[mi].scenario, locs[li], fad) for li, fad in cells]
-        for key, (mi, _) in shared.items()
-    ]
-    rngs = iter(substreams(first.seed, [
-        k for lists in (*loc_keys, *cell_keys) for keys in lists for k in keys
-    ]))
+    rngs = iter(rngs)
     betas = [
-        np.stack([
-            _location_betas(job.scenario, max(job.q_values), [next(rngs) for _ in keys])
-            for keys in job_keys
-        ])
-        for job, job_keys in zip(jobs, loc_keys)
+        np.stack([_location_betas(job.scenario, max(job.q_values), rngs) for _ in locs])
+        for job in jobs
     ]
     out = [
         [None if rule.draw else rule.rates(job.scenario, job.q_values, job_betas)
@@ -1209,22 +1309,23 @@ def _block_rates(jobs, locs) -> list[list[np.ndarray]]:
     # then each kernel's outputs stacked over the cells and handed to its
     # readers, the stack dropped before the next kernel's, and so before the
     # solve.
-    for (key, (mi, kernels)), keys_at in zip(shared.items(), cell_keys):
-        maker = jobs[mi]
-        made = {k: [] for k in kernels}
-        for (li, _), keys in zip(cells, keys_at):
-            draw = key[0].make(
-                maker.scenario, max(maker.q_values), [next(rngs) for _ in keys], betas[mi][li]
+    for s in plan.shared:
+        maker = jobs[s.maker]
+        made = {key: [] for key in s.readers}
+        for li, _ in cells:
+            draw = s.draw.make(
+                maker.scenario, max(maker.q_values), [next(rngs) for _ in range(s.keys)],
+                betas[s.maker][li],
             )
-            for kernel, q_values in kernels:
+            for kernel, q_values in s.readers:
                 made[kernel, q_values].append(kernel(maker.scenario, q_values, draw))
         del draw
-        for k, readers in kernels.items():
-            stacked = tuple(np.stack(a) for a in zip(*made.pop(k)))
+        for key, readers in s.readers.items():
+            stacked = tuple(np.stack(a) for a in zip(*made.pop(key)))
             for ji, ri in readers:
                 job = jobs[ji]
                 out[ji][ri] = job.rules[ri][0].rates(
-                    job.scenario, job.q_values, _first_groups(stacked, groups[mi], groups[ji])
+                    job.scenario, job.q_values, _first_groups(stacked, groups[s.maker], groups[ji])
                 )
             del stacked
     pending = [(ji, ri) for ji, job_out in enumerate(out) for ri, r in enumerate(job_out)
@@ -1241,9 +1342,11 @@ def _block_rates(jobs, locs) -> list[list[np.ndarray]]:
 
 def _simulate(jobs, workers: int) -> dict[str, SchemeCurve]:
     """Run every job at every location, one task per block of locations
-    (:data:`_BLOCK_CELLS`) over ``workers`` forked slices; reduce the
+    (:data:`_BLOCK_CELLS`), over ``workers`` forked slices; reduce the
     per-location means in location order.  It first pins the heap policy
-    (:func:`_pin_heap`), so every forked slice inherits it.
+    (:func:`_pin_heap`) and builds the run's :class:`_Plan`, so every forked
+    slice inherits both; each slice seeds its blocks chunk by chunk
+    (:func:`_slice_task`).
 
     Returns every job's curves by name; no two rules may write one name,
     and every job must have the same location and fading counts, noise
@@ -1263,13 +1366,13 @@ def _simulate(jobs, workers: int) -> dict[str, SchemeCurve]:
     _pin_heap()
     n_loc, n_fad = scenarios[0].n_locations, scenarios[0].n_fadings
     size = max(1, _BLOCK_CELLS // n_fad)
-    tasks = [(jobs, range(n_loc)[start:start + size]) for start in range(0, n_loc, size)]
-    blocks = _parallel_map(_block_task, tasks, workers)
+    blocks = [range(n_loc)[start:start + size] for start in range(0, n_loc, size)]
+    results = _parallel_map(functools.partial(_slice_task, _plan(jobs)), blocks, workers)
     curves = {}
     for ji, (scenario, q_values, rules) in enumerate(jobs):
         for ri, (_, names) in enumerate(rules):
             for ci, name in enumerate(names):
-                loc_means = np.concatenate([b[ji][ri][ci] for b in blocks])
+                loc_means = np.concatenate([b[ji][ri][ci] for b in results])
                 curves[name] = _curve_from_means(name, scenario, q_values, loc_means)
     return curves
 

@@ -41,9 +41,11 @@ that product, so a multicast user's coupling with it is the sum of its row
 of ``X`` times ``conj(inv(R)[0])`` over the prefix columns: every count is
 one product with the sweep's 0/1 prefix mask.
 Every array that depends only on the q sweep (the prefix masks, the served
-users, the served pairs with their masks and starts) is built once per
-process and sweep (:func:`_sweep`), read-only so that every call shares it;
-the imperfect-CSI rules of :mod:`vccsim.experiments` read their pairs there.
+users, the served pairs and their starts) is built once per process and
+sweep (:func:`_sweep`), read-only so that every call shares it; the
+imperfect-CSI rules of :mod:`vccsim.experiments` read their pairs there.
+The couplings' complex pair mask is built once as well, but only for the
+sweeps that read it (:func:`_pair_mask`).
 
 The Monte Carlo loop calls only the fast paths, which return gains
 without forming every beam, for a whole sweep of served-user counts:
@@ -197,13 +199,13 @@ def _key(values) -> tuple:
 class _Sweep(NamedTuple):
     """The tables of a q sweep at ``m`` columns per user of an ``n``-column
     stack, which depend on nothing else (:func:`_sweep`).  The CSI rules
-    read the table that :func:`zf_prefix_couplings` reads, at ``n = max(q)``."""
+    read the table that :func:`zf_prefix_couplings` reads, at ``n = max(q)``
+    (with :func:`_pair_mask`)."""
 
     columns: np.ndarray  # (S,): each prefix's columns, q * m
     served: np.ndarray  # (S, n // m) bool: user k inside the prefix
     mask: np.ndarray  # (max(S, 2), max(q) * m) 0/1: column c inside the prefix
     pairs: np.ndarray  # (2, T): each served pair's q index and user, q by q
-    pair_mask: np.ndarray  # (T, n) bool: column c inside the pair's prefix
     starts: np.ndarray  # (S,): index of each q's first pair in pairs
 
 
@@ -219,10 +221,21 @@ def _sweep(q_values: tuple, m: int, n: int) -> _Sweep:
     mask = (np.arange(qs.max() * m) < padded[:, None] * m).astype(float)
     served = np.arange(n // m) < qs[:, None]
     pairs = np.array(np.nonzero(served))
-    pair_mask = np.arange(n) < qs[pairs[0], None] * m
     sizes = served.sum(axis=1)
     starts = np.cumsum(sizes) - sizes
-    return _Sweep(*map(_read_only, (qs * m, served, mask, pairs, pair_mask, starts)))
+    return _Sweep(*map(_read_only, (qs * m, served, mask, pairs, starts)))
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_mask(q_values: tuple, n: int) -> np.ndarray:
+    """``(T, n)``, 1 where column c is inside the prefix of served pair t
+    of :func:`_sweep` ``(q_values, 1, n)`` and 0 elsewhere, built once per
+    process and read-only.  It is complex, as its reader multiplies complex
+    rows by it: a bool mask would be cast to the same ``1+0j`` and ``0j``
+    on every call.  Only :func:`zf_prefix_couplings` reads it, so it is not
+    a field of :class:`_Sweep`, whose other readers would hold it unread."""
+    sweep = _sweep(q_values, 1, n)
+    return _read_only((np.arange(n) < sweep.columns[sweep.pairs[0], None]).astype(complex))
 
 
 def _prefix_blocks(factor: PrefixFactor, m: int, q_values) -> np.ndarray:
@@ -433,14 +446,14 @@ def zf_prefix_couplings(h: np.ndarray, factor: PrefixFactor, q_values) -> np.nda
         If the Gram matrix of some estimated prefix is not invertible.
     """
     r_inv = factor.r_inv
-    sweep = _sweep(_key(q_values), 1, r_inv.shape[-1])
-    q_idx, users = sweep.pairs
+    q_key = _key(q_values)
+    q_idx, users = _sweep(q_key, 1, r_inv.shape[-1]).pairs
     gains = zf_prefix_gains(factor, q_values)
     x = h.swapaxes(-1, -2) @ factor.h.conj() @ r_inv
     rows = np.take(x, users, axis=1)
-    rows *= sweep.pair_mask
+    rows *= _pair_mask(q_key, r_inv.shape[-1])
     coupling = rows @ r_inv.conj().swapaxes(-1, -2)
-    coupling *= np.sqrt(gains)[:, q_idx]
+    coupling *= np.sqrt(gains).take(q_idx, axis=1)
     return coupling
 
 

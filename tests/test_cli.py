@@ -148,7 +148,7 @@ class TestImport:
             "experiments._usable_cpus = lambda: 3\n"
             "atexit.register(print, 'atexit')\n"
             "print('before')\n"
-            "print(experiments._parallel_map(abs, [-1, -2, -3], 3))\n"
+            "print(experiments._parallel_map(lambda s: [abs(a) for a in s], [-1, -2, -3], 3))\n"
         )
         assert out.splitlines() == ["before", "[1, 2, 3]", "atexit"]
 

@@ -79,13 +79,17 @@ def symmetric_scenario(**kw):
 
 def location_betas(scn, q_top, loc):
     """One location's pathloss rows, seeded as a block task seeds them."""
-    keys = experiments._location_keys(scn, loc)
-    return experiments._location_betas(scn, q_top, substreams(scn.seed, keys))
+    return experiments._location_betas(scn, q_top, iter(substreams(scn.seed, [(0, loc)])))
+
+
+def cell_keys(draw, scn, loc, fad):
+    """The substream keys that ``draw`` reads at one (location, fading) cell."""
+    return [(stream, loc, fad, group) for stream, group in draw.streams(scn)]
 
 
 def cell_draw(draw, scn, q_top, loc, fad, betas=None):
     """One (location, fading) cell's draw, seeded as a block task seeds it."""
-    return draw.make(scn, q_top, substreams(scn.seed, draw.keys(scn, loc, fad)), betas)
+    return draw.make(scn, q_top, substreams(scn.seed, cell_keys(draw, scn, loc, fad)), betas)
 
 
 class TestScenario:
@@ -361,8 +365,10 @@ class TestCellSeeding:
         scn = macro_scenario()
         want = sample_user_pathlosses(MACRO, seed_sequence_rng(scn.seed, 0, self.LOC), 6 * 4)
         assert np.array_equal(location_betas(scn, 4, self.LOC), want.reshape(6, 4))
-        assert experiments._location_keys(symmetric_scenario(), self.LOC) == []
-        assert np.array_equal(location_betas(symmetric_scenario(), 4, self.LOC), np.ones((6, 4)))
+        # without a geometry no generator is read
+        no_rngs = iter(())
+        ones = experiments._location_betas(symmetric_scenario(), 4, no_rngs)
+        assert np.array_equal(ones, np.ones((6, 4)))
 
     # Without a geometry every pathloss is 1 and the draw skips the scaling,
     # as x * 1.0 is x bit for bit.
@@ -462,6 +468,12 @@ class TestDeterminism:
         assert se4 < se1
 
 
+def _each(fn):
+    """A slice function for ``_parallel_map``: ``fn`` of each task of the
+    slice."""
+    return lambda tasks: [fn(a) for a in tasks]
+
+
 def _count_forks(monkeypatch) -> list:
     """Wrap ``os.fork``; the returned list gets the pid of each child the
     calling process forks."""
@@ -488,7 +500,7 @@ class TestPoolSize:
     def test_workers_clamped_to_cpus_and_tasks(self, monkeypatch, cpus, expected):
         forks = _count_forks(monkeypatch)
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
-        out = experiments._parallel_map(abs, [-1, -2, -3], 10_000)
+        out = experiments._parallel_map(_each(abs), [-1, -2, -3], 10_000)
         assert out == [1, 2, 3]
         # The parent runs one of the slices, so it forks one child fewer.
         assert len(forks) == expected - 1
@@ -496,7 +508,7 @@ class TestPoolSize:
 
     def test_parent_runs_the_first_of_near_equal_slices(self, monkeypatch):
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: 8)
-        out = experiments._parallel_map(lambda a: (a, os.getpid()), list(range(7)), 3)
+        out = experiments._parallel_map(_each(lambda a: (a, os.getpid())), list(range(7)), 3)
         assert [a for a, _ in out] == list(range(7))
         pids = [pid for _, pid in out]
         assert pids[:3] == [os.getpid()] * 3
@@ -507,7 +519,7 @@ class TestPoolSize:
     def test_runs_in_process_without_fork(self, monkeypatch):
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: 8)
         monkeypatch.delattr(os, "fork")
-        out = experiments._parallel_map(lambda a: (a, os.getpid()), list(range(5)), 3)
+        out = experiments._parallel_map(_each(lambda a: (a, os.getpid())), list(range(5)), 3)
         assert out == [(a, os.getpid()) for a in range(5)]
 
 
@@ -544,7 +556,7 @@ class TestForkedSlices:
             raise ValueError("task 4 failed")
 
         with pytest.raises(ValueError, match="^task 4 failed$") as info:
-            experiments._parallel_map(self._in_child(4, fail), list(range(6)), 2)
+            experiments._parallel_map(_each(self._in_child(4, fail)), list(range(6)), 2)
         # The child's traceback is the cause, down to the raising frame.
         assert "in fail" in str(info.value.__cause__)
 
@@ -553,7 +565,7 @@ class TestForkedSlices:
             raise _NeedsTwoArgs(1, 2)
 
         with pytest.raises(RuntimeError, match="slice 1 .* does not pickle") as info:
-            experiments._parallel_map(self._in_child(4, fail), list(range(6)), 2)
+            experiments._parallel_map(_each(self._in_child(4, fail)), list(range(6)), 2)
         assert "_NeedsTwoArgs: 1-2" in str(info.value)
 
     @pytest.mark.parametrize("action, how", [
@@ -564,7 +576,9 @@ class TestForkedSlices:
     @pytest.mark.parametrize("workers, task, index", [(2, 4, 1), (3, 5, 2)])
     def test_child_dying_mid_slice_is_named(self, action, how, workers, task, index):
         with pytest.raises(RuntimeError, match=f"slice {index} .*{how}"):
-            experiments._parallel_map(self._in_child(task, action), list(range(6)), workers)
+            experiments._parallel_map(
+                _each(self._in_child(task, action)), list(range(6)), workers
+            )
 
     @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
     def test_parent_failure_kills_and_reaps_children(self, monkeypatch, error):
@@ -580,7 +594,7 @@ class TestForkedSlices:
 
         start = time.perf_counter()
         with pytest.raises(error, match="parent slice failed"):
-            experiments._parallel_map(fn, list(range(6)), 3)
+            experiments._parallel_map(_each(fn), list(range(6)), 3)
         assert time.perf_counter() - start < 30
         assert len(forks) == 2
         for pid in forks:
@@ -605,7 +619,7 @@ def refaults(_):
     return os.getpid(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
 run_recipe("fig8", n_locations=1, n_fadings=1)
-print(experiments._parallel_map(refaults, [0, 1], 2))
+print(experiments._parallel_map(lambda tasks: [refaults(a) for a in tasks], [0, 1], 2))
 """
 
 
@@ -751,17 +765,23 @@ class TestOneSimulatePerRecipe:
             assert counts["mmf_sum_rates"] == blocks
             assert posed == [rules] * blocks
 
-    # A block seeds every substream it reads in one substreams call, and
-    # every job of a recipe has the same seed.
+    # A worker seeds the substreams of its blocks in one hashing pass per
+    # chunk of blocks that fits the key budget (every job of a recipe has
+    # the same seed): one pass per run on one worker at these sizes, and
+    # one per block under a budget of one key.  No run path seeds a key of
+    # its own.
     @pytest.mark.parametrize("recipe", sorted(RECIPES))
-    def test_one_seeding_call_per_block(self, monkeypatch, recipe):
-        counts = dict.fromkeys(("substreams", "substream"), 0)
-        self._count(monkeypatch, experiments, "substreams", counts)
+    def test_one_hashing_pass_per_chunk(self, monkeypatch, recipe):
+        counts = dict.fromkeys(("_spawn_states", "substream"), 0)
+        self._count(monkeypatch, experiments, "_spawn_states", counts)
         self._count(monkeypatch, experiments, "substream", counts)
-        for (n_loc, n_fad), blocks in self.BLOCKS.items():
-            counts.update(substreams=0, substream=0)
-            run_recipe(recipe, seed=1, n_locations=n_loc, n_fadings=n_fad)
-            assert counts == {"substreams": blocks, "substream": 0}
+        for budget, passes in ((experiments._SEED_KEYS, None), (1, "blocks")):
+            monkeypatch.setattr(experiments, "_SEED_KEYS", budget)
+            for (n_loc, n_fad), blocks in self.BLOCKS.items():
+                counts.update(_spawn_states=0, substream=0)
+                run_recipe(recipe, seed=1, n_locations=n_loc, n_fadings=n_fad)
+                want = blocks if passes else 1
+                assert counts == {"_spawn_states": want, "substream": 0}
 
     def test_solve_pools_at_most_the_user_budget(self, monkeypatch):
         # fig7's problems pool 6q users for q = 1..16 (cache-aided), q
@@ -1013,13 +1033,13 @@ class TestSharedLocationTask:
             csit_error_var=csit_var, csir_error_vars=csir_vars, n_locations=2, n_fadings=1,
         )
         seeded = []
-        seed_all = experiments.substreams
+        hash_all = experiments._spawn_states
 
-        def spy(seed, keys):
-            seeded.extend(keys)
-            return seed_all(seed, keys)
+        def spy(seed, words, counts):
+            seeded.extend(tuple(w[:c]) for w, c in zip(words.tolist(), counts.tolist()))
+            return hash_all(seed, words, counts)
 
-        monkeypatch.setattr(experiments, "substreams", spy)
+        monkeypatch.setattr(experiments, "_spawn_states", spy)
         drawn = count_draws(monkeypatch)
         experiments._simulate(
             experiments.imperfect_csi_jobs(scn, experiments.CSI_PERFECT, experiments.CSI_ERROR),
@@ -1061,13 +1081,18 @@ class TestSharedLocationTask:
             ),
             experiments.cacheless_job(scn, (experiments.BD_MRC, ("cacheless_bd_mrc",))),
         ]
-        out = experiments._block_task((jobs, range(2)))
+        plan = experiments._plan(jobs)
+        [block] = experiments._seeded_blocks(plan, [range(2)])
+        out = experiments._block_task((plan, *block))
         for job, job_out in zip(jobs, out):
             assert [rates.shape for rates in job_out] == [
                 (len(names), 2, len(job.q_values), len(scn.p_watts)) for _, names in job.rules
             ]
         # a block of two locations holds each location's task alone, in order
-        alone = [experiments._block_task((jobs, (loc,))) for loc in range(2)]
+        alone = [
+            experiments._block_task((plan, *block))
+            for block in experiments._seeded_blocks(plan, [range(0, 1), range(1, 2)])
+        ]
         for ji, job_out in enumerate(out):
             for ri, rates in enumerate(job_out):
                 assert np.array_equal(
@@ -1108,6 +1133,128 @@ class TestBlocks:
         _assert_one_csv(
             monkeypatch, recipe, "_BLOCK_CELLS", (1, experiments._BLOCK_CELLS, 16)
         )
+
+
+    # Seeding a slice's blocks in chunks of any key budget, from one pass
+    # per block to one per slice, moves no bit.
+    @pytest.mark.parametrize("recipe", ["fig2", "fig8", "fig9"])
+    def test_seed_key_budget_never_moves_a_bit(self, monkeypatch, recipe):
+        _assert_one_csv(monkeypatch, recipe, "_SEED_KEYS", (1, 50, experiments._SEED_KEYS))
+
+
+def _block_keys(jobs, locs):
+    """A block's substream keys in the order it reads them, as tuples: each
+    job's location key ``(0, loc)`` at each location if it has a geometry,
+    then each shared draw's keys, cell by cell, from its maker's scenario."""
+    keys = [(0, loc) for job in jobs if job.scenario.geometry is not None for loc in locs]
+    for shared in experiments._plan(jobs).shared:
+        scn = jobs[shared.maker].scenario
+        keys += [
+            key for loc in locs for fad in range(scn.n_fadings)
+            for key in cell_keys(shared.draw, scn, loc, fad)
+        ]
+    return keys
+
+
+def _fig7_jobs():
+    """fig7's jobs at 5x2: location keys of two words among cell keys of four."""
+    scn = macro_scenario(
+        users_per_group=None, baseline_users=None, n_locations=5, n_fadings=2,
+        **TestSharedLocationTask.BD_SCENARIOS["fig7"],
+    )
+    return [
+        experiments.cache_aided_job(
+            scn, (experiments.BD_MRC, ("vcc_bd_mrc",)), (experiments.ZF, ("vcc_zf",)),
+            (experiments.ZF_BOUNDS, ("vcc_zf_lower", "vcc_zf_upper")),
+        ),
+        experiments.cacheless_job(scn, (experiments.BD_MRC, ("cacheless_bd_mrc",))),
+    ]
+
+
+def _csi_jobs(csit_var, csir_vars):
+    scn = symmetric_scenario(
+        csit_error_var=csit_var, csir_error_vars=csir_vars, n_locations=7, n_fadings=1,
+    )
+    return experiments.imperfect_csi_jobs(scn, experiments.CSI_PERFECT, experiments.CSI_ERROR)
+
+
+def _msv_jobs():
+    """fig8's jobs at 7x1: the MSV draw and a BD-MRC draw on each side."""
+    scn = symmetric_scenario(num_tx_antennas=8, n_locations=7, n_fadings=1)
+    return [
+        experiments.msv_job(scn),
+        experiments.cache_aided_job(scn, (experiments.BD_MRC, ("vcc_bd_mrc",))),
+        experiments.cacheless_job(scn, (experiments.BD_MRC, ("cacheless_bd_mrc",))),
+    ]
+
+
+class TestSliceSeeding:
+    """A worker seeds the blocks of its slice in one hashing pass per chunk
+    of consecutive blocks that fits the key budget, from integer key words,
+    and hands each block, in order, generators in the states that
+    ``substreams`` gives the block's keys."""
+
+    CASES = {
+        "geometry": _fig7_jobs,
+        "csi": lambda: _csi_jobs(0.01, ()),
+        "csi-csir": lambda: _csi_jobs(0.01, (0.01, 0.0)),
+        "csi-var0": lambda: _csi_jobs(0.0, ()),
+        "csi-var0-csir": lambda: _csi_jobs(0.0, (0.001,)),
+        "msv": _msv_jobs,
+    }
+
+    @pytest.mark.parametrize("chunked", [False, True])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_blocks_get_the_generators_of_their_keys(self, monkeypatch, case, chunked):
+        jobs = self.CASES[case]()
+        scn = jobs[0].scenario
+        size = max(1, experiments._BLOCK_CELLS // scn.n_fadings)
+        blocks = [range(scn.n_locations)[i:i + size] for i in range(0, scn.n_locations, size)]
+        per_block = len(_block_keys(jobs, blocks[0]))
+        # Chunked: two blocks per pass, so a chunk boundary falls inside a
+        # slice, and a slice's last chunk may hold one block.
+        step = 2 if chunked else len(blocks)
+        if chunked:
+            monkeypatch.setattr(experiments, "_SEED_KEYS", 2 * per_block + 1)
+        passes = []
+        hash_all = experiments._spawn_states
+
+        def spy(seed, words, counts):
+            passes.append(len(words))
+            return hash_all(seed, words, counts)
+
+        monkeypatch.setattr(experiments, "_spawn_states", spy)
+        plan = experiments._plan(jobs)
+        for part in (blocks, blocks[1:]):  # the first worker's slice and a later one's
+            passes.clear()
+            got = list(experiments._seeded_blocks(plan, part))
+            assert [locs for locs, _ in got] == part
+            for locs, rngs in got:
+                want = substreams(scn.seed, _block_keys(jobs, locs))
+                assert len(rngs) == len(want)
+                for a, b in zip(rngs, want):
+                    assert a.bit_generator.state == b.bit_generator.state
+            keys = [len(_block_keys(jobs, locs)) for locs in part]
+            assert passes == [sum(keys[i:i + step]) for i in range(0, len(keys), step)]
+
+    # fig9 at 32x1, the benchmark's imperfect-CSI run: one hashing pass per
+    # worker, in the parent on 1 worker and in the parent and its child on 2.
+    @pytest.mark.skipif(experiments._usable_cpus() < 2, reason="needs 2 usable CPUs")
+    def test_fig9_hashes_once_per_worker(self, monkeypatch, tmp_path):
+        log = tmp_path / "passes"
+        hash_all = experiments._spawn_states
+
+        def spy(seed, words, counts):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            return hash_all(seed, words, counts)
+
+        monkeypatch.setattr(experiments, "_spawn_states", spy)
+        for workers in (1, 2):
+            log.write_text("")
+            run_recipe("fig9", seed=1, n_locations=32, n_fadings=1, workers=workers)
+            pids = log.read_text().split()
+            assert len(pids) == len(set(pids)) == workers
 
 
 class TestSolvePacking:
@@ -1327,6 +1474,58 @@ class TestCsiRule:
         got = self.both_rules(scn, q_values, draws)
         want = self._per_q_reference(scn, q_values, draws)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @staticmethod
+    def _general_csi_error_sinrs(scn, q_values, kernel_out):
+        """The SINRs of every curve of the CSI error rule, from its general
+        formula at every CSIR variance, 0 included."""
+        own, received, w = kernel_out
+        snr = experiments._pair_snr(scn, q_values)
+        signal = own.real ** 2
+        signal += own.imag ** 2
+        sinrs = np.empty((1 + len(scn.csir_error_vars), *own.shape, snr.shape[-1]))
+        np.multiply(snr, signal[..., None], out=sinrs[0])
+        den = np.multiply(snr, (received - signal)[..., None])
+        den += 1.0
+        sinrs[0] /= den
+        sweep = precoding._sweep(q_values, 1, max(q_values))
+        others = (scn.coded_gain * sweep.columns[sweep.pairs[0]] - 1)[:, None]
+        for i, var in enumerate(scn.csir_error_vars, start=1):
+            scale = 1.0 + var
+            est = own / math.sqrt(scale)
+            est -= math.sqrt(var / scale) * w
+            num = est.real ** 2
+            num += est.imag ** 2
+            num += var / scale
+            np.multiply(snr, num[..., None], out=sinrs[i])
+            sinrs[i] /= 1.0 / scale + snr * (var / scale) * others
+        return sinrs
+
+    # A CSIR variance of 0 is written as its limit, snr * signal, which is
+    # the general formula at 0 bit for bit.
+    @pytest.mark.parametrize("csir_vars", [(0.0,), (0.0, 0.01), (0.01, 0.001, 0.0)])
+    @pytest.mark.parametrize("csit_var", [0.0, 0.01])
+    def test_zero_csir_variance_is_the_general_formula(self, monkeypatch, csit_var, csir_vars):
+        scn = symmetric_scenario(csit_error_var=csit_var, csir_error_vars=csir_vars, seed=9)
+        q_values = scn.group_user_counts(None)
+        kernel_out = tuple(np.stack(a) for a in zip(*(
+            experiments._csi_error_kernel(
+                scn, q_values, cell_draw(experiments._CSI_DRAW, scn, max(q_values), loc, 0)
+            )
+            for loc in range(4)
+        )))
+        seen = []
+        sum_rates = experiments._csi_sum_rates
+
+        def spy(scn, q_values, sinrs):
+            seen.append(sinrs.copy())
+            return sum_rates(scn, q_values, sinrs)
+
+        monkeypatch.setattr(experiments, "_csi_sum_rates", spy)
+        got = experiments._csi_error_rates(scn, q_values, kernel_out)
+        want = self._general_csi_error_sinrs(scn, q_values, kernel_out)
+        assert seen[0].tobytes() == want.tobytes()
+        assert got.tobytes() == sum_rates(scn, q_values, want).tobytes()
 
     @staticmethod
     def both_rules(scn, q_values, draws):

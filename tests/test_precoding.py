@@ -549,6 +549,7 @@ class TestCachedTables:
         q = (1, 2, 4)
         return {
             precoding._sweep: precoding._sweep(q, 2, 8),
+            precoding._pair_mask: precoding._pair_mask(q, 8),
             experiments._overhead_factors: experiments._overhead_factors(self.SCENARIO, q),
             experiments._msv_overhead_factors: experiments._msv_overhead_factors(self.SCENARIO, q),
             experiments._pair_snr: experiments._pair_snr(self.SCENARIO, q),
@@ -570,6 +571,19 @@ class TestCachedTables:
                 with pytest.raises(ValueError, match="read-only"):
                     a[...] = 0
 
+    def test_pair_mask_is_complex_zero_or_one(self):
+        # Stored complex, the mask multiplies the coupling rows with the bits
+        # of a bool mask, which the product would cast to 1+0j and 0+0j.
+        sweep = precoding._sweep((1, 2, 4), 1, 5)
+        mask = precoding._pair_mask((1, 2, 4), 5)
+        inside = np.arange(5) < sweep.columns[sweep.pairs[0]][:, None]
+        assert mask.dtype == np.complex128
+        assert mask.tobytes() == np.where(inside, 1 + 0j, 0j).tobytes()
+        assert not mask.flags.writeable
+        rows = complex_gaussian(substream(94, 0), mask.shape)
+        rows[0, :2] = complex(-0.0, -0.0), complex(-0.0, 1.5)  # signed zeros, in and out
+        assert (rows * mask).tobytes() == (rows * inside).tobytes()
+
     def test_same_bits_from_list_or_array_on_a_cold_or_warm_cache(self):
         rng = substream(93, 0)
         h, h_hat = complex_gaussian(rng, (2, 2, 8, 5))
@@ -586,6 +600,7 @@ class TestCachedTables:
             )
 
         precoding._sweep.cache_clear()
+        precoding._pair_mask.cache_clear()
         cold = outputs(q_values)
         for args in (q_values, np.array(q_values), tuple(q_values)):
             warm = outputs(args)
