@@ -15,8 +15,9 @@ job of the recipe over its block in the same four steps:
 1. draw: the task gets the generator of every substream (below) it will
    read, bit-identical to one ``SeedSequence`` per key, from its worker,
    which seeds the blocks of its slice a chunk of blocks at a time
-   (:func:`_seeded_blocks`).  It takes each job's pathloss rows once per
-   location and, shared draw by shared draw (below), makes the draw once
+   (:func:`_seeded_blocks`).  It draws the pathlosses once per location
+   and geometry, which every job on it reads (Sharing, below), and, shared
+   draw by shared draw, makes the draw once
    per (location, fading) cell from the cell's generators, at the largest
    served-user count ``q``, and runs each of its kernels on it before the
    next cell is drawn.  BD-MRC and ZF use the same
@@ -133,11 +134,16 @@ most groups among those that share the key, and each of its kernels runs
 once per cell, for every rule that reads it with one q sweep; every job
 takes its first ``coded_gain`` groups of the stacked output.  This is exact
 because group g of a draw reads only the substreams ``(., loc, fad,
-g)`` and every kernel works group by group; the pathloss rows of group g
-are likewise the same in every job with the same ``q_top``.  So the
-cacheless job reads the cache-aided group 0 wherever both sides have the
-same ``q_top`` (common random numbers), and jobs whose ``q_top`` differs
-keep their own draws.
+g)`` and every kernel works group by group.  The pathlosses are shared
+too: each location's are drawn once per geometry, a site of the plan, for
+as many users as the job on it with the most, ``G * q_top``, and each job
+on it reads the first ``G_j * q_top_j`` as its rows ``(G_j, q_top_j)``.
+The draw takes its values user by user, in order, so those are the job's
+own draw of that many users, bit for bit, and the rows of group g are the
+same in every job with the same ``q_top``.  So the cacheless job reads the
+cache-aided group 0 wherever both sides have the same ``q_top`` (common
+random numbers), and jobs whose ``q_top`` differs keep their own channel
+draws.
 The MSV draw is not per group (its multicast channels come from one
 substream), so its key holds its group count and it is never sliced.
 
@@ -146,12 +152,13 @@ results are reduced in location order, so the curves are bit-identical for
 any worker count, block size and key budget.  The ``run_*`` functions are one-job
 (or, for imperfect CSI, two-job) wrappers over the same builders.
 
-Substream keys: ``(0, loc)`` user positions, ``(1, loc, fad, group)``
-fading, ``(2, loc, fad, group)`` transmitter CSI errors (drawn only at a
-positive ``csit_error_var``),
-``(3, loc, fad, group)`` receiver coupling errors (drawn only when the job
-that makes the draw has CSIR variances), ``(4, loc, fad, 0|1)``
-baseline-scheme channels.  A key's generator is bit-identical to
+Substream keys: ``(0, loc)`` user positions (one generator per geometry
+and location, whatever the jobs on it), ``(1, loc, fad, group)`` fading,
+``(2, loc, fad, group)`` transmitter CSI errors (drawn only at a positive
+``csit_error_var``), ``(3, loc, fad, group)`` receiver coupling errors
+(seeded and drawn only where a CSIR variance of the job that makes the
+draw is positive), ``(4, loc, fad, 0|1)`` baseline-scheme channels.  A
+key's generator is bit-identical to
 ``default_rng(SeedSequence(seed, spawn_key=key))``.  A worker seeds the
 blocks of its slice in chunks of consecutive blocks, as many as fit in
 :data:`_SEED_KEYS` keys and at least one, each chunk's keys in one
@@ -624,17 +631,16 @@ class _ChildTraceback(Exception):
         return "\n" + self.args[0].rstrip()
 
 
-def _location_betas(scenario: Scenario, q_top: int, rngs) -> np.ndarray:
-    """One location's pathloss rows ``(G, q_top)``: all 1 without a
+def _location_pathlosses(geometry: str | None, users: int, rngs) -> np.ndarray:
+    """One location's pathlosses of ``users`` users: all 1 without a
     geometry, and otherwise drawn from the next generator of the iterator
-    ``rngs``, that of the location's key ``(0, loc)``."""
-    num_groups = scenario.coded_gain
-    if scenario.geometry is None:
-        return np.ones((num_groups, q_top))
-    betas = sample_user_pathlosses(
-        geometry_preset(scenario.geometry), next(rngs), num_groups * q_top
-    )
-    return betas.reshape(num_groups, q_top)
+    ``rngs``, that of the location's key ``(0, loc)``.  A job of ``G``
+    groups and largest served count ``q_top`` reads the first ``G * q_top``
+    as its rows ``(G, q_top)``: the draw takes its values one user at a
+    time, in order, so they are those of a draw of that many users."""
+    if geometry is None:
+        return np.ones(users)
+    return sample_user_pathlosses(geometry_preset(geometry), next(rngs), users)
 
 
 def _group_streams(streams, scenario: Scenario) -> list[tuple[int, int]]:
@@ -860,14 +866,15 @@ def _solve_problems(batches: list[_MmfProblems], n0: float, p_watts) -> list[np.
 
 def _csi_streams(scenario: Scenario) -> list[tuple[int, int]]:
     """Fading streams, then CSIT error streams if ``csit_error_var`` is
-    positive and coupling error streams if the scenario has CSIR variances."""
-    streams = [1] + [2] * (scenario.csit_error_var > 0) + [3] * bool(scenario.csir_error_vars)
+    positive and coupling error streams if a CSIR variance is: the rates
+    read no coupling error at a variance of 0 (:func:`_csi_error_rates`)."""
+    streams = [1] + [2] * (scenario.csit_error_var > 0) + [3] * any(scenario.csir_error_vars)
     return _group_streams(streams, scenario)
 
 
 def _csi_draws(scenario: Scenario, q_top: int, rngs, _):
     """Stacked over groups: true channels, the prefix factor of their
-    transmitter-side estimate and, if the scenario has CSIR variances, the
+    transmitter-side estimate and, if a CSIR variance is positive, the
     receiver-side coupling error draws.
 
     The estimate is that of :func:`~vccsim.channel.corrupt_csit`, bit for
@@ -879,7 +886,7 @@ def _csi_draws(scenario: Scenario, q_top: int, rngs, _):
     drawn = _gaussians(rngs[:split], (scenario.num_tx_antennas, q_top))
     h = drawn[:g]
     factor = prefix_factor(h - (var * h + math.sqrt(var * (1.0 - var)) * drawn[g:]) if var else h)
-    if scenario.csir_error_vars:
+    if any(scenario.csir_error_vars):
         return h, factor, _gaussians(rngs[split:], (q_top,))
     return h, factor
 
@@ -1157,15 +1164,18 @@ class _Shared(NamedTuple):
 
 class _Plan(NamedTuple):
     """What every block of a run reads besides its locations, built once
-    per run (:func:`_plan`): the jobs, and their shared draws
-    (:class:`_Shared`) in the order their rules list them; and one
+    per run (:func:`_plan`): the jobs; their sites, one ``(geometry,
+    users)`` per geometry (``None`` included) in the order the jobs list
+    them, with the most users ``G * q_top`` of any job on it; their shared
+    draws (:class:`_Shared`) in the order their rules list them; and one
     location's keys, as 32-bit words ``(K, 4)`` with the location's word
     left 0, each key's word count ``(K,)``, and the slices of them (parts)
-    that a block reads location by location, in its key order: each job
+    that a block reads location by location, in its key order: each site
     with a geometry reads ``(0, loc)``, two words, and then each shared
     draw its keys ``(stream, loc, fad, group)`` cell by cell."""
 
     jobs: list
+    sites: list
     shared: list
     words: np.ndarray
     counts: np.ndarray
@@ -1176,6 +1186,10 @@ def _plan(jobs) -> _Plan:
     """The :class:`_Plan` of ``jobs``: their rules with a draw grouped by
     draw key (:func:`_draw_key`)."""
     groups = [job.scenario.coded_gain for job in jobs]
+    sites = {}  # geometry -> the most users of a job on it
+    for job in jobs:
+        users = job.scenario.coded_gain * max(job.q_values)
+        sites[job.scenario.geometry] = max(users, sites.get(job.scenario.geometry, 0))
     shared = {}  # draw key -> [maker, readers]
     for ji, job in enumerate(jobs):
         for ri, (rule, _) in enumerate(job.rules):
@@ -1186,13 +1200,14 @@ def _plan(jobs) -> _Plan:
                 entry[1].setdefault((rule.kernel, job.q_values), []).append((ji, ri))
     n_fad = jobs[0].scenario.n_fadings
     cells = [key[0].streams(jobs[mi].scenario) for key, (mi, _) in shared.items()]
-    parts = [[(0, 0, 0, 0)] for job in jobs if job.scenario.geometry is not None]
+    parts = [[(0, 0, 0, 0)] for geometry in sites if geometry is not None]
     counts = [2] * len(parts)
     parts += [[(s, 0, fad, g) for fad in range(n_fad) for s, g in cell] for cell in cells]
     counts += [4] * len(cells)
     ends = np.cumsum([0, *map(len, parts)])
     return _Plan(
         list(jobs),
+        list(sites.items()),
         [_Shared(key[0], mi, readers, len(cell))
          for (key, (mi, readers)), cell in zip(shared.items(), cells)],
         _read_only(np.array([k for p in parts for k in p], dtype=np.uint32).reshape(-1, 4)),
@@ -1289,6 +1304,24 @@ def _block_task(args) -> list[list[np.ndarray]]:
         ) from exc
 
 
+def _block_betas(plan: _Plan, n_loc: int, rngs) -> list[np.ndarray]:
+    """Each job's pathloss rows ``(n_loc, G, q_top)`` at a block's
+    locations, from the next generators of the iterator ``rngs``: one draw
+    per site of the plan and location (:func:`_location_pathlosses`), of
+    which each job on the site reads its first ``G * q_top`` values."""
+    pathlosses = {
+        geometry: [_location_pathlosses(geometry, users, rngs) for _ in range(n_loc)]
+        for geometry, users in plan.sites
+    }
+    betas = []
+    for job in plan.jobs:
+        g, q_top = job.scenario.coded_gain, max(job.q_values)
+        betas.append(np.stack([
+            p[:g * q_top].reshape(g, q_top) for p in pathlosses[job.scenario.geometry]
+        ]))
+    return betas
+
+
 def _block_rates(plan: _Plan, locs, rngs) -> list[list[np.ndarray]]:
     """The body of :func:`_block_task`."""
     jobs = plan.jobs
@@ -1296,10 +1329,7 @@ def _block_rates(plan: _Plan, locs, rngs) -> list[list[np.ndarray]]:
     cells = list(np.ndindex(len(locs), first.n_fadings))
     groups = [job.scenario.coded_gain for job in jobs]
     rngs = iter(rngs)
-    betas = [
-        np.stack([_location_betas(job.scenario, max(job.q_values), rngs) for _ in locs])
-        for job in jobs
-    ]
+    betas = _block_betas(plan, len(locs), rngs)
     out = [
         [None if rule.draw else rule.rates(job.scenario, job.q_values, job_betas)
          for rule, _ in job.rules]

@@ -78,8 +78,11 @@ def symmetric_scenario(**kw):
 
 
 def location_betas(scn, q_top, loc):
-    """One location's pathloss rows, seeded as a block task seeds them."""
-    return experiments._location_betas(scn, q_top, iter(substreams(scn.seed, [(0, loc)])))
+    """One location's pathloss rows of a job alone, seeded as a block task
+    seeds them."""
+    rngs = iter(substreams(scn.seed, [(0, loc)]))
+    users = experiments._location_pathlosses(scn.geometry, scn.coded_gain * q_top, rngs)
+    return users.reshape(scn.coded_gain, q_top)
 
 
 def cell_keys(draw, scn, loc, fad):
@@ -366,9 +369,8 @@ class TestCellSeeding:
         want = sample_user_pathlosses(MACRO, seed_sequence_rng(scn.seed, 0, self.LOC), 6 * 4)
         assert np.array_equal(location_betas(scn, 4, self.LOC), want.reshape(6, 4))
         # without a geometry no generator is read
-        no_rngs = iter(())
-        ones = experiments._location_betas(symmetric_scenario(), 4, no_rngs)
-        assert np.array_equal(ones, np.ones((6, 4)))
+        ones = experiments._location_pathlosses(None, 24, iter(()))
+        assert np.array_equal(ones, np.ones(24))
 
     # Without a geometry every pathloss is 1 and the draw skips the scaling,
     # as x * 1.0 is x bit for bit.
@@ -690,15 +692,15 @@ class TestOneSimulatePerRecipe:
 
     # Per (location, fading): substreams drawn, one per group of each shared
     # draw (for the imperfect-CSI draw, one per group for the fading, one for
-    # the CSIT error if its variance is positive and, with CSIR variances,
-    # one for the coupling error; two for MSV), each with one standard_normal
-    # call, and _prefix_inverse calls, one per shared stack factored.  The
-    # cacheless job reads the cache-aided group 0 wherever both sides have
-    # the same largest served count; fig4 (Q=2, Q'=8) does not.  The
-    # imperfect-CSI draw factors the estimate, which the error rule reads;
-    # fig6's perfect-CSI rule factors the true channels as well, unless
-    # csit_error_var=0 makes the estimate the channel itself.  fig9 runs the
-    # error rule alone.
+    # the CSIT error if its variance is positive and, with a positive CSIR
+    # variance, one for the coupling error; two for MSV), each with one
+    # standard_normal call, and _prefix_inverse calls, one per shared stack
+    # factored.  The cacheless job reads the cache-aided group 0 wherever
+    # both sides have the same largest served count; fig4 (Q=2, Q'=8) does
+    # not.  The imperfect-CSI draw factors the estimate, which the error rule
+    # reads; fig6's perfect-CSI rule factors the true channels as well,
+    # unless csit_error_var=0 makes the estimate the channel itself.  fig9
+    # runs the error rule alone.
     PER_FADING = {
         "fig2": (3 * 5, 3),  # three M values; BD-MRC and ZF share each draw
         "fig3": (6, 1),
@@ -710,7 +712,10 @@ class TestOneSimulatePerRecipe:
         "fig9": (3 * 6, 1),
         "fig6-var0": (6, 1),  # at csit_error_var=0
         "fig9-var0": (2 * 6, 1),
+        "fig9-csir0": (2 * 6, 1),  # at csir_error_vars=0: no coupling error
+        "fig9-var0-csir0": (6, 1),  # both: the fading alone
     }
+    OVERRIDES = {"var0": {"csit_error_var": 0.0}, "csir0": {"csir_error_vars": (0.0,)}}
 
     @staticmethod
     def _count(monkeypatch, module, name, counts):
@@ -724,13 +729,13 @@ class TestOneSimulatePerRecipe:
 
     @pytest.mark.parametrize("case", sorted(PER_FADING))
     def test_each_draw_and_factor_once_per_job(self, monkeypatch, case):
-        recipe, _, var0 = case.partition("-")
+        recipe, *variants = case.split("-")
         counts = dict.fromkeys(("_simulate", "_prefix_inverse"), 0)
         self._count(monkeypatch, experiments, "_simulate", counts)
         self._count(monkeypatch, precoding, "_prefix_inverse", counts)
         drawn = count_draws(monkeypatch)
         n_loc, n_fad = 2, 3
-        overrides = {"csit_error_var": 0.0} if var0 else None
+        overrides = {k: v for variant in variants for k, v in self.OVERRIDES[variant].items()}
         run_recipe(recipe, seed=1, n_locations=n_loc, n_fadings=n_fad, overrides=overrides)
         draws, factors = self.PER_FADING[case]
         assert counts == {"_simulate": 1, "_prefix_inverse": factors * n_loc * n_fad}
@@ -1023,12 +1028,12 @@ class TestSharedLocationTask:
         with pytest.raises(ValueError, match=r"seeds: \[11, 12\]"):
             experiments._simulate(jobs, workers=1)
 
-    @pytest.mark.parametrize("csir_vars", [(), (0.01,)])
+    @pytest.mark.parametrize("csir_vars", [(), (0.0,), (0.01,)])
     @pytest.mark.parametrize("csit_var", [0.0, 0.01])
     def test_csi_block_seeds_only_what_it_draws(self, monkeypatch, csit_var, csir_vars):
         # Per cache-aided group and cell: a fading substream, a CSIT error
-        # one only at a positive variance and a coupling error one only
-        # with CSIR variances, each seeded once and drawn once.
+        # one only at a positive variance and a coupling error one only at
+        # a positive CSIR variance, each seeded once and drawn once.
         scn = symmetric_scenario(
             csit_error_var=csit_var, csir_error_vars=csir_vars, n_locations=2, n_fadings=1,
         )
@@ -1045,7 +1050,7 @@ class TestSharedLocationTask:
             experiments.imperfect_csi_jobs(scn, experiments.CSI_PERFECT, experiments.CSI_ERROR),
             workers=1,
         )
-        streams = [1] + [2] * (csit_var > 0) + [3] * bool(csir_vars)
+        streams = [1] + [2] * (csit_var > 0) + [3] * any(csir_vars)
         assert sorted({key[0] for key in seeded}) == streams
         assert len(seeded) == drawn["substreams"] == len(streams) * scn.coded_gain * 2
 
@@ -1143,10 +1148,12 @@ class TestBlocks:
 
 
 def _block_keys(jobs, locs):
-    """A block's substream keys in the order it reads them, as tuples: each
-    job's location key ``(0, loc)`` at each location if it has a geometry,
-    then each shared draw's keys, cell by cell, from its maker's scenario."""
-    keys = [(0, loc) for job in jobs if job.scenario.geometry is not None for loc in locs]
+    """A block's substream keys in the order it reads them, as tuples: the
+    location key ``(0, loc)`` at each location once per geometry of the
+    jobs, then each shared draw's keys, cell by cell, from its maker's
+    scenario."""
+    geometries = dict.fromkeys(job.scenario.geometry for job in jobs)
+    keys = [(0, loc) for geometry in geometries if geometry is not None for loc in locs]
     for shared in experiments._plan(jobs).shared:
         scn = jobs[shared.maker].scenario
         keys += [
@@ -1255,6 +1262,81 @@ class TestSliceSeeding:
             run_recipe("fig9", seed=1, n_locations=32, n_fadings=1, workers=workers)
             pids = log.read_text().split()
             assert len(pids) == len(set(pids)) == workers
+
+
+class _Captured(Exception):
+    """Raised by a stand-in for _simulate, with the jobs it was handed."""
+
+
+def _recipe_jobs(monkeypatch, recipe, overrides=None, n_fadings=4):
+    """The jobs ``recipe`` hands to _simulate at 3 locations, seed 7."""
+
+    def capture(jobs, workers):
+        raise _Captured(jobs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "_simulate", capture)
+        with pytest.raises(_Captured) as caught:
+            run_recipe(recipe, seed=7, n_locations=3, n_fadings=n_fadings, overrides=overrides)
+    return caught.value.args[0]
+
+
+class TestPlanKeys:
+    """A run's plan seeds each location key once per geometry, and the
+    coupling error substreams only where a CSIR variance is positive."""
+
+    # fig2 has three jobs with a geometry, fig3, fig4, fig5 and fig7 two;
+    # fig6, fig8 and fig9 have none.
+    @pytest.mark.parametrize("recipe", sorted(RECIPES))
+    def test_one_location_key_per_geometry(self, monkeypatch, recipe):
+        jobs = _recipe_jobs(monkeypatch, recipe)
+        plan = experiments._plan(jobs)
+        located = any(job.scenario.geometry is not None for job in jobs)
+        assert list(plan.counts).count(2) == located
+        if not located:
+            return
+        assert np.array_equal(plan.words[0], [0, 0, 0, 0])
+        # Each job reads the first G * q_top of the site's draw, its own
+        # draw of that many users from the location's key, bit for bit.
+        [(locs, rngs)] = experiments._seeded_blocks(plan, [range(3)])
+        betas = experiments._block_betas(plan, len(locs), iter(rngs))
+        for job, job_betas in zip(jobs, betas):
+            scn, q_top = job.scenario, max(job.q_values)
+            assert job_betas.shape == (3, scn.coded_gain, q_top)
+            for loc in locs:
+                assert np.array_equal(job_betas[loc], location_betas(scn, q_top, loc))
+
+    # fig9 has 6 groups and no geometry: per location at one fading, the
+    # fading and CSIT error keys of each group, and the coupling error keys
+    # only where a CSIR variance is positive.
+    @pytest.mark.parametrize("csir_vars, keys", [
+        ((0.01, 0.001, 0.0), 18), ((0.001,), 18), ((0.0,), 12), ((), 12),
+    ])
+    def test_coupling_error_keys_only_at_a_positive_variance(
+        self, monkeypatch, csir_vars, keys
+    ):
+        jobs = _recipe_jobs(monkeypatch, "fig9", {"csir_error_vars": csir_vars}, n_fadings=1)
+        plan = experiments._plan(jobs)
+        assert len(plan.counts) == keys
+        streams = {int(word[0]) for word in plan.words}
+        assert (3 in streams) == any(csir_vars)
+
+    # The runs at (0.0,) and (0.01, 0.0) share the curves of CSIT error and
+    # of CSIR variance 0; only the second seeds and draws the coupling
+    # errors, which those curves do not read, so their rows are the same
+    # bytes.
+    def test_unread_coupling_errors_move_no_bit(self):
+        def blocks(csir_vars):
+            rows, _ = run_recipe(
+                "fig9", seed=7, n_locations=5, n_fadings=1,
+                overrides={"csir_error_vars": csir_vars},
+            )
+            return {block.scheme: format_csv([block]) for block in rows}
+
+        without, drawn = blocks((0.0,)), blocks((0.01, 0.0))
+        assert set(without) < set(drawn)
+        for scheme, text in without.items():
+            assert drawn[scheme] == text, scheme
 
 
 class TestSolvePacking:
@@ -1438,7 +1520,9 @@ class TestCsiRule:
 
     @staticmethod
     def _per_q_reference(scn, q_values, draws):
-        h, factor, w = draws
+        # The coupling errors w are drawn only where a CSIR variance is
+        # positive, and only those variances read them.
+        h, factor, *w = draws
         h_hat = factor.h
         num_groups = scn.coded_gain
         p_tot = np.asarray(scn.p_watts)[:, None]
@@ -1451,7 +1535,7 @@ class TestCsiRule:
                 sinrs = [zf_imperfect_csit_sinr(c, per_stream, scn.noise_power) for c in couplings]
                 own = np.diagonal(couplings[1])
                 for var in scn.csir_error_vars:
-                    est = own - math.sqrt(var) * w[g][:q]
+                    est = own - math.sqrt(var) * w[0][g][:q] if var else own
                     sinrs.append(zf_imperfect_csir_sinr(
                         p_tot, num_groups, q, var, est, scn.noise_power))
                 out[:, qi] += np.log1p(sinrs).sum(axis=-1)
@@ -1478,8 +1562,11 @@ class TestCsiRule:
     @staticmethod
     def _general_csi_error_sinrs(scn, q_values, kernel_out):
         """The SINRs of every curve of the CSI error rule, from its general
-        formula at every CSIR variance, 0 included."""
-        own, received, w = kernel_out
+        formula at every CSIR variance, 0 included.  Where every variance is
+        0 the kernel draws no coupling error, and the formula's ``0 * w``
+        takes a standard complex Gaussian ``w`` instead."""
+        own, received, *w = kernel_out
+        w = w[0] if w else complex_gaussian(np.random.default_rng(0), own.shape)
         snr = experiments._pair_snr(scn, q_values)
         signal = own.real ** 2
         signal += own.imag ** 2

@@ -32,6 +32,11 @@
   stacks whose prefixes are singular or near it, which take the per-user
   path; and the inverse of an all-full-rank stack (one ``inv`` of the
   stack) against the general path of :func:`_prefix_inverse`;
+* the triangular inverse by halving, :func:`_triangular_inverse`, on the
+  ``R`` of generic and nearly dependent stacks, against
+  ``np.linalg.inv``: its forward error within ``n * cond * eps`` of
+  LAPACK's inverse, its residual within a small factor of LAPACK's own,
+  and each matrix's bits the same alone as in its stack;
 * :func:`zf_prefix_couplings` at the served pairs of any q sweep, q by q
   with users ascending, against :func:`zf_matrix` on each prefix, and the
   start of each q's pairs in the sweep table ``_sweep``, which the
@@ -49,7 +54,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import test_experiments
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -63,6 +68,7 @@ from vccsim.precoding import (
     _prefix_blocks,
     _prefix_inverse,
     _sweep,
+    _triangular_inverse,
     _usable,
     bd_mrc_prefix_gains,
     msv_gains_fast,
@@ -505,6 +511,51 @@ def test_full_rank_inverse_equals_the_general_path(stack):
     assert general_valid[-1] < h.shape[-1]
     np.testing.assert_array_equal(general_r_inv[:-1], r_inv)
     np.testing.assert_array_equal(general_valid[:-1], valid)
+
+
+# Column counts at and around the halving's edges: leaves of at most 8
+# columns, even and odd splits.
+HALVING_EDGES = (8, 9, 16, 17, 32, 33, 48)
+
+
+@PROPERTY
+@given(
+    n=st.one_of(st.sampled_from(HALVING_EDGES), st.integers(1, 48)),
+    stack=st.integers(1, 6),
+    extra=st.integers(0, 16),
+    dependent=st.booleans(),
+    log_gap=st.floats(-8.0, -2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=48, stack=6, extra=0, dependent=True, log_gap=-8.0, seed=3)
+@example(n=33, stack=5, extra=2, dependent=False, log_gap=-2.0, seed=4)
+def test_triangular_inverse_matches_lapack(n, stack, extra, dependent, log_gap, seed):
+    # R of (n + extra, n) stacks; in a dependent stack one column is a
+    # combination of the columns before it plus a relative 10**log_gap of
+    # noise, which sets R's condition number (up to about 1e10).
+    rng = np.random.default_rng(seed)
+    h = complex_gaussian(rng, (stack, n + extra, n))
+    if dependent and n > 1:
+        j = int(rng.integers(1, n))
+        col = np.einsum("gli,gi->gl", h[..., :j], complex_gaussian(rng, (stack, j)))
+        noise = complex_gaussian(rng, col.shape)
+        noise *= np.linalg.norm(col, axis=-1, keepdims=True) / np.linalg.norm(
+            noise, axis=-1, keepdims=True
+        )
+        h[..., j] = col + 10.0 ** log_gap * noise
+    r = np.linalg.qr(h, mode="r")
+    got = _triangular_inverse(r)
+    want = np.linalg.inv(r)
+    eps = np.finfo(float).eps
+    cond = np.linalg.cond(r)
+    forward = np.abs(got - want).max(axis=(1, 2))
+    assert np.all(forward <= n * cond * eps * np.abs(want).max(axis=(1, 2)))
+    eye = np.eye(n)
+    residual = np.abs(got @ r - eye).max(axis=(1, 2))
+    lapack = np.abs(want @ r - eye).max(axis=(1, 2))
+    assert np.all(residual <= 10.0 * np.maximum(lapack, n * eps))
+    for g in range(stack):
+        np.testing.assert_array_equal(_triangular_inverse(r[g:g + 1])[0], got[g])
 
 
 @st.composite
