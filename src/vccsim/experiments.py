@@ -17,10 +17,11 @@ job of the recipe over its block in the same four steps:
    which seeds the blocks of its slice a chunk of blocks at a time
    (:func:`_seeded_blocks`).  It draws the pathlosses once per location
    and geometry, which every job on it reads (Sharing, below), and, shared
-   draw by shared draw, makes the draw once
-   per (location, fading) cell from the cell's generators, at the largest
-   served-user count ``q``, and runs each of its kernels on it before the
-   next cell is drawn.  BD-MRC and ZF use the same
+   draw by shared draw, makes the draw of its (location, fading) cells, in
+   that order, at the largest served-user count ``q``, in stacks of at most
+   :data:`_BLOCK_CELLS` cells, each from its cells' generators, and runs
+   each of its kernels once on a stack before the next stack is drawn.
+   BD-MRC and ZF use the same
    draw, the groups' channels with their prefix factor
    (:func:`~vccsim.precoding.prefix_factor`), so each (location, fading,
    group) channel is drawn and factored once; the imperfect-CSI draw comes
@@ -31,8 +32,14 @@ job of the recipe over its block in the same four steps:
    the operations of ``complex_gaussian`` and
    :func:`~vccsim.channel.corrupt_csit`: the channels, the transmitter's
    estimates and the error draws, bit-identical to those functions'
-   (:func:`_gaussians`).  Draws are made one cell at a time, so neither
-   they nor the kernels grow with the block;
+   (:func:`_gaussians`).  A stack's per-group arrays put its cells on the
+   group axis, ``(C*G, ...)``, cell by cell, so one factorization and one
+   call of each kernel serve the stack, and the kernels hand back their
+   outputs cells first, ``(C, G, ...)``.  Every factorization, inverse,
+   product and eigenvalue call works matrix by matrix, so a cell gets the
+   same bits in any stack, and as a stack holds at most
+   :data:`_BLOCK_CELLS` cells, neither the draws nor the kernels grow with
+   the block;
 2. kernel: the stream gains of every ``q``-user prefix of those draws at
    once, per group (groups on axis 0).  For BD-MRC and ZF this is one
    nested-prefix Gram kernel over every group, one factorization per
@@ -50,9 +57,10 @@ job of the recipe over its block in the same four steps:
    sweep's prefix mask;
 3. rates: one rate-rule call per (job, rule, block), for the rates of every
    curve the scheme owns over the block's cells, the q sweep and the power
-   vector, from the kernel outputs of the job's groups at every cell,
-   stacked on a leading cell axis in (location, fading) order as soon as a
-   draw's cells are done, one kernel's stack at a time.
+   vector, from the kernel outputs of the job's groups at every cell, on a
+   leading cell axis in (location, fading) order: a block of one stack
+   reads the kernels' outputs as they are, a longer one their stacks'
+   outputs copied into one array each, one kernel's arrays at a time.
    Every rule takes each served set's pilot overhead factor from
    :meth:`Scenario.overhead_factor`, in [0, 1]; a set whose pilots fill the
    coherence block has factor 0 and rate 0.
@@ -83,8 +91,9 @@ job of the recipe over its block in the same four steps:
 
 A scheme is a :class:`_Rule`: a channel draw (:class:`_Draw`), which lists
 the ``(stream, group)`` of the substream keys ``(stream, loc, fad, group)``
-it reads at each cell, ``streams(scenario)``, and draws the cell with
-``make(scenario, q_top, rngs, betas)`` from their generators, in key order;
+it reads at each cell, ``streams(scenario)``, and draws a stack of cells
+with ``make(scenario, q_top, cell_rngs, betas)`` from their generators, one
+list per cell in key order;
 a gain kernel ``kernel(scenario, q_values, draw)``; and a rate
 rule ``rates(scenario, q_values, inputs)``; each reads the group count from
 the scenario (``coded_gain``).  Fading-free analytic curves have neither a
@@ -98,11 +107,13 @@ all are read-only.
 Blocks.  At two or more fadings a block is one location, so paper-scale
 runs keep one location's draws and rates per task; one-fading runs, where
 per-call overhead outweighs the arithmetic of a rate solve, batch two
-locations into each rate-rule call and each solve.  Draws are not stacked
-over a block, so the factor, the kernels and their memory do not grow with
-it, and no matrix product changes its width: the bits of a product's
-columns depend on its width, so stacking the cells would move the CSV
-(it also left ``fig9`` no faster, and fig2 at 2x20 slower).  Nor does a
+locations into each rate-rule call and each solve, and each draw and
+kernel call.  A block's draws are cut into stacks of at most
+:data:`_BLOCK_CELLS` cells, so the factor, the kernels and their memory do
+not grow with the block: a 20-fading block is 10 stacks.  No matrix product
+changes its width either: the cells sit on the product's batch axis, never
+among its columns, whose bits depend on its width, so stacking moves no bit
+of the CSV.  Nor does a
 solve grow with the rules: it holds at most :data:`_SOLVE_USERS` pooled
 users, unless one problem is larger, which at paper scale is about what
 fig7's largest rule poses on its own.  A block runs with numpy raising on
@@ -129,9 +140,9 @@ Sharing.  Once per run, before any block, the rules with a draw are
 grouped by draw key (:func:`_plan`): their draw plus the fields it reads
 (``L``, ``M``, ``geometry``, ``csit_error_var``) and ``q_top``, the largest
 served count of the job.  Every job has the same seed (:func:`_simulate`
-checks it).  Each draw is made once per cell, by the first job with the
-most groups among those that share the key, and each of its kernels runs
-once per cell, for every rule that reads it with one q sweep; every job
+checks it).  Each draw is made once per stack of cells, by the first job
+with the most groups among those that share the key, and each of its kernels
+runs once per stack, for every rule that reads it with one q sweep; every job
 takes its first ``coded_gain`` groups of the stacked output.  This is exact
 because group g of a draw reads only the substreams ``(., loc, fad,
 g)`` and every kernel works group by group.  The pathlosses are shared
@@ -204,7 +215,7 @@ import numpy as np
 # tests/oracles.py, where the other oracles live, says which path each checks.
 # complex_gaussian and corrupt_csit stay for the tracer too: no run path
 # calls them, as _gaussians and _csi_draws make their values bit for bit, one
-# stack per cell, and the tests check the draws against them.
+# buffer per stack of cells, and the tests check the draws against them.
 from .allocation import UserRateFunction, mmf_sum_rates, solve_mmf
 from .channel import (
     _generators,
@@ -690,8 +701,13 @@ def _curve_from_means(
 class _Draw(NamedTuple):
     """A channel draw: ``streams(scenario)`` lists the ``(stream, group)``
     of the substream keys ``(stream, loc, fad, group)`` it reads at each
-    (location, fading) cell, and ``make(scenario, q_top, rngs, betas)``
-    draws the cell from their generators, in key order."""
+    (location, fading) cell, and ``make(scenario, q_top, cell_rngs,
+    betas)`` draws a stack of ``C`` cells from their generators:
+    ``cell_rngs`` holds one list per cell, in key order, and ``betas`` the
+    cells' pathloss rows ``(C, G, q_top)``.  A per-group draw puts the cells
+    on its group axis, ``(C*G, ...)``, cell by cell, and factors that stack
+    once; its kernels return ``(C, G, ...)``.  The MSV draw and its kernel
+    have the cells on a leading axis of their own."""
 
     streams: object
     make: object
@@ -725,19 +741,30 @@ def _msv_overhead_factors(scenario: Scenario, q_values) -> np.ndarray:
 
 # Kernels and solvers are looked up as module globals at call time, so a
 # tracer (bench/spans.py) can wrap them.
-def _group_factor(scenario: Scenario, q_top: int, rngs, betas):
-    """Groups stacked ``(G, L, q_top*m)``, one generator per group, of
-    unit-variance channels with user k's columns scaled by ``sqrt(beta_k)``,
-    with their prefix factor: the draw of BD-MRC and ZF."""
+def _group_factor(scenario: Scenario, q_top: int, cell_rngs, betas):
+    """A stack of cells' groups ``(C*G, L, q_top*m)``, cell by cell, one
+    generator per group, of unit-variance channels with user k's columns
+    scaled by ``sqrt(beta_k)``, with their prefix factor: the draw of BD-MRC
+    and ZF."""
     m = scenario.antennas_per_user
-    units = _gaussians(rngs, (scenario.num_tx_antennas, q_top * m))
+    units = _gaussians(
+        [rng for rngs in cell_rngs for rng in rngs], (scenario.num_tx_antennas, q_top * m)
+    )
     if scenario.geometry is not None:  # else every beta is 1, and x * 1.0 is x
-        units = units * np.repeat(np.sqrt(betas), m, axis=1)[:, None, :]
+        scale = np.repeat(np.sqrt(betas), m, axis=-1).reshape(len(units), 1, -1)
+        units = units * scale
     return prefix_factor(units)
 
 
+def _by_cell(scenario: Scenario, arrays) -> tuple:
+    """Kernel outputs over a stack's groups ``(C*G, ...)``, cells leading:
+    ``(C, G, ...)``, as the rate rules read them."""
+    g = scenario.coded_gain
+    return tuple(a.reshape(-1, g, *a.shape[1:]) for a in arrays)
+
+
 def _bd_kernel(scenario: Scenario, q_values, factor):
-    return bd_mrc_prefix_gains(factor, scenario.antennas_per_user, q_values)
+    return _by_cell(scenario, bd_mrc_prefix_gains(factor, scenario.antennas_per_user, q_values))
 
 
 def _zf_kernel(scenario: Scenario, q_values, factor):
@@ -745,7 +772,7 @@ def _zf_kernel(scenario: Scenario, q_values, factor):
     m = scenario.antennas_per_user
     gains = zf_prefix_gains(factor, tuple(q * m for q in q_values))
     gains = np.sort(gains.reshape(*gains.shape[:2], -1, m), axis=-1)[..., ::-1]
-    return gains, np.full(gains.shape[:-1], m)
+    return _by_cell(scenario, (gains, np.full(gains.shape[:-1], m)))
 
 
 class _MmfProblems(NamedTuple):
@@ -872,22 +899,29 @@ def _csi_streams(scenario: Scenario) -> list[tuple[int, int]]:
     return _group_streams(streams, scenario)
 
 
-def _csi_draws(scenario: Scenario, q_top: int, rngs, _):
-    """Stacked over groups: true channels, the prefix factor of their
-    transmitter-side estimate and, if a CSIR variance is positive, the
-    receiver-side coupling error draws.
+def _csi_draws(scenario: Scenario, q_top: int, cell_rngs, _):
+    """Over a stack's groups ``(C*G, ...)``, cell by cell: true channels, the
+    prefix factor of their transmitter-side estimate and, if a CSIR variance
+    is positive, the receiver-side coupling error draws.
 
     The estimate is that of :func:`~vccsim.channel.corrupt_csit`, bit for
     bit: ``h - (var * h + sqrt(var * (1 - var)) * w)``, with ``w`` from the
     CSIT error substreams, and at ``var == 0`` the channel itself, with no
     ``w`` drawn."""
     g, var = scenario.coded_gain, scenario.csit_error_var
-    split = 2 * g if var else g  # the generators before the coupling errors'
-    drawn = _gaussians(rngs[:split], (scenario.num_tx_antennas, q_top))
-    h = drawn[:g]
-    factor = prefix_factor(h - (var * h + math.sqrt(var * (1.0 - var)) * drawn[g:]) if var else h)
+
+    def stream(i):  # the generators of a cell's i-th stream, cell by cell
+        return [rng for rngs in cell_rngs for rng in rngs[i * g:(i + 1) * g]]
+
+    split = 2 if var else 1  # the streams before the coupling errors'
+    drawn = _gaussians(
+        [rng for i in range(split) for rng in stream(i)], (scenario.num_tx_antennas, q_top)
+    )
+    cut = len(cell_rngs) * g
+    h = drawn[:cut]
+    factor = prefix_factor(h - (var * h + math.sqrt(var * (1.0 - var)) * drawn[cut:]) if var else h)
     if any(scenario.csir_error_vars):
-        return h, factor, _gaussians(rngs[split:], (q_top,))
+        return h, factor, _gaussians(stream(split), (q_top,))
     return h, factor
 
 
@@ -918,7 +952,7 @@ def _csi_perfect_kernel(scenario: Scenario, q_values, draws):
     if scenario.csit_error_var:
         factor = prefix_factor(h)
     q_idx, users = _sweep(q_values, 1, max(q_values)).pairs
-    return (zf_prefix_gains(factor, q_values)[:, q_idx, users],)
+    return _by_cell(scenario, (zf_prefix_gains(factor, q_values)[:, q_idx, users],))
 
 
 def _csi_perfect_rates(scenario: Scenario, q_values, gains):
@@ -939,7 +973,7 @@ def _csi_error_kernel(scenario: Scenario, q_values, draws):
     own = rows[:, np.arange(users.size), users]
     power = rows.real ** 2
     power += rows.imag ** 2
-    return (own, power.sum(axis=-1), *(e[:, users] for e in w))
+    return _by_cell(scenario, (own, power.sum(axis=-1), *(e[:, users] for e in w)))
 
 
 def _csi_error_rates(scenario: Scenario, q_values, kernel_out):
@@ -985,10 +1019,12 @@ def _msv_streams(scenario: Scenario) -> list[tuple[int, int]]:
     return [(4, 0), (4, 1)]
 
 
-def _msv_draws(scenario: Scenario, q_top: int, rngs, _):
+def _msv_draws(scenario: Scenario, q_top: int, cell_rngs, _):
+    """A stack of cells' multicast channels ``(C, G, L)`` and unicast pools
+    ``(C, L-1, L)``."""
     l = scenario.num_tx_antennas
-    uc_pool = _gaussians(rngs[:1], (l - 1, l))[0]
-    mc = _gaussians(rngs[1:], (scenario.coded_gain, l))[0]
+    uc_pool = _gaussians([rngs[0] for rngs in cell_rngs], (l - 1, l))
+    mc = _gaussians([rngs[1] for rngs in cell_rngs], (scenario.coded_gain, l))
     return mc, uc_pool
 
 
@@ -1026,8 +1062,9 @@ class Job(NamedTuple):
     """One side of a comparison: the ``coded_gain`` groups of ``scenario``
     serving each count in ``q_values``, and the rules run on it, each paired
     with the names of the curves it writes.  A rule's stages are
-    ``draw.make(scenario, q_top, rngs, betas)``, ``kernel(scenario, q_values,
-    draw)`` and ``rates(scenario, q_values, inputs)`` (:func:`_block_task`)."""
+    ``draw.make(scenario, q_top, cell_rngs, betas)``, ``kernel(scenario,
+    q_values, draw)`` and ``rates(scenario, q_values, inputs)``
+    (:func:`_block_task`)."""
 
     scenario: Scenario
     q_values: tuple[int, ...]
@@ -1135,10 +1172,13 @@ def _first_groups(arrays: tuple, made: int, num_groups: int) -> tuple:
     return arrays if made == num_groups else tuple(a[:, :num_groups] for a in arrays)
 
 
-# (location, fading) cells per block task: a block holds this many cells'
-# worth of whole locations, and at least one location.  A block's rate
-# arrays grow with its cells, so blocks stay just large enough to pair up
-# the locations of one-fading runs.
+# (location, fading) cells per block task and per stack: a block holds this
+# many cells' worth of whole locations, and at least one location, and draws
+# its cells in stacks of at most this many.  A block's rate arrays grow with
+# its cells, and a stack's draw and kernel arrays with its own, so both stay
+# just large enough to pair up the locations of one-fading runs: at fig2's
+# 20 fadings a stack of every cell of the block more than doubled the peak
+# RSS.
 _BLOCK_CELLS = 2
 
 # Substream keys per hashing pass.  A worker seeds the blocks of its slice
@@ -1264,20 +1304,23 @@ def _block_task(args) -> list[list[np.ndarray]]:
 
     ``args`` is ``(plan, locs, rngs)``: the run's :class:`_Plan`, the
     block's locations and its generators, in the key order of
-    :func:`_seeded_blocks`.  ``rule.draw.make(scenario, q_top, rngs,
-    betas)`` draws one (location, fading) cell's channels at the largest
-    ``q`` from the generators of its keys, one per ``(stream, group)`` of
-    ``rule.draw.streams(scenario)``, and ``rule.kernel(scenario, q_values,
-    draw)`` returns a tuple of per-group arrays, groups on axis 0.  Each
-    shared draw of the plan is made by its maker; ``betas`` are the maker's
-    pathloss rows at the cell's location.  Shared draw by shared draw, each
-    cell is drawn once and each of the draw's kernels (one per kernel and
-    ``q_values``) runs on the whole draw.  Then each kernel's outputs are
-    stacked on a leading cell axis in (location, fading) order, and each
-    rule that reads them, ``rule.rates(scenario, q_values, inputs)``, takes
-    its job's first ``coded_gain`` groups of that stack, which goes before
-    the next kernel's is built.  A rate rule returns the rates of every
-    curve, shape ``(n_curves, n_loc * n_fad, n_q, n_p)``; fading-free rules
+    :func:`_seeded_blocks`.  ``rule.draw.make(scenario, q_top, cell_rngs,
+    betas)`` draws a stack of (location, fading) cells' channels at the
+    largest ``q``, each cell from the generators of its keys, one per
+    ``(stream, group)`` of ``rule.draw.streams(scenario)``, and
+    ``rule.kernel(scenario, q_values, draw)`` returns a tuple of arrays,
+    the stack's cells on axis 0 (:class:`_Draw`).  Each shared draw of the
+    plan is made by its maker; ``betas`` are the maker's pathloss rows at
+    the cells' locations.  Shared draw by shared draw, the block's cells,
+    in (location, fading) order, are drawn in stacks of at most
+    :data:`_BLOCK_CELLS` cells, and each of the draw's kernels (one per
+    kernel and ``q_values``) runs once on each stack
+    (:func:`_kernel_outputs`).  Each rule that reads a kernel,
+    ``rule.rates(scenario, q_values, inputs)``, then takes its job's first
+    ``coded_gain`` groups (axis 1) of that kernel's outputs over the block's
+    cells, which go before the next kernel's readers run.  A rate rule
+    returns the rates of every curve, shape ``(n_curves, n_loc * n_fad,
+    n_q, n_p)``; fading-free rules
     have no draw or kernel, run first, take the job's pathloss rows stacked
     over the block's locations, and return ``(n_curves, n_loc, n_q, n_p)``.
     A max-min-fair rule returns its problems (:class:`_MmfProblems`)
@@ -1322,11 +1365,41 @@ def _block_betas(plan: _Plan, n_loc: int, rngs) -> list[np.ndarray]:
     return betas
 
 
+def _kernel_outputs(shared: _Shared, maker: Job, betas: np.ndarray, n_fad: int, rngs) -> dict:
+    """Each kernel's outputs ``(n_cells, ...)`` over a block's cells, in
+    (location, fading) order, by ``(kernel, q_values)``: the shared draw is
+    made by ``maker`` from its pathloss rows ``betas`` ``(n_loc, G, q_top)``
+    and the next generators of the iterator ``rngs``, one stack of at most
+    :data:`_BLOCK_CELLS` cells at a time, and each kernel runs once on each
+    stack.  A block of one stack keeps the kernels' outputs as they are; a
+    longer one copies them into one array per output, stack by stack, so
+    the block holds each output once, not once per stack and again
+    joined."""
+    cell_betas = np.repeat(betas, n_fad, axis=0)
+    n_cells, q_top = len(cell_betas), max(maker.q_values)
+    outputs = {}
+    for start in range(0, n_cells, _BLOCK_CELLS):
+        stop = min(start + _BLOCK_CELLS, n_cells)
+        cell_rngs = [[next(rngs) for _ in range(shared.keys)] for _ in range(start, stop)]
+        draw = shared.draw.make(maker.scenario, q_top, cell_rngs, cell_betas[start:stop])
+        for kernel, q_values in shared.readers:
+            made = kernel(maker.scenario, q_values, draw)
+            if stop - start == n_cells:  # the block is one stack
+                outputs[kernel, q_values] = made
+                continue
+            if not start:
+                outputs[kernel, q_values] = tuple(
+                    np.empty((n_cells, *a.shape[1:]), a.dtype) for a in made
+                )
+            for out, a in zip(outputs[kernel, q_values], made):
+                out[start:stop] = a
+    return outputs
+
+
 def _block_rates(plan: _Plan, locs, rngs) -> list[list[np.ndarray]]:
     """The body of :func:`_block_task`."""
     jobs = plan.jobs
     first = jobs[0].scenario
-    cells = list(np.ndindex(len(locs), first.n_fadings))
     groups = [job.scenario.coded_gain for job in jobs]
     rngs = iter(rngs)
     betas = _block_betas(plan, len(locs), rngs)
@@ -1335,23 +1408,13 @@ def _block_rates(plan: _Plan, locs, rngs) -> list[list[np.ndarray]]:
          for rule, _ in job.rules]
         for job, job_betas in zip(jobs, betas)
     ]
-    # Per shared draw: each cell drawn once and fed to each of its kernels,
-    # then each kernel's outputs stacked over the cells and handed to its
-    # readers, the stack dropped before the next kernel's, and so before the
-    # solve.
+    # Per shared draw: every kernel's outputs over the block's cells, each
+    # handed to its readers and dropped before the next kernel's readers
+    # run, and so before the solve.
     for s in plan.shared:
-        maker = jobs[s.maker]
-        made = {key: [] for key in s.readers}
-        for li, _ in cells:
-            draw = s.draw.make(
-                maker.scenario, max(maker.q_values), [next(rngs) for _ in range(s.keys)],
-                betas[s.maker][li],
-            )
-            for kernel, q_values in s.readers:
-                made[kernel, q_values].append(kernel(maker.scenario, q_values, draw))
-        del draw
+        outputs = _kernel_outputs(s, jobs[s.maker], betas[s.maker], first.n_fadings, rngs)
         for key, readers in s.readers.items():
-            stacked = tuple(np.stack(a) for a in zip(*made.pop(key)))
+            stacked = outputs.pop(key)
             for ji, ri in readers:
                 job = jobs[ji]
                 out[ji][ri] = job.rules[ri][0].rates(

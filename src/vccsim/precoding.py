@@ -55,7 +55,7 @@ without forming every beam, for a whole sweep of served-user counts:
 :func:`prefix_factor` of a stack of groups, so that BD-MRC and ZF on the
 same draw share one factorization, :func:`zf_prefix_couplings` on the
 factor of a stack of estimated channels, at the served pairs of a q sweep,
-:func:`msv_gains_fast` on one multicast/unicast draw, and the
+:func:`msv_gains_fast` on a stack of multicast/unicast draws, and the
 rate formula :func:`msv_rate_from_gains` over the (count, power) grid, at
 overhead factors its caller gives.
 :func:`zf_matrix` is the full-prefix case of the same kernel.  A prefix
@@ -533,35 +533,43 @@ def msv_gains_fast(
     unicast_counts,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Beam gains of the MSV null-steering design (``msv_beamformers`` in
-    ``tests/oracles.py``) for every unicast count.
+    ``tests/oracles.py``) for every unicast count, for a draw or a stack of
+    draws.
 
-    The beams of ``n`` unicast streams are the ZF precoder of the first
-    ``n + 1`` columns of ``[mc_0, uc_1, ..., uc_U]`` (channels as columns):
-    column 0 is the common beam, steered at the first multicast user inside
-    the null space of the unicast channels, and column ``k`` nulls the first
-    multicast user and every other unicast user.  So one prefix
-    factorization serves the whole sweep; a one-column prefix is the matched
-    filter.  Returns the multicast gains ``(S, G)``, the squared couplings
-    of the common beam at every multicast user, and the unicast gains
-    ``(S, U)``, zero past each count: the per-size ZF gains, one row per
-    count.  Multicast user k's coupling with the common beam at count ``n``
-    is column 0 of :func:`zf_prefix_couplings`' product, ``sqrt(g0) *
-    sum(X[k, c] * conj(inv(R)[0, c]) for c <= n)`` with ``g0`` the common
-    beam's ZF gain, so one product of those terms with the sweep's 0/1
-    prefix mask serves every count, with that function's accuracy: user 0's
-    gain, the common beam's ZF gain, was within 2.0e-10 of :func:`zf_matrix`'s
-    over 25,000 random draws at L = 2..8.
+    The multicast channels are ``(..., G, L)`` and the unicast ones ``(...,
+    U, L)``, rows as users, with any leading axes, such as the cells of a
+    stack: every matrix of the stack is factored and multiplied on its own,
+    so a draw gets the same bits in any stack.  The beams of ``n`` unicast
+    streams are the ZF precoder of the first ``n + 1`` columns of ``[mc_0,
+    uc_1, ..., uc_U]`` (channels as columns): column 0 is the common beam,
+    steered at the first multicast user inside the null space of the unicast
+    channels, and column ``k`` nulls the first multicast user and every
+    other unicast user.  So one prefix factorization serves the whole sweep;
+    a one-column prefix is the matched filter.  Returns the multicast gains
+    ``(..., S, G)``, the squared couplings of the common beam at every
+    multicast user, and the unicast gains ``(..., S, U)``, zero past each
+    count: the per-size ZF gains, one row per count.  Multicast user k's
+    coupling with the common beam at count ``n`` is column 0 of
+    :func:`zf_prefix_couplings`' product, ``sqrt(g0) * sum(X[k, c] *
+    conj(inv(R)[0, c]) for c <= n)`` with ``g0`` the common beam's ZF gain,
+    so one product of those terms with the sweep's 0/1 prefix mask serves
+    every count, with that function's accuracy: user 0's gain, the common
+    beam's ZF gain, was within 2.0e-10 of :func:`zf_matrix`'s over 25,000
+    random draws at L = 2..8.
     """
     h_mc = np.asarray(multicast_channels, dtype=complex)
     h_uc = np.asarray(unicast_channels, dtype=complex)
-    stack = np.concatenate([h_mc[:1], h_uc], axis=0).T
-    factor = prefix_factor(stack[None])
+    lead = h_mc.shape[:-2]
+    h_mc = h_mc.reshape(-1, *h_mc.shape[-2:])
+    h_uc = h_uc.reshape(len(h_mc), *h_uc.shape[-2:])
+    stack = np.concatenate([h_mc[:, :1], h_uc], axis=1).swapaxes(-1, -2)
+    factor = prefix_factor(stack)
     sizes = tuple(n + 1 for n in _key(unicast_counts))
-    gains = zf_prefix_gains(factor, sizes)[0]
-    r_inv = factor.r_inv[0]
+    gains = zf_prefix_gains(factor, sizes)
+    r_inv = factor.r_inv
     mask = _sweep(sizes, 1, r_inv.shape[-1]).mask
     cols = mask.shape[1]
-    terms = h_mc @ stack.conj() @ r_inv[:, :cols]
-    terms *= r_inv[0, :cols].conj()
-    common = (mask @ terms.T)[: len(sizes)] * np.sqrt(gains[:, :1])
-    return np.abs(common) ** 2, gains[:, 1:]
+    terms = h_mc @ stack.conj() @ r_inv[..., :cols]
+    terms *= r_inv[:, None, 0, :cols].conj()
+    common = (mask @ terms.swapaxes(-1, -2))[:, : len(sizes)] * np.sqrt(gains[..., :1])
+    return tuple(a.reshape(*lead, *a.shape[1:]) for a in (np.abs(common) ** 2, gains[..., 1:]))

@@ -91,8 +91,10 @@ def cell_keys(draw, scn, loc, fad):
 
 
 def cell_draw(draw, scn, q_top, loc, fad, betas=None):
-    """One (location, fading) cell's draw, seeded as a block task seeds it."""
-    return draw.make(scn, q_top, substreams(scn.seed, cell_keys(draw, scn, loc, fad)), betas)
+    """One (location, fading) cell's draw, a stack of one cell, seeded as a
+    block task seeds it, from its pathloss rows ``betas`` ``(G, q_top)``."""
+    rngs = substreams(scn.seed, cell_keys(draw, scn, loc, fad))
+    return draw.make(scn, q_top, [rngs], None if betas is None else betas[None])
 
 
 class TestScenario:
@@ -336,6 +338,20 @@ def count_draws(monkeypatch):
     return counts
 
 
+def count_factored(monkeypatch) -> list:
+    """Spy on ``precoding._prefix_inverse``: the leading dimension of each
+    call's stack, the matrices it factors, in call order."""
+    factored = []
+    factor = precoding._prefix_inverse
+
+    def counted(h):
+        factored.append(len(h))
+        return factor(h)
+
+    monkeypatch.setattr(precoding, "_prefix_inverse", counted)
+    return factored
+
+
 def seed_sequence_rng(seed, *key):
     """One key's generator, seeded by numpy's own SeedSequence."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
@@ -428,7 +444,7 @@ class TestCellSeeding:
     def test_msv_draws(self, groups, antennas, seed):
         scn = symmetric_scenario(num_tx_antennas=antennas, seed=seed, **self._groups(groups))
         l = antennas
-        mc, uc_pool = cell_draw(experiments._MSV_DRAW, scn, l - 1, self.LOC, self.FAD)
+        [mc], [uc_pool] = cell_draw(experiments._MSV_DRAW, scn, l - 1, self.LOC, self.FAD)
         assert np.array_equal(mc, complex_gaussian(self._rng(scn, 4, 1), (groups, l)))
         assert np.array_equal(uc_pool, complex_gaussian(self._rng(scn, 4, 0), (l - 1, l)))
 
@@ -694,26 +710,29 @@ class TestOneSimulatePerRecipe:
     # draw (for the imperfect-CSI draw, one per group for the fading, one for
     # the CSIT error if its variance is positive and, with a positive CSIR
     # variance, one for the coupling error; two for MSV), each with one
-    # standard_normal call, and _prefix_inverse calls, one per shared stack
-    # factored.  The cacheless job reads the cache-aided group 0 wherever
-    # both sides have the same largest served count; fig4 (Q=2, Q'=8) does
-    # not.  The imperfect-CSI draw factors the estimate, which the error rule
-    # reads; fig6's perfect-CSI rule factors the true channels as well,
-    # unless csit_error_var=0 makes the estimate the channel itself.  fig9
-    # runs the error rule alone.
+    # standard_normal call.  Per stack of cells: _prefix_inverse calls, one
+    # per shared draw factored, over every cell of the stack.  Per (location,
+    # fading) again: the matrices those calls factor, the sum of their
+    # leading dimensions, the groups of each draw factored (one for MSV).
+    # The cacheless job reads the cache-aided group 0 wherever both sides
+    # have the same largest served count; fig4 (Q=2, Q'=8) does not.  The
+    # imperfect-CSI draw factors the estimate, which the error rule reads;
+    # fig6's perfect-CSI rule factors the true channels as well, unless
+    # csit_error_var=0 makes the estimate the channel itself.  fig9 runs the
+    # error rule alone.
     PER_FADING = {
-        "fig2": (3 * 5, 3),  # three M values; BD-MRC and ZF share each draw
-        "fig3": (6, 1),
-        "fig4": (4 + 1, 2),
-        "fig5": (6, 1),
-        "fig6": (2 * 6, 2),
-        "fig7": (6, 1),  # BD-MRC and ZF share the cache-aided draw
-        "fig8": (2 + 6, 1 + 1),
-        "fig9": (3 * 6, 1),
-        "fig6-var0": (6, 1),  # at csit_error_var=0
-        "fig9-var0": (2 * 6, 1),
-        "fig9-csir0": (2 * 6, 1),  # at csir_error_vars=0: no coupling error
-        "fig9-var0-csir0": (6, 1),  # both: the fading alone
+        "fig2": (3 * 5, 3, 3 * 5),  # three M values; BD-MRC and ZF share each draw
+        "fig3": (6, 1, 6),
+        "fig4": (4 + 1, 2, 4 + 1),
+        "fig5": (6, 1, 6),
+        "fig6": (2 * 6, 2, 2 * 6),
+        "fig7": (6, 1, 6),  # BD-MRC and ZF share the cache-aided draw
+        "fig8": (2 + 6, 1 + 1, 1 + 6),
+        "fig9": (3 * 6, 1, 6),
+        "fig6-var0": (6, 1, 6),  # at csit_error_var=0
+        "fig9-var0": (2 * 6, 1, 6),
+        "fig9-csir0": (2 * 6, 1, 6),  # at csir_error_vars=0: no coupling error
+        "fig9-var0-csir0": (6, 1, 6),  # both: the fading alone
     }
     OVERRIDES = {"var0": {"csit_error_var": 0.0}, "csir0": {"csir_error_vars": (0.0,)}}
 
@@ -730,15 +749,19 @@ class TestOneSimulatePerRecipe:
     @pytest.mark.parametrize("case", sorted(PER_FADING))
     def test_each_draw_and_factor_once_per_job(self, monkeypatch, case):
         recipe, *variants = case.split("-")
-        counts = dict.fromkeys(("_simulate", "_prefix_inverse"), 0)
+        counts = {"_simulate": 0}
         self._count(monkeypatch, experiments, "_simulate", counts)
-        self._count(monkeypatch, precoding, "_prefix_inverse", counts)
+        factored = count_factored(monkeypatch)
         drawn = count_draws(monkeypatch)
         n_loc, n_fad = 2, 3
         overrides = {k: v for variant in variants for k, v in self.OVERRIDES[variant].items()}
         run_recipe(recipe, seed=1, n_locations=n_loc, n_fadings=n_fad, overrides=overrides)
-        draws, factors = self.PER_FADING[case]
-        assert counts == {"_simulate": 1, "_prefix_inverse": factors * n_loc * n_fad}
+        draws, factors, matrices = self.PER_FADING[case]
+        # a block is one location, of two stacks: two cells and one
+        stacks = n_loc * math.ceil(n_fad / experiments._BLOCK_CELLS)
+        assert counts == {"_simulate": 1}
+        assert len(factored) == factors * stacks
+        assert sum(factored) == matrices * n_loc * n_fad
         assert drawn == dict.fromkeys(("substreams", "normal_calls"), draws * n_loc * n_fad)
 
     # Blocks per (locations, fadings): a block task holds two cells' worth of
@@ -884,12 +907,6 @@ class TestSharedLocationTask:
         assert a.q_values == b.q_values
         assert np.array_equal(a.mean, b.mean) and np.array_equal(a.stderr, b.stderr)
 
-    @staticmethod
-    def _counting(monkeypatch, module, name):
-        counts = {name: 0}
-        TestOneSimulatePerRecipe._count(monkeypatch, module, name, counts)
-        return counts
-
     @pytest.mark.parametrize("like", sorted(BD_SCENARIOS))
     def test_cacheless_bd_equals_lone_job(self, monkeypatch, like):
         self._check_cacheless_bd(monkeypatch, like, seed=11)
@@ -914,11 +931,15 @@ class TestSharedLocationTask:
             scn, (experiments.BD_MRC, ("cacheless_bd_mrc",)), (experiments.ZF, ("cacheless_zf",)),
         )
         jobs = [experiments.msv_job(scn), vcc, cl] if like == "fig8" else [vcc, cl]
-        factors = self._counting(monkeypatch, precoding, "_prefix_inverse")
+        factored = count_factored(monkeypatch)
         shared = experiments._simulate(jobs, workers=1)
-        # the cacheless side factors nothing of its own
-        per_fading = 1 + (like == "fig8")
-        assert factors["_prefix_inverse"] == per_fading * scn.n_locations * scn.n_fadings
+        # The cacheless side factors nothing of its own: one call per stack
+        # of the block's two cells, and MSV's one more, which factors one
+        # matrix per cell.
+        per_stack = 1 + (like == "fig8")
+        assert len(factored) == per_stack * scn.n_locations
+        matrices = scn.coded_gain + (like == "fig8")
+        assert sum(factored) == matrices * scn.n_locations * scn.n_fadings
         lone = run_cacheless_bd_mrc(scn)["cacheless_bd_mrc"]
         self._equal(shared["cacheless_bd_mrc"], lone)
         lone_zf = experiments._simulate([cl], workers=1)["cacheless_zf"]
@@ -1131,7 +1152,9 @@ def _assert_one_csv(monkeypatch, recipe, constant, values):
 
 
 class TestBlocks:
-    """Cutting the locations into block tasks of any size moves no bit."""
+    """Cutting the locations into block tasks of any size, and so a block's
+    cells into stacks of any size (``_BLOCK_CELLS`` caps both), moves no
+    bit."""
 
     @pytest.mark.parametrize("recipe", sorted(RECIPES))
     def test_block_size_never_moves_a_bit(self, monkeypatch, recipe):
@@ -1262,6 +1285,128 @@ class TestSliceSeeding:
             run_recipe("fig9", seed=1, n_locations=32, n_fadings=1, workers=workers)
             pids = log.read_text().split()
             assert len(pids) == len(set(pids)) == workers
+
+
+def _leaves(made) -> list:
+    """The arrays of a draw or of kernel outputs, nested tuples flattened."""
+    if isinstance(made, tuple):
+        return [a for part in made for a in _leaves(part)]
+    return [made]
+
+
+def _spied_jobs(monkeypatch, jobs, calls: list) -> list:
+    """``jobs`` with every draw and kernel wrapped: a draw appends its
+    call's cell count and pathloss row count to ``calls``, and a kernel the
+    leading dimensions of its outputs.  Each draw and kernel has one
+    wrapper, so the jobs share what they shared before."""
+    draws, kernels = {}, {}
+
+    def draw_spy(draw):
+        def make(scenario, q_top, cell_rngs, betas):
+            calls.append(("draw", len(cell_rngs), len(betas)))
+            return draw.make(scenario, q_top, cell_rngs, betas)
+
+        return draws.setdefault(draw, experiments._Draw(draw.streams, make))
+
+    def kernel_spy(kernel):
+        def run(scenario, q_values, made):
+            out = kernel(scenario, q_values, made)
+            calls.append(("kernel", *{len(a) for a in out}))
+            return out
+
+        return kernels.setdefault(kernel, run)
+
+    spied = [job._replace(rules=tuple(
+        (rule._replace(draw=draw_spy(rule.draw), kernel=kernel_spy(rule.kernel))
+         if rule.draw else rule, names)
+        for rule, names in job.rules
+    )) for job in jobs]
+    monkeypatch.setattr(experiments, "_PER_GROUP_DRAWS", frozenset(
+        spy for draw, spy in draws.items() if draw in experiments._PER_GROUP_DRAWS
+    ))
+    return spied
+
+
+class TestStacks:
+    """A block draws its cells in stacks of at most ``_BLOCK_CELLS`` cells,
+    in (location, fading) order, and runs each kernel once per stack; a
+    stack's draw and kernel outputs are those of its cells made one by one,
+    bit for bit."""
+
+    def test_fig7_factors_stacks_of_two_two_and_one(self, monkeypatch):
+        # One location at 5 fadings is one block of three stacks.  The
+        # cacheless job reads the cache-aided group 0, so only the
+        # cache-aided draw is factored.
+        jobs = [job._replace(scenario=dataclasses.replace(
+            job.scenario, n_locations=1, n_fadings=5)) for job in _fig7_jobs()]
+        factored = []
+        factor = experiments.prefix_factor
+
+        def spy(h):
+            factored.append(len(h))
+            return factor(h)
+
+        monkeypatch.setattr(experiments, "prefix_factor", spy)
+        experiments._simulate(jobs, workers=1)
+        g = jobs[0].scenario.coded_gain
+        assert factored == [2 * g, 2 * g, g]
+
+    # At 1x5 one block holds the five cells, at 5x1 three blocks hold two,
+    # two and one: either way each shared draw is made in stacks of 2, 2
+    # and 1 cells.
+    @pytest.mark.parametrize("n_loc, n_fad", [(1, 5), (5, 1)])
+    @pytest.mark.parametrize("recipe", sorted(RECIPES))
+    def test_no_call_holds_more_than_a_stack(self, monkeypatch, recipe, n_loc, n_fad):
+        calls = []
+        simulate = experiments._simulate
+        shared = []
+
+        def spying_simulate(jobs, workers):
+            jobs = _spied_jobs(monkeypatch, jobs, calls)
+            shared.append(len(experiments._plan(jobs).shared))
+            return simulate(jobs, workers)
+
+        monkeypatch.setattr(experiments, "_simulate", spying_simulate)
+        run_recipe(recipe, seed=1, n_locations=n_loc, n_fadings=n_fad)
+        stacks = []
+        for kind, *sizes in calls:
+            if kind == "draw":
+                cells, rows = sizes
+                assert 1 <= cells <= experiments._BLOCK_CELLS and rows == cells
+                stacks.append(cells)
+            else:
+                assert sizes == [stacks[-1]]  # every output has the stack's cells
+        [n_shared] = shared
+        assert sorted(stacks) == sorted([2, 2, 1] * n_shared)
+        assert len(calls) > len(stacks)  # the kernels ran
+
+    @pytest.mark.parametrize("case", sorted(TestSliceSeeding.CASES))
+    def test_stacked_make_equals_per_cell_makes(self, case):
+        jobs = TestSliceSeeding.CASES[case]()
+        scn = jobs[0].scenario
+        cells = list(np.ndindex(3, scn.n_fadings))[:3]  # across two or three locations
+        for shared in experiments._plan(jobs).shared:
+            maker = jobs[shared.maker].scenario
+            q_top = max(jobs[shared.maker].q_values)
+            betas = [location_betas(maker, q_top, loc) for loc, _ in cells]
+
+            def made(at):
+                rngs = [substreams(maker.seed, cell_keys(shared.draw, maker, *cell)) for cell in at]
+                return shared.draw.make(
+                    maker, q_top, rngs, np.stack([betas[cells.index(c)] for c in at])
+                )
+
+            stacked, alone = made(cells), [made([cell]) for cell in cells]
+            outputs = [(stacked, alone)] + [
+                (kernel(maker, q_values, stacked), [kernel(maker, q_values, a) for a in alone])
+                for kernel, q_values in shared.readers
+            ]
+            for whole, parts in outputs:
+                got, want = _leaves(whole), [_leaves(part) for part in parts]
+                assert len(got) == len(want[0])
+                for i, a in enumerate(got):
+                    b = np.concatenate([w[i] for w in want])
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 class _Captured(Exception):
@@ -1595,7 +1740,7 @@ class TestCsiRule:
     def test_zero_csir_variance_is_the_general_formula(self, monkeypatch, csit_var, csir_vars):
         scn = symmetric_scenario(csit_error_var=csit_var, csir_error_vars=csir_vars, seed=9)
         q_values = scn.group_user_counts(None)
-        kernel_out = tuple(np.stack(a) for a in zip(*(
+        kernel_out = tuple(np.concatenate(a) for a in zip(*(
             experiments._csi_error_kernel(
                 scn, q_values, cell_draw(experiments._CSI_DRAW, scn, max(q_values), loc, 0)
             )
@@ -1617,12 +1762,10 @@ class TestCsiRule:
     @staticmethod
     def both_rules(scn, q_values, draws):
         """The perfect-CSI curve, then the estimated-CSI curves, as the
-        per-q reference orders them: draw, kernel, rates on a fading axis of
-        one."""
+        per-q reference orders them: draw, kernel, rates on the one-cell
+        stack's cell axis."""
         return np.concatenate([
-            rule.rates(
-                scn, q_values, tuple(a[None] for a in rule.kernel(scn, q_values, draws))
-            )[:, 0]
+            rule.rates(scn, q_values, rule.kernel(scn, q_values, draws))[:, 0]
             for rule in (experiments.CSI_PERFECT, experiments.CSI_ERROR)
         ])
 

@@ -500,6 +500,20 @@ class TestMsv:
             )
             np.testing.assert_allclose(grid[s], alone[0], rtol=1e-13)
 
+    @pytest.mark.parametrize("l", [4, 8, 32])
+    def test_stack_of_draws_equals_each_draw_alone(self, l):
+        # Every matrix of a stack is factored and multiplied on its own, so
+        # a draw's gains do not depend on the stack around it, bit for bit.
+        rng = substream(49, l)
+        mc = complex_gaussian(rng, (20, 3, l))
+        uc = complex_gaussian(rng, (20, l - 1, l))
+        counts = tuple(range(l))
+        mg, ug = msv_gains_fast(mc, uc, counts)
+        assert mg.shape == (20, l, 3) and ug.shape == (20, l, l - 1)
+        for c in range(20):
+            alone = msv_gains_fast(mc[c], uc[c], counts)
+            assert np.array_equal(mg[c], alone[0]) and np.array_equal(ug[c], alone[1])
+
     def test_pilots_filling_coherence_give_zero_rate(self):
         # 2 unicast + 1 common stream + 1 cached listener = 4 pilot slots.
         # Pilots beyond the block are rejected where the MSV job is built

@@ -206,7 +206,7 @@ def _csi_samples(l_tx: int, sizes: tuple, csit_var: float, cells: int = 500, gro
     g_hat, own, interference = [], [], []
     for loc in range(cells):
         draws = cell_draw(_CSI_DRAW, scn, max(sizes), loc, 0)
-        coupling, received = _csi_error_kernel(scn, sizes, draws)[:2]
+        coupling, received = (a[0] for a in _csi_error_kernel(scn, sizes, draws)[:2])
         g_hat.append(zf_prefix_gains(draws[1], sizes))
         own.append(coupling)
         interference.append(received - (coupling.real ** 2 + coupling.imag ** 2))
